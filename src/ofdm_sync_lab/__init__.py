@@ -40,7 +40,6 @@ from .estimators import (
     GridSpec,
     estimate_nguyenle,
     estimate_proposed,
-    grid_search,
     make_grid,
     nguyenle_cost,
     nguyenle_observable,
@@ -111,7 +110,6 @@ __all__ = [
     "proposed_cost",
     "nguyenle_cost",
     "nguyenle_observable",
-    "grid_search",
     "estimate_proposed",
     "estimate_nguyenle",
     "pair_residual",

@@ -127,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "sfo": "true sampling frequency offset (fractional)",
         "taps": "channel tap count",
         "snr-min": "first SNR point in dB (also the SNR used by 'trial')",
-        "snr-max": "last SNR point in dB",
-        "snr-step": "SNR step in dB",
+        "snr-max": "last SNR point in dB (ignored by 'trial')",
+        "snr-step": "SNR step in dB (ignored by 'trial')",
         "trials": "Monte-Carlo trials per SNR point",
         "seed": "master seed for all substreams",
         "grid-cfo-step": "CFO lattice step",
@@ -177,6 +177,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _snr_axis(lo: float, hi: float, step: float) -> tuple:
+    if not np.isfinite([lo, hi, step]).all():
+        raise CliError(
+            f"snr-min, snr-max and snr-step must be finite, got "
+            f"{lo}, {hi}, {step}")
     if step <= 0:
         raise CliError(f"snr-step must be positive, got {step}")
     if hi < lo:
@@ -214,16 +218,16 @@ def parse(argv) -> CliInvocation:
         raise CliError(f"trials must be >= 1, got {values['trials']}")
     if values["taps"] < 1:
         raise CliError(f"taps must be >= 1, got {values['taps']}")
-    for key in ("cfo", "sfo"):
-        if not np.isfinite(values[key]):
-            raise CliError(f"{key} must be finite, got {values[key]}")
-
     try:
+        if command == "trial":
+            snr_points = (values["snr-min"],)
+        else:
+            snr_points = _snr_axis(values["snr-min"], values["snr-max"],
+                                   values["snr-step"])
         experiment = ExperimentConfig(
             ofdm=make_config(values["n"], values["k"], values["cp"]),
             cfo=values["cfo"], sfo=values["sfo"], n_taps=values["taps"],
-            snr_points_db=_snr_axis(values["snr-min"], values["snr-max"],
-                                    values["snr-step"]),
+            snr_points_db=snr_points,
             n_trials=values["trials"], master_seed=values["seed"],
             grid=make_grid(values["grid-cfo-step"], values["grid-cfo-max"],
                            values["grid-sfo-step"], values["grid-sfo-max"]),

@@ -30,7 +30,6 @@ __all__ = [
     "proposed_cost",
     "nguyenle_observable",
     "nguyenle_cost",
-    "grid_search",
     "estimate_proposed",
     "estimate_nguyenle",
     "pair_residual",
@@ -124,21 +123,6 @@ def symbol_phase_ramp(k, cfo: float, sfo: float, config: OfdmConfig):
                      + np.asarray(cfo) * (1.0 + np.asarray(sfo))))
 
 
-def _ramp_factors(cfo, sfo, config: OfdmConfig):
-    """Split the ramp into a k-independent lead and per-k factors.
-
-    Returns (lead, per_k) with lead = exp(j a cfo (1+sfo)) and
-    per_k(k) = exp(j a k sfo), a = 2 pi (N + cp_len)/N, so that
-    ramp(k) = lead * per_k(k). Shared by every cost evaluation to keep
-    the floating-point path identical between scalar and grid calls.
-    """
-    a = _TWO_PI * config.symbol_len / config.dft_size
-    cfo = np.asarray(cfo, dtype=float)
-    sfo = np.asarray(sfo, dtype=float)
-    lead = np.exp(1j * a * cfo * (1.0 + sfo))
-    return a, cfo, sfo, lead
-
-
 def proposed_cost(obs: PreambleObservation, cfo, sfo,
                   config: OfdmConfig):
     """Sum over active subcarriers of |R1(k) - ramp(k) R0(k)|^2.
@@ -146,13 +130,21 @@ def proposed_cost(obs: PreambleObservation, cfo, sfo,
     Accepts scalar or broadcastable array cfo/sfo (e.g. a column of CFO
     candidates against a row of SFO candidates evaluates the full cost
     surface in one call). Accumulation over k runs in ascending order.
+    This direct formula is the reference the lattice search's
+    correlation kernel is tested against.
     """
-    a, cfo_b, sfo_b, lead = _ramp_factors(cfo, sfo, config)
-    ks = config.subcarrier_indices
-    total = np.zeros(np.broadcast(cfo_b, sfo_b).shape)
-    for idx, k in enumerate(ks):
-        ramp_k = lead * np.exp(1j * a * k * sfo_b)
-        diff = obs.r1[idx] - ramp_k * obs.r0[idx]
+    return _pair_cost(obs.r0, obs.r1, cfo, sfo, config)
+
+
+def _pair_cost(r0, r1, cfo, sfo, config: OfdmConfig):
+    a = _TWO_PI * config.symbol_len / config.dft_size
+    cfo = np.asarray(cfo, dtype=float)
+    sfo = np.asarray(sfo, dtype=float)
+    lead = np.exp(1j * a * cfo * (1.0 + sfo))
+    total = np.zeros(np.broadcast(cfo, sfo).shape)
+    for idx, k in enumerate(config.subcarrier_indices):
+        ramp_k = lead * np.exp(1j * a * k * sfo)
+        diff = r1[idx] - ramp_k * r0[idx]
         total = total + (diff.real ** 2 + diff.imag ** 2)
     if total.ndim == 0:
         return float(total)
@@ -178,19 +170,10 @@ def nguyenle_observable(obs: PreambleObservation,
 def nguyenle_cost(y: np.ndarray, cfo, sfo, config: OfdmConfig):
     """Sum over active subcarriers of |Y(k) - ramp(k)|^2.
 
-    Same broadcasting and accumulation-order conventions as
-    :func:`proposed_cost`.
+    The pair cost of :func:`proposed_cost` with R0 = 1 and R1 = Y, under
+    the same broadcasting and accumulation-order conventions.
     """
-    a, cfo_b, sfo_b, lead = _ramp_factors(cfo, sfo, config)
-    ks = config.subcarrier_indices
-    total = np.zeros(np.broadcast(cfo_b, sfo_b).shape)
-    for idx, k in enumerate(ks):
-        ramp_k = lead * np.exp(1j * a * k * sfo_b)
-        diff = y[idx] - ramp_k
-        total = total + (diff.real ** 2 + diff.imag ** 2)
-    if total.ndim == 0:
-        return float(total)
-    return total
+    return _pair_cost(np.ones(y.shape), y, cfo, sfo, config)
 
 
 def _argmin_lattice(surface: np.ndarray, grid: GridSpec):
@@ -210,40 +193,17 @@ def _argmin_lattice(surface: np.ndarray, grid: GridSpec):
     return i, j
 
 
-def grid_search(cost, grid: GridSpec, method: str = "grid") -> EstimationResult:
-    """Exhaustively minimize ``cost(cfo, sfo)`` over the lattice.
-
-    The callable is first offered the whole lattice as broadcastable
-    arrays (one column of CFO values against one row of SFO values); a
-    callable that only supports scalars is evaluated point by point
-    instead. Every lattice point is evaluated either way.
-    """
-    e = grid.cfo_values
-    h = grid.sfo_values
-    surface = None
-    try:
-        candidate = np.asarray(cost(e[:, None], h[None, :]), dtype=float)
-        if candidate.shape == grid.shape:
-            surface = candidate
-    except Exception:
-        surface = None
-    if surface is None:
-        surface = np.empty(grid.shape)
-        for i, cfo in enumerate(e):
-            for j, sfo in enumerate(h):
-                surface[i, j] = cost(cfo, sfo)
-    i, j = _argmin_lattice(surface, grid)
-    return EstimationResult(cfo=float(e[i]), sfo=float(h[j]),
-                            cost=float(surface[i, j]), method=method)
-
-
 class GridEvaluator:
     """Reusable lattice evaluator for repeated searches on one grid.
 
-    Precomputes the k-independent lead factors and the per-subcarrier
-    SFO ramps once per (grid, config); each trial then costs only
-    multiply-accumulate passes over the lattice. Results are identical
-    to :func:`grid_search` on the corresponding cost function.
+    The ramp has unit modulus, so each pair cost expands to
+    sum_k |R1 - ramp R0|^2 = c - 2 Re(lead(cfo, sfo) sum_k sub_k(sfo) z_k)
+    with z = R0 conj(R1) and c = sum_k |R0|^2 + |R1|^2. The lead factors
+    and the (n_sfo, K) per-subcarrier ramps are precomputed once per
+    (grid, config), so a whole surface costs one matrix-vector product.
+    The reported cost is recomputed at the argmin as the direct sum over
+    ascending k from the same factors, so it does not carry the kernel's
+    rounding.
     """
 
     def __init__(self, grid: GridSpec, config: OfdmConfig):
@@ -258,33 +218,34 @@ class GridEvaluator:
         self._sub = np.exp(
             1j * a * grid.sfo_values[:, None] * config.subcarrier_indices)
 
+    def _correlate(self, z: np.ndarray, c: float) -> np.ndarray:
+        return c - 2.0 * (self._lead * (self._sub @ z)[None, :]).real
+
     def proposed_surface(self, obs: PreambleObservation) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for idx in range(self.config.n_active):
-            ramp_k = self._lead * self._sub[None, :, idx]
-            diff = obs.r1[idx] - ramp_k * obs.r0[idx]
-            total += diff.real ** 2 + diff.imag ** 2
-        return total
+        r0, r1 = obs.r0, obs.r1
+        c = np.sum(r0.real ** 2 + r0.imag ** 2 + r1.real ** 2 + r1.imag ** 2)
+        return self._correlate(r0 * np.conj(r1), c)
 
     def nguyenle_surface(self, y: np.ndarray) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for idx in range(self.config.n_active):
-            diff = y[idx] - self._lead * self._sub[None, :, idx]
-            total += diff.real ** 2 + diff.imag ** 2
-        return total
+        c = np.sum(y.real ** 2 + y.imag ** 2) + y.size
+        return self._correlate(np.conj(y), c)
 
-    def _result(self, surface, method):
+    def _result(self, surface, method, r0, r1):
         i, j = _argmin_lattice(surface, self.grid)
+        diff = r1 - self._lead[i, j] * self._sub[j, :] * r0
+        # Sequential accumulation over ascending k, as the direct formula.
+        cost = np.add.accumulate(diff.real ** 2 + diff.imag ** 2)[-1]
         return EstimationResult(cfo=float(self.grid.cfo_values[i]),
                                 sfo=float(self.grid.sfo_values[j]),
-                                cost=float(surface[i, j]), method=method)
+                                cost=float(cost), method=method)
 
     def search_proposed(self, obs: PreambleObservation) -> EstimationResult:
-        return self._result(self.proposed_surface(obs), "proposed")
+        return self._result(self.proposed_surface(obs), "proposed",
+                            obs.r0, obs.r1)
 
     def search_nguyenle(self, obs: PreambleObservation) -> EstimationResult:
         y = nguyenle_observable(obs, self.config)
-        return self._result(self.nguyenle_surface(y), "nguyen_le")
+        return self._result(self.nguyenle_surface(y), "nguyen_le", 1.0, y)
 
 
 def _refine_axis(cost, values, i, j, axis):

@@ -80,12 +80,25 @@ class ExperimentConfig:
             raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        for name in ("cfo", "sfo"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if len(self.snr_points_db) == 0:
             raise ValueError("snr_points_db must not be empty")
         points = tuple(float(s) for s in self.snr_points_db)
+        if not np.isfinite(points).all():
+            raise ValueError(f"snr_points_db must be finite, got {points}")
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValueError(
                 f"snr_points_db must be strictly ascending, got {points}")
+        # Random streams are keyed by the milli-dB SNR key, so two points
+        # sharing a key would silently share every stream.
+        for a, b in zip(points, points[1:]):
+            if snr_stream_key(a) == snr_stream_key(b):
+                raise ValueError(
+                    f"snr points {a} and {b} share the random stream key "
+                    f"{snr_stream_key(a)} (milli-dB resolution)")
         object.__setattr__(self, "snr_points_db", points)
 
 

@@ -104,6 +104,11 @@ def test_unknown_flag_exits_2():
     (["fig1", "--cfo", "inf"], "cfo must be finite"),
     (["fig1", "--snr-min", "20", "--snr-max", "10"], "below snr-min"),
     (["fig1", "--snr-step", "0"], "snr-step must be positive"),
+    (["fig2", "--sfo", "nan"], "sfo must be finite"),
+    (["fig1", "--snr-min", "10", "--snr-max", "10.001",
+      "--snr-step", "0.0004"], "share the random stream key"),
+    (["fig1", "--snr-max", "inf"], "must be finite"),
+    (["trial", "--snr-min", "nan"], "snr_points_db must be finite"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -314,6 +319,19 @@ def test_trial_at_zero_offsets_has_vanishing_cost(capsys):
     assert float(entries["nguyenle_cost_at_truth"]) < 1e-12
     assert float(entries["proposed_cfo"]) == 0.0
     assert float(entries["proposed_sfo"]) == 0.0
+
+
+def test_trial_uses_snr_min_alone(capsys):
+    """'trial' runs at --snr-min even above the default --snr-max, and
+    ignores the sweep's --snr-max / --snr-step."""
+    assert parse(["trial", "--snr-min", "20"]).experiment.snr_points_db \
+        == (20.0,)
+    entries = trial_output(capsys, ["trial", "--snr-min", "20"])
+    assert entries["snr_db"] == "20"
+    assert trial_output(capsys, ["trial", "--snr-min", "20", "--snr-max",
+                                 "30", "--snr-step", "0"]) == entries
+    assert trial_output(capsys, ["trial", "--snr-min", "5"]) == \
+        trial_output(capsys, ["trial", "--snr-min", "5", "--snr-max", "5"])
 
 
 def test_trial_reports_degenerate_ratio(monkeypatch, capsys):

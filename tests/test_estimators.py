@@ -1,9 +1,11 @@
 """Estimator tests: phase-ramp model, both cost functions, the lattice
-search, refinement, and the two residual diagnostics."""
+search and its correlation kernel, refinement, and the two residual
+diagnostics."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     DegenerateObservationError,
@@ -17,7 +19,6 @@ from ofdm_sync_lab import (
     estimate_nguyenle,
     estimate_proposed,
     generate_training_symbols,
-    grid_search,
     make_config,
     make_grid,
     nguyenle_cost,
@@ -30,6 +31,7 @@ from ofdm_sync_lab import (
     symbol_phase_ramp,
     synthesize_frame,
 )
+from ofdm_sync_lab.estimators import _argmin_lattice
 
 CFG = make_config(64, 52, 16)
 GRID = make_grid()
@@ -240,50 +242,49 @@ def bowl(cfo, sfo):
     return (cfo - 0.21) ** 2 + (sfo * 1e4) ** 2
 
 
+def lattice_surface(fn, grid):
+    return fn(grid.cfo_values[:, None], grid.sfo_values[None, :])
+
+
 def test_grid_search_finds_separable_bowl_minimum():
-    result = grid_search(bowl, GRID)
-    assert result.cfo == 0.21
-    assert result.sfo == 0.0
-    assert result.cost == pytest.approx(0.0, abs=1e-20)
-    assert result.method == "grid"
+    i, j = _argmin_lattice(lattice_surface(bowl, GRID), GRID)
+    assert GRID.cfo_values[i] == 0.21
+    assert GRID.sfo_values[j] == 0.0
 
 
 def test_grid_search_tie_breaks_to_first_lattice_point():
-    result = grid_search(lambda e, h: np.broadcast_to(
-        1.0, np.broadcast(e, h).shape), GRID)
-    assert result.cfo == GRID.cfo_values[0]
-    assert result.sfo == GRID.sfo_values[0]
-
-
-def test_grid_search_scalar_only_callable_falls_back():
-    calls = {"n": 0}
-
-    def scalar_bowl(cfo, sfo):
-        if np.ndim(cfo) or np.ndim(sfo):
-            raise TypeError("scalar inputs only")
-        calls["n"] += 1
-        return bowl(cfo, sfo)
-
-    result = grid_search(scalar_bowl, GRID)
-    assert calls["n"] >= GRID.shape[0] * GRID.shape[1]
-    assert (result.cfo, result.sfo) == (0.21, 0.0)
+    assert _argmin_lattice(np.ones(GRID.shape), GRID) == (0, 0)
+    # a signal-free pair makes the whole kernel surface exactly zero
+    zeros = np.zeros(52, dtype=complex)
+    silent = PreambleObservation(zeros, zeros, TrainingSymbols(zeros, zeros))
+    result = GridEvaluator(GRID, CFG).search_proposed(silent)
+    assert (result.cfo, result.sfo) == (GRID.cfo_values[0],
+                                        GRID.sfo_values[0])
+    assert result.cost == 0.0
 
 
 def test_grid_search_rejects_non_finite_cost():
-    def poisoned(cfo, sfo):
-        value = bowl(np.asarray(cfo), np.asarray(sfo))
-        return np.where(np.asarray(cfo) == GRID.cfo_values[3],
-                        np.nan, value)
-
+    surface = lattice_surface(bowl, GRID)
+    surface[3, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite cost"):
-        grid_search(poisoned, GRID)
+        _argmin_lattice(surface, GRID)
+    obs = observation(29, 0.1, 1e-4, snr_db=10.0)
+    r0 = obs.r0.copy()
+    r0[5] = np.inf
+    poisoned = PreambleObservation(r0, obs.r1, obs.training)
+    with pytest.raises(ValueError, match="non-finite cost"), \
+            np.errstate(invalid="ignore"):
+        GridEvaluator(GRID, CFG).search_proposed(poisoned)
 
 
 def test_grid_search_single_point_grid():
     grid = GridSpec(np.array([0.3]), np.array([0.0]))
-    result = grid_search(bowl, grid, method="proposed")
+    obs = observation(30, 0.2, 1e-4, snr_db=10.0)
+    result = GridEvaluator(grid, CFG).search_proposed(obs)
     assert (result.cfo, result.sfo) == (0.3, 0.0)
     assert result.method == "proposed"
+    assert result.cost == pytest.approx(proposed_cost(obs, 0.3, 0.0, CFG),
+                                        rel=1e-12)
 
 
 def test_degenerate_grid_collapses_to_cfo_only_search():
@@ -309,22 +310,89 @@ def test_fully_pinned_grid_returns_pair_mismatch_energy():
 # ------------------------------------------------- evaluator and estimates
 
 
-def test_evaluator_matches_generic_grid_search():
+def energy(*vectors):
+    return sum(float(np.sum(np.abs(v) ** 2)) for v in vectors)
+
+
+def assert_kernel_matches_oracle(kernel, oracle, reported, grid, c):
+    """The kernel surface equals the direct-formula surface to 1e-12 of
+    its constant term c, and the reported cost is the oracle's value at
+    the kernel's argmin, within that tolerance of the oracle minimum."""
+    tol = 1e-12 * c
+    assert kernel.shape == oracle.shape == grid.shape
+    npt.assert_allclose(kernel, oracle, rtol=0, atol=tol)
+    i = int(np.searchsorted(grid.cfo_values, reported.cfo))
+    j = int(np.searchsorted(grid.sfo_values, reported.sfo))
+    assert reported.cost == pytest.approx(oracle[i, j], rel=0, abs=tol)
+    assert reported.cost <= oracle.min() + 2 * tol
+
+
+def test_evaluator_matches_oracle_surface():
     obs = observation(15, 0.212, 0.000112, snr_db=10.0)
     ev = GridEvaluator(GRID, CFG)
-
+    oracle = proposed_cost(obs, GRID.cfo_values[:, None],
+                           GRID.sfo_values[None, :], CFG)
     got = ev.search_proposed(obs)
-    ref = grid_search(lambda e, h: proposed_cost(obs, e, h, CFG), GRID,
-                      method="proposed")
-    assert (got.cfo, got.sfo) == (ref.cfo, ref.sfo)
-    assert got.cost == pytest.approx(ref.cost, rel=1e-12)
+    assert_kernel_matches_oracle(ev.proposed_surface(obs), oracle, got, GRID,
+                                 energy(obs.r0, obs.r1))
+    assert np.unravel_index(np.argmin(oracle), GRID.shape) == (
+        np.searchsorted(GRID.cfo_values, got.cfo),
+        np.searchsorted(GRID.sfo_values, got.sfo))
 
-    got_nl = ev.search_nguyenle(obs)
     y = nguyenle_observable(obs, CFG)
-    ref_nl = grid_search(lambda e, h: nguyenle_cost(y, e, h, CFG), GRID,
-                         method="nguyen_le")
-    assert (got_nl.cfo, got_nl.sfo) == (ref_nl.cfo, ref_nl.sfo)
-    assert got_nl.cost == pytest.approx(ref_nl.cost, rel=1e-12)
+    oracle_nl = nguyenle_cost(y, GRID.cfo_values[:, None],
+                              GRID.sfo_values[None, :], CFG)
+    got_nl = ev.search_nguyenle(obs)
+    assert_kernel_matches_oracle(ev.nguyenle_surface(y), oracle_nl, got_nl,
+                                 GRID, energy(y) + y.size)
+    assert np.unravel_index(np.argmin(oracle_nl), GRID.shape) == (
+        np.searchsorted(GRID.cfo_values, got_nl.cfo),
+        np.searchsorted(GRID.sfo_values, got_nl.sfo))
+
+
+@st.composite
+def geometries(draw):
+    """Random (config, grid): cp = 0 and K = N included, either axis of
+    the lattice possibly pinned to the single value 0."""
+    dft_size = 2 * draw(st.integers(1, 32))
+    n_active = 2 * draw(st.integers(1, dft_size // 2))
+    cp_len = draw(st.sampled_from([0, draw(st.integers(0, dft_size))]))
+    config = make_config(dft_size, n_active, cp_len)
+    cfo_max = draw(st.sampled_from([0.0, 0.5]))
+    sfo_max = draw(st.sampled_from([0.0, 5e-4, 3e-3]))
+    grid = make_grid(cfo_step=cfo_max / draw(st.integers(1, 8)) or 0.1,
+                     cfo_max=cfo_max,
+                     sfo_step=sfo_max / draw(st.integers(1, 8)) or 1e-5,
+                     sfo_max=sfo_max)
+    return config, grid
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(geometry=geometries(), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+@example(geometry=(make_config(8, 8, 0), make_grid(cfo_max=0.0, sfo_max=0.0)),
+         seed=1, scale=1.0)
+@example(geometry=(CFG, make_grid(sfo_max=0.0)), seed=2, scale=1.0)
+@example(geometry=(make_config(16, 16, 0), GRID), seed=3, scale=1e3)
+def test_kernel_matches_oracle_over_random_geometries(geometry, seed, scale):
+    config, grid = geometry
+    rng = np.random.default_rng(seed)
+    k = config.n_active
+    r0, r1 = scale * (rng.standard_normal((2, k))
+                      + 1j * rng.standard_normal((2, k)))
+    obs = PreambleObservation(r0, r1, TrainingSymbols(r0, r0))
+    ev = GridEvaluator(grid, config)
+    e, h = grid.cfo_values[:, None], grid.sfo_values[None, :]
+
+    assert_kernel_matches_oracle(ev.proposed_surface(obs),
+                                 proposed_cost(obs, e, h, config),
+                                 ev.search_proposed(obs), grid,
+                                 energy(r0, r1))
+    y = nguyenle_observable(obs, config)
+    assert_kernel_matches_oracle(ev.nguyenle_surface(y),
+                                 nguyenle_cost(y, e, h, config),
+                                 ev.search_nguyenle(obs), grid,
+                                 energy(y) + k)
 
 
 def test_estimates_at_zero_offsets():

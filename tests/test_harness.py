@@ -76,10 +76,29 @@ def test_experiment_config_validation():
         make_experiment(snr_points_db=(10.0, 5.0))
     with pytest.raises(ValueError, match="empty"):
         make_experiment(snr_points_db=())
+    with pytest.raises(ValueError, match="finite"):
+        make_experiment(snr_points_db=(10.0, float("inf")))
     with pytest.raises(ValueError, match="n_trials"):
         make_experiment(n_trials=0)
     with pytest.raises(ValueError, match="n_taps"):
         make_experiment(n_taps=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cfo", float("nan")), ("cfo", float("inf")), ("sfo", float("-inf")),
+    ("sfo", float("nan")),
+])
+def test_experiment_config_rejects_non_finite_offsets(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_experiment(**{field: value})
+
+
+def test_experiment_config_rejects_snr_stream_key_collisions():
+    with pytest.raises(ValueError, match="share the random stream key"):
+        make_experiment(snr_points_db=(5.0, 10.0, 10.0004))
+    # one milli-dB apart is the finest resolution that keeps streams apart
+    assert make_experiment(snr_points_db=(10.0, 10.001)).snr_points_db == (
+        10.0, 10.001)
 
 
 def test_snr_points_coerced_to_float():
