@@ -38,6 +38,7 @@ from .estimators import (
     EstimationResult,
     GridEvaluator,
     GridSpec,
+    NonFiniteSurfaceError,
     estimate_nguyenle,
     estimate_proposed,
     make_grid,
@@ -70,7 +71,6 @@ from .harness import (
     run_mse_sweep,
     run_noise_variance_sweep,
     run_trial,
-    worker_count,
 )
 
 __version__ = "0.1.0"
@@ -105,6 +105,7 @@ __all__ = [
     "EstimationResult",
     "GridSpec",
     "GridEvaluator",
+    "NonFiniteSurfaceError",
     "make_grid",
     "symbol_phase_ramp",
     "proposed_cost",
@@ -135,5 +136,4 @@ __all__ = [
     "run_mse_sweep",
     "run_noise_variance_sweep",
     "aggregate",
-    "worker_count",
 ]

@@ -11,8 +11,8 @@ Option precedence is built-in defaults, then an optional ``--config``
 file of ``key = value`` lines (``#`` starts a comment), then flags.
 Every resolved experiment field is echoed in the CSV ``#`` metadata
 header with flag spelling, so a dataset is reproducible from its own
-header. Output is deterministic for a given configuration; the
-SYNC_LAB_THREADS environment variable only changes the worker count.
+header. Trials run serially, and output is deterministic for a given
+configuration.
 """
 
 import argparse
@@ -26,6 +26,7 @@ from .crb import average_crb, crb_from_fisher, default_scenario_sampler, \
 from .estimators import (
     DegenerateObservationError,
     GridEvaluator,
+    NonFiniteSurfaceError,
     make_grid,
     nguyenle_cost,
     nguyenle_observable,
@@ -39,7 +40,6 @@ from .harness import (
     _select_crb_backend,
     run_mse_sweep,
     run_noise_variance_sweep,
-    worker_count,
 )
 from .ofdm_model import carrier_gain, make_config, noise_variance_from_snr
 
@@ -209,11 +209,6 @@ def parse(argv) -> CliInvocation:
     if namespace.out is not None:
         out = namespace.out
 
-    try:
-        worker_count()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
     if values["trials"] < 1:
         raise CliError(f"trials must be >= 1, got {values['trials']}")
     if values["taps"] < 1:
@@ -327,12 +322,16 @@ def _run_trial(invocation: CliInvocation) -> int:
     emit("carrier_gain_abs_max", format_value(float(gains.max())))
 
     evaluator = GridEvaluator(cfg.grid, config)
-    truth_cost = proposed_cost(obs, cfg.cfo, cfg.sfo, config)
-    best = evaluator.search_proposed(obs)
-    emit("proposed_cost_at_truth", format_value(truth_cost))
-    emit("proposed_cost_at_argmin", format_value(best.cost))
-    emit("proposed_cfo", format_value(best.cfo))
-    emit("proposed_sfo", format_value(best.sfo))
+    try:
+        best = evaluator.search_proposed(obs)
+    except NonFiniteSurfaceError:
+        emit("proposed_failed", "non-finite cost surface")
+    else:
+        truth_cost = proposed_cost(obs, cfg.cfo, cfg.sfo, config)
+        emit("proposed_cost_at_truth", format_value(truth_cost))
+        emit("proposed_cost_at_argmin", format_value(best.cost))
+        emit("proposed_cfo", format_value(best.cfo))
+        emit("proposed_sfo", format_value(best.sfo))
 
     n_vec = pair_residual(obs, cfg.cfo, cfg.sfo, config)
     emit("residual_n_sq",
@@ -351,6 +350,8 @@ def _run_trial(invocation: CliInvocation) -> int:
     except DegenerateObservationError as exc:
         emit("nguyenle_failed", f"degenerate observation "
                                 f"(subcarriers {list(exc.subcarriers)})")
+    except NonFiniteSurfaceError:
+        emit("nguyenle_failed", "non-finite cost surface")
 
     fisher = fisher_closed_form(config, training, channel, cfg.cfo,
                                 cfg.sfo, impairments.noise_var)

@@ -22,13 +22,13 @@ from .ofdm_model import (
     ImpairmentParams,
     OfdmConfig,
     TrainingSymbols,
-    channel_frequency_response,
+    _synthesis_basis,
     derive_rng,
     generate_training_symbols,
     noise_variance_from_snr,
     sample_channel,
     snr_stream_key,
-    synthesize_received_symbol,
+    synthesize_frame,
 )
 
 __all__ = [
@@ -90,17 +90,12 @@ def _weighted_spectra(config, training, channel, sfo, m):
     and the index-weighted spectrum d[n] with an extra factor k inside
     the sum.
     """
-    n = np.arange(config.dft_size)
-    ks = config.subcarrier_indices
-    start = config.symbol_start(m)
-    x = training.symbol(m)
-    h = channel_frequency_response(channel, ks, config.dft_size)
-    xh = x * h
-    warp = n * (1.0 + sfo) + sfo * start
-    basis = np.exp(1j * _TWO_PI / config.dft_size * np.outer(warp, ks))
+    basis, h = _synthesis_basis(config, channel, sfo, m)
+    xh = training.symbol(m) * h
     g = basis @ xh
-    d = basis @ (ks * xh)
-    w = _TWO_PI / config.dft_size * (start + n)
+    d = basis @ (config.subcarrier_indices * xh)
+    w = _TWO_PI / config.dft_size * (config.symbol_start(m)
+                                     + np.arange(config.dft_size))
     return w, g, d
 
 
@@ -142,13 +137,6 @@ def fisher_closed_form(config: OfdmConfig, training: TrainingSymbols,
     return FisherMatrix(f00=f00, f01=f01, f10=f01, f11=f11)
 
 
-def _noiseless_mean(config, training, channel, cfo, sfo):
-    rows = [synthesize_received_symbol(
-        config, training, channel, ImpairmentParams(cfo, sfo, 0.0), m)
-        for m in range(config.n_symbols)]
-    return np.concatenate(rows)
-
-
 def fisher_numeric_oracle(config: OfdmConfig, training: TrainingSymbols,
                           channel: ChannelRealization, cfo: float,
                           sfo: float, noise_var: float,
@@ -168,7 +156,8 @@ def fisher_numeric_oracle(config: OfdmConfig, training: TrainingSymbols,
             raise ValueError(f"{name} must be positive, got {step}")
 
     def mean(e, h):
-        return _noiseless_mean(config, training, channel, e, h)
+        return synthesize_frame(config, training, channel,
+                                ImpairmentParams(e, h, 0.0)).samples.ravel()
 
     d_cfo = (mean(cfo + cfo_step, sfo) - mean(cfo - cfo_step, sfo)) \
         / (2.0 * cfo_step)

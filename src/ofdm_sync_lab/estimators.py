@@ -26,6 +26,7 @@ __all__ = [
     "make_grid",
     "EstimationResult",
     "GridEvaluator",
+    "NonFiniteSurfaceError",
     "symbol_phase_ramp",
     "proposed_cost",
     "nguyenle_observable",
@@ -51,6 +52,10 @@ class DegenerateObservationError(Exception):
         super().__init__(
             "ratio observable is degenerate at subcarrier(s) "
             f"{list(self.subcarriers)}")
+
+
+class NonFiniteSurfaceError(ValueError):
+    """Raised when a cost surface holds a non-finite lattice value."""
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,7 @@ def _argmin_lattice(surface: np.ndarray, grid: GridSpec):
     if not np.isfinite(surface).all():
         i, j = np.unravel_index(
             int(np.argmin(np.isfinite(surface))), surface.shape)
-        raise ValueError(
+        raise NonFiniteSurfaceError(
             "non-finite cost at lattice point "
             f"(cfo={grid.cfo_values[i]!r}, sfo={grid.sfo_values[j]!r})")
     flat = int(np.argmin(surface))

@@ -1,13 +1,11 @@
 """Deterministic Monte-Carlo harness for the estimator comparisons.
 
-Every trial derives its own labeled random substreams from the master
-seed, the SNR point, and the trial index, so results are reproducible
-bit for bit regardless of execution order or worker count. Aggregation
-always runs in ascending trial order.
+Trials run serially in the calling thread. Every trial derives its own
+labeled random substreams from the master seed, the SNR point, and the
+trial index, so results are reproducible bit for bit regardless of
+execution order. Aggregation always runs in ascending trial order.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +22,7 @@ from .estimators import (
     EstimationResult,
     GridEvaluator,
     GridSpec,
+    NonFiniteSurfaceError,
     make_grid,
     pair_residual,
     ratio_residual,
@@ -31,15 +30,14 @@ from .estimators import (
 from .ofdm_model import (
     ImpairmentParams,
     OfdmConfig,
-    PreambleObservation,
-    demodulate,
+    demodulate_frame,
     derive_rng,
     generate_training_symbols,
     make_config,
     noise_variance_from_snr,
     sample_channel,
     snr_stream_key,
-    synthesize_received_symbol,
+    synthesize_frame,
 )
 
 __all__ = [
@@ -52,10 +50,7 @@ __all__ = [
     "run_mse_sweep",
     "run_noise_variance_sweep",
     "aggregate",
-    "worker_count",
 ]
-
-THREADS_ENV_VAR = "SYNC_LAB_THREADS"
 
 # Relative agreement required of the closed-form Fisher matrix against
 # the numeric oracle before the closed form is used for CRB curves.
@@ -151,13 +146,10 @@ def _draw_observation(cfg: ExperimentConfig, snr_db: float,
         derive_rng(seed, skey, trial_index, "channel"), cfg.n_taps)
     impairments = ImpairmentParams(
         cfg.cfo, cfg.sfo, noise_variance_from_snr(cfg.ofdm, snr_db))
-    r = []
-    for m, label in enumerate(("noise0", "noise1")):
-        samples = synthesize_received_symbol(
-            cfg.ofdm, training, channel, impairments, m,
-            derive_rng(seed, skey, trial_index, label))
-        r.append(demodulate(samples, cfg.ofdm))
-    obs = PreambleObservation(r0=r[0], r1=r[1], training=training)
+    rngs = [derive_rng(seed, skey, trial_index, label)
+            for label in ("noise0", "noise1")]
+    frame = synthesize_frame(cfg.ofdm, training, channel, impairments, rngs)
+    obs = demodulate_frame(frame, cfg.ofdm, training)
     return obs, training, channel, impairments
 
 
@@ -170,7 +162,8 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
     Residual norms are always evaluated at the true offsets. Grid
     searches and the per-realization CRB can be skipped for residual-only
     sweeps. A degenerate ratio observable marks the ratio residual and
-    the nguyen_le estimate as failed without aborting the trial.
+    the nguyen_le estimate as failed, and a non-finite cost surface marks
+    that search's estimate as failed, without aborting the trial.
     """
     obs, training, channel, impairments = _draw_observation(
         cfg, snr_db, trial_index)
@@ -187,11 +180,14 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
     if with_estimates:
         ev = evaluator if evaluator is not None \
             else GridEvaluator(cfg.grid, cfg.ofdm)
-        proposed = ev.search_proposed(obs)
+        try:
+            proposed = ev.search_proposed(obs)
+        except NonFiniteSurfaceError:
+            pass
         try:
             nguyenle = ev.search_nguyenle(obs)
-        except DegenerateObservationError:
-            nguyenle = None
+        except (DegenerateObservationError, NonFiniteSurfaceError):
+            pass
 
     crb_cfo = crb_sfo = None
     if with_crb:
@@ -311,27 +307,8 @@ def aggregate(records, cfo: float, sfo: float) -> SweepRow:
 
 
 def worker_count() -> int:
-    """Worker threads to use; SYNC_LAB_THREADS overrides the CPU count."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value
-
-
-def _map_trials(fn, n_trials: int):
-    """Run fn(0..n_trials-1), returning results in trial order."""
-    workers = worker_count()
-    if workers == 1 or n_trials == 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
+    """Always 1: trials run serially in the calling thread."""
+    return 1
 
 
 def _select_crb_backend(cfg: ExperimentConfig):
@@ -368,10 +345,9 @@ def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     fisher_fn, backend, report = _select_crb_backend(cfg)
     rows = []
     for snr_db in cfg.snr_points_db:
-        records = _map_trials(
-            lambda t, s=snr_db: run_trial(cfg, s, t, evaluator=evaluator,
-                                          fisher_fn=fisher_fn),
-            cfg.n_trials)
+        records = [run_trial(cfg, snr_db, t, evaluator=evaluator,
+                             fisher_fn=fisher_fn)
+                   for t in range(cfg.n_trials)]
         rows.append(aggregate(records, cfg.cfo, cfg.sfo))
     return SweepResult(config=cfg, rows=tuple(rows), crb_backend=backend,
                        crb_discrepancy=report)
@@ -381,9 +357,8 @@ def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
     rows = []
     for snr_db in cfg.snr_points_db:
-        records = _map_trials(
-            lambda t, s=snr_db: run_trial(cfg, s, t, with_estimates=False,
-                                          with_crb=False),
-            cfg.n_trials)
+        records = [run_trial(cfg, snr_db, t, with_estimates=False,
+                             with_crb=False)
+                   for t in range(cfg.n_trials)]
         rows.append(aggregate(records, cfg.cfo, cfg.sfo))
     return SweepResult(config=cfg, rows=tuple(rows))

@@ -273,6 +273,22 @@ def noise_variance_from_snr(config: OfdmConfig, snr_db: float) -> float:
     return (config.n_active / config.dft_size) * 10.0 ** (-snr_db / 10.0)
 
 
+def _synthesis_basis(config: OfdmConfig, channel: ChannelRealization,
+                     sfo: float, m: int):
+    """SFO-warped basis of training symbol m and the channel gains.
+
+    Returns (basis, h): the (N x K) matrix
+    basis[n, k] = exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N) over the
+    active subcarriers, and H(k) on the same subcarriers.
+    """
+    n = np.arange(config.dft_size)
+    ks = config.subcarrier_indices
+    h = channel_frequency_response(channel, ks, config.dft_size)
+    warp = n * (1.0 + sfo) + sfo * config.symbol_start(m)
+    basis = np.exp(1j * _TWO_PI / config.dft_size * np.outer(warp, ks))
+    return basis, h
+
+
 def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
                                channel: ChannelRealization,
                                impairments: ImpairmentParams, m: int,
@@ -302,13 +318,10 @@ def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
             f"training length {x.size} does not match n_active "
             f"{config.n_active}")
     n = np.arange(config.dft_size)
-    ks = config.subcarrier_indices
     start = config.symbol_start(m)
     cfo, sfo = impairments.cfo, impairments.sfo
 
-    h = channel_frequency_response(channel, ks, config.dft_size)
-    warp = n * (1.0 + sfo) + sfo * start
-    basis = np.exp(1j * _TWO_PI / config.dft_size * np.outer(warp, ks))
+    basis, h = _synthesis_basis(config, channel, sfo, m)
     lead = np.exp(1j * _TWO_PI / config.dft_size
                   * (start + n) * (1.0 + sfo) * cfo)
     signal = lead * (basis @ (x * h)) / np.sqrt(config.dft_size)
@@ -326,8 +339,14 @@ def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
 def synthesize_frame(config: OfdmConfig, training: TrainingSymbols,
                      channel: ChannelRealization,
                      impairments: ImpairmentParams,
-                     rngs=(None, None)) -> TimeDomainFrame:
-    """Simulate all training symbols of the burst, one noise stream each."""
+                     rngs=None) -> TimeDomainFrame:
+    """Simulate all training symbols of the burst, one noise stream each.
+
+    ``rngs`` holds one noise generator per symbol; None synthesizes every
+    symbol without a generator, which requires a noiseless burst.
+    """
+    if rngs is None:
+        rngs = (None,) * config.n_symbols
     if len(rngs) != config.n_symbols:
         raise ValueError(
             f"expected {config.n_symbols} noise streams, got {len(rngs)}")

@@ -194,22 +194,15 @@ def test_criterion_6_analytic_identities(capsys):
              f"lattice offsets")
 
 
-def test_criterion_7_deterministic_datasets(tmp_path, monkeypatch, capsys):
-    def run(name, threads):
-        if threads is None:
-            monkeypatch.delenv(harness.THREADS_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(harness.THREADS_ENV_VAR, str(threads))
+def test_criterion_7_deterministic_datasets(tmp_path, capsys):
+    def run(name):
         out = tmp_path / name
         assert cli.main(["fig2", "--trials", "25", "--out", str(out)]) == 0
         return out.read_bytes()
 
-    first = run("a.csv", None)
-    second = run("b.csv", None)
-    serial = run("serial.csv", 1)
-    threaded = run("threaded.csv", 8)
-    passed = first == second == serial == threaded
+    first = run("a.csv")
+    second = run("b.csv")
+    passed = first == second
     announce(capsys, "criterion 7", passed,
              f"fig2 dataset (25 trials x 6 SNR points) byte-identical "
-             f"across reruns and SYNC_LAB_THREADS=1 vs 8 "
-             f"({len(first)} bytes)")
+             f"across reruns ({len(first)} bytes)")

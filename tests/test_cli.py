@@ -117,12 +117,6 @@ def test_invalid_values_exit_2(argv, fragment, capsys):
     assert fragment in err
 
 
-def test_worker_env_validated_before_running(monkeypatch, capsys):
-    monkeypatch.setenv(harness.THREADS_ENV_VAR, "0")
-    assert cli.main(["trial"]) == 2
-    assert harness.THREADS_ENV_VAR in capsys.readouterr().err
-
-
 # ------------------------------------------------------------ config file
 
 
@@ -334,18 +328,23 @@ def test_trial_uses_snr_min_alone(capsys):
         trial_output(capsys, ["trial", "--snr-min", "5", "--snr-max", "5"])
 
 
-def test_trial_reports_degenerate_ratio(monkeypatch, capsys):
+def poison_first_r0_bin(monkeypatch, value):
+    """Make every drawn observation carry ``value`` in its first R0 bin."""
     real_draw = harness._draw_observation
 
-    def zeroed(cfg, snr_db, trial_index):
+    def poisoned(cfg, snr_db, trial_index):
         obs, training, channel, imp = real_draw(cfg, snr_db, trial_index)
         r0 = np.array(obs.r0, copy=True)
-        r0[0] = 0.0
+        r0[0] = value
         broken = PreambleObservation(r0=r0, r1=obs.r1,
                                      training=obs.training)
         return broken, training, channel, imp
 
-    monkeypatch.setattr(cli, "_draw_observation", zeroed)
+    monkeypatch.setattr(cli, "_draw_observation", poisoned)
+
+
+def test_trial_reports_degenerate_ratio(monkeypatch, capsys):
+    poison_first_r0_bin(monkeypatch, 0.0)
     entries = trial_output(capsys, ["trial"])
     assert "nguyenle_failed" in entries
     assert "degenerate observation" in entries["nguyenle_failed"]
@@ -353,4 +352,14 @@ def test_trial_reports_degenerate_ratio(monkeypatch, capsys):
     assert "nguyenle_cfo" not in entries
     # the pair route and the bound still report
     assert "proposed_cfo" in entries
+    assert "crb_cfo" in entries
+
+
+def test_trial_reports_non_finite_surfaces(monkeypatch, capsys):
+    poison_first_r0_bin(monkeypatch, np.nan)
+    with np.errstate(invalid="ignore"):
+        entries = trial_output(capsys, ["trial"])
+    assert entries["proposed_failed"] == "non-finite cost surface"
+    assert entries["nguyenle_failed"] == "non-finite cost surface"
+    assert "proposed_cfo" not in entries and "nguyenle_cfo" not in entries
     assert "crb_cfo" in entries

@@ -5,6 +5,7 @@ bound used by the sweep harness."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     ChannelRealization,
@@ -27,6 +28,7 @@ from ofdm_sync_lab import (
     sample_channel,
     synthesize_received_symbol,
 )
+from ofdm_sync_lab.harness import CRB_AGREEMENT_RTOL
 
 CFG = make_config(64, 52, 16)
 CFO_OP = 0.212
@@ -127,6 +129,41 @@ def test_second_symbol_adds_information():
                                0.0, 0.0, 0.1)
     assert both.f00 > first.f00
     assert both.f11 > first.f11
+
+
+def test_single_symbol_config_matches_oracle():
+    single = OfdmConfig(64, 52, 16, n_symbols=1)
+    training, channel = scenario(13)
+    comparison = compare_fisher(single, training, channel, CFO_OP, SFO_OP,
+                                noise_variance_from_snr(single, 15.0))
+    assert comparison.max_rel_error < CRB_AGREEMENT_RTOL
+
+
+@st.composite
+def fisher_scenarios(draw):
+    """Random geometry (cp = 0 and K = N included), channel and offsets."""
+    dft_size = draw(st.sampled_from([16, 32, 64, 128]))
+    config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
+                         draw(st.integers(0, dft_size // 4)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    training = generate_training_symbols(derive_rng(seed, "training"),
+                                         config)
+    channel = sample_channel(derive_rng(seed, "channel"),
+                             draw(st.integers(1, 8)))
+    cfo = draw(st.floats(-0.4, 0.4, exclude_min=True, exclude_max=True))
+    sfo = draw(st.floats(-5e-4, 5e-4, exclude_min=True, exclude_max=True))
+    noise_var = draw(st.floats(1e-3, 1.0))
+    return config, training, channel, cfo, sfo, noise_var
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(scenario_args=fisher_scenarios())
+@example(scenario_args=(make_config(16, 2, 0),
+                        TrainingSymbols(np.ones(2), np.ones(2)),
+                        FLAT_CHANNEL, 0.0, 0.0, 1e-3))
+def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
+    comparison = compare_fisher(*scenario_args)
+    assert comparison.max_rel_error < CRB_AGREEMENT_RTOL
 
 
 # ------------------------------------------------------------------ oracle

@@ -12,6 +12,7 @@ from ofdm_sync_lab import (
     GridEvaluator,
     GridSpec,
     ImpairmentParams,
+    NonFiniteSurfaceError,
     PreambleObservation,
     TrainingSymbols,
     derive_rng,
@@ -266,13 +267,13 @@ def test_grid_search_tie_breaks_to_first_lattice_point():
 def test_grid_search_rejects_non_finite_cost():
     surface = lattice_surface(bowl, GRID)
     surface[3, 7] = np.nan
-    with pytest.raises(ValueError, match="non-finite cost"):
+    with pytest.raises(NonFiniteSurfaceError, match="non-finite cost"):
         _argmin_lattice(surface, GRID)
     obs = observation(29, 0.1, 1e-4, snr_db=10.0)
     r0 = obs.r0.copy()
     r0[5] = np.inf
     poisoned = PreambleObservation(r0, obs.r1, obs.training)
-    with pytest.raises(ValueError, match="non-finite cost"), \
+    with pytest.raises(NonFiniteSurfaceError, match="non-finite cost"), \
             np.errstate(invalid="ignore"):
         GridEvaluator(GRID, CFG).search_proposed(poisoned)
 

@@ -1,5 +1,5 @@
 """Harness tests: seeded trial reproducibility, aggregation algebra,
-sweep assembly, and the worker/backend plumbing."""
+sweep assembly, failure accounting, and the CRB backend plumbing."""
 
 import numpy as np
 import numpy.testing as npt
@@ -25,7 +25,6 @@ from ofdm_sync_lab import (
     run_trial,
     sample_channel,
     synthesize_received_symbol,
-    worker_count,
 )
 from ofdm_sync_lab import harness
 
@@ -172,18 +171,23 @@ def test_skipped_stages_leave_none_fields():
     assert rec.residual_e_sq is not None
 
 
-def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
+def poison_first_r0_bin(monkeypatch, value):
+    """Make every drawn observation carry ``value`` in its first R0 bin."""
     real_draw = harness._draw_observation
 
-    def zeroed(cfg, snr_db, trial_index):
+    def poisoned(cfg, snr_db, trial_index):
         obs, training, channel, imp = real_draw(cfg, snr_db, trial_index)
         r0 = np.array(obs.r0, copy=True)
-        r0[0] = 0.0
+        r0[0] = value
         broken = PreambleObservation(r0=r0, r1=obs.r1,
                                      training=obs.training)
         return broken, training, channel, imp
 
-    monkeypatch.setattr(harness, "_draw_observation", zeroed)
+    monkeypatch.setattr(harness, "_draw_observation", poisoned)
+
+
+def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
+    poison_first_r0_bin(monkeypatch, 0.0)
     cfg = tiny_experiment()
     rec = run_trial(cfg, 10.0, 0)
     assert rec.residual_e_sq is None
@@ -199,6 +203,18 @@ def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
     assert row.mse_sfo_nguyenle is None
     assert row.mean_residual_e_sq is None
     assert row.var_e_db is None
+
+
+def test_non_finite_surface_counts_as_failure(monkeypatch):
+    poison_first_r0_bin(monkeypatch, np.nan)
+    cfg = tiny_experiment()
+    with np.errstate(invalid="ignore"):
+        sweep = run_mse_sweep(cfg)
+    for row in sweep.rows:
+        assert row.fail_proposed == cfg.n_trials
+        assert row.fail_nguyenle == cfg.n_trials
+        assert row.mse_cfo_proposed is None and row.mse_cfo_nguyenle is None
+        assert row.crb_cfo is not None
 
 
 # -------------------------------------------------------------- aggregate
@@ -335,27 +351,7 @@ def test_residual_noise_scaling_and_floor():
     assert ratio == pytest.approx(10.0, rel=0.05)
 
 
-# ------------------------------------------------------ workers / backend
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    cfg = tiny_experiment(n_trials=4, snr_points_db=(15.0,))
-    monkeypatch.setenv(harness.THREADS_ENV_VAR, "3")
-    threaded = run_mse_sweep(cfg).rows
-    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
-    serial = run_mse_sweep(cfg).rows
-    assert threaded == serial
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv(harness.THREADS_ENV_VAR, "4")
-    assert worker_count() == 4
-    for bad in ("0", "-1", "abc"):
-        monkeypatch.setenv(harness.THREADS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=harness.THREADS_ENV_VAR):
-            worker_count()
-    monkeypatch.delenv(harness.THREADS_ENV_VAR)
-    assert worker_count() >= 1
+# ---------------------------------------------------------------- backend
 
 
 def test_backend_probe_selects_closed_form():

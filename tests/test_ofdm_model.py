@@ -297,6 +297,9 @@ def test_synthesize_frame_shape_and_stream_count():
     cfg, tr, ch = scenario()
     frame = synthesize_frame(cfg, tr, ch, ImpairmentParams(CFO_OP, SFO_OP))
     assert frame.samples.shape == (2, 64)
+    single = make_config(64, 52, 16, n_symbols=1)
+    frame = synthesize_frame(single, tr, ch, ImpairmentParams(CFO_OP, SFO_OP))
+    assert frame.samples.shape == (1, 64)
     with pytest.raises(ValueError, match="noise streams"):
         synthesize_frame(cfg, tr, ch, ImpairmentParams(0.0, 0.0),
                          rngs=(None,))
