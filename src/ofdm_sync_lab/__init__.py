@@ -54,10 +54,8 @@ from .crb import (
     FisherComparison,
     FisherMatrix,
     SingularInformationError,
-    average_crb,
     compare_fisher,
     crb_from_fisher,
-    default_scenario_sampler,
     fisher_closed_form,
     fisher_numeric_oracle,
 )
@@ -65,9 +63,12 @@ from .harness import (
     ExperimentConfig,
     SweepResult,
     SweepRow,
+    TrialDiagnostics,
     TrialRecord,
     aggregate,
+    inspect_trial,
     make_experiment,
+    run_crb_sweep,
     run_mse_sweep,
     run_noise_variance_sweep,
     run_trial,
@@ -124,16 +125,17 @@ __all__ = [
     "fisher_numeric_oracle",
     "compare_fisher",
     "crb_from_fisher",
-    "average_crb",
-    "default_scenario_sampler",
     # harness
     "ExperimentConfig",
     "TrialRecord",
+    "TrialDiagnostics",
     "SweepRow",
     "SweepResult",
     "make_experiment",
     "run_trial",
+    "inspect_trial",
     "run_mse_sweep",
     "run_noise_variance_sweep",
+    "run_crb_sweep",
     "aggregate",
 ]

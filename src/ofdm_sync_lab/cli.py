@@ -11,8 +11,10 @@ Option precedence is built-in defaults, then an optional ``--config``
 file of ``key = value`` lines (``#`` starts a comment), then flags.
 Every resolved experiment field is echoed in the CSV ``#`` metadata
 header with flag spelling, so a dataset is reproducible from its own
-header. Trials run serially, and output is deterministic for a given
-configuration.
+header. Each command parses its options, calls one harness function
+(``run_noise_variance_sweep``, ``run_mse_sweep``, ``run_crb_sweep`` or
+``inspect_trial``) and formats what it returns; every trial decision is
+the harness's. Output is deterministic for a given configuration.
 """
 
 import argparse
@@ -21,27 +23,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .crb import average_crb, crb_from_fisher, default_scenario_sampler, \
-    fisher_closed_form, SingularInformationError
-from .estimators import (
-    DegenerateObservationError,
-    GridEvaluator,
-    NonFiniteSurfaceError,
-    make_grid,
-    nguyenle_cost,
-    nguyenle_observable,
-    pair_residual,
-    proposed_cost,
-    ratio_residual,
-)
+from .estimators import make_grid
 from .harness import (
     ExperimentConfig,
-    _draw_observation,
-    _select_crb_backend,
+    inspect_trial,
+    run_crb_sweep,
     run_mse_sweep,
     run_noise_variance_sweep,
 )
-from .ofdm_model import carrier_gain, make_config, noise_variance_from_snr
+from .ofdm_model import make_config
 
 __all__ = ["main", "parse", "write_csv", "CliError", "CliInvocation"]
 
@@ -209,10 +199,6 @@ def parse(argv) -> CliInvocation:
     if namespace.out is not None:
         out = namespace.out
 
-    if values["trials"] < 1:
-        raise CliError(f"trials must be >= 1, got {values['trials']}")
-    if values["taps"] < 1:
-        raise CliError(f"taps must be >= 1, got {values['taps']}")
     try:
         if command == "trial":
             snr_points = (values["snr-min"],)
@@ -267,100 +253,73 @@ def _run_fig1(invocation: CliInvocation) -> int:
               _metadata_lines(invocation))
     return 0
 
+
+def _crb_backend_lines(result) -> list:
+    lines = [f"crb-backend = {result.crb_backend}"]
+    if result.crb_discrepancy:
+        lines.extend(result.crb_discrepancy.splitlines())
+    return lines
+
+
 def _run_fig2(invocation: CliInvocation) -> int:
     result = run_mse_sweep(invocation.experiment)
-    extra = [f"crb-backend = {result.crb_backend}"]
-    if result.crb_discrepancy:
-        extra.extend(result.crb_discrepancy.splitlines())
     rows = [(row.snr_db,
              row.mse_cfo_proposed, row.mse_cfo_nguyenle, row.crb_cfo,
              row.mse_sfo_proposed, row.mse_sfo_nguyenle, row.crb_sfo,
              row.fail_proposed, row.fail_nguyenle)
             for row in result.rows]
     write_csv(invocation.out, _FIG2_COLUMNS, rows,
-              _metadata_lines(invocation, extra))
+              _metadata_lines(invocation, _crb_backend_lines(result)))
     return 0
 
 
 def _run_crb(invocation: CliInvocation) -> int:
-    cfg = invocation.experiment
-    fisher_fn, backend, report = _select_crb_backend(cfg)
-    sampler = default_scenario_sampler(cfg.n_taps)
-    extra = [f"crb-backend = {backend}"]
-    if report:
-        extra.extend(report.splitlines())
-    rows = []
-    for snr_db in cfg.snr_points_db:
-        pair, excluded = average_crb(cfg.ofdm, sampler, cfg.cfo, cfg.sfo,
-                                     snr_db, cfg.n_trials, cfg.master_seed,
-                                     fisher_fn=fisher_fn)
-        rows.append((snr_db, pair.crb_cfo, pair.crb_sfo, excluded))
+    result = run_crb_sweep(invocation.experiment)
+    rows = [(row.snr_db, row.crb_cfo, row.crb_sfo, row.crb_excluded)
+            for row in result.rows]
     write_csv(invocation.out, _CRB_COLUMNS, rows,
-              _metadata_lines(invocation, extra))
+              _metadata_lines(invocation, _crb_backend_lines(result)))
     return 0
 
 
 def _run_trial(invocation: CliInvocation) -> int:
     cfg = invocation.experiment
-    snr_db = cfg.snr_points_db[0]
-    obs, training, channel, impairments = _draw_observation(cfg, snr_db, 0)
-    config = cfg.ofdm
+    diag = inspect_trial(cfg, cfg.snr_points_db[0], 0)
+    record = diag.record
 
     def emit(key, value):
-        print(f"{key} = {value}")
+        print(f"{key} = "
+              f"{value if isinstance(value, str) else format_value(value)}")
 
-    emit("snr_db", format_value(snr_db))
-    emit("noise_var", format_value(impairments.noise_var))
+    def emit_estimate(name, result, cost_at_truth, failure) -> bool:
+        if result is None:
+            emit(f"{name}_failed", failure)
+            return False
+        emit(f"{name}_cost_at_truth", cost_at_truth)
+        emit(f"{name}_cost_at_argmin", result.cost)
+        emit(f"{name}_cfo", result.cfo)
+        emit(f"{name}_sfo", result.sfo)
+        return True
+
+    emit("snr_db", record.snr_db)
+    emit("noise_var", diag.noise_var)
     taps = ", ".join(
         f"{format_value(t.real)}{'+' if t.imag >= 0 else '-'}"
-        f"{format_value(abs(t.imag))}j" for t in channel.taps)
+        f"{format_value(abs(t.imag))}j" for t in diag.channel_taps)
     emit("channel_taps", f"[{taps}]")
-
-    gains = np.abs(carrier_gain(config.subcarrier_indices, 0, cfg.cfo,
-                                cfg.sfo, config))
-    emit("carrier_gain_abs_min", format_value(float(gains.min())))
-    emit("carrier_gain_abs_max", format_value(float(gains.max())))
-
-    evaluator = GridEvaluator(cfg.grid, config)
-    try:
-        best = evaluator.search_proposed(obs)
-    except NonFiniteSurfaceError:
-        emit("proposed_failed", "non-finite cost surface")
+    emit("carrier_gain_abs_min", diag.carrier_gain_abs_min)
+    emit("carrier_gain_abs_max", diag.carrier_gain_abs_max)
+    emit_estimate("proposed", record.proposed, diag.proposed_cost_at_truth,
+                  record.proposed_failure)
+    emit("residual_n_sq", record.residual_n_sq)
+    if emit_estimate("nguyenle", record.nguyenle,
+                     diag.nguyenle_cost_at_truth, record.nguyenle_failure):
+        emit("residual_e_sq", record.residual_e_sq)
+    if record.crb_cfo is None:
+        emit("crb_failed", record.crb_failure)
     else:
-        truth_cost = proposed_cost(obs, cfg.cfo, cfg.sfo, config)
-        emit("proposed_cost_at_truth", format_value(truth_cost))
-        emit("proposed_cost_at_argmin", format_value(best.cost))
-        emit("proposed_cfo", format_value(best.cfo))
-        emit("proposed_sfo", format_value(best.sfo))
-
-    n_vec = pair_residual(obs, cfg.cfo, cfg.sfo, config)
-    emit("residual_n_sq",
-         format_value(float(np.sum(np.abs(n_vec) ** 2))))
-    try:
-        y = nguyenle_observable(obs, config)
-        truth_cost_nl = nguyenle_cost(y, cfg.cfo, cfg.sfo, config)
-        best_nl = evaluator.search_nguyenle(obs)
-        e_vec = ratio_residual(obs, cfg.cfo, cfg.sfo, config)
-        emit("nguyenle_cost_at_truth", format_value(truth_cost_nl))
-        emit("nguyenle_cost_at_argmin", format_value(best_nl.cost))
-        emit("nguyenle_cfo", format_value(best_nl.cfo))
-        emit("nguyenle_sfo", format_value(best_nl.sfo))
-        emit("residual_e_sq",
-             format_value(float(np.sum(np.abs(e_vec) ** 2))))
-    except DegenerateObservationError as exc:
-        emit("nguyenle_failed", f"degenerate observation "
-                                f"(subcarriers {list(exc.subcarriers)})")
-    except NonFiniteSurfaceError:
-        emit("nguyenle_failed", "non-finite cost surface")
-
-    fisher = fisher_closed_form(config, training, channel, cfg.cfo,
-                                cfg.sfo, impairments.noise_var)
-    try:
-        pair = crb_from_fisher(fisher)
-        emit("crb_cfo", format_value(pair.crb_cfo))
-        emit("crb_sfo", format_value(pair.crb_sfo))
-    except SingularInformationError:
-        emit("crb_failed", "singular information matrix")
+        emit("crb_cfo", record.crb_cfo)
+        emit("crb_sfo", record.crb_sfo)
     return 0
 
 

@@ -10,7 +10,9 @@ Two independent routes to the 2x2 Fisher information matrix are kept:
   Fisher identity, sharing no derivative algebra with the closed form.
 
 The oracle is the reference; the closed form is the fast path used per
-trial and is cross-checked against the oracle by the test suite.
+trial and is cross-checked against the oracle by the test suite. The
+ensemble average over seeded scenario draws is the harness's CRB sweep,
+``harness.run_crb_sweep``.
 """
 
 from dataclasses import dataclass
@@ -23,11 +25,6 @@ from .ofdm_model import (
     OfdmConfig,
     TrainingSymbols,
     _synthesis_basis,
-    derive_rng,
-    generate_training_symbols,
-    noise_variance_from_snr,
-    sample_channel,
-    snr_stream_key,
     synthesize_frame,
 )
 
@@ -39,8 +36,6 @@ __all__ = [
     "fisher_numeric_oracle",
     "compare_fisher",
     "crb_from_fisher",
-    "default_scenario_sampler",
-    "average_crb",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -223,54 +218,3 @@ def crb_from_fisher(fisher: FisherMatrix) -> CrbPair:
         raise SingularInformationError(
             f"fisher determinant must be positive and finite, got {det}")
     return CrbPair(crb_cfo=fisher.f11 / det, crb_sfo=fisher.f00 / det)
-
-
-def default_scenario_sampler(n_taps: int = 5):
-    """Sampler drawing a fresh QPSK training pair and Rayleigh channel."""
-
-    def sampler(config, rng_training, rng_channel):
-        training = generate_training_symbols(rng_training, config)
-        channel = sample_channel(rng_channel, n_taps)
-        return training, channel
-
-    return sampler
-
-
-def average_crb(config: OfdmConfig, sampler, cfo: float, sfo: float,
-                snr_db: float, n_trials: int, master_seed: int,
-                fisher_fn=fisher_closed_form) -> tuple:
-    """Monte-Carlo mean of the per-realization bounds.
-
-    Draws (training, channel) scenarios with the same labeled substream
-    discipline as the trial harness, evaluates ``fisher_fn`` at the true
-    offsets for each, and averages the resulting bounds. Singular
-    realizations are excluded and counted.
-
-    Returns
-    -------
-    (CrbPair, int)
-        The averaged bounds and the number of excluded realizations.
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    noise_var = noise_variance_from_snr(config, snr_db)
-    skey = snr_stream_key(snr_db)
-    sums = np.zeros(2)
-    used = 0
-    excluded = 0
-    for trial in range(n_trials):
-        rng_training = derive_rng(master_seed, skey, trial, "training")
-        rng_channel = derive_rng(master_seed, skey, trial, "channel")
-        training, channel = sampler(config, rng_training, rng_channel)
-        fisher = fisher_fn(config, training, channel, cfo, sfo, noise_var)
-        try:
-            pair = crb_from_fisher(fisher)
-        except SingularInformationError:
-            excluded += 1
-            continue
-        sums += (pair.crb_cfo, pair.crb_sfo)
-        used += 1
-    if used == 0:
-        raise SingularInformationError(
-            "all realizations produced singular information")
-    return CrbPair(crb_cfo=sums[0] / used, crb_sfo=sums[1] / used), excluded

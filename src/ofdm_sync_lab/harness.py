@@ -1,5 +1,9 @@
 """Deterministic Monte-Carlo harness for the estimator comparisons.
 
+Every trial decision lives here. Each ``sync-lab`` command is one call:
+the fig1, fig2 and crb sweeps below, each reduced by :func:`aggregate`,
+and :func:`inspect_trial` for ``trial``.
+
 Trials run serially in the calling thread. Every trial derives its own
 labeled random substreams from the master seed, the SNR point, and the
 trial index, so results are reproducible bit for bit regardless of
@@ -24,12 +28,16 @@ from .estimators import (
     GridSpec,
     NonFiniteSurfaceError,
     make_grid,
+    nguyenle_cost,
+    nguyenle_observable,
     pair_residual,
+    proposed_cost,
     ratio_residual,
 )
 from .ofdm_model import (
     ImpairmentParams,
     OfdmConfig,
+    carrier_gain,
     demodulate_frame,
     derive_rng,
     generate_training_symbols,
@@ -43,18 +51,25 @@ from .ofdm_model import (
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
+    "TrialDiagnostics",
     "SweepRow",
     "SweepResult",
     "make_experiment",
     "run_trial",
+    "inspect_trial",
     "run_mse_sweep",
     "run_noise_variance_sweep",
+    "run_crb_sweep",
     "aggregate",
 ]
 
 # Relative agreement required of the closed-form Fisher matrix against
 # the numeric oracle before the closed form is used for CRB curves.
 CRB_AGREEMENT_RTOL = 1e-3
+
+# Failure reasons a TrialRecord carries.
+_NON_FINITE = "non-finite cost surface"
+_SINGULAR = "singular information matrix"
 
 
 @dataclass(frozen=True)
@@ -79,6 +94,8 @@ class ExperimentConfig:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}")
+        if self.sfo <= -1.0:
+            raise ValueError(f"sfo must exceed -1, got {self.sfo}")
         if len(self.snr_points_db) == 0:
             raise ValueError("snr_points_db must not be empty")
         points = tuple(float(s) for s in self.snr_points_db)
@@ -117,40 +134,65 @@ def make_experiment(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
 class TrialRecord:
     """Outcome of one seeded trial at one SNR point.
 
-    ``residual_e_sq`` is None when the ratio observable was degenerate;
-    estimator fields are None either because estimation was skipped
-    (``estimated`` False) or because that estimator failed on this
-    trial; CRB fields are None when skipped or singular.
+    Residual fields are None when the trial evaluated no residuals (the
+    CRB sweep's draws), and ``residual_e_sq`` also when the ratio
+    observable was degenerate. Estimator fields are None either because
+    estimation was skipped (``estimated`` False) or because that
+    estimator failed on this trial; CRB fields are None when skipped or
+    singular. A failure leaves its reason in the matching ``*_failure``
+    field.
     """
 
     trial_index: int
     snr_db: float
-    residual_n_sq: float
-    residual_e_sq: float | None
+    residual_n_sq: float | None = None
+    residual_e_sq: float | None = None
     proposed: EstimationResult | None = None
     nguyenle: EstimationResult | None = None
     crb_cfo: float | None = None
     crb_sfo: float | None = None
     estimated: bool = False
     crb_evaluated: bool = False
+    proposed_failure: str | None = None
+    nguyenle_failure: str | None = None
+    crb_failure: str | None = None
+
+
+def _draw_scenario(cfg: ExperimentConfig, stream_key, trial_index: int):
+    """Draw one trial's training pair and channel from labeled streams."""
+    seed = cfg.master_seed
+    training = generate_training_symbols(
+        derive_rng(seed, stream_key, trial_index, "training"), cfg.ofdm)
+    channel = sample_channel(
+        derive_rng(seed, stream_key, trial_index, "channel"), cfg.n_taps)
+    return training, channel
 
 
 def _draw_observation(cfg: ExperimentConfig, snr_db: float,
                       trial_index: int):
     """Draw one trial's training, channel, and demodulated burst."""
     skey = snr_stream_key(snr_db)
-    seed = cfg.master_seed
-    training = generate_training_symbols(
-        derive_rng(seed, skey, trial_index, "training"), cfg.ofdm)
-    channel = sample_channel(
-        derive_rng(seed, skey, trial_index, "channel"), cfg.n_taps)
+    training, channel = _draw_scenario(cfg, skey, trial_index)
     impairments = ImpairmentParams(
         cfg.cfo, cfg.sfo, noise_variance_from_snr(cfg.ofdm, snr_db))
-    rngs = [derive_rng(seed, skey, trial_index, label)
+    rngs = [derive_rng(cfg.master_seed, skey, trial_index, label)
             for label in ("noise0", "noise1")]
     frame = synthesize_frame(cfg.ofdm, training, channel, impairments, rngs)
     obs = demodulate_frame(frame, cfg.ofdm, training)
     return obs, training, channel, impairments
+
+
+def _trial_crb(cfg: ExperimentConfig, snr_db: float, training, channel,
+               fisher_fn) -> dict:
+    """The per-realization bounds at the true offsets, as record fields."""
+    fisher = fisher_fn(cfg.ofdm, training, channel, cfg.cfo, cfg.sfo,
+                       noise_variance_from_snr(cfg.ofdm, snr_db))
+    try:
+        pair = crb_from_fisher(fisher)
+    except SingularInformationError:
+        return {"crb_evaluated": True, "crb_failure": _SINGULAR}
+    return {"crb_evaluated": True, "crb_cfo": pair.crb_cfo,
+            "crb_sfo": pair.crb_sfo}
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
@@ -165,8 +207,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
     the nguyen_le estimate as failed, and a non-finite cost surface marks
     that search's estimate as failed, without aborting the trial.
     """
-    obs, training, channel, impairments = _draw_observation(
-        cfg, snr_db, trial_index)
+    obs, training, channel, _ = _draw_observation(cfg, snr_db, trial_index)
 
     n_vec = pair_residual(obs, cfg.cfo, cfg.sfo, cfg.ofdm)
     residual_n_sq = float(np.sum(n_vec.real ** 2 + n_vec.imag ** 2))
@@ -176,35 +217,71 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
     except DegenerateObservationError:
         residual_e_sq = None
 
-    proposed = nguyenle = None
+    proposed = nguyenle = proposed_failure = nguyenle_failure = None
     if with_estimates:
         ev = evaluator if evaluator is not None \
             else GridEvaluator(cfg.grid, cfg.ofdm)
         try:
             proposed = ev.search_proposed(obs)
         except NonFiniteSurfaceError:
-            pass
+            proposed_failure = _NON_FINITE
         try:
             nguyenle = ev.search_nguyenle(obs)
-        except (DegenerateObservationError, NonFiniteSurfaceError):
-            pass
+        except DegenerateObservationError as exc:
+            nguyenle_failure = (f"degenerate observation "
+                                f"(subcarriers {list(exc.subcarriers)})")
+        except NonFiniteSurfaceError:
+            nguyenle_failure = _NON_FINITE
 
-    crb_cfo = crb_sfo = None
-    if with_crb:
-        fisher = fisher_fn(cfg.ofdm, training, channel, cfg.cfo, cfg.sfo,
-                           impairments.noise_var)
-        try:
-            pair = crb_from_fisher(fisher)
-            crb_cfo, crb_sfo = pair.crb_cfo, pair.crb_sfo
-        except SingularInformationError:
-            pass
-
+    crb = _trial_crb(cfg, snr_db, training, channel, fisher_fn) \
+        if with_crb else {}
     return TrialRecord(
         trial_index=trial_index, snr_db=snr_db,
         residual_n_sq=residual_n_sq, residual_e_sq=residual_e_sq,
-        proposed=proposed, nguyenle=nguyenle,
-        crb_cfo=crb_cfo, crb_sfo=crb_sfo,
-        estimated=with_estimates, crb_evaluated=with_crb)
+        proposed=proposed, nguyenle=nguyenle, estimated=with_estimates,
+        proposed_failure=proposed_failure, nguyenle_failure=nguyenle_failure,
+        **crb)
+
+
+@dataclass(frozen=True)
+class TrialDiagnostics:
+    """One trial's record plus the values only ``trial`` prints; the
+    Nguyen-Le cost at truth is None where that estimate failed."""
+
+    record: TrialRecord
+    noise_var: float
+    channel_taps: np.ndarray
+    carrier_gain_abs_min: float
+    carrier_gain_abs_max: float
+    proposed_cost_at_truth: float
+    nguyenle_cost_at_truth: float | None
+
+
+def inspect_trial(cfg: ExperimentConfig, snr_db: float,
+                  trial_index: int = 0) -> TrialDiagnostics:
+    """Run one trial with :func:`run_trial` and add its diagnostics.
+
+    The costs at truth are evaluated here and never in the sweeps,
+    where they would add two cost evaluations to every trial.
+    """
+    record = run_trial(cfg, snr_db, trial_index)
+    # The draw is seeded, so this is the burst run_trial just scored.
+    obs, _, channel, impairments = _draw_observation(cfg, snr_db,
+                                                     trial_index)
+    gains = np.abs(carrier_gain(cfg.ofdm.subcarrier_indices, 0, cfg.cfo,
+                                cfg.sfo, cfg.ofdm))
+    nguyenle_truth = None
+    if record.nguyenle is not None:
+        nguyenle_truth = nguyenle_cost(nguyenle_observable(obs, cfg.ofdm),
+                                       cfg.cfo, cfg.sfo, cfg.ofdm)
+    return TrialDiagnostics(
+        record=record, noise_var=impairments.noise_var,
+        channel_taps=channel.taps,
+        carrier_gain_abs_min=float(gains.min()),
+        carrier_gain_abs_max=float(gains.max()),
+        proposed_cost_at_truth=proposed_cost(obs, cfg.cfo, cfg.sfo,
+                                             cfg.ofdm),
+        nguyenle_cost_at_truth=nguyenle_truth)
 
 
 @dataclass(frozen=True)
@@ -213,7 +290,7 @@ class SweepRow:
 
     snr_db: float
     n_trials: int
-    mean_residual_n_sq: float
+    mean_residual_n_sq: float | None
     mean_residual_e_sq: float | None
     mse_cfo_proposed: float | None = None
     mse_cfo_nguyenle: float | None = None
@@ -270,8 +347,8 @@ def aggregate(records, cfo: float, sfo: float) -> SweepRow:
     if len(snrs) > 1:
         raise ValueError(f"records span multiple SNR points: {sorted(snrs)}")
 
-    mean_n = _mean([r.residual_n_sq for r in records])
-    e_values = [r.residual_e_sq for r in records
+    observed = [r for r in records if r.residual_n_sq is not None]
+    e_values = [r.residual_e_sq for r in observed
                 if r.residual_e_sq is not None]
     estimated = [r for r in records if r.estimated]
 
@@ -290,7 +367,7 @@ def aggregate(records, cfo: float, sfo: float) -> SweepRow:
     return SweepRow(
         snr_db=records[0].snr_db,
         n_trials=len(records),
-        mean_residual_n_sq=mean_n,
+        mean_residual_n_sq=_mean([r.residual_n_sq for r in observed]),
         mean_residual_e_sq=_mean(e_values),
         mse_cfo_proposed=mse_over(lambda r: r.proposed, cfo, "cfo"),
         mse_cfo_nguyenle=mse_over(lambda r: r.nguyenle, cfo, "cfo"),
@@ -301,8 +378,7 @@ def aggregate(records, cfo: float, sfo: float) -> SweepRow:
         fail_proposed=sum(1 for r in estimated if r.proposed is None),
         fail_nguyenle=sum(1 for r in estimated if r.nguyenle is None),
         crb_excluded=sum(1 for r in crb_records if r.crb_cfo is None),
-        degenerate_observations=sum(
-            1 for r in records if r.residual_e_sq is None),
+        degenerate_observations=len(observed) - len(e_values),
     )
 
 
@@ -322,12 +398,8 @@ def _select_crb_backend(cfg: ExperimentConfig):
     snrs = (min(cfg.snr_points_db), max(cfg.snr_points_db))
     worst = None
     for probe_index in range(2):
-        rng_t = derive_rng(cfg.master_seed, "crb-backend-probe",
-                           probe_index, "training")
-        rng_c = derive_rng(cfg.master_seed, "crb-backend-probe",
-                           probe_index, "channel")
-        training = generate_training_symbols(rng_t, cfg.ofdm)
-        channel = sample_channel(rng_c, cfg.n_taps)
+        training, channel = _draw_scenario(cfg, "crb-backend-probe",
+                                           probe_index)
         noise_var = noise_variance_from_snr(
             cfg.ofdm, snrs[probe_index % len(snrs)])
         comparison = compare_fisher(cfg.ofdm, training, channel,
@@ -339,26 +411,44 @@ def _select_crb_backend(cfg: ExperimentConfig):
     return fisher_numeric_oracle, "numeric_oracle", worst.report()
 
 
+def _sweep_rows(cfg: ExperimentConfig, trial) -> tuple:
+    """One aggregated row per SNR point of ``trial(snr_db, index)``."""
+    return tuple(
+        aggregate([trial(snr_db, t) for t in range(cfg.n_trials)],
+                  cfg.cfo, cfg.sfo)
+        for snr_db in cfg.snr_points_db)
+
+
 def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
     evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
     fisher_fn, backend, report = _select_crb_backend(cfg)
-    rows = []
-    for snr_db in cfg.snr_points_db:
-        records = [run_trial(cfg, snr_db, t, evaluator=evaluator,
-                             fisher_fn=fisher_fn)
-                   for t in range(cfg.n_trials)]
-        rows.append(aggregate(records, cfg.cfo, cfg.sfo))
-    return SweepResult(config=cfg, rows=tuple(rows), crb_backend=backend,
+    rows = _sweep_rows(cfg, lambda snr_db, t: run_trial(
+        cfg, snr_db, t, evaluator=evaluator, fisher_fn=fisher_fn))
+    return SweepResult(config=cfg, rows=rows, crb_backend=backend,
                        crb_discrepancy=report)
 
 
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
-    rows = []
-    for snr_db in cfg.snr_points_db:
-        records = [run_trial(cfg, snr_db, t, with_estimates=False,
-                             with_crb=False)
-                   for t in range(cfg.n_trials)]
-        rows.append(aggregate(records, cfg.cfo, cfg.sfo))
-    return SweepResult(config=cfg, rows=tuple(rows))
+    rows = _sweep_rows(cfg, lambda snr_db, t: run_trial(
+        cfg, snr_db, t, with_estimates=False, with_crb=False))
+    return SweepResult(config=cfg, rows=rows)
+
+
+def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Ensemble-averaged CRBs per SNR point, without synthesizing bursts.
+
+    Each trial draws only :func:`run_trial`'s training pair and channel,
+    so the rows' CRB columns equal :func:`run_mse_sweep`'s.
+    """
+    fisher_fn, backend, report = _select_crb_backend(cfg)
+
+    def trial(snr_db, t):
+        training, channel = _draw_scenario(cfg, snr_stream_key(snr_db), t)
+        return TrialRecord(trial_index=t, snr_db=snr_db,
+                           **_trial_crb(cfg, snr_db, training, channel,
+                                        fisher_fn))
+
+    return SweepResult(config=cfg, rows=_sweep_rows(cfg, trial),
+                       crb_backend=backend, crb_discrepancy=report)

@@ -101,7 +101,8 @@ def make_config(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
     Raises
     ------
     ValueError
-        If a field is non-positive, N or K is odd, or K exceeds N.
+        If a field is non-positive, N or K is odd, K exceeds N, or there
+        are more than the two training symbols.
     """
     for name, value in (("dft_size", dft_size), ("n_active", n_active),
                         ("cp_len", cp_len), ("n_symbols", n_symbols)):
@@ -111,6 +112,8 @@ def make_config(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
             raise ValueError(f"{name} must be positive, got {value}")
     if cp_len < 0:
         raise ValueError(f"cp_len must be >= 0, got {cp_len}")
+    if n_symbols > 2:
+        raise ValueError(f"n_symbols must be 1 or 2, got {n_symbols}")
     if dft_size % 2:
         raise ValueError(f"dft_size (N) must be even, got {dft_size}")
     if n_active % 2:

@@ -6,7 +6,8 @@ import numpy.testing as npt
 import pytest
 
 import ofdm_sync_lab.cli as cli
-from ofdm_sync_lab import PreambleObservation, __version__, harness
+from ofdm_sync_lab import FisherMatrix, PreambleObservation, __version__, \
+    harness
 from ofdm_sync_lab.cli import CliError, format_value, parse, write_csv
 
 TINY_GRID_FLAGS = ["--grid-cfo-step", "0.1", "--grid-cfo-max", "0.5",
@@ -109,6 +110,7 @@ def test_unknown_flag_exits_2():
       "--snr-step", "0.0004"], "share the random stream key"),
     (["fig1", "--snr-max", "inf"], "must be finite"),
     (["trial", "--snr-min", "nan"], "snr_points_db must be finite"),
+    (["crb", "--sfo", "-1"], "sfo must exceed -1"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -261,6 +263,46 @@ def test_crb_dataset_layout(tmp_path):
     assert float(data[0][2]) > float(data[1][2]) > 0.0
 
 
+def csv_columns(path):
+    """Data cells of a dataset by column name, as written."""
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("# ")]
+    names = lines[0].split(",")
+    cells = [line.split(",") for line in lines[1:]]
+    return {name: [row[i] for row in cells] for i, name in enumerate(names)}
+
+
+def test_crb_matches_fig2_crb_columns(tmp_path):
+    """At one seed, trial count and SNR axis, crb.csv and fig2.csv carry
+    the same CRB cells byte for byte."""
+    shared = ["--trials", "4", "--seed", "7", "--snr-min", "5",
+              "--snr-max", "30"]
+    fig2, crb = tmp_path / "fig2.csv", tmp_path / "crb.csv"
+    assert cli.main(["fig2", *shared, "--out", str(fig2)]
+                    + TINY_GRID_FLAGS) == 0
+    assert cli.main(["crb", *shared, "--out", str(crb)]) == 0
+    fig2_cells, crb_cells = csv_columns(fig2), csv_columns(crb)
+    assert len(crb_cells["snr_db"]) == 6
+    for column in ("snr_db", "crb_cfo", "crb_sfo"):
+        assert crb_cells[column] == fig2_cells[column]
+
+
+def test_crb_all_singular_draws_leave_blank_cells(monkeypatch, tmp_path):
+    """Every draw singular: blank bounds and excluded = trials, as fig2
+    leaves its CRB cells, instead of aborting the sweep."""
+    def dead_fisher(config, training, channel, cfo, sfo, noise_var):
+        return FisherMatrix(f00=0.0, f01=0.0, f10=0.0, f11=0.0)
+
+    monkeypatch.setattr(harness, "_select_crb_backend",
+                        lambda cfg: (dead_fisher, "closed_form", None))
+    out = tmp_path / "c.csv"
+    assert cli.main(["crb", "--trials", "3", "--snr-min", "10",
+                     "--snr-max", "15", "--out", str(out)]) == 0
+    cells = csv_columns(out)
+    assert cells["crb_cfo"] == cells["crb_sfo"] == ["", ""]
+    assert cells["excluded"] == ["3", "3"]
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["fig1", "--trials", "3", "--snr-min", "0", "--snr-max", "10"]
@@ -328,6 +370,30 @@ def test_trial_uses_snr_min_alone(capsys):
         trial_output(capsys, ["trial", "--snr-min", "5", "--snr-max", "5"])
 
 
+@pytest.mark.parametrize("snr_db", ["5", "15", "30"])
+def test_trial_prints_its_record(capsys, snr_db):
+    """The printout is the harness record of that trial, digit for digit:
+    the residuals are the values the fig1 sweep averages."""
+    for seed in range(1, 11):
+        argv = ["trial", "--seed", str(seed), "--snr-min", snr_db]
+        entries = trial_output(capsys, argv)
+        record = harness.run_trial(parse(argv).experiment, float(snr_db), 0)
+        fields = {
+            "proposed_cfo": record.proposed.cfo,
+            "proposed_sfo": record.proposed.sfo,
+            "proposed_cost_at_argmin": record.proposed.cost,
+            "nguyenle_cfo": record.nguyenle.cfo,
+            "nguyenle_sfo": record.nguyenle.sfo,
+            "nguyenle_cost_at_argmin": record.nguyenle.cost,
+            "residual_n_sq": record.residual_n_sq,
+            "residual_e_sq": record.residual_e_sq,
+            "crb_cfo": record.crb_cfo,
+            "crb_sfo": record.crb_sfo,
+        }
+        for key, value in fields.items():
+            assert entries[key] == format_value(value), (seed, key)
+
+
 def poison_first_r0_bin(monkeypatch, value):
     """Make every drawn observation carry ``value`` in its first R0 bin."""
     real_draw = harness._draw_observation
@@ -340,7 +406,7 @@ def poison_first_r0_bin(monkeypatch, value):
                                      training=obs.training)
         return broken, training, channel, imp
 
-    monkeypatch.setattr(cli, "_draw_observation", poisoned)
+    monkeypatch.setattr(harness, "_draw_observation", poisoned)
 
 
 def test_trial_reports_degenerate_ratio(monkeypatch, capsys):

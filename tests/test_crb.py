@@ -1,6 +1,6 @@
 """Bound tests: the closed-form Fisher matrix against the
 finite-difference oracle, the 2x2 inversion, and the scenario-averaged
-bound used by the sweep harness."""
+bound of the harness's CRB sweep."""
 
 import numpy as np
 import numpy.testing as npt
@@ -15,19 +15,20 @@ from ofdm_sync_lab import (
     OfdmConfig,
     SingularInformationError,
     TrainingSymbols,
-    average_crb,
     compare_fisher,
     crb_from_fisher,
-    default_scenario_sampler,
     derive_rng,
     fisher_closed_form,
     fisher_numeric_oracle,
     generate_training_symbols,
     make_config,
+    make_experiment,
     noise_variance_from_snr,
+    run_crb_sweep,
     sample_channel,
     synthesize_received_symbol,
 )
+from ofdm_sync_lab import harness
 from ofdm_sync_lab.harness import CRB_AGREEMENT_RTOL
 
 CFG = make_config(64, 52, 16)
@@ -269,26 +270,32 @@ def test_crb_scales_linearly_with_noise():
 # ----------------------------------------------------------- averaged CRB
 
 
+def averaged_crb(snr_db, n_trials, seed, cfo=CFO_OP, sfo=SFO_OP):
+    """The CRB sweep's single row at one SNR point."""
+    sweep = run_crb_sweep(make_experiment(
+        cfo=cfo, sfo=sfo, snr_points_db=(snr_db,), n_trials=n_trials,
+        master_seed=seed))
+    assert sweep.crb_backend == "closed_form"
+    (row,) = sweep.rows
+    return row
+
+
 def test_average_crb_frozen_and_repeatable():
-    sampler = default_scenario_sampler()
-    pair, excluded = average_crb(CFG, sampler, CFO_OP, SFO_OP, 15.0, 50,
-                                 12345)
-    assert excluded == 0
-    assert pair.crb_cfo == pytest.approx(2.421319471684429e-06, rel=1e-12)
-    assert pair.crb_sfo == pytest.approx(1.1001685849797752e-08, rel=1e-12)
-    again, _ = average_crb(CFG, sampler, CFO_OP, SFO_OP, 15.0, 50, 12345)
-    assert again.crb_cfo == pair.crb_cfo
-    assert again.crb_sfo == pair.crb_sfo
+    row = averaged_crb(15.0, 50, 12345)
+    assert row.crb_excluded == 0
+    assert row.crb_cfo == pytest.approx(2.421319471684429e-06, rel=1e-12)
+    assert row.crb_sfo == pytest.approx(1.1001685849797752e-08, rel=1e-12)
+    again = averaged_crb(15.0, 50, 12345)
+    assert again.crb_cfo == row.crb_cfo
+    assert again.crb_sfo == row.crb_sfo
 
 
 def test_average_crb_single_trial_identity():
     """One trial is exactly the per-realization bound of the substream's
     scenario draw."""
     seed, snr_db = 777, 10.0
-    sampler = default_scenario_sampler()
-    pair, excluded = average_crb(CFG, sampler, CFO_OP, SFO_OP, snr_db, 1,
-                                 seed)
-    assert excluded == 0
+    row = averaged_crb(snr_db, 1, seed)
+    assert row.crb_excluded == 0
     skey = 10000
     training = generate_training_symbols(
         derive_rng(seed, skey, 0, "training"), CFG)
@@ -296,36 +303,35 @@ def test_average_crb_single_trial_identity():
     direct = crb_from_fisher(fisher_closed_form(
         CFG, training, channel, CFO_OP, SFO_OP,
         noise_variance_from_snr(CFG, snr_db)))
-    assert pair.crb_cfo == direct.crb_cfo
-    assert pair.crb_sfo == direct.crb_sfo
+    assert row.crb_cfo == direct.crb_cfo
+    assert row.crb_sfo == direct.crb_sfo
 
 
-def test_average_crb_deterministic_sampler_identity():
-    """A sampler ignoring its streams makes the average equal the single
-    realization regardless of the trial count."""
-    def fixed_sampler(config, rng_training, rng_channel):
-        return FLAT_TRAINING, FLAT_CHANNEL
-
-    pair5, _ = average_crb(CFG, fixed_sampler, 0.0, 0.0, 15.0, 5, 1)
+def test_average_crb_fixed_draw_identity(monkeypatch):
+    """A scenario draw ignoring its streams makes the average equal the
+    single realization regardless of the trial count."""
+    monkeypatch.setattr(harness, "_draw_scenario",
+                        lambda cfg, stream_key, trial_index:
+                        (FLAT_TRAINING, FLAT_CHANNEL))
+    row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)
     direct = crb_from_fisher(fisher_closed_form(
         CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,
         noise_variance_from_snr(CFG, 15.0)))
-    assert pair5.crb_cfo == pytest.approx(direct.crb_cfo, rel=1e-15)
-    assert pair5.crb_sfo == pytest.approx(direct.crb_sfo, rel=1e-15)
+    assert row.crb_cfo == pytest.approx(direct.crb_cfo, rel=1e-15)
+    assert row.crb_sfo == pytest.approx(direct.crb_sfo, rel=1e-15)
 
 
 def test_average_crb_seed_stability():
     """At 500 scenario draws the channel average is seed-stable to 5%."""
-    sampler = default_scenario_sampler()
-    a, _ = average_crb(CFG, sampler, CFO_OP, SFO_OP, 15.0, 500, 12345)
-    b, _ = average_crb(CFG, sampler, CFO_OP, SFO_OP, 15.0, 500, 99999)
+    a = averaged_crb(15.0, 500, 12345)
+    b = averaged_crb(15.0, 500, 99999)
     assert a.crb_cfo == pytest.approx(2.100105184899364e-06, rel=1e-12)
     assert a.crb_sfo == pytest.approx(9.72102756168252e-09, rel=1e-12)
     assert abs(a.crb_cfo - b.crb_cfo) / a.crb_cfo < 0.05
     assert abs(a.crb_sfo - b.crb_sfo) / a.crb_sfo < 0.05
 
 
-def test_average_crb_counts_singular_realizations():
+def test_average_crb_counts_singular_realizations(monkeypatch):
     calls = {"n": 0}
 
     def flaky_fisher(config, training, channel, cfo, sfo, noise_var):
@@ -335,27 +341,16 @@ def test_average_crb_counts_singular_realizations():
         return fisher_closed_form(config, training, channel, cfo, sfo,
                                   noise_var)
 
-    sampler = default_scenario_sampler()
-    pair, excluded = average_crb(CFG, sampler, CFO_OP, SFO_OP, 15.0, 4,
-                                 12345, fisher_fn=flaky_fisher)
-    assert excluded == 1
+    monkeypatch.setattr(harness, "_select_crb_backend",
+                        lambda cfg: (flaky_fisher, "closed_form", None))
+    row = averaged_crb(15.0, 4, 12345)
+    assert row.crb_excluded == 1
     assert calls["n"] == 4
-    assert np.isfinite(pair.crb_cfo)
+    assert np.isfinite(row.crb_cfo)
 
 
-def test_average_crb_all_singular_raises():
-    def dead_fisher(config, training, channel, cfo, sfo, noise_var):
-        return FisherMatrix(f00=0.0, f01=0.0, f10=0.0, f11=0.0)
-
-    with pytest.raises(SingularInformationError, match="all realizations"):
-        average_crb(CFG, default_scenario_sampler(), CFO_OP, SFO_OP, 15.0,
-                    3, 1, fisher_fn=dead_fisher)
-
-
-def test_average_crb_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        average_crb(CFG, default_scenario_sampler(), CFO_OP, SFO_OP, 15.0,
-                    0, 1)
+# A zero trial count is rejected by ExperimentConfig before any sweep
+# runs: tests/test_harness.py::test_experiment_config_validation.
 
 
 def test_crb_pair_is_plain_data():

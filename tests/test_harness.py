@@ -20,6 +20,7 @@ from ofdm_sync_lab import (
     make_grid,
     noise_variance_from_snr,
     pair_residual,
+    run_crb_sweep,
     run_mse_sweep,
     run_noise_variance_sweep,
     run_trial,
@@ -81,6 +82,8 @@ def test_experiment_config_validation():
         make_experiment(n_trials=0)
     with pytest.raises(ValueError, match="n_taps"):
         make_experiment(n_taps=0)
+    with pytest.raises(ValueError, match="sfo must exceed -1"):
+        make_experiment(sfo=-1.0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -169,6 +172,8 @@ def test_skipped_stages_leave_none_fields():
     assert not rec.estimated and not rec.crb_evaluated
     assert rec.residual_n_sq > 0.0
     assert rec.residual_e_sq is not None
+    assert rec.proposed_failure is None and rec.nguyenle_failure is None
+    assert rec.crb_failure is None
 
 
 def poison_first_r0_bin(monkeypatch, value):
@@ -192,7 +197,9 @@ def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
     rec = run_trial(cfg, 10.0, 0)
     assert rec.residual_e_sq is None
     assert rec.nguyenle is None
-    assert rec.proposed is not None
+    assert rec.nguyenle_failure == \
+        "degenerate observation (subcarriers [-26])"
+    assert rec.proposed is not None and rec.proposed_failure is None
     assert rec.crb_cfo is not None
 
     row = aggregate([rec], cfg.cfo, cfg.sfo)
@@ -210,6 +217,9 @@ def test_non_finite_surface_counts_as_failure(monkeypatch):
     cfg = tiny_experiment()
     with np.errstate(invalid="ignore"):
         sweep = run_mse_sweep(cfg)
+        rec = run_trial(cfg, 10.0, 0)
+    assert rec.proposed_failure == rec.nguyenle_failure == \
+        "non-finite cost surface"
     for row in sweep.rows:
         assert row.fail_proposed == cfg.n_trials
         assert row.fail_nguyenle == cfg.n_trials
@@ -376,3 +386,9 @@ def test_backend_probe_falls_back_to_oracle(monkeypatch):
     row = sweep.rows[0]
     assert row.crb_cfo is not None and row.crb_cfo > 0.0
     assert row.crb_excluded == 0
+    # the CRB sweep follows the same probe
+    crb_sweep = run_crb_sweep(cfg)
+    assert crb_sweep.crb_backend == "numeric_oracle"
+    assert crb_sweep.crb_discrepancy == sweep.crb_discrepancy
+    assert (crb_sweep.rows[0].crb_cfo, crb_sweep.rows[0].crb_sfo) == \
+        (row.crb_cfo, row.crb_sfo)

@@ -93,6 +93,7 @@ def test_no_cp_full_band_config_is_valid():
     ((64, 52, -1), ">= 0"),
     ((0, 52, 16), "positive"),
     ((64, 0, 16), "positive"),
+    ((64, 52, 16, 3), "n_symbols must be 1 or 2"),
 ])
 def test_make_config_rejects(args, fragment):
     with pytest.raises(ValueError, match=fragment):
