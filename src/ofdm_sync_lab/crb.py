@@ -13,8 +13,16 @@ The oracle is the reference; the closed form is the fast path used per
 trial and is cross-checked against the oracle by the test suite. The
 ensemble average over seeded scenario draws is the harness's CRB sweep,
 ``harness.run_crb_sweep``.
+
+Every closed-form evaluation of an experiment sits at the same true
+offsets, so the sample weights that depend only on (config, cfo, sfo,
+symbol index) are built once and memoized, read-only, in a bounded
+``functools.lru_cache``; so are the synthesis basis and the channel-DFT
+phases (see :mod:`ofdm_sync_lab.ofdm_model`). Only the spectra of the
+trial's training and channel are computed per call.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,8 @@ from .ofdm_model import (
     ImpairmentParams,
     OfdmConfig,
     TrainingSymbols,
+    _CACHE_SIZE,
+    _read_only,
     _synthesis_basis,
     synthesize_frame,
 )
@@ -79,8 +89,7 @@ def _check_noise_var(noise_var: float):
 def _weighted_spectra(config, training, channel, sfo, m):
     """Per-sample spectra driving the Fisher entries for symbol m.
 
-    Returns (w, g, d): the angular sample weights
-    w[n] = (2 pi / N) (N_m + n), the plain spectrum
+    Returns (g, d): the plain spectrum
     g[n] = sum_k X(k) H(k) exp(j 2 pi k (n (1+sfo) + sfo N_m) / N),
     and the index-weighted spectrum d[n] with an extra factor k inside
     the sum.
@@ -89,9 +98,29 @@ def _weighted_spectra(config, training, channel, sfo, m):
     xh = training.symbol(m) * h
     g = basis @ xh
     d = basis @ (config.subcarrier_indices * xh)
+    return g, d
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _fisher_weights(config: OfdmConfig, cfo: float, sfo: float, m: int):
+    """Offset-only weights of symbol m's Fisher entries, read-only.
+
+    With the angular sample weights w[n] = (2 pi / N) (N_m + n), returns
+    (w (1+sfo))^2, 1 + j w (1+sfo) cfo, j w (1+sfo), j w, -w^2 cfo^2,
+    -2 cfo w^2 and -w^2, in the order :func:`fisher_closed_form` applies
+    them.
+    """
     w = _TWO_PI / config.dft_size * (config.symbol_start(m)
                                      + np.arange(config.dft_size))
-    return w, g, d
+    return tuple(_read_only(a) for a in (
+        (w * (1.0 + sfo)) ** 2,
+        1.0 + 1j * w * (1.0 + sfo) * cfo,
+        1j * w * (1.0 + sfo),
+        1j * w,
+        -(w ** 2) * (cfo ** 2),
+        -2.0 * cfo * (w ** 2),
+        -(w ** 2),
+    ))
 
 
 def fisher_closed_form(config: OfdmConfig, training: TrainingSymbols,
@@ -110,19 +139,21 @@ def fisher_closed_form(config: OfdmConfig, training: TrainingSymbols,
     f01 = 0.0
     f11 = 0.0
     for m in range(config.n_symbols):
-        w, g, d = _weighted_spectra(config, training, channel, sfo, m)
+        g, d = _weighted_spectra(config, training, channel, sfo, m)
+        slope_sq, phi_w, psi_w, jw, gamma_w, theta_w, pi_w = \
+            _fisher_weights(config, cfo, sfo, m)
         g_sq = g.real ** 2 + g.imag ** 2
         d_conj_g = d * np.conj(g)
 
-        f00 += float(np.sum((w * (1.0 + sfo)) ** 2 * g_sq))
+        f00 += float(np.sum(slope_sq * g_sq))
 
-        phi = (1.0 + 1j * w * (1.0 + sfo) * cfo) * g_sq
-        psi = 1j * w * (1.0 + sfo) * d_conj_g
-        f01 += float(np.sum((1j * w * (phi + psi)).real))
+        phi = phi_w * g_sq
+        psi = psi_w * d_conj_g
+        f01 += float(np.sum((jw * (phi + psi)).real))
 
-        gamma = -(w ** 2) * (cfo ** 2) * g_sq
-        theta = -2.0 * cfo * (w ** 2) * d_conj_g
-        pi_term = -(w ** 2) * (d.real ** 2 + d.imag ** 2)
+        gamma = gamma_w * g_sq
+        theta = theta_w * d_conj_g
+        pi_term = pi_w * (d.real ** 2 + d.imag ** 2)
         f11 += float(np.sum((gamma + theta + pi_term).real))
 
     scale = 2.0 / (noise_var * config.dft_size)

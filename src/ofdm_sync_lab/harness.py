@@ -96,6 +96,17 @@ class ExperimentConfig:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.sfo <= -1.0:
             raise ValueError(f"sfo must exceed -1, got {self.sfo}")
+        # At a fixed SFO the pair cost is periodic in cfo: with no noise,
+        # an alias of the true cfo on the search grid costs what truth does.
+        period = self.ofdm.dft_size / (self.ofdm.symbol_len
+                                       * (1.0 + self.sfo))
+        lo, hi = self.grid.cfo_values[0], self.grid.cfo_values[-1]
+        for alias in (self.cfo - period, self.cfo + period):
+            if lo <= alias <= hi:
+                raise ValueError(
+                    f"cfo {self.cfo} has the alias {alias:.6g} inside the "
+                    f"CFO search grid [{lo:g}, {hi:g}] (the cost repeats "
+                    f"every N/((N+N_g)(1+sfo)) = {period:.6g})")
         if len(self.snr_points_db) == 0:
             raise ValueError("snr_points_db must not be empty")
         points = tuple(float(s) for s in self.snr_points_db)

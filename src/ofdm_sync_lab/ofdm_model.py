@@ -15,8 +15,18 @@ Conventions used throughout the package:
   (the cyclic prefix itself is never materialized, only its offset);
 * an SFO stretches the receiver time base by (1 + sfo), which both skews
   the per-subcarrier phase ramps and scales the CFO rotation.
+
+Arrays that depend only on the experiment, never on a trial's draws, are
+built once and memoized in bounded ``functools.lru_cache`` helpers: the
+SFO-warped synthesis basis (keyed on config, sfo and symbol index), the
+channel-DFT phases (config and tap count), the CFO lead of a symbol
+(config, cfo, sfo and symbol index) and the tap scale of the power
+profile (tap count and decay). Every cached array is read-only, so a
+caller that tried to modify one in place would get a ``ValueError``
+instead of corrupting later trials.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -53,6 +63,17 @@ QPSK_ALPHABET = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 # Exponential power-delay-profile time constant, in tap periods.
 PDP_DECAY_TAPS = 5.0
+
+# Entries per memoized helper. A default sweep keys at most 10 entries in
+# any one cache (the CRB backend probe's oracle perturbs each offset both
+# ways on both symbols), so this bound only evicts across experiments.
+_CACHE_SIZE = 32
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark an array read-only: a cached array is shared by every caller."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -241,11 +262,16 @@ def exponential_power_profile(n_taps: int,
     return weights / weights.sum()
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _tap_scale(n_taps: int, decay: float) -> np.ndarray:
+    """Per-tap standard deviation of the real and imaginary parts."""
+    return _read_only(np.sqrt(exponential_power_profile(n_taps, decay) / 2.0))
+
+
 def sample_channel(rng: np.random.Generator, n_taps: int = 5,
                    decay: float = PDP_DECAY_TAPS) -> ChannelRealization:
     """Draw independent Rayleigh taps with the exponential power profile."""
-    profile = exponential_power_profile(n_taps, decay)
-    scale = np.sqrt(profile / 2.0)
+    scale = _tap_scale(n_taps, decay)
     taps = scale * (rng.standard_normal(n_taps)
                     + 1j * rng.standard_normal(n_taps))
     return ChannelRealization(taps=taps)
@@ -276,20 +302,48 @@ def noise_variance_from_snr(config: OfdmConfig, snr_db: float) -> float:
     return (config.n_active / config.dft_size) * 10.0 ** (-snr_db / 10.0)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _warped_basis(config: OfdmConfig, sfo: float, m: int) -> np.ndarray:
+    """The (N x K) basis exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N)."""
+    n = np.arange(config.dft_size)
+    warp = n * (1.0 + sfo) + sfo * config.symbol_start(m)
+    return _read_only(np.exp(1j * _TWO_PI / config.dft_size
+                             * np.outer(warp, config.subcarrier_indices)))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _dft_phases(config: OfdmConfig, n_taps: int) -> np.ndarray:
+    """The (K x L) phases exp(-j 2 pi k l / N) that map taps to H(k).
+
+    Same expression as :func:`channel_frequency_response`, so H(k) keeps
+    its bytes.
+    """
+    ks = config.subcarrier_indices
+    l = np.arange(n_taps)
+    return _read_only(np.exp(-1j * _TWO_PI * ks[:, None] * l
+                             / config.dft_size))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cfo_lead(config: OfdmConfig, cfo: float, sfo: float,
+              m: int) -> np.ndarray:
+    """CFO rotation exp(j 2 pi (N_m + n) (1 + sfo) cfo / N) of symbol m."""
+    n = np.arange(config.dft_size)
+    return _read_only(np.exp(1j * _TWO_PI / config.dft_size
+                             * (config.symbol_start(m) + n) * (1.0 + sfo)
+                             * cfo))
+
+
 def _synthesis_basis(config: OfdmConfig, channel: ChannelRealization,
                      sfo: float, m: int):
     """SFO-warped basis of training symbol m and the channel gains.
 
-    Returns (basis, h): the (N x K) matrix
+    Returns (basis, h): the cached, read-only (N x K) matrix
     basis[n, k] = exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N) over the
     active subcarriers, and H(k) on the same subcarriers.
     """
-    n = np.arange(config.dft_size)
-    ks = config.subcarrier_indices
-    h = channel_frequency_response(channel, ks, config.dft_size)
-    warp = n * (1.0 + sfo) + sfo * config.symbol_start(m)
-    basis = np.exp(1j * _TWO_PI / config.dft_size * np.outer(warp, ks))
-    return basis, h
+    return (_warped_basis(config, sfo, m),
+            _dft_phases(config, channel.n_taps) @ channel.taps)
 
 
 def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
@@ -320,13 +374,10 @@ def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
         raise ValueError(
             f"training length {x.size} does not match n_active "
             f"{config.n_active}")
-    n = np.arange(config.dft_size)
-    start = config.symbol_start(m)
     cfo, sfo = impairments.cfo, impairments.sfo
 
     basis, h = _synthesis_basis(config, channel, sfo, m)
-    lead = np.exp(1j * _TWO_PI / config.dft_size
-                  * (start + n) * (1.0 + sfo) * cfo)
+    lead = _cfo_lead(config, cfo, sfo, m)
     signal = lead * (basis @ (x * h)) / np.sqrt(config.dft_size)
 
     if impairments.noise_var > 0.0:

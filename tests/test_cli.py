@@ -1,6 +1,11 @@
 """CLI tests: option resolution, config files, CSV datasets, and the
 single-trial debug command."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -111,6 +116,7 @@ def test_unknown_flag_exits_2():
     (["fig1", "--snr-max", "inf"], "must be finite"),
     (["trial", "--snr-min", "nan"], "snr_points_db must be finite"),
     (["crb", "--sfo", "-1"], "sfo must exceed -1"),
+    (["fig2", "--cfo", "0.35"], "alias -0.44991"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -429,3 +435,37 @@ def test_trial_reports_non_finite_surfaces(monkeypatch, capsys):
     assert entries["nguyenle_failed"] == "non-finite cost surface"
     assert "proposed_cfo" not in entries and "nguyenle_cfo" not in entries
     assert "crb_cfo" in entries
+
+
+# Runs ``trial`` once per flag set, in order, in one interpreter; a form
+# feed line ends each printout.
+_TRIALS_IN_ONE_PROCESS = """
+import sys
+from ofdm_sync_lab import cli
+for flags in sys.argv[1:]:
+    cli.main(["trial", *flags.split()])
+    print("\\f", flush=True)
+"""
+
+
+def trial_printouts(*flag_sets):
+    """``trial`` printouts of each flag set, run in one fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRIALS_IN_ONE_PROCESS, *flag_sets],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    printouts = done.stdout.split("\f\n")
+    assert printouts[-1] == ""
+    return printouts[:-1]
+
+
+def test_signed_zero_offsets_share_cache_entries_safely():
+    """-0.0 and 0.0 hash to one cache key, so whichever sign fills the
+    synthesis and Fisher caches first serves the other: each printout
+    must still equal the one of the same command alone."""
+    neg, pos = "--cfo -0 --sfo -0", "--cfo 0 --sfo 0"
+    alone = trial_printouts(neg) + trial_printouts(pos)
+    assert trial_printouts(neg, pos) == alone
+    assert trial_printouts(pos, neg) == alone[::-1]

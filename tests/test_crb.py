@@ -15,6 +15,7 @@ from ofdm_sync_lab import (
     OfdmConfig,
     SingularInformationError,
     TrainingSymbols,
+    channel_frequency_response,
     compare_fisher,
     crb_from_fisher,
     derive_rng,
@@ -26,9 +27,10 @@ from ofdm_sync_lab import (
     noise_variance_from_snr,
     run_crb_sweep,
     sample_channel,
+    synthesize_frame,
     synthesize_received_symbol,
 )
-from ofdm_sync_lab import harness
+from ofdm_sync_lab import crb, harness, ofdm_model
 from ofdm_sync_lab.harness import CRB_AGREEMENT_RTOL
 
 CFG = make_config(64, 52, 16)
@@ -165,6 +167,48 @@ def fisher_scenarios(draw):
 def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
     comparison = compare_fisher(*scenario_args)
     assert comparison.max_rel_error < CRB_AGREEMENT_RTOL
+
+
+# --------------------------------------------------------- memoized arrays
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(scenario_args=fisher_scenarios())
+def test_cached_basis_matches_fresh_build_over_random_geometries(
+        scenario_args):
+    """Bit for bit, on the miss that fills the cache and on a hit."""
+    config, _, channel, _, sfo, _ = scenario_args
+    ks = config.subcarrier_indices
+    n = np.arange(config.dft_size)
+    h_fresh = channel_frequency_response(channel, ks, config.dft_size)
+    for m in range(config.n_symbols):
+        warp = n * (1.0 + sfo) + sfo * config.symbol_start(m)
+        fresh = np.exp(1j * 2.0 * np.pi / config.dft_size
+                       * np.outer(warp, ks))
+        for _ in range(2):
+            basis, h = ofdm_model._synthesis_basis(config, channel, sfo, m)
+            assert basis.tobytes() == fresh.tobytes()
+            assert h.tobytes() == h_fresh.tobytes()
+
+
+def test_fisher_weights_are_read_only():
+    for weight in crb._fisher_weights(CFG, CFO_OP, SFO_OP, 1):
+        with pytest.raises(ValueError, match="read-only"):
+            weight[0] = 0
+
+
+def test_offset_keyed_caches_stay_bounded():
+    training, channel = scenario(3)
+    caches = (ofdm_model._warped_basis, ofdm_model._cfo_lead,
+              crb._fisher_weights)
+    for i in range(max(c.cache_info().maxsize for c in caches) + 8):
+        sfo = i * 1e-6
+        synthesize_frame(CFG, training, channel,
+                         ImpairmentParams(CFO_OP, sfo))
+        fisher_closed_form(CFG, training, channel, CFO_OP, sfo, 0.1)
+    for cache in caches:
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize
 
 
 # ------------------------------------------------------------------ oracle

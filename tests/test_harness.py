@@ -84,6 +84,16 @@ def test_experiment_config_validation():
         make_experiment(n_taps=0)
     with pytest.raises(ValueError, match="sfo must exceed -1"):
         make_experiment(sfo=-1.0)
+    # the cost repeats every N/((N+N_g)(1+sfo)) = 0.79991 in cfo here, so
+    # |cfo| >= 0.3 puts an alias on the default [-0.5, 0.5] grid
+    for cfo in (0.3, -0.3, 0.35):
+        with pytest.raises(ValueError, match="alias"):
+            make_experiment(cfo=cfo)
+    assert make_experiment(cfo=0.35, grid=make_grid(cfo_max=0.4)).cfo == 0.35
+    # period exactly 1 (cp = 0, sfo = 0): an alias on a grid end counts
+    with pytest.raises(ValueError, match="alias -0.5 "):
+        make_experiment(cp_len=0, sfo=0.0, cfo=0.5)
+    assert make_experiment(cp_len=0, sfo=0.0, cfo=0.49).cfo == 0.49
 
 
 @pytest.mark.parametrize("field, value", [

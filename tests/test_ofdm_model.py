@@ -28,6 +28,7 @@ from ofdm_sync_lab import (
     synthesize_frame,
     synthesize_received_symbol,
 )
+from ofdm_sync_lab import ofdm_model
 
 CFO_OP = 0.212
 SFO_OP = 0.000112
@@ -304,6 +305,24 @@ def test_synthesize_frame_shape_and_stream_count():
     with pytest.raises(ValueError, match="noise streams"):
         synthesize_frame(cfg, tr, ch, ImpairmentParams(0.0, 0.0),
                          rngs=(None,))
+
+
+def test_memoized_arrays_are_read_only():
+    """Cached arrays are shared by every trial, so none may be written;
+    what synthesis returns is the caller's own."""
+    cfg, tr, ch = scenario()
+    memoized = {
+        "basis": ofdm_model._synthesis_basis(cfg, ch, SFO_OP, 1)[0],
+        "dft phases": ofdm_model._dft_phases(cfg, ch.n_taps),
+        "cfo lead": ofdm_model._cfo_lead(cfg, CFO_OP, SFO_OP, 1),
+        "tap scale": ofdm_model._tap_scale(5, 5.0),
+    }
+    for name, array in memoized.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    signal = synthesize_received_symbol(
+        cfg, tr, ch, ImpairmentParams(CFO_OP, SFO_OP), 1)
+    assert signal.flags.writeable
 
 
 def test_time_domain_frame_requires_matrix():
