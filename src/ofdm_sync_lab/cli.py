@@ -15,6 +15,8 @@ header. Each command parses its options, calls one harness function
 (``run_noise_variance_sweep``, ``run_mse_sweep``, ``run_crb_sweep`` or
 ``inspect_trial``) and formats what it returns; every trial decision is
 the harness's. Output is deterministic for a given configuration.
+Numeric flags take negative values in any spelling, exponent form
+included (``--sfo -3e-4``).
 """
 
 import argparse
@@ -139,6 +141,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv) -> list:
+    """Spell ``--flag -VALUE`` as ``--flag=-VALUE`` for numeric flags.
+
+    argparse takes a dash-led token for an option unless it reads as a
+    plain negative integer or decimal (``-3``, ``-0.5``), so without
+    this ``--sfo -3e-4`` would leave the flag without a value.
+    """
+    numeric = {f"--{flag}" for flag, _ in _FIELDS}
+    out = []
+    for token in argv:
+        if out and out[-1] in numeric and token.startswith("-") \
+                and _is_number(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,7 +209,7 @@ def _snr_axis(lo: float, hi: float, step: float) -> tuple:
 
 def parse(argv) -> CliInvocation:
     """Resolve argv (defaults < config file < flags) into an invocation."""
-    namespace = _build_parser().parse_args(argv)
+    namespace = _build_parser().parse_args(_attach_negative_values(argv))
     command = namespace.command
 
     values = dict(_COMMON_DEFAULTS)

@@ -11,14 +11,23 @@ Two competing maximum-likelihood-style grid estimators are provided:
   on faded subcarriers.
 
 Both share the same inter-symbol phase ramp and the same exhaustive
-lattice search with a deterministic tie rule.
+lattice search with a deterministic tie rule. The residuals evaluate the
+ramp at the true offsets of every trial of an experiment, so that ramp
+is built once and memoized, read-only, in a bounded
+``functools.lru_cache`` as :mod:`ofdm_sync_lab.ofdm_model` does.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm_model import OfdmConfig, PreambleObservation
+from .ofdm_model import (
+    OfdmConfig,
+    PreambleObservation,
+    _CACHE_SIZE,
+    _read_only,
+)
 
 __all__ = [
     "DegenerateObservationError",
@@ -319,11 +328,18 @@ def _refined(cost, grid, result, method):
                             method=method)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _subcarrier_ramp(config: OfdmConfig, cfo: float,
+                     sfo: float) -> np.ndarray:
+    """:func:`symbol_phase_ramp` over the active subcarriers."""
+    return _read_only(symbol_phase_ramp(config.subcarrier_indices, cfo, sfo,
+                                        config))
+
+
 def pair_residual(obs: PreambleObservation, cfo: float, sfo: float,
                   config: OfdmConfig) -> np.ndarray:
     """Model residual N(k) = R1(k) - ramp(k) R0(k) at the given offsets."""
-    ramp = symbol_phase_ramp(config.subcarrier_indices, cfo, sfo, config)
-    return obs.r1 - ramp * obs.r0
+    return obs.r1 - _subcarrier_ramp(config, cfo, sfo) * obs.r0
 
 
 def ratio_residual(obs: PreambleObservation, cfo: float, sfo: float,
@@ -332,6 +348,5 @@ def ratio_residual(obs: PreambleObservation, cfo: float, sfo: float,
 
     Raises :class:`DegenerateObservationError` when Y is unusable.
     """
-    y = nguyenle_observable(obs, config)
-    ramp = symbol_phase_ramp(config.subcarrier_indices, cfo, sfo, config)
-    return y - ramp
+    return nguyenle_observable(obs, config) - _subcarrier_ramp(config, cfo,
+                                                               sfo)

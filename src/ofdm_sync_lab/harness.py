@@ -4,10 +4,16 @@ Every trial decision lives here. Each ``sync-lab`` command is one call:
 the fig1, fig2 and crb sweeps below, each reduced by :func:`aggregate`,
 and :func:`inspect_trial` for ``trial``.
 
-Trials run serially in the calling thread. Every trial derives its own
-labeled random substreams from the master seed, the SNR point, and the
-trial index, so results are reproducible bit for bit regardless of
-execution order. Aggregation always runs in ascending trial order.
+Trials run serially in the calling thread. Every trial draws from its
+own labeled random substreams, keyed by the master seed, the SNR point,
+the trial index and the label, so results are reproducible bit for bit
+regardless of execution order. A sweep derives the streams of an SNR
+point in one pass per label (:func:`ofdm_model.derive_states`, numpy's
+``SeedSequence`` vectorized over the trials) and re-seeds one reused
+``PCG64`` generator per label for each trial; the streams are those of
+:func:`ofdm_model.derive_rng`, bit for bit, and only the current SNR
+point's seed table is held. Aggregation always runs in ascending trial
+order.
 """
 
 from dataclasses import dataclass
@@ -35,15 +41,18 @@ from .estimators import (
     ratio_residual,
 )
 from .ofdm_model import (
+    MAX_TRIALS,
     ImpairmentParams,
     OfdmConfig,
     carrier_gain,
     demodulate_frame,
-    derive_rng,
+    derive_states,
     generate_training_symbols,
     make_config,
+    new_generator,
     noise_variance_from_snr,
     sample_channel,
+    seed_generator,
     snr_stream_key,
     synthesize_frame,
 )
@@ -71,6 +80,11 @@ CRB_AGREEMENT_RTOL = 1e-3
 _NON_FINITE = "non-finite cost surface"
 _SINGULAR = "singular information matrix"
 
+# Labeled streams of one trial: a burst draws all four; a CRB draw and
+# the backend probe draw only the scenario's first two.
+_BURST_STREAMS = ("training", "channel", "noise0", "noise1")
+_SCENARIO_STREAMS = _BURST_STREAMS[:2]
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,6 +104,10 @@ class ExperimentConfig:
             raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        # A trial index enters the stream entropy as one 32-bit word.
+        if self.n_trials >= MAX_TRIALS:
+            raise ValueError(
+                f"n_trials must be below 2**32, got {self.n_trials}")
         for name in ("cfo", "sfo"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(
@@ -169,26 +187,43 @@ class TrialRecord:
     crb_failure: str | None = None
 
 
-def _draw_scenario(cfg: ExperimentConfig, stream_key, trial_index: int):
-    """Draw one trial's training pair and channel from labeled streams."""
-    seed = cfg.master_seed
-    training = generate_training_symbols(
-        derive_rng(seed, stream_key, trial_index, "training"), cfg.ofdm)
-    channel = sample_channel(
-        derive_rng(seed, stream_key, trial_index, "channel"), cfg.n_taps)
+def _trial_streams(cfg: ExperimentConfig, stream_key, trial_indices,
+                   labels):
+    """Yield each trial's generators, label -> generator, in index order.
+
+    Each label's seeds come from one :func:`derive_states` pass over all
+    the trials, and each label has one generator, re-seeded per trial:
+    a trial's draws must be made before the next trial is taken.
+    """
+    tables = [derive_states(cfg.master_seed, stream_key, trial_indices,
+                            label) for label in labels]
+    rngs = [new_generator() for _ in labels]
+    for seeds in zip(*tables):
+        yield {label: seed_generator(rng, seed)
+               for label, rng, seed in zip(labels, rngs, seeds)}
+
+
+def _one_trial_streams(cfg: ExperimentConfig, snr_db: float,
+                       trial_index: int) -> dict:
+    """The burst streams of one trial, as a sweep would seed them."""
+    return next(_trial_streams(cfg, snr_stream_key(snr_db), (trial_index,),
+                               _BURST_STREAMS))
+
+
+def _draw_scenario(cfg: ExperimentConfig, streams: dict):
+    """Draw one trial's training pair and channel from its streams."""
+    training = generate_training_symbols(streams["training"], cfg.ofdm)
+    channel = sample_channel(streams["channel"], cfg.n_taps)
     return training, channel
 
 
-def _draw_observation(cfg: ExperimentConfig, snr_db: float,
-                      trial_index: int):
+def _draw_observation(cfg: ExperimentConfig, snr_db: float, streams: dict):
     """Draw one trial's training, channel, and demodulated burst."""
-    skey = snr_stream_key(snr_db)
-    training, channel = _draw_scenario(cfg, skey, trial_index)
+    training, channel = _draw_scenario(cfg, streams)
     impairments = ImpairmentParams(
         cfg.cfo, cfg.sfo, noise_variance_from_snr(cfg.ofdm, snr_db))
-    rngs = [derive_rng(cfg.master_seed, skey, trial_index, label)
-            for label in ("noise0", "noise1")]
-    frame = synthesize_frame(cfg.ofdm, training, channel, impairments, rngs)
+    frame = synthesize_frame(cfg.ofdm, training, channel, impairments,
+                             (streams["noise0"], streams["noise1"]))
     obs = demodulate_frame(frame, cfg.ofdm, training)
     return obs, training, channel, impairments
 
@@ -209,7 +244,8 @@ def _trial_crb(cfg: ExperimentConfig, snr_db: float, training, channel,
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
               with_estimates: bool = True, with_crb: bool = True,
               evaluator: GridEvaluator | None = None,
-              fisher_fn=fisher_closed_form) -> TrialRecord:
+              fisher_fn=fisher_closed_form,
+              streams: dict | None = None) -> TrialRecord:
     """Run one fully seeded trial.
 
     Residual norms are always evaluated at the true offsets. Grid
@@ -217,8 +253,14 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
     sweeps. A degenerate ratio observable marks the ratio residual and
     the nguyen_le estimate as failed, and a non-finite cost surface marks
     that search's estimate as failed, without aborting the trial.
+
+    ``streams`` are the trial's seeded generators as a sweep passes
+    them; None derives them for this trial alone, so a direct call at
+    any index in [0, 2**32) returns the record a sweep would.
     """
-    obs, training, channel, _ = _draw_observation(cfg, snr_db, trial_index)
+    if streams is None:
+        streams = _one_trial_streams(cfg, snr_db, trial_index)
+    obs, training, channel, _ = _draw_observation(cfg, snr_db, streams)
 
     n_vec = pair_residual(obs, cfg.cfo, cfg.sfo, cfg.ofdm)
     residual_n_sq = float(np.sum(n_vec.real ** 2 + n_vec.imag ** 2))
@@ -277,8 +319,8 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     """
     record = run_trial(cfg, snr_db, trial_index)
     # The draw is seeded, so this is the burst run_trial just scored.
-    obs, _, channel, impairments = _draw_observation(cfg, snr_db,
-                                                     trial_index)
+    obs, _, channel, impairments = _draw_observation(
+        cfg, snr_db, _one_trial_streams(cfg, snr_db, trial_index))
     gains = np.abs(carrier_gain(cfg.ofdm.subcarrier_indices, 0, cfg.cfo,
                                 cfg.sfo, cfg.ofdm))
     nguyenle_truth = None
@@ -408,9 +450,10 @@ def _select_crb_backend(cfg: ExperimentConfig):
     """
     snrs = (min(cfg.snr_points_db), max(cfg.snr_points_db))
     worst = None
-    for probe_index in range(2):
-        training, channel = _draw_scenario(cfg, "crb-backend-probe",
-                                           probe_index)
+    probes = _trial_streams(cfg, "crb-backend-probe", range(2),
+                            _SCENARIO_STREAMS)
+    for probe_index, streams in enumerate(probes):
+        training, channel = _draw_scenario(cfg, streams)
         noise_var = noise_variance_from_snr(
             cfg.ofdm, snrs[probe_index % len(snrs)])
         comparison = compare_fisher(cfg.ofdm, training, channel,
@@ -422,10 +465,14 @@ def _select_crb_backend(cfg: ExperimentConfig):
     return fisher_numeric_oracle, "numeric_oracle", worst.report()
 
 
-def _sweep_rows(cfg: ExperimentConfig, trial) -> tuple:
-    """One aggregated row per SNR point of ``trial(snr_db, index)``."""
+def _sweep_rows(cfg: ExperimentConfig, labels, trial) -> tuple:
+    """One aggregated row per SNR point of ``trial(snr_db, index,
+    streams)``, where ``streams`` holds the trial's ``labels`` streams."""
+    indices = range(cfg.n_trials)
     return tuple(
-        aggregate([trial(snr_db, t) for t in range(cfg.n_trials)],
+        aggregate([trial(snr_db, t, streams) for t, streams in zip(
+            indices, _trial_streams(cfg, snr_stream_key(snr_db), indices,
+                                    labels))],
                   cfg.cfo, cfg.sfo)
         for snr_db in cfg.snr_points_db)
 
@@ -434,16 +481,18 @@ def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
     evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
     fisher_fn, backend, report = _select_crb_backend(cfg)
-    rows = _sweep_rows(cfg, lambda snr_db, t: run_trial(
-        cfg, snr_db, t, evaluator=evaluator, fisher_fn=fisher_fn))
+    rows = _sweep_rows(cfg, _BURST_STREAMS, lambda snr_db, t, streams:
+                       run_trial(cfg, snr_db, t, evaluator=evaluator,
+                                 fisher_fn=fisher_fn, streams=streams))
     return SweepResult(config=cfg, rows=rows, crb_backend=backend,
                        crb_discrepancy=report)
 
 
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
-    rows = _sweep_rows(cfg, lambda snr_db, t: run_trial(
-        cfg, snr_db, t, with_estimates=False, with_crb=False))
+    rows = _sweep_rows(cfg, _BURST_STREAMS, lambda snr_db, t, streams:
+                       run_trial(cfg, snr_db, t, with_estimates=False,
+                                 with_crb=False, streams=streams))
     return SweepResult(config=cfg, rows=rows)
 
 
@@ -455,11 +504,12 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     fisher_fn, backend, report = _select_crb_backend(cfg)
 
-    def trial(snr_db, t):
-        training, channel = _draw_scenario(cfg, snr_stream_key(snr_db), t)
+    def trial(snr_db, t, streams):
+        training, channel = _draw_scenario(cfg, streams)
         return TrialRecord(trial_index=t, snr_db=snr_db,
                            **_trial_crb(cfg, snr_db, training, channel,
                                         fisher_fn))
 
-    return SweepResult(config=cfg, rows=_sweep_rows(cfg, trial),
+    return SweepResult(config=cfg,
+                       rows=_sweep_rows(cfg, _SCENARIO_STREAMS, trial),
                        crb_backend=backend, crb_discrepancy=report)

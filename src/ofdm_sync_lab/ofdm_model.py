@@ -24,6 +24,15 @@ channel-DFT phases (config and tap count), the CFO lead of a symbol
 profile (tap count and decay). Every cached array is read-only, so a
 caller that tried to modify one in place would get a ``ValueError``
 instead of corrupting later trials.
+
+Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
+words are a key path (master seed, SNR key, trial index, label) split
+into 32-bit words as ``SeedSequence`` splits integers.
+:func:`derive_states` runs ``SeedSequence``'s mixing over a whole axis
+of trial indices at once and :func:`seed_generator` loads one trial's
+seed into a reused generator; both reproduce :func:`derive_rng`'s
+stream bit for bit, which numpy's own seeding checks in the tests. A
+trial index must lie in [0, 2**32), where it is exactly one word.
 """
 
 import functools
@@ -53,7 +62,11 @@ __all__ = [
     "carrier_gain",
     "noise_variance_from_snr",
     "derive_rng",
+    "derive_states",
+    "new_generator",
+    "seed_generator",
     "snr_stream_key",
+    "MAX_TRIALS",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -507,20 +520,161 @@ def snr_stream_key(snr_db: float) -> int:
     return int(round(float(snr_db) * 1000.0))
 
 
+# numpy's SeedSequence constants (pool size 4, 32-bit words) and the
+# 128-bit multiplier of PCG64's linear congruential step.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Trial indices below this enter the entropy as exactly one 32-bit word,
+# so every trial of a sweep shares one word layout.
+MAX_TRIALS = 2 ** 32
+
+
+def _key_words(key) -> list:
+    """The 32-bit entropy words of one stream key, as SeedSequence splits it.
+
+    An int is masked to 64 bits and a str is its SHA-256 digest's first
+    8 bytes (big-endian), so the mapping is stable across processes and
+    platforms. The value is split least significant word first, 0 being
+    the single word 0.
+    """
+    if isinstance(key, str):
+        value = int.from_bytes(
+            hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+    elif isinstance(key, (int, np.integer)):
+        value = int(key) & _MASK64
+    else:
+        raise TypeError(f"rng key must be int or str, got {key!r}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_pool(entropy) -> list:
+    """SeedSequence's pool of 4 words mixed from the entropy words.
+
+    A word is a Python int or a uint32 array over trials; int arithmetic
+    is masked to 32 bits and array arithmetic wraps, so one word of the
+    entropy can differ per trial while the rest stay scalars.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = (((_MIX_MULT_L * x) & _MASK32)
+                  - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    padded = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return pool
+
+
+def _seed_words(pool, n_trials: int) -> np.ndarray:
+    """SeedSequence's ``generate_state(4, uint64)`` per trial, (T, 4)."""
+    words = np.empty((n_trials, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i_dst in range(2 * _POOL_SIZE):
+        value = pool[i_dst % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words[:, i_dst] = value ^ (value >> _XSHIFT)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def derive_states(master_seed: int, stream_key, trial_indices,
+                  label) -> np.ndarray:
+    """Seed words of ``derive_rng(master_seed, stream_key, t, label)`` for
+    every trial index t, as a (T, 4) uint64 array.
+
+    Runs SeedSequence's mixing once over the trial axis instead of once
+    per trial; :func:`seed_generator` turns a row into the generator.
+
+    Raises
+    ------
+    ValueError
+        If a trial index is not an integer in [0, MAX_TRIALS).
+    """
+    trials = np.asarray(trial_indices)
+    if trials.ndim != 1 or (trials.size and trials.dtype.kind not in "iu"):
+        raise ValueError("trial_indices must be a 1-D sequence of integers")
+    if trials.size and (trials.min() < 0 or trials.max() >= MAX_TRIALS):
+        raise ValueError(
+            f"trial indices must lie in [0, 2**32), got {trials.min()} .. "
+            f"{trials.max()}")
+    # One trial's word stays a Python int: scalar arithmetic beats
+    # size-1 array arithmetic by an order of magnitude.
+    trial_word = int(trials[0]) if trials.size == 1 \
+        else trials.astype(np.uint32)
+    entropy = (_key_words(int(master_seed)) + _key_words(stream_key)
+               + [trial_word] + _key_words(label))
+    return _seed_words(_hash_pool(entropy), trials.size)
+
+
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Zero seed words for a PCG64 that :func:`seed_generator` sets before
+    any draw, so building one costs neither OS entropy nor a
+    SeedSequence."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+def new_generator() -> np.random.Generator:
+    """A PCG64 generator for :func:`seed_generator` to set."""
+    return np.random.Generator(np.random.PCG64(_Unseeded()))
+
+
+def seed_generator(rng: np.random.Generator,
+                   seed_words) -> np.random.Generator:
+    """Give ``rng`` the state of a PCG64 freshly seeded with four words.
+
+    Applies PCG64's seeding step to the 128-bit state and increment that
+    the words spell (most significant word first), clears the buffered
+    32-bit half, and returns ``rng``.
+    """
+    s_hi, s_lo, i_hi, i_lo = np.asarray(seed_words, np.uint64).tolist()
+    inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     """Derive an independent substream from a master seed and a key path.
 
-    Integer keys enter the seed sequence directly; string labels are
-    folded through SHA-256 so the mapping is stable across processes and
-    platforms. The same (seed, keys) always yields the same stream.
+    The stream is numpy's ``PCG64(SeedSequence(words))``, where ``words``
+    are the master seed and every key split as :func:`_key_words` does;
+    :func:`derive_states` computes the same seeds for many trials at
+    once. The same (seed, keys) always yields the same stream.
     """
-    words = [int(master_seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = _key_words(int(master_seed))
     for key in keys:
-        if isinstance(key, str):
-            digest = hashlib.sha256(key.encode("utf-8")).digest()
-            words.append(int.from_bytes(digest[:8], "big"))
-        elif isinstance(key, (int, np.integer)):
-            words.append(int(key) & 0xFFFFFFFFFFFFFFFF)
-        else:
-            raise TypeError(f"rng key must be int or str, got {key!r}")
-    return np.random.default_rng(np.random.SeedSequence(words))
+        entropy += _key_words(key)
+    return seed_generator(new_generator(),
+                          _seed_words(_hash_pool(entropy), 1)[0])

@@ -92,6 +92,24 @@ def test_flags_override_defaults():
     assert inv.experiment.snr_points_db == (10.0, 20.0)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("sfo", "-3e-4"), ("cfo", "-2.5E-1"), ("snr-min", "-1e1"),
+    ("snr-max", "-5e0"),
+])
+def test_exponent_form_negative_values(flag, value):
+    """argparse alone takes ``-3e-4`` for an option and exits 2."""
+    spaced = parse(["trial", f"--{flag}", value])
+    joined = parse(["trial", f"--{flag}={value}"])
+    assert spaced.values == joined.values
+    assert spaced.values[flag] == float(value)
+    a, b = spaced.experiment, joined.experiment
+    assert (a.ofdm, a.cfo, a.sfo, a.n_taps, a.snr_points_db, a.n_trials,
+            a.master_seed) == (b.ofdm, b.cfo, b.sfo, b.n_taps,
+                               b.snr_points_db, b.n_trials, b.master_seed)
+    npt.assert_array_equal(a.grid.cfo_values, b.grid.cfo_values)
+    npt.assert_array_equal(a.grid.sfo_values, b.grid.sfo_values)
+
+
 def test_zero_grid_half_range_pins_axis():
     inv = parse(["trial", "--grid-cfo-max", "0"])
     npt.assert_array_equal(inv.experiment.grid.cfo_values, [0.0])
@@ -117,6 +135,7 @@ def test_unknown_flag_exits_2():
     (["trial", "--snr-min", "nan"], "snr_points_db must be finite"),
     (["crb", "--sfo", "-1"], "sfo must exceed -1"),
     (["fig2", "--cfo", "0.35"], "alias -0.44991"),
+    (["fig1", "--trials", "4294967296"], "n_trials must be below 2**32"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

@@ -355,8 +355,7 @@ def test_average_crb_fixed_draw_identity(monkeypatch):
     """A scenario draw ignoring its streams makes the average equal the
     single realization regardless of the trial count."""
     monkeypatch.setattr(harness, "_draw_scenario",
-                        lambda cfg, stream_key, trial_index:
-                        (FLAT_TRAINING, FLAT_CHANNEL))
+                        lambda cfg, streams: (FLAT_TRAINING, FLAT_CHANNEL))
     row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)
     direct = crb_from_fisher(fisher_closed_form(
         CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,

@@ -113,6 +113,13 @@ def test_experiment_config_rejects_snr_stream_key_collisions():
         10.0, 10.001)
 
 
+def test_experiment_config_rejects_trial_counts_past_one_word():
+    """A trial index enters the stream entropy as one 32-bit word."""
+    with pytest.raises(ValueError, match=r"n_trials must be below 2\*\*32"):
+        make_experiment(n_trials=2 ** 32)
+    assert make_experiment(n_trials=2 ** 32 - 1).n_trials == 2 ** 32 - 1
+
+
 def test_snr_points_coerced_to_float():
     cfg = make_experiment(snr_points_db=(0, 10, 20))
     assert cfg.snr_points_db == (0.0, 10.0, 20.0)
@@ -138,6 +145,48 @@ def test_trial_streams_keyed_by_snr_value():
     a = tiny_experiment(snr_points_db=(5.0, 15.0))
     b = tiny_experiment(snr_points_db=(15.0, 25.0))
     assert run_trial(a, 15.0, 1) == run_trial(b, 15.0, 1)
+
+
+def sweep_records(monkeypatch, sweep, cfg):
+    """Every record a sweep aggregates, keyed by (snr_db, trial_index)."""
+    records = {}
+    real_aggregate = harness.aggregate
+
+    def capture(trials, cfo, sfo):
+        records.update(((r.snr_db, r.trial_index), r) for r in trials)
+        return real_aggregate(trials, cfo, sfo)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "aggregate", capture)
+        sweep(cfg)
+    return records
+
+
+# Out of order, and past the 3 trials of the config run_trial is given.
+DIRECT_ORDER = (4, 2, 0, 3, 1)
+
+
+def test_direct_trials_match_the_mse_sweep(monkeypatch):
+    swept = sweep_records(monkeypatch, run_mse_sweep,
+                          tiny_experiment(n_trials=5))
+    cfg = tiny_experiment()
+    for snr_db in cfg.snr_points_db:
+        for t in DIRECT_ORDER:
+            assert run_trial(cfg, snr_db, t) == swept[(snr_db, t)]
+
+
+def test_direct_trials_match_the_residual_and_crb_sweeps(monkeypatch):
+    big = tiny_experiment(n_trials=5)
+    residuals = sweep_records(monkeypatch, run_noise_variance_sweep, big)
+    bounds = sweep_records(monkeypatch, run_crb_sweep, big)
+    cfg = tiny_experiment()
+    for snr_db in cfg.snr_points_db:
+        for t in DIRECT_ORDER:
+            assert run_trial(cfg, snr_db, t, with_estimates=False,
+                             with_crb=False) == residuals[(snr_db, t)]
+            direct = run_trial(cfg, snr_db, t, with_estimates=False)
+            assert (direct.crb_cfo, direct.crb_sfo) == (
+                bounds[(snr_db, t)].crb_cfo, bounds[(snr_db, t)].crb_sfo)
 
 
 def test_near_noiseless_trial_recovers_lattice_truth():

@@ -1,9 +1,12 @@
 """Signal-model tests: geometry, training, channel, synthesis, demodulation,
-and the inter-carrier coupling decomposition."""
+the inter-carrier coupling decomposition, and the random substreams."""
+
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     ChannelRealization,
@@ -18,17 +21,20 @@ from ofdm_sync_lab import (
     demodulate,
     demodulate_frame,
     derive_rng,
+    derive_states,
     exponential_power_profile,
     generate_training_symbols,
     ici_term,
     make_config,
     noise_variance_from_snr,
     sample_channel,
+    seed_generator,
     snr_stream_key,
     synthesize_frame,
     synthesize_received_symbol,
 )
 from ofdm_sync_lab import ofdm_model
+from ofdm_sync_lab.ofdm_model import new_generator
 
 CFO_OP = 0.212
 SFO_OP = 0.000112
@@ -503,6 +509,73 @@ def test_derive_rng_masks_wide_seeds():
 def test_derive_rng_rejects_unhashable_key_types():
     with pytest.raises(TypeError):
         derive_rng(1, 2.5)
+
+
+def oracle_stream(*keys):
+    """numpy's own seeding of a key path: each int masked to 64 bits, each
+    str its SHA-256 digest's first 8 bytes, big-endian."""
+    words = [int.from_bytes(hashlib.sha256(k.encode("utf-8")).digest()[:8],
+                            "big") if isinstance(k, str)
+             else k & (2 ** 64 - 1) for k in keys]
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(words)))
+
+
+MASTER_SEEDS = st.one_of(
+    st.sampled_from([0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                     2 ** 64, 2 ** 64 + 5, -1, -12345, -(2 ** 63)]),
+    st.integers(-(2 ** 70), 2 ** 70))
+# SNR keys of both signs, 0 among them, and the backend probe's str key.
+STREAM_KEYS = st.one_of(st.sampled_from([0, -7500, 15000, "crb-backend-probe"]),
+                        st.integers(-(2 ** 63), 2 ** 63 - 1))
+LABELS = st.sampled_from(("training", "channel", "noise0", "noise1"))
+TRIAL_INDICES = st.lists(st.integers(0, 2 ** 32 - 1), max_size=4).map(
+    lambda extra: [0, 2 ** 32 - 1, *extra])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=MASTER_SEEDS, key=STREAM_KEYS, label=LABELS,
+       trials=TRIAL_INDICES)
+@example(seed=12345, key=-7500, label="noise1", trials=[0, 2 ** 32 - 1])
+@example(seed=2 ** 64, key="crb-backend-probe", label="training",
+         trials=[0, 2 ** 32 - 1, 1])
+def test_derived_states_match_numpy_seeding(seed, key, label, trials):
+    """Every trial's seeded generator has the state and the first draws of
+    a fresh PCG64(SeedSequence(words)), bit for bit, on one reused
+    generator, in one pass or one trial at a time, and via derive_rng."""
+    table = derive_states(seed, key, trials, label)
+    assert table.shape == (len(trials), 4) and table.dtype == np.uint64
+    rng = new_generator()
+    for row, t in enumerate(trials):
+        npt.assert_array_equal(derive_states(seed, key, [t], label)[0],
+                               table[row])
+        oracle = oracle_stream(seed, key, t, label)
+        assert seed_generator(rng, table[row]).bit_generator.state \
+            == oracle.bit_generator.state
+        assert derive_rng(seed, key, t, label).bit_generator.state \
+            == oracle.bit_generator.state
+        npt.assert_array_equal(rng.integers(0, 4, 52),
+                               oracle.integers(0, 4, 52))
+        npt.assert_array_equal(rng.standard_normal(64),
+                               oracle.standard_normal(64))
+        # An odd count of 32-bit draws leaves half a word buffered; the
+        # next trial's seeding must drop it.
+        rng.integers(0, 4, 3)
+
+
+@pytest.mark.parametrize("keys", [
+    (), ("x",), (0,), (2 ** 70,), (-1, "noise0"), (1, 2, 3, 4, 5, 6, 7, 8),
+    (15000, 2 ** 32, "channel"),
+])
+def test_derive_rng_matches_numpy_seeding_for_any_key_path(keys):
+    assert derive_rng(7, *keys).bit_generator.state \
+        == oracle_stream(7, *keys).bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [[-1], [2 ** 32], [0.5], [[0, 1]]])
+def test_derive_states_rejects_indices_outside_one_word(trials):
+    with pytest.raises(ValueError, match="trial"):
+        derive_states(1, 15000, trials, "noise0")
 
 
 def test_snr_stream_key():
