@@ -19,7 +19,13 @@ offsets, so the sample weights that depend only on (config, cfo, sfo,
 symbol index) are built once and memoized, read-only, in a bounded
 ``functools.lru_cache``; so are the synthesis basis and the channel-DFT
 phases (see :mod:`ofdm_sync_lab.ofdm_model`). Only the spectra of the
-trial's training and channel are computed per call.
+trials' training and channel are computed per call.
+
+The closed form runs on trial-major stacks (:func:`fisher_rows`, one
+stacked pass per training symbol) and the 2x2 inversion is elementwise
+(:func:`crb_rows`); :func:`fisher_closed_form` and
+:func:`crb_from_fisher` are their one-row views and equal them bit for
+bit. The numeric oracle stays a one-trial computation.
 """
 
 import functools
@@ -33,8 +39,10 @@ from .ofdm_model import (
     OfdmConfig,
     TrainingSymbols,
     _CACHE_SIZE,
+    _channel_gains,
     _read_only,
-    _synthesis_basis,
+    _sum_last,
+    _warped_basis,
     synthesize_frame,
 )
 
@@ -43,9 +51,12 @@ __all__ = [
     "FisherMatrix",
     "CrbPair",
     "fisher_closed_form",
+    "fisher_rows",
     "fisher_numeric_oracle",
     "compare_fisher",
     "crb_from_fisher",
+    "crb_rows",
+    "invertible",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -86,21 +97,6 @@ def _check_noise_var(noise_var: float):
         raise ValueError(f"noise_var must be positive, got {noise_var}")
 
 
-def _weighted_spectra(config, training, channel, sfo, m):
-    """Per-sample spectra driving the Fisher entries for symbol m.
-
-    Returns (g, d): the plain spectrum
-    g[n] = sum_k X(k) H(k) exp(j 2 pi k (n (1+sfo) + sfo N_m) / N),
-    and the index-weighted spectrum d[n] with an extra factor k inside
-    the sum.
-    """
-    basis, h = _synthesis_basis(config, channel, sfo, m)
-    xh = training.symbol(m) * h
-    g = basis @ xh
-    d = basis @ (config.subcarrier_indices * xh)
-    return g, d
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _fisher_weights(config: OfdmConfig, cfo: float, sfo: float, m: int):
     """Offset-only weights of symbol m's Fisher entries, read-only.
@@ -123,44 +119,61 @@ def _fisher_weights(config: OfdmConfig, cfo: float, sfo: float, m: int):
     ))
 
 
-def fisher_closed_form(config: OfdmConfig, training: TrainingSymbols,
-                       channel: ChannelRealization, cfo: float, sfo: float,
-                       noise_var: float) -> FisherMatrix:
-    """Analytic Fisher information of the two-symbol burst.
+def fisher_rows(config: OfdmConfig, symbols, taps: np.ndarray,
+                cfo: float, sfo: float, noise_var: float):
+    """Analytic Fisher entries (f00, f01, f11) of a stack of T bursts.
 
     All three entries are sums over the training symbols and the N
     samples of each: the CFO-CFO entry weighs |g|^2 by the squared
     sample phase slope, the cross entry combines g with the
     index-weighted spectrum d, and the SFO-SFO entry accumulates the
-    three quadratic combinations of g and d.
+    three quadratic combinations of g and d. Here
+    g[n] = sum_k X(k) H(k) exp(j 2 pi k (n (1+sfo) + sfo N_m) / N) and
+    d[n] carries an extra factor k inside the sum.
+
+    ``symbols`` holds one (T, K) array of training rows per training
+    symbol and ``taps`` is (T, L); each entry is returned as (T,).
     """
     _check_noise_var(noise_var)
-    f00 = 0.0
-    f01 = 0.0
-    f11 = 0.0
-    for m in range(config.n_symbols):
-        g, d = _weighted_spectra(config, training, channel, sfo, m)
+    h = _channel_gains(config, taps)
+    ks = config.subcarrier_indices
+    f00 = f01 = f11 = 0.0
+    for m, x in enumerate(symbols):
+        basis = _warped_basis(config, sfo, m)
+        xh = x * h
+        g = (basis @ xh[..., None])[..., 0]
+        d = (basis @ (ks * xh)[..., None])[..., 0]
         slope_sq, phi_w, psi_w, jw, gamma_w, theta_w, pi_w = \
             _fisher_weights(config, cfo, sfo, m)
         g_sq = g.real ** 2 + g.imag ** 2
         d_conj_g = d * np.conj(g)
 
-        f00 += float(np.sum(slope_sq * g_sq))
+        f00 = f00 + _sum_last(slope_sq * g_sq)
 
         phi = phi_w * g_sq
         psi = psi_w * d_conj_g
-        f01 += float(np.sum((jw * (phi + psi)).real))
+        f01 = f01 + _sum_last((jw * (phi + psi)).real)
 
         gamma = gamma_w * g_sq
         theta = theta_w * d_conj_g
         pi_term = pi_w * (d.real ** 2 + d.imag ** 2)
-        f11 += float(np.sum((gamma + theta + pi_term).real))
+        f11 = f11 + _sum_last((gamma + theta + pi_term).real)
 
     scale = 2.0 / (noise_var * config.dft_size)
-    f00 *= scale
-    f01 *= -scale
-    f11 *= -scale
-    return FisherMatrix(f00=f00, f01=f01, f10=f01, f11=f11)
+    return f00 * scale, f01 * -scale, f11 * -scale
+
+
+def fisher_closed_form(config: OfdmConfig, training: TrainingSymbols,
+                       channel: ChannelRealization, cfo: float, sfo: float,
+                       noise_var: float) -> FisherMatrix:
+    """Analytic Fisher information of the two-symbol burst: the one-row
+    view of :func:`fisher_rows`."""
+    f00, f01, f11 = fisher_rows(
+        config, [training.symbol(m)[None] for m in range(config.n_symbols)],
+        channel.taps[None], cfo, sfo, noise_var)
+    f01 = float(f01[0])
+    return FisherMatrix(f00=float(f00[0]), f01=f01, f10=f01,
+                        f11=float(f11[0]))
 
 
 def fisher_numeric_oracle(config: OfdmConfig, training: TrainingSymbols,
@@ -236,16 +249,38 @@ def compare_fisher(config, training, channel, cfo, sfo, noise_var,
                             max_rel_error=float(max(rels)))
 
 
+def crb_rows(f00, f01, f10, f11):
+    """Invert 2x2 Fisher matrices elementwise into per-parameter bounds.
+
+    Returns (crb_cfo, crb_sfo, det) as arrays. A row is singular where
+    det is non-positive or non-finite; its bounds are then meaningless.
+    """
+    f00, f01, f10, f11 = (np.asarray(f, dtype=float)
+                          for f in (f00, f01, f10, f11))
+    with np.errstate(all="ignore"):
+        det = f00 * f11 - f01 * f10
+        return f11 / det, f00 / det, det
+
+
+def invertible(det) -> np.ndarray:
+    """Where a Fisher determinant from :func:`crb_rows` is positive and
+    finite."""
+    return np.isfinite(det) & (det > 0.0)
+
+
 def crb_from_fisher(fisher: FisherMatrix) -> CrbPair:
-    """Invert the 2x2 Fisher matrix into per-parameter bounds.
+    """Invert the 2x2 Fisher matrix into per-parameter bounds: the one-row
+    view of :func:`crb_rows`.
 
     Raises
     ------
     SingularInformationError
         If the determinant is non-positive or non-finite.
     """
-    det = fisher.f00 * fisher.f11 - fisher.f01 * fisher.f10
-    if not np.isfinite(det) or det <= 0.0:
+    crb_cfo, crb_sfo, det = crb_rows(fisher.f00, fisher.f01, fisher.f10,
+                                     fisher.f11)
+    if not invertible(det):
         raise SingularInformationError(
-            f"fisher determinant must be positive and finite, got {det}")
-    return CrbPair(crb_cfo=fisher.f11 / det, crb_sfo=fisher.f00 / det)
+            f"fisher determinant must be positive and finite, got "
+            f"{float(det)}")
+    return CrbPair(crb_cfo=float(crb_cfo), crb_sfo=float(crb_sfo))

@@ -15,6 +15,14 @@ lattice search with a deterministic tie rule. The residuals evaluate the
 ramp at the true offsets of every trial of an experiment, so that ramp
 is built once and memoized, read-only, in a bounded
 ``functools.lru_cache`` as :mod:`ofdm_sync_lab.ofdm_model` does.
+
+The residuals, the ratio observable and the lattice searches run on
+trial-major (T, K) spectra, and the one-observation functions are their
+one-row views. The residual norms and the surfaces' constant terms are
+reductions along the last axis, and each estimator's correlations are
+one stacked matvec per stack; the 101 x 101 surface, its finiteness
+check and its argmin are then formed one trial at a time, so a failure
+marks only its own trial.
 """
 
 import functools
@@ -27,6 +35,7 @@ from .ofdm_model import (
     PreambleObservation,
     _CACHE_SIZE,
     _read_only,
+    _sum_last,
 )
 
 __all__ = [
@@ -39,11 +48,15 @@ __all__ = [
     "symbol_phase_ramp",
     "proposed_cost",
     "nguyenle_observable",
+    "ratio_observable_rows",
     "nguyenle_cost",
     "estimate_proposed",
     "estimate_nguyenle",
     "pair_residual",
+    "pair_residual_rows",
     "ratio_residual",
+    "ratio_residual_rows",
+    "squared_norms",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -165,6 +178,20 @@ def _pair_cost(r0, r1, cfo, sfo, config: OfdmConfig):
     return total
 
 
+def ratio_observable_rows(x0, x1, r0, r1):
+    """Rows of the ratio observable Y(k) = X0(k) R1(k) / (X1(k) R0(k)).
+
+    Returns (y, bad): bad marks where |X1(k) R0(k)| falls below
+    ``DEGENERATE_MAGNITUDE``. A row with any bad entry is degenerate and
+    its y row is meaningless (it is divided by ones, so a degenerate
+    trial raises no division warning).
+    """
+    denom = x1 * r0
+    bad = np.abs(denom) < DEGENERATE_MAGNITUDE
+    denom[bad.any(axis=-1)] = 1.0
+    return x0 * r1 / denom, bad
+
+
 def nguyenle_observable(obs: PreambleObservation,
                         config: OfdmConfig) -> np.ndarray:
     """Per-subcarrier ratio observable Y(k) = X0(k) R1(k) / (X1(k) R0(k)).
@@ -174,11 +201,12 @@ def nguyenle_observable(obs: PreambleObservation,
     DegenerateObservationError
         If |X1(k) R0(k)| falls below ``DEGENERATE_MAGNITUDE`` anywhere.
     """
-    denom = obs.training.x1 * obs.r0
-    bad = np.abs(denom) < DEGENERATE_MAGNITUDE
+    (y,), (bad,) = ratio_observable_rows(
+        obs.training.x0[None], obs.training.x1[None], obs.r0[None],
+        obs.r1[None])
     if bad.any():
         raise DegenerateObservationError(config.subcarrier_indices[bad])
-    return obs.training.x0 * obs.r1 / denom
+    return y
 
 
 def nguyenle_cost(y: np.ndarray, cfo, sfo, config: OfdmConfig):
@@ -232,17 +260,31 @@ class GridEvaluator:
         self._sub = np.exp(
             1j * a * grid.sfo_values[:, None] * config.subcarrier_indices)
 
-    def _correlate(self, z: np.ndarray, c: float) -> np.ndarray:
-        return c - 2.0 * (self._lead * (self._sub @ z)[None, :]).real
+    def _correlate(self, z: np.ndarray) -> np.ndarray:
+        """sub(sfo) . z for every row of z, (T, n_sfo): one stacked matvec
+        (a plain GEMM would round differently from one trial's)."""
+        return (self._sub @ z[..., None])[..., 0]
+
+    def _surface(self, c, v: np.ndarray) -> np.ndarray:
+        """One trial's (n_cfo, n_sfo) surface from its c and correlations."""
+        return c - 2.0 * (self._lead * v[None, :]).real
+
+    def _pair_terms(self, r0, r1):
+        c = _sum_last(r0.real ** 2 + r0.imag ** 2 + r1.real ** 2
+                      + r1.imag ** 2)
+        return c, self._correlate(r0 * np.conj(r1))
+
+    def _ratio_terms(self, y):
+        c = _sum_last(y.real ** 2 + y.imag ** 2) + y.shape[-1]
+        return c, self._correlate(np.conj(y))
 
     def proposed_surface(self, obs: PreambleObservation) -> np.ndarray:
-        r0, r1 = obs.r0, obs.r1
-        c = np.sum(r0.real ** 2 + r0.imag ** 2 + r1.real ** 2 + r1.imag ** 2)
-        return self._correlate(r0 * np.conj(r1), c)
+        (c,), (v,) = self._pair_terms(obs.r0[None], obs.r1[None])
+        return self._surface(c, v)
 
     def nguyenle_surface(self, y: np.ndarray) -> np.ndarray:
-        c = np.sum(y.real ** 2 + y.imag ** 2) + y.size
-        return self._correlate(np.conj(y), c)
+        (c,), (v,) = self._ratio_terms(y[None])
+        return self._surface(c, v)
 
     def _result(self, surface, method, r0, r1):
         i, j = _argmin_lattice(surface, self.grid)
@@ -253,13 +295,51 @@ class GridEvaluator:
                                 sfo=float(self.grid.sfo_values[j]),
                                 cost=float(cost), method=method)
 
+    def _search(self, c, v, method, r0, r1):
+        try:
+            return self._result(self._surface(c, v), method, r0, r1)
+        except NonFiniteSurfaceError as exc:
+            return exc
+
+    def search_proposed_rows(self, r0, r1) -> list:
+        """Search every row of the (T, K) spectra r0, r1.
+
+        Returns one entry per row: its :class:`EstimationResult`, or the
+        :class:`NonFiniteSurfaceError` that row's surface raised.
+        """
+        c, v = self._pair_terms(r0, r1)
+        return [self._search(c[t], v[t], "proposed", r0[t], r1[t])
+                for t in range(len(c))]
+
+    def search_nguyenle_rows(self, y, bad) -> list:
+        """Search every row of the ratio observable (y, bad) of
+        :func:`ratio_observable_rows`.
+
+        Returns one entry per row: its :class:`EstimationResult`, or the
+        :class:`DegenerateObservationError` or
+        :class:`NonFiniteSurfaceError` of that row.
+        """
+        c, v = self._ratio_terms(y)
+        ks = self.config.subcarrier_indices
+        return [DegenerateObservationError(ks[bad[t]]) if bad[t].any()
+                else self._search(c[t], v[t], "nguyen_le", 1.0, y[t])
+                for t in range(len(c))]
+
     def search_proposed(self, obs: PreambleObservation) -> EstimationResult:
-        return self._result(self.proposed_surface(obs), "proposed",
-                            obs.r0, obs.r1)
+        return _raised(self.search_proposed_rows(obs.r0[None],
+                                                 obs.r1[None])[0])
 
     def search_nguyenle(self, obs: PreambleObservation) -> EstimationResult:
-        y = nguyenle_observable(obs, self.config)
-        return self._result(self.nguyenle_surface(y), "nguyen_le", 1.0, y)
+        return _raised(self.search_nguyenle_rows(*ratio_observable_rows(
+            obs.training.x0[None], obs.training.x1[None], obs.r0[None],
+            obs.r1[None]))[0])
+
+
+def _raised(outcome):
+    """A row's search result, or raise the failure it holds."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _refine_axis(cost, values, i, j, axis):
@@ -336,10 +416,27 @@ def _subcarrier_ramp(config: OfdmConfig, cfo: float,
                                         config))
 
 
+def squared_norms(v: np.ndarray) -> np.ndarray:
+    """sum_k |v(k)|^2 of every row of v."""
+    return _sum_last(v.real ** 2 + v.imag ** 2)
+
+
+def pair_residual_rows(r0, r1, cfo: float, sfo: float,
+                       config: OfdmConfig) -> np.ndarray:
+    """Rows of the model residual N(k) = R1(k) - ramp(k) R0(k)."""
+    return r1 - _subcarrier_ramp(config, cfo, sfo) * r0
+
+
+def ratio_residual_rows(y, cfo: float, sfo: float,
+                        config: OfdmConfig) -> np.ndarray:
+    """Rows of the ratio residual E(k) = Y(k) - ramp(k)."""
+    return y - _subcarrier_ramp(config, cfo, sfo)
+
+
 def pair_residual(obs: PreambleObservation, cfo: float, sfo: float,
                   config: OfdmConfig) -> np.ndarray:
     """Model residual N(k) = R1(k) - ramp(k) R0(k) at the given offsets."""
-    return obs.r1 - _subcarrier_ramp(config, cfo, sfo) * obs.r0
+    return pair_residual_rows(obs.r0, obs.r1, cfo, sfo, config)
 
 
 def ratio_residual(obs: PreambleObservation, cfo: float, sfo: float,
@@ -348,5 +445,5 @@ def ratio_residual(obs: PreambleObservation, cfo: float, sfo: float,
 
     Raises :class:`DegenerateObservationError` when Y is unusable.
     """
-    return nguyenle_observable(obs, config) - _subcarrier_ramp(config, cfo,
-                                                               sfo)
+    return ratio_residual_rows(nguyenle_observable(obs, config), cfo, sfo,
+                               config)

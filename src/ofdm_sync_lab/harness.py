@@ -4,16 +4,23 @@ Every trial decision lives here. Each ``sync-lab`` command is one call:
 the fig1, fig2 and crb sweeps below, each reduced by :func:`aggregate`,
 and :func:`inspect_trial` for ``trial``.
 
-Trials run serially in the calling thread. Every trial draws from its
-own labeled random substreams, keyed by the master seed, the SNR point,
-the trial index and the label, so results are reproducible bit for bit
-regardless of execution order. A sweep derives the streams of an SNR
-point in one pass per label (:func:`ofdm_model.derive_states`, numpy's
-``SeedSequence`` vectorized over the trials) and re-seeds one reused
-``PCG64`` generator per label for each trial; the streams are those of
+Trials run serially in the calling thread, in fixed chunks of
+``_CHUNK`` trials held as trial-major arrays (:func:`run_trials`). Every
+trial draws from its own labeled random substreams, keyed by the master
+seed, the SNR point, the trial index and the label, so results are
+reproducible bit for bit regardless of chunking or execution order. A
+sweep derives the streams of an SNR point in one pass per label
+(:func:`ofdm_model.derive_states`, numpy's ``SeedSequence`` vectorized
+over the trials); each chunk reads its rows of that seed table and, per
+trial and label, re-seeds one reused ``PCG64`` generator and draws into
+the chunk's arrays. The streams are those of
 :func:`ofdm_model.derive_rng`, bit for bit, and only the current SNR
-point's seed table is held. Aggregation always runs in ascending trial
-order.
+point's seed table is held. A chunk then makes one synthesis of both
+symbols, one FFT, one stacked correlation per estimator and one stacked
+Fisher pass, which equal the one-trial computations bit for bit (see
+:mod:`ofdm_sync_lab.ofdm_model` for the rules that make them equal), so
+:func:`run_trial` is the one-trial view of the same code. Aggregation
+always runs in ascending trial order.
 """
 
 from dataclasses import dataclass
@@ -21,40 +28,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crb import (
-    SingularInformationError,
     compare_fisher,
-    crb_from_fisher,
+    crb_rows,
     fisher_closed_form,
     fisher_numeric_oracle,
+    fisher_rows,
+    invertible,
 )
 from .estimators import (
     DegenerateObservationError,
     EstimationResult,
     GridEvaluator,
     GridSpec,
-    NonFiniteSurfaceError,
     make_grid,
     nguyenle_cost,
     nguyenle_observable,
-    pair_residual,
+    pair_residual_rows,
     proposed_cost,
-    ratio_residual,
+    ratio_observable_rows,
+    ratio_residual_rows,
+    squared_norms,
 )
 from .ofdm_model import (
     MAX_TRIALS,
-    ImpairmentParams,
+    QPSK_ALPHABET,
+    ChannelRealization,
     OfdmConfig,
+    PreambleObservation,
+    TrainingSymbols,
     carrier_gain,
-    demodulate_frame,
+    channel_taps,
+    demodulate_rows,
     derive_states,
-    generate_training_symbols,
     make_config,
     new_generator,
     noise_variance_from_snr,
-    sample_channel,
     seed_generator,
     snr_stream_key,
-    synthesize_frame,
+    synthesize_rows,
 )
 
 __all__ = [
@@ -65,6 +76,7 @@ __all__ = [
     "SweepResult",
     "make_experiment",
     "run_trial",
+    "run_trials",
     "inspect_trial",
     "run_mse_sweep",
     "run_noise_variance_sweep",
@@ -84,6 +96,11 @@ _SINGULAR = "singular information matrix"
 # the backend probe draw only the scenario's first two.
 _BURST_STREAMS = ("training", "channel", "noise0", "noise1")
 _SCENARIO_STREAMS = _BURST_STREAMS[:2]
+
+# Trials per chunk. A chunk's draws and spectra are a few KB per trial;
+# the 101 x 101 surfaces (about 0.5 MB of temporaries) are formed one
+# trial at a time, so a larger chunk would buy little and cost memory.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -187,113 +204,172 @@ class TrialRecord:
     crb_failure: str | None = None
 
 
-def _trial_streams(cfg: ExperimentConfig, stream_key, trial_indices,
-                   labels):
-    """Yield each trial's generators, label -> generator, in index order.
+@dataclass(frozen=True)
+class _Draws:
+    """One chunk's draws, trial-major: row i belongs to trial indices[i].
 
-    Each label's seeds come from one :func:`derive_states` pass over all
-    the trials, and each label has one generator, re-seeded per trial:
-    a trial's draws must be made before the next trial is taken.
+    ``training`` (T, K) is each trial's first training symbol, which the
+    second repeats; ``taps`` is (T, L); ``noise`` holds the (T, 2, 2, N)
+    standard normals of both symbols' noise, or None for a draw of the
+    scenario alone.
     """
-    tables = [derive_states(cfg.master_seed, stream_key, trial_indices,
-                            label) for label in labels]
-    rngs = [new_generator() for _ in labels]
-    for seeds in zip(*tables):
-        yield {label: seed_generator(rng, seed)
-               for label, rng, seed in zip(labels, rngs, seeds)}
+
+    indices: tuple
+    training: np.ndarray
+    taps: np.ndarray
+    noise: np.ndarray | None = None
 
 
-def _one_trial_streams(cfg: ExperimentConfig, snr_db: float,
-                       trial_index: int) -> dict:
-    """The burst streams of one trial, as a sweep would seed them."""
-    return next(_trial_streams(cfg, snr_stream_key(snr_db), (trial_index,),
-                               _BURST_STREAMS))
+def _draw(cfg: ExperimentConfig, indices, seeds: dict) -> _Draws:
+    """Draw a chunk's trials, each from its own streams.
+
+    ``seeds`` maps each label to the chunk's rows of its seed table. One
+    generator is re-seeded per trial and label, and each draw is the
+    one-trial draw of that label, written into its row.
+    """
+    rng = new_generator()
+    n_active = cfg.ofdm.n_active
+    picks = np.empty((len(indices), n_active), dtype=np.int64)
+    for row, words in zip(picks, seeds["training"]):
+        row[:] = seed_generator(rng, words).integers(0, 4, size=n_active)
+
+    def normals(label, n):
+        """(T, 2, n): one trial's (2, n) standard normals per row."""
+        out = np.empty((len(indices), 2, n))
+        for row, words in zip(out, seeds[label]):
+            seed_generator(rng, words).standard_normal(out=row)
+        return out
+
+    noise = None
+    if "noise0" in seeds:
+        noise = np.stack([normals(label, cfg.ofdm.dft_size)
+                          for label in _BURST_STREAMS[2:]], axis=1)
+    return _Draws(indices=tuple(indices), training=QPSK_ALPHABET[picks],
+                  taps=channel_taps(normals("channel", cfg.n_taps)),
+                  noise=noise)
 
 
-def _draw_scenario(cfg: ExperimentConfig, streams: dict):
-    """Draw one trial's training pair and channel from its streams."""
-    training = generate_training_symbols(streams["training"], cfg.ofdm)
-    channel = sample_channel(streams["channel"], cfg.n_taps)
-    return training, channel
+def _chunks(cfg: ExperimentConfig, stream_key, indices, labels):
+    """Yield the draws of ``indices`` chunk by chunk, in index order.
+
+    Each label's seed table is derived once over all the indices, and
+    each chunk reads its rows of it.
+    """
+    tables = {label: derive_states(cfg.master_seed, stream_key, indices,
+                                   label) for label in labels}
+    for start in range(0, len(indices), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        yield _draw(cfg, indices[rows],
+                    {label: table[rows] for label, table in tables.items()})
 
 
-def _draw_observation(cfg: ExperimentConfig, snr_db: float, streams: dict):
-    """Draw one trial's training, channel, and demodulated burst."""
-    training, channel = _draw_scenario(cfg, streams)
-    impairments = ImpairmentParams(
-        cfg.cfo, cfg.sfo, noise_variance_from_snr(cfg.ofdm, snr_db))
-    frame = synthesize_frame(cfg.ofdm, training, channel, impairments,
-                             (streams["noise0"], streams["noise1"]))
-    obs = demodulate_frame(frame, cfg.ofdm, training)
-    return obs, training, channel, impairments
+def _observe(cfg: ExperimentConfig, snr_db: float,
+             draws: _Draws) -> np.ndarray:
+    """Synthesize and demodulate a chunk's bursts: (T, 2, K) spectra."""
+    samples = synthesize_rows(
+        cfg.ofdm, (draws.training, draws.training), draws.taps, cfg.cfo,
+        cfg.sfo, noise_variance_from_snr(cfg.ofdm, snr_db), draws.noise)
+    return demodulate_rows(samples, cfg.ofdm)
 
 
-def _trial_crb(cfg: ExperimentConfig, snr_db: float, training, channel,
-               fisher_fn) -> dict:
-    """The per-realization bounds at the true offsets, as record fields."""
-    fisher = fisher_fn(cfg.ofdm, training, channel, cfg.cfo, cfg.sfo,
-                       noise_variance_from_snr(cfg.ofdm, snr_db))
-    try:
-        pair = crb_from_fisher(fisher)
-    except SingularInformationError:
-        return {"crb_evaluated": True, "crb_failure": _SINGULAR}
-    return {"crb_evaluated": True, "crb_cfo": pair.crb_cfo,
-            "crb_sfo": pair.crb_sfo}
+def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
+                fisher_fn) -> list:
+    """Each trial's bounds at the true offsets, as record fields.
+
+    The closed form runs once over the chunk; any other backend (the
+    numeric oracle on a failed probe) is called one trial at a time.
+    """
+    noise_var = noise_variance_from_snr(cfg.ofdm, snr_db)
+    if fisher_fn is fisher_closed_form:
+        f00, f01, f11 = fisher_rows(
+            cfg.ofdm, (draws.training,) * cfg.ofdm.n_symbols, draws.taps,
+            cfg.cfo, cfg.sfo, noise_var)
+        f10 = f01
+    else:
+        entries = [fisher_fn(cfg.ofdm, TrainingSymbols(x, x),
+                             ChannelRealization(taps), cfg.cfo, cfg.sfo,
+                             noise_var)
+                   for x, taps in zip(draws.training, draws.taps)]
+        f00, f01, f10, f11 = (np.array([getattr(f, name) for f in entries])
+                              for name in ("f00", "f01", "f10", "f11"))
+    crb_cfo, crb_sfo, det = crb_rows(f00, f01, f10, f11)
+    return [{"crb_evaluated": True, "crb_cfo": float(a), "crb_sfo": float(b)}
+            if ok else {"crb_evaluated": True, "crb_failure": _SINGULAR}
+            for a, b, ok in zip(crb_cfo, crb_sfo, invertible(det))]
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int, *,
-              with_estimates: bool = True, with_crb: bool = True,
-              evaluator: GridEvaluator | None = None,
-              fisher_fn=fisher_closed_form,
-              streams: dict | None = None) -> TrialRecord:
-    """Run one fully seeded trial.
+def _estimate_fields(name: str, outcome) -> dict:
+    """Record fields of one search outcome: the estimate or its failure."""
+    if isinstance(outcome, EstimationResult):
+        return {name: outcome}
+    failure = _NON_FINITE
+    if isinstance(outcome, DegenerateObservationError):
+        failure = (f"degenerate observation "
+                   f"(subcarriers {list(outcome.subcarriers)})")
+    return {f"{name}_failure": failure}
+
+
+def _burst_records(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
+                   with_estimates: bool, with_crb: bool,
+                   evaluator: GridEvaluator | None, fisher_fn):
+    """The records of a chunk of bursts, and the chunk's spectra."""
+    spectra = _observe(cfg, snr_db, draws)
+    r0, r1 = spectra[:, 0], spectra[:, 1]
+    n_sq = squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
+                                            cfg.ofdm))
+    y, bad = ratio_observable_rows(draws.training, draws.training, r0, r1)
+    e_sq = squared_norms(ratio_residual_rows(y, cfg.cfo, cfg.sfo, cfg.ofdm))
+    fields = [{"trial_index": t, "snr_db": snr_db,
+               "residual_n_sq": float(n),
+               "residual_e_sq": None if degenerate else float(e),
+               "estimated": with_estimates}
+              for t, n, e, degenerate in zip(draws.indices, n_sq, e_sq,
+                                             bad.any(axis=-1))]
+    if with_estimates:
+        for f, proposed, nguyenle in zip(
+                fields, evaluator.search_proposed_rows(r0, r1),
+                evaluator.search_nguyenle_rows(y, bad)):
+            f.update(_estimate_fields("proposed", proposed))
+            f.update(_estimate_fields("nguyenle", nguyenle))
+    if with_crb:
+        for f, crb in zip(fields, _crb_fields(cfg, snr_db, draws,
+                                              fisher_fn)):
+            f.update(crb)
+    return [TrialRecord(**f) for f in fields], spectra
+
+
+def run_trials(cfg: ExperimentConfig, snr_db: float, indices, *,
+               with_estimates: bool = True, with_crb: bool = True,
+               evaluator: GridEvaluator | None = None,
+               fisher_fn=fisher_closed_form) -> list:
+    """Run fully seeded trials at one SNR point, one record per index.
 
     Residual norms are always evaluated at the true offsets. Grid
     searches and the per-realization CRB can be skipped for residual-only
     sweeps. A degenerate ratio observable marks the ratio residual and
     the nguyen_le estimate as failed, and a non-finite cost surface marks
-    that search's estimate as failed, without aborting the trial.
+    that search's estimate as failed, only on its own trial.
 
-    ``streams`` are the trial's seeded generators as a sweep passes
-    them; None derives them for this trial alone, so a direct call at
-    any index in [0, 2**32) returns the record a sweep would.
+    ``indices`` is any sequence of trial indices in [0, 2**32); each
+    record is the one that trial gets in any sweep or chunk.
     """
-    if streams is None:
-        streams = _one_trial_streams(cfg, snr_db, trial_index)
-    obs, training, channel, _ = _draw_observation(cfg, snr_db, streams)
+    if with_estimates and evaluator is None:
+        evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
+    records = []
+    for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
+                         _BURST_STREAMS):
+        records += _burst_records(cfg, snr_db, draws,
+                                  with_estimates=with_estimates,
+                                  with_crb=with_crb, evaluator=evaluator,
+                                  fisher_fn=fisher_fn)[0]
+    return records
 
-    n_vec = pair_residual(obs, cfg.cfo, cfg.sfo, cfg.ofdm)
-    residual_n_sq = float(np.sum(n_vec.real ** 2 + n_vec.imag ** 2))
-    try:
-        e_vec = ratio_residual(obs, cfg.cfo, cfg.sfo, cfg.ofdm)
-        residual_e_sq = float(np.sum(e_vec.real ** 2 + e_vec.imag ** 2))
-    except DegenerateObservationError:
-        residual_e_sq = None
 
-    proposed = nguyenle = proposed_failure = nguyenle_failure = None
-    if with_estimates:
-        ev = evaluator if evaluator is not None \
-            else GridEvaluator(cfg.grid, cfg.ofdm)
-        try:
-            proposed = ev.search_proposed(obs)
-        except NonFiniteSurfaceError:
-            proposed_failure = _NON_FINITE
-        try:
-            nguyenle = ev.search_nguyenle(obs)
-        except DegenerateObservationError as exc:
-            nguyenle_failure = (f"degenerate observation "
-                                f"(subcarriers {list(exc.subcarriers)})")
-        except NonFiniteSurfaceError:
-            nguyenle_failure = _NON_FINITE
-
-    crb = _trial_crb(cfg, snr_db, training, channel, fisher_fn) \
-        if with_crb else {}
-    return TrialRecord(
-        trial_index=trial_index, snr_db=snr_db,
-        residual_n_sq=residual_n_sq, residual_e_sq=residual_e_sq,
-        proposed=proposed, nguyenle=nguyenle, estimated=with_estimates,
-        proposed_failure=proposed_failure, nguyenle_failure=nguyenle_failure,
-        **crb)
+def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
+              **options) -> TrialRecord:
+    """Run one fully seeded trial: ``run_trials`` of that index alone,
+    with the same options."""
+    return run_trials(cfg, snr_db, (trial_index,), **options)[0]
 
 
 @dataclass(frozen=True)
@@ -312,15 +388,22 @@ class TrialDiagnostics:
 
 def inspect_trial(cfg: ExperimentConfig, snr_db: float,
                   trial_index: int = 0) -> TrialDiagnostics:
-    """Run one trial with :func:`run_trial` and add its diagnostics.
+    """Run one trial as :func:`run_trial` does and add its diagnostics.
 
-    The costs at truth are evaluated here and never in the sweeps,
-    where they would add two cost evaluations to every trial.
+    The burst is drawn once: the diagnostics read the observation and
+    channel of the trial's one-trial chunk. The costs at truth are
+    evaluated here and never in the sweeps, where they would add two
+    cost evaluations to every trial.
     """
-    record = run_trial(cfg, snr_db, trial_index)
-    # The draw is seeded, so this is the burst run_trial just scored.
-    obs, _, channel, impairments = _draw_observation(
-        cfg, snr_db, _one_trial_streams(cfg, snr_db, trial_index))
+    draws = next(_chunks(cfg, snr_stream_key(snr_db), (trial_index,),
+                         _BURST_STREAMS))
+    (record,), spectra = _burst_records(
+        cfg, snr_db, draws, with_estimates=True, with_crb=True,
+        evaluator=GridEvaluator(cfg.grid, cfg.ofdm),
+        fisher_fn=fisher_closed_form)
+    x = draws.training[0]
+    obs = PreambleObservation(r0=spectra[0, 0], r1=spectra[0, 1],
+                              training=TrainingSymbols(x, x))
     gains = np.abs(carrier_gain(cfg.ofdm.subcarrier_indices, 0, cfg.cfo,
                                 cfg.sfo, cfg.ofdm))
     nguyenle_truth = None
@@ -328,8 +411,8 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
         nguyenle_truth = nguyenle_cost(nguyenle_observable(obs, cfg.ofdm),
                                        cfg.cfo, cfg.sfo, cfg.ofdm)
     return TrialDiagnostics(
-        record=record, noise_var=impairments.noise_var,
-        channel_taps=channel.taps,
+        record=record, noise_var=noise_variance_from_snr(cfg.ofdm, snr_db),
+        channel_taps=draws.taps[0],
         carrier_gain_abs_min=float(gains.min()),
         carrier_gain_abs_max=float(gains.max()),
         proposed_cost_at_truth=proposed_cost(obs, cfg.cfo, cfg.sfo,
@@ -450,13 +533,14 @@ def _select_crb_backend(cfg: ExperimentConfig):
     """
     snrs = (min(cfg.snr_points_db), max(cfg.snr_points_db))
     worst = None
-    probes = _trial_streams(cfg, "crb-backend-probe", range(2),
-                            _SCENARIO_STREAMS)
-    for probe_index, streams in enumerate(probes):
-        training, channel = _draw_scenario(cfg, streams)
+    draws = next(_chunks(cfg, "crb-backend-probe", range(2),
+                         _SCENARIO_STREAMS))
+    for probe_index, (x, taps) in enumerate(zip(draws.training,
+                                                draws.taps)):
         noise_var = noise_variance_from_snr(
             cfg.ofdm, snrs[probe_index % len(snrs)])
-        comparison = compare_fisher(cfg.ofdm, training, channel,
+        comparison = compare_fisher(cfg.ofdm, TrainingSymbols(x, x),
+                                    ChannelRealization(taps),
                                     cfg.cfo, cfg.sfo, noise_var)
         if worst is None or comparison.max_rel_error > worst.max_rel_error:
             worst = comparison
@@ -465,34 +549,28 @@ def _select_crb_backend(cfg: ExperimentConfig):
     return fisher_numeric_oracle, "numeric_oracle", worst.report()
 
 
-def _sweep_rows(cfg: ExperimentConfig, labels, trial) -> tuple:
-    """One aggregated row per SNR point of ``trial(snr_db, index,
-    streams)``, where ``streams`` holds the trial's ``labels`` streams."""
+def _sweep_rows(cfg: ExperimentConfig, records) -> tuple:
+    """One aggregated row per SNR point of ``records(snr_db, indices)``
+    over all the experiment's trial indices."""
     indices = range(cfg.n_trials)
-    return tuple(
-        aggregate([trial(snr_db, t, streams) for t, streams in zip(
-            indices, _trial_streams(cfg, snr_stream_key(snr_db), indices,
-                                    labels))],
-                  cfg.cfo, cfg.sfo)
-        for snr_db in cfg.snr_points_db)
+    return tuple(aggregate(records(snr_db, indices), cfg.cfo, cfg.sfo)
+                 for snr_db in cfg.snr_points_db)
 
 
 def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
     evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
     fisher_fn, backend, report = _select_crb_backend(cfg)
-    rows = _sweep_rows(cfg, _BURST_STREAMS, lambda snr_db, t, streams:
-                       run_trial(cfg, snr_db, t, evaluator=evaluator,
-                                 fisher_fn=fisher_fn, streams=streams))
+    rows = _sweep_rows(cfg, lambda snr_db, indices: run_trials(
+        cfg, snr_db, indices, evaluator=evaluator, fisher_fn=fisher_fn))
     return SweepResult(config=cfg, rows=rows, crb_backend=backend,
                        crb_discrepancy=report)
 
 
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
-    rows = _sweep_rows(cfg, _BURST_STREAMS, lambda snr_db, t, streams:
-                       run_trial(cfg, snr_db, t, with_estimates=False,
-                                 with_crb=False, streams=streams))
+    rows = _sweep_rows(cfg, lambda snr_db, indices: run_trials(
+        cfg, snr_db, indices, with_estimates=False, with_crb=False))
     return SweepResult(config=cfg, rows=rows)
 
 
@@ -504,12 +582,12 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     fisher_fn, backend, report = _select_crb_backend(cfg)
 
-    def trial(snr_db, t, streams):
-        training, channel = _draw_scenario(cfg, streams)
-        return TrialRecord(trial_index=t, snr_db=snr_db,
-                           **_trial_crb(cfg, snr_db, training, channel,
-                                        fisher_fn))
+    def records(snr_db, indices):
+        return [TrialRecord(trial_index=t, snr_db=snr_db, **crb)
+                for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
+                                     _SCENARIO_STREAMS)
+                for t, crb in zip(draws.indices, _crb_fields(
+                    cfg, snr_db, draws, fisher_fn))]
 
-    return SweepResult(config=cfg,
-                       rows=_sweep_rows(cfg, _SCENARIO_STREAMS, trial),
+    return SweepResult(config=cfg, rows=_sweep_rows(cfg, records),
                        crb_backend=backend, crb_discrepancy=report)

@@ -25,6 +25,14 @@ profile (tap count and decay). Every cached array is read-only, so a
 caller that tried to modify one in place would get a ``ValueError``
 instead of corrupting later trials.
 
+Synthesis and demodulation run on trial-major stacks of bursts
+(:func:`synthesize_rows`, :func:`demodulate_rows`); the one-burst
+functions are their one-row views. A stack equals its rows computed one
+at a time, bit for bit, under three rules: matrix products are stacked
+matvecs ``A @ Z[..., None]`` (a plain GEMM ``A @ Z`` rounds
+differently), the FFT runs along the last axis, and every reduction runs
+along the last axis of a C-contiguous array (:func:`_sum_last`).
+
 Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
 words are a key path (master seed, SNR key, trial index, label) split
 into 32-bit words as ``SeedSequence`` splits integers.
@@ -52,11 +60,14 @@ __all__ = [
     "generate_training_symbols",
     "exponential_power_profile",
     "sample_channel",
+    "channel_taps",
     "channel_frequency_response",
     "synthesize_received_symbol",
     "synthesize_frame",
+    "synthesize_rows",
     "demodulate",
     "demodulate_frame",
+    "demodulate_rows",
     "coupling_coefficient",
     "ici_term",
     "carrier_gain",
@@ -87,6 +98,21 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     """Mark an array read-only: a cached array is shared by every caller."""
     array.flags.writeable = False
     return array
+
+
+def _sum_last(array: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, each row exactly as a 1-D ``np.sum``.
+
+    The sum runs on a C-contiguous copy: on another layout numpy may
+    reduce the rows in a different order and move their last digit.
+    """
+    return np.sum(np.ascontiguousarray(array), axis=-1)
+
+
+def _complex_normal(scale, normals: np.ndarray) -> np.ndarray:
+    """``scale * (re + 1j * im)`` from (..., 2, n) standard normals, the
+    real parts in row 0 and the imaginary parts in row 1."""
+    return scale * (normals[..., 0, :] + 1j * normals[..., 1, :])
 
 
 @dataclass(frozen=True)
@@ -281,13 +307,23 @@ def _tap_scale(n_taps: int, decay: float) -> np.ndarray:
     return _read_only(np.sqrt(exponential_power_profile(n_taps, decay) / 2.0))
 
 
+def channel_taps(normals: np.ndarray,
+                 decay: float = PDP_DECAY_TAPS) -> np.ndarray:
+    """Rayleigh taps with the exponential power profile, (..., L), from
+    (..., 2, L) standard normals: real parts, then imaginary parts."""
+    return _complex_normal(_tap_scale(normals.shape[-1], decay), normals)
+
+
 def sample_channel(rng: np.random.Generator, n_taps: int = 5,
                    decay: float = PDP_DECAY_TAPS) -> ChannelRealization:
-    """Draw independent Rayleigh taps with the exponential power profile."""
-    scale = _tap_scale(n_taps, decay)
-    taps = scale * (rng.standard_normal(n_taps)
-                    + 1j * rng.standard_normal(n_taps))
-    return ChannelRealization(taps=taps)
+    """Draw independent Rayleigh taps with the exponential power profile.
+
+    The draw is ``standard_normal((2, n_taps))``: the same numbers, in
+    the same order, as two draws of ``n_taps``.
+    """
+    _tap_scale(n_taps, decay)  # validates before drawing
+    return ChannelRealization(
+        taps=channel_taps(rng.standard_normal((2, n_taps)), decay))
 
 
 def channel_frequency_response(channel: ChannelRealization, k,
@@ -347,16 +383,76 @@ def _cfo_lead(config: OfdmConfig, cfo: float, sfo: float,
                              * cfo))
 
 
-def _synthesis_basis(config: OfdmConfig, channel: ChannelRealization,
-                     sfo: float, m: int):
-    """SFO-warped basis of training symbol m and the channel gains.
+def _channel_gains(config: OfdmConfig, taps: np.ndarray) -> np.ndarray:
+    """H(k) on the active subcarriers for each row of taps, (..., K).
 
-    Returns (basis, h): the cached, read-only (N x K) matrix
-    basis[n, k] = exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N) over the
-    active subcarriers, and H(k) on the same subcarriers.
+    One stacked matvec over the same phases as
+    :func:`channel_frequency_response`, so H(k) keeps its bytes.
     """
-    return (_warped_basis(config, sfo, m),
-            _dft_phases(config, channel.n_taps) @ channel.taps)
+    return (_dft_phases(config, taps.shape[-1]) @ taps[..., None])[..., 0]
+
+
+def _noiseless_rows(config: OfdmConfig, m: int, x: np.ndarray,
+                    h: np.ndarray, cfo: float, sfo: float) -> np.ndarray:
+    """Noiseless samples of training symbol m, (T, N), from the (T, K)
+    training rows x and channel gains h."""
+    basis = _warped_basis(config, sfo, m)
+    return (_cfo_lead(config, cfo, sfo, m)
+            * (basis @ (x * h)[..., None])[..., 0]
+            / np.sqrt(config.dft_size))
+
+
+def _check_training(x: np.ndarray, config: OfdmConfig):
+    if x.shape[-1] != config.n_active:
+        raise ValueError(
+            f"training length {x.shape[-1]} does not match n_active "
+            f"{config.n_active}")
+
+
+def synthesize_rows(config: OfdmConfig, symbols, taps: np.ndarray,
+                    cfo: float, sfo: float, noise_var: float = 0.0,
+                    normals: np.ndarray | None = None) -> np.ndarray:
+    """Simulate a stack of T bursts at once, (T, n_symbols, N).
+
+    Evaluates the time-domain model of every training symbol m:
+
+        r[n] = exp(j 2 pi (N_m + n) (1 + sfo) cfo / N) / sqrt(N)
+               * sum_k X(k) H(k) exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N)
+               + w[n]
+
+    where the sum runs over the active subcarriers and w is circular
+    Gaussian noise of total variance ``noise_var``.
+
+    Parameters
+    ----------
+    symbols : sequence of numpy.ndarray
+        One (T, K) array of training rows per training symbol.
+    taps : numpy.ndarray
+        (T, L) channel taps.
+    normals : numpy.ndarray, optional
+        (T, n_symbols, 2, N) standard normals of each symbol's noise, real
+        parts then imaginary parts; required when ``noise_var > 0``.
+    """
+    h = _channel_gains(config, taps)
+    for x in symbols:
+        _check_training(x, config)
+    samples = np.stack([_noiseless_rows(config, m, x, h, cfo, sfo)
+                        for m, x in enumerate(symbols)], axis=1)
+    if noise_var > 0.0:
+        if normals is None:
+            raise ValueError("normals are required when noise_var > 0")
+        samples = samples + _complex_normal(np.sqrt(noise_var / 2.0),
+                                            normals)
+    return samples
+
+
+def _noise_normals(rng, config: OfdmConfig, noise_var: float):
+    """One symbol's (2, N) noise normals from ``rng``, None if noiseless."""
+    if not noise_var > 0.0:
+        return None
+    if rng is None:
+        raise ValueError("rng is required when noise_var > 0")
+    return rng.standard_normal((2, config.dft_size))
 
 
 def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
@@ -366,41 +462,19 @@ def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
                                ) -> np.ndarray:
     """Simulate the N useful samples of training symbol m at the receiver.
 
-    Evaluates the time-domain model directly:
-
-        r[n] = exp(j 2 pi (N_m + n) (1 + sfo) cfo / N) / sqrt(N)
-               * sum_k X(k) H(k) exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N)
-               + w[n]
-
-    where the sum runs over the active subcarriers and w is circular
-    Gaussian noise of total variance ``impairments.noise_var``.
-
-    Parameters
-    ----------
-    m : int
-        Training symbol index.
-    rng : numpy.random.Generator, optional
-        Noise source; required when ``impairments.noise_var > 0``.
+    The one-symbol view of :func:`synthesize_rows`; ``rng`` is the noise
+    source, required when ``impairments.noise_var > 0``.
     """
     x = training.symbol(m)
-    if x.size != config.n_active:
-        raise ValueError(
-            f"training length {x.size} does not match n_active "
-            f"{config.n_active}")
-    cfo, sfo = impairments.cfo, impairments.sfo
-
-    basis, h = _synthesis_basis(config, channel, sfo, m)
-    lead = _cfo_lead(config, cfo, sfo, m)
-    signal = lead * (basis @ (x * h)) / np.sqrt(config.dft_size)
-
-    if impairments.noise_var > 0.0:
-        if rng is None:
-            raise ValueError("rng is required when noise_var > 0")
-        sigma = np.sqrt(impairments.noise_var / 2.0)
-        noise = sigma * (rng.standard_normal(config.dft_size)
-                         + 1j * rng.standard_normal(config.dft_size))
-        signal = signal + noise
-    return signal
+    _check_training(x, config)
+    h = _channel_gains(config, channel.taps[None])
+    signal = _noiseless_rows(config, m, x[None], h, impairments.cfo,
+                             impairments.sfo)[0]
+    normals = _noise_normals(rng, config, impairments.noise_var)
+    if normals is None:
+        return signal
+    return signal + _complex_normal(np.sqrt(impairments.noise_var / 2.0),
+                                    normals)
 
 
 def synthesize_frame(config: OfdmConfig, training: TrainingSymbols,
@@ -409,32 +483,49 @@ def synthesize_frame(config: OfdmConfig, training: TrainingSymbols,
                      rngs=None) -> TimeDomainFrame:
     """Simulate all training symbols of the burst, one noise stream each.
 
-    ``rngs`` holds one noise generator per symbol; None synthesizes every
-    symbol without a generator, which requires a noiseless burst.
+    The one-burst view of :func:`synthesize_rows`. ``rngs`` holds one
+    noise generator per symbol; None synthesizes every symbol without a
+    generator, which requires a noiseless burst.
     """
     if rngs is None:
         rngs = (None,) * config.n_symbols
     if len(rngs) != config.n_symbols:
         raise ValueError(
             f"expected {config.n_symbols} noise streams, got {len(rngs)}")
-    rows = [synthesize_received_symbol(config, training, channel,
-                                       impairments, m, rngs[m])
-            for m in range(config.n_symbols)]
-    return TimeDomainFrame(samples=np.stack(rows))
+    normals = [_noise_normals(rng, config, impairments.noise_var)
+               for rng in rngs]
+    samples = synthesize_rows(
+        config, [training.symbol(m)[None] for m in range(config.n_symbols)],
+        channel.taps[None], impairments.cfo, impairments.sfo,
+        impairments.noise_var,
+        None if normals[0] is None else np.stack(normals)[None])
+    return TimeDomainFrame(samples=samples[0])
+
+
+def demodulate_rows(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:
+    """Unitary DFT of every row of samples, restricted to the active set.
+
+    Returns R(k) = (1/sqrt(N)) sum_n r[n] exp(-j 2 pi k n / N) for k in
+    the ascending active subcarrier set, (..., K), C-contiguous: picking
+    the bins out of a stacked spectrum leaves a transposed layout that
+    :func:`_sum_last` would otherwise have to copy.
+    """
+    if samples.shape[-1] != config.dft_size:
+        raise ValueError(
+            f"expected {config.dft_size} samples, got shape {samples.shape}")
+    spectrum = np.fft.fft(samples, axis=-1) / np.sqrt(config.dft_size)
+    return np.ascontiguousarray(
+        spectrum[..., config.subcarrier_indices % config.dft_size])
 
 
 def demodulate(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:
-    """Unitary DFT of one received symbol, restricted to the active set.
-
-    Returns R(k) = (1/sqrt(N)) sum_n r[n] exp(-j 2 pi k n / N) for k in
-    the ascending active subcarrier set.
-    """
+    """Unitary DFT of one received symbol, restricted to the active set:
+    the one-row view of :func:`demodulate_rows`."""
     samples = np.asarray(samples, dtype=complex)
-    if samples.shape != (config.dft_size,):
+    if samples.ndim != 1:
         raise ValueError(
             f"expected {config.dft_size} samples, got shape {samples.shape}")
-    spectrum = np.fft.fft(samples) / np.sqrt(config.dft_size)
-    return spectrum[config.subcarrier_indices % config.dft_size]
+    return demodulate_rows(samples, config)
 
 
 def demodulate_frame(frame: TimeDomainFrame, config: OfdmConfig,
@@ -442,8 +533,7 @@ def demodulate_frame(frame: TimeDomainFrame, config: OfdmConfig,
     """Demodulate the first two symbols of a burst into an observation."""
     if frame.samples.shape[0] < 2:
         raise ValueError("frame must contain at least two symbols")
-    r0 = demodulate(frame.samples[0], config)
-    r1 = demodulate(frame.samples[1], config)
+    r0, r1 = demodulate_rows(frame.samples[:2], config)
     return PreambleObservation(r0=r0, r1=r1, training=training)
 
 

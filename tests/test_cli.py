@@ -11,8 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import ofdm_sync_lab.cli as cli
-from ofdm_sync_lab import FisherMatrix, PreambleObservation, __version__, \
-    harness
+from ofdm_sync_lab import FisherMatrix, __version__, harness
 from ofdm_sync_lab.cli import CliError, format_value, parse, write_csv
 
 TINY_GRID_FLAGS = ["--grid-cfo-step", "0.1", "--grid-cfo-max", "0.5",
@@ -421,17 +420,14 @@ def test_trial_prints_its_record(capsys, snr_db):
 
 def poison_first_r0_bin(monkeypatch, value):
     """Make every drawn observation carry ``value`` in its first R0 bin."""
-    real_draw = harness._draw_observation
+    real_observe = harness._observe
 
-    def poisoned(cfg, snr_db, trial_index):
-        obs, training, channel, imp = real_draw(cfg, snr_db, trial_index)
-        r0 = np.array(obs.r0, copy=True)
-        r0[0] = value
-        broken = PreambleObservation(r0=r0, r1=obs.r1,
-                                     training=obs.training)
-        return broken, training, channel, imp
+    def poisoned(cfg, snr_db, draws):
+        spectra = real_observe(cfg, snr_db, draws)
+        spectra[:, 0, 0] = value
+        return spectra
 
-    monkeypatch.setattr(harness, "_draw_observation", poisoned)
+    monkeypatch.setattr(harness, "_observe", poisoned)
 
 
 def test_trial_reports_degenerate_ratio(monkeypatch, capsys):

@@ -186,7 +186,8 @@ def test_cached_basis_matches_fresh_build_over_random_geometries(
         fresh = np.exp(1j * 2.0 * np.pi / config.dft_size
                        * np.outer(warp, ks))
         for _ in range(2):
-            basis, h = ofdm_model._synthesis_basis(config, channel, sfo, m)
+            basis = ofdm_model._warped_basis(config, sfo, m)
+            h = ofdm_model._channel_gains(config, channel.taps)
             assert basis.tobytes() == fresh.tobytes()
             assert h.tobytes() == h_fresh.tobytes()
 
@@ -354,8 +355,13 @@ def test_average_crb_single_trial_identity():
 def test_average_crb_fixed_draw_identity(monkeypatch):
     """A scenario draw ignoring its streams makes the average equal the
     single realization regardless of the trial count."""
-    monkeypatch.setattr(harness, "_draw_scenario",
-                        lambda cfg, streams: (FLAT_TRAINING, FLAT_CHANNEL))
+    def fixed_draw(cfg, indices, seeds):
+        rows = (len(indices), 1)
+        return harness._Draws(tuple(indices),
+                              np.tile(FLAT_TRAINING.x0, rows),
+                              np.tile(FLAT_CHANNEL.taps, rows))
+
+    monkeypatch.setattr(harness, "_draw", fixed_draw)
     row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)
     direct = crb_from_fisher(fisher_closed_form(
         CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,

@@ -24,6 +24,7 @@ from ofdm_sync_lab import (
     run_mse_sweep,
     run_noise_variance_sweep,
     run_trial,
+    run_trials,
     sample_channel,
     synthesize_received_symbol,
 )
@@ -235,19 +236,19 @@ def test_skipped_stages_leave_none_fields():
     assert rec.crb_failure is None
 
 
-def poison_first_r0_bin(monkeypatch, value):
-    """Make every drawn observation carry ``value`` in its first R0 bin."""
-    real_draw = harness._draw_observation
+def poison_first_r0_bin(monkeypatch, value, trial=None):
+    """Make every drawn observation, or only trial ``trial``'s, carry
+    ``value`` in its first R0 bin."""
+    real_observe = harness._observe
 
-    def poisoned(cfg, snr_db, trial_index):
-        obs, training, channel, imp = real_draw(cfg, snr_db, trial_index)
-        r0 = np.array(obs.r0, copy=True)
-        r0[0] = value
-        broken = PreambleObservation(r0=r0, r1=obs.r1,
-                                     training=obs.training)
-        return broken, training, channel, imp
+    def poisoned(cfg, snr_db, draws):
+        spectra = real_observe(cfg, snr_db, draws)
+        rows = [i for i, t in enumerate(draws.indices)
+                if trial is None or t == trial]
+        spectra[rows, 0, 0] = value
+        return spectra
 
-    monkeypatch.setattr(harness, "_draw_observation", poisoned)
+    monkeypatch.setattr(harness, "_observe", poisoned)
 
 
 def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
@@ -284,6 +285,62 @@ def test_non_finite_surface_counts_as_failure(monkeypatch):
         assert row.fail_nguyenle == cfg.n_trials
         assert row.mse_cfo_proposed is None and row.mse_cfo_nguyenle is None
         assert row.crb_cfo is not None
+
+
+CHUNK = harness._CHUNK
+
+
+@pytest.mark.parametrize("n_trials", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                      2 * CHUNK + 1])
+def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
+                                                         n_trials):
+    """Every record of the fig2, fig1 and crb sweeps, however the trials
+    fall into chunks, is the record of a one-trial run_trial call."""
+    cfg = tiny_experiment(n_trials=n_trials)
+    swept = sweep_records(monkeypatch, run_mse_sweep, cfg)
+    residuals = sweep_records(monkeypatch, run_noise_variance_sweep, cfg)
+    bounds = sweep_records(monkeypatch, run_crb_sweep, cfg)
+    evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
+    for snr_db in cfg.snr_points_db:
+        for t in range(n_trials):
+            key = (snr_db, t)
+            assert run_trial(cfg, snr_db, t, evaluator=evaluator) \
+                == swept[key]
+            assert run_trial(cfg, snr_db, t, with_estimates=False,
+                             with_crb=False) == residuals[key]
+            direct = run_trial(cfg, snr_db, t, with_estimates=False)
+            assert bounds[key] == TrialRecord(
+                trial_index=t, snr_db=snr_db, crb_cfo=direct.crb_cfo,
+                crb_sfo=direct.crb_sfo, crb_evaluated=True)
+    assert sorted(swept) == sorted(residuals) == sorted(bounds)
+    assert len(swept) == n_trials * len(cfg.snr_points_db)
+
+
+@pytest.mark.parametrize("value, failed", [
+    (0.0, {"nguyenle_failure":
+           "degenerate observation (subcarriers [-26])"}),
+    (np.nan, {"proposed_failure": "non-finite cost surface",
+              "nguyenle_failure": "non-finite cost surface"}),
+])
+def test_poisoned_trial_fails_alone_in_its_chunk(monkeypatch, value, failed):
+    cfg = tiny_experiment(n_trials=CHUNK + 1)
+    poisoned = CHUNK // 2
+    clean = run_trials(cfg, 10.0, range(cfg.n_trials))
+    poison_first_r0_bin(monkeypatch, value, trial=poisoned)
+    with np.errstate(invalid="ignore"):
+        dirty = run_trials(cfg, 10.0, range(cfg.n_trials))
+    assert [r.trial_index for r in dirty] == list(range(cfg.n_trials))
+    for rec, ref in zip(dirty, clean):
+        if rec.trial_index != poisoned:
+            assert rec == ref
+    rec, ref = dirty[poisoned], clean[poisoned]
+    for field in ("proposed_failure", "nguyenle_failure"):
+        assert getattr(rec, field) == failed.get(field)
+    assert rec.nguyenle is None
+    assert (rec.proposed is None) == ("proposed_failure" in failed)
+    assert rec.residual_e_sq is None or np.isnan(rec.residual_e_sq)
+    # the bound reads the draws, not the observation
+    assert (rec.crb_cfo, rec.crb_sfo) == (ref.crb_cfo, ref.crb_sfo)
 
 
 # -------------------------------------------------------------- aggregate

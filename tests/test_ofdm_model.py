@@ -171,14 +171,19 @@ def test_power_profile_rejects_bad_args():
 
 
 def test_channel_tap_power_matches_profile():
-    """Mean |h_l|^2 over 1e5 draws lands within 2% of each profile weight."""
-    rng = derive_rng(5, "channel")
+    """Mean |h_l|^2 over 1e5 draws lands within 2% of each profile weight.
+
+    The draws are one (1e5, 2, 5) block of the stream that 1e5
+    ``sample_channel`` calls read, and give the same taps bit for bit.
+    """
     n = 100_000
-    power = np.zeros(5)
-    for _ in range(n // 1000):
-        taps = np.stack([sample_channel(rng).taps for _ in range(1000)])
-        power += np.sum(np.abs(taps) ** 2, axis=0)
-    power /= n
+    taps = ofdm_model.channel_taps(
+        derive_rng(5, "channel").standard_normal((n, 2, 5)))
+    per_call = derive_rng(5, "channel")
+    npt.assert_array_equal(
+        taps[:1000], np.stack([sample_channel(per_call).taps
+                               for _ in range(1000)]))
+    power = np.sum(np.abs(taps) ** 2, axis=0) / n
     npt.assert_allclose(power, PDP_5, rtol=0.02)
 
 
@@ -318,7 +323,7 @@ def test_memoized_arrays_are_read_only():
     what synthesis returns is the caller's own."""
     cfg, tr, ch = scenario()
     memoized = {
-        "basis": ofdm_model._synthesis_basis(cfg, ch, SFO_OP, 1)[0],
+        "basis": ofdm_model._warped_basis(cfg, SFO_OP, 1),
         "dft phases": ofdm_model._dft_phases(cfg, ch.n_taps),
         "cfo lead": ofdm_model._cfo_lead(cfg, CFO_OP, SFO_OP, 1),
         "tap scale": ofdm_model._tap_scale(5, 5.0),
