@@ -22,11 +22,16 @@ one-row views. The residual norms and the surfaces' constant terms are
 reductions along the last axis, and each estimator's correlations are
 one stacked matvec per stack; the 101 x 101 surface, its finiteness
 check and its argmin are then formed one trial at a time, so a failure
-marks only its own trial.
+marks only its own trial. ``refine=True`` moves a lattice estimate off
+the lattice from the same correlations: Moose's closed-form CFO at the
+argmin's SFO, and the SFO vertex of the profile over SFO. The direct
+formulas :func:`proposed_cost` and :func:`nguyenle_cost` steer no
+search: they report a cost at a given point and are the tests'
+reference.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -334,6 +339,38 @@ class GridEvaluator:
             obs.training.x0[None], obs.training.x1[None], obs.r0[None],
             obs.r1[None]))[0])
 
+    def _moose_step(self, v: np.ndarray, result: EstimationResult):
+        """Off-lattice (cfo, sfo) from one trial's correlations v and the
+        lattice argmin ``result`` found on them.
+
+        At a fixed SFO h the cost c - 2 Re(lead(cfo, h) v(h)) is least at
+        Moose's correlator phase cfo*(h) = -arg v(h) / (a (1 + h)), with
+        a = 2 pi (N + N_g) / N, and repeats every N / ((N + N_g)(1 + h)).
+        The CFO is cfo* at the argmin's SFO, on the branch nearest the
+        lattice CFO. The SFO is the vertex of the parabola through the
+        profile c - 2|v| at the argmin's SFO and its two neighbours,
+        clamped to half a step; c is the same at every SFO, so only |v|
+        enters. An axis keeps its lattice value when the argmin lies on
+        its edge, and the SFO also when the profile has no curvature.
+        """
+        cfos, sfos = self.grid.cfo_values, self.grid.sfo_values
+        i = int(np.searchsorted(cfos, result.cfo))
+        j = int(np.searchsorted(sfos, result.sfo))
+        cfo, sfo = result.cfo, result.sfo
+        if 0 < i < cfos.size - 1:
+            scale = (_TWO_PI * self.config.symbol_len / self.config.dft_size
+                     * (1.0 + sfo))
+            moose = -np.angle(v[j]) / scale
+            period = _TWO_PI / scale
+            cfo = float(moose + period * np.round((cfo - moose) / period))
+        if 0 < j < sfos.size - 1:
+            below, mid, above = np.abs(v[j - 1:j + 2])
+            curvature = 2.0 * mid - below - above
+            if curvature > 0:
+                offset = np.clip(0.5 * (above - below) / curvature, -0.5, 0.5)
+                sfo = float(sfo + offset * (sfos[j + 1] - sfo))
+        return cfo, sfo
+
 
 def _raised(outcome):
     """A row's search result, or raise the failure it holds."""
@@ -342,46 +379,24 @@ def _raised(outcome):
     return outcome
 
 
-def _refine_axis(cost, values, i, j, axis):
-    """Parabolic vertex through three lattice points along one axis.
-
-    Returns the refined coordinate, clamped to half a step around the
-    argmin; falls back to the lattice value at the grid boundary.
-    """
-    if axis == 0:
-        coords = values.cfo_values
-        at = lambda ii: cost(coords[ii], values.sfo_values[j])
-        idx = i
-    else:
-        coords = values.sfo_values
-        at = lambda jj: cost(values.cfo_values[i], coords[jj])
-        idx = j
-    if idx == 0 or idx == coords.size - 1:
-        return float(coords[idx])
-    c_minus, c_mid, c_plus = at(idx - 1), at(idx), at(idx + 1)
-    curvature = c_minus - 2.0 * c_mid + c_plus
-    if curvature <= 0:
-        return float(coords[idx])
-    step = coords[idx + 1] - coords[idx]
-    offset = 0.5 * (c_minus - c_plus) / curvature
-    offset = float(np.clip(offset, -0.5, 0.5))
-    return float(coords[idx] + offset * step)
-
-
 def estimate_proposed(obs: PreambleObservation, grid: GridSpec,
                       config: OfdmConfig,
                       refine: bool = False) -> EstimationResult:
     """Joint CFO/SFO estimate from the phase-ramped pair fit.
 
     With ``refine=False`` (the default) the estimate is exactly a lattice
-    point; ``refine=True`` additionally interpolates a parabola through
-    the argmin's neighbours along each axis.
+    point; ``refine=True`` moves it off the lattice by
+    :meth:`GridEvaluator._moose_step` and reports :func:`proposed_cost`
+    there.
     """
-    result = GridEvaluator(grid, config).search_proposed(obs)
+    evaluator = GridEvaluator(grid, config)
+    (c,), (v,) = evaluator._pair_terms(obs.r0[None], obs.r1[None])
+    result = _raised(evaluator._search(c, v, "proposed", obs.r0, obs.r1))
     if not refine:
         return result
-    cost = lambda e, h: proposed_cost(obs, e, h, config)
-    return _refined(cost, grid, result, "proposed")
+    cfo, sfo = evaluator._moose_step(v, result)
+    return replace(result, cfo=cfo, sfo=sfo,
+                   cost=proposed_cost(obs, cfo, sfo, config))
 
 
 def estimate_nguyenle(obs: PreambleObservation, grid: GridSpec,
@@ -389,23 +404,19 @@ def estimate_nguyenle(obs: PreambleObservation, grid: GridSpec,
                       refine: bool = False) -> EstimationResult:
     """Joint CFO/SFO estimate from the ratio-observable fit.
 
-    Propagates :class:`DegenerateObservationError` from the observable.
+    ``refine`` as for :func:`estimate_proposed`, reporting
+    :func:`nguyenle_cost`. Propagates :class:`DegenerateObservationError`
+    from the observable.
     """
-    result = GridEvaluator(grid, config).search_nguyenle(obs)
+    y = nguyenle_observable(obs, config)
+    evaluator = GridEvaluator(grid, config)
+    (c,), (v,) = evaluator._ratio_terms(y[None])
+    result = _raised(evaluator._search(c, v, "nguyen_le", 1.0, y))
     if not refine:
         return result
-    y = nguyenle_observable(obs, config)
-    cost = lambda e, h: nguyenle_cost(y, e, h, config)
-    return _refined(cost, grid, result, "nguyen_le")
-
-
-def _refined(cost, grid, result, method):
-    i = int(np.searchsorted(grid.cfo_values, result.cfo))
-    j = int(np.searchsorted(grid.sfo_values, result.sfo))
-    cfo = _refine_axis(cost, grid, i, j, axis=0)
-    sfo = _refine_axis(cost, grid, i, j, axis=1)
-    return EstimationResult(cfo=cfo, sfo=sfo, cost=float(cost(cfo, sfo)),
-                            method=method)
+    cfo, sfo = evaluator._moose_step(v, result)
+    return replace(result, cfo=cfo, sfo=sfo,
+                   cost=nguyenle_cost(y, cfo, sfo, config))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -12,15 +12,15 @@ reproducible bit for bit regardless of chunking or execution order. A
 sweep derives the streams of an SNR point in one pass per label
 (:func:`ofdm_model.derive_states`, numpy's ``SeedSequence`` vectorized
 over the trials); each chunk reads its rows of that seed table and, per
-trial and label, re-seeds one reused ``PCG64`` generator and draws into
-the chunk's arrays. The streams are those of
-:func:`ofdm_model.derive_rng`, bit for bit, and only the current SNR
-point's seed table is held. A chunk then makes one synthesis of both
-symbols, one FFT, one stacked correlation per estimator and one stacked
-Fisher pass, which equal the one-trial computations bit for bit (see
-:mod:`ofdm_sync_lab.ofdm_model` for the rules that make them equal), so
-:func:`run_trial` is the one-trial view of the same code. Aggregation
-always runs in ascending trial order.
+trial and label, seeds a fresh ``PCG64`` generator from its row
+(:func:`ofdm_model.seed_generator`) and draws into the chunk's arrays.
+The streams are those of :func:`ofdm_model.derive_rng`, bit for bit,
+and only the current SNR point's seed table is held. A chunk then
+makes one synthesis of both symbols, one FFT, one stacked correlation
+per estimator and one stacked Fisher pass, which equal the one-trial
+computations bit for bit (see :mod:`ofdm_sync_lab.ofdm_model` for the
+rules that make them equal), so :func:`run_trial` is the one-trial view
+of the same code. Aggregation always runs in ascending trial order.
 """
 
 from dataclasses import dataclass
@@ -61,7 +61,6 @@ from .ofdm_model import (
     demodulate_rows,
     derive_states,
     make_config,
-    new_generator,
     noise_variance_from_snr,
     seed_generator,
     snr_stream_key,
@@ -117,6 +116,10 @@ class ExperimentConfig:
     grid: GridSpec
 
     def __post_init__(self):
+        # The estimators and the CRB need the repeated pair of symbols.
+        if self.ofdm.n_symbols != 2:
+            raise ValueError(
+                f"ofdm.n_symbols must be 2, got {self.ofdm.n_symbols}")
         if self.n_taps < 1:
             raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.n_trials < 1:
@@ -223,21 +226,20 @@ class _Draws:
 def _draw(cfg: ExperimentConfig, indices, seeds: dict) -> _Draws:
     """Draw a chunk's trials, each from its own streams.
 
-    ``seeds`` maps each label to the chunk's rows of its seed table. One
-    generator is re-seeded per trial and label, and each draw is the
-    one-trial draw of that label, written into its row.
+    ``seeds`` maps each label to the chunk's rows of its seed table. Each
+    trial and label gets a generator seeded from its row, and each draw is
+    the one-trial draw of that label, written into its row.
     """
-    rng = new_generator()
     n_active = cfg.ofdm.n_active
     picks = np.empty((len(indices), n_active), dtype=np.int64)
     for row, words in zip(picks, seeds["training"]):
-        row[:] = seed_generator(rng, words).integers(0, 4, size=n_active)
+        row[:] = seed_generator(words).integers(0, 4, size=n_active)
 
     def normals(label, n):
         """(T, 2, n): one trial's (2, n) standard normals per row."""
         out = np.empty((len(indices), 2, n))
         for row, words in zip(out, seeds[label]):
-            seed_generator(rng, words).standard_normal(out=row)
+            seed_generator(words).standard_normal(out=row)
         return out
 
     noise = None

@@ -37,10 +37,11 @@ Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
 words are a key path (master seed, SNR key, trial index, label) split
 into 32-bit words as ``SeedSequence`` splits integers.
 :func:`derive_states` runs ``SeedSequence``'s mixing over a whole axis
-of trial indices at once and :func:`seed_generator` loads one trial's
-seed into a reused generator; both reproduce :func:`derive_rng`'s
-stream bit for bit, which numpy's own seeding checks in the tests. A
-trial index must lie in [0, 2**32), where it is exactly one word.
+of trial indices at once, and :func:`seed_generator` hands one trial's
+seed words to numpy's own PCG64 seeding; both reproduce
+:func:`derive_rng`'s stream bit for bit, which numpy's own
+``SeedSequence`` checks in the tests. A trial index must lie in
+[0, 2**32), where it is exactly one word.
 """
 
 import functools
@@ -62,7 +63,6 @@ __all__ = [
     "sample_channel",
     "channel_taps",
     "channel_frequency_response",
-    "synthesize_received_symbol",
     "synthesize_frame",
     "synthesize_rows",
     "demodulate",
@@ -74,7 +74,6 @@ __all__ = [
     "noise_variance_from_snr",
     "derive_rng",
     "derive_states",
-    "new_generator",
     "seed_generator",
     "snr_stream_key",
     "MAX_TRIALS",
@@ -455,28 +454,6 @@ def _noise_normals(rng, config: OfdmConfig, noise_var: float):
     return rng.standard_normal((2, config.dft_size))
 
 
-def synthesize_received_symbol(config: OfdmConfig, training: TrainingSymbols,
-                               channel: ChannelRealization,
-                               impairments: ImpairmentParams, m: int,
-                               rng: np.random.Generator | None = None
-                               ) -> np.ndarray:
-    """Simulate the N useful samples of training symbol m at the receiver.
-
-    The one-symbol view of :func:`synthesize_rows`; ``rng`` is the noise
-    source, required when ``impairments.noise_var > 0``.
-    """
-    x = training.symbol(m)
-    _check_training(x, config)
-    h = _channel_gains(config, channel.taps[None])
-    signal = _noiseless_rows(config, m, x[None], h, impairments.cfo,
-                             impairments.sfo)[0]
-    normals = _noise_normals(rng, config, impairments.noise_var)
-    if normals is None:
-        return signal
-    return signal + _complex_normal(np.sqrt(impairments.noise_var / 2.0),
-                                    normals)
-
-
 def synthesize_frame(config: OfdmConfig, training: TrainingSymbols,
                      channel: ChannelRealization,
                      impairments: ImpairmentParams,
@@ -610,17 +587,14 @@ def snr_stream_key(snr_db: float) -> int:
     return int(round(float(snr_db) * 1000.0))
 
 
-# numpy's SeedSequence constants (pool size 4, 32-bit words) and the
-# 128-bit multiplier of PCG64's linear congruential step.
+# numpy's SeedSequence constants (pool size 4, 32-bit words).
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Trial indices below this enter the entropy as exactly one 32-bit word,
 # so every trial of a sweep shares one word layout.
@@ -723,36 +697,24 @@ def derive_states(master_seed: int, stream_key, trial_indices,
     return _seed_words(_hash_pool(entropy), trials.size)
 
 
-class _Unseeded(np.random.bit_generator.ISeedSequence):
-    """Zero seed words for a PCG64 that :func:`seed_generator` sets before
-    any draw, so building one costs neither OS entropy nor a
-    SeedSequence."""
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 four seed words that are already derived, so numpy
+    runs its own seeding step on them without a SeedSequence."""
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype=dtype)
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-
-def new_generator() -> np.random.Generator:
-    """A PCG64 generator for :func:`seed_generator` to set."""
-    return np.random.Generator(np.random.PCG64(_Unseeded()))
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words
 
 
-def seed_generator(rng: np.random.Generator,
-                   seed_words) -> np.random.Generator:
-    """Give ``rng`` the state of a PCG64 freshly seeded with four words.
-
-    Applies PCG64's seeding step to the 128-bit state and increment that
-    the words spell (most significant word first), clears the buffered
-    32-bit half, and returns ``rng``.
-    """
-    s_hi, s_lo, i_hi, i_lo = np.asarray(seed_words, np.uint64).tolist()
-    inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0, "uinteger": 0}
-    return rng
+def seed_generator(seed_words) -> np.random.Generator:
+    """A PCG64 generator freshly seeded with four 64-bit words, as
+    ``PCG64`` seeds itself from ``SeedSequence.generate_state(4,
+    uint64)``."""
+    # PCG64 reads the words' buffer, so it must be contiguous uint64.
+    words = np.ascontiguousarray(seed_words, dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def derive_rng(master_seed: int, *keys) -> np.random.Generator:
@@ -766,5 +728,4 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     entropy = _key_words(int(master_seed))
     for key in keys:
         entropy += _key_words(key)
-    return seed_generator(new_generator(),
-                          _seed_words(_hash_pool(entropy), 1)[0])
+    return seed_generator(_seed_words(_hash_pool(entropy), 1)[0])

@@ -28,7 +28,6 @@ from ofdm_sync_lab import (
     run_crb_sweep,
     sample_channel,
     synthesize_frame,
-    synthesize_received_symbol,
 )
 from ofdm_sync_lab import crb, harness, ofdm_model
 from ofdm_sync_lab.harness import CRB_AGREEMENT_RTOL
@@ -224,8 +223,8 @@ def test_oracle_cfo_derivative_matches_analytic_ramp():
                                    noise_var)
     rows = []
     for m in (0, 1):
-        s = synthesize_received_symbol(
-            CFG, training, channel, ImpairmentParams(CFO_OP, SFO_OP), m)
+        s = synthesize_frame(CFG, training, channel,
+                             ImpairmentParams(CFO_OP, SFO_OP)).samples[m]
         n = np.arange(64)
         slope = 2 * np.pi / 64 * (CFG.symbol_start(m) + n) * (1 + SFO_OP)
         rows.append(1j * slope * s)

@@ -496,6 +496,51 @@ def test_refine_keeps_lattice_point_at_grid_edge():
     assert refined.cfo == -0.5
 
 
+def test_nguyenle_refine_moves_toward_off_lattice_truth():
+    eps_true, eta_true = 0.212, 0.000112
+    obs = observation(23, eps_true, eta_true)
+    lattice = estimate_nguyenle(obs, GRID, CFG)
+    refined = estimate_nguyenle(obs, GRID, CFG, refine=True)
+    assert abs(refined.cfo - lattice.cfo) <= 0.005 + 1e-12
+    assert abs(refined.sfo - lattice.sfo) <= 5e-6 + 1e-15
+    assert abs(refined.cfo - eps_true) < abs(lattice.cfo - eps_true)
+    assert abs(refined.sfo - eta_true) < abs(lattice.sfo - eta_true)
+    assert refined.method == "nguyen_le"
+    assert refined.cost == nguyenle_cost(nguyenle_observable(obs, CFG),
+                                         refined.cfo, refined.sfo, CFG)
+
+
+@pytest.mark.parametrize("estimate", [estimate_proposed, estimate_nguyenle])
+@pytest.mark.parametrize("eps_true", [0.2137, -0.1234])
+def test_refine_recovers_off_lattice_cfo_at_pinned_sfo(estimate, eps_true):
+    """Noiseless and at a lattice SFO, the closed-form CFO step is exact:
+    Moose's correlator phase at sfo = 0."""
+    obs = observation(30, eps_true, 0.0)
+    grid = make_grid(sfo_max=0.0)
+    refined = estimate(obs, grid, CFG, refine=True)
+    assert refined.sfo == 0.0
+    assert abs(refined.cfo - eps_true) <= 1e-12
+    assert refined.cost < 1e-20
+
+
+@pytest.mark.parametrize("estimate", [estimate_proposed, estimate_nguyenle])
+def test_refine_is_exact_on_a_model_exact_pair(estimate):
+    """R1 = ramp(cfo, sfo) R0 exactly, at a lattice SFO far from zero and
+    a CFO past half a period: the step must scale the phase by (1 + sfo)
+    and move it by whole periods back to the lattice's branch."""
+    rng = np.random.default_rng(3)
+    tr = generate_training_symbols(derive_rng(3, "training"), CFG)
+    r0 = rng.standard_normal(52) + 1j * rng.standard_normal(52)
+    cfo, sfo = 0.6543, 4e-3
+    r1 = symbol_phase_ramp(CFG.subcarrier_indices, cfo, sfo, CFG) * r0
+    grid = GridSpec(cfo_values=0.01 * np.arange(30, 91),
+                    sfo_values=np.array([sfo]))
+    refined = estimate(PreambleObservation(r0, r1, tr), grid, CFG,
+                       refine=True)
+    assert refined.sfo == sfo
+    assert abs(refined.cfo - cfo) <= 1e-12
+
+
 def test_default_estimate_is_a_lattice_point():
     obs = observation(25, 0.212, 0.000112, snr_db=10.0)
     result = estimate_proposed(obs, GRID, CFG)

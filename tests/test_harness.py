@@ -1,6 +1,8 @@
 """Harness tests: seeded trial reproducibility, aggregation algebra,
 sweep assembly, failure accounting, and the CRB backend plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -26,7 +28,7 @@ from ofdm_sync_lab import (
     run_trial,
     run_trials,
     sample_channel,
-    synthesize_received_symbol,
+    synthesize_frame,
 )
 from ofdm_sync_lab import harness
 
@@ -95,6 +97,9 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="alias -0.5 "):
         make_experiment(cp_len=0, sfo=0.0, cfo=0.5)
     assert make_experiment(cp_len=0, sfo=0.0, cfo=0.49).cfo == 0.49
+    # one symbol: the estimators and the CRB need the repeated pair
+    with pytest.raises(ValueError, match="n_symbols must be 2, got 1"):
+        replace(make_experiment(), ofdm=make_config(64, 52, 16, n_symbols=1))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -459,8 +464,8 @@ def test_residual_noise_scaling_and_floor():
 
     def residual_power(noise_var, rng):
         imp = ImpairmentParams(0.212, 0.000112, noise_var)
-        r = [demodulate(synthesize_received_symbol(
-            cfg, training, channel, imp, m, rng), cfg) for m in (0, 1)]
+        frame = synthesize_frame(cfg, training, channel, imp, (rng, rng))
+        r = [demodulate(samples, cfg) for samples in frame.samples]
         obs = PreambleObservation(r0=r[0], r1=r[1], training=training)
         v = pair_residual(obs, 0.212, 0.000112, cfg)
         return float(np.sum(np.abs(v) ** 2))

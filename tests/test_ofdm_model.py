@@ -31,10 +31,8 @@ from ofdm_sync_lab import (
     seed_generator,
     snr_stream_key,
     synthesize_frame,
-    synthesize_received_symbol,
 )
 from ofdm_sync_lab import ofdm_model
-from ofdm_sync_lab.ofdm_model import new_generator
 
 CFO_OP = 0.212
 SFO_OP = 0.000112
@@ -264,18 +262,17 @@ def test_synthesis_zero_offsets_matches_unitary_idft():
     spectrum = np.zeros(64, dtype=complex)
     spectrum[cfg.subcarrier_indices % 64] = tr.x0 * h
     expected = np.fft.ifft(spectrum) * np.sqrt(64.0)
-    for m in (0, 1):
-        got = synthesize_received_symbol(cfg, tr, ch, imp, m)
+    for got in synthesize_frame(cfg, tr, ch, imp).samples:
         npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_synthesis_cfo_is_a_pure_phase_ramp():
     """With sfo = 0 the offset factors out of the subcarrier sum."""
     cfg, tr, ch = scenario(seed=9)
-    base = synthesize_received_symbol(
-        cfg, tr, ch, ImpairmentParams(0.0, 0.0), 1)
-    shifted = synthesize_received_symbol(
-        cfg, tr, ch, ImpairmentParams(CFO_OP, 0.0), 1)
+    base = synthesize_frame(
+        cfg, tr, ch, ImpairmentParams(0.0, 0.0)).samples[1]
+    shifted = synthesize_frame(
+        cfg, tr, ch, ImpairmentParams(CFO_OP, 0.0)).samples[1]
     n = np.arange(64)
     ramp = np.exp(1j * 2 * np.pi * (cfg.symbol_start(1) + n) * CFO_OP / 64)
     npt.assert_allclose(shifted, ramp * base, rtol=0, atol=1e-12)
@@ -284,8 +281,8 @@ def test_synthesis_cfo_is_a_pure_phase_ramp():
 def test_synthesis_noise_requires_rng():
     cfg, tr, ch = scenario()
     with pytest.raises(ValueError, match="rng"):
-        synthesize_received_symbol(
-            cfg, tr, ch, ImpairmentParams(0.0, 0.0, noise_var=0.1), 0)
+        synthesize_frame(cfg, tr, ch,
+                         ImpairmentParams(0.0, 0.0, noise_var=0.1))
 
 
 def test_synthesis_noise_calibration():
@@ -296,8 +293,8 @@ def test_synthesis_noise_calibration():
     imp = ImpairmentParams(0.0, 0.0, noise_var=0.1)
     rng = derive_rng(17, "noise0")
     samples = np.concatenate([
-        synthesize_received_symbol(cfg, zeros, ch, imp, 0, rng)
-        for _ in range(1600)])
+        synthesize_frame(cfg, zeros, ch, imp, rngs=(rng, rng)).samples.ravel()
+        for _ in range(800)])
     assert samples.size == 102400
     measured = np.mean(np.abs(samples) ** 2)
     assert measured == pytest.approx(0.1, rel=0.02)
@@ -331,8 +328,8 @@ def test_memoized_arrays_are_read_only():
     for name, array in memoized.items():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    signal = synthesize_received_symbol(
-        cfg, tr, ch, ImpairmentParams(CFO_OP, SFO_OP), 1)
+    signal = synthesize_frame(
+        cfg, tr, ch, ImpairmentParams(CFO_OP, SFO_OP)).samples
     assert signal.flags.writeable
 
 
@@ -546,26 +543,22 @@ TRIAL_INDICES = st.lists(st.integers(0, 2 ** 32 - 1), max_size=4).map(
          trials=[0, 2 ** 32 - 1, 1])
 def test_derived_states_match_numpy_seeding(seed, key, label, trials):
     """Every trial's seeded generator has the state and the first draws of
-    a fresh PCG64(SeedSequence(words)), bit for bit, on one reused
-    generator, in one pass or one trial at a time, and via derive_rng."""
+    a fresh PCG64(SeedSequence(words)), bit for bit, in one pass or one
+    trial at a time, and via derive_rng."""
     table = derive_states(seed, key, trials, label)
     assert table.shape == (len(trials), 4) and table.dtype == np.uint64
-    rng = new_generator()
     for row, t in enumerate(trials):
         npt.assert_array_equal(derive_states(seed, key, [t], label)[0],
                                table[row])
         oracle = oracle_stream(seed, key, t, label)
-        assert seed_generator(rng, table[row]).bit_generator.state \
-            == oracle.bit_generator.state
+        rng = seed_generator(table[row])
+        assert rng.bit_generator.state == oracle.bit_generator.state
         assert derive_rng(seed, key, t, label).bit_generator.state \
             == oracle.bit_generator.state
         npt.assert_array_equal(rng.integers(0, 4, 52),
                                oracle.integers(0, 4, 52))
         npt.assert_array_equal(rng.standard_normal(64),
                                oracle.standard_normal(64))
-        # An odd count of 32-bit draws leaves half a word buffered; the
-        # next trial's seeding must drop it.
-        rng.integers(0, 4, 3)
 
 
 @pytest.mark.parametrize("keys", [

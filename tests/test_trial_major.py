@@ -25,7 +25,6 @@ from ofdm_sync_lab import (
     pair_residual,
     ratio_residual,
     synthesize_frame,
-    synthesize_received_symbol,
 )
 from ofdm_sync_lab.crb import fisher_rows
 from ofdm_sync_lab.estimators import (
@@ -108,10 +107,6 @@ def test_stacked_trials_equal_one_trial_results(stack):
         frame = synthesize_frame(config, training, channel, impairments,
                                  noise_rngs(seed, t, config.n_symbols))
         assert_same_bytes(samples[t], frame.samples)
-        symbol = synthesize_received_symbol(
-            config, training, channel, impairments, 1,
-            noise_rngs(seed, t, config.n_symbols)[1])
-        assert_same_bytes(samples[t, 1], symbol)
         obs = PreambleObservation(demodulate(frame.samples[0], config),
                                   demodulate(frame.samples[1], config),
                                   training)
