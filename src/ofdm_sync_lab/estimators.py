@@ -20,14 +20,18 @@ The residuals, the ratio observable and the lattice searches run on
 trial-major (T, K) spectra, and the one-observation functions are their
 one-row views. The residual norms and the surfaces' constant terms are
 reductions along the last axis, and each estimator's correlations are
-one stacked matvec per stack; the 101 x 101 surface, its finiteness
-check and its argmin are then formed one trial at a time, so a failure
-marks only its own trial. ``refine=True`` moves a lattice estimate off
-the lattice from the same correlations: Moose's closed-form CFO at the
-argmin's SFO, and the SFO vertex of the profile over SFO. The direct
-formulas :func:`proposed_cost` and :func:`nguyenle_cost` steer no
-search: they report a cost at a given point and are the tests'
-reference.
+one stacked matvec per stack. At a fixed SFO the cost is a cosine in
+CFO whose minimum is Moose's closed form, so each trial's lattice argmin
+is read, for the whole stack at once, from the two CFO rows that
+bracket that closed form in every SFO column; a trial whose argmin this
+cannot certify forms its full 101 x 101 surface, its finiteness check
+and its argmin on its own, so a failure marks only its own trial.
+Either way the result is the full surface's, bit for bit.
+``refine=True`` moves a lattice estimate off the lattice from the same
+correlations: Moose's closed-form CFO at the argmin's SFO, and the SFO
+vertex of the profile over SFO. The direct formulas
+:func:`proposed_cost` and :func:`nguyenle_cost` steer no search: they
+report a cost at a given point and are the tests' reference.
 """
 
 import functools
@@ -115,8 +119,13 @@ def make_grid(cfo_step: float = 0.01, cfo_max: float = 0.5,
     The default spans CFO in [-0.5, 0.5] at step 0.01 and SFO in
     [-5e-4, 5e-4] at step 1e-5 (101 x 101 points). ``cfo_max``/``sfo_max``
     are rounded to a whole number of steps; a max of zero pins that axis
-    to the single value 0.
+    to the single value 0. Steps must be finite and positive, maxima
+    finite and non-negative.
     """
+    for name, value in (("cfo_step", cfo_step), ("cfo_max", cfo_max),
+                        ("sfo_step", sfo_step), ("sfo_max", sfo_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     for name, step in (("cfo_step", cfo_step), ("sfo_step", sfo_step)):
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step}")
@@ -248,6 +257,23 @@ class GridEvaluator:
     with z = R0 conj(R1) and c = sum_k |R0|^2 + |R1|^2. The lead factors
     and the (n_sfo, K) per-subcarrier ramps are precomputed once per
     (grid, config), so a whole surface costs one matrix-vector product.
+
+    A search rarely needs the whole surface. In SFO column j the cost
+    c - 2 |v_j| cos(s_j cfo + arg v_j), with s_j = a (1 + sfo_j), is
+    least at Moose's closed form p_j = -arg v_j / s_j and repeats every
+    P_j = 2 pi / s_j. The row searches evaluate only the two lattice
+    CFOs that bracket p_j in every column, exactly as the surface would,
+    and take their first-occurrence minimum. Every other lattice point
+    lies at least g_j from all of column j's minima, so its cost is at
+    least c - 2 |v_j| cos(min(s_j g_j, pi)); when the best candidate is
+    below that bound in every column, less a rounding margin, the argmin
+    is certified to be the surface's. A row that cannot be certified
+    (a non-finite or huge c or v, or a near tie with a lattice point
+    further out) runs the full surface. The bound accounts for the
+    aliases p_j +/- P_j only, so it is used only on grids where every
+    sfo > -1 and every |cfo| < min_j P_j; on other grids every row runs
+    the full surface.
+
     The reported cost is recomputed at the argmin as the direct sum over
     ascending k from the same factors, so it does not carry the kernel's
     rounding.
@@ -264,6 +290,15 @@ class GridEvaluator:
         # exp(j a k sfo) evaluated on the SFO axis.
         self._sub = np.exp(
             1j * a * grid.sfo_values[:, None] * config.subcarrier_indices)
+        # Per SFO column: Moose's slope s_j = a (1 + sfo_j) and period
+        # P_j. The bracket's certificate checks the aliases p_j +/- P_j
+        # only; they hold every minimum on the lattice when s_j > 0 and
+        # every |cfo| < min_j P_j.
+        self._slope = a * (1.0 + grid.sfo_values)
+        self._bracketed = bool(
+            (self._slope > 0).all()
+            and (np.abs(grid.cfo_values)
+                 < _TWO_PI / self._slope.max()).all())
 
     def _correlate(self, z: np.ndarray) -> np.ndarray:
         """sub(sfo) . z for every row of z, (T, n_sfo): one stacked matvec
@@ -306,6 +341,74 @@ class GridEvaluator:
         except NonFiniteSurfaceError as exc:
             return exc
 
+    def _bracket(self, c, v):
+        """The rows of (c, v) whose lattice argmin the bracket certifies,
+        and that argmin's (cfo, sfo) indices, as three index vectors."""
+        cfos = self.grid.cfo_values
+        n_cfo, n_sfo = self.grid.shape
+        if not self._bracketed:
+            none = np.zeros(0, dtype=np.intp)
+            return none, none, none
+        # Finite c and v, small enough that no surface entry overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.abs(v)
+            rows = np.flatnonzero(np.abs(c) + 2.0 * mag.max(axis=-1)
+                                  < 1e300)
+        c, v, mag = c[rows], v[rows], mag[rows]
+        moose = -np.angle(v) / self._slope
+        lo = np.clip(np.searchsorted(cfos, moose, side="right") - 1,
+                     0, max(n_cfo - 2, 0))
+        hi = np.minimum(lo + 1, n_cfo - 1)
+        # The candidates' costs, as the surface forms them, and their
+        # row-major flat indices.
+        flat = (np.stack([lo, hi], axis=1) * n_sfo
+                + np.arange(n_sfo)).reshape(rows.size, 2 * n_sfo)
+        values = c[:, None] - 2.0 * (np.take(self._lead, flat)
+                                     * np.concatenate([v, v], axis=-1)).real
+        best = values.min(axis=-1)
+        # Ties go to the smallest flat index, as in _argmin_lattice.
+        pick = np.where(values == best[:, None], flat,
+                        n_cfo * n_sfo).min(axis=-1)
+        # g: the least distance from a non-candidate lattice CFO to a
+        # minimum of its column, p_j or an alias p_j +/- P_j; a missing
+        # neighbour row is an infinite pad.
+        pad = np.concatenate([[-np.inf], cfos, [np.inf]])
+        period = _TWO_PI / self._slope
+        alias = np.minimum(*(
+            np.maximum(np.maximum(cfos[0] - x, x - cfos[-1]), 0.0)
+            for x in (moose - period, moose + period)))
+        gap = np.minimum(np.minimum(moose - pad[lo], pad[hi + 2] - moose),
+                         alias)
+        # min_j of c - 2 |v_j| cos(min(s_j g_j, pi)), less a rounding
+        # margin of 1e-12 (|c| + 2 |v_j|).
+        bound = c - 1e-12 * np.abs(c) - 2.0 * (mag * (np.cos(
+            np.minimum(self._slope * gap, np.pi)) + 1e-12)).max(axis=-1)
+        sure = best < bound
+        return (rows[sure],) + divmod(pick[sure], n_sfo)
+
+    def _search_rows(self, c, v, method, r0, r1) -> list:
+        """Search every row of the terms (c, v) of the spectra r0, r1; r0
+        is an array of rows or the scalar 1.0 of the ratio fit.
+
+        Certified rows take the bracket's argmin and report their costs
+        in one pass; every other row runs :meth:`_search`.
+        """
+        rows, i, j = self._bracket(c, v)
+        scalar = np.ndim(r0) == 0
+        diff = r1[rows] - (self._lead[i, j][:, None] * self._sub[j]
+                           * (r0 if scalar else r0[rows]))
+        # Sequential accumulation over ascending k, as in _result.
+        costs = np.add.accumulate(diff.real ** 2 + diff.imag ** 2,
+                                  axis=-1)[:, -1]
+        found = {t: EstimationResult(cfo=cfo, sfo=sfo, cost=cost,
+                                     method=method)
+                 for t, cfo, sfo, cost in zip(
+                     rows.tolist(), self.grid.cfo_values[i].tolist(),
+                     self.grid.sfo_values[j].tolist(), costs.tolist())}
+        return [found[t] if t in found else self._search(
+                    c[t], v[t], method, r0 if scalar else r0[t], r1[t])
+                for t in range(len(c))]
+
     def search_proposed_rows(self, r0, r1) -> list:
         """Search every row of the (T, K) spectra r0, r1.
 
@@ -313,8 +416,7 @@ class GridEvaluator:
         :class:`NonFiniteSurfaceError` that row's surface raised.
         """
         c, v = self._pair_terms(r0, r1)
-        return [self._search(c[t], v[t], "proposed", r0[t], r1[t])
-                for t in range(len(c))]
+        return self._search_rows(c, v, "proposed", r0, r1)
 
     def search_nguyenle_rows(self, y, bad) -> list:
         """Search every row of the ratio observable (y, bad) of
@@ -322,13 +424,16 @@ class GridEvaluator:
 
         Returns one entry per row: its :class:`EstimationResult`, or the
         :class:`DegenerateObservationError` or
-        :class:`NonFiniteSurfaceError` of that row.
+        :class:`NonFiniteSurfaceError` of that row. Degenerate rows are
+        not searched.
         """
         c, v = self._ratio_terms(y)
+        live = ~bad.any(axis=-1)
+        found = iter(self._search_rows(c[live], v[live], "nguyen_le", 1.0,
+                                       y[live]))
         ks = self.config.subcarrier_indices
-        return [DegenerateObservationError(ks[bad[t]]) if bad[t].any()
-                else self._search(c[t], v[t], "nguyen_le", 1.0, y[t])
-                for t in range(len(c))]
+        return [next(found) if ok else DegenerateObservationError(ks[b])
+                for ok, b in zip(live, bad)]
 
     def search_proposed(self, obs: PreambleObservation) -> EstimationResult:
         return _raised(self.search_proposed_rows(obs.r0[None],
@@ -358,10 +463,8 @@ class GridEvaluator:
         j = int(np.searchsorted(sfos, result.sfo))
         cfo, sfo = result.cfo, result.sfo
         if 0 < i < cfos.size - 1:
-            scale = (_TWO_PI * self.config.symbol_len / self.config.dft_size
-                     * (1.0 + sfo))
-            moose = -np.angle(v[j]) / scale
-            period = _TWO_PI / scale
+            moose = -np.angle(v[j]) / self._slope[j]
+            period = _TWO_PI / self._slope[j]
             cfo = float(moose + period * np.round((cfo - moose) / period))
         if 0 < j < sfos.size - 1:
             below, mid, above = np.abs(v[j - 1:j + 2])
@@ -390,11 +493,12 @@ def estimate_proposed(obs: PreambleObservation, grid: GridSpec,
     there.
     """
     evaluator = GridEvaluator(grid, config)
-    (c,), (v,) = evaluator._pair_terms(obs.r0[None], obs.r1[None])
-    result = _raised(evaluator._search(c, v, "proposed", obs.r0, obs.r1))
+    r0, r1 = obs.r0[None], obs.r1[None]
+    c, v = evaluator._pair_terms(r0, r1)
+    result = _raised(evaluator._search_rows(c, v, "proposed", r0, r1)[0])
     if not refine:
         return result
-    cfo, sfo = evaluator._moose_step(v, result)
+    cfo, sfo = evaluator._moose_step(v[0], result)
     return replace(result, cfo=cfo, sfo=sfo,
                    cost=proposed_cost(obs, cfo, sfo, config))
 
@@ -410,11 +514,12 @@ def estimate_nguyenle(obs: PreambleObservation, grid: GridSpec,
     """
     y = nguyenle_observable(obs, config)
     evaluator = GridEvaluator(grid, config)
-    (c,), (v,) = evaluator._ratio_terms(y[None])
-    result = _raised(evaluator._search(c, v, "nguyen_le", 1.0, y))
+    c, v = evaluator._ratio_terms(y[None])
+    result = _raised(evaluator._search_rows(c, v, "nguyen_le", 1.0,
+                                            y[None])[0])
     if not refine:
         return result
-    cfo, sfo = evaluator._moose_step(v, result)
+    cfo, sfo = evaluator._moose_step(v[0], result)
     return replace(result, cfo=cfo, sfo=sfo,
                    cost=nguyenle_cost(y, cfo, sfo, config))
 

@@ -135,6 +135,10 @@ def test_unknown_flag_exits_2():
     (["crb", "--sfo", "-1"], "sfo must exceed -1"),
     (["fig2", "--cfo", "0.35"], "alias -0.44991"),
     (["fig1", "--trials", "4294967296"], "n_trials must be below 2**32"),
+    (["fig2", "--grid-cfo-max", "inf"], "cfo_max must be finite"),
+    (["fig2", "--grid-sfo-max", "inf"], "sfo_max must be finite"),
+    (["fig2", "--grid-cfo-max", "nan"], "cfo_max must be finite"),
+    (["fig2", "--grid-sfo-step", "nan"], "sfo_step must be finite"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

@@ -80,6 +80,13 @@ def test_make_grid_rejects_bad_steps():
         make_grid(sfo_step=-1e-5)
     with pytest.raises(ValueError):
         make_grid(cfo_max=-0.1)
+    for kwargs in ({"cfo_step": np.inf}, {"cfo_step": np.nan},
+                   {"sfo_step": np.inf}, {"sfo_step": np.nan},
+                   {"cfo_max": np.inf}, {"cfo_max": np.nan},
+                   {"sfo_max": np.inf}, {"sfo_max": np.nan}):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_grid(**kwargs)
 
 
 def test_grid_spec_validation():
