@@ -53,6 +53,7 @@ __all__ = [
     "fisher_closed_form",
     "fisher_rows",
     "fisher_numeric_oracle",
+    "FisherComparison",
     "compare_fisher",
     "crb_from_fisher",
     "crb_rows",
@@ -216,17 +217,27 @@ class FisherComparison:
 
     closed: FisherMatrix
     oracle: FisherMatrix
-    max_rel_error: float
+
+    def rel_errors(self) -> dict:
+        """Per entry f00, f01, f11: |closed - oracle| over the larger of
+        the two magnitudes, 0 where both are 0."""
+        rels = {}
+        for name in ("f00", "f01", "f11"):
+            a, b = getattr(self.closed, name), getattr(self.oracle, name)
+            denom = max(abs(a), abs(b))
+            rels[name] = abs(a - b) / denom if denom else 0.0
+        return rels
+
+    @property
+    def max_rel_error(self) -> float:
+        return float(max(self.rel_errors().values()))
 
     def report(self) -> str:
         lines = ["fisher closed-form vs numeric oracle"]
-        for name in ("f00", "f01", "f11"):
-            a = getattr(self.closed, name)
-            b = getattr(self.oracle, name)
-            denom = max(abs(a), abs(b))
-            rel = abs(a - b) / denom if denom else 0.0
-            lines.append(
-                f"  {name}: closed={a:.17g} oracle={b:.17g} rel={rel:.3e}")
+        for name, rel in self.rel_errors().items():
+            lines.append(f"  {name}: closed={getattr(self.closed, name):.17g}"
+                         f" oracle={getattr(self.oracle, name):.17g}"
+                         f" rel={rel:.3e}")
         lines.append(f"  max relative error: {self.max_rel_error:.3e}")
         return "\n".join(lines)
 
@@ -234,19 +245,12 @@ class FisherComparison:
 def compare_fisher(config, training, channel, cfo, sfo, noise_var,
                    cfo_step: float = CFO_STEP_DEFAULT,
                    sfo_step: float = SFO_STEP_DEFAULT) -> FisherComparison:
-    """Evaluate both Fisher routes and their worst entrywise deviation."""
-    closed = fisher_closed_form(config, training, channel, cfo, sfo,
-                                noise_var)
-    oracle = fisher_numeric_oracle(config, training, channel, cfo, sfo,
-                                   noise_var, cfo_step, sfo_step)
-    rels = []
-    for name in ("f00", "f01", "f11"):
-        a = getattr(closed, name)
-        b = getattr(oracle, name)
-        denom = max(abs(a), abs(b))
-        rels.append(abs(a - b) / denom if denom else 0.0)
-    return FisherComparison(closed=closed, oracle=oracle,
-                            max_rel_error=float(max(rels)))
+    """Evaluate both Fisher routes for their entrywise comparison."""
+    return FisherComparison(
+        closed=fisher_closed_form(config, training, channel, cfo, sfo,
+                                  noise_var),
+        oracle=fisher_numeric_oracle(config, training, channel, cfo, sfo,
+                                     noise_var, cfo_step, sfo_step))
 
 
 def crb_rows(f00, f01, f10, f11):

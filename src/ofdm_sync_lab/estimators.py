@@ -11,10 +11,13 @@ Two competing maximum-likelihood-style grid estimators are provided:
   on faded subcarriers.
 
 Both share the same inter-symbol phase ramp and the same exhaustive
-lattice search with a deterministic tie rule. The residuals evaluate the
-ramp at the true offsets of every trial of an experiment, so that ramp
-is built once and memoized, read-only, in a bounded
-``functools.lru_cache`` as :mod:`ofdm_sync_lab.ofdm_model` does.
+lattice search with a deterministic tie rule. What depends only on the
+experiment is built once and memoized, read-only, in a bounded
+``functools.lru_cache`` as :mod:`ofdm_sync_lab.ofdm_model` does: the
+residuals' ramp at the true offsets, and the one :class:`GridEvaluator`
+of each (grid, config) that the harness and both estimate functions
+search with. A :class:`GridSpec` is hashable for that: its axes are
+read-only and it compares by their bits.
 
 The residuals, the ratio observable and the lattice searches run on
 trial-major (T, K) spectra, and the one-observation functions are their
@@ -89,23 +92,34 @@ class NonFiniteSurfaceError(ValueError):
     """Raised when a cost surface holds a non-finite lattice value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Search lattice: ascending CFO and SFO candidate values."""
+    """Search lattice: ascending CFO and SFO candidate values, held as
+    read-only copies; grids with the same axis bits compare and hash
+    equal."""
 
     cfo_values: np.ndarray
     sfo_values: np.ndarray
 
     def __post_init__(self):
         for name in ("cfo_values", "sfo_values"):
-            values = np.asarray(getattr(self, name), dtype=float)
+            values = np.array(getattr(self, name), dtype=float)
             if values.ndim != 1 or values.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D vector")
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} contains non-finite entries")
             if values.size > 1 and not (np.diff(values) > 0).all():
                 raise ValueError(f"{name} must be strictly ascending")
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _read_only(values))
+
+    def _key(self) -> tuple:
+        return self.cfo_values.tobytes(), self.sfo_values.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, GridSpec) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def shape(self) -> tuple:
@@ -120,24 +134,27 @@ def make_grid(cfo_step: float = 0.01, cfo_max: float = 0.5,
     [-5e-4, 5e-4] at step 1e-5 (101 x 101 points). ``cfo_max``/``sfo_max``
     are rounded to a whole number of steps; a max of zero pins that axis
     to the single value 0. Steps must be finite and positive, maxima
-    finite and non-negative.
+    finite and non-negative, and each max / step ratio must leave a
+    point count that fits an array index.
     """
-    for name, value in (("cfo_step", cfo_step), ("cfo_max", cfo_max),
-                        ("sfo_step", sfo_step), ("sfo_max", sfo_max)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    for name, step in (("cfo_step", cfo_step), ("sfo_step", sfo_step)):
+    axes = []
+    for axis, step, bound in (("cfo", cfo_step, cfo_max),
+                              ("sfo", sfo_step, sfo_max)):
+        for name, value in ((f"{axis}_step", step), (f"{axis}_max", bound)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not step > 0:
-            raise ValueError(f"{name} must be positive, got {step}")
-    for name, bound in (("cfo_max", cfo_max), ("sfo_max", sfo_max)):
+            raise ValueError(f"{axis}_step must be positive, got {step}")
         if bound < 0:
-            raise ValueError(f"{name} must be >= 0, got {bound}")
-    n_cfo = int(round(cfo_max / cfo_step))
-    n_sfo = int(round(sfo_max / sfo_step))
-    return GridSpec(
-        cfo_values=cfo_step * np.arange(-n_cfo, n_cfo + 1),
-        sfo_values=sfo_step * np.arange(-n_sfo, n_sfo + 1),
-    )
+            raise ValueError(f"{axis}_max must be >= 0, got {bound}")
+        # The 2 n + 1 points must fit an array index.
+        if not bound / step < np.iinfo(np.intp).max // 4:
+            raise ValueError(
+                f"{axis}_max / {axis}_step = {bound / step:g} overflows "
+                f"the {axis} grid's point count")
+        n = round(bound / step)
+        axes.append(step * np.arange(-n, n + 1))
+    return GridSpec(cfo_values=axes[0], sfo_values=axes[1])
 
 
 @dataclass(frozen=True)
@@ -276,7 +293,8 @@ class GridEvaluator:
 
     The reported cost is recomputed at the argmin as the direct sum over
     ascending k from the same factors, so it does not carry the kernel's
-    rounding.
+    rounding. The factors are read-only: one evaluator per (grid,
+    config) is shared through :func:`_evaluator`.
     """
 
     def __init__(self, grid: GridSpec, config: OfdmConfig):
@@ -285,16 +303,16 @@ class GridEvaluator:
         a = _TWO_PI * config.symbol_len / config.dft_size
         e = grid.cfo_values[:, None]
         h = grid.sfo_values[None, :]
-        self._lead = np.exp(1j * a * e * (1.0 + h))
+        self._lead = _read_only(np.exp(1j * a * e * (1.0 + h)))
         # (n_sfo, K) per-subcarrier ramps; column k matches
         # exp(j a k sfo) evaluated on the SFO axis.
-        self._sub = np.exp(
-            1j * a * grid.sfo_values[:, None] * config.subcarrier_indices)
+        self._sub = _read_only(np.exp(
+            1j * a * grid.sfo_values[:, None] * config.subcarrier_indices))
         # Per SFO column: Moose's slope s_j = a (1 + sfo_j) and period
         # P_j. The bracket's certificate checks the aliases p_j +/- P_j
         # only; they hold every minimum on the lattice when s_j > 0 and
         # every |cfo| < min_j P_j.
-        self._slope = a * (1.0 + grid.sfo_values)
+        self._slope = _read_only(a * (1.0 + grid.sfo_values))
         self._bracketed = bool(
             (self._slope > 0).all()
             and (np.abs(grid.cfo_values)
@@ -475,6 +493,12 @@ class GridEvaluator:
         return cfo, sfo
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _evaluator(grid: GridSpec, config: OfdmConfig) -> GridEvaluator:
+    """The one :class:`GridEvaluator` of (grid, config), memoized."""
+    return GridEvaluator(grid, config)
+
+
 def _raised(outcome):
     """A row's search result, or raise the failure it holds."""
     if isinstance(outcome, Exception):
@@ -492,7 +516,7 @@ def estimate_proposed(obs: PreambleObservation, grid: GridSpec,
     :meth:`GridEvaluator._moose_step` and reports :func:`proposed_cost`
     there.
     """
-    evaluator = GridEvaluator(grid, config)
+    evaluator = _evaluator(grid, config)
     r0, r1 = obs.r0[None], obs.r1[None]
     c, v = evaluator._pair_terms(r0, r1)
     result = _raised(evaluator._search_rows(c, v, "proposed", r0, r1)[0])
@@ -513,7 +537,7 @@ def estimate_nguyenle(obs: PreambleObservation, grid: GridSpec,
     from the observable.
     """
     y = nguyenle_observable(obs, config)
-    evaluator = GridEvaluator(grid, config)
+    evaluator = _evaluator(grid, config)
     c, v = evaluator._ratio_terms(y[None])
     result = _raised(evaluator._search_rows(c, v, "nguyen_le", 1.0,
                                             y[None])[0])

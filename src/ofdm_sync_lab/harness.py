@@ -21,8 +21,12 @@ per estimator and one stacked Fisher pass, which equal the one-trial
 computations bit for bit (see :mod:`ofdm_sync_lab.ofdm_model` for the
 rules that make them equal), so :func:`run_trial` is the one-trial view
 of the same code. Aggregation always runs in ascending trial order.
+The grid evaluator and the CRB backend depend only on the experiment,
+so they are derived from it, memoized, and never passed in: fig2, crb,
+:func:`run_trial` and ``trial`` all use one probe result per experiment.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +42,8 @@ from .crb import (
 from .estimators import (
     DegenerateObservationError,
     EstimationResult,
-    GridEvaluator,
     GridSpec,
+    _evaluator,
     make_grid,
     nguyenle_cost,
     nguyenle_observable,
@@ -53,6 +57,7 @@ from .ofdm_model import (
     MAX_TRIALS,
     QPSK_ALPHABET,
     ChannelRealization,
+    ImpairmentParams,
     OfdmConfig,
     PreambleObservation,
     TrainingSymbols,
@@ -65,6 +70,7 @@ from .ofdm_model import (
     seed_generator,
     snr_stream_key,
     synthesize_rows,
+    _CACHE_SIZE,
 )
 
 __all__ = [
@@ -128,12 +134,7 @@ class ExperimentConfig:
         if self.n_trials >= MAX_TRIALS:
             raise ValueError(
                 f"n_trials must be below 2**32, got {self.n_trials}")
-        for name in ("cfo", "sfo"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)}")
-        if self.sfo <= -1.0:
-            raise ValueError(f"sfo must exceed -1, got {self.sfo}")
+        ImpairmentParams(self.cfo, self.sfo)  # finite, sfo > -1
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
         # an alias of the true cfo on the search grid costs what truth does.
         period = self.ofdm.dft_size / (self.ofdm.symbol_len
@@ -274,13 +275,14 @@ def _observe(cfg: ExperimentConfig, snr_db: float,
     return demodulate_rows(samples, cfg.ofdm)
 
 
-def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
-                fisher_fn) -> list:
+def _crb_fields(cfg: ExperimentConfig, snr_db: float,
+                draws: _Draws) -> list:
     """Each trial's bounds at the true offsets, as record fields.
 
     The closed form runs once over the chunk; any other backend (the
     numeric oracle on a failed probe) is called one trial at a time.
     """
+    fisher_fn = _select_crb_backend(cfg)[0]
     noise_var = noise_variance_from_snr(cfg.ofdm, snr_db)
     if fisher_fn is fisher_closed_form:
         f00, f01, f11 = fisher_rows(
@@ -312,8 +314,7 @@ def _estimate_fields(name: str, outcome) -> dict:
 
 
 def _burst_records(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
-                   with_estimates: bool, with_crb: bool,
-                   evaluator: GridEvaluator | None, fisher_fn):
+                   with_estimates: bool = True, with_crb: bool = True):
     """The records of a chunk of bursts, and the chunk's spectra."""
     spectra = _observe(cfg, snr_db, draws)
     r0, r1 = spectra[:, 0], spectra[:, 1]
@@ -328,22 +329,20 @@ def _burst_records(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
               for t, n, e, degenerate in zip(draws.indices, n_sq, e_sq,
                                              bad.any(axis=-1))]
     if with_estimates:
+        evaluator = _evaluator(cfg.grid, cfg.ofdm)
         for f, proposed, nguyenle in zip(
                 fields, evaluator.search_proposed_rows(r0, r1),
                 evaluator.search_nguyenle_rows(y, bad)):
             f.update(_estimate_fields("proposed", proposed))
             f.update(_estimate_fields("nguyenle", nguyenle))
     if with_crb:
-        for f, crb in zip(fields, _crb_fields(cfg, snr_db, draws,
-                                              fisher_fn)):
+        for f, crb in zip(fields, _crb_fields(cfg, snr_db, draws)):
             f.update(crb)
     return [TrialRecord(**f) for f in fields], spectra
 
 
 def run_trials(cfg: ExperimentConfig, snr_db: float, indices, *,
-               with_estimates: bool = True, with_crb: bool = True,
-               evaluator: GridEvaluator | None = None,
-               fisher_fn=fisher_closed_form) -> list:
+               with_estimates: bool = True, with_crb: bool = True) -> list:
     """Run fully seeded trials at one SNR point, one record per index.
 
     Residual norms are always evaluated at the true offsets. Grid
@@ -355,15 +354,12 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, indices, *,
     ``indices`` is any sequence of trial indices in [0, 2**32); each
     record is the one that trial gets in any sweep or chunk.
     """
-    if with_estimates and evaluator is None:
-        evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
     records = []
     for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
                          _BURST_STREAMS):
         records += _burst_records(cfg, snr_db, draws,
                                   with_estimates=with_estimates,
-                                  with_crb=with_crb, evaluator=evaluator,
-                                  fisher_fn=fisher_fn)[0]
+                                  with_crb=with_crb)[0]
     return records
 
 
@@ -399,10 +395,7 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     """
     draws = next(_chunks(cfg, snr_stream_key(snr_db), (trial_index,),
                          _BURST_STREAMS))
-    (record,), spectra = _burst_records(
-        cfg, snr_db, draws, with_estimates=True, with_crb=True,
-        evaluator=GridEvaluator(cfg.grid, cfg.ofdm),
-        fisher_fn=fisher_closed_form)
+    (record,), spectra = _burst_records(cfg, snr_db, draws)
     x = draws.training[0]
     obs = PreambleObservation(r0=spectra[0, 0], r1=spectra[0, 1],
                               training=TrainingSymbols(x, x))
@@ -525,27 +518,26 @@ def worker_count() -> int:
     return 1
 
 
-def _select_crb_backend(cfg: ExperimentConfig):
-    """Probe closed-form/oracle agreement at this experiment's settings.
-
-    Compares the two Fisher routes on a few seeded scenarios at the
-    sweep's extreme SNR points. On agreement the closed form is used for
-    the per-trial CRBs; otherwise the sweep falls back to the numeric
-    oracle and carries a per-entry discrepancy report.
-    """
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _probe(cfg: ExperimentConfig):
+    """The worst closed-form/oracle Fisher comparison over two seeded
+    scenarios, at the experiment's extreme SNR points."""
     snrs = (min(cfg.snr_points_db), max(cfg.snr_points_db))
-    worst = None
     draws = next(_chunks(cfg, "crb-backend-probe", range(2),
                          _SCENARIO_STREAMS))
-    for probe_index, (x, taps) in enumerate(zip(draws.training,
-                                                draws.taps)):
-        noise_var = noise_variance_from_snr(
-            cfg.ofdm, snrs[probe_index % len(snrs)])
-        comparison = compare_fisher(cfg.ofdm, TrainingSymbols(x, x),
-                                    ChannelRealization(taps),
-                                    cfg.cfo, cfg.sfo, noise_var)
-        if worst is None or comparison.max_rel_error > worst.max_rel_error:
-            worst = comparison
+    return max((compare_fisher(cfg.ofdm, TrainingSymbols(x, x),
+                               ChannelRealization(taps), cfg.cfo, cfg.sfo,
+                               noise_variance_from_snr(cfg.ofdm, snr_db))
+                for x, taps, snr_db in zip(draws.training, draws.taps,
+                                           snrs)),
+               key=lambda comparison: comparison.max_rel_error)
+
+
+def _select_crb_backend(cfg: ExperimentConfig):
+    """(fisher_fn, name, report) of the experiment's CRB backend: the
+    closed form if its probe agrees within ``CRB_AGREEMENT_RTOL``, else
+    the numeric oracle with the probe's per-entry discrepancy report."""
+    worst = _probe(cfg)
     if worst.max_rel_error < CRB_AGREEMENT_RTOL:
         return fisher_closed_form, "closed_form", None
     return fisher_numeric_oracle, "numeric_oracle", worst.report()
@@ -559,14 +551,19 @@ def _sweep_rows(cfg: ExperimentConfig, records) -> tuple:
                  for snr_db in cfg.snr_points_db)
 
 
-def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
-    evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
-    fisher_fn, backend, report = _select_crb_backend(cfg)
-    rows = _sweep_rows(cfg, lambda snr_db, indices: run_trials(
-        cfg, snr_db, indices, evaluator=evaluator, fisher_fn=fisher_fn))
+def _crb_sweep(cfg: ExperimentConfig, records) -> SweepResult:
+    """The rows of ``records``, which carry CRBs, and the name and report
+    of the backend that bounded them."""
+    rows = _sweep_rows(cfg, records)
+    _, backend, report = _select_crb_backend(cfg)
     return SweepResult(config=cfg, rows=rows, crb_backend=backend,
                        crb_discrepancy=report)
+
+
+def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
+    return _crb_sweep(cfg, lambda snr_db, indices: run_trials(
+        cfg, snr_db, indices))
 
 
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -582,14 +579,11 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     Each trial draws only :func:`run_trial`'s training pair and channel,
     so the rows' CRB columns equal :func:`run_mse_sweep`'s.
     """
-    fisher_fn, backend, report = _select_crb_backend(cfg)
-
     def records(snr_db, indices):
         return [TrialRecord(trial_index=t, snr_db=snr_db, **crb)
                 for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
                                      _SCENARIO_STREAMS)
-                for t, crb in zip(draws.indices, _crb_fields(
-                    cfg, snr_db, draws, fisher_fn))]
+                for t, crb in zip(draws.indices,
+                                  _crb_fields(cfg, snr_db, draws))]
 
-    return SweepResult(config=cfg, rows=_sweep_rows(cfg, records),
-                       crb_backend=backend, crb_discrepancy=report)
+    return _crb_sweep(cfg, records)

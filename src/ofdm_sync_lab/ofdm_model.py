@@ -77,6 +77,7 @@ __all__ = [
     "seed_generator",
     "snr_stream_key",
     "MAX_TRIALS",
+    "QPSK_ALPHABET",
 ]
 
 _TWO_PI = 2.0 * np.pi

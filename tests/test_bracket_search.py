@@ -165,29 +165,29 @@ def test_bracket_ties_break_to_the_first_lattice_point():
     assert (result.cfo, result.sfo) == (0.0, -1e-4)
 
 
-class _Counting(GridEvaluator):
-    """Records, per row search, how many rows the bracket certified."""
+def certified_shares(monkeypatch, snr_db):
+    """Per row search of one default chunk: how many rows it searched
+    and how many of them the bracket certified."""
+    certified = []
+    bracket = GridEvaluator._bracket
 
-    def _bracket(self, c, v):
-        found = super()._bracket(c, v)
-        self.certified.append((len(c), found[0].size))
+    def spy(self, c, v):
+        found = bracket(self, c, v)
+        certified.append((len(c), found[0].size))
         return found
 
-
-def certified_shares(snr_db):
-    cfg = make_experiment()
-    ev = _Counting(cfg.grid, cfg.ofdm)
-    ev.certified = []
-    run_trials(cfg, snr_db, range(32), with_crb=False, evaluator=ev)
-    return tuple(ev.certified)
+    with monkeypatch.context() as patch:
+        patch.setattr(GridEvaluator, "_bracket", spy)
+        run_trials(make_experiment(), snr_db, range(32), with_crb=False)
+    return tuple(certified)
 
 
-def test_default_chunks_take_the_bracket():
+def test_default_chunks_take_the_bracket(monkeypatch):
     """A default fig2 chunk never falls back to the full surface for the
     proposed fit at 5 dB, nor for either fit at 20 dB. The ratio fit's
     noise on faded subcarriers leaves a few low-SNR rows to the full
     surface, so its 5 dB share is only bounded from below."""
-    proposed, nguyenle = certified_shares(5.0)
+    proposed, nguyenle = certified_shares(monkeypatch, 5.0)
     assert proposed == (32, 32)
     assert nguyenle[0] == 32 and nguyenle[1] >= 30
-    assert certified_shares(20.0) == ((32, 32), (32, 32))
+    assert certified_shares(monkeypatch, 20.0) == ((32, 32), (32, 32))

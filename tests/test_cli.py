@@ -139,6 +139,8 @@ def test_unknown_flag_exits_2():
     (["fig2", "--grid-sfo-max", "inf"], "sfo_max must be finite"),
     (["fig2", "--grid-cfo-max", "nan"], "cfo_max must be finite"),
     (["fig2", "--grid-sfo-step", "nan"], "sfo_step must be finite"),
+    (["fig2", "--grid-cfo-step", "1e-320"],
+     "cfo_max / cfo_step = inf overflows"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

@@ -87,6 +87,10 @@ def test_make_grid_rejects_bad_steps():
         (name,) = kwargs
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make_grid(**kwargs)
+    # finite, but more points than an array index can count
+    for kwargs in ({"cfo_step": 1e-320}, {"sfo_step": 1e-300}):
+        with pytest.raises(ValueError, match="overflows"):
+            make_grid(**kwargs)
 
 
 def test_grid_spec_validation():

@@ -9,7 +9,6 @@ import pytest
 
 from ofdm_sync_lab import (
     EstimationResult,
-    GridEvaluator,
     ImpairmentParams,
     PreambleObservation,
     TrialRecord,
@@ -17,6 +16,7 @@ from ofdm_sync_lab import (
     demodulate,
     derive_rng,
     generate_training_symbols,
+    inspect_trial,
     make_config,
     make_experiment,
     make_grid,
@@ -100,6 +100,16 @@ def test_experiment_config_validation():
     # one symbol: the estimators and the CRB need the repeated pair
     with pytest.raises(ValueError, match="n_symbols must be 2, got 1"):
         replace(make_experiment(), ofdm=make_config(64, 52, 16, n_symbols=1))
+
+
+def test_equal_grids_and_experiments_compare_and_hash_equal():
+    """Grids and experiments key the per-experiment caches by value."""
+    grid, cfg = make_grid(), make_experiment()
+    assert (grid, cfg) == (make_grid(), make_experiment())
+    assert hash((grid, cfg)) == hash((make_grid(), make_experiment()))
+    assert grid != make_grid(cfo_max=0.4)
+    assert cfg != make_experiment(grid=make_grid(sfo_max=0.0))
+    assert not grid.cfo_values.flags.writeable
 
 
 @pytest.mark.parametrize("field, value", [
@@ -220,9 +230,7 @@ def test_frozen_trial_at_30db():
 
 def test_proposed_tracks_truth_over_trials():
     cfg = make_experiment()
-    evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
-    records = [run_trial(cfg, 30.0, t, evaluator=evaluator, with_crb=False)
-               for t in range(50)]
+    records = [run_trial(cfg, 30.0, t, with_crb=False) for t in range(50)]
     for rec in records:
         assert rec.proposed.cfo == pytest.approx(0.21, rel=1e-15)
     mean_sfo_err = np.mean([abs(r.proposed.sfo - cfg.sfo) for r in records])
@@ -305,12 +313,10 @@ def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
     swept = sweep_records(monkeypatch, run_mse_sweep, cfg)
     residuals = sweep_records(monkeypatch, run_noise_variance_sweep, cfg)
     bounds = sweep_records(monkeypatch, run_crb_sweep, cfg)
-    evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
     for snr_db in cfg.snr_points_db:
         for t in range(n_trials):
             key = (snr_db, t)
-            assert run_trial(cfg, snr_db, t, evaluator=evaluator) \
-                == swept[key]
+            assert run_trial(cfg, snr_db, t) == swept[key]
             assert run_trial(cfg, snr_db, t, with_estimates=False,
                              with_crb=False) == residuals[key]
             direct = run_trial(cfg, snr_db, t, with_estimates=False)
@@ -433,10 +439,8 @@ def test_mse_sweep_matches_manual_aggregation():
     assert sweep.crb_backend == "closed_form"
     assert sweep.crb_discrepancy is None
     assert len(sweep.rows) == 2
-    evaluator = GridEvaluator(cfg.grid, cfg.ofdm)
     for row, snr_db in zip(sweep.rows, cfg.snr_points_db):
-        records = [run_trial(cfg, snr_db, t, evaluator=evaluator)
-                   for t in range(cfg.n_trials)]
+        records = [run_trial(cfg, snr_db, t) for t in range(cfg.n_trials)]
         assert aggregate(records, cfg.cfo, cfg.sfo) == row
 
 
@@ -513,3 +517,8 @@ def test_backend_probe_falls_back_to_oracle(monkeypatch):
     assert crb_sweep.crb_discrepancy == sweep.crb_discrepancy
     assert (crb_sweep.rows[0].crb_cfo, crb_sweep.rows[0].crb_sfo) == \
         (row.crb_cfo, row.crb_sfo)
+    # and so do the one-trial routes: run_trial and trial
+    swept = sweep_records(monkeypatch, run_mse_sweep, cfg)
+    for t in range(cfg.n_trials):
+        assert run_trial(cfg, 15.0, t) == swept[(15.0, t)]
+        assert inspect_trial(cfg, 15.0, t).record == swept[(15.0, t)]
