@@ -12,10 +12,11 @@ reproducible bit for bit regardless of chunking or execution order. A
 sweep derives the streams of an SNR point in one pass per label
 (:func:`ofdm_model.derive_states`, numpy's ``SeedSequence`` vectorized
 over the trials); each chunk reads its rows of that seed table and, per
-trial and label, seeds a fresh ``PCG64`` generator from its row
-(:func:`ofdm_model.seed_generator`) and draws into the chunk's arrays.
-The streams are those of :func:`ofdm_model.derive_rng`, bit for bit,
-and only the current SNR point's seed table is held. A chunk then
+trial and label, seeds a fresh ``PCG64`` from its row and draws into the
+chunk's arrays: the QPSK picks from its raw words
+(:func:`ofdm_model._qpsk_picks`), the normals through ``Generator``.
+These are the draws of :func:`ofdm_model.derive_rng`'s streams, bit for
+bit, and only the current SNR point's seed table is held. A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass, which equal the one-trial
 computations bit for bit (see :mod:`ofdm_sync_lab.ofdm_model` for the
@@ -67,10 +68,11 @@ from .ofdm_model import (
     derive_states,
     make_config,
     noise_variance_from_snr,
-    seed_generator,
     snr_stream_key,
     synthesize_rows,
     _CACHE_SIZE,
+    _SeedWords,
+    _qpsk_picks,
 )
 
 __all__ = [
@@ -228,25 +230,22 @@ def _draw(cfg: ExperimentConfig, indices, seeds: dict) -> _Draws:
     """Draw a chunk's trials, each from its own streams.
 
     ``seeds`` maps each label to the chunk's rows of its seed table. Each
-    trial and label gets a generator seeded from its row, and each draw is
-    the one-trial draw of that label, written into its row.
+    draw is the one-trial draw of that label from a ``PCG64`` seeded from
+    its row: QPSK picks from raw words, normals through ``Generator``.
     """
-    n_active = cfg.ofdm.n_active
-    picks = np.empty((len(indices), n_active), dtype=np.int64)
-    for row, words in zip(picks, seeds["training"]):
-        row[:] = seed_generator(words).integers(0, 4, size=n_active)
-
     def normals(label, n):
         """(T, 2, n): one trial's (2, n) standard normals per row."""
         out = np.empty((len(indices), 2, n))
         for row, words in zip(out, seeds[label]):
-            seed_generator(words).standard_normal(out=row)
+            np.random.Generator(np.random.PCG64(_SeedWords(words))) \
+                .standard_normal(out=row)
         return out
 
     noise = None
     if "noise0" in seeds:
         noise = np.stack([normals(label, cfg.ofdm.dft_size)
                           for label in _BURST_STREAMS[2:]], axis=1)
+    picks = _qpsk_picks(seeds["training"], cfg.ofdm.n_active)
     return _Draws(indices=tuple(indices), training=QPSK_ALPHABET[picks],
                   taps=channel_taps(normals("channel", cfg.n_taps)),
                   noise=noise)
@@ -255,8 +254,8 @@ def _draw(cfg: ExperimentConfig, indices, seeds: dict) -> _Draws:
 def _chunks(cfg: ExperimentConfig, stream_key, indices, labels):
     """Yield the draws of ``indices`` chunk by chunk, in index order.
 
-    Each label's seed table is derived once over all the indices, and
-    each chunk reads its rows of it.
+    Each label's seed table is derived (and checked) once over all the
+    indices, and each chunk hands its rows to ``PCG64`` unchecked.
     """
     tables = {label: derive_states(cfg.master_seed, stream_key, indices,
                                    label) for label in labels}

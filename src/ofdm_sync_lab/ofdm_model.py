@@ -41,7 +41,8 @@ of trial indices at once, and :func:`seed_generator` hands one trial's
 seed words to numpy's own PCG64 seeding; both reproduce
 :func:`derive_rng`'s stream bit for bit, which numpy's own
 ``SeedSequence`` checks in the tests. A trial index must lie in
-[0, 2**32), where it is exactly one word.
+[0, 2**32), where it is exactly one word. QPSK picks come from raw PCG64
+words (:func:`_qpsk_picks`), stable across numpy versions by NEP 19.
 """
 
 import functools
@@ -117,7 +118,7 @@ def _complex_normal(scale, normals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """Static preamble geometry.
+    """Static preamble geometry; invalid fields raise ``ValueError``.
 
     Attributes
     ----------
@@ -136,6 +137,26 @@ class OfdmConfig:
     n_active: int
     cp_len: int
     n_symbols: int = 2
+
+    def __post_init__(self):
+        for name in ("dft_size", "n_active", "cp_len", "n_symbols"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value <= 0 and name != "cp_len":
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, int(value))
+        if self.cp_len < 0:
+            raise ValueError(f"cp_len must be >= 0, got {self.cp_len}")
+        if self.n_symbols > 2:
+            raise ValueError(f"n_symbols must be 1 or 2, got {self.n_symbols}")
+        if self.dft_size % 2:
+            raise ValueError(f"dft_size (N) must be even, got {self.dft_size}")
+        if self.n_active % 2:
+            raise ValueError(f"n_active (K) must be even, got {self.n_active}")
+        if self.n_active > self.dft_size:
+            raise ValueError(f"K exceeds N ({self.n_active} > "
+                             f"{self.dft_size})")
 
     @property
     def subcarrier_indices(self) -> np.ndarray:
@@ -156,31 +177,8 @@ class OfdmConfig:
 
 def make_config(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
                 n_symbols: int = 2) -> OfdmConfig:
-    """Validate and build an :class:`OfdmConfig`.
-
-    Raises
-    ------
-    ValueError
-        If a field is non-positive, N or K is odd, K exceeds N, or there
-        are more than the two training symbols.
-    """
-    for name, value in (("dft_size", dft_size), ("n_active", n_active),
-                        ("cp_len", cp_len), ("n_symbols", n_symbols)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value <= 0 and name != "cp_len":
-            raise ValueError(f"{name} must be positive, got {value}")
-    if cp_len < 0:
-        raise ValueError(f"cp_len must be >= 0, got {cp_len}")
-    if n_symbols > 2:
-        raise ValueError(f"n_symbols must be 1 or 2, got {n_symbols}")
-    if dft_size % 2:
-        raise ValueError(f"dft_size (N) must be even, got {dft_size}")
-    if n_active % 2:
-        raise ValueError(f"n_active (K) must be even, got {n_active}")
-    if n_active > dft_size:
-        raise ValueError(f"K exceeds N ({n_active} > {dft_size})")
-    return OfdmConfig(int(dft_size), int(n_active), int(cp_len), int(n_symbols))
+    """Build an :class:`OfdmConfig`, which validates its fields."""
+    return OfdmConfig(dft_size, n_active, cp_len, n_symbols)
 
 
 @dataclass(frozen=True)
@@ -674,8 +672,8 @@ def derive_states(master_seed: int, stream_key, trial_indices,
     """Seed words of ``derive_rng(master_seed, stream_key, t, label)`` for
     every trial index t, as a (T, 4) uint64 array.
 
-    Runs SeedSequence's mixing once over the trial axis instead of once
-    per trial; :func:`seed_generator` turns a row into the generator.
+    Runs SeedSequence's mixing and :func:`_seed_table`'s check once over
+    the trial axis; :func:`seed_generator` turns a row into the generator.
 
     Raises
     ------
@@ -695,7 +693,7 @@ def derive_states(master_seed: int, stream_key, trial_indices,
         else trials.astype(np.uint32)
     entropy = (_key_words(int(master_seed)) + _key_words(stream_key)
                + [trial_word] + _key_words(label))
-    return _seed_words(_hash_pool(entropy), trials.size)
+    return _seed_table(_seed_words(_hash_pool(entropy), trials.size))
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -709,12 +707,35 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _seed_table(seed_words) -> np.ndarray:
+    """Seed words as a C-contiguous 2-D uint64 table with rows of four:
+    PCG64 reads four words from a row's buffer, whatever its length."""
+    words = np.asarray(seed_words)
+    if words.dtype.kind not in "iu":  # Python ints >= 2**63 are not int64
+        words = np.asarray(seed_words, dtype=object)
+    if (words.ndim != 2 or words.shape[-1] != 4 or words.dtype == object
+            and not all(isinstance(w, (int, np.integer)) for w in words.flat)
+            or words.size and (words.min() < 0 or words.max() > _MASK64)):
+        raise ValueError(f"seed rows need 4 ints in [0, 2**64): {words!r}")
+    return np.ascontiguousarray(words, dtype=np.uint64)
+
+
+def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
+    """``integers(0, 4, K)`` of each :func:`_seed_table` row, (T, K), from
+    raw PCG64 words: for a range of 4 Lemire's method never rejects and
+    takes the top two bits of each 32-bit half, low half first (K even)."""
+    raw = np.empty((len(seeds), n_active // 2), dtype=np.uint64)
+    for out, words in zip(raw, seeds):
+        out[:] = np.random.PCG64(_SeedWords(words)).random_raw(out.size)
+    halves = (raw[..., None] >> np.array([30, 62], dtype=np.uint64)) & 3
+    return halves.reshape(len(seeds), n_active)
+
+
 def seed_generator(seed_words) -> np.random.Generator:
     """A PCG64 generator freshly seeded with four 64-bit words, as
     ``PCG64`` seeds itself from ``SeedSequence.generate_state(4,
-    uint64)``."""
-    # PCG64 reads the words' buffer, so it must be contiguous uint64.
-    words = np.ascontiguousarray(seed_words, dtype=np.uint64)
+    uint64)``; anything but four integers in [0, 2**64) is a ValueError."""
+    words = _seed_table([seed_words])[0]
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 

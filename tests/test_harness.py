@@ -10,6 +10,7 @@ import pytest
 from ofdm_sync_lab import (
     EstimationResult,
     ImpairmentParams,
+    OfdmConfig,
     PreambleObservation,
     TrialRecord,
     aggregate,
@@ -100,6 +101,12 @@ def test_experiment_config_validation():
     # one symbol: the estimators and the CRB need the repeated pair
     with pytest.raises(ValueError, match="n_symbols must be 2, got 1"):
         replace(make_experiment(), ofdm=make_config(64, 52, 16, n_symbols=1))
+    # a directly built OfdmConfig is checked as make_config checks it: an
+    # odd K once died mid-sweep, and K > N wrote residuals of 80 bins
+    with pytest.raises(ValueError, match="n_active \\(K\\) must be even"):
+        replace(make_experiment(), ofdm=OfdmConfig(64, 51, 16))
+    with pytest.raises(ValueError, match="K exceeds N"):
+        replace(make_experiment(), ofdm=OfdmConfig(64, 80, 16))
 
 
 def test_equal_grids_and_experiments_compare_and_hash_equal():

@@ -91,7 +91,7 @@ def test_no_cp_full_band_config_is_valid():
     npt.assert_array_equal(cfg.subcarrier_indices, np.arange(-32, 32))
 
 
-@pytest.mark.parametrize("args, fragment", [
+INVALID_GEOMETRIES = [
     ((64, 70, 16), "K exceeds N"),
     ((63, 52, 16), "even"),
     ((64, 51, 16), "even"),
@@ -99,15 +99,37 @@ def test_no_cp_full_band_config_is_valid():
     ((0, 52, 16), "positive"),
     ((64, 0, 16), "positive"),
     ((64, 52, 16, 3), "n_symbols must be 1 or 2"),
-])
+]
+
+
+@pytest.mark.parametrize("args, fragment", INVALID_GEOMETRIES)
 def test_make_config_rejects(args, fragment):
     with pytest.raises(ValueError, match=fragment):
         make_config(*args)
 
 
+@pytest.mark.parametrize("args, fragment", INVALID_GEOMETRIES + [
+    ((64, 80, 16), "K exceeds N"),
+    ((64.0, 52, 16), "integer"),
+    ((64, 52, 16, 2.0), "integer"),
+])
+def test_ofdm_config_rejects_what_make_config_rejects(args, fragment):
+    """The checks live in the config itself, so a directly built config
+    (as ``ExperimentConfig(ofdm=...)`` takes one) cannot skip them."""
+    with pytest.raises(ValueError, match=fragment):
+        OfdmConfig(*args)
+
+
 def test_make_config_rejects_non_integer():
     with pytest.raises(ValueError, match="integer"):
         make_config(64.0, 52, 16)
+
+
+def test_config_fields_are_plain_ints():
+    cfg = OfdmConfig(np.int64(64), np.int32(52), np.uint8(16))
+    assert cfg == make_config(64, 52, 16)
+    assert all(type(v) is int for v in (cfg.dft_size, cfg.n_active,
+                                         cfg.cp_len, cfg.n_symbols))
 
 
 # ---------------------------------------------------------------- training
@@ -559,6 +581,63 @@ def test_derived_states_match_numpy_seeding(seed, key, label, trials):
                                oracle.integers(0, 4, 52))
         npt.assert_array_equal(rng.standard_normal(64),
                                oracle.standard_normal(64))
+
+
+SEED_ROWS = st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=4,
+                              max_size=4), min_size=1, max_size=40)
+
+
+def _integers_oracle(words, n_active):
+    """``Generator.integers(0, 4, K)`` of a fresh PCG64 seeded with one row."""
+    return np.random.Generator(np.random.PCG64(
+        ofdm_model._SeedWords(words))).integers(0, 4, n_active)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(rows=SEED_ROWS, half=st.integers(1, 160))
+@example(rows=[[0] * 4], half=1)
+@example(rows=[[2 ** 64 - 1] * 4], half=26)
+@example(rows=[[0] * 4, [2 ** 64 - 1] * 4, [0, 2 ** 64 - 1, 0, 1]],
+         half=128)
+def test_qpsk_picks_match_generator_integers(rows, half):
+    """The picks read from raw PCG64 words are, row for row, the numbers
+    ``Generator.integers(0, 4, K)`` draws from the same seed."""
+    table = ofdm_model._seed_table(rows)
+    picks = ofdm_model._qpsk_picks(table, 2 * half)
+    assert picks.shape == (len(rows), 2 * half)
+    for row, words in zip(picks, table):
+        npt.assert_array_equal(row, _integers_oracle(words, 2 * half))
+
+
+def test_qpsk_picks_match_generator_integers_for_every_even_k():
+    table = np.vstack([
+        derive_states(12345, 15000, range(3), "training"),
+        ofdm_model._seed_table([[0] * 4, [2 ** 64 - 1] * 4])])
+    for n_active in range(2, 258, 2):
+        picks = ofdm_model._qpsk_picks(table, n_active)
+        for row, words in zip(picks, table):
+            npt.assert_array_equal(row, _integers_oracle(words, n_active))
+
+
+@pytest.mark.parametrize("words", [
+    [1, 2], [1, 2, 3, 4, 5], [1.5, 2, 3, 4], np.zeros(4), [-1, 0, 0, 0],
+    [2 ** 64, 0, 0, 0], ["1", 2, 3, 4], [[1, 2, 3, 4]], 7, [],
+], ids=["short", "long", "fraction", "float-array", "negative",
+        "too-large", "string", "2-D", "scalar", "empty"])
+def test_seed_generator_rejects_anything_but_four_words(words):
+    """PCG64 reads four words from whatever buffer it is handed, so a
+    short row would be read past its end and a long one truncated."""
+    with pytest.raises(ValueError, match="seed rows need 4 ints"):
+        seed_generator(words)
+
+
+def test_seed_generator_accepts_four_words_in_any_integer_form():
+    seq = np.random.SeedSequence(2 ** 70 + 3)
+    words = seq.generate_state(4, np.uint64)
+    oracle = np.random.PCG64(np.random.SeedSequence(2 ** 70 + 3)).state
+    for form in (words, [int(w) for w in words], tuple(words),
+                 words.astype(object), np.repeat(words, 2)[::2]):
+        assert seed_generator(form).bit_generator.state == oracle
 
 
 @pytest.mark.parametrize("keys", [
