@@ -29,7 +29,9 @@ is read, for the whole stack at once, from the two CFO rows that
 bracket that closed form in every SFO column; a trial whose argmin this
 cannot certify forms its full 101 x 101 surface, its finiteness check
 and its argmin on its own, so a failure marks only its own trial.
-Either way the result is the full surface's, bit for bit.
+Either way the result is the full surface's, bit for bit. The row
+searches return trial-major columns (``_Estimates``) that the harness
+reduces directly; ``search_*_rows`` are their list views.
 ``refine=True`` moves a lattice estimate off the lattice from the same
 correlations: Moose's closed-form CFO at the argmin's SFO, and the SFO
 vertex of the profile over SFO. The direct formulas
@@ -165,6 +167,26 @@ class EstimationResult:
     sfo: float
     cost: float
     method: str
+
+
+@dataclass(frozen=True)
+class _Estimates:
+    """One estimator's searches of a stack of rows, trial-major: each
+    row's lattice ``cfo``, ``sfo`` and ``cost`` (NaN where it failed),
+    and ``failures``, the failure of each failed row by row index."""
+
+    method: str
+    cfo: np.ndarray
+    sfo: np.ndarray
+    cost: np.ndarray
+    failures: dict
+
+    def results(self) -> list:
+        """Each row's :class:`EstimationResult`, or its failure."""
+        rows = zip(self.cfo.tolist(), self.sfo.tolist(), self.cost.tolist())
+        return [self.failures[t] if t in self.failures else
+                EstimationResult(*row, self.method)
+                for t, row in enumerate(rows)]
 
 
 def symbol_phase_ramp(k, cfo: float, sfo: float, config: OfdmConfig):
@@ -353,12 +375,6 @@ class GridEvaluator:
                                 sfo=float(self.grid.sfo_values[j]),
                                 cost=float(cost), method=method)
 
-    def _search(self, c, v, method, r0, r1):
-        try:
-            return self._result(self._surface(c, v), method, r0, r1)
-        except NonFiniteSurfaceError as exc:
-            return exc
-
     def _bracket(self, c, v):
         """The rows of (c, v) whose lattice argmin the bracket certifies,
         and that argmin's (cfo, sfo) indices, as three index vectors."""
@@ -404,28 +420,51 @@ class GridEvaluator:
         sure = best < bound
         return (rows[sure],) + divmod(pick[sure], n_sfo)
 
-    def _search_rows(self, c, v, method, r0, r1) -> list:
+    def _search_rows(self, c, v, method, r0, r1,
+                     failures=()) -> _Estimates:
         """Search every row of the terms (c, v) of the spectra r0, r1; r0
-        is an array of rows or the scalar 1.0 of the ratio fit.
+        is an array of rows or the scalar 1.0 of the ratio fit. Rows
+        already in ``failures`` (with a NaN c) are not searched.
 
         Certified rows take the bracket's argmin and report their costs
-        in one pass; every other row runs :meth:`_search`.
+        in one pass; every other row, still NaN, forms its full surface.
         """
         rows, i, j = self._bracket(c, v)
         scalar = np.ndim(r0) == 0
         diff = r1[rows] - (self._lead[i, j][:, None] * self._sub[j]
                            * (r0 if scalar else r0[rows]))
+        found = np.full((3, len(c)), np.nan)
         # Sequential accumulation over ascending k, as in _result.
-        costs = np.add.accumulate(diff.real ** 2 + diff.imag ** 2,
-                                  axis=-1)[:, -1]
-        found = {t: EstimationResult(cfo=cfo, sfo=sfo, cost=cost,
-                                     method=method)
-                 for t, cfo, sfo, cost in zip(
-                     rows.tolist(), self.grid.cfo_values[i].tolist(),
-                     self.grid.sfo_values[j].tolist(), costs.tolist())}
-        return [found[t] if t in found else self._search(
-                    c[t], v[t], method, r0 if scalar else r0[t], r1[t])
-                for t in range(len(c))]
+        found[:, rows] = (self.grid.cfo_values[i], self.grid.sfo_values[j],
+                          np.add.accumulate(diff.real ** 2 + diff.imag ** 2,
+                                            axis=-1)[:, -1])
+        failures = dict(failures)
+        for t in np.flatnonzero(np.isnan(found[0])).tolist():
+            try:
+                if t not in failures:
+                    result = self._result(self._surface(c[t], v[t]), method,
+                                          r0 if scalar else r0[t], r1[t])
+                    found[:, t] = result.cfo, result.sfo, result.cost
+            except NonFiniteSurfaceError as exc:
+                failures[t] = exc
+        return _Estimates(method, *found, failures)
+
+    def _search_pairs(self, r0, r1) -> _Estimates:
+        """The proposed fit of every row of the (T, K) spectra r0, r1."""
+        c, v = self._pair_terms(r0, r1)
+        return self._search_rows(c, v, "proposed", r0, r1)
+
+    def _search_ratios(self, y, bad) -> _Estimates:
+        """The Nguyen-Le fit of every row of the ratio observable (y, bad)
+        of :func:`ratio_observable_rows`; a degenerate row fails with
+        :class:`DegenerateObservationError` unsearched."""
+        c, v = self._ratio_terms(y)
+        degenerate = np.flatnonzero(bad.any(axis=-1))
+        c[degenerate] = np.nan  # which the bracket never certifies
+        ks = self.config.subcarrier_indices
+        return self._search_rows(c, v, "nguyen_le", 1.0, y, {
+            t: DegenerateObservationError(ks[bad[t]])
+            for t in degenerate.tolist()})
 
     def search_proposed_rows(self, r0, r1) -> list:
         """Search every row of the (T, K) spectra r0, r1.
@@ -433,8 +472,7 @@ class GridEvaluator:
         Returns one entry per row: its :class:`EstimationResult`, or the
         :class:`NonFiniteSurfaceError` that row's surface raised.
         """
-        c, v = self._pair_terms(r0, r1)
-        return self._search_rows(c, v, "proposed", r0, r1)
+        return self._search_pairs(r0, r1).results()
 
     def search_nguyenle_rows(self, y, bad) -> list:
         """Search every row of the ratio observable (y, bad) of
@@ -445,13 +483,7 @@ class GridEvaluator:
         :class:`NonFiniteSurfaceError` of that row. Degenerate rows are
         not searched.
         """
-        c, v = self._ratio_terms(y)
-        live = ~bad.any(axis=-1)
-        found = iter(self._search_rows(c[live], v[live], "nguyen_le", 1.0,
-                                       y[live]))
-        ks = self.config.subcarrier_indices
-        return [next(found) if ok else DegenerateObservationError(ks[b])
-                for ok, b in zip(live, bad)]
+        return self._search_ratios(y, bad).results()
 
     def search_proposed(self, obs: PreambleObservation) -> EstimationResult:
         return _raised(self.search_proposed_rows(obs.r0[None],
@@ -519,7 +551,8 @@ def estimate_proposed(obs: PreambleObservation, grid: GridSpec,
     evaluator = _evaluator(grid, config)
     r0, r1 = obs.r0[None], obs.r1[None]
     c, v = evaluator._pair_terms(r0, r1)
-    result = _raised(evaluator._search_rows(c, v, "proposed", r0, r1)[0])
+    result = _raised(evaluator._search_rows(c, v, "proposed", r0,
+                                            r1).results()[0])
     if not refine:
         return result
     cfo, sfo = evaluator._moose_step(v[0], result)
@@ -540,7 +573,7 @@ def estimate_nguyenle(obs: PreambleObservation, grid: GridSpec,
     evaluator = _evaluator(grid, config)
     c, v = evaluator._ratio_terms(y[None])
     result = _raised(evaluator._search_rows(c, v, "nguyen_le", 1.0,
-                                            y[None])[0])
+                                            y[None]).results()[0])
     if not refine:
         return result
     cfo, sfo = evaluator._moose_step(v[0], result)

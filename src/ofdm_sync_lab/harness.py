@@ -1,34 +1,47 @@
 """Deterministic Monte-Carlo harness for the estimator comparisons.
 
 Every trial decision lives here. Each ``sync-lab`` command is one call:
-the fig1, fig2 and crb sweeps below, each reduced by :func:`aggregate`,
-and :func:`inspect_trial` for ``trial``.
+the fig1, fig2 and crb sweeps below, and :func:`inspect_trial` for
+``trial``.
 
-Trials run serially in the calling thread, in fixed chunks of
-``_CHUNK`` trials held as trial-major arrays (:func:`run_trials`). Every
-trial draws from its own labeled random substreams, keyed by the master
-seed, the SNR point, the trial index and the label, so results are
+Trials run serially in the calling thread, in fixed chunks of ``_CHUNK``
+trials held as trial-major arrays (:func:`run_trials`). Every trial
+draws from its own labeled random substreams, keyed by the master seed,
+the SNR point, the trial index and the label, so results are
 reproducible bit for bit regardless of chunking or execution order. A
-sweep derives the streams of an SNR point in one pass per label
-(:func:`ofdm_model.derive_states`, numpy's ``SeedSequence`` vectorized
-over the trials); each chunk reads its rows of that seed table and, per
-trial and label, seeds a fresh ``PCG64`` from its row and draws into the
-chunk's arrays: the QPSK picks from its raw words
+sweep derives the streams of an SNR point in one mixing pass
+(:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
+over the trials and labels); each chunk reads its rows of those seed
+tables and, per trial and label, seeds a fresh ``PCG64`` from its row
+and draws into the chunk's arrays: the QPSK picks from its raw words
 (:func:`ofdm_model._qpsk_picks`), the normals through ``Generator``.
 These are the draws of :func:`ofdm_model.derive_rng`'s streams, bit for
-bit, and only the current SNR point's seed table is held. A chunk then
+bit, and only the current SNR point's seed tables are held. A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass, which equal the one-trial
 computations bit for bit (see :mod:`ofdm_sync_lab.ofdm_model` for the
 rules that make them equal), so :func:`run_trial` is the one-trial view
-of the same code. Aggregation always runs in ascending trial order.
-The grid evaluator and the CRB backend depend only on the experiment,
-so they are derived from it, memoized, and never passed in: fig2, crb,
+of the same code.
+
+A chunk's outcomes stay trial-major columns (:class:`_Columns`): the
+residual norms, each estimator's lattice cfo, sfo and cost, the bounds,
+a mask per failure kind and the reason of each failed search. A sweep
+reduces each SNR point's columns with :func:`_reduce`; ``TrialRecord``s
+are built only in the one-trial views (:func:`run_trials` and what calls
+it), and :func:`aggregate` turns records into columns for the same
+reducer. The reduction equals a loop over the records bit for bit under
+two rules: every mean is a sequential sum in ascending trial order
+(``np.sum`` sums pairwise), and every squared error is the Python float
+``(v - truth) ** 2``, which is libm's ``pow`` (numpy's ``x ** 2`` is
+``x * x``, which rounds differently on about one input in a thousand).
+The grid evaluator and the CRB backend depend only on the experiment, so
+they are derived from it, memoized, and never passed in: fig2, crb,
 :func:`run_trial` and ``trial`` all use one probe result per experiment.
 """
 
 import functools
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,9 +54,10 @@ from .crb import (
     invertible,
 )
 from .estimators import (
-    DegenerateObservationError,
     EstimationResult,
     GridSpec,
+    NonFiniteSurfaceError,
+    _Estimates,
     _evaluator,
     make_grid,
     nguyenle_cost,
@@ -65,13 +79,13 @@ from .ofdm_model import (
     carrier_gain,
     channel_taps,
     demodulate_rows,
-    derive_states,
     make_config,
     noise_variance_from_snr,
     snr_stream_key,
     synthesize_rows,
     _CACHE_SIZE,
     _SeedWords,
+    _derive_tables,
     _qpsk_picks,
 )
 
@@ -226,6 +240,24 @@ class _Draws:
     noise: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """Outcomes of trials at one SNR point, trial-major: row i is trial
+    ``indices[i]``. A stage that did not run leaves its columns None;
+    ``degenerate`` and ``singular`` mask the rows without a usable
+    ``e_sq`` or bound, and estimator failures map rows to reasons."""
+
+    indices: tuple
+    n_sq: np.ndarray | None = None
+    e_sq: np.ndarray | None = None
+    degenerate: np.ndarray | None = None
+    proposed: _Estimates | None = None
+    nguyenle: _Estimates | None = None
+    crb_cfo: np.ndarray | None = None
+    crb_sfo: np.ndarray | None = None
+    singular: np.ndarray | None = None
+
+
 def _draw(cfg: ExperimentConfig, indices, seeds: dict) -> _Draws:
     """Draw a chunk's trials, each from its own streams.
 
@@ -257,8 +289,7 @@ def _chunks(cfg: ExperimentConfig, stream_key, indices, labels):
     Each label's seed table is derived (and checked) once over all the
     indices, and each chunk hands its rows to ``PCG64`` unchecked.
     """
-    tables = {label: derive_states(cfg.master_seed, stream_key, indices,
-                                   label) for label in labels}
+    tables = _derive_tables(cfg.master_seed, stream_key, indices, labels)
     for start in range(0, len(indices), _CHUNK):
         rows = slice(start, start + _CHUNK)
         yield _draw(cfg, indices[rows],
@@ -274,9 +305,9 @@ def _observe(cfg: ExperimentConfig, snr_db: float,
     return demodulate_rows(samples, cfg.ofdm)
 
 
-def _crb_fields(cfg: ExperimentConfig, snr_db: float,
-                draws: _Draws) -> list:
-    """Each trial's bounds at the true offsets, as record fields.
+def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws) -> dict:
+    """Each trial's bounds at the true offsets, as :class:`_Columns`
+    fields.
 
     The closed form runs once over the chunk; any other backend (the
     numeric oracle on a failed probe) is called one trial at a time.
@@ -296,48 +327,70 @@ def _crb_fields(cfg: ExperimentConfig, snr_db: float,
         f00, f01, f10, f11 = (np.array([getattr(f, name) for f in entries])
                               for name in ("f00", "f01", "f10", "f11"))
     crb_cfo, crb_sfo, det = crb_rows(f00, f01, f10, f11)
-    return [{"crb_evaluated": True, "crb_cfo": float(a), "crb_sfo": float(b)}
-            if ok else {"crb_evaluated": True, "crb_failure": _SINGULAR}
-            for a, b, ok in zip(crb_cfo, crb_sfo, invertible(det))]
+    return {"crb_cfo": crb_cfo, "crb_sfo": crb_sfo,
+            "singular": ~invertible(det)}
 
 
-def _estimate_fields(name: str, outcome) -> dict:
-    """Record fields of one search outcome: the estimate or its failure."""
-    if isinstance(outcome, EstimationResult):
-        return {name: outcome}
-    failure = _NON_FINITE
-    if isinstance(outcome, DegenerateObservationError):
-        failure = (f"degenerate observation "
-                   f"(subcarriers {list(outcome.subcarriers)})")
-    return {f"{name}_failure": failure}
-
-
-def _burst_records(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
+def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
                    with_estimates: bool = True, with_crb: bool = True):
-    """The records of a chunk of bursts, and the chunk's spectra."""
+    """The columns of a chunk of bursts, and the chunk's spectra."""
     spectra = _observe(cfg, snr_db, draws)
     r0, r1 = spectra[:, 0], spectra[:, 1]
-    n_sq = squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
-                                            cfg.ofdm))
     y, bad = ratio_observable_rows(draws.training, draws.training, r0, r1)
-    e_sq = squared_norms(ratio_residual_rows(y, cfg.cfo, cfg.sfo, cfg.ofdm))
-    fields = [{"trial_index": t, "snr_db": snr_db,
-               "residual_n_sq": float(n),
-               "residual_e_sq": None if degenerate else float(e),
-               "estimated": with_estimates}
-              for t, n, e, degenerate in zip(draws.indices, n_sq, e_sq,
-                                             bad.any(axis=-1))]
+    fields = {
+        "n_sq": squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
+                                                 cfg.ofdm)),
+        "e_sq": squared_norms(ratio_residual_rows(y, cfg.cfo, cfg.sfo,
+                                                  cfg.ofdm)),
+        "degenerate": bad.any(axis=-1)}
     if with_estimates:
         evaluator = _evaluator(cfg.grid, cfg.ofdm)
-        for f, proposed, nguyenle in zip(
-                fields, evaluator.search_proposed_rows(r0, r1),
-                evaluator.search_nguyenle_rows(y, bad)):
-            f.update(_estimate_fields("proposed", proposed))
-            f.update(_estimate_fields("nguyenle", nguyenle))
+        for name, found in (("proposed", evaluator._search_pairs(r0, r1)),
+                            ("nguyenle", evaluator._search_ratios(y, bad))):
+            fields[name] = replace(found, failures={
+                t: _NON_FINITE if isinstance(e, NonFiniteSurfaceError)
+                else f"degenerate observation (subcarriers "
+                     f"{list(e.subcarriers)})"
+                for t, e in found.failures.items()})
     if with_crb:
-        for f, crb in zip(fields, _crb_fields(cfg, snr_db, draws)):
-            f.update(crb)
-    return [TrialRecord(**f) for f in fields], spectra
+        fields.update(_crb_fields(cfg, snr_db, draws))
+    return _Columns(draws.indices, **fields), spectra
+
+
+def _burst_chunks(cfg: ExperimentConfig, snr_db: float, indices, **options):
+    """The columns of ``indices``' bursts, chunk by chunk in index order."""
+    for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
+                         _BURST_STREAMS):
+        yield _burst_columns(cfg, snr_db, draws, **options)[0]
+
+
+def _records(cols: _Columns, snr_db: float) -> list:
+    """The one-trial view: every row of ``cols`` as its record."""
+    blank = [None] * len(cols.indices)
+
+    def kept(values, dropped):
+        """The values, None where dropped or where the stage was skipped."""
+        return blank if values is None else [
+            None if d else v for v, d in zip(values.tolist(), dropped)]
+
+    def outcomes(found):
+        """Each row's estimate and failure reason, None where absent."""
+        results = blank if found is None else found.results()
+        return ([r if isinstance(r, EstimationResult) else None
+                 for r in results],
+                [r if isinstance(r, str) else None for r in results])
+
+    estimated, bounded = cols.proposed is not None, cols.crb_cfo is not None
+    singular = cols.singular.tolist() if bounded else blank
+    (proposed, proposed_failure), (nguyenle, nguyenle_failure) = (
+        outcomes(cols.proposed), outcomes(cols.nguyenle))
+    return [TrialRecord(t, snr_db, n, e, p, g, c, d, estimated, bounded,
+                        p_failure, g_failure, _SINGULAR if s else None)
+            for t, n, e, p, g, c, d, p_failure, g_failure, s in zip(
+                cols.indices, kept(cols.n_sq, blank),
+                kept(cols.e_sq, cols.degenerate), proposed, nguyenle,
+                kept(cols.crb_cfo, singular), kept(cols.crb_sfo, singular),
+                proposed_failure, nguyenle_failure, singular)]
 
 
 def run_trials(cfg: ExperimentConfig, snr_db: float, indices, *,
@@ -353,13 +406,10 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, indices, *,
     ``indices`` is any sequence of trial indices in [0, 2**32); each
     record is the one that trial gets in any sweep or chunk.
     """
-    records = []
-    for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
-                         _BURST_STREAMS):
-        records += _burst_records(cfg, snr_db, draws,
-                                  with_estimates=with_estimates,
-                                  with_crb=with_crb)[0]
-    return records
+    return [record for cols in _burst_chunks(
+                cfg, snr_db, indices, with_estimates=with_estimates,
+                with_crb=with_crb)
+            for record in _records(cols, snr_db)]
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
@@ -394,7 +444,8 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     """
     draws = next(_chunks(cfg, snr_stream_key(snr_db), (trial_index,),
                          _BURST_STREAMS))
-    (record,), spectra = _burst_records(cfg, snr_db, draws)
+    cols, spectra = _burst_columns(cfg, snr_db, draws)
+    (record,) = _records(cols, snr_db)
     x = draws.training[0]
     obs = PreambleObservation(r0=spectra[0, 0], r1=spectra[0, 1],
                               training=TrainingSymbols(x, x))
@@ -455,6 +506,7 @@ class SweepResult:
 
 
 def _mean(values):
+    """The sequential mean of Python floats, in the given order."""
     if not values:
         return None
     acc = 0.0
@@ -463,12 +515,82 @@ def _mean(values):
     return acc / len(values)
 
 
+def _reduce(chunks, snr_db: float, cfo: float, sfo: float) -> SweepRow:
+    """Reduce one SNR point's :class:`_Columns`, in ascending trial order,
+    to a sweep row, under the module's sum and square rules. MSEs average
+    over the trials where the estimator succeeded; a None mean means no
+    trial contributed."""
+    n_trials, n_sq, e_sq, crb_cfo, crb_sfo = 0, [], [], [], []
+    errors = {name: ([], []) for name in ("proposed", "nguyenle")}
+    counts = dict.fromkeys(("fail_proposed", "fail_nguyenle",
+                            "crb_excluded"), 0)
+    for cols in chunks:
+        n_trials += len(cols.indices)
+        if cols.n_sq is not None:
+            n_sq += cols.n_sq.tolist()
+            e_sq += cols.e_sq[~cols.degenerate].tolist()
+        for name, (cfo_errors, sfo_errors) in errors.items():
+            found = getattr(cols, name)
+            if found is not None:
+                counts[f"fail_{name}"] += len(found.failures)
+                ok = np.ones(len(cols.indices), dtype=bool)
+                ok[list(found.failures)] = False
+                cfo_errors += [(v - cfo) ** 2 for v in found.cfo[ok].tolist()]
+                sfo_errors += [(v - sfo) ** 2 for v in found.sfo[ok].tolist()]
+        if cols.crb_cfo is not None:
+            crb_cfo += cols.crb_cfo[~cols.singular].tolist()
+            crb_sfo += cols.crb_sfo[~cols.singular].tolist()
+            counts["crb_excluded"] += int(cols.singular.sum())
+    return SweepRow(
+        snr_db=snr_db, n_trials=n_trials, mean_residual_n_sq=_mean(n_sq),
+        mean_residual_e_sq=_mean(e_sq),
+        mse_cfo_proposed=_mean(errors["proposed"][0]),
+        mse_cfo_nguyenle=_mean(errors["nguyenle"][0]),
+        mse_sfo_proposed=_mean(errors["proposed"][1]),
+        mse_sfo_nguyenle=_mean(errors["nguyenle"][1]),
+        crb_cfo=_mean(crb_cfo), crb_sfo=_mean(crb_sfo),
+        degenerate_observations=len(n_sq) - len(e_sq), **counts)
+
+
+def _columns(records) -> _Columns:
+    """Records that ran the same stages, as columns in their order."""
+    def column(values):
+        return np.array([np.nan if v is None else v for v in values],
+                        dtype=float)
+
+    def absent(values):
+        return np.array([v is None for v in values], dtype=bool)
+
+    def estimates(name, method):
+        found = [getattr(r, name) for r in records]
+        return _Estimates(method, *(
+            column([f and getattr(f, param) for f in found])
+            for param in ("cfo", "sfo", "cost")), {
+                t: getattr(r, f"{name}_failure")
+                for t, (r, f) in enumerate(zip(records, found)) if f is None})
+
+    first, fields = records[0], {}
+    if first.residual_n_sq is not None:
+        e_sq = [r.residual_e_sq for r in records]
+        fields.update(n_sq=column([r.residual_n_sq for r in records]),
+                      e_sq=column(e_sq), degenerate=absent(e_sq))
+    if first.estimated:
+        fields.update(proposed=estimates("proposed", "proposed"),
+                      nguyenle=estimates("nguyenle", "nguyen_le"))
+    if first.crb_evaluated:
+        crb_cfo = [r.crb_cfo for r in records]
+        fields.update(crb_cfo=column(crb_cfo), singular=absent(crb_cfo),
+                      crb_sfo=column([r.crb_sfo for r in records]))
+    return _Columns(tuple(r.trial_index for r in records), **fields)
+
+
 def aggregate(records, cfo: float, sfo: float) -> SweepRow:
     """Reduce one SNR point's trial records to a sweep row.
 
-    Records are sorted by trial index before any mean is taken, so the
-    result does not depend on completion order. MSEs average over the
-    trials where the estimator succeeded; a None MSE means it never did.
+    Records are sorted by trial index, so the row does not depend on
+    completion order, and each run of records with the same stages is
+    turned into columns for the sweeps' :func:`_reduce`. A bounded
+    record carries both CRBs or neither.
     """
     if not records:
         raise ValueError("no records to aggregate")
@@ -476,40 +598,13 @@ def aggregate(records, cfo: float, sfo: float) -> SweepRow:
     snrs = {r.snr_db for r in records}
     if len(snrs) > 1:
         raise ValueError(f"records span multiple SNR points: {sorted(snrs)}")
-
-    observed = [r for r in records if r.residual_n_sq is not None]
-    e_values = [r.residual_e_sq for r in observed
-                if r.residual_e_sq is not None]
-    estimated = [r for r in records if r.estimated]
-
-    def mse_over(selector, truth, param):
-        errors = []
-        for r in estimated:
-            est = selector(r)
-            if est is not None:
-                errors.append((getattr(est, param) - truth) ** 2)
-        return _mean(errors)
-
-    crb_records = [r for r in records if r.crb_evaluated]
-    crb_cfo_values = [r.crb_cfo for r in crb_records if r.crb_cfo is not None]
-    crb_sfo_values = [r.crb_sfo for r in crb_records if r.crb_sfo is not None]
-
-    return SweepRow(
-        snr_db=records[0].snr_db,
-        n_trials=len(records),
-        mean_residual_n_sq=_mean([r.residual_n_sq for r in observed]),
-        mean_residual_e_sq=_mean(e_values),
-        mse_cfo_proposed=mse_over(lambda r: r.proposed, cfo, "cfo"),
-        mse_cfo_nguyenle=mse_over(lambda r: r.nguyenle, cfo, "cfo"),
-        mse_sfo_proposed=mse_over(lambda r: r.proposed, sfo, "sfo"),
-        mse_sfo_nguyenle=mse_over(lambda r: r.nguyenle, sfo, "sfo"),
-        crb_cfo=_mean(crb_cfo_values),
-        crb_sfo=_mean(crb_sfo_values),
-        fail_proposed=sum(1 for r in estimated if r.proposed is None),
-        fail_nguyenle=sum(1 for r in estimated if r.nguyenle is None),
-        crb_excluded=sum(1 for r in crb_records if r.crb_cfo is None),
-        degenerate_observations=len(observed) - len(e_values),
-    )
+    if any(r.crb_evaluated and (r.crb_cfo is None) != (r.crb_sfo is None)
+           for r in records):
+        raise ValueError("a record has only one of crb_cfo and crb_sfo")
+    runs = itertools.groupby(records, key=lambda r: (
+        r.residual_n_sq is None, r.estimated, r.crb_evaluated))
+    return _reduce((_columns(list(run)) for _, run in runs),
+                   records[0].snr_db, cfo, sfo)
 
 
 def worker_count() -> int:
@@ -542,18 +637,18 @@ def _select_crb_backend(cfg: ExperimentConfig):
     return fisher_numeric_oracle, "numeric_oracle", worst.report()
 
 
-def _sweep_rows(cfg: ExperimentConfig, records) -> tuple:
-    """One aggregated row per SNR point of ``records(snr_db, indices)``
-    over all the experiment's trial indices."""
+def _sweep_rows(cfg: ExperimentConfig, columns) -> tuple:
+    """One row per SNR point, reducing the chunk columns that
+    ``columns(snr_db, indices)`` yields over all the trial indices."""
     indices = range(cfg.n_trials)
-    return tuple(aggregate(records(snr_db, indices), cfg.cfo, cfg.sfo)
+    return tuple(_reduce(columns(snr_db, indices), snr_db, cfg.cfo, cfg.sfo)
                  for snr_db in cfg.snr_points_db)
 
 
-def _crb_sweep(cfg: ExperimentConfig, records) -> SweepResult:
-    """The rows of ``records``, which carry CRBs, and the name and report
+def _crb_sweep(cfg: ExperimentConfig, columns) -> SweepResult:
+    """The rows of ``columns``, which carry CRBs, and the name and report
     of the backend that bounded them."""
-    rows = _sweep_rows(cfg, records)
+    rows = _sweep_rows(cfg, columns)
     _, backend, report = _select_crb_backend(cfg)
     return SweepResult(config=cfg, rows=rows, crb_backend=backend,
                        crb_discrepancy=report)
@@ -561,14 +656,13 @@ def _crb_sweep(cfg: ExperimentConfig, records) -> SweepResult:
 
 def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
-    return _crb_sweep(cfg, lambda snr_db, indices: run_trials(
-        cfg, snr_db, indices))
+    return _crb_sweep(cfg, functools.partial(_burst_chunks, cfg))
 
 
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
-    rows = _sweep_rows(cfg, lambda snr_db, indices: run_trials(
-        cfg, snr_db, indices, with_estimates=False, with_crb=False))
+    rows = _sweep_rows(cfg, functools.partial(
+        _burst_chunks, cfg, with_estimates=False, with_crb=False))
     return SweepResult(config=cfg, rows=rows)
 
 
@@ -578,11 +672,9 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     Each trial draws only :func:`run_trial`'s training pair and channel,
     so the rows' CRB columns equal :func:`run_mse_sweep`'s.
     """
-    def records(snr_db, indices):
-        return [TrialRecord(trial_index=t, snr_db=snr_db, **crb)
-                for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
-                                     _SCENARIO_STREAMS)
-                for t, crb in zip(draws.indices,
-                                  _crb_fields(cfg, snr_db, draws))]
+    def columns(snr_db, indices):
+        for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
+                             _SCENARIO_STREAMS):
+            yield _Columns(draws.indices, **_crb_fields(cfg, snr_db, draws))
 
-    return _crb_sweep(cfg, records)
+    return _crb_sweep(cfg, columns)

@@ -655,25 +655,37 @@ def _hash_pool(entropy) -> list:
     return pool
 
 
-def _seed_words(pool, n_trials: int) -> np.ndarray:
-    """SeedSequence's ``generate_state(4, uint64)`` per trial, (T, 4)."""
-    words = np.empty((n_trials, 2 * _POOL_SIZE), dtype=np.uint32)
+def _seed_words(pool, shape) -> np.ndarray:
+    """SeedSequence's ``generate_state(4, uint64)`` of every entry of a
+    pool broadcast to ``shape``, as a ``shape + (4,)`` array."""
+    words = np.empty((*shape, 2 * _POOL_SIZE), dtype=np.uint32)
     hash_const = _INIT_B
     for i_dst in range(2 * _POOL_SIZE):
         value = pool[i_dst % _POOL_SIZE] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = (value * hash_const) & _MASK32
-        words[:, i_dst] = value ^ (value >> _XSHIFT)
+        words[..., i_dst] = value ^ (value >> _XSHIFT)
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def derive_states(master_seed: int, stream_key, trial_indices,
                   label) -> np.ndarray:
     """Seed words of ``derive_rng(master_seed, stream_key, t, label)`` for
-    every trial index t, as a (T, 4) uint64 array.
+    every trial index t, as a (T, 4) uint64 array: the one-label view of
+    :func:`_derive_tables`, whose ValueError it raises."""
+    return _derive_tables(master_seed, stream_key, trial_indices,
+                          (label,))[label]
+
+
+def _derive_tables(master_seed: int, stream_key, trial_indices,
+                   labels) -> dict:
+    """:func:`derive_states` of every label, as a dict by label.
 
     Runs SeedSequence's mixing and :func:`_seed_table`'s check once over
-    the trial axis; :func:`seed_generator` turns a row into the generator.
+    the trial axis and the labels of each entropy word count (an int
+    label below 2**32 is one word, a str label two): their words enter
+    as (L, 1) columns against the (T,) trial words.
+    :func:`seed_generator` turns a row into the generator.
 
     Raises
     ------
@@ -687,13 +699,23 @@ def derive_states(master_seed: int, stream_key, trial_indices,
         raise ValueError(
             f"trial indices must lie in [0, 2**32), got {trials.min()} .. "
             f"{trials.max()}")
-    # One trial's word stays a Python int: scalar arithmetic beats
-    # size-1 array arithmetic by an order of magnitude.
+    # One trial's and one label's words stay Python ints: scalar
+    # arithmetic beats size-1 array arithmetic by an order of magnitude.
     trial_word = int(trials[0]) if trials.size == 1 \
         else trials.astype(np.uint32)
-    entropy = (_key_words(int(master_seed)) + _key_words(stream_key)
-               + [trial_word] + _key_words(label))
-    return _seed_table(_seed_words(_hash_pool(entropy), trials.size))
+    head = _key_words(int(master_seed)) + _key_words(stream_key)
+    groups = {}
+    for label in labels:
+        groups.setdefault(len(_key_words(label)), []).append(label)
+    tables = {}
+    for group in groups.values():
+        words = _key_words(group[0]) if len(group) == 1 else list(np.array(
+            [_key_words(label) for label in group], dtype=np.uint32).T[
+                ..., None])
+        seeds = _seed_words(_hash_pool(head + [trial_word] + words),
+                            (len(group), trials.size))
+        tables.update(zip(group, map(_seed_table, seeds)))
+    return tables
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -727,8 +749,10 @@ def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
     raw = np.empty((len(seeds), n_active // 2), dtype=np.uint64)
     for out, words in zip(raw, seeds):
         out[:] = np.random.PCG64(_SeedWords(words)).random_raw(out.size)
-    halves = (raw[..., None] >> np.array([30, 62], dtype=np.uint64)) & 3
-    return halves.reshape(len(seeds), n_active)
+    picks = np.empty((len(seeds), n_active), dtype=np.intp)
+    picks[:, 0::2] = (raw >> 30) & 3
+    picks[:, 1::2] = raw >> 62
+    return picks
 
 
 def seed_generator(seed_words) -> np.random.Generator:
@@ -750,4 +774,4 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     entropy = _key_words(int(master_seed))
     for key in keys:
         entropy += _key_words(key)
-    return seed_generator(_seed_words(_hash_pool(entropy), 1)[0])
+    return seed_generator(_seed_words(_hash_pool(entropy), (1,))[0])

@@ -1,11 +1,13 @@
 """Harness tests: seeded trial reproducibility, aggregation algebra,
 sweep assembly, failure accounting, and the CRB backend plumbing."""
 
-from dataclasses import replace
+import random
+from dataclasses import astuple, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     EstimationResult,
@@ -32,6 +34,7 @@ from ofdm_sync_lab import (
     synthesize_frame,
 )
 from ofdm_sync_lab import harness
+from ofdm_sync_lab.estimators import _Estimates
 
 # 11 x 11 lattice holding the operating point; keeps sweep tests fast.
 COARSE_GRID = make_grid(0.1, 0.5, 1e-4, 5e-4)
@@ -170,17 +173,54 @@ def test_trial_streams_keyed_by_snr_value():
     assert run_trial(a, 15.0, 1) == run_trial(b, 15.0, 1)
 
 
-def sweep_records(monkeypatch, sweep, cfg):
-    """Every record a sweep aggregates, keyed by (snr_db, trial_index)."""
-    records = {}
-    real_aggregate = harness.aggregate
+def column_record(cols, snr_db, i):
+    """Row i of a sweep's chunk columns, as the TrialRecord it stands for."""
+    def value(column, dropped=None):
+        if column is None or dropped is not None and dropped[i]:
+            return None
+        return float(column[i])
 
-    def capture(trials, cfo, sfo):
-        records.update(((r.snr_db, r.trial_index), r) for r in trials)
-        return real_aggregate(trials, cfo, sfo)
+    def estimate(found):
+        if found is None or i in found.failures:
+            return None
+        return EstimationResult(cfo=float(found.cfo[i]),
+                                sfo=float(found.sfo[i]),
+                                cost=float(found.cost[i]),
+                                method=found.method)
+
+    def failure(found):
+        return None if found is None else found.failures.get(i)
+
+    bounded = cols.crb_cfo is not None
+    return TrialRecord(
+        trial_index=cols.indices[i], snr_db=snr_db,
+        residual_n_sq=value(cols.n_sq),
+        residual_e_sq=value(cols.e_sq, cols.degenerate),
+        proposed=estimate(cols.proposed), nguyenle=estimate(cols.nguyenle),
+        crb_cfo=value(cols.crb_cfo, cols.singular),
+        crb_sfo=value(cols.crb_sfo, cols.singular),
+        estimated=cols.proposed is not None, crb_evaluated=bounded,
+        proposed_failure=failure(cols.proposed),
+        nguyenle_failure=failure(cols.nguyenle),
+        crb_failure="singular information matrix"
+        if bounded and cols.singular[i] else None)
+
+
+def sweep_records(monkeypatch, sweep, cfg):
+    """Every row of the columns a sweep reduces, as a record keyed by
+    (snr_db, trial_index)."""
+    records = {}
+    real_reduce = harness._reduce
+
+    def capture(chunks, snr_db, cfo, sfo):
+        chunks = list(chunks)
+        for cols in chunks:
+            records.update(((snr_db, t), column_record(cols, snr_db, i))
+                           for i, t in enumerate(cols.indices))
+        return real_reduce(chunks, snr_db, cfo, sfo)
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "aggregate", capture)
+        patch.setattr(harness, "_reduce", capture)
         sweep(cfg)
     return records
 
@@ -434,6 +474,170 @@ def test_aggregate_failure_accounting():
     assert row.mse_cfo_nguyenle == (0.25 - 0.2) ** 2
     assert row.crb_cfo == 2e-7
     assert row.mean_residual_e_sq == 4.0
+
+
+def reference_aggregate(records, cfo, sfo):
+    """The record-by-record reduction the column reducer must equal: every
+    mean a sequential sum in ascending trial order, every squared error
+    Python's ``(v - truth) ** 2``."""
+    records = sorted(records, key=lambda r: r.trial_index)
+
+    def mean(values):
+        if not values:
+            return None
+        acc = 0.0
+        for v in values:
+            acc += v
+        return acc / len(values)
+
+    observed = [r for r in records if r.residual_n_sq is not None]
+    e_values = [r.residual_e_sq for r in observed
+                if r.residual_e_sq is not None]
+    estimated = [r for r in records if r.estimated]
+
+    def mse(name, truth, param):
+        return mean([(getattr(getattr(r, name), param) - truth) ** 2
+                     for r in estimated if getattr(r, name) is not None])
+
+    bounded = [r for r in records if r.crb_evaluated]
+    return harness.SweepRow(
+        snr_db=records[0].snr_db, n_trials=len(records),
+        mean_residual_n_sq=mean([r.residual_n_sq for r in observed]),
+        mean_residual_e_sq=mean(e_values),
+        mse_cfo_proposed=mse("proposed", cfo, "cfo"),
+        mse_cfo_nguyenle=mse("nguyenle", cfo, "cfo"),
+        mse_sfo_proposed=mse("proposed", sfo, "sfo"),
+        mse_sfo_nguyenle=mse("nguyenle", sfo, "sfo"),
+        crb_cfo=mean([r.crb_cfo for r in bounded if r.crb_cfo is not None]),
+        crb_sfo=mean([r.crb_sfo for r in bounded if r.crb_sfo is not None]),
+        fail_proposed=sum(r.proposed is None for r in estimated),
+        fail_nguyenle=sum(r.nguyenle is None for r in estimated),
+        crb_excluded=sum(r.crb_cfo is None for r in bounded),
+        degenerate_observations=len(observed) - len(e_values))
+
+
+def bits(row):
+    """A sweep row with every float as its exact hex form."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(row))
+
+
+def outcomes_to_chunks(chunks, snr_db=10.0):
+    """The columns and the records of hand-made trial outcomes.
+
+    ``chunks`` is a list of ((observed, estimated, bounded), rows); a row
+    is (n_sq, e_sq, proposed, nguyenle, crb) where e_sq None is a
+    degenerate observation, an estimate None a failed search and crb
+    None a singular draw. A value the columns must ignore is inf there.
+    """
+    columns, records, start = [], [], 0
+    for (observed, estimated, bounded), rows in chunks:
+        indices = tuple(range(start, start + len(rows)))
+        start += len(rows)
+        n_sq, e_sq, proposed, nguyenle, crb = zip(*rows)
+
+        def column(values, *, at=None):
+            return np.array([np.inf if v is None else
+                             v if at is None else v[at] for v in values])
+
+        def estimates(found, method):
+            return _Estimates(method, *(column(found, at=k)
+                                        for k in range(3)),
+                              {t: harness._NON_FINITE
+                               for t, f in enumerate(found) if f is None})
+
+        fields = {}
+        if observed:
+            fields.update(n_sq=column(n_sq), e_sq=column(e_sq),
+                          degenerate=np.array([e is None for e in e_sq]))
+        if estimated:
+            fields.update(proposed=estimates(proposed, "proposed"),
+                          nguyenle=estimates(nguyenle, "nguyen_le"))
+        if bounded:
+            fields.update(crb_cfo=column(crb, at=0),
+                          crb_sfo=column(crb, at=1),
+                          singular=np.array([c is None for c in crb]))
+        columns.append(harness._Columns(indices, **fields))
+
+        def result(found, method):
+            if not estimated or found is None:
+                return None
+            return EstimationResult(*found, method=method)
+
+        for t, (n, e, p, g, c) in zip(indices, rows):
+            records.append(TrialRecord(
+                trial_index=t, snr_db=snr_db,
+                residual_n_sq=n if observed else None,
+                residual_e_sq=e if observed else None,
+                proposed=result(p, "proposed"),
+                nguyenle=result(g, "nguyen_le"),
+                crb_cfo=c[0] if bounded and c else None,
+                crb_sfo=c[1] if bounded and c else None,
+                estimated=estimated, crb_evaluated=bounded,
+                proposed_failure=harness._NON_FINITE
+                if estimated and p is None else None,
+                nguyenle_failure=harness._NON_FINITE
+                if estimated and g is None else None,
+                crb_failure=harness._SINGULAR
+                if bounded and c is None else None))
+    return columns, records
+
+
+TRUTH = (0.212, 0.000112)
+POSITIVE = st.floats(1e-12, 1e3)
+ESTIMATES = st.tuples(
+    st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.212, 0.21, 0.0])),
+    st.one_of(st.floats(-5e-4, 5e-4), st.sampled_from([0.000112, 0.0])),
+    POSITIVE)
+OUTCOMES = st.tuples(POSITIVE, st.none() | POSITIVE, st.none() | ESTIMATES,
+                     st.none() | ESTIMATES,
+                     st.none() | st.tuples(POSITIVE, POSITIVE))
+CHUNKS = st.lists(st.tuples(st.tuples(st.booleans(), st.booleans(),
+                                      st.booleans()),
+                            st.lists(OUTCOMES, min_size=1, max_size=10)),
+                  min_size=1, max_size=4)
+
+# Estimates whose error against TRUTH squares differently under Python's
+# ``(v - truth) ** 2`` (libm pow) and numpy's ``x ** 2`` (x * x) with
+# glibc, found by a scan of random doubles.
+POW_CFOS = (0.061530290928601516, -0.1354087858528611, 0.4694390808572304)
+POW_SFOS = (-0.00036779054716807734, -8.800900511234642e-05,
+            0.00045154714754491417)
+ALL_STAGES = (True, True, True)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(chunks=CHUNKS, order=st.randoms(use_true_random=False))
+@example(chunks=[(ALL_STAGES, [(1.0, 2.0, (POW_CFOS[0], POW_SFOS[0], 1.0),
+                                (POW_CFOS[1], POW_SFOS[1], 1.0),
+                                (1e-7, 1e-9))])],
+         order=random.Random(0))
+@example(chunks=[(ALL_STAGES, [(1.0, 2.0, (POW_CFOS[2], POW_SFOS[2], 1.0),
+                                None, (1e-7, 1e-9))])],
+         order=random.Random(0))
+@example(chunks=[(ALL_STAGES, [(0.1, 0.1, (0.1, 0.1, 0.1), (0.1, 0.1, 0.1),
+                                (0.1, 0.1))] * 16)],
+         order=random.Random(1))
+@example(chunks=[(ALL_STAGES, [(1.0, None, None, None, None)] * 3),
+                 ((False, True, False), [(1.0, None, None, None, None)]),
+                 ((True, False, True), [(2.0, 3.0, None, None, (1.0, 2.0))])],
+         order=random.Random(2))
+def test_column_reducer_equals_aggregate_over_the_same_records(chunks, order):
+    """The sweeps' reducer over trial-major columns gives the row that
+    aggregate gives over the same trials' records, in any order, and
+    both give the record-by-record reduction, bit for bit: degenerate,
+    failed, singular and all-failed rows, and stages that ran on only
+    some trials."""
+    columns, records = outcomes_to_chunks(chunks)
+    reduced = harness._reduce(iter(columns), 10.0, *TRUTH)
+    order.shuffle(records)
+    assert bits(reduced) == bits(aggregate(records, *TRUTH)) \
+        == bits(reference_aggregate(records, *TRUTH))
+
+
+def test_aggregate_rejects_a_record_with_one_bound():
+    bounded = record(0, crb=(1e-7, None), crb_evaluated=True)
+    with pytest.raises(ValueError, match="only one of crb_cfo and crb_sfo"):
+        aggregate([bounded], 0.2, 0.0)
 
 
 # ----------------------------------------------------------------- sweeps
