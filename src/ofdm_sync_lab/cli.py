@@ -33,7 +33,7 @@ from .harness import (
     run_mse_sweep,
     run_noise_variance_sweep,
 )
-from .ofdm_model import make_config
+from .ofdm_model import make_config, snr_stream_key
 
 __all__ = ["main", "parse", "write_csv", "CliError", "CliInvocation"]
 
@@ -203,8 +203,15 @@ def _snr_axis(lo: float, hi: float, step: float) -> tuple:
         raise CliError(f"snr-step must be positive, got {step}")
     if hi < lo:
         raise CliError(f"snr-max ({hi}) is below snr-min ({lo})")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return tuple(lo + i * step for i in range(count))
+    span = np.floor((hi - lo) / step + 1e-9)
+    last = lo + span * step if np.isfinite(span) else hi
+    # More points than milli-dB keys from lo to last: two must share one.
+    keys = snr_stream_key(last) - snr_stream_key(lo) + 1
+    if not span < keys:
+        raise CliError(f"snr-step {step} puts {span + 1:.15g} points on "
+                       f"{keys} milli-dB keys from {lo:g} to {last:g} dB: "
+                       f"points would share the random stream key")
+    return tuple(lo + i * step for i in range(int(span) + 1))
 
 
 def parse(argv) -> CliInvocation:

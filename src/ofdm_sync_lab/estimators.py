@@ -26,9 +26,9 @@ reductions along the last axis, and each estimator's correlations are
 one stacked matvec per stack. At a fixed SFO the cost is a cosine in
 CFO whose minimum is Moose's closed form, so each trial's lattice argmin
 is read, for the whole stack at once, from the two CFO rows that
-bracket that closed form in every SFO column; a trial whose argmin this
-cannot certify forms its full 101 x 101 surface, its finiteness check
-and its argmin on its own, so a failure marks only its own trial.
+bracket that closed form in every SFO column, certified by one bound
+per trial; a trial whose argmin this cannot certify forms its full
+101 x 101 surface, its finiteness check and its argmin on its own.
 Either way the result is the full surface's, bit for bit. The row
 searches return trial-major columns (``_Estimates``) that the harness
 reduces directly; ``search_*_rows`` are their list views.
@@ -298,20 +298,20 @@ class GridEvaluator:
     (grid, config), so a whole surface costs one matrix-vector product.
 
     A search rarely needs the whole surface. In SFO column j the cost
-    c - 2 |v_j| cos(s_j cfo + arg v_j), with s_j = a (1 + sfo_j), is
+    c - 2 |v_j| cos(s_j cfo + arg v_j), with s_j = a (1 + sfo_j) > 0, is
     least at Moose's closed form p_j = -arg v_j / s_j and repeats every
     P_j = 2 pi / s_j. The row searches evaluate only the two lattice
     CFOs that bracket p_j in every column, exactly as the surface would,
-    and take their first-occurrence minimum. Every other lattice point
-    lies at least g_j from all of column j's minima, so its cost is at
-    least c - 2 |v_j| cos(min(s_j g_j, pi)); when the best candidate is
-    below that bound in every column, less a rounding margin, the argmin
-    is certified to be the surface's. A row that cannot be certified
-    (a non-finite or huge c or v, or a near tie with a lattice point
-    further out) runs the full surface. The bound accounts for the
-    aliases p_j +/- P_j only, so it is used only on grids where every
-    sfo > -1 and every |cfo| < min_j P_j; on other grids every row runs
-    the full surface.
+    and take their first-occurrence minimum. Every other lattice CFO is
+    at least d = min(diff(cfo)) from p_j, and, while p_j lies in its
+    column's window [cfo[-1] + d - P_j, cfo[0] - d + P_j], from both
+    aliases p_j +/- P_j; so its cost is at least c - 2 kappa max_j |v_j|,
+    kappa = max(cos(min(s_min d, pi)), 0). A row with every p_j in its
+    window and a best candidate below that bound, less a rounding margin
+    of 1e-12 (|c| + 2 max_j |v_j|), is certified, as is every finite row
+    of a grid with at most two CFO rows (all candidates). Any other row
+    (non-finite or huge c or v, or a p_j outside its window) and every
+    row of a grid with an sfo <= -1 forms the full surface.
 
     The reported cost is recomputed at the argmin as the direct sum over
     ascending k from the same factors, so it does not carry the kernel's
@@ -330,15 +330,26 @@ class GridEvaluator:
         # exp(j a k sfo) evaluated on the SFO axis.
         self._sub = _read_only(np.exp(
             1j * a * grid.sfo_values[:, None] * config.subcarrier_indices))
-        # Per SFO column: Moose's slope s_j = a (1 + sfo_j) and period
-        # P_j. The bracket's certificate checks the aliases p_j +/- P_j
-        # only; they hold every minimum on the lattice when s_j > 0 and
-        # every |cfo| < min_j P_j.
+        # Per SFO column: Moose's slope s_j and the certificate's window.
+        # A grid of two or fewer CFO rows has no window and no bound; a
+        # uniform lattice (each CFO within half a step of its index) finds
+        # the bracket by index arithmetic, its end CFOs padded to -/+inf.
         self._slope = _read_only(a * (1.0 + grid.sfo_values))
-        self._bracketed = bool(
-            (self._slope > 0).all()
-            and (np.abs(grid.cfo_values)
-                 < _TWO_PI / self._slope.max()).all())
+        self._bracketed = bool((self._slope > 0).all())
+        cfos = grid.cfo_values
+        self._window = _read_only(np.array([[-np.inf], [np.inf]]))
+        self._kappa, self._step = 0.0, None
+        if cfos.size > 2 and self._bracketed:
+            gap = np.diff(cfos).min()
+            period = _TWO_PI / self._slope
+            self._window = _read_only(np.stack([cfos[-1] + gap - period,
+                                                cfos[0] - gap + period]))
+            self._kappa = max(np.cos(min(self._slope.min() * gap, np.pi)), 0.)
+            step = (cfos[-1] - cfos[0]) / (cfos.size - 1)
+            offset = (cfos - cfos[0]) / step - np.arange(cfos.size)
+            if np.abs(offset).max() < 0.5:
+                self._step = step
+                self._edges = _read_only(np.r_[-np.inf, cfos[1:-1], np.inf])
 
     def _correlate(self, z: np.ndarray) -> np.ndarray:
         """sub(sfo) . z for every row of z, (T, n_sfo): one stacked matvec
@@ -375,49 +386,46 @@ class GridEvaluator:
                                 sfo=float(self.grid.sfo_values[j]),
                                 cost=float(cost), method=method)
 
+    def _lower(self, moose):
+        """clip(searchsorted(cfo_values, moose, "right") - 1, 0, n_cfo - 2);
+        on a uniform lattice, the nearest CFO row, less one if above."""
+        cfos = self.grid.cfo_values
+        if self._step is None:
+            return np.clip(np.searchsorted(cfos, moose, side="right") - 1,
+                           0, max(cfos.size - 2, 0))
+        near = np.clip(np.rint((moose - cfos[0]) / self._step), 0,
+                       cfos.size - 1).astype(np.intp)
+        return near - (self._edges[near] > moose)
+
     def _bracket(self, c, v):
         """The rows of (c, v) whose lattice argmin the bracket certifies,
         and that argmin's (cfo, sfo) indices, as three index vectors."""
-        cfos = self.grid.cfo_values
         n_cfo, n_sfo = self.grid.shape
         if not self._bracketed:
             none = np.zeros(0, dtype=np.intp)
             return none, none, none
-        # Finite c and v, small enough that no surface entry overflows.
+        # Finite c and v, small enough that no surface entry overflows; a
+        # huge p_j may overflow _lower's arithmetic, which clips it.
         with np.errstate(over="ignore", invalid="ignore"):
-            mag = np.abs(v)
-            rows = np.flatnonzero(np.abs(c) + 2.0 * mag.max(axis=-1)
-                                  < 1e300)
-        c, v, mag = c[rows], v[rows], mag[rows]
-        moose = -np.angle(v) / self._slope
-        lo = np.clip(np.searchsorted(cfos, moose, side="right") - 1,
-                     0, max(n_cfo - 2, 0))
-        hi = np.minimum(lo + 1, n_cfo - 1)
-        # The candidates' costs, as the surface forms them, and their
-        # row-major flat indices.
-        flat = (np.stack([lo, hi], axis=1) * n_sfo
-                + np.arange(n_sfo)).reshape(rows.size, 2 * n_sfo)
+            peak = np.abs(v).max(axis=-1)
+            rows = np.flatnonzero(np.abs(c) + 2.0 * peak < 1e300)
+            c, v, peak = c[rows], v[rows], peak[rows]
+            moose = -np.angle(v) / self._slope
+            lo = self._lower(moose)
+        # The candidates' row-major flat indices (rows lo and lo + 1, or
+        # row 0 twice) and their costs, as the surface forms them.
+        flat = lo * n_sfo + np.arange(n_sfo)
+        flat = np.concatenate([flat, flat + n_sfo * (n_cfo > 1)], axis=-1)
         values = c[:, None] - 2.0 * (np.take(self._lead, flat)
                                      * np.concatenate([v, v], axis=-1)).real
         best = values.min(axis=-1)
         # Ties go to the smallest flat index, as in _argmin_lattice.
         pick = np.where(values == best[:, None], flat,
                         n_cfo * n_sfo).min(axis=-1)
-        # g: the least distance from a non-candidate lattice CFO to a
-        # minimum of its column, p_j or an alias p_j +/- P_j; a missing
-        # neighbour row is an infinite pad.
-        pad = np.concatenate([[-np.inf], cfos, [np.inf]])
-        period = _TWO_PI / self._slope
-        alias = np.minimum(*(
-            np.maximum(np.maximum(cfos[0] - x, x - cfos[-1]), 0.0)
-            for x in (moose - period, moose + period)))
-        gap = np.minimum(np.minimum(moose - pad[lo], pad[hi + 2] - moose),
-                         alias)
-        # min_j of c - 2 |v_j| cos(min(s_j g_j, pi)), less a rounding
-        # margin of 1e-12 (|c| + 2 |v_j|).
-        bound = c - 1e-12 * np.abs(c) - 2.0 * (mag * (np.cos(
-            np.minimum(self._slope * gap, np.pi)) + 1e-12)).max(axis=-1)
-        sure = best < bound
+        # The class docstring's certificate; no bound on <= 2 CFO rows.
+        bound = c - 1e-12 * np.abs(c) - 2.0 * (self._kappa + 1e-12) * peak
+        sure = ((best < bound) | (n_cfo <= 2)) & (
+            (moose >= self._window[0]) & (moose <= self._window[1])).all(-1)
         return (rows[sure],) + divmod(pick[sure], n_sfo)
 
     def _search_rows(self, c, v, method, r0, r1,

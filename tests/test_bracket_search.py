@@ -9,6 +9,7 @@ same (cfo, sfo, cost) bits, or the same exception type and message.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
@@ -21,7 +22,7 @@ from ofdm_sync_lab import (
     make_grid,
     symbol_phase_ramp,
 )
-from ofdm_sync_lab.estimators import ratio_observable_rows
+from ofdm_sync_lab.estimators import _argmin_lattice, ratio_observable_rows
 from ofdm_sync_lab.harness import make_experiment, run_trials
 
 CFG = make_config(64, 52, 16)
@@ -37,6 +38,10 @@ GRIDS = (
     GridSpec(np.array([-0.47, -0.2, -0.19, 0.0, 0.05, 0.33, 0.41]),
              np.array([-3e-4, 0.0, 1e-4, 4e-4])),
     make_grid(cfo_max=0.79),
+    # cos(s d) < 0 at the CFO spacing d = 0.25, with a non-empty window.
+    make_grid(cfo_step=0.25, cfo_max=0.25),
+    # Two CFO rows: every lattice point is a candidate.
+    GridSpec(np.array([-0.2, 0.15]), make_grid().sfo_values),
     make_grid(cfo_max=1.2),
     GridSpec(0.01 * np.arange(150, 171), np.array([0.0])),
 )
@@ -191,3 +196,122 @@ def test_default_chunks_take_the_bracket(monkeypatch):
     assert proposed == (32, 32)
     assert nguyenle[0] == 32 and nguyenle[1] >= 30
     assert certified_shares(monkeypatch, 20.0) == ((32, 32), (32, 32))
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+def test_every_default_fig2_chunk_takes_the_bracket(monkeypatch, snr_db):
+    """The first chunk at each default fig2 SNR point: the bracket
+    certifies every proposed row, and every Nguyen-Le row from 10 dB up
+    (at 5 dB the ratio fit's noise leaves one or two to the surface)."""
+    proposed, nguyenle = certified_shares(monkeypatch, snr_db)
+    assert proposed == (32, 32)
+    assert nguyenle[0] == 32 and nguyenle[1] >= (30 if snr_db < 10 else 32)
+
+
+# make_grid lattices, which find the bracket by index arithmetic.
+LATTICES = (
+    make_grid(),
+    make_grid(cfo_step=0.05),
+    make_grid(cfo_step=0.3),
+    make_grid(cfo_step=0.25, cfo_max=0.25),
+    make_grid(cfo_step=0.07, cfo_max=0.49),
+    make_grid(cfo_step=1e-3, cfo_max=0.3),
+    make_grid(cfo_max=0.79),
+    make_grid(cfo_max=1.2),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(grid=st.sampled_from(LATTICES),
+       keys=st.lists(st.floats(-3.0, 3.0), max_size=40))
+def test_sort_free_bracket_equals_searchsorted(grid, keys):
+    """The bracket's lower CFO row is clip(searchsorted(cfo, p, "right")
+    - 1, 0, n_cfo - 2) at every lattice CFO, one ulp to either side of
+    it, and at arbitrary keys."""
+    cfos = grid.cfo_values
+    ev = GridEvaluator(grid, CFG)
+    assert ev._step is not None
+    p = np.concatenate([cfos, np.nextafter(cfos, -np.inf),
+                        np.nextafter(cfos, np.inf), keys,
+                        [-1e15, 1e15]]).reshape(-1, 1)
+    expected = np.clip(np.searchsorted(cfos, p, side="right") - 1, 0,
+                       cfos.size - 2)
+    assert np.array_equal(ev._lower(p), expected)
+
+
+def test_non_uniform_grid_keeps_searchsorted():
+    ev = GridEvaluator(GRIDS[5], CFG)
+    assert ev._step is None
+    p = np.linspace(-1.0, 1.0, 201)
+    assert np.array_equal(ev._lower(p), np.clip(np.searchsorted(
+        GRIDS[5].cfo_values, p, side="right") - 1, 0, 5))
+
+
+@pytest.mark.parametrize("grid", [GRIDS[3], GRIDS[8]],
+                         ids=["one-cfo-row", "two-cfo-rows"])
+def test_small_grids_certify_every_finite_row(grid):
+    """With one or two CFO rows every lattice point is a candidate, so
+    every row with finite terms is certified, and only those."""
+    kinds = list(KINDS) * 6
+    x, r0, r1 = rows(kinds, 5)
+    ev = GridEvaluator(grid, CFG)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c, v = ev._pair_terms(r0, r1)
+        finite = np.isfinite(c) & np.isfinite(v).all(axis=-1)
+    assert np.array_equal(ev._bracket(c, v)[0], np.flatnonzero(finite))
+
+
+# A coarse non-uniform grid whose least CFO spacing makes cos(s d) < 0:
+# only on such a grid can a candidate lose its own column to a lattice
+# CFO near an alias, which the bound's clamp at 0 must catch.
+COARSE = GridSpec(np.array([-0.5, -0.25, 0.5]), 1e-4 * np.arange(-3, 4))
+
+
+def structured_terms(grid, seed, n=48):
+    """(c, v) rows whose Moose CFOs sit anywhere within a period of the
+    grid, on lattice CFOs or between them, with column magnitudes spread
+    over decades; a sixth of the rows are nearly flat (|v| ~ 1e-15 c)."""
+    rng = np.random.default_rng(seed)
+    cfos = grid.cfo_values
+    n_sfo = grid.shape[1]
+    slope = GridEvaluator(grid, CFG)._slope
+    centre = np.where(rng.random((n, 1)) < 0.3,
+                      rng.choice(cfos, (n, 1)),
+                      rng.uniform(cfos[0] - 0.8, cfos[-1] + 0.8, (n, 1)))
+    jitter = rng.normal(0.0, 0.01, (n, n_sfo)) * (rng.random((n, 1)) < 0.5)
+    mag = np.exp(rng.normal(0.0, 1.5, (n, n_sfo)))
+    v = mag * np.exp(-1j * slope * (centre + jitter))
+    c = 2.0 * mag.max(axis=-1) * rng.uniform(1.0, 3.0, n)
+    flat = rng.random(n) < 1 / 6
+    v[flat] *= 1e-15
+    return c, v
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(grid=st.sampled_from(GRIDS + (COARSE,)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=COARSE, seed=3)
+@example(grid=GRIDS[0], seed=4)
+def test_certified_rows_hold_the_surface_argmin(grid, seed):
+    """Every row the bracket certifies has the full surface's argmin,
+    first occurrence included."""
+    ev = GridEvaluator(grid, CFG)
+    c, v = structured_terms(grid, seed)
+    rows, i, j = ev._bracket(c, v)
+    for t, at in zip(rows.tolist(), zip(i.tolist(), j.tolist())):
+        assert at == _argmin_lattice(ev._surface(c[t], v[t]), grid)
+
+
+def test_negative_cosine_bound_is_clamped():
+    """On ``COARSE`` at p = 0.045 every candidate costs more than c in
+    both columns, and the lattice CFO -0.5, 0.25 from the alias p - P,
+    beats them in the weak column. An unclamped kappa = cos(s d) < 0
+    would put the bound at c + 0.77 |v|max, above the best candidate."""
+    grid = GridSpec(COARSE.cfo_values, np.array([0.0, 1e-4]))
+    ev = GridEvaluator(grid, CFG)
+    v = np.array([[1.0, 0.3]]) * np.exp(-1j * ev._slope * 0.045)
+    c = np.array([3.0])
+    i, j = _argmin_lattice(ev._surface(c[0], v[0]), grid)
+    assert (i, j) == (0, 1)
+    rows, bi, bj = ev._bracket(c, v)
+    assert rows.size == 0 or (bi[0], bj[0]) == (i, j)

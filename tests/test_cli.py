@@ -141,6 +141,8 @@ def test_unknown_flag_exits_2():
     (["fig2", "--grid-sfo-step", "nan"], "sfo_step must be finite"),
     (["fig2", "--grid-cfo-step", "1e-320"],
      "cfo_max / cfo_step = inf overflows"),
+    (["fig1", "--snr-step", "1e-5"], "3000001 points on 30001 milli-dB keys"),
+    (["fig1", "--snr-step", "1e-320"], "inf points on 30001 milli-dB keys"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
