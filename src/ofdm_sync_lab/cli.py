@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sync-lab",
         description="OFDM CFO/SFO estimator comparison datasets")
-    subs = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("command", choices=_COMMANDS)
     helps = {
         "n": "DFT size N",
         "k": "active subcarrier count K",
@@ -128,16 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "grid-sfo-step": "SFO lattice step",
         "grid-sfo-max": "SFO lattice half-range (0 pins the axis to 0)",
     }
-    for command in _COMMANDS:
-        sub = subs.add_parser(command)
-        for flag, ftype in _FIELDS:
-            sub.add_argument(f"--{flag}", type=ftype, default=None,
-                             help=helps[flag])
-        sub.add_argument("--out", type=str, default=None,
-                         help="output CSV path")
-        sub.add_argument("--config", type=str, default=None,
-                         help="key = value file applied between defaults "
-                              "and flags")
+    for flag, ftype in _FIELDS:
+        parser.add_argument(f"--{flag}", type=ftype, help=helps[flag])
+    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--config", help="key = value file applied between "
+                                          "defaults and flags")
     return parser
 
 

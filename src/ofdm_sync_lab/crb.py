@@ -15,14 +15,17 @@ ensemble average over seeded scenario draws is the harness's CRB sweep,
 ``harness.run_crb_sweep``.
 
 Every closed-form evaluation of an experiment sits at the same true
-offsets, so the sample weights that depend only on (config, cfo, sfo,
-symbol index) are built once and memoized, read-only, in a bounded
+offsets, so the real sample factors that depend only on (config, cfo,
+sfo, symbol index) are built once and memoized, read-only, in a bounded
 ``functools.lru_cache``; so are the synthesis basis and the channel-DFT
-phases (see :mod:`ofdm_sync_lab.ofdm_model`). Only the spectra of the
-trials' training and channel are computed per call.
+phases (see :mod:`ofdm_sync_lab.ofdm_model`). The summands are real
+products (:func:`_fisher_entries`) that equal the usual complex-weighted
+ones bit for bit: the weights 1 + j a, j b and j w add only products
+with an exact 0 or 1.
 
-The closed form runs on trial-major stacks (:func:`fisher_rows`, one
-stacked pass per training symbol) and the 2x2 inversion is elementwise
+The closed form runs on trial-major stacks, one pass per training symbol
+over the noiseless burst that synthesis also forms (fig2's chunks reuse
+the one they synthesized), and the 2x2 inversion is elementwise
 (:func:`crb_rows`); :func:`fisher_closed_form` and
 :func:`crb_from_fisher` are their one-row views and equal them bit for
 bit. The numeric oracle stays a one-trial computation.
@@ -39,7 +42,7 @@ from .ofdm_model import (
     OfdmConfig,
     TrainingSymbols,
     _CACHE_SIZE,
-    _channel_gains,
+    _noiseless_burst,
     _read_only,
     _sum_last,
     _warped_basis,
@@ -100,24 +103,38 @@ def _check_noise_var(noise_var: float):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _fisher_weights(config: OfdmConfig, cfo: float, sfo: float, m: int):
-    """Offset-only weights of symbol m's Fisher entries, read-only.
-
-    With the angular sample weights w[n] = (2 pi / N) (N_m + n), returns
-    (w (1+sfo))^2, 1 + j w (1+sfo) cfo, j w (1+sfo), j w, -w^2 cfo^2,
-    -2 cfo w^2 and -w^2, in the order :func:`fisher_closed_form` applies
-    them.
-    """
+    """Offset-only real factors of symbol m's Fisher summands, read-only:
+    with the angular sample weights w[n] = (2 pi / N) (N_m + n), (w (1+sfo))^2,
+    -w, a = w (1+sfo) cfo, b = w (1+sfo), gamma = -w^2 cfo^2,
+    theta = -2 cfo w^2 and pi = -w^2."""
     w = _TWO_PI / config.dft_size * (config.symbol_start(m)
                                      + np.arange(config.dft_size))
+    b, w_sq = w * (1.0 + sfo), w ** 2
     return tuple(_read_only(a) for a in (
-        (w * (1.0 + sfo)) ** 2,
-        1.0 + 1j * w * (1.0 + sfo) * cfo,
-        1j * w * (1.0 + sfo),
-        1j * w,
-        -(w ** 2) * (cfo ** 2),
-        -2.0 * cfo * (w ** 2),
-        -(w ** 2),
-    ))
+        b ** 2, -w, b * cfo, b, -w_sq * (cfo ** 2), -2.0 * cfo * w_sq, -w_sq))
+
+
+def _fisher_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
+                    noise_var: float):
+    """:func:`fisher_rows` of a noiseless burst: with p = Re(d conj(g)),
+    symbol m adds (w (1+sfo))^2 |g|^2 to f00, -w (a |g|^2 + b p) to f01
+    and (gamma |g|^2 + theta p) + pi |d|^2 to f11."""
+    _check_noise_var(noise_var)
+    ks = config.subcarrier_indices
+    f00 = f01 = f11 = 0.0
+    for m, (xh, g) in enumerate(burst):
+        kxh = kxh if m and xh is burst[m - 1][0] else ks * xh
+        d = (_warped_basis(config, sfo, m) @ kxh[..., None])[..., 0]
+        slope_sq, neg_w, a, b, gamma, theta, pi = \
+            _fisher_weights(config, cfo, sfo, m)
+        g_sq = g.real ** 2 + g.imag ** 2
+        p = (d * np.conj(g)).real
+        f00 = f00 + _sum_last(slope_sq * g_sq)
+        f01 = f01 + _sum_last(neg_w * (a * g_sq + b * p))
+        f11 = f11 + _sum_last(gamma * g_sq + theta * p
+                              + pi * (d.real ** 2 + d.imag ** 2))
+    scale = 2.0 / (noise_var * config.dft_size)
+    return f00 * scale, f01 * -scale, f11 * -scale
 
 
 def fisher_rows(config: OfdmConfig, symbols, taps: np.ndarray,
@@ -135,33 +152,8 @@ def fisher_rows(config: OfdmConfig, symbols, taps: np.ndarray,
     ``symbols`` holds one (T, K) array of training rows per training
     symbol and ``taps`` is (T, L); each entry is returned as (T,).
     """
-    _check_noise_var(noise_var)
-    h = _channel_gains(config, taps)
-    ks = config.subcarrier_indices
-    f00 = f01 = f11 = 0.0
-    for m, x in enumerate(symbols):
-        basis = _warped_basis(config, sfo, m)
-        xh = x * h
-        g = (basis @ xh[..., None])[..., 0]
-        d = (basis @ (ks * xh)[..., None])[..., 0]
-        slope_sq, phi_w, psi_w, jw, gamma_w, theta_w, pi_w = \
-            _fisher_weights(config, cfo, sfo, m)
-        g_sq = g.real ** 2 + g.imag ** 2
-        d_conj_g = d * np.conj(g)
-
-        f00 = f00 + _sum_last(slope_sq * g_sq)
-
-        phi = phi_w * g_sq
-        psi = psi_w * d_conj_g
-        f01 = f01 + _sum_last((jw * (phi + psi)).real)
-
-        gamma = gamma_w * g_sq
-        theta = theta_w * d_conj_g
-        pi_term = pi_w * (d.real ** 2 + d.imag ** 2)
-        f11 = f11 + _sum_last((gamma + theta + pi_term).real)
-
-    scale = 2.0 / (noise_var * config.dft_size)
-    return f00 * scale, f01 * -scale, f11 * -scale
+    burst = _noiseless_burst(config, symbols, taps, sfo)
+    return _fisher_entries(config, burst, cfo, sfo, noise_var)
 
 
 def fisher_closed_form(config: OfdmConfig, training: TrainingSymbols,

@@ -18,10 +18,10 @@ and draws into the chunk's arrays: the QPSK picks from its raw words
 These are the draws of :func:`ofdm_model.derive_rng`'s streams, bit for
 bit, and only the current SNR point's seed tables are held. A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
-per estimator and one stacked Fisher pass, which equal the one-trial
-computations bit for bit (see :mod:`ofdm_sync_lab.ofdm_model` for the
-rules that make them equal), so :func:`run_trial` is the one-trial view
-of the same code.
+per estimator and one stacked Fisher pass over the synthesis's noiseless
+burst, which equal the one-trial computations bit for bit (see
+:mod:`ofdm_sync_lab.ofdm_model` for the rules that make them equal), so
+:func:`run_trial` is the one-trial view of the same code.
 
 A chunk's outcomes stay trial-major columns (:class:`_Columns`): the
 residual norms, each estimator's lattice cfo, sfo and cost, the bounds,
@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crb import (
+    _fisher_entries,
     compare_fisher,
     crb_rows,
     fisher_closed_form,
@@ -82,11 +83,12 @@ from .ofdm_model import (
     make_config,
     noise_variance_from_snr,
     snr_stream_key,
-    synthesize_rows,
     _CACHE_SIZE,
     _SeedWords,
     _derive_tables,
+    _noiseless_burst,
     _qpsk_picks,
+    _synthesized,
 )
 
 __all__ = [
@@ -296,28 +298,28 @@ def _chunks(cfg: ExperimentConfig, stream_key, indices, labels):
                     {label: table[rows] for label, table in tables.items()})
 
 
-def _observe(cfg: ExperimentConfig, snr_db: float,
-             draws: _Draws) -> np.ndarray:
-    """Synthesize and demodulate a chunk's bursts: (T, 2, K) spectra."""
-    samples = synthesize_rows(
-        cfg.ofdm, (draws.training, draws.training), draws.taps, cfg.cfo,
-        cfg.sfo, noise_variance_from_snr(cfg.ofdm, snr_db), draws.noise)
+def _observe(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
+             burst) -> np.ndarray:
+    """Add noise to a chunk's burst and demodulate: (T, 2, K) spectra."""
+    samples = _synthesized(cfg.ofdm, burst, cfg.cfo, cfg.sfo,
+                           noise_variance_from_snr(cfg.ofdm, snr_db),
+                           draws.noise)
     return demodulate_rows(samples, cfg.ofdm)
 
 
-def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws) -> dict:
-    """Each trial's bounds at the true offsets, as :class:`_Columns`
-    fields.
-
-    The closed form runs once over the chunk; any other backend (the
-    numeric oracle on a failed probe) is called one trial at a time.
-    """
+def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
+                burst=None) -> dict:
+    """Each trial's bounds at the true offsets, as :class:`_Columns` fields:
+    the closed form once over the chunk's burst, any other backend (the
+    numeric oracle on a failed probe) one trial at a time."""
     fisher_fn = _select_crb_backend(cfg)[0]
     noise_var = noise_variance_from_snr(cfg.ofdm, snr_db)
     if fisher_fn is fisher_closed_form:
-        f00, f01, f11 = fisher_rows(
-            cfg.ofdm, (draws.training,) * cfg.ofdm.n_symbols, draws.taps,
-            cfg.cfo, cfg.sfo, noise_var)
+        f00, f01, f11 = (
+            _fisher_entries(cfg.ofdm, burst, cfg.cfo, cfg.sfo, noise_var)
+            if burst is not None else
+            fisher_rows(cfg.ofdm, (draws.training,) * 2, draws.taps,
+                        cfg.cfo, cfg.sfo, noise_var))
         f10 = f01
     else:
         entries = [fisher_fn(cfg.ofdm, TrainingSymbols(x, x),
@@ -334,7 +336,9 @@ def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws) -> dict:
 def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
                    with_estimates: bool = True, with_crb: bool = True):
     """The columns of a chunk of bursts, and the chunk's spectra."""
-    spectra = _observe(cfg, snr_db, draws)
+    burst = _noiseless_burst(cfg.ofdm, (draws.training,) * 2, draws.taps,
+                             cfg.sfo)
+    spectra = _observe(cfg, snr_db, draws, burst)
     r0, r1 = spectra[:, 0], spectra[:, 1]
     y, bad = ratio_observable_rows(draws.training, draws.training, r0, r1)
     fields = {
@@ -353,7 +357,7 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
                      f"{list(e.subcarriers)})"
                 for t, e in found.failures.items()})
     if with_crb:
-        fields.update(_crb_fields(cfg, snr_db, draws))
+        fields.update(_crb_fields(cfg, snr_db, draws, burst))
     return _Columns(draws.indices, **fields), spectra
 
 

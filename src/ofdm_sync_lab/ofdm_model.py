@@ -27,9 +27,11 @@ instead of corrupting later trials.
 
 Synthesis and demodulation run on trial-major stacks of bursts
 (:func:`synthesize_rows`, :func:`demodulate_rows`); the one-burst
-functions are their one-row views. A stack equals its rows computed one
-at a time, bit for bit, under three rules: matrix products are stacked
-matvecs ``A @ Z[..., None]`` (a plain GEMM ``A @ Z`` rounds
+functions are their one-row views. Synthesis reads the noiseless burst
+g_m = B_m (x H) of :func:`_noiseless_burst`, which a fig2 chunk also
+hands to the closed-form Fisher pass. A stack equals its rows computed
+one at a time, bit for bit, under three rules: matrix products are
+stacked matvecs ``A @ Z[..., None]`` (a plain GEMM ``A @ Z`` rounds
 differently), the FFT runs along the last axis, and every reduction runs
 along the last axis of a C-contiguous array (:func:`_sum_last`).
 
@@ -390,21 +392,34 @@ def _channel_gains(config: OfdmConfig, taps: np.ndarray) -> np.ndarray:
     return (_dft_phases(config, taps.shape[-1]) @ taps[..., None])[..., 0]
 
 
-def _noiseless_rows(config: OfdmConfig, m: int, x: np.ndarray,
-                    h: np.ndarray, cfo: float, sfo: float) -> np.ndarray:
-    """Noiseless samples of training symbol m, (T, N), from the (T, K)
-    training rows x and channel gains h."""
-    basis = _warped_basis(config, sfo, m)
-    return (_cfo_lead(config, cfo, sfo, m)
-            * (basis @ (x * h)[..., None])[..., 0]
-            / np.sqrt(config.dft_size))
+def _noiseless_burst(config: OfdmConfig, symbols, taps: np.ndarray,
+                     sfo: float) -> list:
+    """Per training symbol m, (x H, B_m (x H)) as (T, K) and (T, N) rows,
+    with H(k) formed once and x H once per distinct training array."""
+    h = _channel_gains(config, taps)
+    burst = []
+    for m, x in enumerate(symbols):
+        if x.shape[-1] != config.n_active:
+            raise ValueError(f"training length {x.shape[-1]} does not "
+                             f"match n_active {config.n_active}")
+        xh = burst[-1][0] if m and x is symbols[m - 1] else x * h
+        burst.append((xh, (_warped_basis(config, sfo, m)
+                           @ xh[..., None])[..., 0]))
+    return burst
 
 
-def _check_training(x: np.ndarray, config: OfdmConfig):
-    if x.shape[-1] != config.n_active:
-        raise ValueError(
-            f"training length {x.shape[-1]} does not match n_active "
-            f"{config.n_active}")
+def _synthesized(config: OfdmConfig, burst, cfo: float, sfo: float,
+                 noise_var: float, normals) -> np.ndarray:
+    """The (T, n_symbols, N) samples of a :func:`_noiseless_burst`."""
+    samples = np.stack([_cfo_lead(config, cfo, sfo, m) * g
+                        / np.sqrt(config.dft_size)
+                        for m, (_, g) in enumerate(burst)], axis=1)
+    if noise_var > 0.0:
+        if normals is None:
+            raise ValueError("normals are required when noise_var > 0")
+        samples = samples + _complex_normal(np.sqrt(noise_var / 2.0),
+                                            normals)
+    return samples
 
 
 def synthesize_rows(config: OfdmConfig, symbols, taps: np.ndarray,
@@ -431,17 +446,8 @@ def synthesize_rows(config: OfdmConfig, symbols, taps: np.ndarray,
         (T, n_symbols, 2, N) standard normals of each symbol's noise, real
         parts then imaginary parts; required when ``noise_var > 0``.
     """
-    h = _channel_gains(config, taps)
-    for x in symbols:
-        _check_training(x, config)
-    samples = np.stack([_noiseless_rows(config, m, x, h, cfo, sfo)
-                        for m, x in enumerate(symbols)], axis=1)
-    if noise_var > 0.0:
-        if normals is None:
-            raise ValueError("normals are required when noise_var > 0")
-        samples = samples + _complex_normal(np.sqrt(noise_var / 2.0),
-                                            normals)
-    return samples
+    return _synthesized(config, _noiseless_burst(config, symbols, taps, sfo),
+                        cfo, sfo, noise_var, normals)
 
 
 def _noise_normals(rng, config: OfdmConfig, noise_var: float):

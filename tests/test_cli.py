@@ -89,6 +89,11 @@ def test_flags_override_defaults():
     assert inv.experiment.n_trials == 9
     assert inv.experiment.master_seed == 7
     assert inv.experiment.snr_points_db == (10.0, 20.0)
+    # The flags may also come before the command.
+    before = parse(["--cfo", "0.21", "--trials", "9", "--seed", "7",
+                    "--snr-min", "10", "--snr-max", "20", "--snr-step",
+                    "10", "fig1"])
+    assert (before.command, before.values) == (inv.command, inv.values)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -430,8 +435,8 @@ def poison_first_r0_bin(monkeypatch, value):
     """Make every drawn observation carry ``value`` in its first R0 bin."""
     real_observe = harness._observe
 
-    def poisoned(cfg, snr_db, draws):
-        spectra = real_observe(cfg, snr_db, draws)
+    def poisoned(cfg, snr_db, draws, burst):
+        spectra = real_observe(cfg, snr_db, draws, burst)
         spectra[:, 0, 0] = value
         return spectra
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
+    QPSK_ALPHABET,
     ChannelRealization,
     CrbPair,
     FisherMatrix,
@@ -16,6 +17,7 @@ from ofdm_sync_lab import (
     SingularInformationError,
     TrainingSymbols,
     channel_frequency_response,
+    channel_taps,
     compare_fisher,
     crb_from_fisher,
     derive_rng,
@@ -28,6 +30,7 @@ from ofdm_sync_lab import (
     run_crb_sweep,
     sample_channel,
     synthesize_frame,
+    synthesize_rows,
 )
 from ofdm_sync_lab import crb, harness, ofdm_model
 from ofdm_sync_lab.harness import CRB_AGREEMENT_RTOL
@@ -166,6 +169,82 @@ def fisher_scenarios(draw):
 def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
     comparison = compare_fisher(*scenario_args)
     assert comparison.max_rel_error < CRB_AGREEMENT_RTOL
+
+
+# ---------------------------------------------------- reference arithmetic
+
+
+def reference_fisher_rows(config, symbols, taps, cfo, sfo, noise_var):
+    """The closed form as sums of complex-weighted summands, with x H,
+    k x H, g and d formed afresh for every symbol."""
+    h = ofdm_model._channel_gains(config, taps)
+    ks = config.subcarrier_indices
+    f00 = f01 = f11 = 0.0
+    for m, x in enumerate(symbols):
+        w = 2.0 * np.pi / config.dft_size * (config.symbol_start(m)
+                                             + np.arange(config.dft_size))
+        basis = ofdm_model._warped_basis(config, sfo, m)
+        xh = x * h
+        g = (basis @ xh[..., None])[..., 0]
+        d = (basis @ (ks * xh)[..., None])[..., 0]
+        g_sq = g.real ** 2 + g.imag ** 2
+        d_conj_g = d * np.conj(g)
+        f00 = f00 + ofdm_model._sum_last((w * (1.0 + sfo)) ** 2 * g_sq)
+        phi = (1.0 + 1j * w * (1.0 + sfo) * cfo) * g_sq
+        psi = 1j * w * (1.0 + sfo) * d_conj_g
+        f01 = f01 + ofdm_model._sum_last((1j * w * (phi + psi)).real)
+        gamma = -(w ** 2) * (cfo ** 2) * g_sq
+        theta = -2.0 * cfo * (w ** 2) * d_conj_g
+        pi_term = -(w ** 2) * (d.real ** 2 + d.imag ** 2)
+        f11 = f11 + ofdm_model._sum_last((gamma + theta + pi_term).real)
+    scale = 2.0 / (noise_var * config.dft_size)
+    return f00 * scale, f01 * -scale, f11 * -scale
+
+
+@st.composite
+def training_stacks(draw):
+    """A one- or two-symbol geometry and a chunk of 1-40 bursts whose two
+    symbols are one shared array or differ in every entry; offsets may
+    be exactly 0."""
+    dft_size = draw(st.sampled_from([16, 32, 64]))
+    config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
+                         draw(st.integers(0, dft_size // 4)),
+                         draw(st.integers(1, 2)))
+    n_trials = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    picks = rng.integers(0, 4, (n_trials, config.n_active))
+    x0 = QPSK_ALPHABET[picks]
+    x1 = x0 if draw(st.booleans()) else \
+        QPSK_ALPHABET[(picks + rng.integers(1, 4, picks.shape)) % 4]
+    taps = channel_taps(rng.standard_normal(
+        (n_trials, 2, draw(st.integers(1, 8)))))
+    cfo = draw(st.just(0.0) | st.floats(-0.4, 0.4))
+    sfo = draw(st.just(0.0) | st.floats(-5e-4, 5e-4))
+    noise_var = draw(st.sampled_from([0.0, 0.5]))
+    normals = rng.standard_normal(
+        (n_trials, config.n_symbols, 2, dft_size))
+    return (config, (x0, x1)[:config.n_symbols], taps, cfo, sfo, noise_var,
+            normals)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(stack=training_stacks())
+def test_fisher_rows_equal_the_complex_weight_formula(stack):
+    """Bit for bit, through the public function and through a noiseless
+    burst that synthesis has read first, as a fig2 chunk shares it; that
+    synthesis equals ``synthesize_rows`` called alone."""
+    config, symbols, taps, cfo, sfo, noise_var, normals = stack
+    expected = reference_fisher_rows(config, symbols, taps, cfo, sfo, 0.1)
+    burst = ofdm_model._noiseless_burst(config, symbols, taps, sfo)
+    samples = ofdm_model._synthesized(config, burst, cfo, sfo, noise_var,
+                                      normals)
+    for entries in (crb.fisher_rows(config, symbols, taps, cfo, sfo, 0.1),
+                    crb._fisher_entries(config, burst, cfo, sfo, 0.1)):
+        for got, want in zip(entries, expected):
+            assert got.tobytes() == want.tobytes()
+    alone = synthesize_rows(config, symbols, taps, cfo, sfo, noise_var,
+                            normals)
+    assert samples.tobytes() == alone.tobytes()
 
 
 # --------------------------------------------------------- memoized arrays

@@ -301,8 +301,8 @@ def poison_first_r0_bin(monkeypatch, value, trial=None):
     ``value`` in its first R0 bin."""
     real_observe = harness._observe
 
-    def poisoned(cfg, snr_db, draws):
-        spectra = real_observe(cfg, snr_db, draws)
+    def poisoned(cfg, snr_db, draws, burst):
+        spectra = real_observe(cfg, snr_db, draws, burst)
         rows = [i for i, t in enumerate(draws.indices)
                 if trial is None or t == trial]
         spectra[rows, 0, 0] = value
@@ -733,3 +733,15 @@ def test_backend_probe_falls_back_to_oracle(monkeypatch):
     for t in range(cfg.n_trials):
         assert run_trial(cfg, 15.0, t) == swept[(15.0, t)]
         assert inspect_trial(cfg, 15.0, t).record == swept[(15.0, t)]
+
+    # Under the closed form, the backend at the default tolerance, fig2
+    # bounds each chunk from the burst it synthesized and crb from its
+    # scenario draws alone; their bounds agree all the same, over two
+    # chunks of trials.
+    monkeypatch.undo()
+    cfg = tiny_experiment(n_trials=40, snr_points_db=(5.0, 30.0))
+    assert harness._select_crb_backend(cfg)[1] == "closed_form"
+    sweep, crb_sweep = run_mse_sweep(cfg), run_crb_sweep(cfg)
+    assert crb_sweep.crb_backend == sweep.crb_backend == "closed_form"
+    assert [(r.crb_cfo, r.crb_sfo, r.crb_excluded) for r in crb_sweep.rows] \
+        == [(r.crb_cfo, r.crb_sfo, r.crb_excluded) for r in sweep.rows]
