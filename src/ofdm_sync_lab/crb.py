@@ -25,10 +25,12 @@ with an exact 0 or 1.
 
 The closed form runs on trial-major stacks, one pass per training symbol
 over the noiseless burst that synthesis also forms (fig2's chunks reuse
-the one they synthesized), and the 2x2 inversion is elementwise
-(:func:`crb_rows`); :func:`fisher_closed_form` and
-:func:`crb_from_fisher` are their one-row views and equal them bit for
-bit. The numeric oracle stays a one-trial computation.
+the one they synthesized); :func:`fisher_closed_form` is its one-row view
+and equals it bit for bit. The 2x2 inversion is elementwise
+(:func:`crb_rows`), and :func:`invertible` marks the rows whose bounds
+mean something. The numeric oracle stays a one-trial computation, and
+synthesizes its mean with :func:`ofdm_sync_lab.ofdm_model.synthesize_rows`
+on a stack of one.
 """
 
 import functools
@@ -46,19 +48,16 @@ from .ofdm_model import (
     _read_only,
     _sum_last,
     _warped_basis,
-    synthesize_frame,
+    synthesize_rows,
 )
 
 __all__ = [
-    "SingularInformationError",
     "FisherMatrix",
-    "CrbPair",
     "fisher_closed_form",
     "fisher_rows",
     "fisher_numeric_oracle",
     "FisherComparison",
     "compare_fisher",
-    "crb_from_fisher",
     "crb_rows",
     "invertible",
 ]
@@ -69,10 +68,6 @@ _TWO_PI = 2.0 * np.pi
 # orders of magnitude below the 1e-3 agreement requirement.
 CFO_STEP_DEFAULT = 1e-6
 SFO_STEP_DEFAULT = 1e-8
-
-
-class SingularInformationError(ValueError):
-    """Raised when the Fisher matrix cannot be inverted meaningfully."""
 
 
 @dataclass(frozen=True)
@@ -86,14 +81,6 @@ class FisherMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.f00, self.f01], [self.f10, self.f11]])
-
-
-@dataclass(frozen=True)
-class CrbPair:
-    """Variance lower bounds for the two offsets."""
-
-    crb_cfo: float
-    crb_sfo: float
 
 
 def _check_noise_var(noise_var: float):
@@ -187,9 +174,12 @@ def fisher_numeric_oracle(config: OfdmConfig, training: TrainingSymbols,
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step}")
 
+    symbols = [training.symbol(m)[None] for m in range(config.n_symbols)]
+
     def mean(e, h):
-        return synthesize_frame(config, training, channel,
-                                ImpairmentParams(e, h, 0.0)).samples.ravel()
+        ImpairmentParams(e, h)  # finite, sfo > -1
+        return synthesize_rows(config, symbols, channel.taps[None], e,
+                               h)[0].ravel()
 
     d_cfo = (mean(cfo + cfo_step, sfo) - mean(cfo - cfo_step, sfo)) \
         / (2.0 * cfo_step)
@@ -262,21 +252,3 @@ def invertible(det) -> np.ndarray:
     """Where a Fisher determinant from :func:`crb_rows` is positive and
     finite."""
     return np.isfinite(det) & (det > 0.0)
-
-
-def crb_from_fisher(fisher: FisherMatrix) -> CrbPair:
-    """Invert the 2x2 Fisher matrix into per-parameter bounds: the one-row
-    view of :func:`crb_rows`.
-
-    Raises
-    ------
-    SingularInformationError
-        If the determinant is non-positive or non-finite.
-    """
-    crb_cfo, crb_sfo, det = crb_rows(fisher.f00, fisher.f01, fisher.f10,
-                                     fisher.f11)
-    if not invertible(det):
-        raise SingularInformationError(
-            f"fisher determinant must be positive and finite, got "
-            f"{float(det)}")
-    return CrbPair(crb_cfo=float(crb_cfo), crb_sfo=float(crb_sfo))

@@ -31,7 +31,8 @@ per trial; a trial whose argmin this cannot certify forms its full
 101 x 101 surface, its finiteness check and its argmin on its own.
 Either way the result is the full surface's, bit for bit. The row
 searches return trial-major columns (``_Estimates``) that the harness
-reduces directly; ``search_*_rows`` are their list views.
+reduces directly; ``GridEvaluator.search_proposed`` and
+``search_nguyenle`` read the one row of a stack of one.
 ``refine=True`` moves a lattice estimate off the lattice from the same
 correlations: Moose's closed-form CFO at the argmin's SFO, and the SFO
 vertex of the profile over SFO. The direct formulas
@@ -474,33 +475,14 @@ class GridEvaluator:
             t: DegenerateObservationError(ks[bad[t]])
             for t in degenerate.tolist()})
 
-    def search_proposed_rows(self, r0, r1) -> list:
-        """Search every row of the (T, K) spectra r0, r1.
-
-        Returns one entry per row: its :class:`EstimationResult`, or the
-        :class:`NonFiniteSurfaceError` that row's surface raised.
-        """
-        return self._search_pairs(r0, r1).results()
-
-    def search_nguyenle_rows(self, y, bad) -> list:
-        """Search every row of the ratio observable (y, bad) of
-        :func:`ratio_observable_rows`.
-
-        Returns one entry per row: its :class:`EstimationResult`, or the
-        :class:`DegenerateObservationError` or
-        :class:`NonFiniteSurfaceError` of that row. Degenerate rows are
-        not searched.
-        """
-        return self._search_ratios(y, bad).results()
-
     def search_proposed(self, obs: PreambleObservation) -> EstimationResult:
-        return _raised(self.search_proposed_rows(obs.r0[None],
-                                                 obs.r1[None])[0])
+        return _raised(self._search_pairs(obs.r0[None],
+                                          obs.r1[None]).results()[0])
 
     def search_nguyenle(self, obs: PreambleObservation) -> EstimationResult:
-        return _raised(self.search_nguyenle_rows(*ratio_observable_rows(
+        return _raised(self._search_ratios(*ratio_observable_rows(
             obs.training.x0[None], obs.training.x1[None], obs.r0[None],
-            obs.r1[None]))[0])
+            obs.r1[None])).results()[0])
 
     def _moose_step(self, v: np.ndarray, result: EstimationResult):
         """Off-lattice (cfo, sfo) from one trial's correlations v and the

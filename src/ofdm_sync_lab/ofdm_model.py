@@ -25,9 +25,9 @@ profile (tap count and decay). Every cached array is read-only, so a
 caller that tried to modify one in place would get a ``ValueError``
 instead of corrupting later trials.
 
-Synthesis and demodulation run on trial-major stacks of bursts
-(:func:`synthesize_rows`, :func:`demodulate_rows`); the one-burst
-functions are their one-row views. Synthesis reads the noiseless burst
+Synthesis and demodulation run only on trial-major stacks of bursts
+(:func:`synthesize_rows`, :func:`demodulate_rows`); one burst is a stack
+of one row (``x[None]``). Synthesis reads the noiseless burst
 g_m = B_m (x H) of :func:`_noiseless_burst`, which a fig2 chunk also
 hands to the closed-form Fisher pass. A stack equals its rows computed
 one at a time, bit for bit, under three rules: matrix products are
@@ -58,18 +58,11 @@ __all__ = [
     "TrainingSymbols",
     "ChannelRealization",
     "ImpairmentParams",
-    "TimeDomainFrame",
     "PreambleObservation",
     "make_config",
-    "generate_training_symbols",
     "exponential_power_profile",
-    "sample_channel",
     "channel_taps",
-    "channel_frequency_response",
-    "synthesize_frame",
     "synthesize_rows",
-    "demodulate",
-    "demodulate_frame",
     "demodulate_rows",
     "coupling_coefficient",
     "ici_term",
@@ -248,19 +241,6 @@ class ImpairmentParams:
 
 
 @dataclass(frozen=True)
-class TimeDomainFrame:
-    """Received burst: one row of N samples per training symbol."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        if samples.ndim != 2:
-            raise ValueError("samples must be a 2-D (symbols x N) matrix")
-        object.__setattr__(self, "samples", samples)
-
-
-@dataclass(frozen=True)
 class PreambleObservation:
     """Demodulated preamble: K-point spectra of both symbols plus the
     training pair that produced them."""
@@ -280,14 +260,6 @@ class PreambleObservation:
                 f"length {self.training.x0.size}")
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "r1", r1)
-
-
-def generate_training_symbols(rng: np.random.Generator,
-                              config: OfdmConfig) -> TrainingSymbols:
-    """Draw one QPSK training symbol i.i.d. uniform and repeat it."""
-    picks = rng.integers(0, 4, size=config.n_active)
-    x0 = QPSK_ALPHABET[picks]
-    return TrainingSymbols(x0=x0, x1=x0.copy())
 
 
 def exponential_power_profile(n_taps: int,
@@ -314,33 +286,6 @@ def channel_taps(normals: np.ndarray,
     return _complex_normal(_tap_scale(normals.shape[-1], decay), normals)
 
 
-def sample_channel(rng: np.random.Generator, n_taps: int = 5,
-                   decay: float = PDP_DECAY_TAPS) -> ChannelRealization:
-    """Draw independent Rayleigh taps with the exponential power profile.
-
-    The draw is ``standard_normal((2, n_taps))``: the same numbers, in
-    the same order, as two draws of ``n_taps``.
-    """
-    _tap_scale(n_taps, decay)  # validates before drawing
-    return ChannelRealization(
-        taps=channel_taps(rng.standard_normal((2, n_taps)), decay))
-
-
-def channel_frequency_response(channel: ChannelRealization, k,
-                               dft_size: int):
-    """Channel gain H(k) = sum_l h_l exp(-j 2 pi k l / N) at subcarrier k.
-
-    Broadcasts over arrays of subcarrier indices.
-    """
-    k = np.asarray(k)
-    scalar = k.ndim == 0
-    l = np.arange(channel.n_taps)
-    phases = np.exp(-1j * _TWO_PI
-                    * np.atleast_1d(k)[..., None] * l / dft_size)
-    out = phases @ channel.taps
-    return complex(out[0]) if scalar else out
-
-
 def noise_variance_from_snr(config: OfdmConfig, snr_db: float) -> float:
     """Complex noise variance for a given SNR in dB.
 
@@ -362,11 +307,7 @@ def _warped_basis(config: OfdmConfig, sfo: float, m: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _dft_phases(config: OfdmConfig, n_taps: int) -> np.ndarray:
-    """The (K x L) phases exp(-j 2 pi k l / N) that map taps to H(k).
-
-    Same expression as :func:`channel_frequency_response`, so H(k) keeps
-    its bytes.
-    """
+    """The (K x L) phases exp(-j 2 pi k l / N) that map taps to H(k)."""
     ks = config.subcarrier_indices
     l = np.arange(n_taps)
     return _read_only(np.exp(-1j * _TWO_PI * ks[:, None] * l
@@ -384,10 +325,10 @@ def _cfo_lead(config: OfdmConfig, cfo: float, sfo: float,
 
 
 def _channel_gains(config: OfdmConfig, taps: np.ndarray) -> np.ndarray:
-    """H(k) on the active subcarriers for each row of taps, (..., K).
-
-    One stacked matvec over the same phases as
-    :func:`channel_frequency_response`, so H(k) keeps its bytes.
+    """H(k) = sum_l h_l exp(-j 2 pi k l / N) on the active subcarriers
+    for each row of taps, (..., K): one stacked matvec over
+    :func:`_dft_phases`, so a row's H(k) has the same bytes alone or in a
+    stack.
     """
     return (_dft_phases(config, taps.shape[-1]) @ taps[..., None])[..., 0]
 
@@ -450,40 +391,6 @@ def synthesize_rows(config: OfdmConfig, symbols, taps: np.ndarray,
                         cfo, sfo, noise_var, normals)
 
 
-def _noise_normals(rng, config: OfdmConfig, noise_var: float):
-    """One symbol's (2, N) noise normals from ``rng``, None if noiseless."""
-    if not noise_var > 0.0:
-        return None
-    if rng is None:
-        raise ValueError("rng is required when noise_var > 0")
-    return rng.standard_normal((2, config.dft_size))
-
-
-def synthesize_frame(config: OfdmConfig, training: TrainingSymbols,
-                     channel: ChannelRealization,
-                     impairments: ImpairmentParams,
-                     rngs=None) -> TimeDomainFrame:
-    """Simulate all training symbols of the burst, one noise stream each.
-
-    The one-burst view of :func:`synthesize_rows`. ``rngs`` holds one
-    noise generator per symbol; None synthesizes every symbol without a
-    generator, which requires a noiseless burst.
-    """
-    if rngs is None:
-        rngs = (None,) * config.n_symbols
-    if len(rngs) != config.n_symbols:
-        raise ValueError(
-            f"expected {config.n_symbols} noise streams, got {len(rngs)}")
-    normals = [_noise_normals(rng, config, impairments.noise_var)
-               for rng in rngs]
-    samples = synthesize_rows(
-        config, [training.symbol(m)[None] for m in range(config.n_symbols)],
-        channel.taps[None], impairments.cfo, impairments.sfo,
-        impairments.noise_var,
-        None if normals[0] is None else np.stack(normals)[None])
-    return TimeDomainFrame(samples=samples[0])
-
-
 def demodulate_rows(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """Unitary DFT of every row of samples, restricted to the active set.
 
@@ -498,25 +405,6 @@ def demodulate_rows(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:
     spectrum = np.fft.fft(samples, axis=-1) / np.sqrt(config.dft_size)
     return np.ascontiguousarray(
         spectrum[..., config.subcarrier_indices % config.dft_size])
-
-
-def demodulate(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:
-    """Unitary DFT of one received symbol, restricted to the active set:
-    the one-row view of :func:`demodulate_rows`."""
-    samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 1:
-        raise ValueError(
-            f"expected {config.dft_size} samples, got shape {samples.shape}")
-    return demodulate_rows(samples, config)
-
-
-def demodulate_frame(frame: TimeDomainFrame, config: OfdmConfig,
-                     training: TrainingSymbols) -> PreambleObservation:
-    """Demodulate the first two symbols of a burst into an observation."""
-    if frame.samples.shape[0] < 2:
-        raise ValueError("frame must contain at least two symbols")
-    r0, r1 = demodulate_rows(frame.samples[:2], config)
-    return PreambleObservation(r0=r0, r1=r1, training=training)
 
 
 def coupling_coefficient(k, i, cfo: float, sfo: float, dft_size: int):
@@ -578,7 +466,7 @@ def ici_term(k, m: int, training: TrainingSymbols,
     ks = config.subcarrier_indices
     x = training.symbol(m)
     start = config.symbol_start(m)
-    h = channel_frequency_response(channel, ks, config.dft_size)
+    h = _channel_gains(config, channel.taps)
     coupling = coupling_coefficient(float(k), ks, cfo, sfo, config.dft_size)
     phase = np.exp(1j * _TWO_PI / config.dft_size * start
                    * (ks * sfo + cfo * (1.0 + sfo)))

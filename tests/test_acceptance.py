@@ -8,26 +8,28 @@ import pytest
 
 import ofdm_sync_lab.cli as cli
 from ofdm_sync_lab import (
+    QPSK_ALPHABET,
+    ChannelRealization,
     GridEvaluator,
-    ImpairmentParams,
+    PreambleObservation,
+    TrainingSymbols,
     carrier_gain,
-    channel_frequency_response,
+    channel_taps,
     compare_fisher,
     coupling_coefficient,
-    demodulate_frame,
+    demodulate_rows,
     derive_rng,
-    generate_training_symbols,
     harness,
     ici_term,
     make_config,
     make_experiment,
     make_grid,
     noise_variance_from_snr,
+    ofdm_model,
     pair_residual,
     run_mse_sweep,
     run_noise_variance_sweep,
-    sample_channel,
-    synthesize_frame,
+    synthesize_rows,
 )
 
 
@@ -36,6 +38,23 @@ def announce(capsys, label, passed, detail):
     with capsys.disabled():
         print(f"[{verdict}] {label}: {detail}")
     assert passed, f"{label}: {detail}"
+
+
+def scenario(cfg, seed):
+    """A repeated QPSK training pair and five Rayleigh taps, drawn from
+    the seed's training and channel streams."""
+    x = QPSK_ALPHABET[derive_rng(seed, "training").integers(0, 4,
+                                                            cfg.n_active)]
+    taps = channel_taps(derive_rng(seed, "channel").standard_normal((2, 5)))
+    return TrainingSymbols(x, x), ChannelRealization(taps)
+
+
+def noiseless_observation(cfg, training, channel, cfo, sfo):
+    """Both demodulated symbols of one noiseless burst."""
+    r0, r1 = demodulate_rows(synthesize_rows(
+        cfg, (training.x0[None], training.x1[None]), channel.taps[None], cfo,
+        sfo), cfg)[0]
+    return PreambleObservation(r0, r1, training)
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +124,7 @@ def test_criterion_5_fisher_oracle_agreement(capsys):
     snrs = (0.0, 10.0, 20.0, 30.0)
     worst = None
     for i in range(50):
-        training = generate_training_symbols(
-            derive_rng(4000 + i, "training"), cfg)
-        channel = sample_channel(derive_rng(4000 + i, "channel"))
+        training, channel = scenario(cfg, 4000 + i)
         draws = np.random.default_rng(8600 + i)
         cfo = float(draws.uniform(-0.4, 0.4))
         sfo = float(draws.uniform(-4e-4, 4e-4))
@@ -139,17 +156,13 @@ def test_criterion_6_analytic_identities(capsys):
 
     decomp_rel = 0.0
     for i in range(100):
-        training = generate_training_symbols(
-            derive_rng(5200 + i, "training"), cfg)
-        channel = sample_channel(derive_rng(5200 + i, "channel"))
+        training, channel = scenario(cfg, 5200 + i)
         draws = np.random.default_rng(7300 + i)
         cfo = float(draws.uniform(-0.5, 0.5))
         sfo = float(draws.uniform(-5e-4, 5e-4))
-        frame = synthesize_frame(cfg, training, channel,
-                                 ImpairmentParams(cfo, sfo))
-        obs = demodulate_frame(frame, cfg, training)
+        obs = noiseless_observation(cfg, training, channel, cfo, sfo)
         idx = cfg.subcarrier_indices
-        h = channel_frequency_response(channel, idx, 64)
+        h = ofdm_model._channel_gains(cfg, channel.taps)
         m = i % 2
         r = obs.r0 if m == 0 else obs.r1
         recon = (carrier_gain(idx, m, cfo, sfo, cfg) * training.symbol(m)
@@ -169,12 +182,8 @@ def test_criterion_6_analytic_identities(capsys):
     recovered = 0
     for j, index in enumerate(lattice):
         eps = float(grid.cfo_values[index])
-        training = generate_training_symbols(
-            derive_rng(6100 + j, "training"), cfg)
-        channel = sample_channel(derive_rng(6100 + j, "channel"))
-        frame = synthesize_frame(cfg, training, channel,
-                                 ImpairmentParams(eps, 0.0))
-        obs = demodulate_frame(frame, cfg, training)
+        training, channel = scenario(cfg, 6100 + j)
+        obs = noiseless_observation(cfg, training, channel, eps, 0.0)
         residual_dev = max(residual_dev, float(
             np.max(np.abs(pair_residual(obs, eps, 0.0, cfg)))))
         prop = evaluator.search_proposed(obs)

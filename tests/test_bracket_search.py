@@ -1,9 +1,9 @@
 """The bracket search against the full cost surface.
 
-``GridEvaluator.search_proposed_rows`` and ``search_nguyenle_rows`` read
-each row's lattice argmin from the two CFO rows that bracket Moose's
-closed form in every SFO column, and run the full surface only for rows
-whose argmin that cannot certify. Every row must come out as
+``GridEvaluator._search_pairs`` and ``_search_ratios`` read each row's
+lattice argmin from the two CFO rows that bracket Moose's closed form in
+every SFO column, and run the full surface only for rows whose argmin
+that cannot certify. Every row must come out as
 ``_argmin_lattice`` plus ``_result`` on that row's own full surface: the
 same (cfo, sfo, cost) bits, or the same exception type and message.
 """
@@ -124,8 +124,8 @@ def test_bracket_search_equals_full_surface(chunk):
     ev = GridEvaluator(grid, CFG)
     with np.errstate(invalid="ignore", over="ignore"):
         y, bad = ratio_observable_rows(x, x, r0, r1)
-        proposed = ev.search_proposed_rows(r0, r1)
-        nguyenle = ev.search_nguyenle_rows(y, bad)
+        proposed = ev._search_pairs(r0, r1).results()
+        nguyenle = ev._search_ratios(y, bad).results()
         ks = CFG.subcarrier_indices
         for t in range(len(kinds)):
             c = np.sum(r0[t].real ** 2 + r0[t].imag ** 2 + r1[t].real ** 2
@@ -151,7 +151,7 @@ def test_grid_past_one_period_takes_the_full_surface():
     r0 = np.exp(0.3j * CFG.subcarrier_indices)[None]
     c, v = ev._pair_terms(r0, r0)
     assert ev._bracket(c, v)[0].size == 0
-    (result,) = ev.search_proposed_rows(r0, r0)
+    (result,) = ev._search_pairs(r0, r0).results()
     assert result.cfo == grid.cfo_values[10]
     assert abs(result.cfo - 1.6) < 1e-12
 
@@ -166,7 +166,7 @@ def test_bracket_ties_break_to_the_first_lattice_point():
     surface = ev._surface(c[0], v[0])
     assert surface[50, 0] == surface[50, 1] == surface.min()
     assert ev._bracket(c, v)[0].tolist() == [0]
-    (result,) = ev.search_proposed_rows(r0, r0)
+    (result,) = ev._search_pairs(r0, r0).results()
     assert (result.cfo, result.sfo) == (0.0, -1e-4)
 
 

@@ -10,26 +10,20 @@ from hypothesis import example, given, settings, strategies as st
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
     ChannelRealization,
-    CrbPair,
     FisherMatrix,
-    ImpairmentParams,
     OfdmConfig,
-    SingularInformationError,
     TrainingSymbols,
-    channel_frequency_response,
     channel_taps,
     compare_fisher,
-    crb_from_fisher,
+    crb_rows,
     derive_rng,
     fisher_closed_form,
     fisher_numeric_oracle,
-    generate_training_symbols,
+    invertible,
     make_config,
     make_experiment,
     noise_variance_from_snr,
     run_crb_sweep,
-    sample_channel,
-    synthesize_frame,
     synthesize_rows,
 )
 from ofdm_sync_lab import crb, harness, ofdm_model
@@ -45,10 +39,25 @@ FLAT_TRAINING = TrainingSymbols(np.ones(52, dtype=complex),
 FLAT_CHANNEL = ChannelRealization(np.array([1.0 + 0.0j]))
 
 
+def draw_scenario(training_rng, channel_rng, config=CFG, n_taps=5):
+    """A repeated QPSK training pair and Rayleigh taps, drawn as the
+    harness draws a trial's scenario from its two streams."""
+    x = QPSK_ALPHABET[training_rng.integers(0, 4, config.n_active)]
+    taps = channel_taps(channel_rng.standard_normal((2, n_taps)))
+    return TrainingSymbols(x, x), ChannelRealization(taps)
+
+
 def scenario(seed):
-    training = generate_training_symbols(derive_rng(seed, "training"), CFG)
-    channel = sample_channel(derive_rng(seed, "channel"))
-    return training, channel
+    return draw_scenario(derive_rng(seed, "training"),
+                         derive_rng(seed, "channel"))
+
+
+def crb_pair(fisher):
+    """(crb_cfo, crb_sfo) of one Fisher matrix, which must be invertible."""
+    crb_cfo, crb_sfo, det = crb_rows(fisher.f00, fisher.f01, fisher.f10,
+                                     fisher.f11)
+    assert invertible(det)
+    return float(crb_cfo), float(crb_sfo)
 
 
 # ------------------------------------------------------------- dataclasses
@@ -151,10 +160,9 @@ def fisher_scenarios(draw):
     config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
                          draw(st.integers(0, dft_size // 4)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    training = generate_training_symbols(derive_rng(seed, "training"),
-                                         config)
-    channel = sample_channel(derive_rng(seed, "channel"),
-                             draw(st.integers(1, 8)))
+    training, channel = draw_scenario(
+        derive_rng(seed, "training"), derive_rng(seed, "channel"), config,
+        draw(st.integers(1, 8)))
     cfo = draw(st.floats(-0.4, 0.4, exclude_min=True, exclude_max=True))
     sfo = draw(st.floats(-5e-4, 5e-4, exclude_min=True, exclude_max=True))
     noise_var = draw(st.floats(1e-3, 1.0))
@@ -258,7 +266,9 @@ def test_cached_basis_matches_fresh_build_over_random_geometries(
     config, _, channel, _, sfo, _ = scenario_args
     ks = config.subcarrier_indices
     n = np.arange(config.dft_size)
-    h_fresh = channel_frequency_response(channel, ks, config.dft_size)
+    h_fresh = np.exp(-1j * 2.0 * np.pi * ks[:, None]
+                     * np.arange(channel.n_taps) / config.dft_size) \
+        @ channel.taps
     for m in range(config.n_symbols):
         warp = n * (1.0 + sfo) + sfo * config.symbol_start(m)
         fresh = np.exp(1j * 2.0 * np.pi / config.dft_size
@@ -282,8 +292,8 @@ def test_offset_keyed_caches_stay_bounded():
               crb._fisher_weights)
     for i in range(max(c.cache_info().maxsize for c in caches) + 8):
         sfo = i * 1e-6
-        synthesize_frame(CFG, training, channel,
-                         ImpairmentParams(CFO_OP, sfo))
+        synthesize_rows(CFG, (training.x0[None], training.x1[None]),
+                        channel.taps[None], CFO_OP, sfo)
         fisher_closed_form(CFG, training, channel, CFO_OP, sfo, 0.1)
     for cache in caches:
         info = cache.cache_info()
@@ -301,9 +311,9 @@ def test_oracle_cfo_derivative_matches_analytic_ramp():
     oracle = fisher_numeric_oracle(CFG, training, channel, CFO_OP, SFO_OP,
                                    noise_var)
     rows = []
-    for m in (0, 1):
-        s = synthesize_frame(CFG, training, channel,
-                             ImpairmentParams(CFO_OP, SFO_OP)).samples[m]
+    samples = synthesize_rows(CFG, (training.x0[None], training.x1[None]),
+                              channel.taps[None], CFO_OP, SFO_OP)[0]
+    for m, s in enumerate(samples):
         n = np.arange(64)
         slope = 2 * np.pi / 64 * (CFG.symbol_start(m) + n) * (1 + SFO_OP)
         rows.append(1j * slope * s)
@@ -331,6 +341,12 @@ def test_oracle_rejects_bad_steps():
     with pytest.raises(ValueError, match="sfo_step"):
         fisher_numeric_oracle(CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,
                               0.1, sfo_step=-1e-8)
+    # Offsets the signal model rejects: every perturbed point is checked.
+    for cfo, sfo in ((np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
+                     (0.0, np.nan), (0.0, -1.0), (0.0, -1.5)):
+        with pytest.raises(ValueError):
+            fisher_numeric_oracle(CFG, FLAT_TRAINING, FLAT_CHANNEL, cfo,
+                                  sfo, 0.1)
 
 
 def test_comparison_report_contents():
@@ -346,48 +362,51 @@ def test_comparison_report_contents():
 
 
 def test_crb_from_diagonal_fisher():
-    pair = crb_from_fisher(FisherMatrix(f00=4.0, f01=0.0, f10=0.0, f11=8.0))
-    assert pair.crb_cfo == pytest.approx(0.25, rel=1e-15)
-    assert pair.crb_sfo == pytest.approx(0.125, rel=1e-15)
+    crb_cfo, crb_sfo = crb_pair(FisherMatrix(f00=4.0, f01=0.0, f10=0.0,
+                                             f11=8.0))
+    assert crb_cfo == pytest.approx(0.25, rel=1e-15)
+    assert crb_sfo == pytest.approx(0.125, rel=1e-15)
 
 
 def test_crb_from_coupled_fisher():
-    pair = crb_from_fisher(FisherMatrix(f00=2.0, f01=1.0, f10=1.0, f11=2.0))
-    assert pair.crb_cfo == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert pair.crb_sfo == pytest.approx(2.0 / 3.0, rel=1e-15)
+    crb_cfo, crb_sfo = crb_pair(FisherMatrix(f00=2.0, f01=1.0, f10=1.0,
+                                             f11=2.0))
+    assert crb_cfo == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert crb_sfo == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_coupling_never_tightens_the_bound():
     training, channel = scenario(13)
     fisher = fisher_closed_form(CFG, training, channel, CFO_OP, SFO_OP,
                                 noise_variance_from_snr(CFG, 15.0))
-    pair = crb_from_fisher(fisher)
-    assert pair.crb_cfo >= 1.0 / fisher.f00
-    assert pair.crb_sfo >= 1.0 / fisher.f11
+    crb_cfo, crb_sfo = crb_pair(fisher)
+    assert crb_cfo >= 1.0 / fisher.f00
+    assert crb_sfo >= 1.0 / fisher.f11
 
 
-def test_singular_fisher_raises():
-    with pytest.raises(SingularInformationError):
-        crb_from_fisher(FisherMatrix(f00=1.0, f01=1.0, f10=1.0, f11=1.0))
-    with pytest.raises(SingularInformationError):
-        crb_from_fisher(FisherMatrix(f00=0.0, f01=0.0, f10=0.0, f11=0.0))
-    with pytest.raises(SingularInformationError):
-        crb_from_fisher(FisherMatrix(f00=np.inf, f01=0.0, f10=0.0,
-                                     f11=1.0))
+def test_singular_fisher_is_not_invertible():
+    """Singular, zero and infinite Fisher matrices, one row each, have no
+    usable bound; the invertible rows beside them keep theirs."""
+    f00, f01, f11 = (np.array([1.0, 0.0, np.inf, 4.0]),
+                     np.array([1.0, 0.0, 0.0, 0.0]),
+                     np.array([1.0, 0.0, 1.0, 8.0]))
+    crb_cfo, crb_sfo, det = crb_rows(f00, f01, f01, f11)
+    npt.assert_array_equal(invertible(det), [False, False, False, True])
+    assert (crb_cfo[3], crb_sfo[3]) == (0.25, 0.125)
 
 
 def test_crb_scales_linearly_with_noise():
     """10 dB less SNR means exactly 10x the noise variance and exactly 10x
     both bounds."""
     training, channel = scenario(14)
-    low = crb_from_fisher(fisher_closed_form(
+    low = crb_pair(fisher_closed_form(
         CFG, training, channel, CFO_OP, SFO_OP,
         noise_variance_from_snr(CFG, 20.0)))
-    high = crb_from_fisher(fisher_closed_form(
+    high = crb_pair(fisher_closed_form(
         CFG, training, channel, CFO_OP, SFO_OP,
         noise_variance_from_snr(CFG, 10.0)))
-    assert high.crb_cfo == pytest.approx(10.0 * low.crb_cfo, rel=1e-12)
-    assert high.crb_sfo == pytest.approx(10.0 * low.crb_sfo, rel=1e-12)
+    assert high[0] == pytest.approx(10.0 * low[0], rel=1e-12)
+    assert high[1] == pytest.approx(10.0 * low[1], rel=1e-12)
 
 
 # ----------------------------------------------------------- averaged CRB
@@ -420,14 +439,12 @@ def test_average_crb_single_trial_identity():
     row = averaged_crb(snr_db, 1, seed)
     assert row.crb_excluded == 0
     skey = 10000
-    training = generate_training_symbols(
-        derive_rng(seed, skey, 0, "training"), CFG)
-    channel = sample_channel(derive_rng(seed, skey, 0, "channel"), 5)
-    direct = crb_from_fisher(fisher_closed_form(
+    training, channel = draw_scenario(derive_rng(seed, skey, 0, "training"),
+                                      derive_rng(seed, skey, 0, "channel"))
+    direct = crb_pair(fisher_closed_form(
         CFG, training, channel, CFO_OP, SFO_OP,
         noise_variance_from_snr(CFG, snr_db)))
-    assert row.crb_cfo == direct.crb_cfo
-    assert row.crb_sfo == direct.crb_sfo
+    assert (row.crb_cfo, row.crb_sfo) == direct
 
 
 def test_average_crb_fixed_draw_identity(monkeypatch):
@@ -441,11 +458,11 @@ def test_average_crb_fixed_draw_identity(monkeypatch):
 
     monkeypatch.setattr(harness, "_draw", fixed_draw)
     row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)
-    direct = crb_from_fisher(fisher_closed_form(
+    crb_cfo, crb_sfo = crb_pair(fisher_closed_form(
         CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,
         noise_variance_from_snr(CFG, 15.0)))
-    assert row.crb_cfo == pytest.approx(direct.crb_cfo, rel=1e-15)
-    assert row.crb_sfo == pytest.approx(direct.crb_sfo, rel=1e-15)
+    assert row.crb_cfo == pytest.approx(crb_cfo, rel=1e-15)
+    assert row.crb_sfo == pytest.approx(crb_sfo, rel=1e-15)
 
 
 def test_average_crb_seed_stability():
@@ -478,8 +495,3 @@ def test_average_crb_counts_singular_realizations(monkeypatch):
 
 # A zero trial count is rejected by ExperimentConfig before any sweep
 # runs: tests/test_harness.py::test_experiment_config_validation.
-
-
-def test_crb_pair_is_plain_data():
-    pair = CrbPair(crb_cfo=1.0, crb_sfo=2.0)
-    assert (pair.crb_cfo, pair.crb_sfo) == (1.0, 2.0)

@@ -11,26 +11,26 @@ from ofdm_sync_lab import (
     DegenerateObservationError,
     GridEvaluator,
     GridSpec,
-    ImpairmentParams,
     NonFiniteSurfaceError,
     PreambleObservation,
+    QPSK_ALPHABET,
     TrainingSymbols,
+    channel_taps,
+    demodulate_rows,
     derive_rng,
-    demodulate_frame,
     estimate_nguyenle,
     estimate_proposed,
-    generate_training_symbols,
     make_config,
     make_grid,
     nguyenle_cost,
     nguyenle_observable,
     noise_variance_from_snr,
     pair_residual,
+    pair_residual_rows,
     proposed_cost,
     ratio_residual,
-    sample_channel,
     symbol_phase_ramp,
-    synthesize_frame,
+    synthesize_rows,
 )
 from ofdm_sync_lab.estimators import _argmin_lattice
 
@@ -38,17 +38,24 @@ CFG = make_config(64, 52, 16)
 GRID = make_grid()
 
 
+def training(seed):
+    """A seeded QPSK training symbol."""
+    return QPSK_ALPHABET[derive_rng(seed, "training").integers(0, 4, 52)]
+
+
 def observation(seed, cfo, sfo, snr_db=None):
     """Seeded demodulated preamble; noiseless when snr_db is None."""
-    training = generate_training_symbols(derive_rng(seed, "training"), CFG)
-    channel = sample_channel(derive_rng(seed, "channel"))
-    noise_var = 0.0 if snr_db is None \
-        else noise_variance_from_snr(CFG, snr_db)
-    rngs = (None, None) if snr_db is None \
-        else (derive_rng(seed, "noise0"), derive_rng(seed, "noise1"))
-    frame = synthesize_frame(CFG, training, channel,
-                             ImpairmentParams(cfo, sfo, noise_var), rngs)
-    return demodulate_frame(frame, CFG, training)
+    x = training(seed)
+    taps = channel_taps(derive_rng(seed, "channel").standard_normal((2, 5)))
+    noise_var, normals = 0.0, None
+    if snr_db is not None:
+        noise_var = noise_variance_from_snr(CFG, snr_db)
+        normals = np.stack([derive_rng(seed, label).standard_normal((2, 64))
+                            for label in ("noise0", "noise1")])[None]
+    r0, r1 = demodulate_rows(synthesize_rows(
+        CFG, (x[None], x[None]), taps[None], cfo, sfo, noise_var, normals),
+        CFG)[0]
+    return PreambleObservation(r0, r1, TrainingSymbols(x, x))
 
 
 # -------------------------------------------------------------------- grid
@@ -138,7 +145,8 @@ def test_ramp_sfo_phase_scales_with_subcarrier():
 
 def test_proposed_cost_zero_at_exact_model_match():
     rng = np.random.default_rng(2)
-    tr = generate_training_symbols(derive_rng(2, "training"), CFG)
+    x = training(2)
+    tr = TrainingSymbols(x, x)
     r0 = rng.standard_normal(52) + 1j * rng.standard_normal(52)
     cfo, sfo = 0.17, -3e-5
     r1 = symbol_phase_ramp(CFG.subcarrier_indices, cfo, sfo, CFG) * r0
@@ -224,7 +232,6 @@ def test_observable_flags_degenerate_bins():
 
 
 def test_nguyenle_cost_zeros():
-    tr = generate_training_symbols(derive_rng(11, "training"), CFG)
     ones = np.ones(52, dtype=complex)
     assert nguyenle_cost(ones, 0.0, 0.0, CFG) == 0.0
     eps = float(GRID.cfo_values[71])
@@ -540,7 +547,8 @@ def test_refine_is_exact_on_a_model_exact_pair(estimate):
     a CFO past half a period: the step must scale the phase by (1 + sfo)
     and move it by whole periods back to the lattice's branch."""
     rng = np.random.default_rng(3)
-    tr = generate_training_symbols(derive_rng(3, "training"), CFG)
+    x = training(3)
+    tr = TrainingSymbols(x, x)
     r0 = rng.standard_normal(52) + 1j * rng.standard_normal(52)
     cfo, sfo = 0.6543, 4e-3
     r1 = symbol_phase_ramp(CFG.subcarrier_indices, cfo, sfo, CFG) * r0
@@ -577,21 +585,20 @@ def test_pair_residual_zero_offsets_noiseless():
 def test_pair_residual_noise_only_power():
     """Signal-free preamble: E ||N||^2 = 2 K sigma_w^2 (the ramp is unit
     modulus, so the two noise spectra add in power)."""
-    zeros = np.zeros(52, dtype=complex)
-    tr = TrainingSymbols(zeros, zeros)
-    channel = sample_channel(derive_rng(28, "channel"))
-    noise_var = 0.1
-    rng0 = derive_rng(28, "noise0")
-    rng1 = derive_rng(28, "noise1")
-    total = 0.0
     n_trials = 2000
-    for _ in range(n_trials):
-        frame = synthesize_frame(CFG, tr, channel,
-                                 ImpairmentParams(0.212, 0.000112,
-                                                  noise_var),
-                                 rngs=(rng0, rng1))
-        obs = demodulate_frame(frame, CFG, tr)
-        n_vec = pair_residual(obs, 0.212, 0.000112, CFG)
+    zeros = np.zeros((n_trials, 52), dtype=complex)
+    taps = channel_taps(derive_rng(28, "channel").standard_normal((2, 5)))
+    noise_var = 0.1
+    # Trial t reads the t-th (2, N) block of each symbol's stream.
+    normals = np.stack([derive_rng(28, label).standard_normal(
+        (n_trials, 2, 64)) for label in ("noise0", "noise1")], axis=1)
+    spectra = demodulate_rows(synthesize_rows(
+        CFG, (zeros, zeros), np.tile(taps, (n_trials, 1)), 0.212, 0.000112,
+        noise_var, normals), CFG)
+    n_vecs = pair_residual_rows(spectra[:, 0], spectra[:, 1], 0.212,
+                                0.000112, CFG)
+    total = 0.0
+    for n_vec in n_vecs:
         total += float(np.sum(np.abs(n_vec) ** 2))
     mean = total / n_trials
     assert mean == pytest.approx(2 * 52 * noise_var, rel=0.05)

@@ -10,28 +10,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
+    QPSK_ALPHABET,
     EstimationResult,
-    ImpairmentParams,
     OfdmConfig,
-    PreambleObservation,
     TrialRecord,
     aggregate,
-    demodulate,
+    channel_taps,
+    demodulate_rows,
     derive_rng,
-    generate_training_symbols,
     inspect_trial,
     make_config,
     make_experiment,
     make_grid,
     noise_variance_from_snr,
-    pair_residual,
+    pair_residual_rows,
     run_crb_sweep,
     run_mse_sweep,
     run_noise_variance_sweep,
     run_trial,
     run_trials,
-    sample_channel,
-    synthesize_frame,
+    synthesize_rows,
 )
 from ofdm_sync_lab import harness
 from ofdm_sync_lab.estimators import _Estimates
@@ -674,23 +672,26 @@ def test_residual_noise_scaling_and_floor():
     """Mean pair-residual power tracks the noise variance until the
     deterministic inter-carrier leakage floor takes over."""
     cfg = make_config(64, 52, 16)
-    training = generate_training_symbols(derive_rng(21, "training"), cfg)
-    channel = sample_channel(derive_rng(21, "channel"))
+    x = QPSK_ALPHABET[derive_rng(21, "training").integers(0, 4, 52)]
+    taps = channel_taps(derive_rng(21, "channel").standard_normal((2, 5)))
 
-    def residual_power(noise_var, rng):
-        imp = ImpairmentParams(0.212, 0.000112, noise_var)
-        frame = synthesize_frame(cfg, training, channel, imp, (rng, rng))
-        r = [demodulate(samples, cfg) for samples in frame.samples]
-        obs = PreambleObservation(r0=r[0], r1=r[1], training=training)
-        v = pair_residual(obs, 0.212, 0.000112, cfg)
-        return float(np.sum(np.abs(v) ** 2))
+    def residual_powers(noise_var, normals, n=1):
+        """Pair-residual power of n bursts of the one scenario."""
+        xs = np.tile(x, (n, 1))
+        spectra = demodulate_rows(synthesize_rows(
+            cfg, (xs, xs), np.tile(taps, (n, 1)), 0.212, 0.000112,
+            noise_var, normals), cfg)
+        v = pair_residual_rows(spectra[:, 0], spectra[:, 1], 0.212, 0.000112,
+                               cfg)
+        return [float(np.sum(np.abs(row) ** 2)) for row in v]
 
     def mean_power(snr_db, seed, n=200):
-        noise_var = noise_variance_from_snr(cfg, snr_db)
-        rng = derive_rng(seed, "noise")
-        return sum(residual_power(noise_var, rng) for _ in range(n)) / n
+        # Burst t reads both symbols' (2, N) normals in turn from one stream.
+        normals = derive_rng(seed, "noise").standard_normal((n, 2, 2, 64))
+        return sum(residual_powers(noise_variance_from_snr(cfg, snr_db),
+                                   normals, n)) / n
 
-    floor = residual_power(0.0, None)
+    (floor,) = residual_powers(0.0, None)
     assert floor > 0.0
     assert mean_power(90.0, 5) == pytest.approx(floor, rel=0.01)
     ratio = (mean_power(0.0, 6) - floor) / (mean_power(10.0, 7) - floor)

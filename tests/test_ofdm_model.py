@@ -9,28 +9,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
+    QPSK_ALPHABET,
     ChannelRealization,
     ImpairmentParams,
     OfdmConfig,
     PreambleObservation,
-    TimeDomainFrame,
     TrainingSymbols,
     carrier_gain,
-    channel_frequency_response,
+    channel_taps,
     coupling_coefficient,
-    demodulate,
-    demodulate_frame,
+    demodulate_rows,
     derive_rng,
     derive_states,
     exponential_power_profile,
-    generate_training_symbols,
     ici_term,
     make_config,
     noise_variance_from_snr,
-    sample_channel,
     seed_generator,
     snr_stream_key,
-    synthesize_frame,
+    synthesize_rows,
 )
 from ofdm_sync_lab import ofdm_model
 
@@ -48,9 +45,28 @@ def paper_config():
 
 def scenario(seed=7, n_taps=5):
     cfg = paper_config()
-    training = generate_training_symbols(derive_rng(seed, "training"), cfg)
-    channel = sample_channel(derive_rng(seed, "channel"), n_taps)
-    return cfg, training, channel
+    x = QPSK_ALPHABET[derive_rng(seed, "training").integers(0, 4, 52)]
+    taps = channel_taps(derive_rng(seed, "channel").standard_normal(
+        (2, n_taps)))
+    return cfg, TrainingSymbols(x, x), ChannelRealization(taps)
+
+
+def synthesize(cfg, tr, ch, cfo, sfo):
+    """One noiseless burst as a stack of one, (n_symbols, N)."""
+    return synthesize_rows(
+        cfg, [tr.symbol(m)[None] for m in range(cfg.n_symbols)],
+        ch.taps[None], cfo, sfo)[0]
+
+
+def observe(cfg, tr, ch, cfo, sfo):
+    """The demodulated pair of one noiseless burst."""
+    r0, r1 = demodulate_rows(synthesize(cfg, tr, ch, cfo, sfo), cfg)
+    return PreambleObservation(r0, r1, tr)
+
+
+def gains(cfg, taps):
+    """H(k) on the active subcarriers of one row of taps."""
+    return ofdm_model._channel_gains(cfg, np.asarray(taps, dtype=complex))
 
 
 # ---------------------------------------------------------------- geometry
@@ -136,21 +152,18 @@ def test_config_fields_are_plain_ints():
 
 
 def test_training_symbols_identical_and_unit_modulus():
-    cfg = paper_config()
-    tr = generate_training_symbols(derive_rng(3, "training"), cfg)
-    assert tr.x0.shape == (52,)
-    npt.assert_array_equal(tr.x0, tr.x1)
-    npt.assert_allclose(np.abs(tr.x0), 1.0, rtol=0, atol=1e-15)
+    x = QPSK_ALPHABET[derive_rng(3, "training").integers(0, 4, 52)]
+    assert x.shape == (52,)
+    npt.assert_allclose(np.abs(x), 1.0, rtol=0, atol=1e-15)
     alphabet = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-    for value in tr.x0:
+    for value in x:
         assert np.min(np.abs(alphabet - value)) < 1e-15
 
 
 def test_training_symbol_frequencies_uniform():
     """Each QPSK point appears with frequency 0.25 +/- 0.02."""
-    cfg = paper_config()
     rng = derive_rng(11, "training")
-    draws = np.concatenate([generate_training_symbols(rng, cfg).x0
+    draws = np.concatenate([QPSK_ALPHABET[rng.integers(0, 4, 52)]
                             for _ in range(200)])
     assert draws.size == 10400
     alphabet = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -193,15 +206,14 @@ def test_power_profile_rejects_bad_args():
 def test_channel_tap_power_matches_profile():
     """Mean |h_l|^2 over 1e5 draws lands within 2% of each profile weight.
 
-    The draws are one (1e5, 2, 5) block of the stream that 1e5
-    ``sample_channel`` calls read, and give the same taps bit for bit.
+    The draws are one (1e5, 2, 5) block of the stream, and give the same
+    taps bit for bit as 1e5 draws of (2, 5) normals in turn.
     """
     n = 100_000
-    taps = ofdm_model.channel_taps(
-        derive_rng(5, "channel").standard_normal((n, 2, 5)))
+    taps = channel_taps(derive_rng(5, "channel").standard_normal((n, 2, 5)))
     per_call = derive_rng(5, "channel")
     npt.assert_array_equal(
-        taps[:1000], np.stack([sample_channel(per_call).taps
+        taps[:1000], np.stack([channel_taps(per_call.standard_normal((2, 5)))
                                for _ in range(1000)]))
     power = np.sum(np.abs(taps) ** 2, axis=0) / n
     npt.assert_allclose(power, PDP_5, rtol=0.02)
@@ -216,39 +228,31 @@ def test_channel_realization_validation():
 
 
 def test_frequency_response_flat_for_single_tap():
-    ch = ChannelRealization(np.array([1.0 + 0.0j]))
-    ks = np.arange(-26, 26)
-    npt.assert_allclose(channel_frequency_response(ch, ks, 64),
-                        np.ones(52), rtol=0, atol=1e-15)
-    value = channel_frequency_response(ch, 7, 64)
-    assert isinstance(value, complex)
-    assert abs(value - 1.0) < 1e-15
+    npt.assert_allclose(gains(paper_config(), [1.0]), np.ones(52), rtol=0,
+                        atol=1e-15)
 
 
 def test_frequency_response_dc_is_tap_sum():
     rng = np.random.default_rng(123)
-    ch = ChannelRealization(rng.standard_normal(5)
-                            + 1j * rng.standard_normal(5))
-    assert abs(channel_frequency_response(ch, 0, 64)
-               - ch.taps.sum()) < 1e-12
+    taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    dc = 26  # subcarrier 0 of -26 .. 25
+    assert abs(gains(paper_config(), taps)[dc] - taps.sum()) < 1e-12
 
 
 def test_frequency_response_matches_fft():
     rng = np.random.default_rng(42)
-    ch = ChannelRealization(rng.standard_normal(5)
-                            + 1j * rng.standard_normal(5))
+    taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     padded = np.zeros(64, dtype=complex)
-    padded[:5] = ch.taps
+    padded[:5] = taps
     full = np.fft.fft(padded)
     ks = np.arange(-26, 26)
-    npt.assert_allclose(channel_frequency_response(ch, ks, 64),
-                        full[ks % 64], rtol=1e-12)
+    npt.assert_allclose(gains(paper_config(), taps), full[ks % 64],
+                        rtol=1e-12)
 
 
 def test_frequency_response_conjugate_symmetry_for_real_taps():
-    ch = ChannelRealization(np.array([0.5, 0.3, 0.2]))
-    h_pos = channel_frequency_response(ch, 9, 64)
-    h_neg = channel_frequency_response(ch, -9, 64)
+    h = gains(paper_config(), [0.5, 0.3, 0.2])
+    h_pos, h_neg = h[26 + 9], h[26 - 9]
     assert abs(h_neg - np.conj(h_pos)) < 1e-14
 
 
@@ -279,44 +283,41 @@ def test_impairment_validation():
 
 def test_synthesis_zero_offsets_matches_unitary_idft():
     cfg, tr, ch = scenario()
-    imp = ImpairmentParams(cfo=0.0, sfo=0.0)
-    h = channel_frequency_response(ch, cfg.subcarrier_indices, 64)
+    h = gains(cfg, ch.taps)
     spectrum = np.zeros(64, dtype=complex)
     spectrum[cfg.subcarrier_indices % 64] = tr.x0 * h
     expected = np.fft.ifft(spectrum) * np.sqrt(64.0)
-    for got in synthesize_frame(cfg, tr, ch, imp).samples:
+    for got in synthesize(cfg, tr, ch, 0.0, 0.0):
         npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_synthesis_cfo_is_a_pure_phase_ramp():
     """With sfo = 0 the offset factors out of the subcarrier sum."""
     cfg, tr, ch = scenario(seed=9)
-    base = synthesize_frame(
-        cfg, tr, ch, ImpairmentParams(0.0, 0.0)).samples[1]
-    shifted = synthesize_frame(
-        cfg, tr, ch, ImpairmentParams(CFO_OP, 0.0)).samples[1]
+    base = synthesize(cfg, tr, ch, 0.0, 0.0)[1]
+    shifted = synthesize(cfg, tr, ch, CFO_OP, 0.0)[1]
     n = np.arange(64)
     ramp = np.exp(1j * 2 * np.pi * (cfg.symbol_start(1) + n) * CFO_OP / 64)
     npt.assert_allclose(shifted, ramp * base, rtol=0, atol=1e-12)
 
 
 def test_synthesis_noise_requires_rng():
+    """Noise needs its standard normals; synthesis draws none itself."""
     cfg, tr, ch = scenario()
-    with pytest.raises(ValueError, match="rng"):
-        synthesize_frame(cfg, tr, ch,
-                         ImpairmentParams(0.0, 0.0, noise_var=0.1))
+    with pytest.raises(ValueError, match="normals"):
+        synthesize_rows(cfg, (tr.x0[None], tr.x1[None]), ch.taps[None],
+                        0.0, 0.0, noise_var=0.1)
 
 
 def test_synthesis_noise_calibration():
-    """Sample variance of a signal-free burst matches noise_var within 2%."""
+    """Sample variance of a signal-free burst matches noise_var within 2%:
+    800 bursts of two symbols, each symbol's (2, N) normals drawn in turn
+    from one stream."""
     cfg = paper_config()
-    zeros = TrainingSymbols(np.zeros(52), np.zeros(52))
-    ch = ChannelRealization(np.array([1.0 + 0.0j]))
-    imp = ImpairmentParams(0.0, 0.0, noise_var=0.1)
-    rng = derive_rng(17, "noise0")
-    samples = np.concatenate([
-        synthesize_frame(cfg, zeros, ch, imp, rngs=(rng, rng)).samples.ravel()
-        for _ in range(800)])
+    zeros = np.zeros((800, 52), dtype=complex)
+    normals = derive_rng(17, "noise0").standard_normal((800, 2, 2, 64))
+    samples = synthesize_rows(cfg, (zeros, zeros), np.ones((800, 1)), 0.0,
+                              0.0, 0.1, normals).ravel()
     assert samples.size == 102400
     measured = np.mean(np.abs(samples) ** 2)
     assert measured == pytest.approx(0.1, rel=0.02)
@@ -325,16 +326,13 @@ def test_synthesis_noise_calibration():
     assert np.var(samples.imag) == pytest.approx(0.05, rel=0.03)
 
 
-def test_synthesize_frame_shape_and_stream_count():
+def test_synthesize_rows_shape():
     cfg, tr, ch = scenario()
-    frame = synthesize_frame(cfg, tr, ch, ImpairmentParams(CFO_OP, SFO_OP))
-    assert frame.samples.shape == (2, 64)
+    assert synthesize_rows(cfg, (tr.x0[None], tr.x1[None]), ch.taps[None],
+                           CFO_OP, SFO_OP).shape == (1, 2, 64)
     single = make_config(64, 52, 16, n_symbols=1)
-    frame = synthesize_frame(single, tr, ch, ImpairmentParams(CFO_OP, SFO_OP))
-    assert frame.samples.shape == (1, 64)
-    with pytest.raises(ValueError, match="noise streams"):
-        synthesize_frame(cfg, tr, ch, ImpairmentParams(0.0, 0.0),
-                         rngs=(None,))
+    assert synthesize_rows(single, (tr.x0[None],), ch.taps[None], CFO_OP,
+                           SFO_OP).shape == (1, 1, 64)
 
 
 def test_memoized_arrays_are_read_only():
@@ -350,14 +348,7 @@ def test_memoized_arrays_are_read_only():
     for name, array in memoized.items():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    signal = synthesize_frame(
-        cfg, tr, ch, ImpairmentParams(CFO_OP, SFO_OP)).samples
-    assert signal.flags.writeable
-
-
-def test_time_domain_frame_requires_matrix():
-    with pytest.raises(ValueError):
-        TimeDomainFrame(np.zeros(64))
+    assert synthesize(cfg, tr, ch, CFO_OP, SFO_OP).flags.writeable
 
 
 # ------------------------------------------------------------ demodulation
@@ -365,19 +356,19 @@ def test_time_domain_frame_requires_matrix():
 
 def test_demodulation_round_trip_zero_offsets():
     cfg, tr, ch = scenario(seed=21)
-    frame = synthesize_frame(cfg, tr, ch, ImpairmentParams(0.0, 0.0))
-    obs = demodulate_frame(frame, cfg, tr)
-    h = channel_frequency_response(ch, cfg.subcarrier_indices, 64)
+    obs = observe(cfg, tr, ch, 0.0, 0.0)
+    h = gains(cfg, ch.taps)
     npt.assert_allclose(obs.r0, tr.x0 * h, rtol=0, atol=1e-12)
     npt.assert_allclose(obs.r1, tr.x1 * h, rtol=0, atol=1e-12)
 
 
 def test_demodulate_zeros_and_shape_check():
     cfg = paper_config()
-    npt.assert_array_equal(demodulate(np.zeros(64, dtype=complex), cfg),
-                           np.zeros(52))
+    npt.assert_array_equal(
+        demodulate_rows(np.zeros((1, 64), dtype=complex), cfg),
+        np.zeros((1, 52)))
     with pytest.raises(ValueError, match="samples"):
-        demodulate(np.zeros(63, dtype=complex), cfg)
+        demodulate_rows(np.zeros((1, 63), dtype=complex), cfg)
 
 
 def test_demodulate_is_unitary_on_full_band():
@@ -385,16 +376,9 @@ def test_demodulate_is_unitary_on_full_band():
     cfg = make_config(64, 64, 0)
     rng = np.random.default_rng(31)
     samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    spectrum = demodulate(samples, cfg)
+    spectrum = demodulate_rows(samples[None], cfg)
     assert np.sum(np.abs(spectrum) ** 2) == pytest.approx(
         np.sum(np.abs(samples) ** 2), rel=1e-12)
-
-
-def test_demodulate_frame_needs_two_symbols():
-    cfg, tr, _ = scenario()
-    frame = TimeDomainFrame(np.zeros((1, 64), dtype=complex))
-    with pytest.raises(ValueError, match="two symbols"):
-        demodulate_frame(frame, cfg, tr)
 
 
 def test_observation_length_checked():
@@ -483,10 +467,9 @@ def test_received_spectrum_decomposition():
         rng = np.random.default_rng(trial)
         cfo = float(rng.uniform(-0.5, 0.5))
         sfo = float(rng.uniform(-5e-4, 5e-4))
-        frame = synthesize_frame(cfg, tr, ch, ImpairmentParams(cfo, sfo))
-        obs = demodulate_frame(frame, cfg, tr)
+        obs = observe(cfg, tr, ch, cfo, sfo)
         ks = cfg.subcarrier_indices
-        h = channel_frequency_response(ch, ks, 64)
+        h = gains(cfg, ch.taps)
         for m, r in ((0, obs.r0), (1, obs.r1)):
             gain = carrier_gain(ks, m, cfo, sfo, cfg)
             ici = np.array([ici_term(k, m, tr, ch, cfo, sfo, cfg)
@@ -498,9 +481,8 @@ def test_received_spectrum_decomposition():
 
 def test_decomposition_collapses_at_zero_offsets():
     cfg, tr, ch = scenario(seed=33)
-    frame = synthesize_frame(cfg, tr, ch, ImpairmentParams(0.0, 0.0))
-    obs = demodulate_frame(frame, cfg, tr)
-    h = channel_frequency_response(ch, cfg.subcarrier_indices, 64)
+    obs = observe(cfg, tr, ch, 0.0, 0.0)
+    h = gains(cfg, ch.taps)
     npt.assert_allclose(obs.r1, tr.x1 * h, rtol=0, atol=1e-12)
 
 

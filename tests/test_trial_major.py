@@ -4,7 +4,8 @@ The harness runs a chunk of trials as stacked arrays. Each stacked
 result must equal, byte for byte, what the same trial gives alone:
 synthesis, demodulation, the residual norms, the cost surfaces and their
 argmin, and the closed-form Fisher entries. The one-trial references
-are the one-burst functions and, for the reductions, a 1-D ``np.sum``
+are the row functions called on a stack of one trial (``[t:t+1]``), the
+one-observation estimators and, for the reductions, a 1-D ``np.sum``
 over one trial's vector.
 """
 
@@ -15,16 +16,13 @@ from ofdm_sync_lab import (
     QPSK_ALPHABET,
     ChannelRealization,
     GridEvaluator,
-    ImpairmentParams,
     PreambleObservation,
     TrainingSymbols,
-    demodulate,
     fisher_closed_form,
     make_config,
     make_grid,
     pair_residual,
     ratio_residual,
-    synthesize_frame,
 )
 from ofdm_sync_lab.crb import fisher_rows
 from ofdm_sync_lab.estimators import (
@@ -58,8 +56,10 @@ def stacks(draw):
     return config, n_trials, n_taps, cfo, sfo, noise_var, seed
 
 
-def noise_rngs(seed, t, n_symbols):
-    return [np.random.default_rng([seed, t, m]) for m in range(n_symbols)]
+def noise_normals(seed, t, n_symbols, dft_size):
+    """Trial t's (n_symbols, 2, N) noise normals, one stream per symbol."""
+    return np.stack([np.random.default_rng([seed, t, m]).standard_normal(
+        (2, dft_size)) for m in range(n_symbols)])
 
 
 def assert_same_bytes(a, b):
@@ -90,8 +90,7 @@ def test_stacked_trials_equal_one_trial_results(stack):
     x = QPSK_ALPHABET[rng.integers(0, 4, (n_trials, config.n_active))]
     taps = channel_taps(rng.standard_normal((n_trials, 2, n_taps)))
     normals = np.stack([
-        np.stack([g.standard_normal((2, config.dft_size))
-                  for g in noise_rngs(seed, t, config.n_symbols)])
+        noise_normals(seed, t, config.n_symbols, config.dft_size)
         for t in range(n_trials)])
 
     # Synthesis and demodulation.
@@ -103,12 +102,12 @@ def test_stacked_trials_equal_one_trial_results(stack):
     for t in range(n_trials):
         training = TrainingSymbols(x[t], x[t])
         channel = ChannelRealization(taps[t])
-        impairments = ImpairmentParams(cfo, sfo, noise_var)
-        frame = synthesize_frame(config, training, channel, impairments,
-                                 noise_rngs(seed, t, config.n_symbols))
-        assert_same_bytes(samples[t], frame.samples)
-        obs = PreambleObservation(demodulate(frame.samples[0], config),
-                                  demodulate(frame.samples[1], config),
+        alone = synthesize_rows(
+            config, (x[t:t + 1], x[t:t + 1]), taps[t:t + 1], cfo, sfo,
+            noise_var,
+            noise_normals(seed, t, config.n_symbols, config.dft_size)[None])
+        assert_same_bytes(samples[t], alone[0])
+        obs = PreambleObservation(*demodulate_rows(alone, config)[0],
                                   training)
         assert_same_bytes(spectra[t, 0], obs.r0)
         assert_same_bytes(spectra[t, 1], obs.r1)
@@ -134,8 +133,8 @@ def test_stacked_trials_equal_one_trial_results(stack):
 
         # Surfaces, argmin and the reported cost.
         ev = GridEvaluator(GRID, config)
-        proposed = ev.search_proposed_rows(r0, r1)
-        nguyenle = ev.search_nguyenle_rows(y, bad)
+        proposed = ev._search_pairs(r0, r1).results()
+        nguyenle = ev._search_ratios(y, bad).results()
         c, v = ev._pair_terms(r0, r1)
         for t, (_, _, obs) in enumerate(trials):
             reference = one_trial_surface(ev, obs.r0, obs.r1)
