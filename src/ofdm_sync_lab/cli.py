@@ -20,6 +20,7 @@ included (``--sfo -3e-4``).
 """
 
 import argparse
+import ctypes
 import sys
 
 import numpy as np
@@ -353,11 +354,25 @@ def _run_trial(invocation: CliInvocation) -> int:
     return 0
 
 
+def _retain_heap() -> bool:
+    """Have glibc keep freed heap pages (M_TRIM_THRESHOLD = -1 and
+    M_MMAP_THRESHOLD = -3, both at 32 MB), so each chunk reuses the last
+    one's pages: by default glibc unmaps freed blocks over 128 KB or trims
+    them off the heap top, and the next chunk faults them in again. False
+    where ``mallopt`` is missing or refuses."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return all(mallopt(option, 32 << 20) for option in (-1, -3))
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         invocation = parse(list(argv))
+        _retain_heap()
         runner = {"fig1": _run_fig1, "fig2": _run_fig2,
                   "crb": _run_crb, "trial": _run_trial}[invocation.command]
         return runner(invocation)

@@ -5,10 +5,14 @@ the fig1, fig2 and crb sweeps below, and :func:`inspect_trial` for
 ``trial``.
 
 Trials run serially in the calling thread, in fixed chunks of ``_CHUNK``
-trials held as trial-major arrays (:func:`run_trials`). Every trial
-draws from its own labeled random substreams, keyed by the master seed,
-the SNR point, the trial index and the label, so results are
-reproducible bit for bit regardless of chunking or execution order. A
+(64) trials held as trial-major arrays (:func:`run_trials`). Each chunk
+frees its temporaries and the next one allocates them again, so
+``cli.main`` has glibc keep freed heap pages: otherwise the blocks over
+128 KB go back to the kernel after every chunk, and the next chunk
+faults them back in page by page. Every trial draws from its own
+labeled random substreams, keyed by the master seed, the SNR point, the
+trial index and the label, so results are reproducible bit for bit
+regardless of chunking or execution order. A
 sweep derives the streams of an SNR point in one mixing pass
 (:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
 over the trials and labels); each chunk reads its rows of those seed
@@ -120,10 +124,12 @@ _SINGULAR = "singular information matrix"
 _BURST_STREAMS = ("training", "channel", "noise0", "noise1")
 _SCENARIO_STREAMS = _BURST_STREAMS[:2]
 
-# Trials per chunk. A chunk's draws and spectra are a few KB per trial;
-# the 101 x 101 surfaces (about 0.5 MB of temporaries) are formed one
-# trial at a time, so a larger chunk would buy little and cost memory.
-_CHUNK = 32
+# Trials per chunk. Every chunk pays about 0.8 ms of fixed numpy-call
+# cost, so fig2's 60-trial SNR points run in one chunk each at 64 and in
+# two at 32. A chunk's draws and spectra are a few KB per trial, and the
+# rare 101 x 101 surface (about 0.5 MB of temporaries) is formed one
+# trial at a time; at 128, fig1's peak RSS rose about 5 % over 32.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -154,11 +160,15 @@ class ExperimentConfig:
                 f"n_trials must be below 2**32, got {self.n_trials}")
         ImpairmentParams(self.cfo, self.sfo)  # finite, sfo > -1
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
-        # an alias of the true cfo on the search grid costs what truth does.
+        # every alias cfo + k period (k != 0) costs what truth does. The
+        # lowest one on the grid has k within one of (lo - cfo) / period,
+        # or two when that k is 0: five k from the floor - 1 cover it.
         period = self.ofdm.dft_size / (self.ofdm.symbol_len
                                        * (1.0 + self.sfo))
-        lo, hi = self.grid.cfo_values[0], self.grid.cfo_values[-1]
-        for alias in (self.cfo - period, self.cfo + period):
+        lo, hi = map(float, self.grid.cfo_values[[0, -1]])
+        start = (lo - self.cfo) // period if period else 1.0
+        for alias in (self.cfo + (start + k) * period
+                      for k in (-1.0, 0.0, 1.0, 2.0, 3.0) if start + k):
             if lo <= alias <= hi:
                 raise ValueError(
                     f"cfo {self.cfo} has the alias {alias:.6g} inside the "
@@ -179,6 +189,17 @@ class ExperimentConfig:
                 raise ValueError(
                     f"snr points {a} and {b} share the random stream key "
                     f"{snr_stream_key(a)} (milli-dB resolution)")
+        # The noise variance falls with the SNR and must stay a positive
+        # float: the noise scales by it and the Fisher matrix divides by it.
+        for snr_db in (points[0], points[-1]):
+            try:
+                noise_var = noise_variance_from_snr(self.ofdm, snr_db)
+            except OverflowError:
+                noise_var = np.inf
+            if not 0.0 < noise_var < np.inf:
+                raise ValueError(
+                    f"snr point {snr_db:g} dB gives the noise variance "
+                    f"{noise_var}, which must be positive and finite")
         object.__setattr__(self, "snr_points_db", points)
 
 

@@ -148,6 +148,13 @@ def test_unknown_flag_exits_2():
      "cfo_max / cfo_step = inf overflows"),
     (["fig1", "--snr-step", "1e-5"], "3000001 points on 30001 milli-dB keys"),
     (["fig1", "--snr-step", "1e-320"], "inf points on 30001 milli-dB keys"),
+    # the noise variance underflows to 0 at 3300 dB and overflows at
+    # -3100 dB; every command once died there with a traceback
+    *[([command, "--snr-min", snr, "--snr-max", snr],
+       f"snr point {snr} dB gives the noise variance {noise_var}, which "
+       f"must be positive and finite")
+      for command in ("fig1", "fig2", "crb", "trial")
+      for snr, noise_var in (("3300", "0.0"), ("-3100", "inf"))],
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -476,15 +483,19 @@ for flags in sys.argv[1:]:
 """
 
 
-def trial_printouts(*flag_sets):
-    """``trial`` printouts of each flag set, run in one fresh process."""
+def fresh_python(script, *args):
+    """Standard output of ``script`` run with ``args`` in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, "-c", _TRIALS_IN_ONE_PROCESS, *flag_sets],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
-    printouts = done.stdout.split("\f\n")
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True,
+        text=True, env=env, timeout=120, check=True).stdout
+
+
+def trial_printouts(*flag_sets):
+    """``trial`` printouts of each flag set, run in one fresh process."""
+    printouts = fresh_python(_TRIALS_IN_ONE_PROCESS, *flag_sets).split("\f\n")
     assert printouts[-1] == ""
     return printouts[:-1]
 
@@ -497,3 +508,29 @@ def test_signed_zero_offsets_share_cache_entries_safely():
     alone = trial_printouts(neg) + trial_printouts(pos)
     assert trial_printouts(neg, pos) == alone
     assert trial_printouts(pos, neg) == alone[::-1]
+
+
+# Runs fig1 twice in one interpreter, then prints the minor page faults
+# of the second run and whether glibc took cli.main's heap setting.
+_FIG1_TWICE = """
+import resource, sys
+from ofdm_sync_lab import cli
+argv = ["fig1", "--trials", "400", "--out", sys.argv[1]]
+cli.main(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cli.main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+      cli._retain_heap())
+"""
+
+
+def test_repeated_sweep_reuses_freed_heap_pages(tmp_path):
+    """cli.main keeps freed heap pages, so a second fig1 reuses the first
+    one's chunk temporaries: without it, glibc hands them back after every
+    chunk and the run faults about 4370 pages back in."""
+    pytest.importorskip("resource")
+    faults, retained = fresh_python(_FIG1_TWICE,
+                                    str(tmp_path / "fig1.csv")).split()
+    if retained != "True":
+        pytest.skip("glibc's mallopt is not available")
+    assert int(faults) < 100

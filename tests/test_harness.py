@@ -83,6 +83,15 @@ def test_experiment_config_validation():
         make_experiment(snr_points_db=())
     with pytest.raises(ValueError, match="finite"):
         make_experiment(snr_points_db=(10.0, float("inf")))
+    # the noise variance must stay a positive float at both ends
+    with pytest.raises(ValueError, match="3300 dB gives the noise variance "
+                                         "0.0, which must be positive"):
+        make_experiment(snr_points_db=(10.0, 3300.0))
+    with pytest.raises(ValueError, match="-3100 dB gives the noise variance "
+                                         "inf, which must be positive"):
+        make_experiment(snr_points_db=(-3100.0, 10.0))
+    assert make_experiment(snr_points_db=(-3000.0, 3000.0)).snr_points_db \
+        == (-3000.0, 3000.0)
     with pytest.raises(ValueError, match="n_trials"):
         make_experiment(n_trials=0)
     with pytest.raises(ValueError, match="n_taps"):
@@ -95,6 +104,13 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match="alias"):
             make_experiment(cfo=cfo)
     assert make_experiment(cfo=0.35, grid=make_grid(cfo_max=0.4)).cfo == 0.35
+    # aliases two and three periods away count too: at -1.4 and 1.8 every
+    # estimate once landed on the alias near 0.2 (MSE 2.56 at 30 dB)
+    for cfo, alias in ((-1.4, "0.199821"), (1.8, "0.200179"),
+                       (-2.2, "0.199731")):
+        with pytest.raises(ValueError, match=f"alias {alias} "):
+            make_experiment(cfo=cfo)
+    assert make_experiment(cfo=1.8, grid=make_grid(cfo_max=0.15)).cfo == 1.8
     # period exactly 1 (cp = 0, sfo = 0): an alias on a grid end counts
     with pytest.raises(ValueError, match="alias -0.5 "):
         make_experiment(cp_len=0, sfo=0.0, cfo=0.5)
@@ -348,8 +364,10 @@ def test_non_finite_surface_counts_as_failure(monkeypatch):
 CHUNK = harness._CHUNK
 
 
-@pytest.mark.parametrize("n_trials", [1, CHUNK - 1, CHUNK, CHUNK + 1,
-                                      2 * CHUNK + 1])
+# One trial, a single chunk filled just past half, and both sides of the
+# first and second chunk edges.
+@pytest.mark.parametrize("n_trials", [1, CHUNK // 2 + 1, CHUNK - 1, CHUNK,
+                                      CHUNK + 1, 2 * CHUNK + 1])
 def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
                                                          n_trials):
     """Every record of the fig2, fig1 and crb sweeps, however the trials
