@@ -177,7 +177,7 @@ def fisher_numeric_oracle(config: OfdmConfig, training: TrainingSymbols,
     symbols = [training.symbol(m)[None] for m in range(config.n_symbols)]
 
     def mean(e, h):
-        ImpairmentParams(e, h)  # finite, sfo > -1
+        ImpairmentParams(e, h)  # finite, -1 < sfo < 1
         return synthesize_rows(config, symbols, channel.taps[None], e,
                                h)[0].ravel()
 

@@ -15,12 +15,14 @@ trial index and the label, so results are reproducible bit for bit
 regardless of chunking or execution order. A
 sweep derives the streams of an SNR point in one mixing pass
 (:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
-over the trials and labels); each chunk reads its rows of those seed
-tables and, per trial and label, seeds a fresh ``PCG64`` from its row
-and draws into the chunk's arrays: the QPSK picks from its raw words
-(:func:`ofdm_model._qpsk_picks`), the normals through ``Generator``.
-These are the draws of :func:`ofdm_model.derive_rng`'s streams, bit for
-bit, and only the current SNR point's seed tables are held. A chunk then
+over the trials and labels) and right after it reads every trial's QPSK
+picks from the training table in one vectorized PCG64 pass
+(:func:`ofdm_model._qpsk_picks`). Each chunk takes its rows of the picks
+and of the other seed tables and, per trial and label, seeds a fresh
+``PCG64`` from its row and draws the normals through ``Generator`` into
+the chunk's arrays. These are the draws of
+:func:`ofdm_model.derive_rng`'s streams, bit for bit, and only the
+current SNR point's seed tables and picks are held. A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass over the synthesis's noiseless
 burst, which equal the one-trial computations bit for bit (see
@@ -124,6 +126,11 @@ _SINGULAR = "singular information matrix"
 _BURST_STREAMS = ("training", "channel", "noise0", "noise1")
 _SCENARIO_STREAMS = _BURST_STREAMS[:2]
 
+# Largest squared noisy bin a residual norm or cost may meet, in noise
+# variances: a residual bin is a difference of two bins, each at most
+# 2500 noise variances (exceeded with probability e**-2500).
+_NOISE_HEADROOM = 1e4
+
 # Trials per chunk. Every chunk pays about 0.8 ms of fixed numpy-call
 # cost, so fig2's 60-trial SNR points run in one chunk each at 64 and in
 # two at 32. A chunk's draws and spectra are a few KB per trial, and the
@@ -158,7 +165,7 @@ class ExperimentConfig:
         if self.n_trials >= MAX_TRIALS:
             raise ValueError(
                 f"n_trials must be below 2**32, got {self.n_trials}")
-        ImpairmentParams(self.cfo, self.sfo)  # finite, sfo > -1
+        ImpairmentParams(self.cfo, self.sfo)  # finite, -1 < sfo < 1
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
         # every alias cfo + k period (k != 0) costs what truth does. The
         # lowest one on the grid has k within one of (lo - cfo) / period,
@@ -191,15 +198,20 @@ class ExperimentConfig:
                     f"{snr_stream_key(a)} (milli-dB resolution)")
         # The noise variance falls with the SNR and must stay a positive
         # float: the noise scales by it and the Fisher matrix divides by it.
+        # The residual norms and cost surfaces sum K squared noisy bins, so
+        # it must also leave _NOISE_HEADROOM noise variances per bin.
+        limit = np.finfo(float).max / (_NOISE_HEADROOM * self.ofdm.n_active)
         for snr_db in (points[0], points[-1]):
             try:
                 noise_var = noise_variance_from_snr(self.ofdm, snr_db)
             except OverflowError:
                 noise_var = np.inf
-            if not 0.0 < noise_var < np.inf:
+            if not 0.0 < noise_var <= limit:
                 raise ValueError(
                     f"snr point {snr_db:g} dB gives the noise variance "
-                    f"{noise_var}, which must be positive and finite")
+                    f"{noise_var}, which must be positive and finite, and "
+                    f"at most {limit:.4g} so that a sum of K squared noisy "
+                    f"bins stays finite")
         object.__setattr__(self, "snr_points_db", points)
 
 
@@ -281,12 +293,14 @@ class _Columns:
     singular: np.ndarray | None = None
 
 
-def _draw(cfg: ExperimentConfig, indices, seeds: dict) -> _Draws:
+def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
+          seeds: dict) -> _Draws:
     """Draw a chunk's trials, each from its own streams.
 
-    ``seeds`` maps each label to the chunk's rows of its seed table. Each
-    draw is the one-trial draw of that label from a ``PCG64`` seeded from
-    its row: QPSK picks from raw words, normals through ``Generator``.
+    ``picks`` holds the chunk's rows of the SNR point's QPSK picks and
+    ``seeds`` maps every other label to the chunk's rows of its seed
+    table. Each normal draw is the one-trial draw of that label through
+    a ``Generator`` on a ``PCG64`` seeded from its row.
     """
     def normals(label, n):
         """(T, 2, n): one trial's (2, n) standard normals per row."""
@@ -300,8 +314,7 @@ def _draw(cfg: ExperimentConfig, indices, seeds: dict) -> _Draws:
     if "noise0" in seeds:
         noise = np.stack([normals(label, cfg.ofdm.dft_size)
                           for label in _BURST_STREAMS[2:]], axis=1)
-    picks = _qpsk_picks(seeds["training"], cfg.ofdm.n_active)
-    return _Draws(indices=tuple(indices), training=QPSK_ALPHABET[picks],
+    return _Draws(indices=tuple(indices), training=QPSK_ALPHABET.take(picks),
                   taps=channel_taps(normals("channel", cfg.n_taps)),
                   noise=noise)
 
@@ -310,12 +323,16 @@ def _chunks(cfg: ExperimentConfig, stream_key, indices, labels):
     """Yield the draws of ``indices`` chunk by chunk, in index order.
 
     Each label's seed table is derived (and checked) once over all the
-    indices, and each chunk hands its rows to ``PCG64`` unchecked.
+    indices, and the QPSK picks of every index are read from the training
+    table in one vectorized pass (:func:`ofdm_model._qpsk_picks`); each
+    chunk takes its rows of the picks and hands its rows of the other
+    tables to ``PCG64`` unchecked.
     """
     tables = _derive_tables(cfg.master_seed, stream_key, indices, labels)
+    picks = _qpsk_picks(tables.pop("training"), cfg.ofdm.n_active)
     for start in range(0, len(indices), _CHUNK):
         rows = slice(start, start + _CHUNK)
-        yield _draw(cfg, indices[rows],
+        yield _draw(cfg, indices[rows], picks[rows],
                     {label: table[rows] for label, table in tables.items()})
 
 

@@ -44,7 +44,11 @@ seed words to numpy's own PCG64 seeding; both reproduce
 :func:`derive_rng`'s stream bit for bit, which numpy's own
 ``SeedSequence`` checks in the tests. A trial index must lie in
 [0, 2**32), where it is exactly one word. QPSK picks come from raw PCG64
-words (:func:`_qpsk_picks`), stable across numpy versions by NEP 19.
+words, which NEP 19 keeps stable across numpy versions, and no generator
+is built for them: :func:`_pcg64_raw` steps PCG64's 128-bit LCG for a
+whole seed table at once, each state a (hi, lo) pair of uint64 arrays
+jumped ahead by cached constants, and :func:`_qpsk_picks` reads the picks
+from those words.
 """
 
 import functools
@@ -220,7 +224,9 @@ class ImpairmentParams:
     """Synchronization impairments and the noise level of one burst.
 
     cfo is the carrier-frequency offset normalized to the subcarrier
-    spacing; sfo is the fractional sampling-clock offset; noise_var is the
+    spacing; sfo is the fractional sampling-clock offset, in (-1, 1) (at
+    1 the clock runs twice as fast, and a far larger one overflows the
+    Fisher weights); noise_var is the
     total variance of the complex noise per received sample (split evenly
     between the real and imaginary parts).
     """
@@ -234,8 +240,9 @@ class ImpairmentParams:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.sfo <= -1.0:
-            raise ValueError(f"sfo must exceed -1, got {self.sfo}")
+        if not -1.0 < self.sfo < 1.0:
+            raise ValueError(f"sfo must exceed -1 and stay below 1, got "
+                             f"{self.sfo}")
         if self.noise_var < 0.0:
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
 
@@ -493,6 +500,13 @@ _XSHIFT = 16
 # so every trial of a sweep shares one word layout.
 MAX_TRIALS = 2 ** 32
 
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Seed rows per :func:`_pcg64_raw` call in :func:`_qpsk_picks`: a block's
+# dozen or so (rows, K/2) uint64 temporaries stay near 1 MB at K = 52.
+_PICK_BLOCK = 512
+
 
 def _key_words(key) -> list:
     """The 32-bit entropy words of one stream key, as SeedSequence splits it.
@@ -636,16 +650,70 @@ def _seed_table(seed_words) -> np.ndarray:
     return np.ascontiguousarray(words, dtype=np.uint64)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _pcg64_jumps(n: int) -> tuple:
+    """(A_j, C_j) = (M**(j+1), M**j + ... + M + 1) mod 2**128 for j = 1..n,
+    each as its (n, 1) uint64 (hi, lo, lo >> 32, lo & 0xFFFFFFFF) columns."""
+    mask = (1 << 128) - 1
+    a, c, jumps = _PCG64_MULT, 1, []
+    for _ in range(n):
+        a, c = (a * _PCG64_MULT) & mask, (c * _PCG64_MULT + 1) & mask
+        jumps.append((a, c))
+
+    def halves(values):
+        hi, lo = np.array([[[v >> 64] for v in values],
+                           [[v & _MASK64] for v in values]], dtype=np.uint64)
+        return tuple(map(_read_only, (hi, lo, lo >> 32, lo & _MASK32)))
+
+    return tuple(map(halves, zip(*jumps)))
+
+
+def _pcg64_raw(seeds: np.ndarray, n: int) -> np.ndarray:
+    """``PCG64(_SeedWords(row)).random_raw(n)`` of every :func:`_seed_table`
+    row at once, (T, n), with no generator built.
+
+    PCG64 seeds inc = 2 initseq + 1 and state = (inc + initstate) M + inc
+    (initstate the row's first two words, high first; initseq the last
+    two), and its j-th word is the XSL-RR output (hi ^ lo rotated right
+    by the top 6 bits) of the state j steps further on, which is
+    A_j (inc + initstate) + C_j inc with :func:`_pcg64_jumps`' constants.
+    Each 128-bit value is a (hi, lo) pair of uint64 arrays, laid out
+    (n, T) so that every operation runs along the rows; array arithmetic
+    wraps, where numpy scalars would warn on overflow, so every operand
+    is an array.
+    """
+    def times(hi, lo, jump):
+        """(hi, lo) of (hi, lo) * jump mod 2**128, (n, T)."""
+        c_hi, c_lo, c1, c0 = jump
+        x1, x0 = lo >> 32, lo & _MASK32
+        p01, p10 = x0 * c1, x1 * c0
+        mid = ((x0 * c0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+        return (x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+                + lo * c_hi + hi * c_lo), lo * c_lo
+
+    init_hi, init_lo, seq_hi, seq_lo = seeds.T
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    u_lo = inc_lo + init_lo
+    u_hi = inc_hi + init_hi + (u_lo < inc_lo)
+    a, c = _pcg64_jumps(n)
+    (a_hi, a_lo), (c_hi, c_lo) = times(u_hi, u_lo, a), times(inc_hi, inc_lo, c)
+    lo = a_lo + c_lo
+    hi = a_hi + c_hi + (lo < c_lo)
+    rot, x = hi >> 58, hi ^ lo
+    return ((x >> rot) | (x << ((64 - rot) & 63))).T
+
+
 def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
-    """``integers(0, 4, K)`` of each :func:`_seed_table` row, (T, K), from
-    raw PCG64 words: for a range of 4 Lemire's method never rejects and
-    takes the top two bits of each 32-bit half, low half first (K even)."""
-    raw = np.empty((len(seeds), n_active // 2), dtype=np.uint64)
-    for out, words in zip(raw, seeds):
-        out[:] = np.random.PCG64(_SeedWords(words)).random_raw(out.size)
-    picks = np.empty((len(seeds), n_active), dtype=np.intp)
-    picks[:, 0::2] = (raw >> 30) & 3
-    picks[:, 1::2] = raw >> 62
+    """``integers(0, 4, K)`` of each :func:`_seed_table` row, (T, K) uint8,
+    from :func:`_pcg64_raw` in blocks of ``_PICK_BLOCK`` rows: for a range
+    of 4 Lemire's method never rejects and takes the top two bits of each
+    32-bit half, low half first (K even)."""
+    picks = np.empty((len(seeds), n_active), dtype=np.uint8)
+    for start in range(0, len(seeds), _PICK_BLOCK):
+        block = slice(start, start + _PICK_BLOCK)
+        raw = _pcg64_raw(seeds[block], n_active // 2)
+        picks[block, 0::2] = (raw >> 30) & 3
+        picks[block, 1::2] = raw >> 62
     return picks
 
 

@@ -155,6 +155,16 @@ def test_unknown_flag_exits_2():
        f"must be positive and finite")
       for command in ("fig1", "fig2", "crb", "trial")
       for snr, noise_var in (("3300", "0.0"), ("-3100", "inf"))],
+    # a finite noise variance this large once overflowed the squared
+    # residual samples, and fig1 wrote var_n_db = inf
+    (["fig1", "--snr-min", "-3080", "--snr-max", "-3080", "--trials", "2"],
+     "snr point -3080 dB gives the noise variance 8.125e+307, which must "
+     "be positive and finite, and at most 3.457e+302"),
+    # an SFO this large once overflowed the Fisher weights and left every
+    # fig2 cell blank
+    (["fig2", "--sfo", "1e307", "--cfo", "3", "--trials", "2"],
+     "sfo must exceed -1 and stay below 1, got 1e+307"),
+    (["fig2", "--sfo", "1"], "sfo must exceed -1 and stay below 1, got 1.0"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

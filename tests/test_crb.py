@@ -450,7 +450,7 @@ def test_average_crb_single_trial_identity():
 def test_average_crb_fixed_draw_identity(monkeypatch):
     """A scenario draw ignoring its streams makes the average equal the
     single realization regardless of the trial count."""
-    def fixed_draw(cfg, indices, seeds):
+    def fixed_draw(cfg, indices, picks, seeds):
         rows = (len(indices), 1)
         return harness._Draws(tuple(indices),
                               np.tile(FLAT_TRAINING.x0, rows),

@@ -274,6 +274,8 @@ def test_impairment_validation():
         ImpairmentParams(cfo=np.nan, sfo=0.0)
     with pytest.raises(ValueError):
         ImpairmentParams(cfo=0.0, sfo=-1.0)
+    with pytest.raises(ValueError, match="stay below 1"):
+        ImpairmentParams(cfo=0.0, sfo=1.0)
     with pytest.raises(ValueError):
         ImpairmentParams(cfo=0.0, sfo=0.0, noise_var=-0.1)
 
@@ -631,6 +633,33 @@ def test_qpsk_picks_match_generator_integers(rows, half):
     assert picks.shape == (len(rows), 2 * half)
     for row, words in zip(picks, table):
         npt.assert_array_equal(row, _integers_oracle(words, 2 * half))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(rows=SEED_ROWS, n=st.integers(1, 300))
+@example(rows=[[0] * 4], n=1)
+@example(rows=[[2 ** 64 - 1] * 4], n=300)
+@example(rows=[[0] * 4, [2 ** 64 - 1] * 4, [0, 2 ** 64 - 1, 2 ** 64 - 1, 0],
+               [2 ** 64 - 1, 0, 0, 2 ** 64 - 1]], n=26)
+def test_pcg64_raw_matches_numpy_random_raw(rows, n):
+    """The vectorized 128-bit step draws, row for row, the raw words of
+    numpy's PCG64 seeded from the same words, which NEP 19 keeps stable."""
+    table = ofdm_model._seed_table(rows)
+    raw = ofdm_model._pcg64_raw(table, n)
+    assert raw.shape == (len(rows), n) and raw.dtype == np.uint64
+    for row, words in zip(raw, table):
+        npt.assert_array_equal(
+            row, np.random.PCG64(ofdm_model._SeedWords(words)).random_raw(n))
+
+
+@pytest.mark.parametrize("n_rows", [511, 512, 513])
+def test_qpsk_picks_across_the_block_edge(n_rows, monkeypatch):
+    """Rows on either side of a 512-row block edge get their own picks,
+    and no PCG64 is built to draw them."""
+    table = derive_states(12345, 15000, range(n_rows), "training")
+    expected = [_integers_oracle(words, 52) for words in table]
+    monkeypatch.setattr(np.random, "PCG64", None)
+    npt.assert_array_equal(ofdm_model._qpsk_picks(table, 52), expected)
 
 
 def test_qpsk_picks_match_generator_integers_for_every_even_k():
