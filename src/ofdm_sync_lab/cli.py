@@ -313,26 +313,26 @@ def _run_crb(invocation: CliInvocation) -> int:
     return 0
 
 
-def _run_trial(invocation: CliInvocation) -> int:
+def _run_one_trial(invocation: CliInvocation) -> int:
     cfg = invocation.experiment
     diag = inspect_trial(cfg, cfg.snr_points_db[0], 0)
-    record = diag.record
+    cols = diag.columns
 
     def emit(key, value):
         print(f"{key} = "
               f"{value if isinstance(value, str) else format_value(value)}")
 
-    def emit_estimate(name, result, cost_at_truth, failure) -> bool:
-        if result is None:
-            emit(f"{name}_failed", failure)
+    def emit_estimate(name, found, cost_at_truth) -> bool:
+        if 0 in found.failures:
+            emit(f"{name}_failed", found.failures[0])
             return False
         emit(f"{name}_cost_at_truth", cost_at_truth)
-        emit(f"{name}_cost_at_argmin", result.cost)
-        emit(f"{name}_cfo", result.cfo)
-        emit(f"{name}_sfo", result.sfo)
+        emit(f"{name}_cost_at_argmin", found.cost[0])
+        emit(f"{name}_cfo", found.cfo[0])
+        emit(f"{name}_sfo", found.sfo[0])
         return True
 
-    emit("snr_db", record.snr_db)
+    emit("snr_db", diag.snr_db)
     emit("noise_var", diag.noise_var)
     taps = ", ".join(
         f"{format_value(t.real)}{'+' if t.imag >= 0 else '-'}"
@@ -340,17 +340,15 @@ def _run_trial(invocation: CliInvocation) -> int:
     emit("channel_taps", f"[{taps}]")
     emit("carrier_gain_abs_min", diag.carrier_gain_abs_min)
     emit("carrier_gain_abs_max", diag.carrier_gain_abs_max)
-    emit_estimate("proposed", record.proposed, diag.proposed_cost_at_truth,
-                  record.proposed_failure)
-    emit("residual_n_sq", record.residual_n_sq)
-    if emit_estimate("nguyenle", record.nguyenle,
-                     diag.nguyenle_cost_at_truth, record.nguyenle_failure):
-        emit("residual_e_sq", record.residual_e_sq)
-    if record.crb_cfo is None:
-        emit("crb_failed", record.crb_failure)
+    emit_estimate("proposed", cols.proposed, diag.proposed_cost_at_truth)
+    emit("residual_n_sq", cols.n_sq[0])
+    if emit_estimate("nguyenle", cols.nguyenle, diag.nguyenle_cost_at_truth):
+        emit("residual_e_sq", cols.e_sq[0])
+    if cols.singular[0]:
+        emit("crb_failed", "singular information matrix")
     else:
-        emit("crb_cfo", record.crb_cfo)
-        emit("crb_sfo", record.crb_sfo)
+        emit("crb_cfo", cols.crb_cfo[0])
+        emit("crb_sfo", cols.crb_sfo[0])
     return 0
 
 
@@ -373,8 +371,8 @@ def main(argv=None) -> int:
     try:
         invocation = parse(list(argv))
         _retain_heap()
-        runner = {"fig1": _run_fig1, "fig2": _run_fig2,
-                  "crb": _run_crb, "trial": _run_trial}[invocation.command]
+        runner = {"fig1": _run_fig1, "fig2": _run_fig2, "crb": _run_crb,
+                  "trial": _run_one_trial}[invocation.command]
         return runner(invocation)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

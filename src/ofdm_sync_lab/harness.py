@@ -5,7 +5,7 @@ the fig1, fig2 and crb sweeps below, and :func:`inspect_trial` for
 ``trial``.
 
 Trials run serially in the calling thread, in fixed chunks of ``_CHUNK``
-(64) trials held as trial-major arrays (:func:`run_trials`). Each chunk
+(64) trials held as trial-major arrays (:func:`_chunks`). Each chunk
 frees its temporaries and the next one allocates them again, so
 ``cli.main`` has glibc keep freed heap pages: otherwise the blocks over
 128 KB go back to the kernel after every chunk, and the next chunk
@@ -27,31 +27,32 @@ makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass over the synthesis's noiseless
 burst, which equal the one-trial computations bit for bit (see
 :mod:`ofdm_sync_lab.ofdm_model` for the rules that make them equal), so
-:func:`run_trial` is the one-trial view of the same code.
+a trial run as a chunk of one (:func:`inspect_trial`) gets its row of
+any sweep.
 
 A chunk's outcomes stay trial-major columns (:class:`_Columns`): the
 residual norms, each estimator's lattice cfo, sfo and cost, the bounds,
-a mask per failure kind and the reason of each failed search. A sweep
-reduces each SNR point's columns with :func:`_reduce`; ``TrialRecord``s
-are built only in the one-trial views (:func:`run_trials` and what calls
-it), and :func:`aggregate` turns records into columns for the same
-reducer. The reduction equals a loop over the records bit for bit under
-two rules: every mean is a sequential sum in ascending trial order
-(``np.sum`` sums pairwise), and every squared error is the Python float
-``(v - truth) ** 2``, which is libm's ``pow`` (numpy's ``x ** 2`` is
-``x * x``, which rounds differently on about one input in a thousand).
+a mask per failure kind and the reason of each failed search. They are
+the only form a trial's outcome takes: a sweep reduces each SNR point's
+columns with :func:`_reduce`, and ``trial`` prints the one-row columns
+of :func:`inspect_trial`. The reduction equals a loop over the trials
+bit for bit under two rules: every mean is a sequential sum in
+ascending trial order (``np.sum`` sums pairwise), and every squared
+error is the Python float ``(v - truth) ** 2``, which is libm's ``pow``
+(numpy's ``x ** 2`` is ``x * x``, which rounds differently on about one
+input in a thousand).
 The grid evaluator and the CRB backend depend only on the experiment, so
-they are derived from it, memoized, and never passed in: fig2, crb,
-:func:`run_trial` and ``trial`` all use one probe result per experiment.
+they are derived from it, memoized, and never passed in: fig2, crb and
+``trial`` all use one probe result per experiment.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .crb import (
+    SFO_STEP_DEFAULT,
     _fisher_entries,
     compare_fisher,
     crb_rows,
@@ -61,7 +62,6 @@ from .crb import (
     invertible,
 )
 from .estimators import (
-    EstimationResult,
     GridSpec,
     NonFiniteSurfaceError,
     _Estimates,
@@ -99,27 +99,22 @@ from .ofdm_model import (
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
     "TrialDiagnostics",
     "SweepRow",
     "SweepResult",
     "make_experiment",
-    "run_trial",
-    "run_trials",
     "inspect_trial",
     "run_mse_sweep",
     "run_noise_variance_sweep",
     "run_crb_sweep",
-    "aggregate",
 ]
 
 # Relative agreement required of the closed-form Fisher matrix against
 # the numeric oracle before the closed form is used for CRB curves.
 CRB_AGREEMENT_RTOL = 1e-3
 
-# Failure reasons a TrialRecord carries.
+# Failure reason of a search whose cost surface is not finite.
 _NON_FINITE = "non-finite cost surface"
-_SINGULAR = "singular information matrix"
 
 # Labeled streams of one trial: a burst draws all four; a CRB draw and
 # the backend probe draw only the scenario's first two.
@@ -166,6 +161,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_trials must be below 2**32, got {self.n_trials}")
         ImpairmentParams(self.cfo, self.sfo)  # finite, -1 < sfo < 1
+        # The backend probe's numeric oracle evaluates the burst at sfo
+        # plus and minus its step, and each must be an sfo too.
+        if not (-1.0 < self.sfo - SFO_STEP_DEFAULT
+                and self.sfo + SFO_STEP_DEFAULT < 1.0):
+            raise ValueError(
+                f"sfo must stay the numeric Fisher oracle's step "
+                f"SFO_STEP_DEFAULT = {SFO_STEP_DEFAULT:g} inside (-1, 1), "
+                f"got {self.sfo}")
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
         # every alias cfo + k period (k != 0) costs what truth does. The
         # lowest one on the grid has k within one of (lo - cfo) / period,
@@ -229,34 +232,6 @@ def make_experiment(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
         master_seed=int(master_seed),
         grid=grid if grid is not None else make_grid(),
     )
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one seeded trial at one SNR point.
-
-    Residual fields are None when the trial evaluated no residuals (the
-    CRB sweep's draws), and ``residual_e_sq`` also when the ratio
-    observable was degenerate. Estimator fields are None either because
-    estimation was skipped (``estimated`` False) or because that
-    estimator failed on this trial; CRB fields are None when skipped or
-    singular. A failure leaves its reason in the matching ``*_failure``
-    field.
-    """
-
-    trial_index: int
-    snr_db: float
-    residual_n_sq: float | None = None
-    residual_e_sq: float | None = None
-    proposed: EstimationResult | None = None
-    nguyenle: EstimationResult | None = None
-    crb_cfo: float | None = None
-    crb_sfo: float | None = None
-    estimated: bool = False
-    crb_evaluated: bool = False
-    proposed_failure: str | None = None
-    nguyenle_failure: str | None = None
-    crb_failure: str | None = None
 
 
 @dataclass(frozen=True)
@@ -406,67 +381,14 @@ def _burst_chunks(cfg: ExperimentConfig, snr_db: float, indices, **options):
         yield _burst_columns(cfg, snr_db, draws, **options)[0]
 
 
-def _records(cols: _Columns, snr_db: float) -> list:
-    """The one-trial view: every row of ``cols`` as its record."""
-    blank = [None] * len(cols.indices)
-
-    def kept(values, dropped):
-        """The values, None where dropped or where the stage was skipped."""
-        return blank if values is None else [
-            None if d else v for v, d in zip(values.tolist(), dropped)]
-
-    def outcomes(found):
-        """Each row's estimate and failure reason, None where absent."""
-        results = blank if found is None else found.results()
-        return ([r if isinstance(r, EstimationResult) else None
-                 for r in results],
-                [r if isinstance(r, str) else None for r in results])
-
-    estimated, bounded = cols.proposed is not None, cols.crb_cfo is not None
-    singular = cols.singular.tolist() if bounded else blank
-    (proposed, proposed_failure), (nguyenle, nguyenle_failure) = (
-        outcomes(cols.proposed), outcomes(cols.nguyenle))
-    return [TrialRecord(t, snr_db, n, e, p, g, c, d, estimated, bounded,
-                        p_failure, g_failure, _SINGULAR if s else None)
-            for t, n, e, p, g, c, d, p_failure, g_failure, s in zip(
-                cols.indices, kept(cols.n_sq, blank),
-                kept(cols.e_sq, cols.degenerate), proposed, nguyenle,
-                kept(cols.crb_cfo, singular), kept(cols.crb_sfo, singular),
-                proposed_failure, nguyenle_failure, singular)]
-
-
-def run_trials(cfg: ExperimentConfig, snr_db: float, indices, *,
-               with_estimates: bool = True, with_crb: bool = True) -> list:
-    """Run fully seeded trials at one SNR point, one record per index.
-
-    Residual norms are always evaluated at the true offsets. Grid
-    searches and the per-realization CRB can be skipped for residual-only
-    sweeps. A degenerate ratio observable marks the ratio residual and
-    the nguyen_le estimate as failed, and a non-finite cost surface marks
-    that search's estimate as failed, only on its own trial.
-
-    ``indices`` is any sequence of trial indices in [0, 2**32); each
-    record is the one that trial gets in any sweep or chunk.
-    """
-    return [record for cols in _burst_chunks(
-                cfg, snr_db, indices, with_estimates=with_estimates,
-                with_crb=with_crb)
-            for record in _records(cols, snr_db)]
-
-
-def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int,
-              **options) -> TrialRecord:
-    """Run one fully seeded trial: ``run_trials`` of that index alone,
-    with the same options."""
-    return run_trials(cfg, snr_db, (trial_index,), **options)[0]
-
-
 @dataclass(frozen=True)
 class TrialDiagnostics:
-    """One trial's record plus the values only ``trial`` prints; the
-    Nguyen-Le cost at truth is None where that estimate failed."""
+    """One trial at one SNR point: its one-row :class:`_Columns`, which
+    are its row of any sweep's columns, plus the values only ``trial``
+    prints. The Nguyen-Le cost at truth is None where that search failed."""
 
-    record: TrialRecord
+    snr_db: float
+    columns: _Columns
     noise_var: float
     channel_taps: np.ndarray
     carrier_gain_abs_min: float
@@ -477,28 +399,28 @@ class TrialDiagnostics:
 
 def inspect_trial(cfg: ExperimentConfig, snr_db: float,
                   trial_index: int = 0) -> TrialDiagnostics:
-    """Run one trial as :func:`run_trial` does and add its diagnostics.
+    """Run one trial as a chunk of one and add its diagnostics.
 
     The burst is drawn once: the diagnostics read the observation and
-    channel of the trial's one-trial chunk. The costs at truth are
-    evaluated here and never in the sweeps, where they would add two
-    cost evaluations to every trial.
+    channel of that chunk. The costs at truth are evaluated here and never
+    in the sweeps, where they would add two cost evaluations to every
+    trial.
     """
     draws = next(_chunks(cfg, snr_stream_key(snr_db), (trial_index,),
                          _BURST_STREAMS))
     cols, spectra = _burst_columns(cfg, snr_db, draws)
-    (record,) = _records(cols, snr_db)
     x = draws.training[0]
     obs = PreambleObservation(r0=spectra[0, 0], r1=spectra[0, 1],
                               training=TrainingSymbols(x, x))
     gains = np.abs(carrier_gain(cfg.ofdm.subcarrier_indices, 0, cfg.cfo,
                                 cfg.sfo, cfg.ofdm))
     nguyenle_truth = None
-    if record.nguyenle is not None:
+    if 0 not in cols.nguyenle.failures:
         nguyenle_truth = nguyenle_cost(nguyenle_observable(obs, cfg.ofdm),
                                        cfg.cfo, cfg.sfo, cfg.ofdm)
     return TrialDiagnostics(
-        record=record, noise_var=noise_variance_from_snr(cfg.ofdm, snr_db),
+        snr_db=snr_db, columns=cols,
+        noise_var=noise_variance_from_snr(cfg.ofdm, snr_db),
         channel_taps=draws.taps[0],
         carrier_gain_abs_min=float(gains.min()),
         carrier_gain_abs_max=float(gains.max()),
@@ -594,61 +516,6 @@ def _reduce(chunks, snr_db: float, cfo: float, sfo: float) -> SweepRow:
         degenerate_observations=len(n_sq) - len(e_sq), **counts)
 
 
-def _columns(records) -> _Columns:
-    """Records that ran the same stages, as columns in their order."""
-    def column(values):
-        return np.array([np.nan if v is None else v for v in values],
-                        dtype=float)
-
-    def absent(values):
-        return np.array([v is None for v in values], dtype=bool)
-
-    def estimates(name, method):
-        found = [getattr(r, name) for r in records]
-        return _Estimates(method, *(
-            column([f and getattr(f, param) for f in found])
-            for param in ("cfo", "sfo", "cost")), {
-                t: getattr(r, f"{name}_failure")
-                for t, (r, f) in enumerate(zip(records, found)) if f is None})
-
-    first, fields = records[0], {}
-    if first.residual_n_sq is not None:
-        e_sq = [r.residual_e_sq for r in records]
-        fields.update(n_sq=column([r.residual_n_sq for r in records]),
-                      e_sq=column(e_sq), degenerate=absent(e_sq))
-    if first.estimated:
-        fields.update(proposed=estimates("proposed", "proposed"),
-                      nguyenle=estimates("nguyenle", "nguyen_le"))
-    if first.crb_evaluated:
-        crb_cfo = [r.crb_cfo for r in records]
-        fields.update(crb_cfo=column(crb_cfo), singular=absent(crb_cfo),
-                      crb_sfo=column([r.crb_sfo for r in records]))
-    return _Columns(tuple(r.trial_index for r in records), **fields)
-
-
-def aggregate(records, cfo: float, sfo: float) -> SweepRow:
-    """Reduce one SNR point's trial records to a sweep row.
-
-    Records are sorted by trial index, so the row does not depend on
-    completion order, and each run of records with the same stages is
-    turned into columns for the sweeps' :func:`_reduce`. A bounded
-    record carries both CRBs or neither.
-    """
-    if not records:
-        raise ValueError("no records to aggregate")
-    records = sorted(records, key=lambda r: r.trial_index)
-    snrs = {r.snr_db for r in records}
-    if len(snrs) > 1:
-        raise ValueError(f"records span multiple SNR points: {sorted(snrs)}")
-    if any(r.crb_evaluated and (r.crb_cfo is None) != (r.crb_sfo is None)
-           for r in records):
-        raise ValueError("a record has only one of crb_cfo and crb_sfo")
-    runs = itertools.groupby(records, key=lambda r: (
-        r.residual_n_sq is None, r.estimated, r.crb_evaluated))
-    return _reduce((_columns(list(run)) for _, run in runs),
-                   records[0].snr_db, cfo, sfo)
-
-
 def worker_count() -> int:
     """Always 1: trials run serially in the calling thread."""
     return 1
@@ -711,7 +578,7 @@ def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
 def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Ensemble-averaged CRBs per SNR point, without synthesizing bursts.
 
-    Each trial draws only :func:`run_trial`'s training pair and channel,
+    Each trial draws only the training symbol and channel of its burst,
     so the rows' CRB columns equal :func:`run_mse_sweep`'s.
     """
     def columns(snr_db, indices):

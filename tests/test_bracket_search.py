@@ -18,12 +18,13 @@ from ofdm_sync_lab import (
     GridEvaluator,
     GridSpec,
     NonFiniteSurfaceError,
+    harness,
     make_config,
+    make_experiment,
     make_grid,
     symbol_phase_ramp,
 )
 from ofdm_sync_lab.estimators import _argmin_lattice, ratio_observable_rows
-from ofdm_sync_lab.harness import make_experiment, run_trials
 
 CFG = make_config(64, 52, 16)
 
@@ -183,7 +184,8 @@ def certified_shares(monkeypatch, snr_db):
 
     with monkeypatch.context() as patch:
         patch.setattr(GridEvaluator, "_bracket", spy)
-        run_trials(make_experiment(), snr_db, range(32), with_crb=False)
+        list(harness._burst_chunks(make_experiment(), snr_db, range(32),
+                                   with_crb=False))
     return tuple(certified)
 
 

@@ -1,9 +1,11 @@
 """CLI tests: option resolution, config files, CSV datasets, and the
 single-trial debug command."""
 
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +167,13 @@ def test_unknown_flag_exits_2():
     (["fig2", "--sfo", "1e307", "--cfo", "3", "--trials", "2"],
      "sfo must exceed -1 and stay below 1, got 1e+307"),
     (["fig2", "--sfo", "1"], "sfo must exceed -1 and stay below 1, got 1.0"),
+    # the backend probe's numeric oracle steps the sfo by 1e-8 either way,
+    # and fig2 and trial once died on the step past -1 with a traceback
+    *[([command, "--sfo", sfo],
+       f"sfo must stay the numeric Fisher oracle's step SFO_STEP_DEFAULT = "
+       f"1e-08 inside (-1, 1), got {sfo}")
+      for command in ("fig2", "trial")
+      for sfo in ("-0.999999999", "0.99999999")],
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -424,28 +433,65 @@ def test_trial_uses_snr_min_alone(capsys):
         trial_output(capsys, ["trial", "--snr-min", "5", "--snr-max", "5"])
 
 
+# The printout's SHA-256 away from the default test_golden pins: the
+# lowest and the highest default SNR point under other seeds, and an
+# off-grid SNR with a negative CFO and SFO.
+@pytest.mark.parametrize("flags, digest", [
+    (["--seed", "1", "--snr-min", "0"],
+     "a3d3a0bca674810031dce0a500b293149fd12455300009a4f32b4d8e4c1ca385"),
+    (["--seed", "987654", "--snr-min", "30"],
+     "6b55f9758e3434b98ffbd2d946dd7704d28ff0c70083fe941678fedd4a7d211e"),
+    (["--seed", "42", "--snr-min", "7.5", "--cfo", "-0.1", "--sfo", "-3e-4"],
+     "297551f50a672cd09d301c3a6f32fb0700e49267faeb4086c7407ae1a50e7779"),
+])
+def test_trial_printout_digests(capsys, flags, digest):
+    assert cli.main(["trial", *flags]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def swept_trial_zero(monkeypatch, cfg):
+    """Trial 0's columns as the fig2 sweep reduces them."""
+    captured = []
+    real_reduce = harness._reduce
+
+    def capture(chunks, snr_db, cfo, sfo):
+        chunks = list(chunks)
+        captured.extend(chunks)
+        return real_reduce(chunks, snr_db, cfo, sfo)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_reduce", capture)
+        harness.run_mse_sweep(replace(cfg, n_trials=1))
+    (cols,) = captured
+    assert cols.indices == (0,)
+    return cols
+
+
 @pytest.mark.parametrize("snr_db", ["5", "15", "30"])
-def test_trial_prints_its_record(capsys, snr_db):
-    """The printout is the harness record of that trial, digit for digit:
-    the residuals are the values the fig1 sweep averages."""
+def test_trial_prints_its_record(monkeypatch, capsys, snr_db):
+    """The printout is that trial's row of the fig2 sweep's columns, digit
+    for digit: the residuals are the values the fig1 sweep averages."""
     for seed in range(1, 11):
         argv = ["trial", "--seed", str(seed), "--snr-min", snr_db]
         entries = trial_output(capsys, argv)
-        record = harness.run_trial(parse(argv).experiment, float(snr_db), 0)
+        cols = swept_trial_zero(monkeypatch, parse(argv).experiment)
+        assert not (cols.proposed.failures or cols.nguyenle.failures
+                    or cols.degenerate[0] or cols.singular[0])
         fields = {
-            "proposed_cfo": record.proposed.cfo,
-            "proposed_sfo": record.proposed.sfo,
-            "proposed_cost_at_argmin": record.proposed.cost,
-            "nguyenle_cfo": record.nguyenle.cfo,
-            "nguyenle_sfo": record.nguyenle.sfo,
-            "nguyenle_cost_at_argmin": record.nguyenle.cost,
-            "residual_n_sq": record.residual_n_sq,
-            "residual_e_sq": record.residual_e_sq,
-            "crb_cfo": record.crb_cfo,
-            "crb_sfo": record.crb_sfo,
+            "proposed_cfo": cols.proposed.cfo,
+            "proposed_sfo": cols.proposed.sfo,
+            "proposed_cost_at_argmin": cols.proposed.cost,
+            "nguyenle_cfo": cols.nguyenle.cfo,
+            "nguyenle_sfo": cols.nguyenle.sfo,
+            "nguyenle_cost_at_argmin": cols.nguyenle.cost,
+            "residual_n_sq": cols.n_sq,
+            "residual_e_sq": cols.e_sq,
+            "crb_cfo": cols.crb_cfo,
+            "crb_sfo": cols.crb_sfo,
         }
-        for key, value in fields.items():
-            assert entries[key] == format_value(value), (seed, key)
+        for key, column in fields.items():
+            assert entries[key] == format_value(column[0]), (seed, key)
 
 
 def poison_first_r0_bin(monkeypatch, value):

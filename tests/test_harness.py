@@ -1,7 +1,6 @@
-"""Harness tests: seeded trial reproducibility, aggregation algebra,
+"""Harness tests: seeded trial reproducibility, the column reducer,
 sweep assembly, failure accounting, and the CRB backend plumbing."""
 
-import random
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -13,8 +12,6 @@ from ofdm_sync_lab import (
     QPSK_ALPHABET,
     EstimationResult,
     OfdmConfig,
-    TrialRecord,
-    aggregate,
     channel_taps,
     demodulate_rows,
     derive_rng,
@@ -27,8 +24,6 @@ from ofdm_sync_lab import (
     run_crb_sweep,
     run_mse_sweep,
     run_noise_variance_sweep,
-    run_trial,
-    run_trials,
     synthesize_rows,
 )
 from ofdm_sync_lab import harness
@@ -42,19 +37,6 @@ def tiny_experiment(**overrides):
     defaults = dict(n_trials=3, snr_points_db=(10.0, 20.0), grid=COARSE_GRID)
     defaults.update(overrides)
     return make_experiment(**defaults)
-
-
-def est(cfo, sfo, method="proposed"):
-    return EstimationResult(cfo=cfo, sfo=sfo, cost=0.0, method=method)
-
-
-def record(trial, *, snr=10.0, n_sq=1.0, e_sq=4.0, proposed=None,
-           nguyenle=None, crb=(None, None), estimated=True,
-           crb_evaluated=False):
-    return TrialRecord(trial_index=trial, snr_db=snr, residual_n_sq=n_sq,
-                       residual_e_sq=e_sq, proposed=proposed,
-                       nguyenle=nguyenle, crb_cfo=crb[0], crb_sfo=crb[1],
-                       estimated=estimated, crb_evaluated=crb_evaluated)
 
 
 # ------------------------------------------------------------ experiment
@@ -98,6 +80,12 @@ def test_experiment_config_validation():
         make_experiment(n_taps=0)
     with pytest.raises(ValueError, match="sfo must exceed -1"):
         make_experiment(sfo=-1.0)
+    # the numeric Fisher oracle steps the sfo by SFO_STEP_DEFAULT
+    for sfo in (-0.999999999, 0.99999999):
+        with pytest.raises(ValueError, match="numeric Fisher oracle's step"):
+            make_experiment(sfo=sfo)
+    assert make_experiment(sfo=-0.99999998, cfo=0.0,
+                           grid=make_grid(cfo_max=1e-3)).sfo == -0.99999998
     # the cost repeats every N/((N+N_g)(1+sfo)) = 0.79991 in cfo here, so
     # |cfo| >= 0.3 puts an alias on the default [-0.5, 0.5] grid
     for cfo in (0.3, -0.3, 0.35):
@@ -169,26 +157,10 @@ def test_snr_points_coerced_to_float():
 # ----------------------------------------------------------------- trials
 
 
-def test_run_trial_is_bitwise_repeatable():
-    cfg = tiny_experiment()
-    first = run_trial(cfg, 10.0, 2)
-    second = run_trial(cfg, 10.0, 2)
-    assert first == second
-    assert first.estimated and first.crb_evaluated
-    assert first.proposed.method == "proposed"
-    assert first.nguyenle.method == "nguyen_le"
-
-
-def test_trial_streams_keyed_by_snr_value():
-    """Substreams hang off the SNR value itself, not its position in the
-    sweep, so the same (seed, snr, trial) triple reproduces everywhere."""
-    a = tiny_experiment(snr_points_db=(5.0, 15.0))
-    b = tiny_experiment(snr_points_db=(15.0, 25.0))
-    assert run_trial(a, 15.0, 1) == run_trial(b, 15.0, 1)
-
-
 def column_record(cols, snr_db, i):
-    """Row i of a sweep's chunk columns, as the TrialRecord it stands for."""
+    """Row i of a chunk's columns as a plain dict of that trial's outcome:
+    None where its stage was skipped, its value dropped or its search
+    failed, and each failed search's reason."""
     def value(column, dropped=None):
         if column is None or dropped is not None and dropped[i]:
             return None
@@ -206,7 +178,7 @@ def column_record(cols, snr_db, i):
         return None if found is None else found.failures.get(i)
 
     bounded = cols.crb_cfo is not None
-    return TrialRecord(
+    return dict(
         trial_index=cols.indices[i], snr_db=snr_db,
         residual_n_sq=value(cols.n_sq),
         residual_e_sq=value(cols.e_sq, cols.degenerate),
@@ -216,12 +188,35 @@ def column_record(cols, snr_db, i):
         estimated=cols.proposed is not None, crb_evaluated=bounded,
         proposed_failure=failure(cols.proposed),
         nguyenle_failure=failure(cols.nguyenle),
-        crb_failure="singular information matrix"
-        if bounded and cols.singular[i] else None)
+        singular=bounded and bool(cols.singular[i]))
+
+
+def one_trial(cfg, snr_db, t, **options):
+    """Trial t run as a chunk of one, as its row's dict."""
+    cols = next(harness._burst_chunks(cfg, snr_db, (t,), **options))
+    return column_record(cols, snr_db, 0)
+
+
+def test_run_trial_is_bitwise_repeatable():
+    cfg = tiny_experiment()
+    first = one_trial(cfg, 10.0, 2)
+    second = one_trial(cfg, 10.0, 2)
+    assert first == second
+    assert first["estimated"] and first["crb_evaluated"]
+    assert first["proposed"].method == "proposed"
+    assert first["nguyenle"].method == "nguyen_le"
+
+
+def test_trial_streams_keyed_by_snr_value():
+    """Substreams hang off the SNR value itself, not its position in the
+    sweep, so the same (seed, snr, trial) triple reproduces everywhere."""
+    a = tiny_experiment(snr_points_db=(5.0, 15.0))
+    b = tiny_experiment(snr_points_db=(15.0, 25.0))
+    assert one_trial(a, 15.0, 1) == one_trial(b, 15.0, 1)
 
 
 def sweep_records(monkeypatch, sweep, cfg):
-    """Every row of the columns a sweep reduces, as a record keyed by
+    """Every row of the columns a sweep reduces, as its dict keyed by
     (snr_db, trial_index)."""
     records = {}
     real_reduce = harness._reduce
@@ -239,7 +234,7 @@ def sweep_records(monkeypatch, sweep, cfg):
     return records
 
 
-# Out of order, and past the 3 trials of the config run_trial is given.
+# Out of order, and past the 3 trials of the config one_trial is given.
 DIRECT_ORDER = (4, 2, 0, 3, 1)
 
 
@@ -249,7 +244,7 @@ def test_direct_trials_match_the_mse_sweep(monkeypatch):
     cfg = tiny_experiment()
     for snr_db in cfg.snr_points_db:
         for t in DIRECT_ORDER:
-            assert run_trial(cfg, snr_db, t) == swept[(snr_db, t)]
+            assert one_trial(cfg, snr_db, t) == swept[(snr_db, t)]
 
 
 def test_direct_trials_match_the_residual_and_crb_sweeps(monkeypatch):
@@ -259,55 +254,58 @@ def test_direct_trials_match_the_residual_and_crb_sweeps(monkeypatch):
     cfg = tiny_experiment()
     for snr_db in cfg.snr_points_db:
         for t in DIRECT_ORDER:
-            assert run_trial(cfg, snr_db, t, with_estimates=False,
+            assert one_trial(cfg, snr_db, t, with_estimates=False,
                              with_crb=False) == residuals[(snr_db, t)]
-            direct = run_trial(cfg, snr_db, t, with_estimates=False)
-            assert (direct.crb_cfo, direct.crb_sfo) == (
-                bounds[(snr_db, t)].crb_cfo, bounds[(snr_db, t)].crb_sfo)
+            direct = one_trial(cfg, snr_db, t, with_estimates=False)
+            assert (direct["crb_cfo"], direct["crb_sfo"]) == (
+                bounds[(snr_db, t)]["crb_cfo"], bounds[(snr_db, t)]["crb_sfo"])
 
 
 def test_near_noiseless_trial_recovers_lattice_truth():
     cfg = make_experiment(cfo=0.21, sfo=0.0)
-    rec = run_trial(cfg, 200.0, 3, with_crb=False)
+    rec = one_trial(cfg, 200.0, 3, with_crb=False)
     truth = float(cfg.grid.cfo_values[71])
-    assert (rec.proposed.cfo, rec.proposed.sfo) == (truth, 0.0)
-    assert (rec.nguyenle.cfo, rec.nguyenle.sfo) == (truth, 0.0)
-    assert rec.residual_n_sq < 1e-12
+    assert (rec["proposed"].cfo, rec["proposed"].sfo) == (truth, 0.0)
+    assert (rec["nguyenle"].cfo, rec["nguyenle"].sfo) == (truth, 0.0)
+    assert rec["residual_n_sq"] < 1e-12
 
 
 def test_frozen_trial_at_30db():
     """Seeded end-to-end trial at the default operating point."""
-    rec = run_trial(make_experiment(), 30.0, 0)
-    assert rec.proposed.cfo == pytest.approx(0.21, rel=1e-15)
-    assert rec.proposed.sfo == pytest.approx(0.0002, rel=1e-15)
-    assert rec.nguyenle.cfo == pytest.approx(0.21, rel=1e-15)
-    assert rec.nguyenle.sfo == pytest.approx(8e-05, rel=1e-15)
-    assert rec.residual_n_sq == pytest.approx(0.10127522148144345,
-                                              rel=1e-12)
-    assert rec.residual_e_sq == pytest.approx(0.5305751026935671, rel=1e-12)
-    assert rec.crb_cfo == pytest.approx(6.153606862798734e-08, rel=1e-12)
-    assert rec.crb_sfo == pytest.approx(3.215184071244001e-10, rel=1e-12)
+    rec = one_trial(make_experiment(), 30.0, 0)
+    assert rec["proposed"].cfo == pytest.approx(0.21, rel=1e-15)
+    assert rec["proposed"].sfo == pytest.approx(0.0002, rel=1e-15)
+    assert rec["nguyenle"].cfo == pytest.approx(0.21, rel=1e-15)
+    assert rec["nguyenle"].sfo == pytest.approx(8e-05, rel=1e-15)
+    assert rec["residual_n_sq"] == pytest.approx(0.10127522148144345,
+                                                 rel=1e-12)
+    assert rec["residual_e_sq"] == pytest.approx(0.5305751026935671,
+                                                 rel=1e-12)
+    assert rec["crb_cfo"] == pytest.approx(6.153606862798734e-08, rel=1e-12)
+    assert rec["crb_sfo"] == pytest.approx(3.215184071244001e-10, rel=1e-12)
 
 
 def test_proposed_tracks_truth_over_trials():
     cfg = make_experiment()
-    records = [run_trial(cfg, 30.0, t, with_crb=False) for t in range(50)]
+    records = [one_trial(cfg, 30.0, t, with_crb=False) for t in range(50)]
     for rec in records:
-        assert rec.proposed.cfo == pytest.approx(0.21, rel=1e-15)
-    mean_sfo_err = np.mean([abs(r.proposed.sfo - cfg.sfo) for r in records])
+        assert rec["proposed"].cfo == pytest.approx(0.21, rel=1e-15)
+    mean_sfo_err = np.mean([abs(r["proposed"].sfo - cfg.sfo)
+                            for r in records])
     assert mean_sfo_err <= 1e-4
 
 
 def test_skipped_stages_leave_none_fields():
-    rec = run_trial(tiny_experiment(), 10.0, 0, with_estimates=False,
+    rec = one_trial(tiny_experiment(), 10.0, 0, with_estimates=False,
                     with_crb=False)
-    assert rec.proposed is None and rec.nguyenle is None
-    assert rec.crb_cfo is None and rec.crb_sfo is None
-    assert not rec.estimated and not rec.crb_evaluated
-    assert rec.residual_n_sq > 0.0
-    assert rec.residual_e_sq is not None
-    assert rec.proposed_failure is None and rec.nguyenle_failure is None
-    assert rec.crb_failure is None
+    assert rec["proposed"] is None and rec["nguyenle"] is None
+    assert rec["crb_cfo"] is None and rec["crb_sfo"] is None
+    assert not rec["estimated"] and not rec["crb_evaluated"]
+    assert rec["residual_n_sq"] > 0.0
+    assert rec["residual_e_sq"] is not None
+    assert rec["proposed_failure"] is None
+    assert rec["nguyenle_failure"] is None
+    assert not rec["singular"]
 
 
 def poison_first_r0_bin(monkeypatch, value, trial=None):
@@ -328,15 +326,16 @@ def poison_first_r0_bin(monkeypatch, value, trial=None):
 def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
     poison_first_r0_bin(monkeypatch, 0.0)
     cfg = tiny_experiment()
-    rec = run_trial(cfg, 10.0, 0)
-    assert rec.residual_e_sq is None
-    assert rec.nguyenle is None
-    assert rec.nguyenle_failure == \
+    cols = next(harness._burst_chunks(cfg, 10.0, (0,)))
+    rec = column_record(cols, 10.0, 0)
+    assert rec["residual_e_sq"] is None
+    assert rec["nguyenle"] is None
+    assert rec["nguyenle_failure"] == \
         "degenerate observation (subcarriers [-26])"
-    assert rec.proposed is not None and rec.proposed_failure is None
-    assert rec.crb_cfo is not None
+    assert rec["proposed"] is not None and rec["proposed_failure"] is None
+    assert rec["crb_cfo"] is not None
 
-    row = aggregate([rec], cfg.cfo, cfg.sfo)
+    row = harness._reduce([cols], 10.0, cfg.cfo, cfg.sfo)
     assert row.degenerate_observations == 1
     assert row.fail_nguyenle == 1
     assert row.fail_proposed == 0
@@ -351,8 +350,8 @@ def test_non_finite_surface_counts_as_failure(monkeypatch):
     cfg = tiny_experiment()
     with np.errstate(invalid="ignore"):
         sweep = run_mse_sweep(cfg)
-        rec = run_trial(cfg, 10.0, 0)
-    assert rec.proposed_failure == rec.nguyenle_failure == \
+        rec = one_trial(cfg, 10.0, 0)
+    assert rec["proposed_failure"] == rec["nguyenle_failure"] == \
         "non-finite cost surface"
     for row in sweep.rows:
         assert row.fail_proposed == cfg.n_trials
@@ -370,8 +369,8 @@ CHUNK = harness._CHUNK
                                       CHUNK + 1, 2 * CHUNK + 1])
 def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
                                                          n_trials):
-    """Every record of the fig2, fig1 and crb sweeps, however the trials
-    fall into chunks, is the record of a one-trial run_trial call."""
+    """Every row of the fig2, fig1 and crb sweeps, however the trials
+    fall into chunks, is the row of that trial run as a chunk of one."""
     cfg = tiny_experiment(n_trials=n_trials)
     swept = sweep_records(monkeypatch, run_mse_sweep, cfg)
     residuals = sweep_records(monkeypatch, run_noise_variance_sweep, cfg)
@@ -379,13 +378,15 @@ def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
     for snr_db in cfg.snr_points_db:
         for t in range(n_trials):
             key = (snr_db, t)
-            assert run_trial(cfg, snr_db, t) == swept[key]
-            assert run_trial(cfg, snr_db, t, with_estimates=False,
+            assert one_trial(cfg, snr_db, t) == swept[key]
+            assert one_trial(cfg, snr_db, t, with_estimates=False,
                              with_crb=False) == residuals[key]
-            direct = run_trial(cfg, snr_db, t, with_estimates=False)
-            assert bounds[key] == TrialRecord(
-                trial_index=t, snr_db=snr_db, crb_cfo=direct.crb_cfo,
-                crb_sfo=direct.crb_sfo, crb_evaluated=True)
+            direct = one_trial(cfg, snr_db, t, with_estimates=False)
+            scenario = column_record(harness._Columns((t,)), snr_db, 0)
+            assert bounds[key] == dict(
+                scenario, crb_cfo=direct["crb_cfo"],
+                crb_sfo=direct["crb_sfo"], crb_evaluated=True,
+                singular=direct["singular"])
     assert sorted(swept) == sorted(residuals) == sorted(bounds)
     assert len(swept) == n_trials * len(cfg.snr_points_db)
 
@@ -399,105 +400,40 @@ def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
 def test_poisoned_trial_fails_alone_in_its_chunk(monkeypatch, value, failed):
     cfg = tiny_experiment(n_trials=CHUNK + 1)
     poisoned = CHUNK // 2
-    clean = run_trials(cfg, 10.0, range(cfg.n_trials))
+
+    def rows():
+        return [column_record(cols, 10.0, i)
+                for cols in harness._burst_chunks(cfg, 10.0,
+                                                  range(cfg.n_trials))
+                for i in range(len(cols.indices))]
+
+    clean = rows()
     poison_first_r0_bin(monkeypatch, value, trial=poisoned)
     with np.errstate(invalid="ignore"):
-        dirty = run_trials(cfg, 10.0, range(cfg.n_trials))
-    assert [r.trial_index for r in dirty] == list(range(cfg.n_trials))
+        dirty = rows()
+    assert [r["trial_index"] for r in dirty] == list(range(cfg.n_trials))
     for rec, ref in zip(dirty, clean):
-        if rec.trial_index != poisoned:
+        if rec["trial_index"] != poisoned:
             assert rec == ref
     rec, ref = dirty[poisoned], clean[poisoned]
     for field in ("proposed_failure", "nguyenle_failure"):
-        assert getattr(rec, field) == failed.get(field)
-    assert rec.nguyenle is None
-    assert (rec.proposed is None) == ("proposed_failure" in failed)
-    assert rec.residual_e_sq is None or np.isnan(rec.residual_e_sq)
+        assert rec[field] == failed.get(field)
+    assert rec["nguyenle"] is None
+    assert (rec["proposed"] is None) == ("proposed_failure" in failed)
+    assert rec["residual_e_sq"] is None or np.isnan(rec["residual_e_sq"])
     # the bound reads the draws, not the observation
-    assert (rec.crb_cfo, rec.crb_sfo) == (ref.crb_cfo, ref.crb_sfo)
+    assert (rec["crb_cfo"], rec["crb_sfo"]) == (ref["crb_cfo"],
+                                                ref["crb_sfo"])
 
 
-# -------------------------------------------------------------- aggregate
+# ---------------------------------------------------------------- reducer
 
 
-def test_aggregate_single_record_identity():
-    rec = record(0, n_sq=2.0, e_sq=8.0, proposed=est(0.25, 2e-4),
-                 nguyenle=est(0.3, -1e-4, "nguyen_le"), crb=(1e-7, 1e-9),
-                 crb_evaluated=True)
-    row = aggregate([rec], 0.2, 1e-4)
-    assert row.snr_db == 10.0
-    assert row.n_trials == 1
-    assert row.mean_residual_n_sq == 2.0
-    assert row.mean_residual_e_sq == 8.0
-    assert row.mse_cfo_proposed == (0.25 - 0.2) ** 2
-    assert row.mse_sfo_proposed == (2e-4 - 1e-4) ** 2
-    assert row.mse_cfo_nguyenle == (0.3 - 0.2) ** 2
-    assert row.mse_sfo_nguyenle == (-1e-4 - 1e-4) ** 2
-    assert row.crb_cfo == 1e-7 and row.crb_sfo == 1e-9
-    assert row.fail_proposed == 0 and row.fail_nguyenle == 0
-    assert row.crb_excluded == 0 and row.degenerate_observations == 0
-
-
-def test_aggregate_two_record_means():
-    records = [
-        record(0, n_sq=1.0, e_sq=2.0, proposed=est(0.3, 0.0)),
-        record(1, n_sq=3.0, e_sq=6.0, proposed=est(0.1, 0.0)),
-    ]
-    row = aggregate(records, 0.2, 0.0)
-    assert row.mean_residual_n_sq == 2.0
-    assert row.mean_residual_e_sq == 4.0
-    expected = ((0.3 - 0.2) ** 2 + (0.1 - 0.2) ** 2) / 2
-    assert row.mse_cfo_proposed == expected
-
-
-def test_aggregate_is_order_invariant():
-    records = [record(t, n_sq=float(t + 1), proposed=est(0.2 + 0.01 * t,
-                                                         1e-5 * t))
-               for t in range(4)]
-    forward = aggregate(records, 0.2, 0.0)
-    shuffled = aggregate([records[2], records[0], records[3], records[1]],
-                         0.2, 0.0)
-    assert forward == shuffled
-
-
-def test_aggregate_rejects_mixed_snr():
-    with pytest.raises(ValueError, match="multiple SNR points"):
-        aggregate([record(0, snr=10.0), record(1, snr=15.0)], 0.2, 0.0)
-
-
-def test_aggregate_rejects_empty():
-    with pytest.raises(ValueError, match="no records"):
-        aggregate([], 0.2, 0.0)
-
-
-def test_aggregate_failure_accounting():
-    records = [
-        record(0, e_sq=None, proposed=est(0.2, 0.0), nguyenle=None,
-               crb=(None, None), crb_evaluated=True),
-        record(1, proposed=est(0.3, 0.0),
-               nguyenle=est(0.25, 0.0, "nguyen_le"), crb=(2e-7, 2e-9),
-               crb_evaluated=True),
-        record(2, estimated=False),
-    ]
-    row = aggregate(records, 0.2, 0.0)
-    assert row.n_trials == 3
-    assert row.fail_nguyenle == 1
-    # the residual-only record never ran the estimators, so it is not a
-    # failure even though its estimate fields are empty
-    assert row.fail_proposed == 0
-    assert row.degenerate_observations == 1
-    assert row.crb_excluded == 1
-    assert row.mse_cfo_nguyenle == (0.25 - 0.2) ** 2
-    assert row.crb_cfo == 2e-7
-    assert row.mean_residual_e_sq == 4.0
-
-
-def reference_aggregate(records, cfo, sfo):
-    """The record-by-record reduction the column reducer must equal: every
+def reference_aggregate(trials, snr_db, cfo, sfo):
+    """The trial-by-trial reduction the column reducer must equal: every
     mean a sequential sum in ascending trial order, every squared error
-    Python's ``(v - truth) ** 2``."""
-    records = sorted(records, key=lambda r: r.trial_index)
-
+    Python's ``(v - truth) ** 2``. ``trials`` are the outcome rows of
+    :func:`outcomes_to_chunks`, in trial order."""
     def mean(values):
         if not values:
             return None
@@ -506,29 +442,27 @@ def reference_aggregate(records, cfo, sfo):
             acc += v
         return acc / len(values)
 
-    observed = [r for r in records if r.residual_n_sq is not None]
-    e_values = [r.residual_e_sq for r in observed
-                if r.residual_e_sq is not None]
-    estimated = [r for r in records if r.estimated]
+    observed = [row for (ran, *_), row in trials if ran]
+    e_values = [e for _, e, *_ in observed if e is not None]
+    estimated = [row for (_, ran, _), row in trials if ran]
+    bounded = [crb for (*_, ran), (*_, crb) in trials if ran]
 
-    def mse(name, truth, param):
-        return mean([(getattr(getattr(r, name), param) - truth) ** 2
-                     for r in estimated if getattr(r, name) is not None])
+    def mse(at, truth, param):
+        return mean([(found[param] - truth) ** 2
+                     for found in (row[at] for row in estimated)
+                     if found is not None])
 
-    bounded = [r for r in records if r.crb_evaluated]
     return harness.SweepRow(
-        snr_db=records[0].snr_db, n_trials=len(records),
-        mean_residual_n_sq=mean([r.residual_n_sq for r in observed]),
+        snr_db=snr_db, n_trials=len(trials),
+        mean_residual_n_sq=mean([n for n, *_ in observed]),
         mean_residual_e_sq=mean(e_values),
-        mse_cfo_proposed=mse("proposed", cfo, "cfo"),
-        mse_cfo_nguyenle=mse("nguyenle", cfo, "cfo"),
-        mse_sfo_proposed=mse("proposed", sfo, "sfo"),
-        mse_sfo_nguyenle=mse("nguyenle", sfo, "sfo"),
-        crb_cfo=mean([r.crb_cfo for r in bounded if r.crb_cfo is not None]),
-        crb_sfo=mean([r.crb_sfo for r in bounded if r.crb_sfo is not None]),
-        fail_proposed=sum(r.proposed is None for r in estimated),
-        fail_nguyenle=sum(r.nguyenle is None for r in estimated),
-        crb_excluded=sum(r.crb_cfo is None for r in bounded),
+        mse_cfo_proposed=mse(2, cfo, 0), mse_cfo_nguyenle=mse(3, cfo, 0),
+        mse_sfo_proposed=mse(2, sfo, 1), mse_sfo_nguyenle=mse(3, sfo, 1),
+        crb_cfo=mean([c[0] for c in bounded if c is not None]),
+        crb_sfo=mean([c[1] for c in bounded if c is not None]),
+        fail_proposed=sum(row[2] is None for row in estimated),
+        fail_nguyenle=sum(row[3] is None for row in estimated),
+        crb_excluded=sum(c is None for c in bounded),
         degenerate_observations=len(observed) - len(e_values))
 
 
@@ -537,16 +471,18 @@ def bits(row):
     return tuple(v.hex() if isinstance(v, float) else v for v in astuple(row))
 
 
-def outcomes_to_chunks(chunks, snr_db=10.0):
-    """The columns and the records of hand-made trial outcomes.
+def outcomes_to_chunks(chunks):
+    """The columns of hand-made trial outcomes, and each trial's stages
+    and outcome row in trial order.
 
     ``chunks`` is a list of ((observed, estimated, bounded), rows); a row
     is (n_sq, e_sq, proposed, nguyenle, crb) where e_sq None is a
     degenerate observation, an estimate None a failed search and crb
     None a singular draw. A value the columns must ignore is inf there.
     """
-    columns, records, start = [], [], 0
-    for (observed, estimated, bounded), rows in chunks:
+    columns, trials, start = [], [], 0
+    for stages, rows in chunks:
+        observed, estimated, bounded = stages
         indices = tuple(range(start, start + len(rows)))
         start += len(rows)
         n_sq, e_sq, proposed, nguyenle, crb = zip(*rows)
@@ -573,29 +509,63 @@ def outcomes_to_chunks(chunks, snr_db=10.0):
                           crb_sfo=column(crb, at=1),
                           singular=np.array([c is None for c in crb]))
         columns.append(harness._Columns(indices, **fields))
+        trials += [(stages, row) for row in rows]
+    return columns, trials
 
-        def result(found, method):
-            if not estimated or found is None:
-                return None
-            return EstimationResult(*found, method=method)
 
-        for t, (n, e, p, g, c) in zip(indices, rows):
-            records.append(TrialRecord(
-                trial_index=t, snr_db=snr_db,
-                residual_n_sq=n if observed else None,
-                residual_e_sq=e if observed else None,
-                proposed=result(p, "proposed"),
-                nguyenle=result(g, "nguyen_le"),
-                crb_cfo=c[0] if bounded and c else None,
-                crb_sfo=c[1] if bounded and c else None,
-                estimated=estimated, crb_evaluated=bounded,
-                proposed_failure=harness._NON_FINITE
-                if estimated and p is None else None,
-                nguyenle_failure=harness._NON_FINITE
-                if estimated and g is None else None,
-                crb_failure=harness._SINGULAR
-                if bounded and c is None else None))
-    return columns, records
+def reduced(chunks, cfo, sfo):
+    """The column reducer's row over hand-made outcomes at 10 dB."""
+    return harness._reduce(iter(outcomes_to_chunks(chunks)[0]), 10.0, cfo,
+                           sfo)
+
+
+ALL_STAGES = (True, True, True)
+
+
+def test_aggregate_single_record_identity():
+    row = reduced([(ALL_STAGES, [(2.0, 8.0, (0.25, 2e-4, 0.0),
+                                  (0.3, -1e-4, 0.0), (1e-7, 1e-9))])],
+                  0.2, 1e-4)
+    assert row.snr_db == 10.0
+    assert row.n_trials == 1
+    assert row.mean_residual_n_sq == 2.0
+    assert row.mean_residual_e_sq == 8.0
+    assert row.mse_cfo_proposed == (0.25 - 0.2) ** 2
+    assert row.mse_sfo_proposed == (2e-4 - 1e-4) ** 2
+    assert row.mse_cfo_nguyenle == (0.3 - 0.2) ** 2
+    assert row.mse_sfo_nguyenle == (-1e-4 - 1e-4) ** 2
+    assert row.crb_cfo == 1e-7 and row.crb_sfo == 1e-9
+    assert row.fail_proposed == 0 and row.fail_nguyenle == 0
+    assert row.crb_excluded == 0 and row.degenerate_observations == 0
+
+
+def test_aggregate_two_record_means():
+    row = reduced([((True, True, False),
+                    [(1.0, 2.0, (0.3, 0.0, 0.0), None, None),
+                     (3.0, 6.0, (0.1, 0.0, 0.0), None, None)])], 0.2, 0.0)
+    assert row.mean_residual_n_sq == 2.0
+    assert row.mean_residual_e_sq == 4.0
+    expected = ((0.3 - 0.2) ** 2 + (0.1 - 0.2) ** 2) / 2
+    assert row.mse_cfo_proposed == expected
+
+
+def test_aggregate_failure_accounting():
+    row = reduced([
+        (ALL_STAGES, [(1.0, None, (0.2, 0.0, 0.0), None, None),
+                      (1.0, 4.0, (0.3, 0.0, 0.0), (0.25, 0.0, 0.0),
+                       (2e-7, 2e-9))]),
+        ((True, False, False), [(1.0, 4.0, None, None, None)]),
+    ], 0.2, 0.0)
+    assert row.n_trials == 3
+    assert row.fail_nguyenle == 1
+    # the residual-only trial never ran the estimators, so it is not a
+    # failure even though its estimates are empty
+    assert row.fail_proposed == 0
+    assert row.degenerate_observations == 1
+    assert row.crb_excluded == 1
+    assert row.mse_cfo_nguyenle == (0.25 - 0.2) ** 2
+    assert row.crb_cfo == 2e-7
+    assert row.mean_residual_e_sq == 4.0
 
 
 TRUTH = (0.212, 0.000112)
@@ -618,42 +588,28 @@ CHUNKS = st.lists(st.tuples(st.tuples(st.booleans(), st.booleans(),
 POW_CFOS = (0.061530290928601516, -0.1354087858528611, 0.4694390808572304)
 POW_SFOS = (-0.00036779054716807734, -8.800900511234642e-05,
             0.00045154714754491417)
-ALL_STAGES = (True, True, True)
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(chunks=CHUNKS, order=st.randoms(use_true_random=False))
+@given(chunks=CHUNKS)
 @example(chunks=[(ALL_STAGES, [(1.0, 2.0, (POW_CFOS[0], POW_SFOS[0], 1.0),
                                 (POW_CFOS[1], POW_SFOS[1], 1.0),
-                                (1e-7, 1e-9))])],
-         order=random.Random(0))
+                                (1e-7, 1e-9))])])
 @example(chunks=[(ALL_STAGES, [(1.0, 2.0, (POW_CFOS[2], POW_SFOS[2], 1.0),
-                                None, (1e-7, 1e-9))])],
-         order=random.Random(0))
+                                None, (1e-7, 1e-9))])])
 @example(chunks=[(ALL_STAGES, [(0.1, 0.1, (0.1, 0.1, 0.1), (0.1, 0.1, 0.1),
-                                (0.1, 0.1))] * 16)],
-         order=random.Random(1))
+                                (0.1, 0.1))] * 16)])
 @example(chunks=[(ALL_STAGES, [(1.0, None, None, None, None)] * 3),
                  ((False, True, False), [(1.0, None, None, None, None)]),
-                 ((True, False, True), [(2.0, 3.0, None, None, (1.0, 2.0))])],
-         order=random.Random(2))
-def test_column_reducer_equals_aggregate_over_the_same_records(chunks, order):
-    """The sweeps' reducer over trial-major columns gives the row that
-    aggregate gives over the same trials' records, in any order, and
-    both give the record-by-record reduction, bit for bit: degenerate,
-    failed, singular and all-failed rows, and stages that ran on only
-    some trials."""
-    columns, records = outcomes_to_chunks(chunks)
-    reduced = harness._reduce(iter(columns), 10.0, *TRUTH)
-    order.shuffle(records)
-    assert bits(reduced) == bits(aggregate(records, *TRUTH)) \
-        == bits(reference_aggregate(records, *TRUTH))
-
-
-def test_aggregate_rejects_a_record_with_one_bound():
-    bounded = record(0, crb=(1e-7, None), crb_evaluated=True)
-    with pytest.raises(ValueError, match="only one of crb_cfo and crb_sfo"):
-        aggregate([bounded], 0.2, 0.0)
+                 ((True, False, True), [(2.0, 3.0, None, None, (1.0, 2.0))])])
+def test_column_reducer_equals_reference_aggregate(chunks):
+    """The sweeps' reducer over trial-major columns gives the
+    trial-by-trial reduction of the same outcomes, bit for bit:
+    degenerate, failed, singular and all-failed rows, and stages that
+    ran on only some trials."""
+    columns, trials = outcomes_to_chunks(chunks)
+    assert bits(harness._reduce(iter(columns), 10.0, *TRUTH)) \
+        == bits(reference_aggregate(trials, 10.0, *TRUTH))
 
 
 # ----------------------------------------------------------------- sweeps
@@ -667,8 +623,9 @@ def test_mse_sweep_matches_manual_aggregation():
     assert sweep.crb_discrepancy is None
     assert len(sweep.rows) == 2
     for row, snr_db in zip(sweep.rows, cfg.snr_points_db):
-        records = [run_trial(cfg, snr_db, t) for t in range(cfg.n_trials)]
-        assert aggregate(records, cfg.cfo, cfg.sfo) == row
+        trials = (next(harness._burst_chunks(cfg, snr_db, (t,)))
+                  for t in range(cfg.n_trials))
+        assert harness._reduce(trials, snr_db, cfg.cfo, cfg.sfo) == row
 
 
 def test_noise_variance_sweep_rows():
@@ -747,11 +704,13 @@ def test_backend_probe_falls_back_to_oracle(monkeypatch):
     assert crb_sweep.crb_discrepancy == sweep.crb_discrepancy
     assert (crb_sweep.rows[0].crb_cfo, crb_sweep.rows[0].crb_sfo) == \
         (row.crb_cfo, row.crb_sfo)
-    # and so do the one-trial routes: run_trial and trial
+    # and so do the one-trial routes: a chunk of one and trial
     swept = sweep_records(monkeypatch, run_mse_sweep, cfg)
     for t in range(cfg.n_trials):
-        assert run_trial(cfg, 15.0, t) == swept[(15.0, t)]
-        assert inspect_trial(cfg, 15.0, t).record == swept[(15.0, t)]
+        assert one_trial(cfg, 15.0, t) == swept[(15.0, t)]
+        diag = inspect_trial(cfg, 15.0, t)
+        assert column_record(diag.columns, diag.snr_db, 0) \
+            == swept[(15.0, t)]
 
     # Under the closed form, the backend at the default tolerance, fig2
     # bounds each chunk from the burst it synthesized and crb from its
