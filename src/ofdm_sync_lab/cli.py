@@ -21,6 +21,7 @@ included (``--sfo -3e-4``).
 
 import argparse
 import ctypes
+import os
 import sys
 
 import numpy as np
@@ -365,11 +366,24 @@ def _retain_heap() -> bool:
     return all(mallopt(option, 32 << 20) for option in (-1, -3))
 
 
+def _check_out(path: str) -> None:
+    """Fail before any sweep on an output path that cannot be written."""
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise CliError(f"--out {path} names a directory, not a file")
+    if not os.path.isdir(directory):
+        raise CliError(f"--out {path}: no directory {directory}")
+    if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        raise CliError(f"--out {path} is not writable")
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         invocation = parse(list(argv))
+        if invocation.out is not None:
+            _check_out(invocation.out)
         _retain_heap()
         runner = {"fig1": _run_fig1, "fig2": _run_fig2, "crb": _run_crb,
                   "trial": _run_one_trial}[invocation.command]

@@ -238,14 +238,27 @@ def compare_fisher(config, training, channel, cfo, sfo, noise_var,
 def crb_rows(f00, f01, f10, f11):
     """Invert 2x2 Fisher matrices elementwise into per-parameter bounds.
 
-    Returns (crb_cfo, crb_sfo, det) as arrays. A row is singular where
-    det is non-positive or non-finite; its bounds are then meaningless.
+    Returns (crb_cfo, crb_sfo, det) as arrays. A row whose det is not a
+    finite normal float (entries near 1e-200 at -2000 dB, 1e300 at
+    3000 dB) is inverted again scaled by 2**-e, e the exponent of its
+    largest entry, which is exact: det is then the scaled row's. A row is
+    singular where det is non-positive or non-finite.
     """
-    f00, f01, f10, f11 = (np.asarray(f, dtype=float)
-                          for f in (f00, f01, f10, f11))
-    with np.errstate(all="ignore"):
+    def invert(f00, f01, f10, f11):
         det = f00 * f11 - f01 * f10
         return f11 / det, f00 / det, det
+
+    entries = [np.asarray(f, dtype=float) for f in (f00, f01, f10, f11)]
+    with np.errstate(all="ignore"):
+        crb_cfo, crb_sfo, det = invert(*entries)
+        redo = ~(abs(det) >= np.finfo(float).tiny) | np.isinf(det)
+        if redo.any():
+            e = -np.frexp(functools.reduce(np.maximum, map(abs, entries)))[1]
+            cfo, sfo, scaled = invert(*(np.ldexp(f, e) for f in entries))
+            crb_cfo, crb_sfo, det = (np.where(redo, new, old) for new, old in (
+                (np.ldexp(cfo, e), crb_cfo), (np.ldexp(sfo, e), crb_sfo),
+                (scaled, det)))
+        return crb_cfo, crb_sfo, det
 
 
 def invertible(det) -> np.ndarray:

@@ -5,24 +5,21 @@ the fig1, fig2 and crb sweeps below, and :func:`inspect_trial` for
 ``trial``.
 
 Trials run serially in the calling thread, in fixed chunks of ``_CHUNK``
-(64) trials held as trial-major arrays (:func:`_chunks`). Each chunk
-frees its temporaries and the next one allocates them again, so
-``cli.main`` has glibc keep freed heap pages: otherwise the blocks over
-128 KB go back to the kernel after every chunk, and the next chunk
-faults them back in page by page. Every trial draws from its own
-labeled random substreams, keyed by the master seed, the SNR point, the
-trial index and the label, so results are reproducible bit for bit
-regardless of chunking or execution order. A
-sweep derives the streams of an SNR point in one mixing pass
+(64) trials held as trial-major arrays. Each chunk frees its temporaries
+and the next one allocates them again, so ``cli.main`` has glibc keep
+freed heap pages: otherwise the blocks over 128 KB go back to the kernel
+after every chunk, and the next chunk faults them back in page by page.
+Every trial draws from its own labeled random substreams, keyed by the
+master seed, the SNR point, the trial index and the label, so results
+are reproducible bit for bit regardless of chunking, grouping or
+execution order. A sweep groups consecutive SNR points of at most
+``_GROUP_ROWS`` trials, and derives a group's streams in one mixing pass
 (:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
-over the trials and labels) and right after it reads every trial's QPSK
-picks from the training table in one vectorized PCG64 pass
-(:func:`ofdm_model._qpsk_picks`). Each chunk takes its rows of the picks
-and of the other seed tables and, per trial and label, seeds a fresh
-``PCG64`` from its row and draws the normals through ``Generator`` into
-the chunk's arrays. These are the draws of
-:func:`ofdm_model.derive_rng`'s streams, bit for bit, and only the
-current SNR point's seed tables and picks are held. A chunk then
+over points, trials and labels) and all its QPSK picks in one PCG64 pass
+(:func:`ofdm_model._qpsk_picks`), each costing about as much for a group
+as for one point. Each chunk takes its rows and, per trial and label,
+seeds a fresh ``PCG64`` for the normals: the draws of
+:func:`ofdm_model.derive_rng`'s streams, bit for bit. A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass over the synthesis's noiseless
 burst, which equal the one-trial computations bit for bit (see
@@ -132,6 +129,11 @@ _NOISE_HEADROOM = 1e4
 # rare 101 x 101 surface (about 0.5 MB of temporaries) is formed one
 # trial at a time; at 128, fig1's peak RSS rose about 5 % over 32.
 _CHUNK = 64
+
+# Most trials of consecutive SNR points whose streams share one derivation
+# and one pick pass (together about 0.45 ms of fixed cost); fig2's default
+# sweep is one group. A group holds about 150 bytes per trial.
+_GROUP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -294,21 +296,22 @@ def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
                   noise=noise)
 
 
-def _chunks(cfg: ExperimentConfig, stream_key, indices, labels):
-    """Yield the draws of ``indices`` chunk by chunk, in index order.
+def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
+    """Per stream key, a generator of the draws of ``indices`` chunk by
+    chunk, from one :func:`ofdm_model._derive_tables` and one pick pass."""
+    tables = _derive_tables(cfg.master_seed, stream_keys, indices, labels)
+    shape = (len(stream_keys), len(indices))
+    picks = _qpsk_picks(tables.pop("training"), cfg.ofdm.n_active).reshape(
+        *shape, cfg.ofdm.n_active)
+    seeds = {label: t.reshape(*shape, 4) for label, t in tables.items()}
 
-    Each label's seed table is derived (and checked) once over all the
-    indices, and the QPSK picks of every index are read from the training
-    table in one vectorized pass (:func:`ofdm_model._qpsk_picks`); each
-    chunk takes its rows of the picks and hands its rows of the other
-    tables to ``PCG64`` unchecked.
-    """
-    tables = _derive_tables(cfg.master_seed, stream_key, indices, labels)
-    picks = _qpsk_picks(tables.pop("training"), cfg.ofdm.n_active)
-    for start in range(0, len(indices), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        yield _draw(cfg, indices[rows], picks[rows],
-                    {label: table[rows] for label, table in tables.items()})
+    def point(s):
+        for start in range(0, len(indices), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            yield _draw(cfg, indices[rows], picks[s, rows],
+                        {label: t[s, rows] for label, t in seeds.items()})
+
+    return [point(s) for s in range(len(stream_keys))]
 
 
 def _observe(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
@@ -375,9 +378,9 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
 
 
 def _burst_chunks(cfg: ExperimentConfig, snr_db: float, indices, **options):
-    """The columns of ``indices``' bursts, chunk by chunk in index order."""
-    for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
-                         _BURST_STREAMS):
+    """One SNR point's burst columns, chunk by chunk: a group of one."""
+    for draws in _chunks(cfg, (snr_stream_key(snr_db),), indices,
+                         _BURST_STREAMS)[0]:
         yield _burst_columns(cfg, snr_db, draws, **options)[0]
 
 
@@ -406,8 +409,8 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     in the sweeps, where they would add two cost evaluations to every
     trial.
     """
-    draws = next(_chunks(cfg, snr_stream_key(snr_db), (trial_index,),
-                         _BURST_STREAMS))
+    draws = next(_chunks(cfg, (snr_stream_key(snr_db),), (trial_index,),
+                         _BURST_STREAMS)[0])
     cols, spectra = _burst_columns(cfg, snr_db, draws)
     x = draws.training[0]
     obs = PreambleObservation(r0=spectra[0, 0], r1=spectra[0, 1],
@@ -526,8 +529,8 @@ def _probe(cfg: ExperimentConfig):
     """The worst closed-form/oracle Fisher comparison over two seeded
     scenarios, at the experiment's extreme SNR points."""
     snrs = (min(cfg.snr_points_db), max(cfg.snr_points_db))
-    draws = next(_chunks(cfg, "crb-backend-probe", range(2),
-                         _SCENARIO_STREAMS))
+    draws = next(_chunks(cfg, ("crb-backend-probe",), range(2),
+                         _SCENARIO_STREAMS)[0])
     return max((compare_fisher(cfg.ofdm, TrainingSymbols(x, x),
                                ChannelRealization(taps), cfg.cfo, cfg.sfo,
                                noise_variance_from_snr(cfg.ofdm, snr_db))
@@ -546,18 +549,23 @@ def _select_crb_backend(cfg: ExperimentConfig):
     return fisher_numeric_oracle, "numeric_oracle", worst.report()
 
 
-def _sweep_rows(cfg: ExperimentConfig, columns) -> tuple:
-    """One row per SNR point, reducing the chunk columns that
-    ``columns(snr_db, indices)`` yields over all the trial indices."""
-    indices = range(cfg.n_trials)
-    return tuple(_reduce(columns(snr_db, indices), snr_db, cfg.cfo, cfg.sfo)
-                 for snr_db in cfg.snr_points_db)
+def _sweep_rows(cfg: ExperimentConfig, labels, columns) -> tuple:
+    """One row per SNR point, reducing ``columns(snr_db, draws)`` of its
+    chunks; consecutive points of at most ``_GROUP_ROWS`` trials (or one
+    point) share a :func:`_chunks` call."""
+    points, step = cfg.snr_points_db, max(1, _GROUP_ROWS // cfg.n_trials)
+    groups = (points[i:i + step] for i in range(0, len(points), step))
+    return tuple(
+        _reduce((columns(snr_db, d) for d in draws), snr_db, cfg.cfo, cfg.sfo)
+        for group in groups for snr_db, draws in zip(group, _chunks(
+            cfg, [snr_stream_key(s) for s in group], range(cfg.n_trials),
+            labels)))
 
 
-def _crb_sweep(cfg: ExperimentConfig, columns) -> SweepResult:
+def _crb_sweep(cfg: ExperimentConfig, labels, columns) -> SweepResult:
     """The rows of ``columns``, which carry CRBs, and the name and report
     of the backend that bounded them."""
-    rows = _sweep_rows(cfg, columns)
+    rows = _sweep_rows(cfg, labels, columns)
     _, backend, report = _select_crb_backend(cfg)
     return SweepResult(config=cfg, rows=rows, crb_backend=backend,
                        crb_discrepancy=report)
@@ -565,13 +573,14 @@ def _crb_sweep(cfg: ExperimentConfig, columns) -> SweepResult:
 
 def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
-    return _crb_sweep(cfg, functools.partial(_burst_chunks, cfg))
+    return _crb_sweep(cfg, _BURST_STREAMS,
+                      lambda s, d: _burst_columns(cfg, s, d)[0])
 
 
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
-    rows = _sweep_rows(cfg, functools.partial(
-        _burst_chunks, cfg, with_estimates=False, with_crb=False))
+    rows = _sweep_rows(cfg, _BURST_STREAMS, lambda s, d: _burst_columns(
+        cfg, s, d, with_estimates=False, with_crb=False)[0])
     return SweepResult(config=cfg, rows=rows)
 
 
@@ -581,9 +590,5 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     Each trial draws only the training symbol and channel of its burst,
     so the rows' CRB columns equal :func:`run_mse_sweep`'s.
     """
-    def columns(snr_db, indices):
-        for draws in _chunks(cfg, snr_stream_key(snr_db), indices,
-                             _SCENARIO_STREAMS):
-            yield _Columns(draws.indices, **_crb_fields(cfg, snr_db, draws))
-
-    return _crb_sweep(cfg, columns)
+    return _crb_sweep(cfg, _SCENARIO_STREAMS, lambda s, d: _Columns(
+        d.indices, **_crb_fields(cfg, s, d)))

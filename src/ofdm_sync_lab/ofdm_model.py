@@ -38,17 +38,16 @@ along the last axis of a C-contiguous array (:func:`_sum_last`).
 Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
 words are a key path (master seed, SNR key, trial index, label) split
 into 32-bit words as ``SeedSequence`` splits integers.
-:func:`derive_states` runs ``SeedSequence``'s mixing over a whole axis
-of trial indices at once, and :func:`seed_generator` hands one trial's
-seed words to numpy's own PCG64 seeding; both reproduce
-:func:`derive_rng`'s stream bit for bit, which numpy's own
-``SeedSequence`` checks in the tests. A trial index must lie in
-[0, 2**32), where it is exactly one word. QPSK picks come from raw PCG64
-words, which NEP 19 keeps stable across numpy versions, and no generator
-is built for them: :func:`_pcg64_raw` steps PCG64's 128-bit LCG for a
-whole seed table at once, each state a (hi, lo) pair of uint64 arrays
-jumped ahead by cached constants, and :func:`_qpsk_picks` reads the picks
-from those words.
+:func:`_derive_tables` runs ``SeedSequence``'s mixing over whole axes of
+SNR keys, trial indices and labels at once, :func:`derive_states` is
+its one-key, one-label view, and :func:`seed_generator` hands one row
+to numpy's own PCG64 seeding; all reproduce :func:`derive_rng`'s stream
+bit for bit, which numpy's own ``SeedSequence`` checks in the tests. A
+trial index must lie in [0, 2**32), where it is exactly one word. QPSK
+picks come from raw PCG64 words, which NEP 19 keeps stable across numpy
+versions, with no generator built: :func:`_pcg64_raw` steps PCG64's
+128-bit LCG for a whole seed table at once, and :func:`_qpsk_picks`
+reads the picks from those words.
 """
 
 import functools
@@ -533,9 +532,9 @@ def _key_words(key) -> list:
 def _hash_pool(entropy) -> list:
     """SeedSequence's pool of 4 words mixed from the entropy words.
 
-    A word is a Python int or a uint32 array over trials; int arithmetic
-    is masked to 32 bits and array arithmetic wraps, so one word of the
-    entropy can differ per trial while the rest stay scalars.
+    A word is a Python int or a uint32 array (over keys, trials or
+    labels); int arithmetic is masked to 32 bits and array arithmetic
+    wraps, so words can differ along broadcast axes.
     """
     hash_const = _INIT_A
 
@@ -566,34 +565,46 @@ def _hash_pool(entropy) -> list:
 def _seed_words(pool, shape) -> np.ndarray:
     """SeedSequence's ``generate_state(4, uint64)`` of every entry of a
     pool broadcast to ``shape``, as a ``shape + (4,)`` array."""
-    words = np.empty((*shape, 2 * _POOL_SIZE), dtype=np.uint32)
+    words = np.empty((*shape, 2 * _POOL_SIZE), dtype="<u4")
     hash_const = _INIT_B
     for i_dst in range(2 * _POOL_SIZE):
         value = pool[i_dst % _POOL_SIZE] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = (value * hash_const) & _MASK32
         words[..., i_dst] = value ^ (value >> _XSHIFT)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
 def derive_states(master_seed: int, stream_key, trial_indices,
                   label) -> np.ndarray:
     """Seed words of ``derive_rng(master_seed, stream_key, t, label)`` for
-    every trial index t, as a (T, 4) uint64 array: the one-label view of
-    :func:`_derive_tables`, whose ValueError it raises."""
-    return _derive_tables(master_seed, stream_key, trial_indices,
+    every trial index t, as a (T, 4) uint64 array: the one-key, one-label
+    view of :func:`_derive_tables`, whose ValueError it raises."""
+    return _derive_tables(master_seed, (stream_key,), trial_indices,
                           (label,))[label]
 
 
-def _derive_tables(master_seed: int, stream_key, trial_indices,
-                   labels) -> dict:
-    """:func:`derive_states` of every label, as a dict by label.
+def _word_groups(keys, trailing: int):
+    """(positions, words) of ``keys`` per entropy word count: one key's
+    words as Python ints, or per word a uint32 column over the keys with
+    ``trailing`` unit axes."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(len(_key_words(key)), []).append(i)
+    for group in groups.values():
+        words = np.array([_key_words(keys[i]) for i in group], np.uint32).T
+        yield group, (words[:, 0].tolist() if len(group) == 1 else
+                      list(words.reshape(*words.shape, *(1,) * trailing)))
 
-    Runs SeedSequence's mixing and :func:`_seed_table`'s check once over
-    the trial axis and the labels of each entropy word count (an int
-    label below 2**32 is one word, a str label two): their words enter
-    as (L, 1) columns against the (T,) trial words.
-    :func:`seed_generator` turns a row into the generator.
+
+def _derive_tables(master_seed: int, stream_keys, trial_indices,
+                   labels) -> dict:
+    """:func:`derive_states` of every stream key and label, as a dict by
+    label of C-contiguous (S T, 4) tables, row s T + i for key s and the
+    i-th trial index. Runs SeedSequence's mixing once per entropy word
+    count of the keys (0 dB and up is one word, below 0 dB two) and of
+    the labels (a str is two): key words enter as (S, 1) columns, label
+    words as (L, 1, 1) columns, against the (T,) trial words.
 
     Raises
     ------
@@ -607,23 +618,20 @@ def _derive_tables(master_seed: int, stream_key, trial_indices,
         raise ValueError(
             f"trial indices must lie in [0, 2**32), got {trials.min()} .. "
             f"{trials.max()}")
-    # One trial's and one label's words stay Python ints: scalar
+    # One trial's, key's and label's words stay Python ints: scalar
     # arithmetic beats size-1 array arithmetic by an order of magnitude.
     trial_word = int(trials[0]) if trials.size == 1 \
         else trials.astype(np.uint32)
-    head = _key_words(int(master_seed)) + _key_words(stream_key)
-    groups = {}
-    for label in labels:
-        groups.setdefault(len(_key_words(label)), []).append(label)
-    tables = {}
-    for group in groups.values():
-        words = _key_words(group[0]) if len(group) == 1 else list(np.array(
-            [_key_words(label) for label in group], dtype=np.uint32).T[
-                ..., None])
-        seeds = _seed_words(_hash_pool(head + [trial_word] + words),
-                            (len(group), trials.size))
-        tables.update(zip(group, map(_seed_table, seeds)))
-    return tables
+    labels, shape, tables = list(labels), (len(stream_keys), trials.size), {}
+    for keys, key_words in _word_groups(stream_keys, 1):
+        head = _key_words(int(master_seed)) + key_words + [trial_word]
+        for group, label_words in _word_groups(labels, 2):
+            seeds = _seed_words(_hash_pool(head + label_words),
+                                (len(group), len(keys), trials.size))
+            for i, table in zip(group, seeds):
+                tables.setdefault(labels[i], np.empty(
+                    (*shape, 4), np.uint64))[keys] = table
+    return {label: table.reshape(-1, 4) for label, table in tables.items()}
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):

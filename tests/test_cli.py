@@ -174,12 +174,37 @@ def test_unknown_flag_exits_2():
        f"1e-08 inside (-1, 1), got {sfo}")
       for command in ("fig2", "trial")
       for sfo in ("-0.999999999", "0.99999999")],
+    # an output the sweep could not write once ran the whole sweep first,
+    # then died with a traceback
+    (["fig1", "--trials", "2", "--out", "/nonexistent/x.csv"],
+     "--out /nonexistent/x.csv: no directory /nonexistent"),
+    (["fig1", "--trials", "2", "--out", "/"],
+     "--out / names a directory, not a file"),
+    (["crb", "--trials", "2", "--out", "/nonexistent/"],
+     "--out /nonexistent/ names a directory, not a file"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert fragment in err
+    if "--out" in argv:
+        assert not os.path.isfile(argv[argv.index("--out") + 1])
+
+
+def test_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path,
+                                               capsys):
+    """A path without write access exits 2 naming it, before the sweep
+    runs, and nothing is written."""
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_mse_sweep", no_sweep)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    path = tmp_path / "x.csv"
+    assert cli.main(["fig2", "--out", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: --out {path} is not writable\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ config file
@@ -364,6 +389,28 @@ def test_crb_all_singular_draws_leave_blank_cells(monkeypatch, tmp_path):
     cells = csv_columns(out)
     assert cells["crb_cfo"] == cells["crb_sfo"] == ["", ""]
     assert cells["excluded"] == ["3", "3"]
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["crb", "--trials", "5", "--snr-min", "-2000", "--snr-max", "-2000"],
+     {"crb_cfo": "5.2463949068087993e+195",
+      "crb_sfo": "2.7836605869857201e+193", "excluded": "0"}),
+    (["crb", "--trials", "5", "--snr-min", "3000", "--snr-max", "3000"],
+     {"crb_cfo": "1.0747517142120941e-304",
+      "crb_sfo": "5.0841468768994891e-307", "excluded": "0"}),
+    (["fig2", "--trials", "3", "--snr-min", "2900", "--snr-max", "2900"],
+     {"crb_cfo": "3.6762389284068919e-295",
+      "crb_sfo": "1.7641086382313994e-297"}),
+])
+def test_crb_at_extreme_snr_is_finite(tmp_path, argv, columns):
+    """Fisher entries near 1e-200 (at -2000 dB) or 1e300 (at 2900 dB and
+    up) once gave a determinant that underflowed or overflowed, and every
+    draw counted as singular with blank CRB cells."""
+    out = tmp_path / "c.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    cells = csv_columns(out)
+    assert {name: cells[name] for name in columns} == {
+        name: [value] for name, value in columns.items()}
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -5,7 +5,7 @@ bound of the harness's CRB sweep."""
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
@@ -393,6 +393,46 @@ def test_singular_fisher_is_not_invertible():
     crb_cfo, crb_sfo, det = crb_rows(f00, f01, f01, f11)
     npt.assert_array_equal(invertible(det), [False, False, False, True])
     assert (crb_cfo[3], crb_sfo[3]) == (0.25, 0.125)
+
+
+ENTRIES = st.floats(-1e300, 1e300).flatmap(
+    lambda f: st.sampled_from([f, f * 1e-300, f * 1e300]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(f00=ENTRIES, f01=ENTRIES, f10=ENTRIES, f11=ENTRIES)
+@example(f00=1e-200, f01=1e-201, f10=1e-201, f11=1e-200)
+@example(f00=2.0, f01=0.5, f10=0.5, f11=3.0)
+@example(f00=1e154, f01=0.0, f10=0.0, f11=1e154)
+@example(f00=0.0, f01=1e300, f10=4e-296, f11=0.0)
+def test_scaled_inversion_keeps_every_normal_determinants_bits(f00, f01,
+                                                               f10, f11):
+    """Wherever the determinant is a normal float, the bounds are
+    f11 / det and f00 / det bit for bit, and det has its sign: only rows
+    whose det underflows or overflows are scaled."""
+    with np.errstate(all="ignore"):
+        det = np.float64(f00) * f11 - np.float64(f01) * f10
+        plain = (np.float64(f11) / det, np.float64(f00) / det)
+    assume(np.isfinite(det) and abs(det) >= np.finfo(float).tiny)
+    crb_cfo, crb_sfo, scaled_det = crb_rows(f00, f01, f10, f11)
+    assert (crb_cfo.tobytes(), crb_sfo.tobytes()) == (plain[0].tobytes(),
+                                                      plain[1].tobytes())
+    assert np.sign(scaled_det) == np.sign(det)
+
+
+@pytest.mark.parametrize("noise_var", [1e200, 1e-300])
+def test_bounds_at_extreme_noise_are_finite(noise_var):
+    """Fisher entries near 1e-200 or 1e300 have a determinant that
+    underflows or overflows, but the bounds scale with the noise."""
+    fisher = fisher_closed_form(CFG, FLAT_TRAINING, FLAT_CHANNEL, CFO_OP,
+                                SFO_OP, noise_var)
+    reference = fisher_closed_form(CFG, FLAT_TRAINING, FLAT_CHANNEL, CFO_OP,
+                                   SFO_OP, 1.0)
+    with np.errstate(all="ignore"):
+        assert not invertible(fisher.f00 * fisher.f11
+                              - fisher.f01 * fisher.f10)
+    bounds = np.array(crb_pair(fisher)) / noise_var
+    npt.assert_allclose(bounds, crb_pair(reference), rtol=1e-12)
 
 
 def test_crb_scales_linearly_with_noise():

@@ -628,6 +628,56 @@ def test_mse_sweep_matches_manual_aggregation():
         assert harness._reduce(trials, snr_db, cfg.cfo, cfg.sfo) == row
 
 
+# (trials, row budget): one group over points of both signs; groups of
+# two points and one, crossing a chunk edge; one point per group, its
+# trials above the budget.
+@pytest.mark.parametrize("n_trials, group_rows", [
+    (3, harness._GROUP_ROWS), (CHUNK + 6, 2 * CHUNK + 12), (5, 4)])
+def test_grouped_sweep_rows_equal_per_point_chunks(monkeypatch, n_trials,
+                                                   group_rows):
+    """Points that share one derivation and pick pass get the rows they
+    get alone: the per-point reduction of :func:`harness._burst_chunks`."""
+    monkeypatch.setattr(harness, "_GROUP_ROWS", group_rows)
+    cfg = tiny_experiment(n_trials=n_trials, snr_points_db=(-5.0, 0.0, 5.0))
+    mse, residual, bounds = (run_mse_sweep(cfg), run_noise_variance_sweep(cfg),
+                             run_crb_sweep(cfg))
+    for i, snr_db in enumerate(cfg.snr_points_db):
+        for sweep, options in ((mse, {}), (residual, dict(
+                with_estimates=False, with_crb=False))):
+            assert sweep.rows[i] == harness._reduce(
+                harness._burst_chunks(cfg, snr_db, range(n_trials),
+                                      **options), snr_db, cfg.cfo, cfg.sfo)
+        assert (bounds.rows[i].crb_cfo, bounds.rows[i].crb_sfo,
+                bounds.rows[i].crb_excluded) == (
+            mse.rows[i].crb_cfo, mse.rows[i].crb_sfo,
+            mse.rows[i].crb_excluded)
+
+
+def test_fig2_sweep_derives_its_bursts_streams_in_one_pass(monkeypatch):
+    """A default-size fig2 sweep of 6 x 60 trials derives the streams of
+    all its bursts with one mixing pass and one pick pass; the backend
+    probe takes its own."""
+    calls = {"derive": [], "picks": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "_derive_tables",
+                        counted("derive", harness._derive_tables))
+    monkeypatch.setattr(harness, "_qpsk_picks",
+                        counted("picks", harness._qpsk_picks))
+    cfg = make_experiment(snr_points_db=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                          n_trials=60, master_seed=4242)
+    assert [row.n_trials for row in run_mse_sweep(cfg).rows] == [60] * 6
+    keys = sorted((tuple(args[1]) for args in calls["derive"]), key=len)
+    assert keys == [("crb-backend-probe",),
+                    (5000, 10000, 15000, 20000, 25000, 30000)]
+    assert sorted(len(args[0]) for args in calls["picks"]) == [2, 360]
+
+
 def test_noise_variance_sweep_rows():
     cfg = tiny_experiment(n_trials=5)
     sweep = run_noise_variance_sweep(cfg)

@@ -581,12 +581,40 @@ def test_label_tables_in_one_pass_match_derive_states(seed, key, labels,
     """The tables of several labels mixed in one pass, int labels (one
     word, or two when negative) and str labels (two words) among them,
     equal each label's derive_states, at one trial and at many."""
-    tables = ofdm_model._derive_tables(seed, key, trials, labels)
+    tables = ofdm_model._derive_tables(seed, [key], trials, labels)
     assert sorted(tables, key=labels.index) == labels
     for label in labels:
         npt.assert_array_equal(tables[label],
                                derive_states(seed, key, trials, label))
         assert tables[label].flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=MASTER_SEEDS,
+       keys=st.lists(STREAM_KEYS, min_size=1, max_size=5, unique=True).map(
+           lambda keys: [0, -5000, 5000, "crb-backend-probe", *keys]),
+       labels=st.lists(LABELS, min_size=1, max_size=4, unique=True),
+       trials=st.one_of(st.just([7]), TRIAL_INDICES))
+@example(seed=12345, keys=[-5000, 0, 5000, "crb-backend-probe"],
+         labels=["training", "channel", "noise0", "noise1"], trials=[0])
+@example(seed=1, keys=[0, -5000, 5000, "crb-backend-probe", 2 ** 40],
+         labels=["channel"], trials=[0, 2 ** 32 - 1, 1])
+def test_multi_key_tables_match_derive_states(seed, keys, labels, trials):
+    """Tables of several stream keys in one call, keys of one word (0 dB
+    and up) and of two (below 0 dB, and the probe's str key) among them,
+    hold each key's derive_states in its block of rows, at one trial and
+    at many."""
+    keys = list(dict.fromkeys(keys))
+    tables = ofdm_model._derive_tables(seed, keys, trials, labels)
+    assert sorted(tables, key=labels.index) == labels
+    for label in labels:
+        table = tables[label]
+        assert table.shape == (len(keys) * len(trials), 4)
+        assert table.dtype == np.uint64 and table.flags.c_contiguous
+        for s, key in enumerate(keys):
+            npt.assert_array_equal(
+                table[s * len(trials):(s + 1) * len(trials)],
+                derive_states(seed, key, trials, label))
 
 
 # The words of derive_states(12345, 15000, [0], "channel"), written out
