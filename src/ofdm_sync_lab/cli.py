@@ -85,6 +85,10 @@ _FIG2_COLUMNS = (
 _FIG1_COLUMNS = ("snr_db", "var_n_db", "var_e_db")
 _CRB_COLUMNS = ("snr_db", "crb_cfo", "crb_sfo", "excluded")
 
+# Most points an SNR axis may hold; the axis is checked before its tuple
+# is built, which at a million points costs about 60 MB.
+_MAX_SNR_POINTS = 10_000
+
 
 def format_value(value) -> str:
     """Render a cell: 17 significant digits for floats, blank for None."""
@@ -208,6 +212,10 @@ def _snr_axis(lo: float, hi: float, step: float) -> tuple:
         raise CliError(f"snr-step {step} puts {span + 1:.15g} points on "
                        f"{keys} milli-dB keys from {lo:g} to {last:g} dB: "
                        f"points would share the random stream key")
+    if not span < _MAX_SNR_POINTS:
+        raise CliError(f"snr axis from {lo:g} to {hi:g} dB at step {step:g} "
+                       f"has {span + 1:.15g} points, more than "
+                       f"{_MAX_SNR_POINTS}")
     return tuple(lo + i * step for i in range(int(span) + 1))
 
 

@@ -2,17 +2,17 @@
 
 Two independent routes to the 2x2 Fisher information matrix are kept:
 
-* ``fisher_closed_form`` evaluates the analytic entries (sums over
-  training symbols and samples of weighted spectra of the noiseless
-  received signal);
+* ``fisher_rows`` evaluates the analytic entries (sums over training
+  symbols and samples of weighted spectra of the noiseless received
+  signal);
 * ``fisher_numeric_oracle`` differentiates the synthesized noiseless
   mean numerically (central differences) and applies the Gaussian-mean
   Fisher identity, sharing no derivative algebra with the closed form.
 
 The oracle is the reference; the closed form is the fast path used per
-trial and is cross-checked against the oracle by the test suite. The
-ensemble average over seeded scenario draws is the harness's CRB sweep,
-``harness.run_crb_sweep``.
+trial and is cross-checked against the oracle by :func:`compare_fisher`
+and the test suite. The ensemble average over seeded scenario draws is
+the harness's CRB sweep, ``harness.run_crb_sweep``.
 
 Every closed-form evaluation of an experiment sits at the same true
 offsets, so the real sample factors that depend only on (config, cfo,
@@ -23,40 +23,36 @@ products (:func:`_fisher_entries`) that equal the usual complex-weighted
 ones bit for bit: the weights 1 + j a, j b and j w add only products
 with an exact 0 or 1.
 
-The closed form runs on trial-major stacks, one pass per training symbol
-over the noiseless burst that synthesis also forms (fig2's chunks reuse
-the one they synthesized); :func:`fisher_closed_form` is its one-row view
-and equals it bit for bit. The 2x2 inversion is elementwise
-(:func:`crb_rows`), and :func:`invertible` marks the rows whose bounds
-mean something. The numeric oracle stays a one-trial computation, and
-synthesizes its mean with :func:`ofdm_sync_lab.ofdm_model.synthesize_rows`
-on a stack of one.
+Both routes run on trial-major stacks: each takes one (T, K) array of
+training rows per symbol and (T, L) taps and returns the entries
+(f00, f01, f11) as (T,) arrays, each row equal bit for bit to that row
+run as a stack of one. Underneath, both read the noiseless burst that
+synthesis also forms (:func:`_fisher_entries`, :func:`_oracle_entries`),
+so fig2's chunks hand over the one they synthesized; the oracle re-warps
+its x H rows at each perturbed sfo. ``noise_var`` is a scalar or one
+value per row. The 2x2 inversion is elementwise (:func:`crb_rows`), and
+:func:`invertible` marks the rows whose bounds mean something.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ofdm_model import (
-    ChannelRealization,
-    ImpairmentParams,
     OfdmConfig,
-    TrainingSymbols,
     _CACHE_SIZE,
+    _check_offsets,
     _noiseless_burst,
     _read_only,
     _sum_last,
+    _synthesized,
+    _warped,
     _warped_basis,
-    synthesize_rows,
 )
 
 __all__ = [
-    "FisherMatrix",
-    "fisher_closed_form",
     "fisher_rows",
     "fisher_numeric_oracle",
-    "FisherComparison",
     "compare_fisher",
     "crb_rows",
     "invertible",
@@ -70,21 +66,8 @@ CFO_STEP_DEFAULT = 1e-6
 SFO_STEP_DEFAULT = 1e-8
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
-    """2x2 Fisher information for the parameter order (cfo, sfo)."""
-
-    f00: float
-    f01: float
-    f10: float
-    f11: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.f00, self.f01], [self.f10, self.f11]])
-
-
-def _check_noise_var(noise_var: float):
-    if not noise_var > 0:
+def _check_noise_var(noise_var):
+    if not np.greater(noise_var, 0).all():
         raise ValueError(f"noise_var must be positive, got {noise_var}")
 
 
@@ -143,96 +126,77 @@ def fisher_rows(config: OfdmConfig, symbols, taps: np.ndarray,
     return _fisher_entries(config, burst, cfo, sfo, noise_var)
 
 
-def fisher_closed_form(config: OfdmConfig, training: TrainingSymbols,
-                       channel: ChannelRealization, cfo: float, sfo: float,
-                       noise_var: float) -> FisherMatrix:
-    """Analytic Fisher information of the two-symbol burst: the one-row
-    view of :func:`fisher_rows`."""
-    f00, f01, f11 = fisher_rows(
-        config, [training.symbol(m)[None] for m in range(config.n_symbols)],
-        channel.taps[None], cfo, sfo, noise_var)
-    f01 = float(f01[0])
-    return FisherMatrix(f00=float(f00[0]), f01=f01, f10=f01,
-                        f11=float(f11[0]))
-
-
-def fisher_numeric_oracle(config: OfdmConfig, training: TrainingSymbols,
-                          channel: ChannelRealization, cfo: float,
-                          sfo: float, noise_var: float,
-                          cfo_step: float = CFO_STEP_DEFAULT,
-                          sfo_step: float = SFO_STEP_DEFAULT
-                          ) -> FisherMatrix:
-    """Fisher information via central differences of the noiseless mean.
-
-    For circular Gaussian noise of total per-sample variance sigma^2 the
-    Fisher entries are (2/sigma^2) sum Re{conj(ds/dp_i) ds/dp_j}; the
-    derivatives here come from the synthesized signal alone, so this
-    path is independent of the closed-form algebra.
-    """
+def _oracle_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
+                    noise_var, cfo_step: float = CFO_STEP_DEFAULT,
+                    sfo_step: float = SFO_STEP_DEFAULT):
+    """:func:`fisher_numeric_oracle` of a noiseless burst, synthesized
+    afresh at each perturbed offset pair from the burst's x H rows."""
     _check_noise_var(noise_var)
     for name, step in (("cfo_step", cfo_step), ("sfo_step", sfo_step)):
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step}")
-
-    symbols = [training.symbol(m)[None] for m in range(config.n_symbols)]
+    xhs = [xh for xh, _ in burst]
 
     def mean(e, h):
-        ImpairmentParams(e, h)  # finite, -1 < sfo < 1
-        return synthesize_rows(config, symbols, channel.taps[None], e,
-                               h)[0].ravel()
+        """The (T, n_symbols N) noiseless samples at offsets (e, h)."""
+        _check_offsets(e, h)
+        samples = _synthesized(config, _warped(config, xhs, h), e, h, 0.0,
+                               None)
+        return samples.reshape(len(samples), -1)
 
     d_cfo = (mean(cfo + cfo_step, sfo) - mean(cfo - cfo_step, sfo)) \
         / (2.0 * cfo_step)
     d_sfo = (mean(cfo, sfo + sfo_step) - mean(cfo, sfo - sfo_step)) \
         / (2.0 * sfo_step)
-
     scale = 2.0 / noise_var
-    f00 = scale * float(np.sum((np.conj(d_cfo) * d_cfo).real))
-    f01 = scale * float(np.sum((np.conj(d_cfo) * d_sfo).real))
-    f11 = scale * float(np.sum((np.conj(d_sfo) * d_sfo).real))
-    return FisherMatrix(f00=f00, f01=f01, f10=f01, f11=f11)
+    return tuple(scale * _sum_last((np.conj(a) * b).real)
+                 for a, b in ((d_cfo, d_cfo), (d_cfo, d_sfo), (d_sfo, d_sfo)))
 
 
-@dataclass(frozen=True)
-class FisherComparison:
-    """Entrywise comparison of the two Fisher routes."""
+def fisher_numeric_oracle(config: OfdmConfig, symbols, taps: np.ndarray,
+                          cfo: float, sfo: float, noise_var,
+                          cfo_step: float = CFO_STEP_DEFAULT,
+                          sfo_step: float = SFO_STEP_DEFAULT):
+    """Fisher entries (f00, f01, f11) of a stack of T bursts via central
+    differences of the noiseless mean, each as (T,).
 
-    closed: FisherMatrix
-    oracle: FisherMatrix
-
-    def rel_errors(self) -> dict:
-        """Per entry f00, f01, f11: |closed - oracle| over the larger of
-        the two magnitudes, 0 where both are 0."""
-        rels = {}
-        for name in ("f00", "f01", "f11"):
-            a, b = getattr(self.closed, name), getattr(self.oracle, name)
-            denom = max(abs(a), abs(b))
-            rels[name] = abs(a - b) / denom if denom else 0.0
-        return rels
-
-    @property
-    def max_rel_error(self) -> float:
-        return float(max(self.rel_errors().values()))
-
-    def report(self) -> str:
-        lines = ["fisher closed-form vs numeric oracle"]
-        for name, rel in self.rel_errors().items():
-            lines.append(f"  {name}: closed={getattr(self.closed, name):.17g}"
-                         f" oracle={getattr(self.oracle, name):.17g}"
-                         f" rel={rel:.3e}")
-        lines.append(f"  max relative error: {self.max_rel_error:.3e}")
-        return "\n".join(lines)
+    For circular Gaussian noise of total per-sample variance sigma^2 the
+    Fisher entries are (2/sigma^2) sum Re{conj(ds/dp_i) ds/dp_j}; the
+    derivatives here come from the synthesized signal alone, so this
+    path is independent of the closed-form algebra. Every perturbed
+    offset pair must be a valid (cfo, sfo).
+    """
+    return _oracle_entries(config, _noiseless_burst(config, symbols, taps,
+                                                    sfo),
+                           cfo, sfo, noise_var, cfo_step, sfo_step)
 
 
-def compare_fisher(config, training, channel, cfo, sfo, noise_var,
+def compare_fisher(config: OfdmConfig, symbols, taps: np.ndarray,
+                   cfo: float, sfo: float, noise_var,
                    cfo_step: float = CFO_STEP_DEFAULT,
-                   sfo_step: float = SFO_STEP_DEFAULT) -> FisherComparison:
-    """Evaluate both Fisher routes for their entrywise comparison."""
-    return FisherComparison(
-        closed=fisher_closed_form(config, training, channel, cfo, sfo,
-                                  noise_var),
-        oracle=fisher_numeric_oracle(config, training, channel, cfo, sfo,
-                                     noise_var, cfo_step, sfo_step))
+                   sfo_step: float = SFO_STEP_DEFAULT):
+    """Both Fisher routes on a stack of T bursts, entry by entry.
+
+    Returns (rel, report): ``rel`` is each row's largest relative error
+    |closed - oracle| / max(|closed|, |oracle|) over f00, f01 and f11 (0
+    where both are 0), as (T,), and ``report`` lists the entries of the
+    row with the largest, the first such on a tie.
+    """
+    burst = _noiseless_burst(config, symbols, taps, sfo)
+    closed = np.array(_fisher_entries(config, burst, cfo, sfo, noise_var))
+    oracle = np.array(_oracle_entries(config, burst, cfo, sfo, noise_var,
+                                      cfo_step, sfo_step))
+    denom = np.maximum(abs(closed), abs(oracle))
+    rels = np.divide(abs(closed - oracle), denom, out=np.zeros_like(denom),
+                     where=denom != 0)
+    rel = rels.max(axis=0)
+    t = int(np.argmax(rel))
+    lines = ["fisher closed-form vs numeric oracle"]
+    lines += [f"  {name}: closed={a:.17g} oracle={b:.17g} rel={r:.3e}"
+              for name, a, b, r in zip(("f00", "f01", "f11"), closed[:, t],
+                                       oracle[:, t], rels[:, t])]
+    lines.append(f"  max relative error: {rel[t]:.3e}")
+    return rel, "\n".join(lines)
 
 
 def crb_rows(f00, f01, f10, f11):

@@ -20,19 +20,23 @@ search with. A :class:`GridSpec` is hashable for that: its axes are
 read-only and it compares by their bits.
 
 The residuals, the ratio observable and the lattice searches run on
-trial-major (T, K) spectra, and the one-observation functions are their
-one-row views. The residual norms and the surfaces' constant terms are
-reductions along the last axis, and each estimator's correlations are
-one stacked matvec per stack. At a fixed SFO the cost is a cosine in
-CFO whose minimum is Moose's closed form, so each trial's lattice argmin
-is read, for the whole stack at once, from the two CFO rows that
-bracket that closed form in every SFO column, certified by one bound
-per trial; a trial whose argmin this cannot certify forms its full
+trial-major (T, K) spectra. A trial is a row, never a record: the
+one-trial functions (the estimate functions, ``GridEvaluator``'s
+``search_*`` and ``*_surface`` methods, :func:`nguyenle_observable` and
+the cost formulas) take its spectra r0, r1 and, for the ratio, its
+training x0, x1 as 1-D (K,) rows. The residual norms and the surfaces'
+constant terms are reductions along the last axis, and each estimator's
+correlations are one stacked matvec per stack. At a fixed SFO the cost
+is a cosine in CFO whose minimum is Moose's closed form, so each trial's
+lattice argmin is read, for the whole stack at once, from the two CFO
+rows that bracket that closed form in every SFO column, certified by one
+bound per trial; a trial whose argmin this cannot certify forms its full
 101 x 101 surface, its finiteness check and its argmin on its own.
-Either way the result is the full surface's, bit for bit. The row
-searches return trial-major columns (``_Estimates``) that the harness
-reduces directly; ``GridEvaluator.search_proposed`` and
-``search_nguyenle`` read the one row of a stack of one.
+Either way the argmin is the full surface's, bit for bit, and one pass
+then reports the cost of every row found. The row searches return
+trial-major columns (``_Estimates``) that the harness reduces directly;
+``GridEvaluator.search_proposed`` and ``search_nguyenle`` read the one
+row of a stack of one.
 ``refine=True`` moves a lattice estimate off the lattice from the same
 correlations: Moose's closed-form CFO at the argmin's SFO, and the SFO
 vertex of the profile over SFO. The direct formulas
@@ -47,7 +51,6 @@ import numpy as np
 
 from .ofdm_model import (
     OfdmConfig,
-    PreambleObservation,
     _CACHE_SIZE,
     _read_only,
     _sum_last,
@@ -67,9 +70,7 @@ __all__ = [
     "nguyenle_cost",
     "estimate_proposed",
     "estimate_nguyenle",
-    "pair_residual",
     "pair_residual_rows",
-    "ratio_residual",
     "ratio_residual_rows",
     "squared_norms",
 ]
@@ -204,9 +205,9 @@ def symbol_phase_ramp(k, cfo: float, sfo: float, config: OfdmConfig):
                      + np.asarray(cfo) * (1.0 + np.asarray(sfo))))
 
 
-def proposed_cost(obs: PreambleObservation, cfo, sfo,
-                  config: OfdmConfig):
-    """Sum over active subcarriers of |R1(k) - ramp(k) R0(k)|^2.
+def proposed_cost(r0, r1, cfo, sfo, config: OfdmConfig):
+    """Sum over active subcarriers of |R1(k) - ramp(k) R0(k)|^2 of one
+    trial's spectra, the rows r0 and r1 (K,).
 
     Accepts scalar or broadcastable array cfo/sfo (e.g. a column of CFO
     candidates against a row of SFO candidates evaluates the full cost
@@ -214,10 +215,10 @@ def proposed_cost(obs: PreambleObservation, cfo, sfo,
     This direct formula is the reference the lattice search's
     correlation kernel is tested against.
     """
-    return _pair_cost(obs.r0, obs.r1, cfo, sfo, config)
-
-
-def _pair_cost(r0, r1, cfo, sfo, config: OfdmConfig):
+    if not np.shape(r0) == np.shape(r1) == (config.n_active,):
+        raise ValueError(f"spectra rows of length {np.shape(r0)} and "
+                         f"{np.shape(r1)} do not match n_active "
+                         f"{config.n_active}")
     a = _TWO_PI * config.symbol_len / config.dft_size
     cfo = np.asarray(cfo, dtype=float)
     sfo = np.asarray(sfo, dtype=float)
@@ -246,18 +247,16 @@ def ratio_observable_rows(x0, x1, r0, r1):
     return x0 * r1 / denom, bad
 
 
-def nguyenle_observable(obs: PreambleObservation,
-                        config: OfdmConfig) -> np.ndarray:
-    """Per-subcarrier ratio observable Y(k) = X0(k) R1(k) / (X1(k) R0(k)).
+def nguyenle_observable(x0, x1, r0, r1, config: OfdmConfig) -> np.ndarray:
+    """One trial's ratio observable Y(k) = X0(k) R1(k) / (X1(k) R0(k)),
+    from its training rows x0, x1 and spectra rows r0, r1 (K,).
 
     Raises
     ------
     DegenerateObservationError
         If |X1(k) R0(k)| falls below ``DEGENERATE_MAGNITUDE`` anywhere.
     """
-    (y,), (bad,) = ratio_observable_rows(
-        obs.training.x0[None], obs.training.x1[None], obs.r0[None],
-        obs.r1[None])
+    y, bad = ratio_observable_rows(x0, x1, r0, r1)
     if bad.any():
         raise DegenerateObservationError(config.subcarrier_indices[bad])
     return y
@@ -269,24 +268,7 @@ def nguyenle_cost(y: np.ndarray, cfo, sfo, config: OfdmConfig):
     The pair cost of :func:`proposed_cost` with R0 = 1 and R1 = Y, under
     the same broadcasting and accumulation-order conventions.
     """
-    return _pair_cost(np.ones(y.shape), y, cfo, sfo, config)
-
-
-def _argmin_lattice(surface: np.ndarray, grid: GridSpec):
-    """First-occurrence argmin over the row-major (cfo, sfo) surface.
-
-    Ties resolve to the smallest CFO candidate, then the smallest SFO
-    candidate, which is exactly the first occurrence in row-major order.
-    """
-    if not np.isfinite(surface).all():
-        i, j = np.unravel_index(
-            int(np.argmin(np.isfinite(surface))), surface.shape)
-        raise NonFiniteSurfaceError(
-            "non-finite cost at lattice point "
-            f"(cfo={grid.cfo_values[i]!r}, sfo={grid.sfo_values[j]!r})")
-    flat = int(np.argmin(surface))
-    i, j = divmod(flat, grid.sfo_values.size)
-    return i, j
+    return proposed_cost(np.ones(y.shape), y, cfo, sfo, config)
 
 
 class GridEvaluator:
@@ -370,22 +352,29 @@ class GridEvaluator:
         c = _sum_last(y.real ** 2 + y.imag ** 2) + y.shape[-1]
         return c, self._correlate(np.conj(y))
 
-    def proposed_surface(self, obs: PreambleObservation) -> np.ndarray:
-        (c,), (v,) = self._pair_terms(obs.r0[None], obs.r1[None])
+    def proposed_surface(self, r0, r1) -> np.ndarray:
+        (c,), (v,) = self._pair_terms(r0[None], r1[None])
         return self._surface(c, v)
 
     def nguyenle_surface(self, y: np.ndarray) -> np.ndarray:
         (c,), (v,) = self._ratio_terms(y[None])
         return self._surface(c, v)
 
-    def _result(self, surface, method, r0, r1):
-        i, j = _argmin_lattice(surface, self.grid)
-        diff = r1 - self._lead[i, j] * self._sub[j, :] * r0
-        # Sequential accumulation over ascending k, as the direct formula.
-        cost = np.add.accumulate(diff.real ** 2 + diff.imag ** 2)[-1]
-        return EstimationResult(cfo=float(self.grid.cfo_values[i]),
-                                sfo=float(self.grid.sfo_values[j]),
-                                cost=float(cost), method=method)
+    def _result(self, surface):
+        """First-occurrence argmin (i, j) of a row-major (cfo, sfo) surface.
+
+        Ties resolve to the smallest CFO candidate, then the smallest SFO
+        candidate, which is exactly the first occurrence in row-major
+        order. A non-finite entry raises :class:`NonFiniteSurfaceError`.
+        """
+        cfos, sfos = self.grid.cfo_values, self.grid.sfo_values
+        if not np.isfinite(surface).all():
+            i, j = np.unravel_index(
+                int(np.argmin(np.isfinite(surface))), surface.shape)
+            raise NonFiniteSurfaceError(
+                "non-finite cost at lattice point "
+                f"(cfo={cfos[i]!r}, sfo={sfos[j]!r})")
+        return divmod(int(np.argmin(surface)), sfos.size)
 
     def _lower(self, moose):
         """clip(searchsorted(cfo_values, moose, "right") - 1, 0, n_cfo - 2);
@@ -420,7 +409,7 @@ class GridEvaluator:
         values = c[:, None] - 2.0 * (np.take(self._lead, flat)
                                      * np.concatenate([v, v], axis=-1)).real
         best = values.min(axis=-1)
-        # Ties go to the smallest flat index, as in _argmin_lattice.
+        # Ties go to the smallest flat index, as in _result.
         pick = np.where(values == best[:, None], flat,
                         n_cfo * n_sfo).min(axis=-1)
         # The class docstring's certificate; no bound on <= 2 CFO rows.
@@ -435,27 +424,31 @@ class GridEvaluator:
         is an array of rows or the scalar 1.0 of the ratio fit. Rows
         already in ``failures`` (with a NaN c) are not searched.
 
-        Certified rows take the bracket's argmin and report their costs
-        in one pass; every other row, still NaN, forms its full surface.
+        Certified rows take the bracket's argmin and every other row forms
+        its full surface; then one pass reports the cost of every row
+        found, recomputed at its argmin as the direct sum over ascending k.
         """
         rows, i, j = self._bracket(c, v)
-        scalar = np.ndim(r0) == 0
+        failures = dict(failures)
+        todo = np.ones(len(c), dtype=bool)
+        todo[rows] = False
+        found_alone = []
+        for t in np.flatnonzero(todo).tolist():
+            try:
+                if t not in failures:
+                    found_alone.append(
+                        (t, *self._result(self._surface(c[t], v[t]))))
+            except NonFiniteSurfaceError as exc:
+                failures[t] = exc
+        if found_alone:
+            rows, i, j = (np.append(a, b)
+                          for a, b in zip((rows, i, j), zip(*found_alone)))
         diff = r1[rows] - (self._lead[i, j][:, None] * self._sub[j]
-                           * (r0 if scalar else r0[rows]))
+                           * (r0 if np.ndim(r0) == 0 else r0[rows]))
         found = np.full((3, len(c)), np.nan)
-        # Sequential accumulation over ascending k, as in _result.
         found[:, rows] = (self.grid.cfo_values[i], self.grid.sfo_values[j],
                           np.add.accumulate(diff.real ** 2 + diff.imag ** 2,
                                             axis=-1)[:, -1])
-        failures = dict(failures)
-        for t in np.flatnonzero(np.isnan(found[0])).tolist():
-            try:
-                if t not in failures:
-                    result = self._result(self._surface(c[t], v[t]), method,
-                                          r0 if scalar else r0[t], r1[t])
-                    found[:, t] = result.cfo, result.sfo, result.cost
-            except NonFiniteSurfaceError as exc:
-                failures[t] = exc
         return _Estimates(method, *found, failures)
 
     def _search_pairs(self, r0, r1) -> _Estimates:
@@ -475,14 +468,15 @@ class GridEvaluator:
             t: DegenerateObservationError(ks[bad[t]])
             for t in degenerate.tolist()})
 
-    def search_proposed(self, obs: PreambleObservation) -> EstimationResult:
-        return _raised(self._search_pairs(obs.r0[None],
-                                          obs.r1[None]).results()[0])
+    def search_proposed(self, r0, r1) -> EstimationResult:
+        """The proposed fit of one trial's spectra rows r0, r1 (K,)."""
+        return _raised(self._search_pairs(r0[None], r1[None]).results()[0])
 
-    def search_nguyenle(self, obs: PreambleObservation) -> EstimationResult:
+    def search_nguyenle(self, x0, x1, r0, r1) -> EstimationResult:
+        """The Nguyen-Le fit of one trial's training rows x0, x1 and
+        spectra rows r0, r1 (K,)."""
         return _raised(self._search_ratios(*ratio_observable_rows(
-            obs.training.x0[None], obs.training.x1[None], obs.r0[None],
-            obs.r1[None])).results()[0])
+            x0[None], x1[None], r0[None], r1[None])).results()[0])
 
     def _moose_step(self, v: np.ndarray, result: EstimationResult):
         """Off-lattice (cfo, sfo) from one trial's correlations v and the
@@ -528,10 +522,10 @@ def _raised(outcome):
     return outcome
 
 
-def estimate_proposed(obs: PreambleObservation, grid: GridSpec,
-                      config: OfdmConfig,
+def estimate_proposed(r0, r1, grid: GridSpec, config: OfdmConfig,
                       refine: bool = False) -> EstimationResult:
-    """Joint CFO/SFO estimate from the phase-ramped pair fit.
+    """Joint CFO/SFO estimate from the phase-ramped pair fit of one
+    trial's spectra rows r0, r1 (K,).
 
     With ``refine=False`` (the default) the estimate is exactly a lattice
     point; ``refine=True`` moves it off the lattice by
@@ -539,27 +533,26 @@ def estimate_proposed(obs: PreambleObservation, grid: GridSpec,
     there.
     """
     evaluator = _evaluator(grid, config)
-    r0, r1 = obs.r0[None], obs.r1[None]
-    c, v = evaluator._pair_terms(r0, r1)
-    result = _raised(evaluator._search_rows(c, v, "proposed", r0,
-                                            r1).results()[0])
+    c, v = evaluator._pair_terms(r0[None], r1[None])
+    result = _raised(evaluator._search_rows(c, v, "proposed", r0[None],
+                                            r1[None]).results()[0])
     if not refine:
         return result
     cfo, sfo = evaluator._moose_step(v[0], result)
     return replace(result, cfo=cfo, sfo=sfo,
-                   cost=proposed_cost(obs, cfo, sfo, config))
+                   cost=proposed_cost(r0, r1, cfo, sfo, config))
 
 
-def estimate_nguyenle(obs: PreambleObservation, grid: GridSpec,
-                      config: OfdmConfig,
+def estimate_nguyenle(x0, x1, r0, r1, grid: GridSpec, config: OfdmConfig,
                       refine: bool = False) -> EstimationResult:
-    """Joint CFO/SFO estimate from the ratio-observable fit.
+    """Joint CFO/SFO estimate from the ratio-observable fit of one trial's
+    training rows x0, x1 and spectra rows r0, r1 (K,).
 
     ``refine`` as for :func:`estimate_proposed`, reporting
-    :func:`nguyenle_cost`. Propagates :class:`DegenerateObservationError`
-    from the observable.
+    :func:`nguyenle_cost`. Raises :class:`DegenerateObservationError`
+    where the observable is unusable.
     """
-    y = nguyenle_observable(obs, config)
+    y = nguyenle_observable(x0, x1, r0, r1, config)
     evaluator = _evaluator(grid, config)
     c, v = evaluator._ratio_terms(y[None])
     result = _raised(evaluator._search_rows(c, v, "nguyen_le", 1.0,
@@ -594,19 +587,3 @@ def ratio_residual_rows(y, cfo: float, sfo: float,
                         config: OfdmConfig) -> np.ndarray:
     """Rows of the ratio residual E(k) = Y(k) - ramp(k)."""
     return y - _subcarrier_ramp(config, cfo, sfo)
-
-
-def pair_residual(obs: PreambleObservation, cfo: float, sfo: float,
-                  config: OfdmConfig) -> np.ndarray:
-    """Model residual N(k) = R1(k) - ramp(k) R0(k) at the given offsets."""
-    return pair_residual_rows(obs.r0, obs.r1, cfo, sfo, config)
-
-
-def ratio_residual(obs: PreambleObservation, cfo: float, sfo: float,
-                   config: OfdmConfig) -> np.ndarray:
-    """Ratio residual E(k) = Y(k) - ramp(k) at the given offsets.
-
-    Raises :class:`DegenerateObservationError` when Y is unusable.
-    """
-    return ratio_residual_rows(nguyenle_observable(obs, config), cfo, sfo,
-                               config)

@@ -51,11 +51,9 @@ import numpy as np
 from .crb import (
     SFO_STEP_DEFAULT,
     _fisher_entries,
+    _oracle_entries,
     compare_fisher,
     crb_rows,
-    fisher_closed_form,
-    fisher_numeric_oracle,
-    fisher_rows,
     invertible,
 )
 from .estimators import (
@@ -75,11 +73,7 @@ from .estimators import (
 from .ofdm_model import (
     MAX_TRIALS,
     QPSK_ALPHABET,
-    ChannelRealization,
-    ImpairmentParams,
     OfdmConfig,
-    PreambleObservation,
-    TrainingSymbols,
     carrier_gain,
     channel_taps,
     demodulate_rows,
@@ -88,6 +82,7 @@ from .ofdm_model import (
     snr_stream_key,
     _CACHE_SIZE,
     _SeedWords,
+    _check_offsets,
     _derive_tables,
     _noiseless_burst,
     _qpsk_picks,
@@ -162,7 +157,7 @@ class ExperimentConfig:
         if self.n_trials >= MAX_TRIALS:
             raise ValueError(
                 f"n_trials must be below 2**32, got {self.n_trials}")
-        ImpairmentParams(self.cfo, self.sfo)  # finite, -1 < sfo < 1
+        _check_offsets(self.cfo, self.sfo)
         # The backend probe's numeric oracle evaluates the burst at sfo
         # plus and minus its step, and each must be an sfo too.
         if not (-1.0 < self.sfo - SFO_STEP_DEFAULT
@@ -326,25 +321,15 @@ def _observe(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
 def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
                 burst=None) -> dict:
     """Each trial's bounds at the true offsets, as :class:`_Columns` fields:
-    the closed form once over the chunk's burst, any other backend (the
-    numeric oracle on a failed probe) one trial at a time."""
-    fisher_fn = _select_crb_backend(cfg)[0]
-    noise_var = noise_variance_from_snr(cfg.ofdm, snr_db)
-    if fisher_fn is fisher_closed_form:
-        f00, f01, f11 = (
-            _fisher_entries(cfg.ofdm, burst, cfg.cfo, cfg.sfo, noise_var)
-            if burst is not None else
-            fisher_rows(cfg.ofdm, (draws.training,) * 2, draws.taps,
-                        cfg.cfo, cfg.sfo, noise_var))
-        f10 = f01
-    else:
-        entries = [fisher_fn(cfg.ofdm, TrainingSymbols(x, x),
-                             ChannelRealization(taps), cfg.cfo, cfg.sfo,
-                             noise_var)
-                   for x, taps in zip(draws.training, draws.taps)]
-        f00, f01, f10, f11 = (np.array([getattr(f, name) for f in entries])
-                              for name in ("f00", "f01", "f10", "f11"))
-    crb_cfo, crb_sfo, det = crb_rows(f00, f01, f10, f11)
+    one call of the experiment's Fisher backend on the chunk's noiseless
+    burst, the one it synthesized (fig2) or one formed here (crb)."""
+    if burst is None:
+        burst = _noiseless_burst(cfg.ofdm, (draws.training,) * 2,
+                                 draws.taps, cfg.sfo)
+    f00, f01, f11 = _select_crb_backend(cfg)[0](
+        cfg.ofdm, burst, cfg.cfo, cfg.sfo,
+        noise_variance_from_snr(cfg.ofdm, snr_db))
+    crb_cfo, crb_sfo, det = crb_rows(f00, f01, f01, f11)
     return {"crb_cfo": crb_cfo, "crb_sfo": crb_sfo,
             "singular": ~invertible(det)}
 
@@ -412,22 +397,21 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     draws = next(_chunks(cfg, (snr_stream_key(snr_db),), (trial_index,),
                          _BURST_STREAMS)[0])
     cols, spectra = _burst_columns(cfg, snr_db, draws)
-    x = draws.training[0]
-    obs = PreambleObservation(r0=spectra[0, 0], r1=spectra[0, 1],
-                              training=TrainingSymbols(x, x))
+    x, (r0, r1) = draws.training[0], spectra[0]
     gains = np.abs(carrier_gain(cfg.ofdm.subcarrier_indices, 0, cfg.cfo,
                                 cfg.sfo, cfg.ofdm))
     nguyenle_truth = None
     if 0 not in cols.nguyenle.failures:
-        nguyenle_truth = nguyenle_cost(nguyenle_observable(obs, cfg.ofdm),
-                                       cfg.cfo, cfg.sfo, cfg.ofdm)
+        nguyenle_truth = nguyenle_cost(
+            nguyenle_observable(x, x, r0, r1, cfg.ofdm), cfg.cfo, cfg.sfo,
+            cfg.ofdm)
     return TrialDiagnostics(
         snr_db=snr_db, columns=cols,
         noise_var=noise_variance_from_snr(cfg.ofdm, snr_db),
         channel_taps=draws.taps[0],
         carrier_gain_abs_min=float(gains.min()),
         carrier_gain_abs_max=float(gains.max()),
-        proposed_cost_at_truth=proposed_cost(obs, cfg.cfo, cfg.sfo,
+        proposed_cost_at_truth=proposed_cost(r0, r1, cfg.cfo, cfg.sfo,
                                              cfg.ofdm),
         nguyenle_cost_at_truth=nguyenle_truth)
 
@@ -526,27 +510,29 @@ def worker_count() -> int:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _probe(cfg: ExperimentConfig):
-    """The worst closed-form/oracle Fisher comparison over two seeded
-    scenarios, at the experiment's extreme SNR points."""
-    snrs = (min(cfg.snr_points_db), max(cfg.snr_points_db))
+    """The largest closed-form/oracle Fisher relative error over two
+    seeded scenarios, one at each extreme SNR point of the experiment,
+    and the discrepancy report of the scenario that has it."""
     draws = next(_chunks(cfg, ("crb-backend-probe",), range(2),
                          _SCENARIO_STREAMS)[0])
-    return max((compare_fisher(cfg.ofdm, TrainingSymbols(x, x),
-                               ChannelRealization(taps), cfg.cfo, cfg.sfo,
-                               noise_variance_from_snr(cfg.ofdm, snr_db))
-                for x, taps, snr_db in zip(draws.training, draws.taps,
-                                           snrs)),
-               key=lambda comparison: comparison.max_rel_error)
+    noise_var = np.array([noise_variance_from_snr(cfg.ofdm, snr_db) for
+                          snr_db in (min(cfg.snr_points_db),
+                                     max(cfg.snr_points_db))])
+    rel, report = compare_fisher(cfg.ofdm, (draws.training,) * 2,
+                                 draws.taps, cfg.cfo, cfg.sfo, noise_var)
+    return rel.max(), report
 
 
 def _select_crb_backend(cfg: ExperimentConfig):
     """(fisher_fn, name, report) of the experiment's CRB backend: the
     closed form if its probe agrees within ``CRB_AGREEMENT_RTOL``, else
-    the numeric oracle with the probe's per-entry discrepancy report."""
-    worst = _probe(cfg)
-    if worst.max_rel_error < CRB_AGREEMENT_RTOL:
-        return fisher_closed_form, "closed_form", None
-    return fisher_numeric_oracle, "numeric_oracle", worst.report()
+    the numeric oracle with the probe's per-entry discrepancy report.
+    ``fisher_fn(config, burst, cfo, sfo, noise_var)`` gives the entries
+    (f00, f01, f11) of a noiseless burst's rows."""
+    worst, report = _probe(cfg)
+    if worst < CRB_AGREEMENT_RTOL:
+        return _fisher_entries, "closed_form", None
+    return _oracle_entries, "numeric_oracle", report
 
 
 def _sweep_rows(cfg: ExperimentConfig, labels, columns) -> tuple:

@@ -14,7 +14,10 @@ Conventions used throughout the package:
   N_m = cp_len + m * (dft_size + cp_len) counts from the burst start
   (the cyclic prefix itself is never materialized, only its offset);
 * an SFO stretches the receiver time base by (1 + sfo), which both skews
-  the per-subcarrier phase ramps and scales the CFO rotation.
+  the per-subcarrier phase ramps and scales the CFO rotation; the CFO is
+  in subcarrier spacings, the SFO a fraction in (-1, 1);
+* ``noise_var`` is the total variance of the complex noise per received
+  sample, split evenly between the real and imaginary parts.
 
 Arrays that depend only on the experiment, never on a trial's draws, are
 built once and memoized in bounded ``functools.lru_cache`` helpers: the
@@ -25,13 +28,15 @@ profile (tap count and decay). Every cached array is read-only, so a
 caller that tried to modify one in place would get a ``ValueError``
 instead of corrupting later trials.
 
-Synthesis and demodulation run only on trial-major stacks of bursts
-(:func:`synthesize_rows`, :func:`demodulate_rows`); one burst is a stack
-of one row (``x[None]``). Synthesis reads the noiseless burst
+A trial is a row, never a record: its training symbol is a (K,) row, its
+channel a (L,) row of taps and its spectra (K,) rows, and a stack of T
+trials is a (T, K) or (T, L) array. Synthesis and demodulation run only
+on stacks (:func:`synthesize_rows`, :func:`demodulate_rows`); one burst
+is a stack of one row (``x[None]``). Synthesis reads the noiseless burst
 g_m = B_m (x H) of :func:`_noiseless_burst`, which a fig2 chunk also
-hands to the closed-form Fisher pass. A stack equals its rows computed
-one at a time, bit for bit, under three rules: matrix products are
-stacked matvecs ``A @ Z[..., None]`` (a plain GEMM ``A @ Z`` rounds
+hands to its Fisher pass. A stack equals its rows computed one at a
+time, bit for bit, under three rules: matrix products are stacked
+matvecs ``A @ Z[..., None]`` (a plain GEMM ``A @ Z`` rounds
 differently), the FFT runs along the last axis, and every reduction runs
 along the last axis of a C-contiguous array (:func:`_sum_last`).
 
@@ -58,10 +63,6 @@ import numpy as np
 
 __all__ = [
     "OfdmConfig",
-    "TrainingSymbols",
-    "ChannelRealization",
-    "ImpairmentParams",
-    "PreambleObservation",
     "make_config",
     "exponential_power_profile",
     "channel_taps",
@@ -179,93 +180,15 @@ def make_config(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
     return OfdmConfig(dft_size, n_active, cp_len, n_symbols)
 
 
-@dataclass(frozen=True)
-class TrainingSymbols:
-    """Frequency-domain training pair, one length-K vector per symbol."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=complex)
-        x1 = np.asarray(self.x1, dtype=complex)
-        if x0.ndim != 1 or x1.ndim != 1:
-            raise ValueError("training symbols must be 1-D vectors")
-        if x0.shape != x1.shape:
-            raise ValueError(
-                f"training symbols differ in length ({x0.size} vs {x1.size})")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-
-    def symbol(self, m: int) -> np.ndarray:
-        return (self.x0, self.x1)[m]
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Quasi-static multipath channel, one complex gain per tap."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=complex)
-        if taps.ndim != 1 or taps.size == 0:
-            raise ValueError("taps must be a non-empty 1-D vector")
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.size
-
-
-@dataclass(frozen=True)
-class ImpairmentParams:
-    """Synchronization impairments and the noise level of one burst.
-
-    cfo is the carrier-frequency offset normalized to the subcarrier
-    spacing; sfo is the fractional sampling-clock offset, in (-1, 1) (at
-    1 the clock runs twice as fast, and a far larger one overflows the
-    Fisher weights); noise_var is the
-    total variance of the complex noise per received sample (split evenly
-    between the real and imaginary parts).
-    """
-
-    cfo: float
-    sfo: float
-    noise_var: float = 0.0
-
-    def __post_init__(self):
-        for name in ("cfo", "sfo", "noise_var"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not -1.0 < self.sfo < 1.0:
-            raise ValueError(f"sfo must exceed -1 and stay below 1, got "
-                             f"{self.sfo}")
-        if self.noise_var < 0.0:
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
-
-
-@dataclass(frozen=True)
-class PreambleObservation:
-    """Demodulated preamble: K-point spectra of both symbols plus the
-    training pair that produced them."""
-
-    r0: np.ndarray
-    r1: np.ndarray
-    training: TrainingSymbols
-
-    def __post_init__(self):
-        r0 = np.asarray(self.r0, dtype=complex)
-        r1 = np.asarray(self.r1, dtype=complex)
-        if r0.shape != r1.shape or r0.ndim != 1:
-            raise ValueError("r0 and r1 must be 1-D vectors of equal length")
-        if r0.size != self.training.x0.size:
-            raise ValueError(
-                f"observation length {r0.size} does not match training "
-                f"length {self.training.x0.size}")
-        object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "r1", r1)
+def _check_offsets(cfo: float, sfo: float):
+    """Raise ``ValueError`` unless cfo and sfo are finite and sfo lies in
+    (-1, 1): at 1 the clock runs twice as fast, and a far larger sfo
+    overflows the Fisher weights."""
+    for name, value in (("cfo", cfo), ("sfo", sfo)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not -1.0 < sfo < 1.0:
+        raise ValueError(f"sfo must exceed -1 and stay below 1, got {sfo}")
 
 
 def exponential_power_profile(n_taps: int,
@@ -334,8 +257,10 @@ def _channel_gains(config: OfdmConfig, taps: np.ndarray) -> np.ndarray:
     """H(k) = sum_l h_l exp(-j 2 pi k l / N) on the active subcarriers
     for each row of taps, (..., K): one stacked matvec over
     :func:`_dft_phases`, so a row's H(k) has the same bytes alone or in a
-    stack.
+    stack. An empty tap axis is a ``ValueError``.
     """
+    if taps.shape[-1] == 0:
+        raise ValueError("taps must hold at least one tap per row")
     return (_dft_phases(config, taps.shape[-1]) @ taps[..., None])[..., 0]
 
 
@@ -344,20 +269,28 @@ def _noiseless_burst(config: OfdmConfig, symbols, taps: np.ndarray,
     """Per training symbol m, (x H, B_m (x H)) as (T, K) and (T, N) rows,
     with H(k) formed once and x H once per distinct training array."""
     h = _channel_gains(config, taps)
-    burst = []
+    xhs = []
     for m, x in enumerate(symbols):
         if x.shape[-1] != config.n_active:
             raise ValueError(f"training length {x.shape[-1]} does not "
                              f"match n_active {config.n_active}")
-        xh = burst[-1][0] if m and x is symbols[m - 1] else x * h
-        burst.append((xh, (_warped_basis(config, sfo, m)
-                           @ xh[..., None])[..., 0]))
-    return burst
+        xhs.append(xhs[-1] if m and x is symbols[m - 1] else x * h)
+    return _warped(config, xhs, sfo)
+
+
+def _warped(config: OfdmConfig, xhs, sfo: float) -> list:
+    """The noiseless burst (x H, B_m (x H)) of each symbol's x H rows."""
+    return [(xh, (_warped_basis(config, sfo, m) @ xh[..., None])[..., 0])
+            for m, xh in enumerate(xhs)]
 
 
 def _synthesized(config: OfdmConfig, burst, cfo: float, sfo: float,
                  noise_var: float, normals) -> np.ndarray:
-    """The (T, n_symbols, N) samples of a :func:`_noiseless_burst`."""
+    """The (T, n_symbols, N) samples of a :func:`_noiseless_burst`; a
+    negative or non-finite ``noise_var`` is a ``ValueError``."""
+    if not 0.0 <= noise_var < np.inf:
+        raise ValueError(f"noise_var must be finite and >= 0, got "
+                         f"{noise_var}")
     samples = np.stack([_cfo_lead(config, cfo, sfo, m) * g
                         / np.sqrt(config.dft_size)
                         for m, (_, g) in enumerate(burst)], axis=1)
@@ -460,25 +393,22 @@ def carrier_gain(k, m: int, cfo: float, sfo: float, config: OfdmConfig):
     return complex(gain) if karr.ndim == 0 else gain
 
 
-def ici_term(k, m: int, training: TrainingSymbols,
-             channel: ChannelRealization, cfo: float, sfo: float,
-             config: OfdmConfig) -> complex:
+def ici_term(k, m: int, x: np.ndarray, taps: np.ndarray, cfo: float,
+             sfo: float, config: OfdmConfig):
     """Inter-carrier interference landing on bin k of training symbol m.
 
     Sums, over every active subcarrier i != k, the coupled and
     phase-rotated contribution delta_{k,i} exp(j 2 pi N_m (i sfo +
-    cfo (1 + sfo)) / N) X_m(i) H(i), in ascending i order.
+    cfo (1 + sfo)) / N) X_m(i) H(i). ``x`` is symbol m's training row (K,)
+    and ``taps`` its channel's (L,), giving a complex scalar, or (T, K)
+    and (T, L) rows, giving (T,).
     """
     ks = config.subcarrier_indices
-    x = training.symbol(m)
-    start = config.symbol_start(m)
-    h = _channel_gains(config, channel.taps)
     coupling = coupling_coefficient(float(k), ks, cfo, sfo, config.dft_size)
-    phase = np.exp(1j * _TWO_PI / config.dft_size * start
+    phase = np.exp(1j * _TWO_PI / config.dft_size * config.symbol_start(m)
                    * (ks * sfo + cfo * (1.0 + sfo)))
-    terms = coupling * phase * x * h
-    keep = ks != k
-    return complex(terms[keep].sum())
+    terms = coupling * phase * x * _channel_gains(config, taps)
+    return _sum_last(terms[..., ks != k])
 
 
 def snr_stream_key(snr_db: float) -> int:

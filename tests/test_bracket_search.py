@@ -3,9 +3,10 @@
 ``GridEvaluator._search_pairs`` and ``_search_ratios`` read each row's
 lattice argmin from the two CFO rows that bracket Moose's closed form in
 every SFO column, and run the full surface only for rows whose argmin
-that cannot certify. Every row must come out as
-``_argmin_lattice`` plus ``_result`` on that row's own full surface: the
-same (cfo, sfo, cost) bits, or the same exception type and message.
+that cannot certify. Every row must come out as ``_result``'s argmin of
+that row's own full surface with the cost there summed over ascending k
+on that row alone: the same (cfo, sfo, cost) bits, or the same
+exception type and message.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
     DegenerateObservationError,
+    EstimationResult,
     GridEvaluator,
     GridSpec,
     NonFiniteSurfaceError,
@@ -24,7 +26,7 @@ from ofdm_sync_lab import (
     make_grid,
     symbol_phase_ramp,
 )
-from ofdm_sync_lab.estimators import _argmin_lattice, ratio_observable_rows
+from ofdm_sync_lab.estimators import ratio_observable_rows
 
 CFG = make_config(64, 52, 16)
 
@@ -55,12 +57,18 @@ ALIAS_TIES = (-0.45, -0.4, -0.35, 0.35, 0.4, 0.45)
 
 
 def reference(ev, c, v, method, r0, r1):
-    """``_argmin_lattice`` and ``_result`` on the row's full surface."""
+    """``_result`` on the row's full surface, and the cost at its argmin
+    as a sequential sum over ascending k of the row alone."""
     surface = c - 2.0 * (ev._lead * v[None, :]).real
     try:
-        return ev._result(surface, method, r0, r1)
+        i, j = ev._result(surface)
     except NonFiniteSurfaceError as exc:
         return exc
+    diff = r1 - ev._lead[i, j] * ev._sub[j, :] * r0
+    cost = np.add.accumulate(diff.real ** 2 + diff.imag ** 2)[-1]
+    return EstimationResult(float(ev.grid.cfo_values[i]),
+                            float(ev.grid.sfo_values[j]), float(cost),
+                            method)
 
 
 def assert_same(outcome, expected):
@@ -301,7 +309,7 @@ def test_certified_rows_hold_the_surface_argmin(grid, seed):
     c, v = structured_terms(grid, seed)
     rows, i, j = ev._bracket(c, v)
     for t, at in zip(rows.tolist(), zip(i.tolist(), j.tolist())):
-        assert at == _argmin_lattice(ev._surface(c[t], v[t]), grid)
+        assert at == ev._result(ev._surface(c[t], v[t]))
 
 
 def test_negative_cosine_bound_is_clamped():
@@ -313,7 +321,7 @@ def test_negative_cosine_bound_is_clamped():
     ev = GridEvaluator(grid, CFG)
     v = np.array([[1.0, 0.3]]) * np.exp(-1j * ev._slope * 0.045)
     c = np.array([3.0])
-    i, j = _argmin_lattice(ev._surface(c[0], v[0]), grid)
+    i, j = ev._result(ev._surface(c[0], v[0]))
     assert (i, j) == (0, 1)
     rows, bi, bj = ev._bracket(c, v)
     assert rows.size == 0 or (bi[0], bj[0]) == (i, j)

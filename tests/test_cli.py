@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 import ofdm_sync_lab.cli as cli
-from ofdm_sync_lab import FisherMatrix, __version__, harness
+from ofdm_sync_lab import __version__, harness
 from ofdm_sync_lab.cli import CliError, format_value, parse, write_csv
 
 TINY_GRID_FLAGS = ["--grid-cfo-step", "0.1", "--grid-cfo-max", "0.5",
@@ -182,6 +182,11 @@ def test_unknown_flag_exits_2():
      "--out / names a directory, not a file"),
     (["crb", "--trials", "2", "--out", "/nonexistent/"],
      "--out /nonexistent/ names a directory, not a file"),
+    # an axis this long once raised peak RSS from 36 to 95 MB building
+    # its tuple before any trial ran
+    (["fig1", "--snr-max", "1000000", "--snr-step", "1"],
+     "snr axis from 0 to 1e+06 dB at step 1 has 1000001 points, more "
+     "than 10000"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -378,8 +383,9 @@ def test_crb_matches_fig2_crb_columns(tmp_path):
 def test_crb_all_singular_draws_leave_blank_cells(monkeypatch, tmp_path):
     """Every draw singular: blank bounds and excluded = trials, as fig2
     leaves its CRB cells, instead of aborting the sweep."""
-    def dead_fisher(config, training, channel, cfo, sfo, noise_var):
-        return FisherMatrix(f00=0.0, f01=0.0, f10=0.0, f11=0.0)
+    def dead_fisher(config, burst, cfo, sfo, noise_var):
+        zeros = np.zeros(len(burst[0][0]))
+        return zeros, zeros, zeros
 
     monkeypatch.setattr(harness, "_select_crb_backend",
                         lambda cfg: (dead_fisher, "closed_form", None))
@@ -389,6 +395,41 @@ def test_crb_all_singular_draws_leave_blank_cells(monkeypatch, tmp_path):
     cells = csv_columns(out)
     assert cells["crb_cfo"] == cells["crb_sfo"] == ["", ""]
     assert cells["excluded"] == ["3", "3"]
+
+
+# The oracle fallback's header lines of fig2 and crb at 3 trials, 10 to
+# 20 dB and the tiny grid, and the SHA-256 of each whole CSV, as the
+# one-trial oracle wrote them: the stacked oracle must keep every byte.
+ORACLE_FALLBACK_HEADER = [
+    "# crb-backend = numeric_oracle",
+    "# fisher closed-form vs numeric oracle",
+    "#   f00: closed=1251166.9700050638 oracle=1251166.9699422643 "
+    "rel=5.019e-11",
+    "#   f01: closed=-9780921.1057647243 oracle=-9780921.1021587644 "
+    "rel=3.687e-10",
+    "#   f11: closed=462613308.75943303 oracle=462613309.65755498 "
+    "rel=1.941e-09",
+    "#   max relative error: 1.941e-09",
+]
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("fig2",
+     "710033f372c2d8012c02223d589f2643b03b5cfa0fd357a02e264127a1daadfa"),
+    ("crb",
+     "9745caa1ed816b3f5b173841ed55d4b4971a064f4ece40ecfb828cd6b0034442"),
+])
+def test_oracle_fallback_csv_is_pinned(monkeypatch, tmp_path, command,
+                                       digest):
+    monkeypatch.setattr(harness, "CRB_AGREEMENT_RTOL", 0.0)
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--trials", "3", "--snr-min", "10",
+                     "--snr-max", "20", *TINY_GRID_FLAGS,
+                     "--out", str(out)]) == 0
+    header = [line for line in out.read_text().splitlines()
+              if line.startswith("# ")]
+    assert header[-len(ORACLE_FALLBACK_HEADER):] == ORACLE_FALLBACK_HEADER
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, columns", [

@@ -9,16 +9,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
-    ChannelRealization,
-    FisherMatrix,
     OfdmConfig,
-    TrainingSymbols,
     channel_taps,
     compare_fisher,
     crb_rows,
     derive_rng,
-    fisher_closed_form,
     fisher_numeric_oracle,
+    fisher_rows,
     invertible,
     make_config,
     make_experiment,
@@ -33,18 +30,19 @@ CFG = make_config(64, 52, 16)
 CFO_OP = 0.212
 SFO_OP = 0.000112
 
-# Single unit tap + all-ones training: every tested route must agree here.
-FLAT_TRAINING = TrainingSymbols(np.ones(52, dtype=complex),
-                                np.ones(52, dtype=complex))
-FLAT_CHANNEL = ChannelRealization(np.array([1.0 + 0.0j]))
+# Single unit tap + all-ones training, one burst: every tested route must
+# agree here.
+FLAT_SYMBOLS = (np.ones((1, 52), dtype=complex),) * 2
+FLAT_TAPS = np.ones((1, 1), dtype=complex)
 
 
 def draw_scenario(training_rng, channel_rng, config=CFG, n_taps=5):
     """A repeated QPSK training pair and Rayleigh taps, drawn as the
-    harness draws a trial's scenario from its two streams."""
-    x = QPSK_ALPHABET[training_rng.integers(0, 4, config.n_active)]
-    taps = channel_taps(channel_rng.standard_normal((2, n_taps)))
-    return TrainingSymbols(x, x), ChannelRealization(taps)
+    harness draws a trial's scenario from its two streams, as a stack of
+    one burst: (symbols, taps)."""
+    x = QPSK_ALPHABET[training_rng.integers(0, 4, config.n_active)][None]
+    taps = channel_taps(channel_rng.standard_normal((1, 2, n_taps)))
+    return (x, x), taps
 
 
 def scenario(seed):
@@ -52,105 +50,100 @@ def scenario(seed):
                          derive_rng(seed, "channel"))
 
 
-def crb_pair(fisher):
+def one_row(entries):
+    """The entries of a stack of one burst, as Python floats."""
+    return tuple(f.item() for f in entries)
+
+
+def crb_pair(f00, f01, f11):
     """(crb_cfo, crb_sfo) of one Fisher matrix, which must be invertible."""
-    crb_cfo, crb_sfo, det = crb_rows(fisher.f00, fisher.f01, fisher.f10,
-                                     fisher.f11)
-    assert invertible(det)
-    return float(crb_cfo), float(crb_sfo)
-
-
-# ------------------------------------------------------------- dataclasses
-
-
-def test_fisher_matrix_as_array():
-    fisher = FisherMatrix(f00=4.0, f01=1.0, f10=1.0, f11=9.0)
-    npt.assert_array_equal(fisher.as_array(), [[4.0, 1.0], [1.0, 9.0]])
+    crb_cfo, crb_sfo, det = crb_rows(f00, f01, f01, f11)
+    assert invertible(det).all()
+    return crb_cfo.item(), crb_sfo.item()
 
 
 def test_noise_var_must_be_positive():
     with pytest.raises(ValueError):
-        fisher_closed_form(CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0, 0.0)
+        fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        fisher_numeric_oracle(CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,
-                              -0.1)
+        fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, -0.1)
+    # One noise variance per row: every one must be positive.
+    for fn in (fisher_rows, fisher_numeric_oracle, compare_fisher):
+        with pytest.raises(ValueError):
+            fn(CFG, (np.ones((2, 52)),) * 2, np.ones((2, 1)), 0.0, 0.0,
+               np.array([0.1, 0.0]))
 
 
 # ------------------------------------------------------------- closed form
 
 
 def test_flat_channel_frozen_values():
-    fisher = fisher_closed_form(CFG, FLAT_TRAINING, FLAT_CHANNEL,
-                                0.0, 0.0, 0.1)
-    assert fisher.f00 == pytest.approx(115475.22521342454, rel=1e-12)
-    assert fisher.f01 == pytest.approx(-57737.612606712566, rel=1e-12)
-    assert fisher.f11 == pytest.approx(46336930.598625384, rel=1e-12)
-    assert fisher.f10 == fisher.f01
+    f00, f01, f11 = one_row(fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS,
+                                        0.0, 0.0, 0.1))
+    assert f00 == pytest.approx(115475.22521342454, rel=1e-12)
+    assert f01 == pytest.approx(-57737.612606712566, rel=1e-12)
+    assert f11 == pytest.approx(46336930.598625384, rel=1e-12)
 
 
 def test_flat_channel_matches_oracle():
-    comparison = compare_fisher(CFG, FLAT_TRAINING, FLAT_CHANNEL,
-                                0.0, 0.0, 0.1)
-    assert comparison.max_rel_error < 1e-8
+    rel, _ = compare_fisher(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1)
+    assert rel.max() < 1e-8
 
 
 def test_operating_point_matches_oracle():
-    training, channel = scenario(7)
+    symbols, taps = scenario(7)
     noise_var = noise_variance_from_snr(CFG, 15.0)
-    comparison = compare_fisher(CFG, training, channel, CFO_OP, SFO_OP,
-                                noise_var)
-    assert comparison.max_rel_error < 1e-3
+    rel, _ = compare_fisher(CFG, symbols, taps, CFO_OP, SFO_OP, noise_var)
+    assert rel.max() < 1e-3
     # the agreement is in fact far tighter than the acceptance bar
-    assert comparison.max_rel_error < 1e-6
+    assert rel.max() < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_scenarios_match_oracle(seed):
     rng = np.random.default_rng(1000 + seed)
-    training, channel = scenario(300 + seed)
+    symbols, taps = scenario(300 + seed)
     cfo = float(rng.uniform(-0.4, 0.4))
     sfo = float(rng.uniform(-4e-4, 4e-4))
     noise_var = noise_variance_from_snr(CFG, float(rng.uniform(0.0, 30.0)))
-    comparison = compare_fisher(CFG, training, channel, cfo, sfo, noise_var)
-    assert comparison.max_rel_error < 1e-3
+    rel, _ = compare_fisher(CFG, symbols, taps, cfo, sfo, noise_var)
+    assert rel.max() < 1e-3
 
 
 def test_entries_scale_inversely_with_noise():
-    training, channel = scenario(9)
-    a = fisher_closed_form(CFG, training, channel, CFO_OP, SFO_OP, 0.05)
-    b = fisher_closed_form(CFG, training, channel, CFO_OP, SFO_OP, 0.10)
-    for name in ("f00", "f01", "f11"):
-        assert getattr(b, name) == pytest.approx(getattr(a, name) / 2.0,
-                                                 rel=1e-12)
+    symbols, taps = scenario(9)
+    a = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP, 0.05))
+    b = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP, 0.10))
+    for entry_a, entry_b in zip(a, b):
+        assert entry_b == pytest.approx(entry_a / 2.0, rel=1e-12)
 
 
 def test_information_is_positive_definite():
-    training, channel = scenario(10)
-    fisher = fisher_closed_form(CFG, training, channel, CFO_OP, SFO_OP,
-                                noise_variance_from_snr(CFG, 20.0))
-    assert fisher.f00 > 0.0
-    assert fisher.f11 > 0.0
-    assert fisher.f00 * fisher.f11 - fisher.f01 * fisher.f10 > 0.0
+    symbols, taps = scenario(10)
+    f00, f01, f11 = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+                                        noise_variance_from_snr(CFG, 20.0)))
+    assert f00 > 0.0
+    assert f11 > 0.0
+    assert f00 * f11 - f01 * f01 > 0.0
 
 
 def test_second_symbol_adds_information():
     """The m=1 symbol sits further from the time origin, so the two-symbol
     burst carries strictly more CFO information than symbol 0 alone."""
     single = OfdmConfig(64, 52, 16, n_symbols=1)
-    both = fisher_closed_form(CFG, FLAT_TRAINING, FLAT_CHANNEL,
-                              0.0, 0.0, 0.1)
-    first = fisher_closed_form(single, FLAT_TRAINING, FLAT_CHANNEL,
-                               0.0, 0.0, 0.1)
-    assert both.f00 > first.f00
-    assert both.f11 > first.f11
+    both = one_row(fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1))
+    first = one_row(fisher_rows(single, FLAT_SYMBOLS[:1], FLAT_TAPS,
+                                0.0, 0.0, 0.1))
+    assert both[0] > first[0]
+    assert both[2] > first[2]
 
 
 def test_single_symbol_config_matches_oracle():
     single = OfdmConfig(64, 52, 16, n_symbols=1)
-    training, channel = scenario(13)
-    comparison = compare_fisher(single, training, channel, CFO_OP, SFO_OP,
-                                noise_variance_from_snr(single, 15.0))
-    assert comparison.max_rel_error < CRB_AGREEMENT_RTOL
+    symbols, taps = scenario(13)
+    rel, _ = compare_fisher(single, symbols[:1], taps, CFO_OP, SFO_OP,
+                            noise_variance_from_snr(single, 15.0))
+    assert rel.max() < CRB_AGREEMENT_RTOL
 
 
 @st.composite
@@ -160,23 +153,23 @@ def fisher_scenarios(draw):
     config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
                          draw(st.integers(0, dft_size // 4)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    training, channel = draw_scenario(
+    symbols, taps = draw_scenario(
         derive_rng(seed, "training"), derive_rng(seed, "channel"), config,
         draw(st.integers(1, 8)))
     cfo = draw(st.floats(-0.4, 0.4, exclude_min=True, exclude_max=True))
     sfo = draw(st.floats(-5e-4, 5e-4, exclude_min=True, exclude_max=True))
     noise_var = draw(st.floats(1e-3, 1.0))
-    return config, training, channel, cfo, sfo, noise_var
+    return config, symbols, taps, cfo, sfo, noise_var
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(scenario_args=fisher_scenarios())
 @example(scenario_args=(make_config(16, 2, 0),
-                        TrainingSymbols(np.ones(2), np.ones(2)),
-                        FLAT_CHANNEL, 0.0, 0.0, 1e-3))
+                        (np.ones((1, 2), dtype=complex),) * 2,
+                        FLAT_TAPS, 0.0, 0.0, 1e-3))
 def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
-    comparison = compare_fisher(*scenario_args)
-    assert comparison.max_rel_error < CRB_AGREEMENT_RTOL
+    rel, _ = compare_fisher(*scenario_args)
+    assert rel.max() < CRB_AGREEMENT_RTOL
 
 
 # ---------------------------------------------------- reference arithmetic
@@ -255,6 +248,37 @@ def test_fisher_rows_equal_the_complex_weight_formula(stack):
     assert samples.tobytes() == alone.tobytes()
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(stack=training_stacks(), per_row_noise=st.booleans())
+def test_oracle_rows_equal_stacks_of_one(stack, per_row_noise):
+    """The numeric oracle on a stack of T bursts gives each row's entries
+    bit for bit as that row run as a stack of one, at one noise variance
+    or one per row; so does the comparison's relative error, and its
+    report is that of the first row with the largest."""
+    config, symbols, taps, cfo, sfo, _, _ = stack
+    n_trials = len(taps)
+    noise_var = (np.linspace(0.05, 0.5, n_trials) if per_row_noise
+                 else 0.1)
+    stacked = fisher_numeric_oracle(config, symbols, taps, cfo, sfo,
+                                    noise_var)
+    rel, report = compare_fisher(config, symbols, taps, cfo, sfo, noise_var)
+    reports = []
+    for t in range(n_trials):
+        row = slice(t, t + 1)
+        row_noise = noise_var[row] if per_row_noise else noise_var
+        alone = fisher_numeric_oracle(
+            config, [x[row] for x in symbols], taps[row], cfo, sfo,
+            row_noise)
+        for got, want in zip(stacked, alone):
+            assert got[t:t + 1].tobytes() == want.tobytes()
+        rel_alone, report_alone = compare_fisher(
+            config, [x[row] for x in symbols], taps[row], cfo, sfo,
+            row_noise)
+        assert rel[t:t + 1].tobytes() == rel_alone.tobytes()
+        reports.append(report_alone)
+    assert report == reports[int(np.argmax(rel))]
+
+
 # --------------------------------------------------------- memoized arrays
 
 
@@ -263,19 +287,19 @@ def test_fisher_rows_equal_the_complex_weight_formula(stack):
 def test_cached_basis_matches_fresh_build_over_random_geometries(
         scenario_args):
     """Bit for bit, on the miss that fills the cache and on a hit."""
-    config, _, channel, _, sfo, _ = scenario_args
+    config, _, taps, _, sfo, _ = scenario_args
+    taps = taps[0]
     ks = config.subcarrier_indices
     n = np.arange(config.dft_size)
     h_fresh = np.exp(-1j * 2.0 * np.pi * ks[:, None]
-                     * np.arange(channel.n_taps) / config.dft_size) \
-        @ channel.taps
+                     * np.arange(taps.size) / config.dft_size) @ taps
     for m in range(config.n_symbols):
         warp = n * (1.0 + sfo) + sfo * config.symbol_start(m)
         fresh = np.exp(1j * 2.0 * np.pi / config.dft_size
                        * np.outer(warp, ks))
         for _ in range(2):
             basis = ofdm_model._warped_basis(config, sfo, m)
-            h = ofdm_model._channel_gains(config, channel.taps)
+            h = ofdm_model._channel_gains(config, taps)
             assert basis.tobytes() == fresh.tobytes()
             assert h.tobytes() == h_fresh.tobytes()
 
@@ -287,14 +311,13 @@ def test_fisher_weights_are_read_only():
 
 
 def test_offset_keyed_caches_stay_bounded():
-    training, channel = scenario(3)
+    symbols, taps = scenario(3)
     caches = (ofdm_model._warped_basis, ofdm_model._cfo_lead,
               crb._fisher_weights)
     for i in range(max(c.cache_info().maxsize for c in caches) + 8):
         sfo = i * 1e-6
-        synthesize_rows(CFG, (training.x0[None], training.x1[None]),
-                        channel.taps[None], CFO_OP, sfo)
-        fisher_closed_form(CFG, training, channel, CFO_OP, sfo, 0.1)
+        synthesize_rows(CFG, symbols, taps, CFO_OP, sfo)
+        fisher_rows(CFG, symbols, taps, CFO_OP, sfo, 0.1)
     for cache in caches:
         info = cache.cache_info()
         assert 0 < info.currsize <= info.maxsize
@@ -306,53 +329,51 @@ def test_offset_keyed_caches_stay_bounded():
 def test_oracle_cfo_derivative_matches_analytic_ramp():
     """d/d cfo of the noiseless mean is j (2 pi / N)(N_m + n)(1 + sfo) s,
     because cfo enters only through the leading phase ramp."""
-    training, channel = scenario(11)
+    symbols, taps = scenario(11)
     noise_var = 0.1
-    oracle = fisher_numeric_oracle(CFG, training, channel, CFO_OP, SFO_OP,
-                                   noise_var)
+    oracle = one_row(fisher_numeric_oracle(CFG, symbols, taps, CFO_OP,
+                                           SFO_OP, noise_var))
     rows = []
-    samples = synthesize_rows(CFG, (training.x0[None], training.x1[None]),
-                              channel.taps[None], CFO_OP, SFO_OP)[0]
+    samples = synthesize_rows(CFG, symbols, taps, CFO_OP, SFO_OP)[0]
     for m, s in enumerate(samples):
         n = np.arange(64)
         slope = 2 * np.pi / 64 * (CFG.symbol_start(m) + n) * (1 + SFO_OP)
         rows.append(1j * slope * s)
     d_cfo = np.concatenate(rows)
     f00 = 2.0 / noise_var * float(np.sum(np.abs(d_cfo) ** 2))
-    assert oracle.f00 == pytest.approx(f00, rel=1e-6)
+    assert oracle[0] == pytest.approx(f00, rel=1e-6)
 
 
 def test_oracle_is_step_insensitive():
-    training, channel = scenario(12)
+    symbols, taps = scenario(12)
     noise_var = noise_variance_from_snr(CFG, 10.0)
-    fine = fisher_numeric_oracle(CFG, training, channel, CFO_OP, SFO_OP,
-                                 noise_var, cfo_step=1e-6, sfo_step=1e-8)
-    coarse = fisher_numeric_oracle(CFG, training, channel, CFO_OP, SFO_OP,
-                                   noise_var, cfo_step=1e-5, sfo_step=1e-7)
-    for name in ("f00", "f01", "f11"):
-        a, b = getattr(fine, name), getattr(coarse, name)
+    fine = one_row(fisher_numeric_oracle(CFG, symbols, taps, CFO_OP, SFO_OP,
+                                         noise_var, cfo_step=1e-6,
+                                         sfo_step=1e-8))
+    coarse = one_row(fisher_numeric_oracle(CFG, symbols, taps, CFO_OP,
+                                           SFO_OP, noise_var, cfo_step=1e-5,
+                                           sfo_step=1e-7))
+    for a, b in zip(fine, coarse):
         assert abs(a - b) / max(abs(a), abs(b)) < 1e-4
 
 
 def test_oracle_rejects_bad_steps():
     with pytest.raises(ValueError, match="cfo_step"):
-        fisher_numeric_oracle(CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,
-                              0.1, cfo_step=0.0)
+        fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1,
+                              cfo_step=0.0)
     with pytest.raises(ValueError, match="sfo_step"):
-        fisher_numeric_oracle(CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,
-                              0.1, sfo_step=-1e-8)
+        fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1,
+                              sfo_step=-1e-8)
     # Offsets the signal model rejects: every perturbed point is checked.
     for cfo, sfo in ((np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
                      (0.0, np.nan), (0.0, -1.0), (0.0, -1.5)):
         with pytest.raises(ValueError):
-            fisher_numeric_oracle(CFG, FLAT_TRAINING, FLAT_CHANNEL, cfo,
-                                  sfo, 0.1)
+            fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, cfo, sfo,
+                                  0.1)
 
 
 def test_comparison_report_contents():
-    comparison = compare_fisher(CFG, FLAT_TRAINING, FLAT_CHANNEL,
-                                0.0, 0.0, 0.1)
-    report = comparison.report()
+    _, report = compare_fisher(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1)
     assert "fisher closed-form vs numeric oracle" in report
     assert "f00: closed=" in report
     assert "max relative error:" in report
@@ -362,26 +383,24 @@ def test_comparison_report_contents():
 
 
 def test_crb_from_diagonal_fisher():
-    crb_cfo, crb_sfo = crb_pair(FisherMatrix(f00=4.0, f01=0.0, f10=0.0,
-                                             f11=8.0))
+    crb_cfo, crb_sfo = crb_pair(4.0, 0.0, 8.0)
     assert crb_cfo == pytest.approx(0.25, rel=1e-15)
     assert crb_sfo == pytest.approx(0.125, rel=1e-15)
 
 
 def test_crb_from_coupled_fisher():
-    crb_cfo, crb_sfo = crb_pair(FisherMatrix(f00=2.0, f01=1.0, f10=1.0,
-                                             f11=2.0))
+    crb_cfo, crb_sfo = crb_pair(2.0, 1.0, 2.0)
     assert crb_cfo == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert crb_sfo == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_coupling_never_tightens_the_bound():
-    training, channel = scenario(13)
-    fisher = fisher_closed_form(CFG, training, channel, CFO_OP, SFO_OP,
-                                noise_variance_from_snr(CFG, 15.0))
-    crb_cfo, crb_sfo = crb_pair(fisher)
-    assert crb_cfo >= 1.0 / fisher.f00
-    assert crb_sfo >= 1.0 / fisher.f11
+    symbols, taps = scenario(13)
+    f00, f01, f11 = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+                                        noise_variance_from_snr(CFG, 15.0)))
+    crb_cfo, crb_sfo = crb_pair(f00, f01, f11)
+    assert crb_cfo >= 1.0 / f00
+    assert crb_sfo >= 1.0 / f11
 
 
 def test_singular_fisher_is_not_invertible():
@@ -424,27 +443,24 @@ def test_scaled_inversion_keeps_every_normal_determinants_bits(f00, f01,
 def test_bounds_at_extreme_noise_are_finite(noise_var):
     """Fisher entries near 1e-200 or 1e300 have a determinant that
     underflows or overflows, but the bounds scale with the noise."""
-    fisher = fisher_closed_form(CFG, FLAT_TRAINING, FLAT_CHANNEL, CFO_OP,
+    f00, f01, f11 = fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, CFO_OP,
                                 SFO_OP, noise_var)
-    reference = fisher_closed_form(CFG, FLAT_TRAINING, FLAT_CHANNEL, CFO_OP,
-                                   SFO_OP, 1.0)
+    reference = fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, CFO_OP, SFO_OP,
+                            1.0)
     with np.errstate(all="ignore"):
-        assert not invertible(fisher.f00 * fisher.f11
-                              - fisher.f01 * fisher.f10)
-    bounds = np.array(crb_pair(fisher)) / noise_var
-    npt.assert_allclose(bounds, crb_pair(reference), rtol=1e-12)
+        assert not invertible(f00 * f11 - f01 * f01).any()
+    bounds = np.array(crb_pair(f00, f01, f11)) / noise_var
+    npt.assert_allclose(bounds, crb_pair(*reference), rtol=1e-12)
 
 
 def test_crb_scales_linearly_with_noise():
     """10 dB less SNR means exactly 10x the noise variance and exactly 10x
     both bounds."""
-    training, channel = scenario(14)
-    low = crb_pair(fisher_closed_form(
-        CFG, training, channel, CFO_OP, SFO_OP,
-        noise_variance_from_snr(CFG, 20.0)))
-    high = crb_pair(fisher_closed_form(
-        CFG, training, channel, CFO_OP, SFO_OP,
-        noise_variance_from_snr(CFG, 10.0)))
+    symbols, taps = scenario(14)
+    low = crb_pair(*fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+                                noise_variance_from_snr(CFG, 20.0)))
+    high = crb_pair(*fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+                                 noise_variance_from_snr(CFG, 10.0)))
     assert high[0] == pytest.approx(10.0 * low[0], rel=1e-12)
     assert high[1] == pytest.approx(10.0 * low[1], rel=1e-12)
 
@@ -479,11 +495,10 @@ def test_average_crb_single_trial_identity():
     row = averaged_crb(snr_db, 1, seed)
     assert row.crb_excluded == 0
     skey = 10000
-    training, channel = draw_scenario(derive_rng(seed, skey, 0, "training"),
-                                      derive_rng(seed, skey, 0, "channel"))
-    direct = crb_pair(fisher_closed_form(
-        CFG, training, channel, CFO_OP, SFO_OP,
-        noise_variance_from_snr(CFG, snr_db)))
+    symbols, taps = draw_scenario(derive_rng(seed, skey, 0, "training"),
+                                  derive_rng(seed, skey, 0, "channel"))
+    direct = crb_pair(*fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+                                   noise_variance_from_snr(CFG, snr_db)))
     assert (row.crb_cfo, row.crb_sfo) == direct
 
 
@@ -493,13 +508,13 @@ def test_average_crb_fixed_draw_identity(monkeypatch):
     def fixed_draw(cfg, indices, picks, seeds):
         rows = (len(indices), 1)
         return harness._Draws(tuple(indices),
-                              np.tile(FLAT_TRAINING.x0, rows),
-                              np.tile(FLAT_CHANNEL.taps, rows))
+                              np.tile(FLAT_SYMBOLS[0][0], rows),
+                              np.tile(FLAT_TAPS[0], rows))
 
     monkeypatch.setattr(harness, "_draw", fixed_draw)
     row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)
-    crb_cfo, crb_sfo = crb_pair(fisher_closed_form(
-        CFG, FLAT_TRAINING, FLAT_CHANNEL, 0.0, 0.0,
+    crb_cfo, crb_sfo = crb_pair(*fisher_rows(
+        CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0,
         noise_variance_from_snr(CFG, 15.0)))
     assert row.crb_cfo == pytest.approx(crb_cfo, rel=1e-15)
     assert row.crb_sfo == pytest.approx(crb_sfo, rel=1e-15)
@@ -516,20 +531,21 @@ def test_average_crb_seed_stability():
 
 
 def test_average_crb_counts_singular_realizations(monkeypatch):
-    calls = {"n": 0}
+    calls = []
 
-    def flaky_fisher(config, training, channel, cfo, sfo, noise_var):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return FisherMatrix(f00=1.0, f01=1.0, f10=1.0, f11=1.0)
-        return fisher_closed_form(config, training, channel, cfo, sfo,
-                                  noise_var)
+    def flaky_fisher(config, burst, cfo, sfo, noise_var):
+        """The closed form with the chunk's first row made singular."""
+        calls.append(len(burst[0][0]))
+        entries = crb._fisher_entries(config, burst, cfo, sfo, noise_var)
+        for f in entries:
+            f[0] = 1.0
+        return entries
 
     monkeypatch.setattr(harness, "_select_crb_backend",
                         lambda cfg: (flaky_fisher, "closed_form", None))
     row = averaged_crb(15.0, 4, 12345)
     assert row.crb_excluded == 1
-    assert calls["n"] == 4
+    assert calls == [4]  # one backend call bounds the chunk's four trials
     assert np.isfinite(row.crb_cfo)
 
 

@@ -12,9 +12,7 @@ from ofdm_sync_lab import (
     GridEvaluator,
     GridSpec,
     NonFiniteSurfaceError,
-    PreambleObservation,
     QPSK_ALPHABET,
-    TrainingSymbols,
     channel_taps,
     demodulate_rows,
     derive_rng,
@@ -25,17 +23,17 @@ from ofdm_sync_lab import (
     nguyenle_cost,
     nguyenle_observable,
     noise_variance_from_snr,
-    pair_residual,
     pair_residual_rows,
     proposed_cost,
-    ratio_residual,
+    ratio_observable_rows,
+    ratio_residual_rows,
     symbol_phase_ramp,
     synthesize_rows,
 )
-from ofdm_sync_lab.estimators import _argmin_lattice
 
 CFG = make_config(64, 52, 16)
 GRID = make_grid()
+EV = GridEvaluator(GRID, CFG)
 
 
 def training(seed):
@@ -44,7 +42,9 @@ def training(seed):
 
 
 def observation(seed, cfo, sfo, snr_db=None):
-    """Seeded demodulated preamble; noiseless when snr_db is None."""
+    """Seeded demodulated preamble as rows (x, r0, r1): the training that
+    both symbols repeat and their spectra; noiseless when snr_db is
+    None."""
     x = training(seed)
     taps = channel_taps(derive_rng(seed, "channel").standard_normal((2, 5)))
     noise_var, normals = 0.0, None
@@ -55,7 +55,14 @@ def observation(seed, cfo, sfo, snr_db=None):
     r0, r1 = demodulate_rows(synthesize_rows(
         CFG, (x[None], x[None]), taps[None], cfo, sfo, noise_var, normals),
         CFG)[0]
-    return PreambleObservation(r0, r1, TrainingSymbols(x, x))
+    return x, r0, r1
+
+
+def estimate(method, x, r0, r1, grid, **options):
+    """One trial's estimate by the estimate function named ``method``."""
+    if method == "estimate_proposed":
+        return estimate_proposed(r0, r1, grid, CFG, **options)
+    return estimate_nguyenle(x, x, r0, r1, grid, CFG, **options)
 
 
 # -------------------------------------------------------------------- grid
@@ -145,51 +152,49 @@ def test_ramp_sfo_phase_scales_with_subcarrier():
 
 def test_proposed_cost_zero_at_exact_model_match():
     rng = np.random.default_rng(2)
-    x = training(2)
-    tr = TrainingSymbols(x, x)
     r0 = rng.standard_normal(52) + 1j * rng.standard_normal(52)
     cfo, sfo = 0.17, -3e-5
     r1 = symbol_phase_ramp(CFG.subcarrier_indices, cfo, sfo, CFG) * r0
-    obs = PreambleObservation(r0, r1, tr)
-    assert proposed_cost(obs, cfo, sfo, CFG) < 1e-25
+    assert proposed_cost(r0, r1, cfo, sfo, CFG) < 1e-25
 
 
 def test_proposed_cost_nonnegative_and_scalar():
-    obs = observation(4, 0.212, 0.000112, snr_db=10.0)
-    value = proposed_cost(obs, -0.3, 2e-4, CFG)
+    _, r0, r1 = observation(4, 0.212, 0.000112, snr_db=10.0)
+    value = proposed_cost(r0, r1, -0.3, 2e-4, CFG)
     assert isinstance(value, float)
     assert value >= 0.0
 
 
 def test_proposed_cost_matches_direct_formula():
-    obs = observation(5, 0.212, 0.000112, snr_db=10.0)
+    _, r0, r1 = observation(5, 0.212, 0.000112, snr_db=10.0)
     ks = CFG.subcarrier_indices
     for cfo, sfo in ((0.0, 0.0), (0.212, 0.000112), (-0.41, -4.7e-4)):
         ramp = np.exp(1j * 2 * np.pi * 80.0 / 64.0
                       * (ks * sfo + cfo * (1.0 + sfo)))
-        direct = float(np.sum(np.abs(obs.r1 - ramp * obs.r0) ** 2))
-        assert proposed_cost(obs, cfo, sfo, CFG) == pytest.approx(
+        direct = float(np.sum(np.abs(r1 - ramp * r0) ** 2))
+        assert proposed_cost(r0, r1, cfo, sfo, CFG) == pytest.approx(
             direct, rel=1e-12)
 
 
 def test_proposed_cost_broadcasts_like_scalar_calls():
-    obs = observation(6, 0.1, 1e-4, snr_db=15.0)
+    _, r0, r1 = observation(6, 0.1, 1e-4, snr_db=15.0)
     cfos = np.array([-0.2, 0.0, 0.1])
     sfos = np.array([-1e-4, 0.0, 1e-4, 3e-4])
-    surface = proposed_cost(obs, cfos[:, None], sfos[None, :], CFG)
+    surface = proposed_cost(r0, r1, cfos[:, None], sfos[None, :], CFG)
     assert surface.shape == (3, 4)
     for i, cfo in enumerate(cfos):
         for j, sfo in enumerate(sfos):
             assert surface[i, j] == pytest.approx(
-                proposed_cost(obs, float(cfo), float(sfo), CFG), rel=1e-12)
+                proposed_cost(r0, r1, float(cfo), float(sfo), CFG),
+                rel=1e-12)
 
 
 def test_noiseless_truth_is_strict_surface_minimum():
     """eta=0, eps*=0.21: the truth lattice point beats every other point of
     the full default surface (its +/-0.8 CFO alias falls outside the grid)."""
     eps_true = float(GRID.cfo_values[71])
-    obs = observation(7, eps_true, 0.0)
-    surface = GridEvaluator(GRID, CFG).proposed_surface(obs)
+    _, r0, r1 = observation(7, eps_true, 0.0)
+    surface = EV.proposed_surface(r0, r1)
     i, j = np.unravel_index(np.argmin(surface), surface.shape)
     assert (i, j) == (71, 50)
     flat = np.sort(surface.ravel())
@@ -201,34 +206,34 @@ def test_noiseless_truth_is_strict_surface_minimum():
 
 
 def test_observable_is_one_for_identical_symbols():
-    obs = observation(8, 0.0, 0.0)
-    npt.assert_allclose(nguyenle_observable(obs, CFG), 1.0,
+    x, r0, r1 = observation(8, 0.0, 0.0)
+    npt.assert_allclose(nguyenle_observable(x, x, r0, r1, CFG), 1.0,
                         rtol=0, atol=1e-12)
 
 
 def test_observable_constant_ramp_when_sfo_is_zero():
     cfo = 0.21
-    obs = observation(9, cfo, 0.0)
-    y = nguyenle_observable(obs, CFG)
+    x, r0, r1 = observation(9, cfo, 0.0)
+    y = nguyenle_observable(x, x, r0, r1, CFG)
     expected = np.exp(1j * 2 * np.pi * 80.0 * cfo / 64.0)
     npt.assert_allclose(y, expected, rtol=0, atol=1e-12)
     # and the ratio residual at the truth is zero to the same tolerance
-    npt.assert_allclose(ratio_residual(obs, cfo, 0.0, CFG), 0.0,
+    npt.assert_allclose(ratio_residual_rows(y, cfo, 0.0, CFG), 0.0,
                         rtol=0, atol=1e-12)
 
 
 def test_observable_flags_degenerate_bins():
-    obs = observation(10, 0.1, 1e-4, snr_db=20.0)
-    r0 = obs.r0.copy()
+    x, r0, r1 = observation(10, 0.1, 1e-4, snr_db=20.0)
     r0[3] = 0.0
-    broken = PreambleObservation(r0, obs.r1, obs.training)
     with pytest.raises(DegenerateObservationError) as excinfo:
-        nguyenle_observable(broken, CFG)
+        nguyenle_observable(x, x, r0, r1, CFG)
     assert excinfo.value.subcarriers == (-23,)
-    with pytest.raises(DegenerateObservationError):
-        ratio_residual(broken, 0.1, 1e-4, CFG)
+    # the row form marks the bin instead, and divides the row by ones
+    y, bad = ratio_observable_rows(x[None], x[None], r0[None], r1[None])
+    npt.assert_array_equal(np.flatnonzero(bad[0]), [3])
+    assert np.isfinite(y).all()
     # the pair residual does not divide, so it stays usable
-    assert np.all(np.isfinite(pair_residual(broken, 0.1, 1e-4, CFG)))
+    assert np.all(np.isfinite(pair_residual_rows(r0, r1, 0.1, 1e-4, CFG)))
 
 
 def test_nguyenle_cost_zeros():
@@ -237,14 +242,14 @@ def test_nguyenle_cost_zeros():
     eps = float(GRID.cfo_values[71])
     y = np.full(52, np.exp(1j * 2 * np.pi * 80.0 * eps / 64.0))
     assert nguyenle_cost(y, eps, 0.0, CFG) < 1e-25
-    obs = observation(11, 0.2, 2e-4, snr_db=5.0)
-    assert nguyenle_cost(nguyenle_observable(obs, CFG), -0.1, 1e-4,
+    x, r0, r1 = observation(11, 0.2, 2e-4, snr_db=5.0)
+    assert nguyenle_cost(nguyenle_observable(x, x, r0, r1, CFG), -0.1, 1e-4,
                          CFG) >= 0.0
 
 
 def test_nguyenle_cost_matches_direct_formula():
-    obs = observation(12, 0.212, 0.000112, snr_db=10.0)
-    y = nguyenle_observable(obs, CFG)
+    x, r0, r1 = observation(12, 0.212, 0.000112, snr_db=10.0)
+    y = nguyenle_observable(x, x, r0, r1, CFG)
     ks = CFG.subcarrier_indices
     cfo, sfo = -0.07, 2.3e-4
     ramp = np.exp(1j * 2 * np.pi * 80.0 / 64.0
@@ -266,17 +271,16 @@ def lattice_surface(fn, grid):
 
 
 def test_grid_search_finds_separable_bowl_minimum():
-    i, j = _argmin_lattice(lattice_surface(bowl, GRID), GRID)
+    i, j = EV._result(lattice_surface(bowl, GRID))
     assert GRID.cfo_values[i] == 0.21
     assert GRID.sfo_values[j] == 0.0
 
 
 def test_grid_search_tie_breaks_to_first_lattice_point():
-    assert _argmin_lattice(np.ones(GRID.shape), GRID) == (0, 0)
+    assert EV._result(np.ones(GRID.shape)) == (0, 0)
     # a signal-free pair makes the whole kernel surface exactly zero
     zeros = np.zeros(52, dtype=complex)
-    silent = PreambleObservation(zeros, zeros, TrainingSymbols(zeros, zeros))
-    result = GridEvaluator(GRID, CFG).search_proposed(silent)
+    result = EV.search_proposed(zeros, zeros)
     assert (result.cfo, result.sfo) == (GRID.cfo_values[0],
                                         GRID.sfo_values[0])
     assert result.cost == 0.0
@@ -286,44 +290,42 @@ def test_grid_search_rejects_non_finite_cost():
     surface = lattice_surface(bowl, GRID)
     surface[3, 7] = np.nan
     with pytest.raises(NonFiniteSurfaceError, match="non-finite cost"):
-        _argmin_lattice(surface, GRID)
-    obs = observation(29, 0.1, 1e-4, snr_db=10.0)
-    r0 = obs.r0.copy()
+        EV._result(surface)
+    _, r0, r1 = observation(29, 0.1, 1e-4, snr_db=10.0)
     r0[5] = np.inf
-    poisoned = PreambleObservation(r0, obs.r1, obs.training)
     with pytest.raises(NonFiniteSurfaceError, match="non-finite cost"), \
             np.errstate(invalid="ignore"):
-        GridEvaluator(GRID, CFG).search_proposed(poisoned)
+        EV.search_proposed(r0, r1)
 
 
 def test_grid_search_single_point_grid():
     grid = GridSpec(np.array([0.3]), np.array([0.0]))
-    obs = observation(30, 0.2, 1e-4, snr_db=10.0)
-    result = GridEvaluator(grid, CFG).search_proposed(obs)
+    _, r0, r1 = observation(30, 0.2, 1e-4, snr_db=10.0)
+    result = GridEvaluator(grid, CFG).search_proposed(r0, r1)
     assert (result.cfo, result.sfo) == (0.3, 0.0)
     assert result.method == "proposed"
-    assert result.cost == pytest.approx(proposed_cost(obs, 0.3, 0.0, CFG),
-                                        rel=1e-12)
+    assert result.cost == pytest.approx(
+        proposed_cost(r0, r1, 0.3, 0.0, CFG), rel=1e-12)
 
 
 def test_degenerate_grid_collapses_to_cfo_only_search():
     """Pinning the SFO axis turns the joint search into the classic
     one-dimensional CFO ramp fit."""
     grid = make_grid(sfo_max=0.0)
-    obs = observation(13, 0.21, 0.0, snr_db=25.0)
-    result = estimate_proposed(obs, grid, CFG)
+    _, r0, r1 = observation(13, 0.21, 0.0, snr_db=25.0)
+    result = estimate_proposed(r0, r1, grid, CFG)
     assert result.sfo == 0.0
-    line = proposed_cost(obs, grid.cfo_values, 0.0, CFG)
+    line = proposed_cost(r0, r1, grid.cfo_values, 0.0, CFG)
     assert result.cfo == grid.cfo_values[np.argmin(line)]
 
 
 def test_fully_pinned_grid_returns_pair_mismatch_energy():
     grid = make_grid(cfo_max=0.0, sfo_max=0.0)
-    obs = observation(14, 0.1, 1e-4, snr_db=10.0)
-    result = estimate_proposed(obs, grid, CFG)
+    _, r0, r1 = observation(14, 0.1, 1e-4, snr_db=10.0)
+    result = estimate_proposed(r0, r1, grid, CFG)
     assert (result.cfo, result.sfo) == (0.0, 0.0)
     assert result.cost == pytest.approx(
-        float(np.sum(np.abs(obs.r1 - obs.r0) ** 2)), rel=1e-12)
+        float(np.sum(np.abs(r1 - r0) ** 2)), rel=1e-12)
 
 
 # ------------------------------------------------- evaluator and estimates
@@ -347,21 +349,21 @@ def assert_kernel_matches_oracle(kernel, oracle, reported, grid, c):
 
 
 def test_evaluator_matches_oracle_surface():
-    obs = observation(15, 0.212, 0.000112, snr_db=10.0)
+    x, r0, r1 = observation(15, 0.212, 0.000112, snr_db=10.0)
     ev = GridEvaluator(GRID, CFG)
-    oracle = proposed_cost(obs, GRID.cfo_values[:, None],
+    oracle = proposed_cost(r0, r1, GRID.cfo_values[:, None],
                            GRID.sfo_values[None, :], CFG)
-    got = ev.search_proposed(obs)
-    assert_kernel_matches_oracle(ev.proposed_surface(obs), oracle, got, GRID,
-                                 energy(obs.r0, obs.r1))
+    got = ev.search_proposed(r0, r1)
+    assert_kernel_matches_oracle(ev.proposed_surface(r0, r1), oracle, got,
+                                 GRID, energy(r0, r1))
     assert np.unravel_index(np.argmin(oracle), GRID.shape) == (
         np.searchsorted(GRID.cfo_values, got.cfo),
         np.searchsorted(GRID.sfo_values, got.sfo))
 
-    y = nguyenle_observable(obs, CFG)
+    y = nguyenle_observable(x, x, r0, r1, CFG)
     oracle_nl = nguyenle_cost(y, GRID.cfo_values[:, None],
                               GRID.sfo_values[None, :], CFG)
-    got_nl = ev.search_nguyenle(obs)
+    got_nl = ev.search_nguyenle(x, x, r0, r1)
     assert_kernel_matches_oracle(ev.nguyenle_surface(y), oracle_nl, got_nl,
                                  GRID, energy(y) + y.size)
     assert np.unravel_index(np.argmin(oracle_nl), GRID.shape) == (
@@ -399,25 +401,25 @@ def test_kernel_matches_oracle_over_random_geometries(geometry, seed, scale):
     k = config.n_active
     r0, r1 = scale * (rng.standard_normal((2, k))
                       + 1j * rng.standard_normal((2, k)))
-    obs = PreambleObservation(r0, r1, TrainingSymbols(r0, r0))
     ev = GridEvaluator(grid, config)
     e, h = grid.cfo_values[:, None], grid.sfo_values[None, :]
 
-    assert_kernel_matches_oracle(ev.proposed_surface(obs),
-                                 proposed_cost(obs, e, h, config),
-                                 ev.search_proposed(obs), grid,
+    assert_kernel_matches_oracle(ev.proposed_surface(r0, r1),
+                                 proposed_cost(r0, r1, e, h, config),
+                                 ev.search_proposed(r0, r1), grid,
                                  energy(r0, r1))
-    y = nguyenle_observable(obs, config)
+    # r0 is its own training: Y = R1 / R0
+    y = nguyenle_observable(r0, r0, r0, r1, config)
     assert_kernel_matches_oracle(ev.nguyenle_surface(y),
                                  nguyenle_cost(y, e, h, config),
-                                 ev.search_nguyenle(obs), grid,
+                                 ev.search_nguyenle(r0, r0, r0, r1), grid,
                                  energy(y) + k)
 
 
 def test_estimates_at_zero_offsets():
-    obs = observation(16, 0.0, 0.0)
-    prop = estimate_proposed(obs, GRID, CFG)
-    nl = estimate_nguyenle(obs, GRID, CFG)
+    x, r0, r1 = observation(16, 0.0, 0.0)
+    prop = estimate_proposed(r0, r1, GRID, CFG)
+    nl = estimate_nguyenle(x, x, r0, r1, GRID, CFG)
     assert (prop.cfo, prop.sfo) == (0.0, 0.0)
     assert (nl.cfo, nl.sfo) == (0.0, 0.0)
     assert prop.method == "proposed"
@@ -430,9 +432,9 @@ def test_noiseless_on_lattice_recovery_is_exact(lattice_index):
     and both estimators return it exactly."""
     eps_true = float(GRID.cfo_values[lattice_index])
     assert abs(eps_true) < 0.3
-    obs = observation(17, eps_true, 0.0)
-    prop = estimate_proposed(obs, GRID, CFG)
-    nl = estimate_nguyenle(obs, GRID, CFG)
+    x, r0, r1 = observation(17, eps_true, 0.0)
+    prop = estimate_proposed(r0, r1, GRID, CFG)
+    nl = estimate_nguyenle(x, x, r0, r1, GRID, CFG)
     assert (prop.cfo, prop.sfo) == (eps_true, 0.0)
     assert (nl.cfo, nl.sfo) == (eps_true, 0.0)
     assert prop.cost < 1e-25
@@ -445,24 +447,23 @@ def test_cfo_alias_beyond_0p3_is_a_cost_tie():
     search lands on one of the two with (numerically) zero cost."""
     eps_true = float(GRID.cfo_values[85])   # 0.35
     alias = float(GRID.cfo_values[5])       # -0.45
-    obs = observation(19, eps_true, 0.0)
-    result = estimate_proposed(obs, GRID, CFG)
+    _, r0, r1 = observation(19, eps_true, 0.0)
+    result = estimate_proposed(r0, r1, GRID, CFG)
     assert result.cfo in (eps_true, alias)
     assert result.sfo == 0.0
     assert result.cost < 1e-25
-    assert proposed_cost(obs, eps_true, 0.0, CFG) < 1e-25
-    assert proposed_cost(obs, alias, 0.0, CFG) < 1e-25
+    assert proposed_cost(r0, r1, eps_true, 0.0, CFG) < 1e-25
+    assert proposed_cost(r0, r1, alias, 0.0, CFG) < 1e-25
 
 
 def test_estimate_nguyenle_propagates_degenerate_error():
-    obs = observation(20, 0.1, 1e-4, snr_db=15.0)
-    r0 = obs.r0.copy()
+    x, r0, r1 = observation(20, 0.1, 1e-4, snr_db=15.0)
     r0[0] = 0.0
-    broken = PreambleObservation(r0, obs.r1, obs.training)
-    with pytest.raises(DegenerateObservationError):
-        estimate_nguyenle(broken, GRID, CFG)
+    for refine in (False, True):
+        with pytest.raises(DegenerateObservationError):
+            estimate_nguyenle(x, x, r0, r1, GRID, CFG, refine=refine)
     # the pair fit is division-free and survives the same observation
-    result = estimate_proposed(broken, GRID, CFG)
+    result = estimate_proposed(r0, r1, GRID, CFG)
     assert np.isfinite(result.cost)
 
 
@@ -470,26 +471,22 @@ def test_estimate_nguyenle_propagates_degenerate_error():
 
 
 def test_costs_invariant_under_common_rotation():
-    obs = observation(21, 0.212, 0.000112, snr_db=10.0)
+    _, r0, r1 = observation(21, 0.212, 0.000112, snr_db=10.0)
     phase = np.exp(1j * 1.234)
-    rotated = PreambleObservation(phase * obs.r0, phase * obs.r1,
-                                  obs.training)
-    a = estimate_proposed(obs, GRID, CFG)
-    b = estimate_proposed(rotated, GRID, CFG)
+    a = estimate_proposed(r0, r1, GRID, CFG)
+    b = estimate_proposed(phase * r0, phase * r1, GRID, CFG)
     assert (a.cfo, a.sfo) == (b.cfo, b.sfo)
     assert b.cost == pytest.approx(a.cost, rel=1e-12)
     for cfo, sfo in ((0.0, 0.0), (-0.2, 3e-4)):
-        assert proposed_cost(rotated, cfo, sfo, CFG) == pytest.approx(
-            proposed_cost(obs, cfo, sfo, CFG), rel=1e-12)
+        assert proposed_cost(phase * r0, phase * r1, cfo, sfo, CFG) == \
+            pytest.approx(proposed_cost(r0, r1, cfo, sfo, CFG), rel=1e-12)
 
 
 def test_proposed_cost_scales_quadratically_with_amplitude():
-    obs = observation(22, 0.212, 0.000112, snr_db=10.0)
+    _, r0, r1 = observation(22, 0.212, 0.000112, snr_db=10.0)
     scale = 3.7
-    scaled = PreambleObservation(scale * obs.r0, scale * obs.r1,
-                                 obs.training)
-    a = estimate_proposed(obs, GRID, CFG)
-    b = estimate_proposed(scaled, GRID, CFG)
+    a = estimate_proposed(r0, r1, GRID, CFG)
+    b = estimate_proposed(scale * r0, scale * r1, GRID, CFG)
     assert (a.cfo, a.sfo) == (b.cfo, b.sfo)
     assert b.cost == pytest.approx(scale ** 2 * a.cost, rel=1e-12)
 
@@ -499,9 +496,9 @@ def test_proposed_cost_scales_quadratically_with_amplitude():
 
 def test_refine_moves_toward_off_lattice_truth():
     eps_true, eta_true = 0.212, 0.000112
-    obs = observation(23, eps_true, eta_true)
-    lattice = estimate_proposed(obs, GRID, CFG)
-    refined = estimate_proposed(obs, GRID, CFG, refine=True)
+    _, r0, r1 = observation(23, eps_true, eta_true)
+    lattice = estimate_proposed(r0, r1, GRID, CFG)
+    refined = estimate_proposed(r0, r1, GRID, CFG, refine=True)
     assert abs(refined.cfo - lattice.cfo) <= 0.005 + 1e-12
     assert abs(refined.sfo - lattice.sfo) <= 5e-6 + 1e-15
     assert abs(refined.cfo - eps_true) < abs(lattice.cfo - eps_true)
@@ -509,60 +506,59 @@ def test_refine_moves_toward_off_lattice_truth():
 
 
 def test_refine_keeps_lattice_point_at_grid_edge():
-    obs = observation(24, -0.5, 0.0)
-    refined = estimate_proposed(obs, GRID, CFG, refine=True)
+    _, r0, r1 = observation(24, -0.5, 0.0)
+    refined = estimate_proposed(r0, r1, GRID, CFG, refine=True)
     assert refined.cfo == -0.5
 
 
 def test_nguyenle_refine_moves_toward_off_lattice_truth():
     eps_true, eta_true = 0.212, 0.000112
-    obs = observation(23, eps_true, eta_true)
-    lattice = estimate_nguyenle(obs, GRID, CFG)
-    refined = estimate_nguyenle(obs, GRID, CFG, refine=True)
+    x, r0, r1 = observation(23, eps_true, eta_true)
+    lattice = estimate_nguyenle(x, x, r0, r1, GRID, CFG)
+    refined = estimate_nguyenle(x, x, r0, r1, GRID, CFG, refine=True)
     assert abs(refined.cfo - lattice.cfo) <= 0.005 + 1e-12
     assert abs(refined.sfo - lattice.sfo) <= 5e-6 + 1e-15
     assert abs(refined.cfo - eps_true) < abs(lattice.cfo - eps_true)
     assert abs(refined.sfo - eta_true) < abs(lattice.sfo - eta_true)
     assert refined.method == "nguyen_le"
-    assert refined.cost == nguyenle_cost(nguyenle_observable(obs, CFG),
-                                         refined.cfo, refined.sfo, CFG)
+    assert refined.cost == nguyenle_cost(
+        nguyenle_observable(x, x, r0, r1, CFG), refined.cfo, refined.sfo,
+        CFG)
 
 
-@pytest.mark.parametrize("estimate", [estimate_proposed, estimate_nguyenle])
+@pytest.mark.parametrize("method", ["estimate_proposed", "estimate_nguyenle"])
 @pytest.mark.parametrize("eps_true", [0.2137, -0.1234])
-def test_refine_recovers_off_lattice_cfo_at_pinned_sfo(estimate, eps_true):
+def test_refine_recovers_off_lattice_cfo_at_pinned_sfo(method, eps_true):
     """Noiseless and at a lattice SFO, the closed-form CFO step is exact:
     Moose's correlator phase at sfo = 0."""
-    obs = observation(30, eps_true, 0.0)
+    x, r0, r1 = observation(30, eps_true, 0.0)
     grid = make_grid(sfo_max=0.0)
-    refined = estimate(obs, grid, CFG, refine=True)
+    refined = estimate(method, x, r0, r1, grid, refine=True)
     assert refined.sfo == 0.0
     assert abs(refined.cfo - eps_true) <= 1e-12
     assert refined.cost < 1e-20
 
 
-@pytest.mark.parametrize("estimate", [estimate_proposed, estimate_nguyenle])
-def test_refine_is_exact_on_a_model_exact_pair(estimate):
+@pytest.mark.parametrize("method", ["estimate_proposed", "estimate_nguyenle"])
+def test_refine_is_exact_on_a_model_exact_pair(method):
     """R1 = ramp(cfo, sfo) R0 exactly, at a lattice SFO far from zero and
     a CFO past half a period: the step must scale the phase by (1 + sfo)
     and move it by whole periods back to the lattice's branch."""
     rng = np.random.default_rng(3)
     x = training(3)
-    tr = TrainingSymbols(x, x)
     r0 = rng.standard_normal(52) + 1j * rng.standard_normal(52)
     cfo, sfo = 0.6543, 4e-3
     r1 = symbol_phase_ramp(CFG.subcarrier_indices, cfo, sfo, CFG) * r0
     grid = GridSpec(cfo_values=0.01 * np.arange(30, 91),
                     sfo_values=np.array([sfo]))
-    refined = estimate(PreambleObservation(r0, r1, tr), grid, CFG,
-                       refine=True)
+    refined = estimate(method, x, r0, r1, grid, refine=True)
     assert refined.sfo == sfo
     assert abs(refined.cfo - cfo) <= 1e-12
 
 
 def test_default_estimate_is_a_lattice_point():
-    obs = observation(25, 0.212, 0.000112, snr_db=10.0)
-    result = estimate_proposed(obs, GRID, CFG)
+    _, r0, r1 = observation(25, 0.212, 0.000112, snr_db=10.0)
+    result = estimate_proposed(r0, r1, GRID, CFG)
     assert result.cfo in GRID.cfo_values
     assert result.sfo in GRID.sfo_values
 
@@ -571,14 +567,14 @@ def test_default_estimate_is_a_lattice_point():
 
 
 def test_pair_residual_vanishes_without_sfo():
-    obs = observation(26, 0.37, 0.0)
-    npt.assert_allclose(pair_residual(obs, 0.37, 0.0, CFG), 0.0,
+    _, r0, r1 = observation(26, 0.37, 0.0)
+    npt.assert_allclose(pair_residual_rows(r0, r1, 0.37, 0.0, CFG), 0.0,
                         rtol=0, atol=1e-12)
 
 
 def test_pair_residual_zero_offsets_noiseless():
-    obs = observation(27, 0.0, 0.0)
-    npt.assert_allclose(pair_residual(obs, 0.0, 0.0, CFG), 0.0,
+    _, r0, r1 = observation(27, 0.0, 0.0)
+    npt.assert_allclose(pair_residual_rows(r0, r1, 0.0, 0.0, CFG), 0.0,
                         rtol=0, atol=1e-13)
 
 

@@ -26,7 +26,7 @@ from ofdm_sync_lab import (
     run_noise_variance_sweep,
     synthesize_rows,
 )
-from ofdm_sync_lab import harness
+from ofdm_sync_lab import crb, harness
 from ofdm_sync_lab.estimators import _Estimates
 
 # 11 x 11 lattice holding the operating point; keeps sweep tests fast.
@@ -729,7 +729,7 @@ def test_residual_noise_scaling_and_floor():
 def test_backend_probe_selects_closed_form():
     cfg = tiny_experiment(n_trials=1)
     fisher_fn, backend, report = harness._select_crb_backend(cfg)
-    assert fisher_fn is harness.fisher_closed_form
+    assert fisher_fn is crb._fisher_entries
     assert backend == "closed_form"
     assert report is None
 
@@ -738,13 +738,22 @@ def test_backend_probe_falls_back_to_oracle(monkeypatch):
     monkeypatch.setattr(harness, "CRB_AGREEMENT_RTOL", 0.0)
     cfg = tiny_experiment(n_trials=2, snr_points_db=(15.0,))
     fisher_fn, backend, report = harness._select_crb_backend(cfg)
-    assert fisher_fn is harness.fisher_numeric_oracle
+    assert fisher_fn is crb._oracle_entries
     assert backend == "numeric_oracle"
-    assert "max relative error" in report
+    # The report's bytes as the one-trial oracle wrote them.
+    assert report == (
+        "fisher closed-form vs numeric oracle\n"
+        "  f00: closed=395653.73583875748 oracle=395653.73581889854 "
+        "rel=5.019e-11\n"
+        "  f01: closed=-3092998.8308629198 oracle=-3092998.829722615 "
+        "rel=3.687e-10\n"
+        "  f11: closed=146291173.15865323 oracle=146291173.44266433 "
+        "rel=1.941e-09\n"
+        "  max relative error: 1.941e-09")
 
     sweep = run_mse_sweep(cfg)
     assert sweep.crb_backend == "numeric_oracle"
-    assert "fisher closed-form vs numeric oracle" in sweep.crb_discrepancy
+    assert sweep.crb_discrepancy == report
     row = sweep.rows[0]
     assert row.crb_cfo is not None and row.crb_cfo > 0.0
     assert row.crb_excluded == 0

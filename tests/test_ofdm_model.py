@@ -10,11 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
-    ChannelRealization,
-    ImpairmentParams,
     OfdmConfig,
-    PreambleObservation,
-    TrainingSymbols,
     carrier_gain,
     channel_taps,
     coupling_coefficient,
@@ -29,7 +25,17 @@ from ofdm_sync_lab import (
     snr_stream_key,
     synthesize_rows,
 )
-from ofdm_sync_lab import ofdm_model
+from ofdm_sync_lab import (
+    GridEvaluator,
+    estimate_nguyenle,
+    estimate_proposed,
+    fisher_rows,
+    make_grid,
+    nguyenle_cost,
+    nguyenle_observable,
+    ofdm_model,
+    proposed_cost,
+)
 
 CFO_OP = 0.212
 SFO_OP = 0.000112
@@ -44,24 +50,24 @@ def paper_config():
 
 
 def scenario(seed=7, n_taps=5):
+    """The paper geometry, a QPSK training row x that both symbols repeat,
+    and a row of Rayleigh taps."""
     cfg = paper_config()
     x = QPSK_ALPHABET[derive_rng(seed, "training").integers(0, 4, 52)]
     taps = channel_taps(derive_rng(seed, "channel").standard_normal(
         (2, n_taps)))
-    return cfg, TrainingSymbols(x, x), ChannelRealization(taps)
+    return cfg, x, taps
 
 
-def synthesize(cfg, tr, ch, cfo, sfo):
+def synthesize(cfg, x, taps, cfo, sfo):
     """One noiseless burst as a stack of one, (n_symbols, N)."""
-    return synthesize_rows(
-        cfg, [tr.symbol(m)[None] for m in range(cfg.n_symbols)],
-        ch.taps[None], cfo, sfo)[0]
+    return synthesize_rows(cfg, (x[None],) * cfg.n_symbols, taps[None], cfo,
+                           sfo)[0]
 
 
-def observe(cfg, tr, ch, cfo, sfo):
-    """The demodulated pair of one noiseless burst."""
-    r0, r1 = demodulate_rows(synthesize(cfg, tr, ch, cfo, sfo), cfg)
-    return PreambleObservation(r0, r1, tr)
+def observe(cfg, x, taps, cfo, sfo):
+    """The demodulated pair (r0, r1) of one noiseless burst."""
+    return demodulate_rows(synthesize(cfg, x, taps, cfo, sfo), cfg)
 
 
 def gains(cfg, taps):
@@ -173,14 +179,16 @@ def test_training_symbol_frequencies_uniform():
 
 
 def test_training_symbols_length_mismatch():
-    with pytest.raises(ValueError, match="length"):
-        TrainingSymbols(np.ones(4), np.ones(5))
-
-
-def test_training_symbol_accessor():
-    tr = TrainingSymbols(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    npt.assert_array_equal(tr.symbol(0), [1, 2])
-    npt.assert_array_equal(tr.symbol(1), [3, 4])
+    """Training rows of another length than K, or of two lengths, are a
+    ValueError wherever a burst is formed."""
+    cfg = make_config(8, 4, 2)
+    taps = np.ones((1, 1))
+    for symbols in ((np.ones((1, 4)), np.ones((1, 5))),
+                    (np.ones((1, 5)), np.ones((1, 5)))):
+        with pytest.raises(ValueError, match="length 5"):
+            synthesize_rows(cfg, symbols, taps, 0.0, 0.0)
+        with pytest.raises(ValueError, match="length 5"):
+            fisher_rows(cfg, symbols, taps, 0.0, 0.0, 0.1)
 
 
 # ----------------------------------------------------------------- channel
@@ -220,11 +228,15 @@ def test_channel_tap_power_matches_profile():
 
 
 def test_channel_realization_validation():
-    with pytest.raises(ValueError):
-        ChannelRealization(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        ChannelRealization(np.array([]))
-    assert ChannelRealization(np.array([1.0, 2.0])).n_taps == 2
+    """An empty tap axis is a ValueError wherever taps become H(k)."""
+    cfg, x, _ = scenario()
+    with pytest.raises(ValueError, match="at least one tap"):
+        synthesize_rows(cfg, (x[None],) * 2, np.zeros((1, 0)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="at least one tap"):
+        fisher_rows(cfg, (x[None],) * 2, np.zeros((1, 0)), 0.0, 0.0, 0.1)
+    with pytest.raises(ValueError, match="at least one tap"):
+        ici_term(0, 0, x, np.array([]), 0.0, 0.0, cfg)
+    assert gains(cfg, np.array([1.0, 2.0])).shape == (52,)
 
 
 def test_frequency_response_flat_for_single_tap():
@@ -270,34 +282,51 @@ def test_noise_variance_values():
 
 
 def test_impairment_validation():
+    with pytest.raises(ValueError, match="cfo must be finite"):
+        ofdm_model._check_offsets(np.nan, 0.0)
+    with pytest.raises(ValueError, match="sfo must be finite"):
+        ofdm_model._check_offsets(0.0, np.inf)
     with pytest.raises(ValueError):
-        ImpairmentParams(cfo=np.nan, sfo=0.0)
-    with pytest.raises(ValueError):
-        ImpairmentParams(cfo=0.0, sfo=-1.0)
+        ofdm_model._check_offsets(0.0, -1.0)
     with pytest.raises(ValueError, match="stay below 1"):
-        ImpairmentParams(cfo=0.0, sfo=1.0)
-    with pytest.raises(ValueError):
-        ImpairmentParams(cfo=0.0, sfo=0.0, noise_var=-0.1)
+        ofdm_model._check_offsets(0.0, 1.0)
+    ofdm_model._check_offsets(-3.0, -0.5)
+    cfg, x, taps = scenario()
+    with pytest.raises(ValueError, match="noise_var"):
+        synthesize_rows(cfg, (x[None],) * 2, taps[None], 0.0, 0.0,
+                        noise_var=-0.1, normals=np.zeros((1, 2, 2, 64)))
+
+
+@pytest.mark.parametrize("noise_var", [-0.1, np.nan, np.inf, -np.inf])
+def test_synthesis_rejects_invalid_noise_variance(noise_var):
+    """A negative or non-finite noise variance once gave the noiseless
+    burst back; with normals given or not, it is a ValueError."""
+    cfg, x, taps = scenario()
+    for normals in (None, np.ones((1, 2, 2, 64))):
+        with pytest.raises(ValueError, match="noise_var must be finite "
+                                             "and >= 0"):
+            synthesize_rows(cfg, (x[None],) * 2, taps[None], CFO_OP, SFO_OP,
+                            noise_var, normals)
 
 
 # --------------------------------------------------------------- synthesis
 
 
 def test_synthesis_zero_offsets_matches_unitary_idft():
-    cfg, tr, ch = scenario()
-    h = gains(cfg, ch.taps)
+    cfg, x, taps = scenario()
+    h = gains(cfg, taps)
     spectrum = np.zeros(64, dtype=complex)
-    spectrum[cfg.subcarrier_indices % 64] = tr.x0 * h
+    spectrum[cfg.subcarrier_indices % 64] = x * h
     expected = np.fft.ifft(spectrum) * np.sqrt(64.0)
-    for got in synthesize(cfg, tr, ch, 0.0, 0.0):
+    for got in synthesize(cfg, x, taps, 0.0, 0.0):
         npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_synthesis_cfo_is_a_pure_phase_ramp():
     """With sfo = 0 the offset factors out of the subcarrier sum."""
-    cfg, tr, ch = scenario(seed=9)
-    base = synthesize(cfg, tr, ch, 0.0, 0.0)[1]
-    shifted = synthesize(cfg, tr, ch, CFO_OP, 0.0)[1]
+    cfg, x, taps = scenario(seed=9)
+    base = synthesize(cfg, x, taps, 0.0, 0.0)[1]
+    shifted = synthesize(cfg, x, taps, CFO_OP, 0.0)[1]
     n = np.arange(64)
     ramp = np.exp(1j * 2 * np.pi * (cfg.symbol_start(1) + n) * CFO_OP / 64)
     npt.assert_allclose(shifted, ramp * base, rtol=0, atol=1e-12)
@@ -305,10 +334,10 @@ def test_synthesis_cfo_is_a_pure_phase_ramp():
 
 def test_synthesis_noise_requires_rng():
     """Noise needs its standard normals; synthesis draws none itself."""
-    cfg, tr, ch = scenario()
+    cfg, x, taps = scenario()
     with pytest.raises(ValueError, match="normals"):
-        synthesize_rows(cfg, (tr.x0[None], tr.x1[None]), ch.taps[None],
-                        0.0, 0.0, noise_var=0.1)
+        synthesize_rows(cfg, (x[None],) * 2, taps[None], 0.0, 0.0,
+                        noise_var=0.1)
 
 
 def test_synthesis_noise_calibration():
@@ -329,39 +358,39 @@ def test_synthesis_noise_calibration():
 
 
 def test_synthesize_rows_shape():
-    cfg, tr, ch = scenario()
-    assert synthesize_rows(cfg, (tr.x0[None], tr.x1[None]), ch.taps[None],
-                           CFO_OP, SFO_OP).shape == (1, 2, 64)
+    cfg, x, taps = scenario()
+    assert synthesize_rows(cfg, (x[None],) * 2, taps[None], CFO_OP,
+                           SFO_OP).shape == (1, 2, 64)
     single = make_config(64, 52, 16, n_symbols=1)
-    assert synthesize_rows(single, (tr.x0[None],), ch.taps[None], CFO_OP,
+    assert synthesize_rows(single, (x[None],), taps[None], CFO_OP,
                            SFO_OP).shape == (1, 1, 64)
 
 
 def test_memoized_arrays_are_read_only():
     """Cached arrays are shared by every trial, so none may be written;
     what synthesis returns is the caller's own."""
-    cfg, tr, ch = scenario()
+    cfg, x, taps = scenario()
     memoized = {
         "basis": ofdm_model._warped_basis(cfg, SFO_OP, 1),
-        "dft phases": ofdm_model._dft_phases(cfg, ch.n_taps),
+        "dft phases": ofdm_model._dft_phases(cfg, taps.size),
         "cfo lead": ofdm_model._cfo_lead(cfg, CFO_OP, SFO_OP, 1),
         "tap scale": ofdm_model._tap_scale(5, 5.0),
     }
     for name, array in memoized.items():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert synthesize(cfg, tr, ch, CFO_OP, SFO_OP).flags.writeable
+    assert synthesize(cfg, x, taps, CFO_OP, SFO_OP).flags.writeable
 
 
 # ------------------------------------------------------------ demodulation
 
 
 def test_demodulation_round_trip_zero_offsets():
-    cfg, tr, ch = scenario(seed=21)
-    obs = observe(cfg, tr, ch, 0.0, 0.0)
-    h = gains(cfg, ch.taps)
-    npt.assert_allclose(obs.r0, tr.x0 * h, rtol=0, atol=1e-12)
-    npt.assert_allclose(obs.r1, tr.x1 * h, rtol=0, atol=1e-12)
+    cfg, x, taps = scenario(seed=21)
+    r0, r1 = observe(cfg, x, taps, 0.0, 0.0)
+    h = gains(cfg, taps)
+    npt.assert_allclose(r0, x * h, rtol=0, atol=1e-12)
+    npt.assert_allclose(r1, x * h, rtol=0, atol=1e-12)
 
 
 def test_demodulate_zeros_and_shape_check():
@@ -384,9 +413,20 @@ def test_demodulate_is_unitary_on_full_band():
 
 
 def test_observation_length_checked():
-    tr = TrainingSymbols(np.ones(52), np.ones(52))
+    """Spectra rows of another length than K, or than the training rows,
+    are a ValueError in every one-trial estimator function."""
+    cfg, grid = paper_config(), make_grid()
+    x, r = np.ones(52), np.ones(4, dtype=complex)
     with pytest.raises(ValueError, match="length"):
-        PreambleObservation(np.zeros(4), np.zeros(4), tr)
+        proposed_cost(r, r, 0.0, 0.0, cfg)
+    with pytest.raises(ValueError, match="length"):
+        nguyenle_cost(r, 0.0, 0.0, cfg)
+    for call in (lambda: nguyenle_observable(x, x, r, r, cfg),
+                 lambda: estimate_nguyenle(x, x, r, r, grid, cfg),
+                 lambda: estimate_proposed(r, r, grid, cfg),
+                 lambda: GridEvaluator(grid, cfg).proposed_surface(r, r)):
+        with pytest.raises(ValueError):
+            call()
 
 
 # ---------------------------------------------------------------- coupling
@@ -443,21 +483,35 @@ def test_carrier_gain_start_phase():
 
 
 def test_ici_vanishes_at_zero_offsets():
-    cfg, tr, ch = scenario(seed=13)
+    cfg, x, taps = scenario(seed=13)
     for m in (0, 1):
         for k in (-26, 0, 25):
-            assert abs(ici_term(k, m, tr, ch, 0.0, 0.0, cfg)) < 1e-14
+            assert abs(ici_term(k, m, x, taps, 0.0, 0.0, cfg)) < 1e-14
 
 
 def test_ici_zeroed_interferer():
     """With K = 2 the only interferer of bin -1 is bin 0; nulling it nulls
     the interference."""
     cfg = make_config(64, 2, 16)
-    tr = TrainingSymbols(np.array([1.0 + 0j, 0.0 + 0j]),
-                         np.array([1.0 + 0j, 0.0 + 0j]))
-    ch = ChannelRealization(np.array([1.0 + 0j]))
-    assert ici_term(-1, 0, tr, ch, CFO_OP, SFO_OP, cfg) == 0.0
-    assert abs(ici_term(0, 0, tr, ch, CFO_OP, SFO_OP, cfg)) > 1e-3
+    x = np.array([1.0 + 0j, 0.0 + 0j])
+    taps = np.array([1.0 + 0j])
+    assert ici_term(-1, 0, x, taps, CFO_OP, SFO_OP, cfg) == 0.0
+    assert abs(ici_term(0, 0, x, taps, CFO_OP, SFO_OP, cfg)) > 1e-3
+
+
+def test_ici_term_rows_equal_one_row_each():
+    """On (T, K) training rows and (T, L) taps the interference is (T,),
+    each entry bit for bit that of the trial's rows alone."""
+    cfg = paper_config()
+    x, taps = (np.stack(rows) for rows in zip(
+        *(scenario(seed=40 + t)[1:] for t in range(3))))
+    for m in (0, 1):
+        for k in (-26, 3):
+            stacked = ici_term(k, m, x, taps, CFO_OP, SFO_OP, cfg)
+            assert stacked.shape == (3,)
+            for t in range(3):
+                assert stacked[t] == ici_term(k, m, x[t], taps[t], CFO_OP,
+                                              SFO_OP, cfg)
 
 
 def test_received_spectrum_decomposition():
@@ -465,27 +519,26 @@ def test_received_spectrum_decomposition():
     coupled interference of every other active subcarrier."""
     worst = 0.0
     for trial in range(10):
-        cfg, tr, ch = scenario(seed=100 + trial)
+        cfg, x, taps = scenario(seed=100 + trial)
         rng = np.random.default_rng(trial)
         cfo = float(rng.uniform(-0.5, 0.5))
         sfo = float(rng.uniform(-5e-4, 5e-4))
-        obs = observe(cfg, tr, ch, cfo, sfo)
         ks = cfg.subcarrier_indices
-        h = gains(cfg, ch.taps)
-        for m, r in ((0, obs.r0), (1, obs.r1)):
+        h = gains(cfg, taps)
+        for m, r in enumerate(observe(cfg, x, taps, cfo, sfo)):
             gain = carrier_gain(ks, m, cfo, sfo, cfg)
-            ici = np.array([ici_term(k, m, tr, ch, cfo, sfo, cfg)
+            ici = np.array([ici_term(k, m, x, taps, cfo, sfo, cfg)
                             for k in ks])
-            recon = gain * tr.symbol(m) * h + ici
+            recon = gain * x * h + ici
             worst = max(worst, float(np.max(np.abs(r - recon))))
     assert worst <= 1e-10
 
 
 def test_decomposition_collapses_at_zero_offsets():
-    cfg, tr, ch = scenario(seed=33)
-    obs = observe(cfg, tr, ch, 0.0, 0.0)
-    h = gains(cfg, ch.taps)
-    npt.assert_allclose(obs.r1, tr.x1 * h, rtol=0, atol=1e-12)
+    cfg, x, taps = scenario(seed=33)
+    _, r1 = observe(cfg, x, taps, 0.0, 0.0)
+    h = gains(cfg, taps)
+    npt.assert_allclose(r1, x * h, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------- substreams

@@ -3,10 +3,10 @@
 The harness runs a chunk of trials as stacked arrays. Each stacked
 result must equal, byte for byte, what the same trial gives alone:
 synthesis, demodulation, the residual norms, the cost surfaces and their
-argmin, and the closed-form Fisher entries. The one-trial references
-are the row functions called on a stack of one trial (``[t:t+1]``), the
-one-observation estimators and, for the reductions, a 1-D ``np.sum``
-over one trial's vector.
+argmin, and both routes' Fisher entries. The one-trial references are
+the row functions called on a stack of one trial (``[t:t+1]``) or on
+one trial's 1-D rows, the one-trial estimator searches and, for the
+reductions, a 1-D ``np.sum`` over one trial's vector.
 """
 
 import numpy as np
@@ -14,17 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
-    ChannelRealization,
     GridEvaluator,
-    PreambleObservation,
-    TrainingSymbols,
-    fisher_closed_form,
+    fisher_numeric_oracle,
+    fisher_rows,
     make_config,
     make_grid,
-    pair_residual,
-    ratio_residual,
+    nguyenle_observable,
 )
-from ofdm_sync_lab.crb import fisher_rows
 from ofdm_sync_lab.estimators import (
     pair_residual_rows,
     ratio_observable_rows,
@@ -100,18 +96,15 @@ def test_stacked_trials_equal_one_trial_results(stack):
     assert spectra.flags.c_contiguous
     trials = []
     for t in range(n_trials):
-        training = TrainingSymbols(x[t], x[t])
-        channel = ChannelRealization(taps[t])
         alone = synthesize_rows(
             config, (x[t:t + 1], x[t:t + 1]), taps[t:t + 1], cfo, sfo,
             noise_var,
             noise_normals(seed, t, config.n_symbols, config.dft_size)[None])
         assert_same_bytes(samples[t], alone[0])
-        obs = PreambleObservation(*demodulate_rows(alone, config)[0],
-                                  training)
-        assert_same_bytes(spectra[t, 0], obs.r0)
-        assert_same_bytes(spectra[t, 1], obs.r1)
-        trials.append((training, channel, obs))
+        r0, r1 = demodulate_rows(alone, config)[0]
+        assert_same_bytes(spectra[t, 0], r0)
+        assert_same_bytes(spectra[t, 1], r1)
+        trials.append((r0, r1))
 
     # The residual norms, on the contiguous spectra and on a transposed
     # view of the same numbers: the reductions must not depend on layout.
@@ -124,29 +117,31 @@ def test_stacked_trials_equal_one_trial_results(stack):
         n_sq = squared_norms(pair_residual_rows(r0, r1, cfo, sfo, config))
         y, bad = ratio_observable_rows(x, x, r0, r1)
         e_sq = squared_norms(ratio_residual_rows(y, cfo, sfo, config))
-        for t, (_, _, obs) in enumerate(trials):
+        for t, (r0_t, r1_t) in enumerate(trials):
             assert_same_bytes(n_sq[t], one_trial_sum(
-                pair_residual(obs, cfo, sfo, config)))
+                pair_residual_rows(r0_t, r1_t, cfo, sfo, config)))
             assert not bad[t].any()
-            assert_same_bytes(e_sq[t], one_trial_sum(
-                ratio_residual(obs, cfo, sfo, config)))
+            assert_same_bytes(e_sq[t], one_trial_sum(ratio_residual_rows(
+                nguyenle_observable(x[t], x[t], r0_t, r1_t, config), cfo,
+                sfo, config)))
 
         # Surfaces, argmin and the reported cost.
         ev = GridEvaluator(GRID, config)
         proposed = ev._search_pairs(r0, r1).results()
         nguyenle = ev._search_ratios(y, bad).results()
         c, v = ev._pair_terms(r0, r1)
-        for t, (_, _, obs) in enumerate(trials):
-            reference = one_trial_surface(ev, obs.r0, obs.r1)
+        for t, (r0_t, r1_t) in enumerate(trials):
+            reference = one_trial_surface(ev, r0_t, r1_t)
             assert_same_bytes(ev._surface(c[t], v[t]), reference)
-            assert_same_bytes(ev.proposed_surface(obs), reference)
-            assert proposed[t] == ev.search_proposed(obs)
-            assert nguyenle[t] == ev.search_nguyenle(obs)
+            assert_same_bytes(ev.proposed_surface(r0_t, r1_t), reference)
+            assert proposed[t] == ev.search_proposed(r0_t, r1_t)
+            assert nguyenle[t] == ev.search_nguyenle(x[t], x[t], r0_t, r1_t)
 
-    # Closed-form Fisher entries.
-    f00, f01, f11 = fisher_rows(config, (x, x), taps, cfo, sfo,
-                                noise_var or 1e-3)
-    for t, (training, channel, _) in enumerate(trials):
-        one = fisher_closed_form(config, training, channel, cfo, sfo,
-                                 noise_var or 1e-3)
-        assert (f00[t], f01[t], f11[t]) == (one.f00, one.f01, one.f11)
+    # Fisher entries of both routes.
+    for route in (fisher_rows, fisher_numeric_oracle):
+        stacked = route(config, (x, x), taps, cfo, sfo, noise_var or 1e-3)
+        for t in range(n_trials):
+            one = route(config, (x[t:t + 1],) * 2, taps[t:t + 1], cfo, sfo,
+                        noise_var or 1e-3)
+            for got, want in zip(stacked, one):
+                assert_same_bytes(got[t:t + 1], want)
