@@ -206,6 +206,11 @@ def _snr_axis(lo: float, hi: float, step: float) -> tuple:
         raise CliError(f"snr-max ({hi}) is below snr-min ({lo})")
     span = np.floor((hi - lo) / step + 1e-9)
     last = lo + span * step if np.isfinite(span) else hi
+    # Each point's random streams are keyed by its milli-dB integer.
+    for flag, value in (("snr-min", lo), ("snr-max", last)):
+        if not abs(value) < np.finfo(float).max / 1000.0:
+            raise CliError(f"{flag} {value:g} dB has no milli-dB random "
+                           f"stream key")
     # More points than milli-dB keys from lo to last: two must share one.
     keys = snr_stream_key(last) - snr_stream_key(lo) + 1
     if not span < keys:
@@ -332,8 +337,8 @@ def _run_one_trial(invocation: CliInvocation) -> int:
               f"{value if isinstance(value, str) else format_value(value)}")
 
     def emit_estimate(name, found, cost_at_truth) -> bool:
-        if 0 in found.failures:
-            emit(f"{name}_failed", found.failures[0])
+        if name in diag.failures:
+            emit(f"{name}_failed", diag.failures[name])
             return False
         emit(f"{name}_cost_at_truth", cost_at_truth)
         emit(f"{name}_cost_at_argmin", found.cost[0])

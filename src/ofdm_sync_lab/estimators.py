@@ -35,8 +35,11 @@ bound per trial; a trial whose argmin this cannot certify forms its full
 Either way the argmin is the full surface's, bit for bit, and one pass
 then reports the cost of every row found. The row searches return
 trial-major columns (``_Estimates``) that the harness reduces directly;
-``GridEvaluator.search_proposed`` and ``search_nguyenle`` read the one
-row of a stack of one.
+a failed search (a degenerate ratio row or a non-finite surface) is a
+NaN row there and nothing more. The one-trial functions
+(``GridEvaluator.search_proposed`` and ``search_nguyenle`` and the
+estimate functions) read the one row of a stack of one, and raise
+:class:`NonFiniteSurfaceError` where it is NaN.
 ``refine=True`` moves a lattice estimate off the lattice from the same
 correlations: Moose's closed-form CFO at the argmin's SFO, and the SFO
 vertex of the profile over SFO. The direct formulas
@@ -174,21 +177,13 @@ class EstimationResult:
 @dataclass(frozen=True)
 class _Estimates:
     """One estimator's searches of a stack of rows, trial-major: each
-    row's lattice ``cfo``, ``sfo`` and ``cost`` (NaN where it failed),
-    and ``failures``, the failure of each failed row by row index."""
+    row's lattice ``cfo``, ``sfo`` and ``cost``, all NaN where its search
+    failed."""
 
     method: str
     cfo: np.ndarray
     sfo: np.ndarray
     cost: np.ndarray
-    failures: dict
-
-    def results(self) -> list:
-        """Each row's :class:`EstimationResult`, or its failure."""
-        rows = zip(self.cfo.tolist(), self.sfo.tolist(), self.cost.tolist())
-        return [self.failures[t] if t in self.failures else
-                EstimationResult(*row, self.method)
-                for t, row in enumerate(rows)]
 
 
 def symbol_phase_ramp(k, cfo: float, sfo: float, config: OfdmConfig):
@@ -418,28 +413,25 @@ class GridEvaluator:
             (moose >= self._window[0]) & (moose <= self._window[1])).all(-1)
         return (rows[sure],) + divmod(pick[sure], n_sfo)
 
-    def _search_rows(self, c, v, method, r0, r1,
-                     failures=()) -> _Estimates:
+    def _search_rows(self, c, v, method, r0, r1) -> _Estimates:
         """Search every row of the terms (c, v) of the spectra r0, r1; r0
-        is an array of rows or the scalar 1.0 of the ratio fit. Rows
-        already in ``failures`` (with a NaN c) are not searched.
+        is an array of rows or the scalar 1.0 of the ratio fit.
 
         Certified rows take the bracket's argmin and every other row forms
         its full surface; then one pass reports the cost of every row
         found, recomputed at its argmin as the direct sum over ascending k.
+        A row whose surface is not finite stays NaN. A row with a
+        non-finite c, such as a degenerate ratio row's NaN, has no finite
+        entry, so its surface is never formed.
         """
         rows, i, j = self._bracket(c, v)
-        failures = dict(failures)
-        todo = np.ones(len(c), dtype=bool)
+        todo = np.isfinite(c)
         todo[rows] = False
         found_alone = []
         for t in np.flatnonzero(todo).tolist():
-            try:
-                if t not in failures:
-                    found_alone.append(
-                        (t, *self._result(self._surface(c[t], v[t]))))
-            except NonFiniteSurfaceError as exc:
-                failures[t] = exc
+            surface = self._surface(c[t], v[t])
+            if np.isfinite(surface).all():
+                found_alone.append((t, *self._result(surface)))
         if found_alone:
             rows, i, j = (np.append(a, b)
                           for a, b in zip((rows, i, j), zip(*found_alone)))
@@ -449,34 +441,29 @@ class GridEvaluator:
         found[:, rows] = (self.grid.cfo_values[i], self.grid.sfo_values[j],
                           np.add.accumulate(diff.real ** 2 + diff.imag ** 2,
                                             axis=-1)[:, -1])
-        return _Estimates(method, *found, failures)
+        return _Estimates(method, *found)
 
     def _search_pairs(self, r0, r1) -> _Estimates:
         """The proposed fit of every row of the (T, K) spectra r0, r1."""
         c, v = self._pair_terms(r0, r1)
         return self._search_rows(c, v, "proposed", r0, r1)
 
-    def _search_ratios(self, y, bad) -> _Estimates:
-        """The Nguyen-Le fit of every row of the ratio observable (y, bad)
-        of :func:`ratio_observable_rows`; a degenerate row fails with
-        :class:`DegenerateObservationError` unsearched."""
+    def _search_ratios(self, y, degenerate) -> _Estimates:
+        """The Nguyen-Le fit of every row of the ratio observable y of
+        :func:`ratio_observable_rows`; a ``degenerate`` row stays NaN."""
         c, v = self._ratio_terms(y)
-        degenerate = np.flatnonzero(bad.any(axis=-1))
-        c[degenerate] = np.nan  # which the bracket never certifies
-        ks = self.config.subcarrier_indices
-        return self._search_rows(c, v, "nguyen_le", 1.0, y, {
-            t: DegenerateObservationError(ks[bad[t]])
-            for t in degenerate.tolist()})
+        c[degenerate] = np.nan  # so it is neither certified nor searched
+        return self._search_rows(c, v, "nguyen_le", 1.0, y)
 
     def search_proposed(self, r0, r1) -> EstimationResult:
         """The proposed fit of one trial's spectra rows r0, r1 (K,)."""
-        return _raised(self._search_pairs(r0[None], r1[None]).results()[0])
+        return _one_row(self._search_pairs(r0[None], r1[None]))
 
     def search_nguyenle(self, x0, x1, r0, r1) -> EstimationResult:
         """The Nguyen-Le fit of one trial's training rows x0, x1 and
         spectra rows r0, r1 (K,)."""
-        return _raised(self._search_ratios(*ratio_observable_rows(
-            x0[None], x1[None], r0[None], r1[None])).results()[0])
+        y = nguyenle_observable(x0, x1, r0, r1, self.config)
+        return _one_row(self._search_ratios(y[None], [False]))
 
     def _moose_step(self, v: np.ndarray, result: EstimationResult):
         """Off-lattice (cfo, sfo) from one trial's correlations v and the
@@ -515,11 +502,13 @@ def _evaluator(grid: GridSpec, config: OfdmConfig) -> GridEvaluator:
     return GridEvaluator(grid, config)
 
 
-def _raised(outcome):
-    """A row's search result, or raise the failure it holds."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _one_row(found: _Estimates) -> EstimationResult:
+    """The one row of the search of a stack of one, or raise
+    :class:`NonFiniteSurfaceError` where it failed."""
+    cfo, sfo, cost = (float(a[0]) for a in (found.cfo, found.sfo, found.cost))
+    if np.isnan(cfo):
+        raise NonFiniteSurfaceError("non-finite cost surface")
+    return EstimationResult(cfo, sfo, cost, found.method)
 
 
 def estimate_proposed(r0, r1, grid: GridSpec, config: OfdmConfig,
@@ -534,8 +523,8 @@ def estimate_proposed(r0, r1, grid: GridSpec, config: OfdmConfig,
     """
     evaluator = _evaluator(grid, config)
     c, v = evaluator._pair_terms(r0[None], r1[None])
-    result = _raised(evaluator._search_rows(c, v, "proposed", r0[None],
-                                            r1[None]).results()[0])
+    result = _one_row(evaluator._search_rows(c, v, "proposed", r0[None],
+                                             r1[None]))
     if not refine:
         return result
     cfo, sfo = evaluator._moose_step(v[0], result)
@@ -555,8 +544,8 @@ def estimate_nguyenle(x0, x1, r0, r1, grid: GridSpec, config: OfdmConfig,
     y = nguyenle_observable(x0, x1, r0, r1, config)
     evaluator = _evaluator(grid, config)
     c, v = evaluator._ratio_terms(y[None])
-    result = _raised(evaluator._search_rows(c, v, "nguyen_le", 1.0,
-                                            y[None]).results()[0])
+    result = _one_row(evaluator._search_rows(c, v, "nguyen_le", 1.0,
+                                             y[None]))
     if not refine:
         return result
     cfo, sfo = evaluator._moose_step(v[0], result)

@@ -28,23 +28,24 @@ a trial run as a chunk of one (:func:`inspect_trial`) gets its row of
 any sweep.
 
 A chunk's outcomes stay trial-major columns (:class:`_Columns`): the
-residual norms, each estimator's lattice cfo, sfo and cost, the bounds,
-a mask per failure kind and the reason of each failed search. They are
-the only form a trial's outcome takes: a sweep reduces each SNR point's
-columns with :func:`_reduce`, and ``trial`` prints the one-row columns
-of :func:`inspect_trial`. The reduction equals a loop over the trials
-bit for bit under two rules: every mean is a sequential sum in
-ascending trial order (``np.sum`` sums pairwise), and every squared
-error is the Python float ``(v - truth) ** 2``, which is libm's ``pow``
-(numpy's ``x ** 2`` is ``x * x``, which rounds differently on about one
-input in a thousand).
+residual norms, each estimator's lattice cfo, sfo and cost, the bounds
+and a mask per failure kind, where a failed search is a NaN row of its
+estimator's columns. They are the only form a trial's outcome takes: a
+sweep reduces each SNR point's columns with :func:`_reduce` as its
+chunks stream past, and ``trial`` prints the one-row columns of
+:func:`inspect_trial`, which alone words the reason of a failed search.
+The reduction equals a loop over the trials bit for bit under two rules:
+every mean is a sequential sum in ascending trial order (``np.sum`` sums
+pairwise), and every squared error is the Python float
+``(v - truth) ** 2``, which is libm's ``pow`` (numpy's ``x ** 2`` is
+``x * x``, which rounds differently on about one input in a thousand).
 The grid evaluator and the CRB backend depend only on the experiment, so
 they are derived from it, memoized, and never passed in: fig2, crb and
 ``trial`` all use one probe result per experiment.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +59,10 @@ from .crb import (
 )
 from .estimators import (
     GridSpec,
-    NonFiniteSurfaceError,
     _Estimates,
     _evaluator,
     make_grid,
     nguyenle_cost,
-    nguyenle_observable,
     pair_residual_rows,
     proposed_cost,
     ratio_observable_rows,
@@ -105,7 +104,8 @@ __all__ = [
 # the numeric oracle before the closed form is used for CRB curves.
 CRB_AGREEMENT_RTOL = 1e-3
 
-# Failure reason of a search whose cost surface is not finite.
+# Failure reason that ``trial`` prints for a search whose cost surface
+# is not finite.
 _NON_FINITE = "non-finite cost surface"
 
 # Labeled streams of one trial: a burst draws all four; a CRB draw and
@@ -158,6 +158,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_trials must be below 2**32, got {self.n_trials}")
         _check_offsets(self.cfo, self.sfo)
+        # A CFO of N subcarrier spacings turns the phase once per sample,
+        # so cfo and cfo + N give the same samples; far larger ones also
+        # overflow the Fisher weights.
+        n = self.ofdm.dft_size
+        if not abs(self.cfo) < n:
+            raise ValueError(f"cfo must lie inside (-N, N) = (-{n}, {n}) "
+                             f"subcarrier spacings, got {self.cfo}")
         # The backend probe's numeric oracle evaluates the burst at sfo
         # plus and minus its step, and each must be an sfo too.
         if not (-1.0 < self.sfo - SFO_STEP_DEFAULT
@@ -252,7 +259,8 @@ class _Columns:
     """Outcomes of trials at one SNR point, trial-major: row i is trial
     ``indices[i]``. A stage that did not run leaves its columns None;
     ``degenerate`` and ``singular`` mask the rows without a usable
-    ``e_sq`` or bound, and estimator failures map rows to reasons."""
+    ``e_sq`` or bound, and a failed search is a NaN row of its
+    estimator's columns (every degenerate row fails the ratio fit)."""
 
     indices: tuple
     n_sq: np.ndarray | None = None
@@ -335,30 +343,27 @@ def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
 
 
 def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
-                   with_estimates: bool = True, with_crb: bool = True):
-    """The columns of a chunk of bursts, and the chunk's spectra."""
+                   residuals_only: bool = False):
+    """The columns of a chunk of bursts, and the chunk's spectra: the
+    residual norms, and unless ``residuals_only`` both searches and the
+    bounds."""
     burst = _noiseless_burst(cfg.ofdm, (draws.training,) * 2, draws.taps,
                              cfg.sfo)
     spectra = _observe(cfg, snr_db, draws, burst)
     r0, r1 = spectra[:, 0], spectra[:, 1]
     y, bad = ratio_observable_rows(draws.training, draws.training, r0, r1)
+    degenerate = bad.any(axis=-1)
     fields = {
         "n_sq": squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
                                                  cfg.ofdm)),
         "e_sq": squared_norms(ratio_residual_rows(y, cfg.cfo, cfg.sfo,
                                                   cfg.ofdm)),
-        "degenerate": bad.any(axis=-1)}
-    if with_estimates:
+        "degenerate": degenerate}
+    if not residuals_only:
         evaluator = _evaluator(cfg.grid, cfg.ofdm)
-        for name, found in (("proposed", evaluator._search_pairs(r0, r1)),
-                            ("nguyenle", evaluator._search_ratios(y, bad))):
-            fields[name] = replace(found, failures={
-                t: _NON_FINITE if isinstance(e, NonFiniteSurfaceError)
-                else f"degenerate observation (subcarriers "
-                     f"{list(e.subcarriers)})"
-                for t, e in found.failures.items()})
-    if with_crb:
-        fields.update(_crb_fields(cfg, snr_db, draws, burst))
+        fields.update(proposed=evaluator._search_pairs(r0, r1),
+                      nguyenle=evaluator._search_ratios(y, degenerate),
+                      **_crb_fields(cfg, snr_db, draws, burst))
     return _Columns(draws.indices, **fields), spectra
 
 
@@ -373,10 +378,13 @@ def _burst_chunks(cfg: ExperimentConfig, snr_db: float, indices, **options):
 class TrialDiagnostics:
     """One trial at one SNR point: its one-row :class:`_Columns`, which
     are its row of any sweep's columns, plus the values only ``trial``
-    prints. The Nguyen-Le cost at truth is None where that search failed."""
+    prints: ``failures`` maps each failed search ("proposed",
+    "nguyenle") to its reason, and the Nguyen-Le cost at truth is None
+    where that search failed."""
 
     snr_db: float
     columns: _Columns
+    failures: dict
     noise_var: float
     channel_taps: np.ndarray
     carrier_gain_abs_min: float
@@ -398,22 +406,25 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
                          _BURST_STREAMS)[0])
     cols, spectra = _burst_columns(cfg, snr_db, draws)
     x, (r0, r1) = draws.training[0], spectra[0]
+    y, bad = ratio_observable_rows(x, x, r0, r1)
+    failures = {name: _NON_FINITE for name in ("proposed", "nguyenle")
+                if np.isnan(getattr(cols, name).cfo[0])}
+    if cols.degenerate[0]:
+        failures["nguyenle"] = (
+            f"degenerate observation (subcarriers "
+            f"{cfg.ofdm.subcarrier_indices[bad].tolist()})")
     gains = np.abs(carrier_gain(cfg.ofdm.subcarrier_indices, 0, cfg.cfo,
                                 cfg.sfo, cfg.ofdm))
-    nguyenle_truth = None
-    if 0 not in cols.nguyenle.failures:
-        nguyenle_truth = nguyenle_cost(
-            nguyenle_observable(x, x, r0, r1, cfg.ofdm), cfg.cfo, cfg.sfo,
-            cfg.ofdm)
     return TrialDiagnostics(
-        snr_db=snr_db, columns=cols,
+        snr_db=snr_db, columns=cols, failures=failures,
         noise_var=noise_variance_from_snr(cfg.ofdm, snr_db),
         channel_taps=draws.taps[0],
         carrier_gain_abs_min=float(gains.min()),
         carrier_gain_abs_max=float(gains.max()),
         proposed_cost_at_truth=proposed_cost(r0, r1, cfg.cfo, cfg.sfo,
                                              cfg.ofdm),
-        nguyenle_cost_at_truth=nguyenle_truth)
+        nguyenle_cost_at_truth=None if "nguyenle" in failures else
+        nguyenle_cost(y, cfg.cfo, cfg.sfo, cfg.ofdm))
 
 
 @dataclass(frozen=True)
@@ -456,51 +467,47 @@ class SweepResult:
     crb_discrepancy: str | None = None
 
 
-def _mean(values):
-    """The sequential mean of Python floats, in the given order."""
-    if not values:
-        return None
-    acc = 0.0
-    for v in values:
-        acc += v
-    return acc / len(values)
-
-
 def _reduce(chunks, snr_db: float, cfo: float, sfo: float) -> SweepRow:
     """Reduce one SNR point's :class:`_Columns`, in ascending trial order,
-    to a sweep row, under the module's sum and square rules. MSEs average
-    over the trials where the estimator succeeded; a None mean means no
-    trial contributed."""
-    n_trials, n_sq, e_sq, crb_cfo, crb_sfo = 0, [], [], [], []
-    errors = {name: ([], []) for name in ("proposed", "nguyenle")}
+    to a sweep row, under the module's sum and square rules, as they
+    stream past: each mean is one running (sum, count) pair. MSEs average
+    over the trials where the estimator succeeded, and a NaN row is a
+    failed search; a None mean means no trial contributed."""
+    sums = dict.fromkeys(("mean_residual_n_sq", "mean_residual_e_sq"),
+                         (0.0, 0))
     counts = dict.fromkeys(("fail_proposed", "fail_nguyenle",
                             "crb_excluded"), 0)
+
+    def add(name, values: list):
+        acc, n = sums.get(name, (0.0, 0))
+        for v in values:
+            acc += v
+        sums[name] = acc, n + len(values)
+
+    n_trials = 0
     for cols in chunks:
         n_trials += len(cols.indices)
         if cols.n_sq is not None:
-            n_sq += cols.n_sq.tolist()
-            e_sq += cols.e_sq[~cols.degenerate].tolist()
-        for name, (cfo_errors, sfo_errors) in errors.items():
+            add("mean_residual_n_sq", cols.n_sq.tolist())
+            add("mean_residual_e_sq", cols.e_sq[~cols.degenerate].tolist())
+        for name in ("proposed", "nguyenle"):
             found = getattr(cols, name)
             if found is not None:
-                counts[f"fail_{name}"] += len(found.failures)
-                ok = np.ones(len(cols.indices), dtype=bool)
-                ok[list(found.failures)] = False
-                cfo_errors += [(v - cfo) ** 2 for v in found.cfo[ok].tolist()]
-                sfo_errors += [(v - sfo) ** 2 for v in found.sfo[ok].tolist()]
+                failed = np.isnan(found.cfo)
+                counts[f"fail_{name}"] += int(failed.sum())
+                add(f"mse_cfo_{name}",
+                    [(v - cfo) ** 2 for v in found.cfo[~failed].tolist()])
+                add(f"mse_sfo_{name}",
+                    [(v - sfo) ** 2 for v in found.sfo[~failed].tolist()])
         if cols.crb_cfo is not None:
-            crb_cfo += cols.crb_cfo[~cols.singular].tolist()
-            crb_sfo += cols.crb_sfo[~cols.singular].tolist()
+            add("crb_cfo", cols.crb_cfo[~cols.singular].tolist())
+            add("crb_sfo", cols.crb_sfo[~cols.singular].tolist())
             counts["crb_excluded"] += int(cols.singular.sum())
     return SweepRow(
-        snr_db=snr_db, n_trials=n_trials, mean_residual_n_sq=_mean(n_sq),
-        mean_residual_e_sq=_mean(e_sq),
-        mse_cfo_proposed=_mean(errors["proposed"][0]),
-        mse_cfo_nguyenle=_mean(errors["nguyenle"][0]),
-        mse_sfo_proposed=_mean(errors["proposed"][1]),
-        mse_sfo_nguyenle=_mean(errors["nguyenle"][1]),
-        crb_cfo=_mean(crb_cfo), crb_sfo=_mean(crb_sfo),
-        degenerate_observations=len(n_sq) - len(e_sq), **counts)
+        snr_db=snr_db, n_trials=n_trials, degenerate_observations=(
+            sums["mean_residual_n_sq"][1] - sums["mean_residual_e_sq"][1]),
+        **counts,
+        **{name: acc / n if n else None for name, (acc, n) in sums.items()})
 
 
 def worker_count() -> int:
@@ -566,7 +573,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
     rows = _sweep_rows(cfg, _BURST_STREAMS, lambda s, d: _burst_columns(
-        cfg, s, d, with_estimates=False, with_crb=False)[0])
+        cfg, s, d, residuals_only=True)[0])
     return SweepResult(config=cfg, rows=rows)
 
 

@@ -1,16 +1,23 @@
 """CLI tests: option resolution, config files, CSV datasets, and the
 single-trial debug command."""
 
+import contextlib
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import ofdm_sync_lab.cli as cli
 from ofdm_sync_lab import __version__, harness
@@ -187,6 +194,20 @@ def test_unknown_flag_exits_2():
     (["fig1", "--snr-max", "1000000", "--snr-step", "1"],
      "snr axis from 0 to 1e+06 dB at step 1 has 1000001 points, more "
      "than 10000"),
+    # an SNR end this large once overflowed its milli-dB stream key
+    (["fig1", "--snr-max", "1e308", "--snr-step", "1e308", "--trials", "1"],
+     "snr-max 1e+308 dB has no milli-dB random stream key"),
+    (["crb", "--snr-min", "-1e308", "--trials", "1"],
+     "snr-min -1e+308 dB has no milli-dB random stream key"),
+    # a CFO this large once overflowed the Fisher weights, and 1e154
+    # passed the alias check only because its rounding noise missed it
+    (["fig2", "--n", "8", "--k", "2", "--cfo", "1e308", "--trials", "2"],
+     "cfo must lie inside (-N, N) = (-8, 8) subcarrier spacings, got "
+     "1e+308"),
+    (["fig2", "--n", "8", "--k", "2", "--cp", "19", "--cfo", "1e154",
+      "--trials", "2"],
+     "cfo must lie inside (-N, N) = (-8, 8) subcarrier spacings, got "
+     "1e+154"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -210,6 +231,103 @@ def test_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path,
     assert cli.main(["fig2", "--out", str(path)]) == 2
     assert capsys.readouterr().err == f"error: --out {path} is not writable\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# Float flag values at and past the edges of every valid range.
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-8, 1.0, -1.0,
+                         1e154, -1e154, 1e308, -1e308, math.inf, -math.inf,
+                         math.nan])
+
+
+def flag_values(lo, hi):
+    """A float from [lo, hi] (half the time), an edge value or any
+    float."""
+    inside = st.floats(lo, hi)
+    return st.one_of(inside, inside, EDGES, st.floats())
+
+
+@st.composite
+def invocations(draw):
+    """A command and a dict of some of its flags, each omitted (two times
+    in three) or drawn across the boundary of its valid range."""
+    n = draw(st.integers(2, 64))
+    snr_min = draw(flag_values(-40.0, 60.0))
+    drawn = {
+        "n": st.just(n),
+        "k": st.one_of(st.integers(1, n // 2).map(lambda h: 2 * h),
+                       st.integers(0, n + 1)),
+        "cp": st.integers(-1, n), "taps": st.integers(0, 20),
+        "trials": st.integers(0, 3),
+        "seed": st.integers(-2 ** 70, 2 ** 70),
+        "cfo": flag_values(-0.3, 0.3), "sfo": flag_values(-1e-3, 1e-3),
+        "snr-min": st.just(snr_min),
+        "snr-max": st.one_of(flag_values(-40.0, 60.0),
+                             st.floats(0.0, 20.0).map(lambda d: snr_min + d)),
+        "snr-step": flag_values(5.0, 60.0),
+        "grid-cfo-step": flag_values(0.01, 0.5),
+        "grid-cfo-max": flag_values(0.0, 0.6),
+        "grid-sfo-step": flag_values(1e-5, 1e-3),
+        "grid-sfo-max": flag_values(0.0, 1e-3),
+    }
+    flags = {flag: draw(values) for flag, values in drawn.items()
+             if draw(st.integers(0, 2)) == 0}
+    return draw(st.sampled_from(cli._COMMANDS)), flags
+
+
+def small_enough(command, flags):
+    """Whether a run of these flags stays small: a valid grid of at most
+    201 points per axis and a valid SNR axis of at most 7 points. The
+    CLI itself rejects every invalid grid or axis before allocating it."""
+    values = {**cli._COMMON_DEFAULTS, **cli._COMMAND_DEFAULTS[command],
+              **flags}
+    for axis in ("cfo", "sfo"):
+        step, bound = values[f"grid-{axis}-step"], values[f"grid-{axis}-max"]
+        if math.isfinite(step) and math.isfinite(bound) and step > 0 \
+                and bound >= 0 and not bound / step < 100:
+            return False
+    lo, hi, step = values["snr-min"], values["snr-max"], values["snr-step"]
+    return command == "trial" or not (
+        math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
+        and step > 0 and hi >= lo and not (hi - lo) / step < 7)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(invocation=invocations())
+@example(invocation=("fig1", {"snr-max": 1e308, "snr-step": 1e308,
+                              "trials": 1}))
+@example(invocation=("fig2", {"n": 8, "k": 2, "cfo": 1e308, "trials": 2}))
+@example(invocation=("fig2", {"n": 8, "k": 2, "cp": 19, "cfo": 1e154,
+                              "trials": 2}))
+def test_no_invocation_crashes(invocation):
+    """Any flags, valid or not, exit 0 or 2 without a warning: 2 with one
+    ``error:`` line and no file, 0 with a CSV of finite or blank cells."""
+    command, flags = invocation
+    assume(small_enough(command, flags))
+    argv = [command] + [f"--{flag}={value!r}" for flag, value in
+                        flags.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        if command != "trial":
+            argv += ["--out", out]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            status = cli.main(argv)
+        assert status in (0, 2), argv
+        if status == 2:
+            assert err.getvalue().startswith("error: "), argv
+            assert err.getvalue().count("\n") == 1, argv
+            assert not os.path.exists(out), argv
+        elif command != "trial":
+            with open(out, encoding="utf-8") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()
+                        if not line.startswith("#")][1:]
+            assert rows, argv
+            for cell in (cell for row in rows for cell in row):
+                assert cell == "" or math.isfinite(float(cell)), argv
 
 
 # ------------------------------------------------------------ config file
@@ -564,7 +682,8 @@ def test_trial_prints_its_record(monkeypatch, capsys, snr_db):
         argv = ["trial", "--seed", str(seed), "--snr-min", snr_db]
         entries = trial_output(capsys, argv)
         cols = swept_trial_zero(monkeypatch, parse(argv).experiment)
-        assert not (cols.proposed.failures or cols.nguyenle.failures
+        assert not (np.isnan(cols.proposed.cfo[0])
+                    or np.isnan(cols.nguyenle.cfo[0])
                     or cols.degenerate[0] or cols.singular[0])
         fields = {
             "proposed_cfo": cols.proposed.cfo,

@@ -99,6 +99,13 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match=f"alias {alias} "):
             make_experiment(cfo=cfo)
     assert make_experiment(cfo=1.8, grid=make_grid(cfo_max=0.15)).cfo == 1.8
+    # a CFO of N subcarrier spacings turns the phase once per sample; far
+    # beyond it the alias check above reads rounding noise
+    for cfo in (64.0, -64.0, 1e154, -1e308):
+        with pytest.raises(ValueError, match=r"cfo must lie inside \(-N, N\) "
+                                             r"= \(-64, 64\)"):
+            make_experiment(cfo=cfo)
+    assert make_experiment(cfo=63.9, grid=make_grid(cfo_max=1e-3)).cfo == 63.9
     # period exactly 1 (cp = 0, sfo = 0): an alias on a grid end counts
     with pytest.raises(ValueError, match="alias -0.5 "):
         make_experiment(cp_len=0, sfo=0.0, cfo=0.5)
@@ -160,22 +167,22 @@ def test_snr_points_coerced_to_float():
 def column_record(cols, snr_db, i):
     """Row i of a chunk's columns as a plain dict of that trial's outcome:
     None where its stage was skipped, its value dropped or its search
-    failed, and each failed search's reason."""
+    failed, and whether each search failed (a NaN row)."""
     def value(column, dropped=None):
         if column is None or dropped is not None and dropped[i]:
             return None
         return float(column[i])
 
     def estimate(found):
-        if found is None or i in found.failures:
+        if found is None or failed(found):
             return None
         return EstimationResult(cfo=float(found.cfo[i]),
                                 sfo=float(found.sfo[i]),
                                 cost=float(found.cost[i]),
                                 method=found.method)
 
-    def failure(found):
-        return None if found is None else found.failures.get(i)
+    def failed(found):
+        return found is not None and bool(np.isnan(found.cfo[i]))
 
     bounded = cols.crb_cfo is not None
     return dict(
@@ -186,8 +193,8 @@ def column_record(cols, snr_db, i):
         crb_cfo=value(cols.crb_cfo, cols.singular),
         crb_sfo=value(cols.crb_sfo, cols.singular),
         estimated=cols.proposed is not None, crb_evaluated=bounded,
-        proposed_failure=failure(cols.proposed),
-        nguyenle_failure=failure(cols.nguyenle),
+        proposed_failed=failed(cols.proposed),
+        nguyenle_failed=failed(cols.nguyenle),
         singular=bounded and bool(cols.singular[i]))
 
 
@@ -254,16 +261,16 @@ def test_direct_trials_match_the_residual_and_crb_sweeps(monkeypatch):
     cfg = tiny_experiment()
     for snr_db in cfg.snr_points_db:
         for t in DIRECT_ORDER:
-            assert one_trial(cfg, snr_db, t, with_estimates=False,
-                             with_crb=False) == residuals[(snr_db, t)]
-            direct = one_trial(cfg, snr_db, t, with_estimates=False)
+            assert one_trial(cfg, snr_db, t, residuals_only=True) \
+                == residuals[(snr_db, t)]
+            direct = one_trial(cfg, snr_db, t)
             assert (direct["crb_cfo"], direct["crb_sfo"]) == (
                 bounds[(snr_db, t)]["crb_cfo"], bounds[(snr_db, t)]["crb_sfo"])
 
 
 def test_near_noiseless_trial_recovers_lattice_truth():
     cfg = make_experiment(cfo=0.21, sfo=0.0)
-    rec = one_trial(cfg, 200.0, 3, with_crb=False)
+    rec = one_trial(cfg, 200.0, 3)
     truth = float(cfg.grid.cfo_values[71])
     assert (rec["proposed"].cfo, rec["proposed"].sfo) == (truth, 0.0)
     assert (rec["nguyenle"].cfo, rec["nguyenle"].sfo) == (truth, 0.0)
@@ -287,7 +294,7 @@ def test_frozen_trial_at_30db():
 
 def test_proposed_tracks_truth_over_trials():
     cfg = make_experiment()
-    records = [one_trial(cfg, 30.0, t, with_crb=False) for t in range(50)]
+    records = [one_trial(cfg, 30.0, t) for t in range(50)]
     for rec in records:
         assert rec["proposed"].cfo == pytest.approx(0.21, rel=1e-15)
     mean_sfo_err = np.mean([abs(r["proposed"].sfo - cfg.sfo)
@@ -296,15 +303,14 @@ def test_proposed_tracks_truth_over_trials():
 
 
 def test_skipped_stages_leave_none_fields():
-    rec = one_trial(tiny_experiment(), 10.0, 0, with_estimates=False,
-                    with_crb=False)
+    rec = one_trial(tiny_experiment(), 10.0, 0, residuals_only=True)
     assert rec["proposed"] is None and rec["nguyenle"] is None
     assert rec["crb_cfo"] is None and rec["crb_sfo"] is None
     assert not rec["estimated"] and not rec["crb_evaluated"]
     assert rec["residual_n_sq"] > 0.0
     assert rec["residual_e_sq"] is not None
-    assert rec["proposed_failure"] is None
-    assert rec["nguyenle_failure"] is None
+    assert not rec["proposed_failed"]
+    assert not rec["nguyenle_failed"]
     assert not rec["singular"]
 
 
@@ -328,11 +334,11 @@ def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
     cfg = tiny_experiment()
     cols = next(harness._burst_chunks(cfg, 10.0, (0,)))
     rec = column_record(cols, 10.0, 0)
-    assert rec["residual_e_sq"] is None
-    assert rec["nguyenle"] is None
-    assert rec["nguyenle_failure"] == \
-        "degenerate observation (subcarriers [-26])"
-    assert rec["proposed"] is not None and rec["proposed_failure"] is None
+    assert rec["residual_e_sq"] is None and cols.degenerate[0]
+    assert rec["nguyenle"] is None and rec["nguyenle_failed"]
+    assert inspect_trial(cfg, 10.0, 0).failures == {
+        "nguyenle": "degenerate observation (subcarriers [-26])"}
+    assert rec["proposed"] is not None and not rec["proposed_failed"]
     assert rec["crb_cfo"] is not None
 
     row = harness._reduce([cols], 10.0, cfg.cfo, cfg.sfo)
@@ -351,8 +357,10 @@ def test_non_finite_surface_counts_as_failure(monkeypatch):
     with np.errstate(invalid="ignore"):
         sweep = run_mse_sweep(cfg)
         rec = one_trial(cfg, 10.0, 0)
-    assert rec["proposed_failure"] == rec["nguyenle_failure"] == \
-        "non-finite cost surface"
+        reasons = inspect_trial(cfg, 10.0, 0).failures
+    assert rec["proposed_failed"] and rec["nguyenle_failed"]
+    assert reasons == dict.fromkeys(("proposed", "nguyenle"),
+                                    "non-finite cost surface")
     for row in sweep.rows:
         assert row.fail_proposed == cfg.n_trials
         assert row.fail_nguyenle == cfg.n_trials
@@ -378,10 +386,10 @@ def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
     for snr_db in cfg.snr_points_db:
         for t in range(n_trials):
             key = (snr_db, t)
-            assert one_trial(cfg, snr_db, t) == swept[key]
-            assert one_trial(cfg, snr_db, t, with_estimates=False,
-                             with_crb=False) == residuals[key]
-            direct = one_trial(cfg, snr_db, t, with_estimates=False)
+            direct = one_trial(cfg, snr_db, t)
+            assert direct == swept[key]
+            assert one_trial(cfg, snr_db, t, residuals_only=True) \
+                == residuals[key]
             scenario = column_record(harness._Columns((t,)), snr_db, 0)
             assert bounds[key] == dict(
                 scenario, crb_cfo=direct["crb_cfo"],
@@ -392,10 +400,9 @@ def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
 
 
 @pytest.mark.parametrize("value, failed", [
-    (0.0, {"nguyenle_failure":
-           "degenerate observation (subcarriers [-26])"}),
-    (np.nan, {"proposed_failure": "non-finite cost surface",
-              "nguyenle_failure": "non-finite cost surface"}),
+    (0.0, {"nguyenle": "degenerate observation (subcarriers [-26])"}),
+    (np.nan, {"proposed": "non-finite cost surface",
+              "nguyenle": "non-finite cost surface"}),
 ])
 def test_poisoned_trial_fails_alone_in_its_chunk(monkeypatch, value, failed):
     cfg = tiny_experiment(n_trials=CHUNK + 1)
@@ -411,19 +418,42 @@ def test_poisoned_trial_fails_alone_in_its_chunk(monkeypatch, value, failed):
     poison_first_r0_bin(monkeypatch, value, trial=poisoned)
     with np.errstate(invalid="ignore"):
         dirty = rows()
+        reasons = inspect_trial(cfg, 10.0, poisoned).failures
     assert [r["trial_index"] for r in dirty] == list(range(cfg.n_trials))
     for rec, ref in zip(dirty, clean):
         if rec["trial_index"] != poisoned:
             assert rec == ref
     rec, ref = dirty[poisoned], clean[poisoned]
-    for field in ("proposed_failure", "nguyenle_failure"):
-        assert rec[field] == failed.get(field)
+    for name in ("proposed", "nguyenle"):
+        assert rec[f"{name}_failed"] == (name in failed)
+    assert reasons == failed
     assert rec["nguyenle"] is None
-    assert (rec["proposed"] is None) == ("proposed_failure" in failed)
+    assert (rec["proposed"] is None) == ("proposed" in failed)
     assert rec["residual_e_sq"] is None or np.isnan(rec["residual_e_sq"])
     # the bound reads the draws, not the observation
     assert (rec["crb_cfo"], rec["crb_sfo"]) == (ref["crb_cfo"],
                                                 ref["crb_sfo"])
+
+
+def test_failure_kinds_fall_out_of_the_masks(monkeypatch):
+    """One chunk with a degenerate row (a 0 bin) and a non-finite one (a
+    NaN bin): the NaN rows and the degenerate mask alone split the
+    Nguyen-Le failures by kind, and the pair fit fails only on NaN."""
+    cfg = tiny_experiment(n_trials=8)
+    poison_first_r0_bin(monkeypatch, 0.0, trial=2)
+    poison_first_r0_bin(monkeypatch, np.nan, trial=5)
+    with np.errstate(invalid="ignore"):
+        (cols,) = harness._burst_chunks(cfg, 10.0, range(cfg.n_trials))
+    row = harness._reduce([cols], 10.0, cfg.cfo, cfg.sfo)
+    only = [[t == trial for t in range(cfg.n_trials)] for trial in (2, 5)]
+    non_finite = np.isnan(cols.nguyenle.cfo) & ~cols.degenerate
+    assert cols.degenerate.tolist() == only[0]
+    assert non_finite.tolist() == only[1]
+    assert np.isnan(cols.proposed.cfo).tolist() == only[1]
+    assert row.degenerate_observations == 1
+    assert row.fail_nguyenle - row.degenerate_observations \
+        == non_finite.sum() == 1
+    assert row.fail_proposed == 1
 
 
 # ---------------------------------------------------------------- reducer
@@ -478,7 +508,8 @@ def outcomes_to_chunks(chunks):
     ``chunks`` is a list of ((observed, estimated, bounded), rows); a row
     is (n_sq, e_sq, proposed, nguyenle, crb) where e_sq None is a
     degenerate observation, an estimate None a failed search and crb
-    None a singular draw. A value the columns must ignore is inf there.
+    None a singular draw. A failed search is a NaN row of its estimator's
+    columns, and any other value the columns must ignore is inf there.
     """
     columns, trials, start = [], [], 0
     for stages, rows in chunks:
@@ -492,10 +523,9 @@ def outcomes_to_chunks(chunks):
                              v if at is None else v[at] for v in values])
 
         def estimates(found, method):
-            return _Estimates(method, *(column(found, at=k)
-                                        for k in range(3)),
-                              {t: harness._NON_FINITE
-                               for t, f in enumerate(found) if f is None})
+            return _Estimates(method, *(
+                np.array([np.nan if f is None else f[k] for f in found])
+                for k in range(3)))
 
         fields = {}
         if observed:
@@ -642,8 +672,8 @@ def test_grouped_sweep_rows_equal_per_point_chunks(monkeypatch, n_trials,
     mse, residual, bounds = (run_mse_sweep(cfg), run_noise_variance_sweep(cfg),
                              run_crb_sweep(cfg))
     for i, snr_db in enumerate(cfg.snr_points_db):
-        for sweep, options in ((mse, {}), (residual, dict(
-                with_estimates=False, with_crb=False))):
+        for sweep, options in ((mse, {}),
+                               (residual, dict(residuals_only=True))):
             assert sweep.rows[i] == harness._reduce(
                 harness._burst_chunks(cfg, snr_db, range(n_trials),
                                       **options), snr_db, cfg.cfo, cfg.sfo)

@@ -127,15 +127,19 @@ def test_stacked_trials_equal_one_trial_results(stack):
 
         # Surfaces, argmin and the reported cost.
         ev = GridEvaluator(GRID, config)
-        proposed = ev._search_pairs(r0, r1).results()
-        nguyenle = ev._search_ratios(y, bad).results()
+        proposed = ev._search_pairs(r0, r1)
+        nguyenle = ev._search_ratios(y, bad.any(axis=-1))
         c, v = ev._pair_terms(r0, r1)
         for t, (r0_t, r1_t) in enumerate(trials):
             reference = one_trial_surface(ev, r0_t, r1_t)
             assert_same_bytes(ev._surface(c[t], v[t]), reference)
             assert_same_bytes(ev.proposed_surface(r0_t, r1_t), reference)
-            assert proposed[t] == ev.search_proposed(r0_t, r1_t)
-            assert nguyenle[t] == ev.search_nguyenle(x[t], x[t], r0_t, r1_t)
+            for found, alone in (
+                    (proposed, ev.search_proposed(r0_t, r1_t)),
+                    (nguyenle, ev.search_nguyenle(x[t], x[t], r0_t, r1_t))):
+                assert (found.cfo[t], found.sfo[t], found.cost[t],
+                        found.method) == (alone.cfo, alone.sfo, alone.cost,
+                                          alone.method)
 
     # Fisher entries of both routes.
     for route in (fisher_rows, fisher_numeric_oracle):
