@@ -84,6 +84,12 @@ _TWO_PI = 2.0 * np.pi
 # than risking a catastrophic division.
 DEGENERATE_MAGNITUDE = 1e-30
 
+# Most bytes of a lattice's (n_cfo, n_sfo) complex lead table, the largest
+# per-grid array: 64 MiB, about 4.2 million points. The default 101 x 101
+# lattice takes 163 KB; a fallback surface's temporaries take about twice
+# the table again.
+_LATTICE_BUDGET = 2 ** 26
+
 
 class DegenerateObservationError(Exception):
     """Raised when the ratio observable would divide by a (near-)zero."""
@@ -142,9 +148,10 @@ def make_grid(cfo_step: float = 0.01, cfo_max: float = 0.5,
     are rounded to a whole number of steps; a max of zero pins that axis
     to the single value 0. Steps must be finite and positive, maxima
     finite and non-negative, and each max / step ratio must leave a
-    point count that fits an array index.
+    point count that fits an array index, and a lattice whose lead table
+    fits ``_LATTICE_BUDGET`` bytes.
     """
-    axes = []
+    counts = []
     for axis, step, bound in (("cfo", cfo_step, cfo_max),
                               ("sfo", sfo_step, sfo_max)):
         for name, value in ((f"{axis}_step", step), (f"{axis}_max", bound)):
@@ -159,9 +166,17 @@ def make_grid(cfo_step: float = 0.01, cfo_max: float = 0.5,
             raise ValueError(
                 f"{axis}_max / {axis}_step = {bound / step:g} overflows "
                 f"the {axis} grid's point count")
-        n = round(bound / step)
-        axes.append(step * np.arange(-n, n + 1))
-    return GridSpec(cfo_values=axes[0], sfo_values=axes[1])
+        counts.append(round(bound / step))
+    n_cfo, n_sfo = (2 * n + 1 for n in counts)
+    table = 16 * n_cfo * n_sfo
+    if table > _LATTICE_BUDGET:
+        raise ValueError(
+            f"cfo_max / cfo_step and sfo_max / sfo_step (the --grid-* flags) "
+            f"give a {n_cfo} x {n_sfo} lattice, whose complex lead table "
+            f"needs {table:.3g} bytes, more than the lattice budget of "
+            f"{_LATTICE_BUDGET} bytes")
+    return GridSpec(*(step * np.arange(-n, n + 1)
+                      for step, n in zip((cfo_step, sfo_step), counts)))
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,23 @@ Every trial decision lives here. Each ``sync-lab`` command is one call:
 the fig1, fig2 and crb sweeps below, and :func:`inspect_trial` for
 ``trial``.
 
-Trials run serially in the calling thread, in fixed chunks of ``_CHUNK``
-(64) trials held as trial-major arrays. Each chunk frees its temporaries
-and the next one allocates them again, so ``cli.main`` has glibc keep
-freed heap pages: otherwise the blocks over 128 KB go back to the kernel
-after every chunk, and the next chunk faults them back in page by page.
-Every trial draws from its own labeled random substreams, keyed by the
-master seed, the SNR point, the trial index and the label, so results
-are reproducible bit for bit regardless of chunking, grouping or
-execution order. A sweep groups consecutive SNR points of at most
-``_GROUP_ROWS`` trials, and derives a group's streams in one mixing pass
-(:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
-over points, trials and labels) and all its QPSK picks in one PCG64 pass
-(:func:`ofdm_model._qpsk_picks`), each costing about as much for a group
-as for one point. Each chunk takes its rows and, per trial and label,
+Trials run serially in the calling thread, in fixed chunks held as
+trial-major arrays: ``_CHUNK`` (64) bursts, or twice that many draws of
+the scenario alone, whose rows peak at 9 KB, a burst's at 14 to 24. Each
+chunk frees its temporaries and the next one allocates them again, so
+``cli.main`` has glibc keep freed heap pages: otherwise the blocks over
+128 KB go back to the kernel after every chunk, and the next chunk
+faults them back in page by page. Every trial draws from its own
+labeled random substreams, keyed by the master seed, the SNR point, the
+trial index and the label, so results are reproducible bit for bit
+regardless of chunking, grouping or execution order. A sweep groups
+consecutive SNR points of at most ``_GROUP_ROWS`` trials, and derives a
+group's streams in one mixing pass (:func:`ofdm_model._derive_tables`,
+numpy's ``SeedSequence`` vectorized over points, trials and labels) and
+all its QPSK picks in one PCG64 pass (:func:`ofdm_model._qpsk_picks`),
+each costing about as much for a group as for one point. A point of
+more trials derives them in blocks of ``_GROUP_ROWS``, so no array grows
+with the trial count. Each chunk takes its rows and, per trial and label,
 seeds a fresh ``PCG64`` for the normals: the draws of
 :func:`ofdm_model.derive_rng`'s streams, bit for bit. A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
@@ -118,16 +121,22 @@ _SCENARIO_STREAMS = _BURST_STREAMS[:2]
 # 2500 noise variances (exceeded with probability e**-2500).
 _NOISE_HEADROOM = 1e4
 
-# Trials per chunk. Every chunk pays about 0.8 ms of fixed numpy-call
-# cost, so fig2's 60-trial SNR points run in one chunk each at 64 and in
-# two at 32. A chunk's draws and spectra are a few KB per trial, and the
-# rare 101 x 101 surface (about 0.5 MB of temporaries) is formed one
-# trial at a time; at 128, fig1's peak RSS rose about 5 % over 32.
+# Bursts per chunk; crb's chunks of scenario draws take twice as many.
+# Each chunk pays a fixed numpy-call cost (about 0.8 ms for a burst
+# chunk, 0.3 ms for a scenario chunk), so fig2's 60-trial SNR points run
+# in one chunk each at 64. Traced peaks per row: a burst 10.8 KB (fig1)
+# or 21.2 KB (fig2) plus 2.9 KB of draws, a scenario 8.2 KB plus 0.9 KB;
+# the rare 101 x 101 surface (about 0.5 MB of temporaries) is formed one
+# trial at a time. At the default sizes, 128 scenario rows cut crb's
+# sweep CPU by about 11 % at the same peak RSS, while 256 raise its peak
+# by 1.7 MB and 128 bursts raise fig1's by about 1 MB.
 _CHUNK = 64
 
 # Most trials of consecutive SNR points whose streams share one derivation
 # and one pick pass (together about 0.45 ms of fixed cost); fig2's default
-# sweep is one group. A group holds about 150 bytes per trial.
+# sweep is one group. A group holds about 150 bytes per trial. A point of
+# more trials derives them in blocks of this many, a multiple of both
+# chunk sizes, so that every chunk but a point's last is full.
 _GROUP_ROWS = 1024
 
 
@@ -301,18 +310,28 @@ def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
 
 def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
     """Per stream key, a generator of the draws of ``indices`` chunk by
-    chunk, from one :func:`ofdm_model._derive_tables` and one pick pass."""
-    tables = _derive_tables(cfg.master_seed, stream_keys, indices, labels)
-    shape = (len(stream_keys), len(indices))
-    picks = _qpsk_picks(tables.pop("training"), cfg.ofdm.n_active).reshape(
-        *shape, cfg.ofdm.n_active)
-    seeds = {label: t.reshape(*shape, 4) for label, t in tables.items()}
+    chunk: ``_CHUNK`` rows of bursts, or twice that of the scenario alone.
+    The streams of every key come from one :func:`ofdm_model._derive_tables`
+    and one pick pass per block of at most ``_GROUP_ROWS`` indices, derived
+    as the first key reaches it, so no table grows with the trial count."""
+    size = _CHUNK if "noise0" in labels else 2 * _CHUNK
+    shape, k = (len(stream_keys), -1), cfg.ofdm.n_active
+
+    @functools.lru_cache(maxsize=1)
+    def block(start):
+        ids = indices[start:start + _GROUP_ROWS]
+        tables = _derive_tables(cfg.master_seed, stream_keys, ids, labels)
+        picks = _qpsk_picks(tables.pop("training"), k).reshape(*shape, k)
+        return ids, picks, {label: t.reshape(*shape, 4)
+                            for label, t in tables.items()}
 
     def point(s):
-        for start in range(0, len(indices), _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            yield _draw(cfg, indices[rows], picks[s, rows],
-                        {label: t[s, rows] for label, t in seeds.items()})
+        for start in range(0, len(indices), _GROUP_ROWS):
+            ids, picks, seeds = block(start)
+            for offset in range(0, len(ids), size):
+                rows = slice(offset, offset + size)
+                yield _draw(cfg, ids[rows], picks[s, rows],
+                            {label: t[s, rows] for label, t in seeds.items()})
 
     return [point(s) for s in range(len(stream_keys))]
 

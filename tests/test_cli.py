@@ -208,6 +208,16 @@ def test_unknown_flag_exits_2():
       "--trials", "2"],
      "cfo must lie inside (-N, N) = (-8, 8) subcarrier spacings, got "
      "1e+154"),
+    # a lattice this fine once died allocating its CFO axis (142 PiB), and
+    # one of a million CFO rows would hold 1.6 GB in its lead table
+    (["fig2", "--grid-cfo-max", "1", "--grid-cfo-step", "1e-16",
+      "--trials", "1"],
+     "cfo_max / cfo_step and sfo_max / sfo_step (the --grid-* flags) give "
+     "a 20000000000000001 x 101 lattice, whose complex lead table needs "
+     "3.23e+19 bytes"),
+    (["fig2", "--grid-cfo-step", "1e-6"],
+     "give a 1000001 x 101 lattice, whose complex lead table needs "
+     "1.62e+09 bytes, more than the lattice budget of 67108864 bytes"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

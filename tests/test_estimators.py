@@ -2,6 +2,8 @@
 search and its correlation kernel, refinement, and the two residual
 diagnostics."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -30,6 +32,7 @@ from ofdm_sync_lab import (
     symbol_phase_ramp,
     synthesize_rows,
 )
+from ofdm_sync_lab import estimators
 
 CFG = make_config(64, 52, 16)
 GRID = make_grid()
@@ -105,6 +108,26 @@ def test_make_grid_rejects_bad_steps():
     for kwargs in ({"cfo_step": 1e-320}, {"sfo_step": 1e-300}):
         with pytest.raises(ValueError, match="overflows"):
             make_grid(**kwargs)
+
+
+def test_make_grid_holds_the_lead_table_to_its_budget():
+    """The (n_cfo, n_sfo) complex lead table of a lattice fits
+    ``_LATTICE_BUDGET`` bytes, checked before an axis is built; the
+    default lattice and the largest the tests build sit far below it."""
+    budget = estimators._LATTICE_BUDGET
+    assert make_grid(1.0, 1023.0, 0.5, 512.0).shape == (2047, 2049)
+    assert 16 * 2047 * 2049 <= budget < 16 * 2049 * 2049
+    message = ("2049 x 2049 lattice, whose complex lead table needs "
+               "6.72e+07 bytes, more than the lattice budget of 67108864 "
+               "bytes")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_grid(1.0, 1024.0, 0.5, 512.0)
+    # more points than any machine could hold, but an array index counts
+    # them: rejected before the axes, not by a failed allocation
+    with pytest.raises(ValueError, match="20000000000000001 x 101 lattice"):
+        make_grid(cfo_step=1e-16, cfo_max=1.0)
+    for points in (make_grid().shape, (201, 201)):
+        assert 16 * points[0] * points[1] * 100 < budget
 
 
 def test_grid_spec_validation():

@@ -1,6 +1,7 @@
 """Harness tests: seeded trial reproducibility, the column reducer,
 sweep assembly, failure accounting, and the CRB backend plumbing."""
 
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -399,6 +400,53 @@ def test_sweeps_equal_one_trial_calls_across_chunk_edges(monkeypatch,
     assert len(swept) == n_trials * len(cfg.snr_points_db)
 
 
+# Both sides of the first edge of the crb sweep's chunks, which take
+# twice a burst chunk's rows: draws of the scenario alone.
+@pytest.mark.parametrize("n_trials", [2 * CHUNK - 1, 2 * CHUNK,
+                                      2 * CHUNK + 1])
+def test_crb_rows_equal_one_trial_rows_across_scenario_chunk_edges(
+        monkeypatch, n_trials):
+    """Every row of the crb sweep is the row of that trial's scenario
+    bounded as a chunk of one."""
+    cfg = tiny_experiment(n_trials=n_trials)
+    bounds = sweep_records(monkeypatch, run_crb_sweep, cfg)
+    for snr_db in cfg.snr_points_db:
+        for t in range(n_trials):
+            (draws,) = harness._chunks(cfg, (harness.snr_stream_key(snr_db),),
+                                       (t,), harness._SCENARIO_STREAMS)[0]
+            direct = harness._Columns(
+                (t,), **harness._crb_fields(cfg, snr_db, draws))
+            assert bounds[snr_db, t] == column_record(direct, snr_db, 0)
+    assert len(bounds) == n_trials * len(cfg.snr_points_db)
+
+
+# One chunk, both sides of a crb chunk edge, and past the first block of
+# _GROUP_ROWS trials, whose streams are derived together.
+@pytest.mark.parametrize("n_trials", [1, 128, 129, 1100])
+def test_chunk_rows_follow_what_a_row_holds(monkeypatch, n_trials):
+    """A crb point of T trials bounds its scenarios in ceil(T / 128)
+    chunks, and a fig1 point synthesizes its bursts in ceil(T / 64)."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(cfg, snr_db, draws, *args, **options):
+            calls.append((fn.__name__, snr_db, len(draws.indices)))
+            return fn(cfg, snr_db, draws, *args, **options)
+        return wrapper
+
+    monkeypatch.setattr(harness, "_crb_fields", counted(harness._crb_fields))
+    monkeypatch.setattr(harness, "_burst_columns",
+                        counted(harness._burst_columns))
+    cfg = tiny_experiment(n_trials=n_trials)
+    run_crb_sweep(cfg)
+    run_noise_variance_sweep(cfg)
+    for name, rows in (("_crb_fields", 128), ("_burst_columns", 64)):
+        for snr_db in cfg.snr_points_db:
+            sizes = [n for fn, s, n in calls if (fn, s) == (name, snr_db)]
+            assert len(sizes) == math.ceil(n_trials / rows)
+            assert sum(sizes) == n_trials
+
+
 @pytest.mark.parametrize("value, failed", [
     (0.0, {"nguyenle": "degenerate observation (subcarriers [-26])"}),
     (np.nan, {"proposed": "non-finite cost surface",
@@ -681,6 +729,21 @@ def test_grouped_sweep_rows_equal_per_point_chunks(monkeypatch, n_trials,
                 bounds.rows[i].crb_excluded) == (
             mse.rows[i].crb_cfo, mse.rows[i].crb_sfo,
             mse.rows[i].crb_excluded)
+
+
+# Blocks of one row, of a row count that divides no chunk, and of one
+# burst chunk.
+@pytest.mark.parametrize("group_rows", [1, 5, CHUNK])
+def test_blocks_of_derived_streams_move_no_row(monkeypatch, group_rows):
+    """A point of more trials than ``_GROUP_ROWS`` derives its streams
+    block by block, and every row of every sweep, trial index included,
+    is the row it has when the whole point is one block."""
+    cfg = tiny_experiment(n_trials=CHUNK + 7)
+    sweeps = (run_mse_sweep, run_noise_variance_sweep, run_crb_sweep)
+    whole = [sweep_records(monkeypatch, sweep, cfg) for sweep in sweeps]
+    monkeypatch.setattr(harness, "_GROUP_ROWS", group_rows)
+    assert [sweep_records(monkeypatch, sweep, cfg)
+            for sweep in sweeps] == whole
 
 
 def test_fig2_sweep_derives_its_bursts_streams_in_one_pass(monkeypatch):
