@@ -15,12 +15,14 @@ header. Each command parses its options, calls one harness function
 (``run_noise_variance_sweep``, ``run_mse_sweep``, ``run_crb_sweep`` or
 ``inspect_trial``) and formats what it returns; every trial decision is
 the harness's. Output is deterministic for a given configuration.
-Numeric flags take negative values in any spelling, exponent form
-included (``--sfo -3e-4``).
+:func:`parse` reads argv in one loop, without argparse's costly parser:
+the command anywhere, each option as ``--flag VALUE``, ``--flag=VALUE``
+or a unique prefix, its last value winning, even one led by ``-``. A
+malformed line exits 2 with one ``error:`` line; ``--help`` exits 0.
 """
 
-import argparse
 import ctypes
+import gc
 import os
 import sys
 
@@ -94,9 +96,7 @@ def format_value(value) -> str:
     """Render a cell: 17 significant digits for floats, blank for None."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -112,60 +112,39 @@ class CliInvocation:
         self.out = out
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sync-lab",
-        description="OFDM CFO/SFO estimator comparison datasets")
-    parser.add_argument("command", choices=_COMMANDS)
-    helps = {
-        "n": "DFT size N",
-        "k": "active subcarrier count K",
-        "cp": "cyclic prefix length in samples",
-        "cfo": "true carrier frequency offset (subcarrier spacings)",
-        "sfo": "true sampling frequency offset (fractional)",
-        "taps": "channel tap count",
-        "snr-min": "first SNR point in dB (also the SNR used by 'trial')",
-        "snr-max": "last SNR point in dB (ignored by 'trial')",
-        "snr-step": "SNR step in dB (ignored by 'trial')",
-        "trials": "Monte-Carlo trials per SNR point",
-        "seed": "master seed for all substreams",
-        "grid-cfo-step": "CFO lattice step",
-        "grid-cfo-max": "CFO lattice half-range (0 pins the axis to 0)",
-        "grid-sfo-step": "SFO lattice step",
-        "grid-sfo-max": "SFO lattice half-range (0 pins the axis to 0)",
-    }
-    for flag, ftype in _FIELDS:
-        parser.add_argument(f"--{flag}", type=ftype, help=helps[flag])
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--config", help="key = value file applied between "
-                                          "defaults and flags")
-    return parser
+# Help text of every option, in the order --help lists them.
+_HELPS = {
+    "n": "DFT size N", "k": "active subcarrier count K",
+    "cp": "cyclic prefix length in samples",
+    "cfo": "true carrier frequency offset (subcarrier spacings)",
+    "sfo": "true sampling frequency offset (fractional)",
+    "taps": "channel tap count",
+    "snr-min": "first SNR point in dB (also the SNR used by 'trial')",
+    "snr-max": "last SNR point in dB (ignored by 'trial')",
+    "snr-step": "SNR step in dB (ignored by 'trial')",
+    "trials": "Monte-Carlo trials per SNR point",
+    "seed": "master seed for all substreams",
+    "grid-cfo-step": "CFO lattice step",
+    "grid-cfo-max": "CFO lattice half-range (0 pins the axis to 0)",
+    "grid-sfo-step": "SFO lattice step",
+    "grid-sfo-max": "SFO lattice half-range (0 pins the axis to 0)",
+    "out": "output CSV path",
+    "config": "key = value file applied between defaults and flags",
+    "help": "show this help and exit (also -h)",
+}
 
 
-def _attach_negative_values(argv) -> list:
-    """Spell ``--flag -VALUE`` as ``--flag=-VALUE`` for numeric flags.
-
-    argparse takes a dash-led token for an option unless it reads as a
-    plain negative integer or decimal (``-3``, ``-0.5``), so without
-    this ``--sfo -3e-4`` would leave the flag without a value.
-    """
-    numeric = {f"--{flag}" for flag, _ in _FIELDS}
-    out = []
-    for token in argv:
-        if out and out[-1] in numeric and token.startswith("-") \
-                and _is_number(token):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _option(token: str) -> str:
+    """The option that ``-h``, ``--name`` or a unique prefix of it names."""
+    key = "help" if token == "-h" else token[2:] if token[:2] == "--" else ""
+    matches = [key] if key in _HELPS else [
+        name for name in _HELPS if key and name.startswith(key)]
+    if not matches:
+        raise CliError(f"unrecognized option {token}")
+    if len(matches) > 1:
+        raise CliError(f"ambiguous option {token}: could match "
+                       + ", ".join(f"--{name}" for name in matches))
+    return matches[0]
 
 
 def _load_config_file(path: str) -> dict:
@@ -183,8 +162,7 @@ def _load_config_file(path: str) -> dict:
             raise CliError(
                 f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip().replace("_", "-")
-        value = value.strip()
+        key, value = key.strip().replace("_", "-"), value.strip()
         if key not in _FIELD_TYPES:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         try:
@@ -225,24 +203,43 @@ def _snr_axis(lo: float, hi: float, step: float) -> tuple:
 
 
 def parse(argv) -> CliInvocation:
-    """Resolve argv (defaults < config file < flags) into an invocation."""
-    namespace = _build_parser().parse_args(_attach_negative_values(argv))
-    command = namespace.command
+    """Resolve argv (defaults < config file < flags) into an invocation;
+    each value is converted as it is read."""
+    commands, given = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            commands.append(token)
+            continue
+        name, has_value, value = token.partition("=")
+        name = _option(name)
+        if name == "help":
+            print(f"usage: sync-lab {{{','.join(_COMMANDS)}}} [--option VALUE"
+                  f" ...]\n\nOFDM CFO/SFO estimator comparison datasets\n\n"
+                  f"options (--option VALUE, --option=VALUE or a unique "
+                  f"prefix):", *(f"  --{name:<14} {text}"
+                                 for name, text in _HELPS.items()), sep="\n")
+            raise SystemExit(0)
+        if not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise CliError(f"--{name} expects a value")
+        convert = _FIELD_TYPES.get(name, str)
+        try:
+            given[name] = convert(value)
+        except ValueError:
+            raise CliError(f"--{name}: invalid {convert.__name__} value "
+                           f"{value!r}") from None
+    if len(commands) != 1 or commands[0] not in _COMMANDS:
+        raise CliError(f"expected one command of {', '.join(_COMMANDS)}, "
+                       f"got {' '.join(commands) or 'none'}")
+    command = commands[0]
 
-    values = dict(_COMMON_DEFAULTS)
-    values.update({k: v for k, v in _COMMAND_DEFAULTS[command].items()
-                   if k != "out"})
-    out = _COMMAND_DEFAULTS[command]["out"]
-
-    if namespace.config is not None:
-        values.update(_load_config_file(namespace.config))
-
-    for flag, _ in _FIELDS:
-        given = getattr(namespace, flag.replace("-", "_"))
-        if given is not None:
-            values[flag] = given
-    if namespace.out is not None:
-        out = namespace.out
+    values = {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[command]}
+    out = given.pop("out", values.pop("out"))
+    if "config" in given:
+        values.update(_load_config_file(given.pop("config")))
+    values.update(given)
 
     try:
         if command == "trial":
@@ -264,12 +261,11 @@ def parse(argv) -> CliInvocation:
 
 
 def _metadata_lines(invocation: CliInvocation, extra=()) -> list:
-    lines = [f"# tool-version = {__version__}",
-             f"# command = {invocation.command}"]
-    for flag, _ in _FIELDS:
-        lines.append(f"# {flag} = {format_value(invocation.values[flag])}")
-    lines.extend(f"# {line}" for line in extra)
-    return lines
+    return [f"# tool-version = {__version__}",
+            f"# command = {invocation.command}",
+            *(f"# {flag} = {format_value(invocation.values[flag])}"
+              for flag, _ in _FIELDS),
+            *(f"# {line}" for line in extra)]
 
 
 def write_csv(path: str, columns, rows, metadata_lines) -> None:
@@ -278,9 +274,7 @@ def write_csv(path: str, columns, rows, metadata_lines) -> None:
     Floats render with 17 significant digits (exact round trip); None
     renders as an empty cell.
     """
-    out = []
-    out.extend(metadata_lines)
-    out.append(",".join(columns))
+    out = [*metadata_lines, ",".join(columns)]
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(
@@ -300,18 +294,13 @@ def _run_fig1(invocation: CliInvocation) -> int:
 
 
 def _crb_backend_lines(result) -> list:
-    lines = [f"crb-backend = {result.crb_backend}"]
-    if result.crb_discrepancy:
-        lines.extend(result.crb_discrepancy.splitlines())
-    return lines
+    return [f"crb-backend = {result.crb_backend}",
+            *(result.crb_discrepancy or "").splitlines()]
 
 
 def _run_fig2(invocation: CliInvocation) -> int:
     result = run_mse_sweep(invocation.experiment)
-    rows = [(row.snr_db,
-             row.mse_cfo_proposed, row.mse_cfo_nguyenle, row.crb_cfo,
-             row.mse_sfo_proposed, row.mse_sfo_nguyenle, row.crb_sfo,
-             row.fail_proposed, row.fail_nguyenle)
+    rows = [[getattr(row, name) for name in _FIG2_COLUMNS]
             for row in result.rows]
     write_csv(invocation.out, _FIG2_COLUMNS, rows,
               _metadata_lines(invocation, _crb_backend_lines(result)))
@@ -393,6 +382,9 @@ def _check_out(path: str) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # Import's objects sit out the run's collections, so one that import
+    # left pending scans only the run's own objects.
+    gc.freeze()
     try:
         invocation = parse(list(argv))
         if invocation.out is not None:
@@ -404,6 +396,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -32,11 +32,11 @@ lattice argmin is read, for the whole stack at once, from the two CFO
 rows that bracket that closed form in every SFO column, certified by one
 bound per trial; a trial whose argmin this cannot certify forms its full
 101 x 101 surface, its finiteness check and its argmin on its own.
-Either way the argmin is the full surface's, bit for bit, and one pass
-then reports the cost of every row found. The row searches return
-trial-major columns (``_Estimates``) that the harness reduces directly;
-a failed search (a degenerate ratio row or a non-finite surface) is a
-NaN row there and nothing more. The one-trial functions
+Either way the argmin is the full surface's, bit for bit; one pass
+forms the cost of every row found where it is read. The row searches
+return trial-major columns (``_Estimates``) that the harness reduces
+directly; a failed search (a degenerate ratio row or a non-finite
+surface) is a NaN row there and nothing more. The one-trial functions
 (``GridEvaluator.search_proposed`` and ``search_nguyenle`` and the
 estimate functions) read the one row of a stack of one, and raise
 :class:`NonFiniteSurfaceError` where it is NaN.
@@ -189,16 +189,18 @@ class EstimationResult:
     method: str
 
 
-@dataclass(frozen=True)
 class _Estimates:
     """One estimator's searches of a stack of rows, trial-major: each
     row's lattice ``cfo``, ``sfo`` and ``cost``, all NaN where its search
-    failed."""
+    failed. ``cost`` is an array, or a function that forms it when it is
+    first read: no sweep reads it."""
 
-    method: str
-    cfo: np.ndarray
-    sfo: np.ndarray
-    cost: np.ndarray
+    def __init__(self, method: str, cfo, sfo, cost):
+        self.method, self.cfo, self.sfo, self._cost = method, cfo, sfo, cost
+
+    @functools.cached_property
+    def cost(self) -> np.ndarray:
+        return self._cost() if callable(self._cost) else self._cost
 
 
 def symbol_phase_ramp(k, cfo: float, sfo: float, config: OfdmConfig):
@@ -433,8 +435,9 @@ class GridEvaluator:
         is an array of rows or the scalar 1.0 of the ratio fit.
 
         Certified rows take the bracket's argmin and every other row forms
-        its full surface; then one pass reports the cost of every row
-        found, recomputed at its argmin as the direct sum over ascending k.
+        its full surface. The cost of every row found, recomputed at its
+        argmin as the direct sum over ascending k, is formed in one pass
+        when the result's ``cost`` is first read.
         A row whose surface is not finite stays NaN. A row with a
         non-finite c, such as a degenerate ratio row's NaN, has no finite
         entry, so its surface is never formed.
@@ -450,13 +453,16 @@ class GridEvaluator:
         if found_alone:
             rows, i, j = (np.append(a, b)
                           for a, b in zip((rows, i, j), zip(*found_alone)))
-        diff = r1[rows] - (self._lead[i, j][:, None] * self._sub[j]
-                           * (r0 if np.ndim(r0) == 0 else r0[rows]))
         found = np.full((3, len(c)), np.nan)
-        found[:, rows] = (self.grid.cfo_values[i], self.grid.sfo_values[j],
-                          np.add.accumulate(diff.real ** 2 + diff.imag ** 2,
-                                            axis=-1)[:, -1])
-        return _Estimates(method, *found)
+        found[:2, rows] = self.grid.cfo_values[i], self.grid.sfo_values[j]
+
+        def cost():
+            diff = r1[rows] - (self._lead[i, j][:, None] * self._sub[j]
+                               * (r0 if np.ndim(r0) == 0 else r0[rows]))
+            found[2, rows] = np.add.accumulate(
+                diff.real ** 2 + diff.imag ** 2, axis=-1)[:, -1]
+            return found[2]
+        return _Estimates(method, found[0], found[1], cost)
 
     def _search_pairs(self, r0, r1) -> _Estimates:
         """The proposed fit of every row of the (T, K) spectra r0, r1."""

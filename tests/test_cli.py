@@ -2,6 +2,7 @@
 single-trial debug command."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import math
@@ -110,7 +111,8 @@ def test_flags_override_defaults():
     ("snr-max", "-5e0"),
 ])
 def test_exponent_form_negative_values(flag, value):
-    """argparse alone takes ``-3e-4`` for an option and exits 2."""
+    """A value may begin with ``-`` in any spelling, exponent form
+    included, spaced from its flag or joined to it by ``=``."""
     spaced = parse(["trial", f"--{flag}", value])
     joined = parse(["trial", f"--{flag}={value}"])
     assert spaced.values == joined.values
@@ -128,10 +130,121 @@ def test_zero_grid_half_range_pins_axis():
     npt.assert_array_equal(inv.experiment.grid.cfo_values, [0.0])
 
 
-def test_unknown_flag_exits_2():
+def assert_usage_error(argv, fragment, out, capsys):
+    """``cli.main(argv)`` returns 2, prints one ``error:`` line holding
+    ``fragment`` and writes nothing to ``out``."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and fragment in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_unknown_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert_usage_error(["fig1", "--bogus", "1", "--out", str(out)],
+                       "unrecognized option --bogus", out, capsys)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["fig1", "--trials"], "--trials expects a value"),
+    (["fig1", "--trials", "1.5"], "--trials: invalid int value '1.5'"),
+    (["fig1", "--trials=1.5"], "--trials: invalid int value '1.5'"),
+    (["fig1", "--n", "x"], "--n: invalid int value 'x'"),
+    (["fig1", "--cfo", "fast"], "--cfo: invalid float value 'fast'"),
+    ([], "expected one command of fig1, fig2, crb, trial, got none"),
+    (["--seed", "7"], "got none"),
+    (["fig1", "fig2"], "got fig1 fig2"),
+    (["fig1", "stray"], "got fig1 stray"),
+    (["stray"], "got stray"),
+    (["fig1", "--snr", "5"],
+     "ambiguous option --snr: could match --snr-min, --snr-max, "
+     "--snr-step"),
+    (["fig1", "-x"], "unrecognized option -x"),
+    (["fig1", "--", "5"], "unrecognized option --"),
+])
+def test_usage_errors_exit_2(argv, fragment, tmp_path, capsys):
+    """A malformed command line exits 2 with one ``error:`` line before
+    anything runs, and writes no file."""
+    out = tmp_path / "out.csv"
+    assert_usage_error(["--out", str(out), *argv], fragment, out, capsys)
+
+
+@pytest.mark.parametrize("argv, command, changed, out", [
+    (["--seed", "7", "--trials", "9", "fig2"], "fig2",
+     {"seed": 7, "trials": 9}, "fig2.csv"),
+    (["trial", "--sfo=-3e-4"], "trial", {"sfo": -0.0003}, None),
+    (["trial", "--sfo", "-3e-4"], "trial", {"sfo": -0.0003}, None),
+    (["fig1", "--trials", "3", "--out", "a.csv", "--trials", "4", "--out",
+      "b.csv"], "fig1", {"trials": 4}, "b.csv"),
+    (["crb", "--tri", "5"], "crb", {"trials": 5}, "crb.csv"),
+    (["fig2", "--config", "LAB", "--cfo", "0.25"], "fig2",
+     {"cfo": 0.25, "trials": 7}, "fig2.csv"),
+    (["--snr-min", "-5", "fig1", "--seed=-3", "--grid-cfo-m", "0"], "fig1",
+     {"seed": -3, "grid-cfo-max": 0.0, "snr-min": -5.0}, "fig1.csv"),
+])
+def test_command_lines_resolve_as_pinned(argv, command, changed, out,
+                                         tmp_path):
+    """Command lines resolve to the command, values and output that they
+    resolved to under the argparse parser this one replaced. ``LAB``
+    names a config file of ``cfo = 0.3`` and ``trials = 7``."""
+    lab = tmp_path / "lab.cfg"
+    lab.write_text("cfo = 0.3\ntrials = 7\n")
+    inv = parse([str(lab) if token == "LAB" else token for token in argv])
+    values = {**cli._COMMON_DEFAULTS, **cli._COMMAND_DEFAULTS[command],
+              **changed}
+    del values["out"]
+    assert (inv.command, inv.values, inv.out) == (command, values, out)
+    for flag, value in changed.items():
+        assert type(inv.values[flag]) is type(value)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["fig2", "--help"],
+                                  ["--seed", "7", "-h", "fig1"], ["--he"]])
+def test_help_lists_every_option_and_exits_0(argv, monkeypatch, tmp_path,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["fig1", "--bogus", "1"])
-    assert excinfo.value.code == 2
+        cli.main(argv)
+    assert excinfo.value.code == 0
+    printed = capsys.readouterr()
+    assert printed.out.startswith("usage: sync-lab") and printed.err == ""
+    for name in (*FLAG_NAMES, "out", "config"):
+        line = next(line for line in printed.out.splitlines()
+                    if line.split()[:1] == [f"--{name}"])
+        assert line.split(None, 1)[1] == cli._HELPS[name]
+    assert list(tmp_path.iterdir()) == []
+    assert gc.get_freeze_count() == 0
+
+
+def test_parse_imports_no_argparse():
+    """The command line is read without argparse, so neither it nor the
+    gettext and locale modules it pulls in load."""
+    assert fresh_python(
+        "import sys\n"
+        "from ofdm_sync_lab import cli\n"
+        "cli.parse(['fig2'])\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    ) == "[]\n"
+
+
+def test_main_freezes_import_objects_for_the_run(monkeypatch, tmp_path):
+    """cli.main keeps what existed before it out of its collections and
+    leaves nothing frozen when it returns, run after run."""
+    seen = []
+    real = cli.run_crb_sweep
+
+    def sweep(cfg):
+        seen.append(gc.get_freeze_count())
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_crb_sweep", sweep)
+    for _ in range(2):
+        assert cli.main(["crb", "--trials", "1", "--snr-max", "0", "--out",
+                         str(tmp_path / "crb.csv")]) == 0
+        assert gc.get_freeze_count() == 0
+    assert len(seen) == 2 and min(seen) > 0
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -281,7 +394,19 @@ def invocations(draw):
     }
     flags = {flag: draw(values) for flag, values in drawn.items()
              if draw(st.integers(0, 2)) == 0}
-    return draw(st.sampled_from(cli._COMMANDS)), flags
+    command = draw(st.sampled_from(cli._COMMANDS))
+    if draw(st.integers(0, 3)):
+        return command, flags
+    return command, flags, (draw(st.integers(0, 40)),
+                            draw(st.sampled_from(MALFORMED)))
+
+
+# Tokens that make any command line malformed wherever they stand: an
+# unknown or ambiguous option, a value its flag cannot take, a flag
+# whose value is missing or is the next token, which it cannot take
+# either, a second command and a stray word.
+MALFORMED = ("--bogus", "--snr", "-x", "--trials=1.5", "--n=x", "--seed",
+             "fig1", "fig2", "stray")
 
 
 def small_enough(command, flags):
@@ -312,8 +437,9 @@ def small_enough(command, flags):
                               "trials": 2}))
 def test_no_invocation_crashes(invocation):
     """Any flags, valid or not, exit 0 or 2 without a warning: 2 with one
-    ``error:`` line and no file, 0 with a CSV of finite or blank cells."""
-    command, flags = invocation
+    ``error:`` line and no file, 0 with a CSV of finite or blank cells.
+    A line with a malformed token inserted exits 2."""
+    command, flags, *malformed = invocation
     assume(small_enough(command, flags))
     argv = [command] + [f"--{flag}={value!r}" for flag, value in
                         flags.items()]
@@ -321,12 +447,14 @@ def test_no_invocation_crashes(invocation):
         out = os.path.join(tmp, "out.csv")
         if command != "trial":
             argv += ["--out", out]
+        for position, token in malformed:
+            argv.insert(position, token)
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("error")
             status = cli.main(argv)
-        assert status in (0, 2), argv
+        assert status in ((2,) if malformed else (0, 2)), argv
         if status == 2:
             assert err.getvalue().startswith("error: "), argv
             assert err.getvalue().count("\n") == 1, argv
