@@ -19,36 +19,33 @@ of each (grid, config) that the harness and both estimate functions
 search with. A :class:`GridSpec` is hashable for that: its axes are
 read-only and it compares by their bits.
 
-The residuals, the ratio observable and the lattice searches run on
-trial-major (T, K) spectra. A trial is a row, never a record: the
-one-trial functions (the estimate functions, ``GridEvaluator``'s
-``search_*`` and ``*_surface`` methods, :func:`nguyenle_observable` and
-the cost formulas) take its spectra r0, r1 and, for the ratio, its
-training x0, x1 as 1-D (K,) rows. The residual norms and the surfaces'
-constant terms are reductions along the last axis, and each estimator's
-correlations are one stacked matvec per stack. At a fixed SFO the cost
-is a cosine in CFO whose minimum is Moose's closed form, so each trial's
-lattice argmin is read, for the whole stack at once, from the two CFO
-rows that bracket that closed form in every SFO column, certified by one
-bound per trial; a trial whose argmin this cannot certify forms its full
+Both fits run on trial-major (T, K) stacks of spectra: a trial is a
+row, never a record. :meth:`GridEvaluator.search_proposed` and
+:meth:`~GridEvaluator.search_nguyenle` search every row of a stack, and
+the estimate functions are those searches with an optional refinement;
+the sweeps call the same methods, chunk by chunk. Each returns the
+trial-major columns of :class:`Estimates`, and a failed search (a
+degenerate ratio row or a non-finite surface) is a NaN row there and
+nothing more. The residual norms and the surfaces' constant terms are
+reductions along the last axis, and each estimator's correlations are
+one stacked matvec per stack. At a fixed SFO the cost is a cosine in
+CFO whose minimum is Moose's closed form, so each trial's lattice argmin
+is read, for the whole stack at once, from the two CFO rows that
+bracket that closed form in every SFO column, certified by one bound
+per trial; a trial whose argmin this cannot certify forms its full
 101 x 101 surface, its finiteness check and its argmin on its own.
 Either way the argmin is the full surface's, bit for bit; one pass
-forms the cost of every row found where it is read. The row searches
-return trial-major columns (``_Estimates``) that the harness reduces
-directly; a failed search (a degenerate ratio row or a non-finite
-surface) is a NaN row there and nothing more. The one-trial functions
-(``GridEvaluator.search_proposed`` and ``search_nguyenle`` and the
-estimate functions) read the one row of a stack of one, and raise
-:class:`NonFiniteSurfaceError` where it is NaN.
-``refine=True`` moves a lattice estimate off the lattice from the same
-correlations: Moose's closed-form CFO at the argmin's SFO, and the SFO
-vertex of the profile over SFO. The direct formulas
-:func:`proposed_cost` and :func:`nguyenle_cost` steer no search: they
-report a cost at a given point and are the tests' reference.
+forms the cost of every row found where it is read.
+``refine=True`` moves every lattice estimate of a stack off the lattice
+from the same correlations: Moose's closed-form CFO at the argmin's SFO,
+and the SFO vertex of the profile over SFO. The direct formulas
+:func:`proposed_cost` and :func:`nguyenle_cost` take one trial's rows
+and steer no search: they report a cost at a given point, the refined
+one included, and are the tests' reference.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,15 +57,12 @@ from .ofdm_model import (
 )
 
 __all__ = [
-    "DegenerateObservationError",
     "GridSpec",
     "make_grid",
-    "EstimationResult",
+    "Estimates",
     "GridEvaluator",
-    "NonFiniteSurfaceError",
     "symbol_phase_ramp",
     "proposed_cost",
-    "nguyenle_observable",
     "ratio_observable_rows",
     "nguyenle_cost",
     "estimate_proposed",
@@ -89,20 +83,6 @@ DEGENERATE_MAGNITUDE = 1e-30
 # lattice takes 163 KB; a fallback surface's temporaries take about twice
 # the table again.
 _LATTICE_BUDGET = 2 ** 26
-
-
-class DegenerateObservationError(Exception):
-    """Raised when the ratio observable would divide by a (near-)zero."""
-
-    def __init__(self, subcarriers):
-        self.subcarriers = tuple(int(k) for k in np.atleast_1d(subcarriers))
-        super().__init__(
-            "ratio observable is degenerate at subcarrier(s) "
-            f"{list(self.subcarriers)}")
-
-
-class NonFiniteSurfaceError(ValueError):
-    """Raised when a cost surface holds a non-finite lattice value."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,21 +159,11 @@ def make_grid(cfo_step: float = 0.01, cfo_max: float = 0.5,
                       for step, n in zip((cfo_step, sfo_step), counts)))
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    """Estimate returned by a grid search."""
-
-    cfo: float
-    sfo: float
-    cost: float
-    method: str
-
-
-class _Estimates:
-    """One estimator's searches of a stack of rows, trial-major: each
-    row's lattice ``cfo``, ``sfo`` and ``cost``, all NaN where its search
-    failed. ``cost`` is an array, or a function that forms it when it is
-    first read: no sweep reads it."""
+class Estimates:
+    """One estimator's fit of a stack of rows, trial-major: each row's
+    ``cfo``, ``sfo`` and ``cost``, all NaN where its search failed.
+    ``cost`` is an array, or a function that forms it when it is first
+    read: no sweep reads it."""
 
     def __init__(self, method: str, cfo, sfo, cost):
         self.method, self.cfo, self.sfo, self._cost = method, cfo, sfo, cost
@@ -257,21 +227,6 @@ def ratio_observable_rows(x0, x1, r0, r1):
     bad = np.abs(denom) < DEGENERATE_MAGNITUDE
     denom[bad.any(axis=-1)] = 1.0
     return x0 * r1 / denom, bad
-
-
-def nguyenle_observable(x0, x1, r0, r1, config: OfdmConfig) -> np.ndarray:
-    """One trial's ratio observable Y(k) = X0(k) R1(k) / (X1(k) R0(k)),
-    from its training rows x0, x1 and spectra rows r0, r1 (K,).
-
-    Raises
-    ------
-    DegenerateObservationError
-        If |X1(k) R0(k)| falls below ``DEGENERATE_MAGNITUDE`` anywhere.
-    """
-    y, bad = ratio_observable_rows(x0, x1, r0, r1)
-    if bad.any():
-        raise DegenerateObservationError(config.subcarrier_indices[bad])
-    return y
 
 
 def nguyenle_cost(y: np.ndarray, cfo, sfo, config: OfdmConfig):
@@ -358,10 +313,14 @@ class GridEvaluator:
     def _pair_terms(self, r0, r1):
         c = _sum_last(r0.real ** 2 + r0.imag ** 2 + r1.real ** 2
                       + r1.imag ** 2)
-        return c, self._correlate(r0 * np.conj(r1))
+        # np.multiply, not *: on a temporary over 256 KiB the operator
+        # computes conj(r1) * r0 in place, whose imaginary parts round
+        # differently, so a large stack's rows would not be its chunks'.
+        return c, self._correlate(np.multiply(r0, np.conj(r1)))
 
-    def _ratio_terms(self, y):
+    def _ratio_terms(self, y, degenerate):
         c = _sum_last(y.real ** 2 + y.imag ** 2) + y.shape[-1]
+        c[degenerate] = np.nan  # so the row is neither certified nor searched
         return c, self._correlate(np.conj(y))
 
     def proposed_surface(self, r0, r1) -> np.ndarray:
@@ -369,24 +328,18 @@ class GridEvaluator:
         return self._surface(c, v)
 
     def nguyenle_surface(self, y: np.ndarray) -> np.ndarray:
-        (c,), (v,) = self._ratio_terms(y[None])
+        (c,), (v,) = self._ratio_terms(y[None], False)
         return self._surface(c, v)
 
     def _result(self, surface):
-        """First-occurrence argmin (i, j) of a row-major (cfo, sfo) surface.
+        """First-occurrence argmin (i, j) of a finite row-major (cfo, sfo)
+        surface.
 
         Ties resolve to the smallest CFO candidate, then the smallest SFO
         candidate, which is exactly the first occurrence in row-major
-        order. A non-finite entry raises :class:`NonFiniteSurfaceError`.
+        order.
         """
-        cfos, sfos = self.grid.cfo_values, self.grid.sfo_values
-        if not np.isfinite(surface).all():
-            i, j = np.unravel_index(
-                int(np.argmin(np.isfinite(surface))), surface.shape)
-            raise NonFiniteSurfaceError(
-                "non-finite cost at lattice point "
-                f"(cfo={cfos[i]!r}, sfo={sfos[j]!r})")
-        return divmod(int(np.argmin(surface)), sfos.size)
+        return divmod(int(np.argmin(surface)), self.grid.shape[1])
 
     def _lower(self, moose):
         """clip(searchsorted(cfo_values, moose, "right") - 1, 0, n_cfo - 2);
@@ -430,7 +383,7 @@ class GridEvaluator:
             (moose >= self._window[0]) & (moose <= self._window[1])).all(-1)
         return (rows[sure],) + divmod(pick[sure], n_sfo)
 
-    def _search_rows(self, c, v, method, r0, r1) -> _Estimates:
+    def _search_rows(self, c, v, method, r0, r1) -> Estimates:
         """Search every row of the terms (c, v) of the spectra r0, r1; r0
         is an array of rows or the scalar 1.0 of the ratio fit.
 
@@ -462,33 +415,23 @@ class GridEvaluator:
             found[2, rows] = np.add.accumulate(
                 diff.real ** 2 + diff.imag ** 2, axis=-1)[:, -1]
             return found[2]
-        return _Estimates(method, found[0], found[1], cost)
+        return Estimates(method, found[0], found[1], cost)
 
-    def _search_pairs(self, r0, r1) -> _Estimates:
+    def search_proposed(self, r0, r1) -> Estimates:
         """The proposed fit of every row of the (T, K) spectra r0, r1."""
-        c, v = self._pair_terms(r0, r1)
-        return self._search_rows(c, v, "proposed", r0, r1)
+        return self._search_rows(*self._pair_terms(r0, r1), "proposed",
+                                 r0, r1)
 
-    def _search_ratios(self, y, degenerate) -> _Estimates:
+    def search_nguyenle(self, y, degenerate) -> Estimates:
         """The Nguyen-Le fit of every row of the ratio observable y of
         :func:`ratio_observable_rows`; a ``degenerate`` row stays NaN."""
-        c, v = self._ratio_terms(y)
-        c[degenerate] = np.nan  # so it is neither certified nor searched
-        return self._search_rows(c, v, "nguyen_le", 1.0, y)
+        return self._search_rows(*self._ratio_terms(y, degenerate),
+                                 "nguyen_le", 1.0, y)
 
-    def search_proposed(self, r0, r1) -> EstimationResult:
-        """The proposed fit of one trial's spectra rows r0, r1 (K,)."""
-        return _one_row(self._search_pairs(r0[None], r1[None]))
-
-    def search_nguyenle(self, x0, x1, r0, r1) -> EstimationResult:
-        """The Nguyen-Le fit of one trial's training rows x0, x1 and
-        spectra rows r0, r1 (K,)."""
-        y = nguyenle_observable(x0, x1, r0, r1, self.config)
-        return _one_row(self._search_ratios(y[None], [False]))
-
-    def _moose_step(self, v: np.ndarray, result: EstimationResult):
-        """Off-lattice (cfo, sfo) from one trial's correlations v and the
-        lattice argmin ``result`` found on them.
+    def _refine(self, v, found: Estimates, r0, r1) -> Estimates:
+        """Off-lattice estimates of every row that ``found`` holds, from
+        the correlations v (T, n_sfo) its search was run on; r0 and r1
+        as for :meth:`_search_rows`. A NaN row stays NaN.
 
         At a fixed SFO h the cost c - 2 Re(lead(cfo, h) v(h)) is least at
         Moose's correlator phase cfo*(h) = -arg v(h) / (a (1 + h)), with
@@ -499,22 +442,34 @@ class GridEvaluator:
         clamped to half a step; c is the same at every SFO, so only |v|
         enters. An axis keeps its lattice value when the argmin lies on
         its edge, and the SFO also when the profile has no curvature.
+        Each row's cost is :func:`proposed_cost` of that row alone at its
+        refined point.
         """
         cfos, sfos = self.grid.cfo_values, self.grid.sfo_values
-        i = int(np.searchsorted(cfos, result.cfo))
-        j = int(np.searchsorted(sfos, result.sfo))
-        cfo, sfo = result.cfo, result.sfo
-        if 0 < i < cfos.size - 1:
-            moose = -np.angle(v[j]) / self._slope[j]
-            period = _TWO_PI / self._slope[j]
-            cfo = float(moose + period * np.round((cfo - moose) / period))
-        if 0 < j < sfos.size - 1:
-            below, mid, above = np.abs(v[j - 1:j + 2])
-            curvature = 2.0 * mid - below - above
-            if curvature > 0:
-                offset = np.clip(0.5 * (above - below) / curvature, -0.5, 0.5)
-                sfo = float(sfo + offset * (sfos[j + 1] - sfo))
-        return cfo, sfo
+        cfo, sfo = found.cfo.copy(), found.sfo.copy()
+        rows = np.flatnonzero(~np.isnan(cfo))
+        i = np.searchsorted(cfos, cfo[rows])
+        j = np.searchsorted(sfos, sfo[rows])
+        inner = (0 < i) & (i < cfos.size - 1)
+        t, at = rows[inner], j[inner]
+        moose = -np.angle(v[t, at]) / self._slope[at]
+        period = _TWO_PI / self._slope[at]
+        cfo[t] = moose + period * np.round((cfo[t] - moose) / period)
+        inner = (0 < j) & (j < sfos.size - 1)
+        t, at = rows[inner], j[inner]
+        below, mid, above = np.abs(v[t[:, None], at[:, None] + [-1, 0, 1]]).T
+        curvature = 2.0 * mid - below - above
+        bent = curvature > 0
+        t, at = t[bent], at[bent]
+        offset = np.clip(0.5 * (above - below)[bent] / curvature[bent],
+                         -0.5, 0.5)
+        sfo[t] = sfo[t] + offset * (sfos[at + 1] - sfo[t])
+        r0 = np.broadcast_to(r0, r1.shape)
+        cost = np.full(len(cfo), np.nan)
+        for t in rows.tolist():
+            cost[t] = proposed_cost(r0[t], r1[t], cfo[t], sfo[t],
+                                    self.config)
+        return Estimates(found.method, cfo, sfo, cost)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -523,55 +478,41 @@ def _evaluator(grid: GridSpec, config: OfdmConfig) -> GridEvaluator:
     return GridEvaluator(grid, config)
 
 
-def _one_row(found: _Estimates) -> EstimationResult:
-    """The one row of the search of a stack of one, or raise
-    :class:`NonFiniteSurfaceError` where it failed."""
-    cfo, sfo, cost = (float(a[0]) for a in (found.cfo, found.sfo, found.cost))
-    if np.isnan(cfo):
-        raise NonFiniteSurfaceError("non-finite cost surface")
-    return EstimationResult(cfo, sfo, cost, found.method)
-
-
 def estimate_proposed(r0, r1, grid: GridSpec, config: OfdmConfig,
-                      refine: bool = False) -> EstimationResult:
-    """Joint CFO/SFO estimate from the phase-ramped pair fit of one
-    trial's spectra rows r0, r1 (K,).
+                      refine: bool = False) -> Estimates:
+    """Joint CFO/SFO estimates from the phase-ramped pair fit of every row
+    of the (T, K) spectra r0, r1.
 
-    With ``refine=False`` (the default) the estimate is exactly a lattice
-    point; ``refine=True`` moves it off the lattice by
-    :meth:`GridEvaluator._moose_step` and reports :func:`proposed_cost`
+    With ``refine=False`` (the default) each estimate is exactly a
+    lattice point, as :meth:`GridEvaluator.search_proposed` finds it;
+    ``refine=True`` moves it off the lattice by
+    :meth:`GridEvaluator._refine` and reports :func:`proposed_cost`
     there.
     """
     evaluator = _evaluator(grid, config)
-    c, v = evaluator._pair_terms(r0[None], r1[None])
-    result = _one_row(evaluator._search_rows(c, v, "proposed", r0[None],
-                                             r1[None]))
     if not refine:
-        return result
-    cfo, sfo = evaluator._moose_step(v[0], result)
-    return replace(result, cfo=cfo, sfo=sfo,
-                   cost=proposed_cost(r0, r1, cfo, sfo, config))
+        return evaluator.search_proposed(r0, r1)
+    c, v = evaluator._pair_terms(r0, r1)
+    return evaluator._refine(
+        v, evaluator._search_rows(c, v, "proposed", r0, r1), r0, r1)
 
 
 def estimate_nguyenle(x0, x1, r0, r1, grid: GridSpec, config: OfdmConfig,
-                      refine: bool = False) -> EstimationResult:
-    """Joint CFO/SFO estimate from the ratio-observable fit of one trial's
-    training rows x0, x1 and spectra rows r0, r1 (K,).
+                      refine: bool = False) -> Estimates:
+    """Joint CFO/SFO estimates from the ratio-observable fit of every row
+    of the (T, K) training x0, x1 and spectra r0, r1.
 
     ``refine`` as for :func:`estimate_proposed`, reporting
-    :func:`nguyenle_cost`. Raises :class:`DegenerateObservationError`
-    where the observable is unusable.
+    :func:`nguyenle_cost`. A row whose observable is degenerate (see
+    :func:`ratio_observable_rows`) is a NaN row.
     """
-    y = nguyenle_observable(x0, x1, r0, r1, config)
+    y, bad = ratio_observable_rows(x0, x1, r0, r1)
     evaluator = _evaluator(grid, config)
-    c, v = evaluator._ratio_terms(y[None])
-    result = _one_row(evaluator._search_rows(c, v, "nguyen_le", 1.0,
-                                             y[None]))
     if not refine:
-        return result
-    cfo, sfo = evaluator._moose_step(v[0], result)
-    return replace(result, cfo=cfo, sfo=sfo,
-                   cost=nguyenle_cost(y, cfo, sfo, config))
+        return evaluator.search_nguyenle(y, bad.any(axis=-1))
+    c, v = evaluator._ratio_terms(y, bad.any(axis=-1))
+    return evaluator._refine(
+        v, evaluator._search_rows(c, v, "nguyen_le", 1.0, y), 1.0, y)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -61,8 +61,8 @@ from .crb import (
     invertible,
 )
 from .estimators import (
+    Estimates,
     GridSpec,
-    _Estimates,
     _evaluator,
     make_grid,
     nguyenle_cost,
@@ -275,8 +275,8 @@ class _Columns:
     n_sq: np.ndarray | None = None
     e_sq: np.ndarray | None = None
     degenerate: np.ndarray | None = None
-    proposed: _Estimates | None = None
-    nguyenle: _Estimates | None = None
+    proposed: Estimates | None = None
+    nguyenle: Estimates | None = None
     crb_cfo: np.ndarray | None = None
     crb_sfo: np.ndarray | None = None
     singular: np.ndarray | None = None
@@ -380,8 +380,8 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
         "degenerate": degenerate}
     if not residuals_only:
         evaluator = _evaluator(cfg.grid, cfg.ofdm)
-        fields.update(proposed=evaluator._search_pairs(r0, r1),
-                      nguyenle=evaluator._search_ratios(y, degenerate),
+        fields.update(proposed=evaluator.search_proposed(r0, r1),
+                      nguyenle=evaluator.search_nguyenle(y, degenerate),
                       **_crb_fields(cfg, snr_db, draws, burst))
     return _Columns(draws.indices, **fields), spectra
 

@@ -35,10 +35,14 @@ on stacks (:func:`synthesize_rows`, :func:`demodulate_rows`); one burst
 is a stack of one row (``x[None]``). Synthesis reads the noiseless burst
 g_m = B_m (x H) of :func:`_noiseless_burst`, which a fig2 chunk also
 hands to its Fisher pass. A stack equals its rows computed one at a
-time, bit for bit, under three rules: matrix products are stacked
+time, bit for bit, under four rules: matrix products are stacked
 matvecs ``A @ Z[..., None]`` (a plain GEMM ``A @ Z`` rounds
-differently), the FFT runs along the last axis, and every reduction runs
-along the last axis of a C-contiguous array (:func:`_sum_last`).
+differently), the FFT runs along the last axis, every reduction runs
+along the last axis of a C-contiguous array (:func:`_sum_last`), and a
+complex product of two stacks is ``np.multiply(a, b)`` where an operand
+is a temporary (on one over 256 KiB, ``a * b`` computes ``b * a`` in
+place, whose imaginary parts round differently under FMA). So a stack
+also equals its chunks of any size.
 
 Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
 words are a key path (master seed, SNR key, trial index, label) split

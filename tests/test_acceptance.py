@@ -24,6 +24,7 @@ from ofdm_sync_lab import (
     noise_variance_from_snr,
     ofdm_model,
     pair_residual_rows,
+    ratio_observable_rows,
     run_mse_sweep,
     run_noise_variance_sweep,
     synthesize_rows,
@@ -180,10 +181,11 @@ def test_criterion_6_analytic_identities(capsys):
         r0, r1 = noiseless_spectra(cfg, x, taps, eps, 0.0)
         residual_dev = max(residual_dev, float(
             np.max(np.abs(pair_residual_rows(r0, r1, eps, 0.0, cfg)))))
-        prop = evaluator.search_proposed(r0, r1)
-        ratio = evaluator.search_nguyenle(x, x, r0, r1)
-        if ((prop.cfo, prop.sfo) == (eps, 0.0)
-                and (ratio.cfo, ratio.sfo) == (eps, 0.0)):
+        y, bad = ratio_observable_rows(x[None], x[None], r0[None], r1[None])
+        prop = evaluator.search_proposed(r0[None], r1[None])
+        ratio = evaluator.search_nguyenle(y, bad.any(axis=-1))
+        if ((prop.cfo[0], prop.sfo[0]) == (eps, 0.0)
+                and (ratio.cfo[0], ratio.sfo[0]) == (eps, 0.0)):
             recovered += 1
 
     passed = (orth_dev <= 1e-14 and decomp_rel <= 1e-10

@@ -3,6 +3,7 @@ search and its correlation kernel, refinement, and the two residual
 diagnostics."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,10 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
-    DegenerateObservationError,
     GridEvaluator,
     GridSpec,
-    NonFiniteSurfaceError,
     QPSK_ALPHABET,
     channel_taps,
     demodulate_rows,
@@ -23,7 +22,6 @@ from ofdm_sync_lab import (
     make_config,
     make_grid,
     nguyenle_cost,
-    nguyenle_observable,
     noise_variance_from_snr,
     pair_residual_rows,
     proposed_cost,
@@ -61,11 +59,36 @@ def observation(seed, cfo, sfo, snr_db=None):
     return x, r0, r1
 
 
+def row(found):
+    """The one row of the estimates of a stack of one, as floats."""
+    return SimpleNamespace(method=found.method, **{
+        name: float(getattr(found, name)[0])
+        for name in ("cfo", "sfo", "cost")})
+
+
+def proposed(r0, r1, grid=GRID, **options):
+    """One trial's proposed estimate, as a stack of one."""
+    return row(estimate_proposed(r0[None], r1[None], grid, CFG, **options))
+
+
+def nguyenle(x, r0, r1, grid=GRID, **options):
+    """One trial's Nguyen-Le estimate, as a stack of one."""
+    return row(estimate_nguyenle(x[None], x[None], r0[None], r1[None], grid,
+                                 CFG, **options))
+
+
+def observable(x, r0, r1):
+    """One trial's ratio observable row, asserted non-degenerate."""
+    y, bad = ratio_observable_rows(x, x, r0, r1)
+    assert not bad.any()
+    return y
+
+
 def estimate(method, x, r0, r1, grid, **options):
     """One trial's estimate by the estimate function named ``method``."""
     if method == "estimate_proposed":
-        return estimate_proposed(r0, r1, grid, CFG, **options)
-    return estimate_nguyenle(x, x, r0, r1, grid, CFG, **options)
+        return proposed(r0, r1, grid, **options)
+    return nguyenle(x, r0, r1, grid, **options)
 
 
 # -------------------------------------------------------------------- grid
@@ -230,14 +253,14 @@ def test_noiseless_truth_is_strict_surface_minimum():
 
 def test_observable_is_one_for_identical_symbols():
     x, r0, r1 = observation(8, 0.0, 0.0)
-    npt.assert_allclose(nguyenle_observable(x, x, r0, r1, CFG), 1.0,
+    npt.assert_allclose(observable(x, r0, r1), 1.0,
                         rtol=0, atol=1e-12)
 
 
 def test_observable_constant_ramp_when_sfo_is_zero():
     cfo = 0.21
     x, r0, r1 = observation(9, cfo, 0.0)
-    y = nguyenle_observable(x, x, r0, r1, CFG)
+    y = observable(x, r0, r1)
     expected = np.exp(1j * 2 * np.pi * 80.0 * cfo / 64.0)
     npt.assert_allclose(y, expected, rtol=0, atol=1e-12)
     # and the ratio residual at the truth is zero to the same tolerance
@@ -248,13 +271,14 @@ def test_observable_constant_ramp_when_sfo_is_zero():
 def test_observable_flags_degenerate_bins():
     x, r0, r1 = observation(10, 0.1, 1e-4, snr_db=20.0)
     r0[3] = 0.0
-    with pytest.raises(DegenerateObservationError) as excinfo:
-        nguyenle_observable(x, x, r0, r1, CFG)
-    assert excinfo.value.subcarriers == (-23,)
-    # the row form marks the bin instead, and divides the row by ones
+    # the row form marks the bin, and divides the row by ones
     y, bad = ratio_observable_rows(x[None], x[None], r0[None], r1[None])
+    assert CFG.subcarrier_indices[bad[0]].tolist() == [-23]
     npt.assert_array_equal(np.flatnonzero(bad[0]), [3])
     assert np.isfinite(y).all()
+    # and the Nguyen-Le fit of that row is a NaN row
+    result = nguyenle(x, r0, r1)
+    assert np.isnan([result.cfo, result.sfo, result.cost]).all()
     # the pair residual does not divide, so it stays usable
     assert np.all(np.isfinite(pair_residual_rows(r0, r1, 0.1, 1e-4, CFG)))
 
@@ -266,13 +290,13 @@ def test_nguyenle_cost_zeros():
     y = np.full(52, np.exp(1j * 2 * np.pi * 80.0 * eps / 64.0))
     assert nguyenle_cost(y, eps, 0.0, CFG) < 1e-25
     x, r0, r1 = observation(11, 0.2, 2e-4, snr_db=5.0)
-    assert nguyenle_cost(nguyenle_observable(x, x, r0, r1, CFG), -0.1, 1e-4,
+    assert nguyenle_cost(observable(x, r0, r1), -0.1, 1e-4,
                          CFG) >= 0.0
 
 
 def test_nguyenle_cost_matches_direct_formula():
     x, r0, r1 = observation(12, 0.212, 0.000112, snr_db=10.0)
-    y = nguyenle_observable(x, x, r0, r1, CFG)
+    y = observable(x, r0, r1)
     ks = CFG.subcarrier_indices
     cfo, sfo = -0.07, 2.3e-4
     ramp = np.exp(1j * 2 * np.pi * 80.0 / 64.0
@@ -303,28 +327,31 @@ def test_grid_search_tie_breaks_to_first_lattice_point():
     assert EV._result(np.ones(GRID.shape)) == (0, 0)
     # a signal-free pair makes the whole kernel surface exactly zero
     zeros = np.zeros(52, dtype=complex)
-    result = EV.search_proposed(zeros, zeros)
+    result = row(EV.search_proposed(zeros[None], zeros[None]))
     assert (result.cfo, result.sfo) == (GRID.cfo_values[0],
                                         GRID.sfo_values[0])
     assert result.cost == 0.0
 
 
 def test_grid_search_rejects_non_finite_cost():
-    surface = lattice_surface(bowl, GRID)
-    surface[3, 7] = np.nan
-    with pytest.raises(NonFiniteSurfaceError, match="non-finite cost"):
-        EV._result(surface)
+    """A row with a non-finite bin is a NaN row of the search; the other
+    rows of its stack are searched as if alone."""
     _, r0, r1 = observation(29, 0.1, 1e-4, snr_db=10.0)
-    r0[5] = np.inf
-    with pytest.raises(NonFiniteSurfaceError, match="non-finite cost"), \
-            np.errstate(invalid="ignore"):
-        EV.search_proposed(r0, r1)
+    bad = r0.copy()
+    bad[5] = np.inf
+    with np.errstate(invalid="ignore"):
+        found = EV.search_proposed(np.stack([bad, r0]), np.stack([r1, r1]))
+    assert np.isnan([found.cfo[0], found.sfo[0], found.cost[0]]).all()
+    alone = row(EV.search_proposed(r0[None], r1[None]))
+    assert (found.cfo[1], found.sfo[1], found.cost[1]) == (
+        alone.cfo, alone.sfo, alone.cost)
 
 
 def test_grid_search_single_point_grid():
     grid = GridSpec(np.array([0.3]), np.array([0.0]))
     _, r0, r1 = observation(30, 0.2, 1e-4, snr_db=10.0)
-    result = GridEvaluator(grid, CFG).search_proposed(r0, r1)
+    result = row(GridEvaluator(grid, CFG).search_proposed(r0[None],
+                                                          r1[None]))
     assert (result.cfo, result.sfo) == (0.3, 0.0)
     assert result.method == "proposed"
     assert result.cost == pytest.approx(
@@ -336,7 +363,7 @@ def test_degenerate_grid_collapses_to_cfo_only_search():
     one-dimensional CFO ramp fit."""
     grid = make_grid(sfo_max=0.0)
     _, r0, r1 = observation(13, 0.21, 0.0, snr_db=25.0)
-    result = estimate_proposed(r0, r1, grid, CFG)
+    result = proposed(r0, r1, grid)
     assert result.sfo == 0.0
     line = proposed_cost(r0, r1, grid.cfo_values, 0.0, CFG)
     assert result.cfo == grid.cfo_values[np.argmin(line)]
@@ -345,7 +372,7 @@ def test_degenerate_grid_collapses_to_cfo_only_search():
 def test_fully_pinned_grid_returns_pair_mismatch_energy():
     grid = make_grid(cfo_max=0.0, sfo_max=0.0)
     _, r0, r1 = observation(14, 0.1, 1e-4, snr_db=10.0)
-    result = estimate_proposed(r0, r1, grid, CFG)
+    result = proposed(r0, r1, grid)
     assert (result.cfo, result.sfo) == (0.0, 0.0)
     assert result.cost == pytest.approx(
         float(np.sum(np.abs(r1 - r0) ** 2)), rel=1e-12)
@@ -376,17 +403,17 @@ def test_evaluator_matches_oracle_surface():
     ev = GridEvaluator(GRID, CFG)
     oracle = proposed_cost(r0, r1, GRID.cfo_values[:, None],
                            GRID.sfo_values[None, :], CFG)
-    got = ev.search_proposed(r0, r1)
+    got = row(ev.search_proposed(r0[None], r1[None]))
     assert_kernel_matches_oracle(ev.proposed_surface(r0, r1), oracle, got,
                                  GRID, energy(r0, r1))
     assert np.unravel_index(np.argmin(oracle), GRID.shape) == (
         np.searchsorted(GRID.cfo_values, got.cfo),
         np.searchsorted(GRID.sfo_values, got.sfo))
 
-    y = nguyenle_observable(x, x, r0, r1, CFG)
+    y = observable(x, r0, r1)
     oracle_nl = nguyenle_cost(y, GRID.cfo_values[:, None],
                               GRID.sfo_values[None, :], CFG)
-    got_nl = ev.search_nguyenle(x, x, r0, r1)
+    got_nl = row(ev.search_nguyenle(y[None], [False]))
     assert_kernel_matches_oracle(ev.nguyenle_surface(y), oracle_nl, got_nl,
                                  GRID, energy(y) + y.size)
     assert np.unravel_index(np.argmin(oracle_nl), GRID.shape) == (
@@ -429,20 +456,22 @@ def test_kernel_matches_oracle_over_random_geometries(geometry, seed, scale):
 
     assert_kernel_matches_oracle(ev.proposed_surface(r0, r1),
                                  proposed_cost(r0, r1, e, h, config),
-                                 ev.search_proposed(r0, r1), grid,
+                                 row(ev.search_proposed(r0[None],
+                                                        r1[None])), grid,
                                  energy(r0, r1))
     # r0 is its own training: Y = R1 / R0
-    y = nguyenle_observable(r0, r0, r0, r1, config)
+    y = ratio_observable_rows(r0, r0, r0, r1)[0]
     assert_kernel_matches_oracle(ev.nguyenle_surface(y),
                                  nguyenle_cost(y, e, h, config),
-                                 ev.search_nguyenle(r0, r0, r0, r1), grid,
+                                 row(ev.search_nguyenle(y[None],
+                                                        [False])), grid,
                                  energy(y) + k)
 
 
 def test_estimates_at_zero_offsets():
     x, r0, r1 = observation(16, 0.0, 0.0)
-    prop = estimate_proposed(r0, r1, GRID, CFG)
-    nl = estimate_nguyenle(x, x, r0, r1, GRID, CFG)
+    prop = proposed(r0, r1)
+    nl = nguyenle(x, r0, r1)
     assert (prop.cfo, prop.sfo) == (0.0, 0.0)
     assert (nl.cfo, nl.sfo) == (0.0, 0.0)
     assert prop.method == "proposed"
@@ -456,8 +485,8 @@ def test_noiseless_on_lattice_recovery_is_exact(lattice_index):
     eps_true = float(GRID.cfo_values[lattice_index])
     assert abs(eps_true) < 0.3
     x, r0, r1 = observation(17, eps_true, 0.0)
-    prop = estimate_proposed(r0, r1, GRID, CFG)
-    nl = estimate_nguyenle(x, x, r0, r1, GRID, CFG)
+    prop = proposed(r0, r1)
+    nl = nguyenle(x, r0, r1)
     assert (prop.cfo, prop.sfo) == (eps_true, 0.0)
     assert (nl.cfo, nl.sfo) == (eps_true, 0.0)
     assert prop.cost < 1e-25
@@ -471,7 +500,7 @@ def test_cfo_alias_beyond_0p3_is_a_cost_tie():
     eps_true = float(GRID.cfo_values[85])   # 0.35
     alias = float(GRID.cfo_values[5])       # -0.45
     _, r0, r1 = observation(19, eps_true, 0.0)
-    result = estimate_proposed(r0, r1, GRID, CFG)
+    result = proposed(r0, r1)
     assert result.cfo in (eps_true, alias)
     assert result.sfo == 0.0
     assert result.cost < 1e-25
@@ -479,14 +508,14 @@ def test_cfo_alias_beyond_0p3_is_a_cost_tie():
     assert proposed_cost(r0, r1, alias, 0.0, CFG) < 1e-25
 
 
-def test_estimate_nguyenle_propagates_degenerate_error():
+def test_estimate_nguyenle_degenerate_row_is_nan():
     x, r0, r1 = observation(20, 0.1, 1e-4, snr_db=15.0)
     r0[0] = 0.0
     for refine in (False, True):
-        with pytest.raises(DegenerateObservationError):
-            estimate_nguyenle(x, x, r0, r1, GRID, CFG, refine=refine)
+        result = nguyenle(x, r0, r1, refine=refine)
+        assert np.isnan([result.cfo, result.sfo, result.cost]).all()
     # the pair fit is division-free and survives the same observation
-    result = estimate_proposed(r0, r1, GRID, CFG)
+    result = proposed(r0, r1)
     assert np.isfinite(result.cost)
 
 
@@ -496,8 +525,8 @@ def test_estimate_nguyenle_propagates_degenerate_error():
 def test_costs_invariant_under_common_rotation():
     _, r0, r1 = observation(21, 0.212, 0.000112, snr_db=10.0)
     phase = np.exp(1j * 1.234)
-    a = estimate_proposed(r0, r1, GRID, CFG)
-    b = estimate_proposed(phase * r0, phase * r1, GRID, CFG)
+    a = proposed(r0, r1)
+    b = proposed(phase * r0, phase * r1)
     assert (a.cfo, a.sfo) == (b.cfo, b.sfo)
     assert b.cost == pytest.approx(a.cost, rel=1e-12)
     for cfo, sfo in ((0.0, 0.0), (-0.2, 3e-4)):
@@ -508,8 +537,8 @@ def test_costs_invariant_under_common_rotation():
 def test_proposed_cost_scales_quadratically_with_amplitude():
     _, r0, r1 = observation(22, 0.212, 0.000112, snr_db=10.0)
     scale = 3.7
-    a = estimate_proposed(r0, r1, GRID, CFG)
-    b = estimate_proposed(scale * r0, scale * r1, GRID, CFG)
+    a = proposed(r0, r1)
+    b = proposed(scale * r0, scale * r1)
     assert (a.cfo, a.sfo) == (b.cfo, b.sfo)
     assert b.cost == pytest.approx(scale ** 2 * a.cost, rel=1e-12)
 
@@ -520,8 +549,8 @@ def test_proposed_cost_scales_quadratically_with_amplitude():
 def test_refine_moves_toward_off_lattice_truth():
     eps_true, eta_true = 0.212, 0.000112
     _, r0, r1 = observation(23, eps_true, eta_true)
-    lattice = estimate_proposed(r0, r1, GRID, CFG)
-    refined = estimate_proposed(r0, r1, GRID, CFG, refine=True)
+    lattice = proposed(r0, r1)
+    refined = proposed(r0, r1, refine=True)
     assert abs(refined.cfo - lattice.cfo) <= 0.005 + 1e-12
     assert abs(refined.sfo - lattice.sfo) <= 5e-6 + 1e-15
     assert abs(refined.cfo - eps_true) < abs(lattice.cfo - eps_true)
@@ -530,22 +559,22 @@ def test_refine_moves_toward_off_lattice_truth():
 
 def test_refine_keeps_lattice_point_at_grid_edge():
     _, r0, r1 = observation(24, -0.5, 0.0)
-    refined = estimate_proposed(r0, r1, GRID, CFG, refine=True)
+    refined = proposed(r0, r1, refine=True)
     assert refined.cfo == -0.5
 
 
 def test_nguyenle_refine_moves_toward_off_lattice_truth():
     eps_true, eta_true = 0.212, 0.000112
     x, r0, r1 = observation(23, eps_true, eta_true)
-    lattice = estimate_nguyenle(x, x, r0, r1, GRID, CFG)
-    refined = estimate_nguyenle(x, x, r0, r1, GRID, CFG, refine=True)
+    lattice = nguyenle(x, r0, r1)
+    refined = nguyenle(x, r0, r1, refine=True)
     assert abs(refined.cfo - lattice.cfo) <= 0.005 + 1e-12
     assert abs(refined.sfo - lattice.sfo) <= 5e-6 + 1e-15
     assert abs(refined.cfo - eps_true) < abs(lattice.cfo - eps_true)
     assert abs(refined.sfo - eta_true) < abs(lattice.sfo - eta_true)
     assert refined.method == "nguyen_le"
     assert refined.cost == nguyenle_cost(
-        nguyenle_observable(x, x, r0, r1, CFG), refined.cfo, refined.sfo,
+        observable(x, r0, r1), refined.cfo, refined.sfo,
         CFG)
 
 
@@ -581,9 +610,129 @@ def test_refine_is_exact_on_a_model_exact_pair(method):
 
 def test_default_estimate_is_a_lattice_point():
     _, r0, r1 = observation(25, 0.212, 0.000112, snr_db=10.0)
-    result = estimate_proposed(r0, r1, GRID, CFG)
+    result = proposed(r0, r1)
     assert result.cfo in GRID.cfo_values
     assert result.sfo in GRID.sfo_values
+
+
+# ------------------------------------------------------------------ parity
+
+
+def pinned_rows():
+    """Seven trials: noiseless off the lattice, on the CFO edge, at 10,
+    25 and 0 dB, a degenerate ratio row and a row with an infinite bin."""
+    yield "noiseless", observation(23, 0.212, 0.000112)
+    yield "edge", observation(24, -0.5, 0.0)
+    yield "snr10", observation(15, 0.212, 0.000112, snr_db=10.0)
+    yield "snr25", observation(31, -0.1234, -2.1e-4, snr_db=25.0)
+    yield "snr0", observation(32, 0.4, 4.7e-4, snr_db=0.0)
+    x, r0, r1 = observation(20, 0.1, 1e-4, snr_db=15.0)
+    r0[0] = 0.0
+    yield "degenerate", (x, r0, r1)
+    x, r0, r1 = observation(29, 0.1, 1e-4, snr_db=10.0)
+    r1[5] = np.inf
+    yield "inf", (x, r0, r1)
+
+
+# (cfo, sfo, cost) as float.hex of each pinned row, as the one-trial
+# estimate functions returned them when they took one trial's rows and
+# raised where the search failed (None here). Refinement pins move only
+# when its math changes, as a declared change.
+PINNED = {
+    ("noiseless", "estimate_proposed", False):
+        ("0x1.ae147ae147ae1p-3", "0x1.f75104d551d6ap-16",
+         "0x1.0e853731099e1p-7"),
+    ("noiseless", "estimate_proposed", True):
+        ("0x1.afb429cc09879p-3", "0x1.2599ed7c6fbd3p-15",
+         "0x1.3298a89273c72p-8"),
+    ("noiseless", "estimate_nguyenle", False):
+        ("0x1.ae147ae147ae1p-3", "0x1.cd5f99c38b04bp-14",
+         "0x1.9cbb15f2289aap-7"),
+    ("noiseless", "estimate_nguyenle", True):
+        ("0x1.b21051aa38b4fp-3", "0x1.cf599a1320490p-14",
+         "0x1.e18fb2c3c2ddbp-12"),
+    ("edge", "estimate_proposed", False):
+        ("-0x1.0000000000000p-1", "0x0.0p+0",
+         "0x1.f2c7700000000p-98"),
+    ("edge", "estimate_proposed", True):
+        ("-0x1.0000000000000p-1", "0x0.0p+0",
+         "0x1.e8c2600000000p-98"),
+    ("edge", "estimate_nguyenle", False):
+        ("-0x1.0000000000000p-1", "0x0.0p+0",
+         "0x1.8a24000000000p-92"),
+    ("edge", "estimate_nguyenle", True):
+        ("-0x1.0000000000000p-1", "-0x1.1b7425f58e7d2p-51",
+         "0x1.b4ceb60000000p-83"),
+    ("snr10", "estimate_proposed", False):
+        ("0x1.d70a3d70a3d71p-3", "0x1.e2584f4c6e6dap-12",
+         "0x1.ed9b6d0ed91e2p+2"),
+    ("snr10", "estimate_proposed", True):
+        ("0x1.ceebf25c4a11bp-3", "0x1.dd1a21ea35936p-12",
+         "0x1.eb7ccc691f359p+2"),
+    ("snr10", "estimate_nguyenle", False):
+        ("0x1.c28f5c28f5c29p-3", "0x1.e2584f4c6e6dap-13",
+         "0x1.40340b5d1ab98p+4"),
+    ("snr10", "estimate_nguyenle", True):
+        ("0x1.c8a253b3d80dbp-3", "0x1.d7dbf487fcb92p-13",
+         "0x1.3fc56b5424daep+4"),
+    ("snr25", "estimate_proposed", False):
+        ("-0x1.eb851eb851eb8p-4", "-0x1.64840e1719f80p-13",
+         "0x1.590760ca5826cp-2"),
+    ("snr25", "estimate_proposed", True):
+        ("-0x1.f7cad8982e4ffp-4", "-0x1.6cb320ec5afa4p-13",
+         "0x1.450335e446b6ep-2"),
+    ("snr25", "estimate_nguyenle", False):
+        ("-0x1.eb851eb851eb8p-4", "-0x1.a36e2eb1c432dp-13",
+         "0x1.ce858fd4ac948p+0"),
+    ("snr25", "estimate_nguyenle", True):
+        ("-0x1.f61267434b509p-4", "-0x1.adea897635e74p-13",
+         "0x1.c8f6d1cd3f466p+0"),
+    ("snr0", "estimate_proposed", False):
+        ("-0x1.a3d70a3d70a3ep-2", "0x1.0624dd2f1a9fcp-11",
+         "0x1.4970474392550p+6"),
+    ("snr0", "estimate_proposed", True):
+        ("-0x1.a470a698d0a63p-2", "0x1.0624dd2f1a9fcp-11",
+         "0x1.496f06d889ae8p+6"),
+    ("snr0", "estimate_nguyenle", False):
+        ("0x1.ae147ae147ae1p-2", "-0x1.0624dd2f1a9fcp-11",
+         "0x1.81fe80edc1df3p+6"),
+    ("snr0", "estimate_nguyenle", True):
+        ("0x1.ac5cc277673bap-2", "-0x1.0624dd2f1a9fcp-11",
+         "0x1.81f9d38783f34p+6"),
+    ("degenerate", "estimate_proposed", False):
+        ("0x1.999999999999ap-4", "-0x1.f75104d551d6ap-16",
+         "0x1.0483239ce80c1p+2"),
+    ("degenerate", "estimate_proposed", True):
+        ("0x1.8a913b2dc9019p-4", "-0x1.a36e2eb1c432ep-16",
+         "0x1.02b48b29fd62bp+2"),
+    ("degenerate", "estimate_nguyenle", False): None,
+    ("degenerate", "estimate_nguyenle", True): None,
+    ("inf", "estimate_proposed", False): None,
+    ("inf", "estimate_proposed", True): None,
+    ("inf", "estimate_nguyenle", False): None,
+    ("inf", "estimate_nguyenle", True): None,
+}
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("method", ["estimate_proposed", "estimate_nguyenle"])
+def test_stack_estimates_reproduce_pinned_rows(method, refine):
+    """One stack of the pinned rows gives each row's pinned bits, and a
+    NaN row wherever the one-trial call raised."""
+    names, trials = zip(*pinned_rows())
+    x, r0, r1 = (np.stack(a) for a in zip(*trials))
+    with np.errstate(invalid="ignore", over="ignore"):
+        if method == "estimate_proposed":
+            found = estimate_proposed(r0, r1, GRID, CFG, refine=refine)
+        else:
+            found = estimate_nguyenle(x, x, r0, r1, GRID, CFG, refine=refine)
+    for t, name in enumerate(names):
+        got = [float(a[t]) for a in (found.cfo, found.sfo, found.cost)]
+        expected = PINNED[name, method, refine]
+        if expected is None:
+            assert np.isnan(got).all(), name
+        else:
+            assert tuple(v.hex() for v in got) == expected, name
 
 
 # --------------------------------------------------------------- residuals

@@ -3,6 +3,7 @@ sweep assembly, failure accounting, and the CRB backend plumbing."""
 
 import math
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
-    EstimationResult,
+    Estimates,
     OfdmConfig,
     channel_taps,
     demodulate_rows,
@@ -28,7 +29,6 @@ from ofdm_sync_lab import (
     synthesize_rows,
 )
 from ofdm_sync_lab import crb, harness
-from ofdm_sync_lab.estimators import _Estimates
 
 # 11 x 11 lattice holding the operating point; keeps sweep tests fast.
 COARSE_GRID = make_grid(0.1, 0.5, 1e-4, 5e-4)
@@ -177,10 +177,10 @@ def column_record(cols, snr_db, i):
     def estimate(found):
         if found is None or failed(found):
             return None
-        return EstimationResult(cfo=float(found.cfo[i]),
-                                sfo=float(found.sfo[i]),
-                                cost=float(found.cost[i]),
-                                method=found.method)
+        return SimpleNamespace(cfo=float(found.cfo[i]),
+                               sfo=float(found.sfo[i]),
+                               cost=float(found.cost[i]),
+                               method=found.method)
 
     def failed(found):
         return found is not None and bool(np.isnan(found.cfo[i]))
@@ -571,7 +571,7 @@ def outcomes_to_chunks(chunks):
                              v if at is None else v[at] for v in values])
 
         def estimates(found, method):
-            return _Estimates(method, *(
+            return Estimates(method, *(
                 np.array([np.nan if f is None else f[k] for f in found])
                 for k in range(3)))
 

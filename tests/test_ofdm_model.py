@@ -32,9 +32,9 @@ from ofdm_sync_lab import (
     fisher_rows,
     make_grid,
     nguyenle_cost,
-    nguyenle_observable,
     ofdm_model,
     proposed_cost,
+    ratio_observable_rows,
 )
 
 CFO_OP = 0.212
@@ -414,16 +414,17 @@ def test_demodulate_is_unitary_on_full_band():
 
 def test_observation_length_checked():
     """Spectra rows of another length than K, or than the training rows,
-    are a ValueError in every one-trial estimator function."""
+    are a ValueError in every estimator function."""
     cfg, grid = paper_config(), make_grid()
     x, r = np.ones(52), np.ones(4, dtype=complex)
     with pytest.raises(ValueError, match="length"):
         proposed_cost(r, r, 0.0, 0.0, cfg)
     with pytest.raises(ValueError, match="length"):
         nguyenle_cost(r, 0.0, 0.0, cfg)
-    for call in (lambda: nguyenle_observable(x, x, r, r, cfg),
-                 lambda: estimate_nguyenle(x, x, r, r, grid, cfg),
-                 lambda: estimate_proposed(r, r, grid, cfg),
+    for call in (lambda: ratio_observable_rows(x, x, r, r),
+                 lambda: estimate_nguyenle(x[None], x[None], r[None],
+                                           r[None], grid, cfg),
+                 lambda: estimate_proposed(r[None], r[None], grid, cfg),
                  lambda: GridEvaluator(grid, cfg).proposed_surface(r, r)):
         with pytest.raises(ValueError):
             call()

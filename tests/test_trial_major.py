@@ -5,8 +5,9 @@ result must equal, byte for byte, what the same trial gives alone:
 synthesis, demodulation, the residual norms, the cost surfaces and their
 argmin, and both routes' Fisher entries. The one-trial references are
 the row functions called on a stack of one trial (``[t:t+1]``) or on
-one trial's 1-D rows, the one-trial estimator searches and, for the
-reductions, a 1-D ``np.sum`` over one trial's vector.
+one trial's 1-D rows and, for the reductions, a 1-D ``np.sum`` over one
+trial's vector. A stack of 2000 trials must also equal its 64-row
+chunks, past the size where numpy starts to reuse temporaries in place.
 """
 
 import numpy as np
@@ -15,11 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
     GridEvaluator,
+    estimate_nguyenle,
+    estimate_proposed,
     fisher_numeric_oracle,
     fisher_rows,
     make_config,
     make_grid,
-    nguyenle_observable,
 )
 from ofdm_sync_lab.estimators import (
     pair_residual_rows,
@@ -122,24 +124,26 @@ def test_stacked_trials_equal_one_trial_results(stack):
                 pair_residual_rows(r0_t, r1_t, cfo, sfo, config)))
             assert not bad[t].any()
             assert_same_bytes(e_sq[t], one_trial_sum(ratio_residual_rows(
-                nguyenle_observable(x[t], x[t], r0_t, r1_t, config), cfo,
+                ratio_observable_rows(x[t], x[t], r0_t, r1_t)[0], cfo,
                 sfo, config)))
 
         # Surfaces, argmin and the reported cost.
         ev = GridEvaluator(GRID, config)
-        proposed = ev._search_pairs(r0, r1)
-        nguyenle = ev._search_ratios(y, bad.any(axis=-1))
+        proposed = ev.search_proposed(r0, r1)
+        nguyenle = ev.search_nguyenle(y, bad.any(axis=-1))
         c, v = ev._pair_terms(r0, r1)
         for t, (r0_t, r1_t) in enumerate(trials):
             reference = one_trial_surface(ev, r0_t, r1_t)
             assert_same_bytes(ev._surface(c[t], v[t]), reference)
             assert_same_bytes(ev.proposed_surface(r0_t, r1_t), reference)
+            y_t, bad_t = ratio_observable_rows(x[t:t + 1], x[t:t + 1],
+                                               r0_t[None], r1_t[None])
             for found, alone in (
-                    (proposed, ev.search_proposed(r0_t, r1_t)),
-                    (nguyenle, ev.search_nguyenle(x[t], x[t], r0_t, r1_t))):
+                    (proposed, ev.search_proposed(r0_t[None], r1_t[None])),
+                    (nguyenle, ev.search_nguyenle(y_t, bad_t.any(axis=-1)))):
                 assert (found.cfo[t], found.sfo[t], found.cost[t],
-                        found.method) == (alone.cfo, alone.sfo, alone.cost,
-                                          alone.method)
+                        found.method) == (alone.cfo[0], alone.sfo[0],
+                                          alone.cost[0], alone.method)
 
     # Fisher entries of both routes.
     for route in (fisher_rows, fisher_numeric_oracle):
@@ -149,3 +153,43 @@ def test_stacked_trials_equal_one_trial_results(stack):
                         noise_var or 1e-3)
             for got, want in zip(stacked, one):
                 assert_same_bytes(got[t:t + 1], want)
+
+
+def test_a_large_stack_equals_its_chunks():
+    """Every row function on one stack of 2000 trials equals the same
+    function on its 64-row chunks, byte for byte: numpy reuses a
+    temporary over 256 KiB in place, which must not reorder an operation
+    whose rounding depends on operand order."""
+    config, n_trials, chunk = make_config(64, 52, 16), 2000, 64
+    cfo, sfo, noise_var = 0.212, 1.12e-4, 0.05
+    rng = np.random.default_rng(7)
+    x = QPSK_ALPHABET[rng.integers(0, 4, (n_trials, config.n_active))]
+    taps = channel_taps(rng.standard_normal((n_trials, 2, 5)))
+    normals = rng.standard_normal((n_trials, 2, 2, config.dft_size))
+    ev = GridEvaluator(make_grid(), config)
+
+    def row_functions(rows):
+        x_, taps_ = x[rows], taps[rows]
+        samples = synthesize_rows(config, (x_, x_), taps_, cfo, sfo,
+                                  noise_var, normals[rows])
+        spectra = demodulate_rows(samples, config)
+        r0, r1 = spectra[:, 0], spectra[:, 1]
+        y, bad = ratio_observable_rows(x_, x_, r0, r1)
+        out = [samples, spectra, y, bad,
+               squared_norms(pair_residual_rows(r0, r1, cfo, sfo, config)),
+               squared_norms(ratio_residual_rows(y, cfo, sfo, config))]
+        for route in (fisher_rows, fisher_numeric_oracle):
+            out += route(config, (x_, x_), taps_, cfo, sfo, noise_var)
+        for found in (ev.search_proposed(r0, r1),
+                      ev.search_nguyenle(y, bad.any(axis=-1)),
+                      estimate_proposed(r0, r1, ev.grid, config, refine=True),
+                      estimate_nguyenle(x_, x_, r0, r1, ev.grid, config,
+                                        refine=True)):
+            out += [found.cfo, found.sfo, found.cost]
+        return out
+
+    whole = row_functions(slice(None))
+    chunks = [row_functions(slice(start, start + chunk))
+              for start in range(0, n_trials, chunk)]
+    for got, parts in zip(whole, zip(*chunks)):
+        assert_same_bytes(got, np.concatenate(parts))
