@@ -2,9 +2,9 @@
 
 Two independent routes to the 2x2 Fisher information matrix are kept:
 
-* ``fisher_rows`` evaluates the analytic entries (sums over training
-  symbols and samples of weighted spectra of the noiseless received
-  signal);
+* ``fisher_rows`` evaluates the analytic entries (sums over both
+  training symbols and their samples of weighted spectra of the
+  noiseless received signal);
 * ``fisher_numeric_oracle`` differentiates the synthesized noiseless
   mean numerically (central differences) and applies the Gaussian-mean
   Fisher identity, sharing no derivative algebra with the closed form.
@@ -23,15 +23,16 @@ products (:func:`_fisher_entries`) that equal the usual complex-weighted
 ones bit for bit: the weights 1 + j a, j b and j w add only products
 with an exact 0 or 1.
 
-Both routes run on trial-major stacks: each takes one (T, K) array of
-training rows per symbol and (T, L) taps and returns the entries
-(f00, f01, f11) as (T,) arrays, each row equal bit for bit to that row
-run as a stack of one. Underneath, both read the noiseless burst that
-synthesis also forms (:func:`_fisher_entries`, :func:`_oracle_entries`),
-so fig2's chunks hand over the one they synthesized; the oracle re-warps
-its x H rows at each perturbed sfo. ``noise_var`` is a scalar or one
-value per row. The 2x2 inversion is elementwise (:func:`crb_rows`), and
-:func:`invertible` marks the rows whose bounds mean something.
+Both routes run on trial-major stacks: each takes the (T, K) training
+rows x, which both symbols repeat, and (T, L) taps and returns the
+entries (f00, f01, f11) as (T,) arrays, each row equal bit for bit to
+that row run as a stack of one. Underneath, both read the noiseless
+burst that synthesis also forms (:func:`_fisher_entries`,
+:func:`_oracle_entries`), so fig2's chunks hand over the one they
+synthesized; the oracle re-warps its x H rows at each perturbed sfo.
+``noise_var`` is a scalar or one value per row. The 2x2 inversion is
+elementwise (:func:`crb_rows`), and :func:`invertible` marks the rows
+whose bounds mean something.
 """
 
 import functools
@@ -90,10 +91,10 @@ def _fisher_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
     symbol m adds (w (1+sfo))^2 |g|^2 to f00, -w (a |g|^2 + b p) to f01
     and (gamma |g|^2 + theta p) + pi |d|^2 to f11."""
     _check_noise_var(noise_var)
-    ks = config.subcarrier_indices
+    xh, gs = burst
+    kxh = config.subcarrier_indices * xh
     f00 = f01 = f11 = 0.0
-    for m, (xh, g) in enumerate(burst):
-        kxh = kxh if m and xh is burst[m - 1][0] else ks * xh
+    for m, g in enumerate(gs):
         d = (_warped_basis(config, sfo, m) @ kxh[..., None])[..., 0]
         slope_sq, neg_w, a, b, gamma, theta, pi = \
             _fisher_weights(config, cfo, sfo, m)
@@ -107,11 +108,11 @@ def _fisher_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
     return f00 * scale, f01 * -scale, f11 * -scale
 
 
-def fisher_rows(config: OfdmConfig, symbols, taps: np.ndarray,
+def fisher_rows(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
                 cfo: float, sfo: float, noise_var: float):
     """Analytic Fisher entries (f00, f01, f11) of a stack of T bursts.
 
-    All three entries are sums over the training symbols and the N
+    All three entries are sums over both training symbols and the N
     samples of each: the CFO-CFO entry weighs |g|^2 by the squared
     sample phase slope, the cross entry combines g with the
     index-weighted spectrum d, and the SFO-SFO entry accumulates the
@@ -119,10 +120,10 @@ def fisher_rows(config: OfdmConfig, symbols, taps: np.ndarray,
     g[n] = sum_k X(k) H(k) exp(j 2 pi k (n (1+sfo) + sfo N_m) / N) and
     d[n] carries an extra factor k inside the sum.
 
-    ``symbols`` holds one (T, K) array of training rows per training
-    symbol and ``taps`` is (T, L); each entry is returned as (T,).
+    ``x`` holds the (T, K) training rows and ``taps`` is (T, L); each
+    entry is returned as (T,).
     """
-    burst = _noiseless_burst(config, symbols, taps, sfo)
+    burst = _noiseless_burst(config, x, taps, sfo)
     return _fisher_entries(config, burst, cfo, sfo, noise_var)
 
 
@@ -135,13 +136,11 @@ def _oracle_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
     for name, step in (("cfo_step", cfo_step), ("sfo_step", sfo_step)):
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step}")
-    xhs = [xh for xh, _ in burst]
-
     def mean(e, h):
-        """The (T, n_symbols N) noiseless samples at offsets (e, h)."""
+        """The (T, 2 N) noiseless samples at offsets (e, h)."""
         _check_offsets(e, h)
-        samples = _synthesized(config, _warped(config, xhs, h), e, h, 0.0,
-                               None)
+        samples = _synthesized(config, _warped(config, burst[0], h), e, h,
+                               0.0, None)
         return samples.reshape(len(samples), -1)
 
     d_cfo = (mean(cfo + cfo_step, sfo) - mean(cfo - cfo_step, sfo)) \
@@ -153,8 +152,8 @@ def _oracle_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
                  for a, b in ((d_cfo, d_cfo), (d_cfo, d_sfo), (d_sfo, d_sfo)))
 
 
-def fisher_numeric_oracle(config: OfdmConfig, symbols, taps: np.ndarray,
-                          cfo: float, sfo: float, noise_var,
+def fisher_numeric_oracle(config: OfdmConfig, x: np.ndarray,
+                          taps: np.ndarray, cfo: float, sfo: float, noise_var,
                           cfo_step: float = CFO_STEP_DEFAULT,
                           sfo_step: float = SFO_STEP_DEFAULT):
     """Fisher entries (f00, f01, f11) of a stack of T bursts via central
@@ -166,12 +165,11 @@ def fisher_numeric_oracle(config: OfdmConfig, symbols, taps: np.ndarray,
     path is independent of the closed-form algebra. Every perturbed
     offset pair must be a valid (cfo, sfo).
     """
-    return _oracle_entries(config, _noiseless_burst(config, symbols, taps,
-                                                    sfo),
+    return _oracle_entries(config, _noiseless_burst(config, x, taps, sfo),
                            cfo, sfo, noise_var, cfo_step, sfo_step)
 
 
-def compare_fisher(config: OfdmConfig, symbols, taps: np.ndarray,
+def compare_fisher(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
                    cfo: float, sfo: float, noise_var,
                    cfo_step: float = CFO_STEP_DEFAULT,
                    sfo_step: float = SFO_STEP_DEFAULT):
@@ -182,7 +180,7 @@ def compare_fisher(config: OfdmConfig, symbols, taps: np.ndarray,
     where both are 0), as (T,), and ``report`` lists the entries of the
     row with the largest, the first such on a tie.
     """
-    burst = _noiseless_burst(config, symbols, taps, sfo)
+    burst = _noiseless_burst(config, x, taps, sfo)
     closed = np.array(_fisher_entries(config, burst, cfo, sfo, noise_var))
     oracle = np.array(_oracle_entries(config, burst, cfo, sfo, noise_var,
                                       cfo_step, sfo_step))

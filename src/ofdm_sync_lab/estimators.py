@@ -6,8 +6,8 @@ Two competing maximum-likelihood-style grid estimators are provided:
   phase-ramped copy of the first (no division, so deep channel fades
   only down-weight their subcarriers);
 * ``estimate_nguyenle`` (after Nguyen-Le et al.'s CFO/SFO tracker) first
-  forms the per-subcarrier ratio observable Y(k) = X0(k) R1(k) /
-  (X1(k) R0(k)) and fits a pure phase ramp to it, which amplifies noise
+  forms the per-subcarrier ratio observable Y(k) = X(k) R1(k) /
+  (X(k) R0(k)) and fits a pure phase ramp to it, which amplifies noise
   on faded subcarriers.
 
 Both share the same inter-symbol phase ramp and the same exhaustive
@@ -74,7 +74,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 
-# |X1(k) R0(k)| below this is treated as an unusable observation rather
+# |X(k) R0(k)| below this is treated as an unusable observation rather
 # than risking a catastrophic division.
 DEGENERATE_MAGNITUDE = 1e-30
 
@@ -215,18 +215,20 @@ def proposed_cost(r0, r1, cfo, sfo, config: OfdmConfig):
     return total
 
 
-def ratio_observable_rows(x0, x1, r0, r1):
-    """Rows of the ratio observable Y(k) = X0(k) R1(k) / (X1(k) R0(k)).
+def ratio_observable_rows(x, r0, r1):
+    """Rows of the ratio observable Y(k) = X(k) R1(k) / (X(k) R0(k)) of
+    the training rows x, which both symbols repeat.
 
-    Returns (y, bad): bad marks where |X1(k) R0(k)| falls below
+    Returns (y, bad): bad marks where |X(k) R0(k)| falls below
     ``DEGENERATE_MAGNITUDE``. A row with any bad entry is degenerate and
     its y row is meaningless (it is divided by ones, so a degenerate
-    trial raises no division warning).
+    trial raises no division warning). X stays in both terms: R1 / R0
+    rounds differently and would move the datasets.
     """
-    denom = x1 * r0
+    denom = x * r0
     bad = np.abs(denom) < DEGENERATE_MAGNITUDE
     denom[bad.any(axis=-1)] = 1.0
-    return x0 * r1 / denom, bad
+    return x * r1 / denom, bad
 
 
 def nguyenle_cost(y: np.ndarray, cfo, sfo, config: OfdmConfig):
@@ -497,16 +499,16 @@ def estimate_proposed(r0, r1, grid: GridSpec, config: OfdmConfig,
         v, evaluator._search_rows(c, v, "proposed", r0, r1), r0, r1)
 
 
-def estimate_nguyenle(x0, x1, r0, r1, grid: GridSpec, config: OfdmConfig,
+def estimate_nguyenle(x, r0, r1, grid: GridSpec, config: OfdmConfig,
                       refine: bool = False) -> Estimates:
     """Joint CFO/SFO estimates from the ratio-observable fit of every row
-    of the (T, K) training x0, x1 and spectra r0, r1.
+    of the (T, K) training x and spectra r0, r1.
 
     ``refine`` as for :func:`estimate_proposed`, reporting
     :func:`nguyenle_cost`. A row whose observable is degenerate (see
     :func:`ratio_observable_rows`) is a NaN row.
     """
-    y, bad = ratio_observable_rows(x0, x1, r0, r1)
+    y, bad = ratio_observable_rows(x, r0, r1)
     evaluator = _evaluator(grid, config)
     if not refine:
         return evaluator.search_nguyenle(y, bad.any(axis=-1))

@@ -154,10 +154,6 @@ class ExperimentConfig:
     grid: GridSpec
 
     def __post_init__(self):
-        # The estimators and the CRB need the repeated pair of symbols.
-        if self.ofdm.n_symbols != 2:
-            raise ValueError(
-                f"ofdm.n_symbols must be 2, got {self.ofdm.n_symbols}")
         if self.n_taps < 1:
             raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.n_trials < 1:
@@ -351,8 +347,8 @@ def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
     one call of the experiment's Fisher backend on the chunk's noiseless
     burst, the one it synthesized (fig2) or one formed here (crb)."""
     if burst is None:
-        burst = _noiseless_burst(cfg.ofdm, (draws.training,) * 2,
-                                 draws.taps, cfg.sfo)
+        burst = _noiseless_burst(cfg.ofdm, draws.training, draws.taps,
+                                 cfg.sfo)
     f00, f01, f11 = _select_crb_backend(cfg)[0](
         cfg.ofdm, burst, cfg.cfo, cfg.sfo,
         noise_variance_from_snr(cfg.ofdm, snr_db))
@@ -366,11 +362,10 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
     """The columns of a chunk of bursts, and the chunk's spectra: the
     residual norms, and unless ``residuals_only`` both searches and the
     bounds."""
-    burst = _noiseless_burst(cfg.ofdm, (draws.training,) * 2, draws.taps,
-                             cfg.sfo)
+    burst = _noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
     spectra = _observe(cfg, snr_db, draws, burst)
     r0, r1 = spectra[:, 0], spectra[:, 1]
-    y, bad = ratio_observable_rows(draws.training, draws.training, r0, r1)
+    y, bad = ratio_observable_rows(draws.training, r0, r1)
     degenerate = bad.any(axis=-1)
     fields = {
         "n_sq": squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
@@ -425,7 +420,7 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
                          _BURST_STREAMS)[0])
     cols, spectra = _burst_columns(cfg, snr_db, draws)
     x, (r0, r1) = draws.training[0], spectra[0]
-    y, bad = ratio_observable_rows(x, x, r0, r1)
+    y, bad = ratio_observable_rows(x, r0, r1)
     failures = {name: _NON_FINITE for name in ("proposed", "nguyenle")
                 if np.isnan(getattr(cols, name).cfo[0])}
     if cols.degenerate[0]:
@@ -544,8 +539,8 @@ def _probe(cfg: ExperimentConfig):
     noise_var = np.array([noise_variance_from_snr(cfg.ofdm, snr_db) for
                           snr_db in (min(cfg.snr_points_db),
                                      max(cfg.snr_points_db))])
-    rel, report = compare_fisher(cfg.ofdm, (draws.training,) * 2,
-                                 draws.taps, cfg.cfo, cfg.sfo, noise_var)
+    rel, report = compare_fisher(cfg.ofdm, draws.training, draws.taps,
+                                 cfg.cfo, cfg.sfo, noise_var)
     return rel.max(), report
 
 

@@ -28,11 +28,12 @@ profile (tap count and decay). Every cached array is read-only, so a
 caller that tried to modify one in place would get a ``ValueError``
 instead of corrupting later trials.
 
-A trial is a row, never a record: its training symbol is a (K,) row, its
-channel a (L,) row of taps and its spectra (K,) rows, and a stack of T
-trials is a (T, K) or (T, L) array. Synthesis and demodulation run only
-on stacks (:func:`synthesize_rows`, :func:`demodulate_rows`); one burst
-is a stack of one row (``x[None]``). Synthesis reads the noiseless burst
+A trial is a row, never a record: its training symbol is a (K,) row,
+which both symbols of its burst repeat, its channel a (L,) row of taps
+and its spectra (K,) rows, and a stack of T trials is a (T, K) or (T, L)
+array. Synthesis and demodulation run only on stacks
+(:func:`synthesize_rows`, :func:`demodulate_rows`); one burst is a stack
+of one row (``x[None]``). Synthesis reads the noiseless burst
 g_m = B_m (x H) of :func:`_noiseless_burst`, which a fig2 chunk also
 hands to its Fisher pass. A stack equals its rows computed one at a
 time, bit for bit, under four rules: matrix products are stacked
@@ -48,15 +49,15 @@ Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
 words are a key path (master seed, SNR key, trial index, label) split
 into 32-bit words as ``SeedSequence`` splits integers.
 :func:`_derive_tables` runs ``SeedSequence``'s mixing over whole axes of
-SNR keys, trial indices and labels at once, :func:`derive_states` is
-its one-key, one-label view, and :func:`seed_generator` hands one row
-to numpy's own PCG64 seeding; all reproduce :func:`derive_rng`'s stream
-bit for bit, which numpy's own ``SeedSequence`` checks in the tests. A
-trial index must lie in [0, 2**32), where it is exactly one word. QPSK
-picks come from raw PCG64 words, which NEP 19 keeps stable across numpy
-versions, with no generator built: :func:`_pcg64_raw` steps PCG64's
-128-bit LCG for a whole seed table at once, and :func:`_qpsk_picks`
-reads the picks from those words.
+SNR keys, trial indices and labels at once, and a ``PCG64`` seeded from
+one of its rows through :class:`_SeedWords` reproduces
+:func:`derive_rng`'s stream bit for bit, which numpy's own
+``SeedSequence`` checks in the tests. A trial index must lie in
+[0, 2**32), where it is exactly one word. QPSK picks come from raw PCG64
+words, which NEP 19 keeps stable across numpy versions, with no
+generator built: :func:`_pcg64_raw` steps PCG64's 128-bit LCG for a
+whole seed table at once, and :func:`_qpsk_picks` reads the picks from
+those words.
 """
 
 import functools
@@ -77,8 +78,6 @@ __all__ = [
     "carrier_gain",
     "noise_variance_from_snr",
     "derive_rng",
-    "derive_states",
-    "seed_generator",
     "snr_stream_key",
     "MAX_TRIALS",
     "QPSK_ALPHABET",
@@ -131,18 +130,14 @@ class OfdmConfig:
         Number of active subcarriers K (even, positive, at most N).
     cp_len : int
         Cyclic prefix length in samples (non-negative).
-    n_symbols : int
-        Number of training symbols in the burst. The estimators in this
-        package consume exactly two.
     """
 
     dft_size: int
     n_active: int
     cp_len: int
-    n_symbols: int = 2
 
     def __post_init__(self):
-        for name in ("dft_size", "n_active", "cp_len", "n_symbols"):
+        for name in ("dft_size", "n_active", "cp_len"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -151,8 +146,6 @@ class OfdmConfig:
             object.__setattr__(self, name, int(value))
         if self.cp_len < 0:
             raise ValueError(f"cp_len must be >= 0, got {self.cp_len}")
-        if self.n_symbols > 2:
-            raise ValueError(f"n_symbols must be 1 or 2, got {self.n_symbols}")
         if self.dft_size % 2:
             raise ValueError(f"dft_size (N) must be even, got {self.dft_size}")
         if self.n_active % 2:
@@ -173,15 +166,15 @@ class OfdmConfig:
 
     def symbol_start(self, m: int) -> int:
         """Sample index N_m at which the useful part of symbol m begins."""
-        if not 0 <= m < self.n_symbols:
-            raise ValueError(f"symbol index {m} outside [0, {self.n_symbols})")
+        if m not in (0, 1):
+            raise ValueError(f"symbol index {m} outside [0, 2)")
         return self.cp_len + m * self.symbol_len
 
 
-def make_config(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
-                n_symbols: int = 2) -> OfdmConfig:
+def make_config(dft_size: int = 64, n_active: int = 52,
+                cp_len: int = 16) -> OfdmConfig:
     """Build an :class:`OfdmConfig`, which validates its fields."""
-    return OfdmConfig(dft_size, n_active, cp_len, n_symbols)
+    return OfdmConfig(dft_size, n_active, cp_len)
 
 
 def _check_offsets(cfo: float, sfo: float):
@@ -268,36 +261,33 @@ def _channel_gains(config: OfdmConfig, taps: np.ndarray) -> np.ndarray:
     return (_dft_phases(config, taps.shape[-1]) @ taps[..., None])[..., 0]
 
 
-def _noiseless_burst(config: OfdmConfig, symbols, taps: np.ndarray,
-                     sfo: float) -> list:
-    """Per training symbol m, (x H, B_m (x H)) as (T, K) and (T, N) rows,
-    with H(k) formed once and x H once per distinct training array."""
-    h = _channel_gains(config, taps)
-    xhs = []
-    for m, x in enumerate(symbols):
-        if x.shape[-1] != config.n_active:
-            raise ValueError(f"training length {x.shape[-1]} does not "
-                             f"match n_active {config.n_active}")
-        xhs.append(xhs[-1] if m and x is symbols[m - 1] else x * h)
-    return _warped(config, xhs, sfo)
+def _noiseless_burst(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
+                     sfo: float) -> tuple:
+    """The noiseless burst (x H, (g0, g1)) of the (T, K) training rows x:
+    x H as (T, K) rows and g_m = B_m (x H) as (T, N) rows."""
+    if x.shape[-1] != config.n_active:
+        raise ValueError(f"training length {x.shape[-1]} does not match "
+                         f"n_active {config.n_active}")
+    return _warped(config, np.multiply(x, _channel_gains(config, taps)),
+                   sfo)
 
 
-def _warped(config: OfdmConfig, xhs, sfo: float) -> list:
-    """The noiseless burst (x H, B_m (x H)) of each symbol's x H rows."""
-    return [(xh, (_warped_basis(config, sfo, m) @ xh[..., None])[..., 0])
-            for m, xh in enumerate(xhs)]
+def _warped(config: OfdmConfig, xh: np.ndarray, sfo: float) -> tuple:
+    """The noiseless burst (x H, (g0, g1)) of the x H rows at ``sfo``."""
+    return xh, tuple((_warped_basis(config, sfo, m) @ xh[..., None])[..., 0]
+                     for m in (0, 1))
 
 
 def _synthesized(config: OfdmConfig, burst, cfo: float, sfo: float,
                  noise_var: float, normals) -> np.ndarray:
-    """The (T, n_symbols, N) samples of a :func:`_noiseless_burst`; a
-    negative or non-finite ``noise_var`` is a ``ValueError``."""
+    """The (T, 2, N) samples of a :func:`_noiseless_burst`; a negative or
+    non-finite ``noise_var`` is a ``ValueError``."""
     if not 0.0 <= noise_var < np.inf:
         raise ValueError(f"noise_var must be finite and >= 0, got "
                          f"{noise_var}")
     samples = np.stack([_cfo_lead(config, cfo, sfo, m) * g
                         / np.sqrt(config.dft_size)
-                        for m, (_, g) in enumerate(burst)], axis=1)
+                        for m, g in enumerate(burst[1])], axis=1)
     if noise_var > 0.0:
         if normals is None:
             raise ValueError("normals are required when noise_var > 0")
@@ -306,12 +296,12 @@ def _synthesized(config: OfdmConfig, burst, cfo: float, sfo: float,
     return samples
 
 
-def synthesize_rows(config: OfdmConfig, symbols, taps: np.ndarray,
+def synthesize_rows(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
                     cfo: float, sfo: float, noise_var: float = 0.0,
                     normals: np.ndarray | None = None) -> np.ndarray:
-    """Simulate a stack of T bursts at once, (T, n_symbols, N).
+    """Simulate a stack of T bursts at once, (T, 2, N).
 
-    Evaluates the time-domain model of every training symbol m:
+    Evaluates the time-domain model of both training symbols m:
 
         r[n] = exp(j 2 pi (N_m + n) (1 + sfo) cfo / N) / sqrt(N)
                * sum_k X(k) H(k) exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N)
@@ -322,15 +312,15 @@ def synthesize_rows(config: OfdmConfig, symbols, taps: np.ndarray,
 
     Parameters
     ----------
-    symbols : sequence of numpy.ndarray
-        One (T, K) array of training rows per training symbol.
+    x : numpy.ndarray
+        (T, K) training rows, which both symbols repeat.
     taps : numpy.ndarray
         (T, L) channel taps.
     normals : numpy.ndarray, optional
-        (T, n_symbols, 2, N) standard normals of each symbol's noise, real
-        parts then imaginary parts; required when ``noise_var > 0``.
+        (T, 2, 2, N) standard normals of each symbol's noise, real parts
+        then imaginary parts; required when ``noise_var > 0``.
     """
-    return _synthesized(config, _noiseless_burst(config, symbols, taps, sfo),
+    return _synthesized(config, _noiseless_burst(config, x, taps, sfo),
                         cfo, sfo, noise_var, normals)
 
 
@@ -403,7 +393,7 @@ def ici_term(k, m: int, x: np.ndarray, taps: np.ndarray, cfo: float,
 
     Sums, over every active subcarrier i != k, the coupled and
     phase-rotated contribution delta_{k,i} exp(j 2 pi N_m (i sfo +
-    cfo (1 + sfo)) / N) X_m(i) H(i). ``x`` is symbol m's training row (K,)
+    cfo (1 + sfo)) / N) X(i) H(i). ``x`` is the burst's training row (K,)
     and ``taps`` its channel's (L,), giving a complex scalar, or (T, K)
     and (T, L) rows, giving (T,).
     """
@@ -509,15 +499,6 @@ def _seed_words(pool, shape) -> np.ndarray:
     return words.view("<u8").astype(np.uint64, copy=False)
 
 
-def derive_states(master_seed: int, stream_key, trial_indices,
-                  label) -> np.ndarray:
-    """Seed words of ``derive_rng(master_seed, stream_key, t, label)`` for
-    every trial index t, as a (T, 4) uint64 array: the one-key, one-label
-    view of :func:`_derive_tables`, whose ValueError it raises."""
-    return _derive_tables(master_seed, (stream_key,), trial_indices,
-                          (label,))[label]
-
-
 def _word_groups(keys, trailing: int):
     """(positions, words) of ``keys`` per entropy word count: one key's
     words as Python ints, or per word a uint32 column over the keys with
@@ -533,8 +514,9 @@ def _word_groups(keys, trailing: int):
 
 def _derive_tables(master_seed: int, stream_keys, trial_indices,
                    labels) -> dict:
-    """:func:`derive_states` of every stream key and label, as a dict by
-    label of C-contiguous (S T, 4) tables, row s T + i for key s and the
+    """Seed words of ``derive_rng(master_seed, key, t, label)`` for every
+    stream key, trial index t and label, as a dict by label of
+    C-contiguous (S T, 4) uint64 tables, row s T + i for key s and the
     i-th trial index. Runs SeedSequence's mixing once per entropy word
     count of the keys (0 dB and up is one word, below 0 dB two) and of
     the labels (a str is two): key words enter as (S, 1) columns, label
@@ -579,19 +561,6 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _seed_table(seed_words) -> np.ndarray:
-    """Seed words as a C-contiguous 2-D uint64 table with rows of four:
-    PCG64 reads four words from a row's buffer, whatever its length."""
-    words = np.asarray(seed_words)
-    if words.dtype.kind not in "iu":  # Python ints >= 2**63 are not int64
-        words = np.asarray(seed_words, dtype=object)
-    if (words.ndim != 2 or words.shape[-1] != 4 or words.dtype == object
-            and not all(isinstance(w, (int, np.integer)) for w in words.flat)
-            or words.size and (words.min() < 0 or words.max() > _MASK64)):
-        raise ValueError(f"seed rows need 4 ints in [0, 2**64): {words!r}")
-    return np.ascontiguousarray(words, dtype=np.uint64)
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _pcg64_jumps(n: int) -> tuple:
     """(A_j, C_j) = (M**(j+1), M**j + ... + M + 1) mod 2**128 for j = 1..n,
@@ -611,8 +580,8 @@ def _pcg64_jumps(n: int) -> tuple:
 
 
 def _pcg64_raw(seeds: np.ndarray, n: int) -> np.ndarray:
-    """``PCG64(_SeedWords(row)).random_raw(n)`` of every :func:`_seed_table`
-    row at once, (T, n), with no generator built.
+    """``PCG64(_SeedWords(row)).random_raw(n)`` of every row of a (T, 4)
+    uint64 seed table at once, (T, n), with no generator built.
 
     PCG64 seeds inc = 2 initseq + 1 and state = (inc + initstate) M + inc
     (initstate the row's first two words, high first; initseq the last
@@ -646,7 +615,7 @@ def _pcg64_raw(seeds: np.ndarray, n: int) -> np.ndarray:
 
 
 def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
-    """``integers(0, 4, K)`` of each :func:`_seed_table` row, (T, K) uint8,
+    """``integers(0, 4, K)`` of each seed table row, (T, K) uint8,
     from :func:`_pcg64_raw` in blocks of ``_PICK_BLOCK`` rows: for a range
     of 4 Lemire's method never rejects and takes the top two bits of each
     32-bit half, low half first (K even)."""
@@ -659,23 +628,16 @@ def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
     return picks
 
 
-def seed_generator(seed_words) -> np.random.Generator:
-    """A PCG64 generator freshly seeded with four 64-bit words, as
-    ``PCG64`` seeds itself from ``SeedSequence.generate_state(4,
-    uint64)``; anything but four integers in [0, 2**64) is a ValueError."""
-    words = _seed_table([seed_words])[0]
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
 def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     """Derive an independent substream from a master seed and a key path.
 
     The stream is numpy's ``PCG64(SeedSequence(words))``, where ``words``
     are the master seed and every key split as :func:`_key_words` does;
-    :func:`derive_states` computes the same seeds for many trials at
+    :func:`_derive_tables` computes the same seeds for many trials at
     once. The same (seed, keys) always yields the same stream.
     """
     entropy = _key_words(int(master_seed))
     for key in keys:
         entropy += _key_words(key)
-    return seed_generator(_seed_words(_hash_pool(entropy), (1,))[0])
+    words = _seed_words(_hash_pool(entropy), (1,))[0]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))

@@ -49,8 +49,8 @@ def scenario(cfg, seed):
 
 def noiseless_spectra(cfg, x, taps, cfo, sfo):
     """Both demodulated symbols (r0, r1) of one noiseless burst."""
-    return demodulate_rows(synthesize_rows(cfg, (x[None], x[None]),
-                                           taps[None], cfo, sfo), cfg)[0]
+    return demodulate_rows(synthesize_rows(cfg, x[None], taps[None], cfo,
+                                           sfo), cfg)[0]
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +125,8 @@ def test_criterion_5_fisher_oracle_agreement(capsys):
         cfo = float(draws.uniform(-0.4, 0.4))
         sfo = float(draws.uniform(-4e-4, 4e-4))
         noise_var = noise_variance_from_snr(cfg, snrs[i % 4])
-        (rel,), report = compare_fisher(cfg, (x[None], x[None]), taps[None],
-                                        cfo, sfo, noise_var)
+        (rel,), report = compare_fisher(cfg, x[None], taps[None], cfo, sfo,
+                                        noise_var)
         if rel > worst:
             worst, worst_report = rel, report
     passed = worst < 1e-3
@@ -181,7 +181,7 @@ def test_criterion_6_analytic_identities(capsys):
         r0, r1 = noiseless_spectra(cfg, x, taps, eps, 0.0)
         residual_dev = max(residual_dev, float(
             np.max(np.abs(pair_residual_rows(r0, r1, eps, 0.0, cfg)))))
-        y, bad = ratio_observable_rows(x[None], x[None], r0[None], r1[None])
+        y, bad = ratio_observable_rows(x[None], r0[None], r1[None])
         prop = evaluator.search_proposed(r0[None], r1[None])
         ratio = evaluator.search_nguyenle(y, bad.any(axis=-1))
         if ((prop.cfo[0], prop.sfo[0]) == (eps, 0.0)

@@ -126,7 +126,7 @@ def test_bracket_search_equals_full_surface(chunk):
     x, r0, r1 = rows(kinds, seed)
     ev = GridEvaluator(grid, CFG)
     with np.errstate(invalid="ignore", over="ignore"):
-        y, bad = ratio_observable_rows(x, x, r0, r1)
+        y, bad = ratio_observable_rows(x, r0, r1)
         proposed = ev.search_proposed(r0, r1)
         nguyenle = ev.search_nguyenle(y, bad.any(axis=-1))
         assert (proposed.method, nguyenle.method) == ("proposed",

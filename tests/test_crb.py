@@ -2,6 +2,8 @@
 finite-difference oracle, the 2x2 inversion, and the scenario-averaged
 bound of the harness's CRB sweep."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
-    OfdmConfig,
     channel_taps,
     compare_fisher,
     crb_rows,
@@ -32,17 +33,17 @@ SFO_OP = 0.000112
 
 # Single unit tap + all-ones training, one burst: every tested route must
 # agree here.
-FLAT_SYMBOLS = (np.ones((1, 52), dtype=complex),) * 2
+FLAT_X = np.ones((1, 52), dtype=complex)
 FLAT_TAPS = np.ones((1, 1), dtype=complex)
 
 
 def draw_scenario(training_rng, channel_rng, config=CFG, n_taps=5):
-    """A repeated QPSK training pair and Rayleigh taps, drawn as the
-    harness draws a trial's scenario from its two streams, as a stack of
-    one burst: (symbols, taps)."""
+    """A QPSK training row, which both symbols repeat, and Rayleigh taps,
+    drawn as the harness draws a trial's scenario from its two streams,
+    as a stack of one burst: (x, taps)."""
     x = QPSK_ALPHABET[training_rng.integers(0, 4, config.n_active)][None]
     taps = channel_taps(channel_rng.standard_normal((1, 2, n_taps)))
-    return (x, x), taps
+    return x, taps
 
 
 def scenario(seed):
@@ -64,13 +65,13 @@ def crb_pair(f00, f01, f11):
 
 def test_noise_var_must_be_positive():
     with pytest.raises(ValueError):
-        fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.0)
+        fisher_rows(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, -0.1)
+        fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, -0.1)
     # One noise variance per row: every one must be positive.
     for fn in (fisher_rows, fisher_numeric_oracle, compare_fisher):
         with pytest.raises(ValueError):
-            fn(CFG, (np.ones((2, 52)),) * 2, np.ones((2, 1)), 0.0, 0.0,
+            fn(CFG, np.ones((2, 52)), np.ones((2, 1)), 0.0, 0.0,
                np.array([0.1, 0.0]))
 
 
@@ -78,7 +79,7 @@ def test_noise_var_must_be_positive():
 
 
 def test_flat_channel_frozen_values():
-    f00, f01, f11 = one_row(fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS,
+    f00, f01, f11 = one_row(fisher_rows(CFG, FLAT_X, FLAT_TAPS,
                                         0.0, 0.0, 0.1))
     assert f00 == pytest.approx(115475.22521342454, rel=1e-12)
     assert f01 == pytest.approx(-57737.612606712566, rel=1e-12)
@@ -86,14 +87,14 @@ def test_flat_channel_frozen_values():
 
 
 def test_flat_channel_matches_oracle():
-    rel, _ = compare_fisher(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1)
+    rel, _ = compare_fisher(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1)
     assert rel.max() < 1e-8
 
 
 def test_operating_point_matches_oracle():
-    symbols, taps = scenario(7)
+    x, taps = scenario(7)
     noise_var = noise_variance_from_snr(CFG, 15.0)
-    rel, _ = compare_fisher(CFG, symbols, taps, CFO_OP, SFO_OP, noise_var)
+    rel, _ = compare_fisher(CFG, x, taps, CFO_OP, SFO_OP, noise_var)
     assert rel.max() < 1e-3
     # the agreement is in fact far tighter than the acceptance bar
     assert rel.max() < 1e-6
@@ -102,48 +103,29 @@ def test_operating_point_matches_oracle():
 @pytest.mark.parametrize("seed", range(10))
 def test_random_scenarios_match_oracle(seed):
     rng = np.random.default_rng(1000 + seed)
-    symbols, taps = scenario(300 + seed)
+    x, taps = scenario(300 + seed)
     cfo = float(rng.uniform(-0.4, 0.4))
     sfo = float(rng.uniform(-4e-4, 4e-4))
     noise_var = noise_variance_from_snr(CFG, float(rng.uniform(0.0, 30.0)))
-    rel, _ = compare_fisher(CFG, symbols, taps, cfo, sfo, noise_var)
+    rel, _ = compare_fisher(CFG, x, taps, cfo, sfo, noise_var)
     assert rel.max() < 1e-3
 
 
 def test_entries_scale_inversely_with_noise():
-    symbols, taps = scenario(9)
-    a = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP, 0.05))
-    b = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP, 0.10))
+    x, taps = scenario(9)
+    a = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP, 0.05))
+    b = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP, 0.10))
     for entry_a, entry_b in zip(a, b):
         assert entry_b == pytest.approx(entry_a / 2.0, rel=1e-12)
 
 
 def test_information_is_positive_definite():
-    symbols, taps = scenario(10)
-    f00, f01, f11 = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+    x, taps = scenario(10)
+    f00, f01, f11 = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
                                         noise_variance_from_snr(CFG, 20.0)))
     assert f00 > 0.0
     assert f11 > 0.0
     assert f00 * f11 - f01 * f01 > 0.0
-
-
-def test_second_symbol_adds_information():
-    """The m=1 symbol sits further from the time origin, so the two-symbol
-    burst carries strictly more CFO information than symbol 0 alone."""
-    single = OfdmConfig(64, 52, 16, n_symbols=1)
-    both = one_row(fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1))
-    first = one_row(fisher_rows(single, FLAT_SYMBOLS[:1], FLAT_TAPS,
-                                0.0, 0.0, 0.1))
-    assert both[0] > first[0]
-    assert both[2] > first[2]
-
-
-def test_single_symbol_config_matches_oracle():
-    single = OfdmConfig(64, 52, 16, n_symbols=1)
-    symbols, taps = scenario(13)
-    rel, _ = compare_fisher(single, symbols[:1], taps, CFO_OP, SFO_OP,
-                            noise_variance_from_snr(single, 15.0))
-    assert rel.max() < CRB_AGREEMENT_RTOL
 
 
 @st.composite
@@ -153,19 +135,19 @@ def fisher_scenarios(draw):
     config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
                          draw(st.integers(0, dft_size // 4)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    symbols, taps = draw_scenario(
+    x, taps = draw_scenario(
         derive_rng(seed, "training"), derive_rng(seed, "channel"), config,
         draw(st.integers(1, 8)))
     cfo = draw(st.floats(-0.4, 0.4, exclude_min=True, exclude_max=True))
     sfo = draw(st.floats(-5e-4, 5e-4, exclude_min=True, exclude_max=True))
     noise_var = draw(st.floats(1e-3, 1.0))
-    return config, symbols, taps, cfo, sfo, noise_var
+    return config, x, taps, cfo, sfo, noise_var
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(scenario_args=fisher_scenarios())
 @example(scenario_args=(make_config(16, 2, 0),
-                        (np.ones((1, 2), dtype=complex),) * 2,
+                        np.ones((1, 2), dtype=complex),
                         FLAT_TAPS, 0.0, 0.0, 1e-3))
 def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
     rel, _ = compare_fisher(*scenario_args)
@@ -175,13 +157,13 @@ def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
 # ---------------------------------------------------- reference arithmetic
 
 
-def reference_fisher_rows(config, symbols, taps, cfo, sfo, noise_var):
+def reference_fisher_rows(config, x, taps, cfo, sfo, noise_var):
     """The closed form as sums of complex-weighted summands, with x H,
     k x H, g and d formed afresh for every symbol."""
     h = ofdm_model._channel_gains(config, taps)
     ks = config.subcarrier_indices
     f00 = f01 = f11 = 0.0
-    for m, x in enumerate(symbols):
+    for m in range(2):
         w = 2.0 * np.pi / config.dft_size * (config.symbol_start(m)
                                              + np.arange(config.dft_size))
         basis = ofdm_model._warped_basis(config, sfo, m)
@@ -204,28 +186,20 @@ def reference_fisher_rows(config, symbols, taps, cfo, sfo, noise_var):
 
 @st.composite
 def training_stacks(draw):
-    """A one- or two-symbol geometry and a chunk of 1-40 bursts whose two
-    symbols are one shared array or differ in every entry; offsets may
-    be exactly 0."""
+    """A geometry and a chunk of 1-40 bursts; offsets may be exactly 0."""
     dft_size = draw(st.sampled_from([16, 32, 64]))
     config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
-                         draw(st.integers(0, dft_size // 4)),
-                         draw(st.integers(1, 2)))
+                         draw(st.integers(0, dft_size // 4)))
     n_trials = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    picks = rng.integers(0, 4, (n_trials, config.n_active))
-    x0 = QPSK_ALPHABET[picks]
-    x1 = x0 if draw(st.booleans()) else \
-        QPSK_ALPHABET[(picks + rng.integers(1, 4, picks.shape)) % 4]
+    x = QPSK_ALPHABET[rng.integers(0, 4, (n_trials, config.n_active))]
     taps = channel_taps(rng.standard_normal(
         (n_trials, 2, draw(st.integers(1, 8)))))
     cfo = draw(st.just(0.0) | st.floats(-0.4, 0.4))
     sfo = draw(st.just(0.0) | st.floats(-5e-4, 5e-4))
     noise_var = draw(st.sampled_from([0.0, 0.5]))
-    normals = rng.standard_normal(
-        (n_trials, config.n_symbols, 2, dft_size))
-    return (config, (x0, x1)[:config.n_symbols], taps, cfo, sfo, noise_var,
-            normals)
+    normals = rng.standard_normal((n_trials, 2, 2, dft_size))
+    return config, x, taps, cfo, sfo, noise_var, normals
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -234,16 +208,16 @@ def test_fisher_rows_equal_the_complex_weight_formula(stack):
     """Bit for bit, through the public function and through a noiseless
     burst that synthesis has read first, as a fig2 chunk shares it; that
     synthesis equals ``synthesize_rows`` called alone."""
-    config, symbols, taps, cfo, sfo, noise_var, normals = stack
-    expected = reference_fisher_rows(config, symbols, taps, cfo, sfo, 0.1)
-    burst = ofdm_model._noiseless_burst(config, symbols, taps, sfo)
+    config, x, taps, cfo, sfo, noise_var, normals = stack
+    expected = reference_fisher_rows(config, x, taps, cfo, sfo, 0.1)
+    burst = ofdm_model._noiseless_burst(config, x, taps, sfo)
     samples = ofdm_model._synthesized(config, burst, cfo, sfo, noise_var,
                                       normals)
-    for entries in (crb.fisher_rows(config, symbols, taps, cfo, sfo, 0.1),
+    for entries in (crb.fisher_rows(config, x, taps, cfo, sfo, 0.1),
                     crb._fisher_entries(config, burst, cfo, sfo, 0.1)):
         for got, want in zip(entries, expected):
             assert got.tobytes() == want.tobytes()
-    alone = synthesize_rows(config, symbols, taps, cfo, sfo, noise_var,
+    alone = synthesize_rows(config, x, taps, cfo, sfo, noise_var,
                             normals)
     assert samples.tobytes() == alone.tobytes()
 
@@ -255,25 +229,23 @@ def test_oracle_rows_equal_stacks_of_one(stack, per_row_noise):
     bit for bit as that row run as a stack of one, at one noise variance
     or one per row; so does the comparison's relative error, and its
     report is that of the first row with the largest."""
-    config, symbols, taps, cfo, sfo, _, _ = stack
+    config, x, taps, cfo, sfo, _, _ = stack
     n_trials = len(taps)
     noise_var = (np.linspace(0.05, 0.5, n_trials) if per_row_noise
                  else 0.1)
-    stacked = fisher_numeric_oracle(config, symbols, taps, cfo, sfo,
+    stacked = fisher_numeric_oracle(config, x, taps, cfo, sfo,
                                     noise_var)
-    rel, report = compare_fisher(config, symbols, taps, cfo, sfo, noise_var)
+    rel, report = compare_fisher(config, x, taps, cfo, sfo, noise_var)
     reports = []
     for t in range(n_trials):
         row = slice(t, t + 1)
         row_noise = noise_var[row] if per_row_noise else noise_var
-        alone = fisher_numeric_oracle(
-            config, [x[row] for x in symbols], taps[row], cfo, sfo,
-            row_noise)
+        alone = fisher_numeric_oracle(config, x[row], taps[row], cfo, sfo,
+                                      row_noise)
         for got, want in zip(stacked, alone):
             assert got[t:t + 1].tobytes() == want.tobytes()
-        rel_alone, report_alone = compare_fisher(
-            config, [x[row] for x in symbols], taps[row], cfo, sfo,
-            row_noise)
+        rel_alone, report_alone = compare_fisher(config, x[row], taps[row],
+                                                 cfo, sfo, row_noise)
         assert rel[t:t + 1].tobytes() == rel_alone.tobytes()
         reports.append(report_alone)
     assert report == reports[int(np.argmax(rel))]
@@ -293,7 +265,7 @@ def test_cached_basis_matches_fresh_build_over_random_geometries(
     n = np.arange(config.dft_size)
     h_fresh = np.exp(-1j * 2.0 * np.pi * ks[:, None]
                      * np.arange(taps.size) / config.dft_size) @ taps
-    for m in range(config.n_symbols):
+    for m in range(2):
         warp = n * (1.0 + sfo) + sfo * config.symbol_start(m)
         fresh = np.exp(1j * 2.0 * np.pi / config.dft_size
                        * np.outer(warp, ks))
@@ -311,13 +283,13 @@ def test_fisher_weights_are_read_only():
 
 
 def test_offset_keyed_caches_stay_bounded():
-    symbols, taps = scenario(3)
+    x, taps = scenario(3)
     caches = (ofdm_model._warped_basis, ofdm_model._cfo_lead,
               crb._fisher_weights)
     for i in range(max(c.cache_info().maxsize for c in caches) + 8):
         sfo = i * 1e-6
-        synthesize_rows(CFG, symbols, taps, CFO_OP, sfo)
-        fisher_rows(CFG, symbols, taps, CFO_OP, sfo, 0.1)
+        synthesize_rows(CFG, x, taps, CFO_OP, sfo)
+        fisher_rows(CFG, x, taps, CFO_OP, sfo, 0.1)
     for cache in caches:
         info = cache.cache_info()
         assert 0 < info.currsize <= info.maxsize
@@ -329,12 +301,12 @@ def test_offset_keyed_caches_stay_bounded():
 def test_oracle_cfo_derivative_matches_analytic_ramp():
     """d/d cfo of the noiseless mean is j (2 pi / N)(N_m + n)(1 + sfo) s,
     because cfo enters only through the leading phase ramp."""
-    symbols, taps = scenario(11)
+    x, taps = scenario(11)
     noise_var = 0.1
-    oracle = one_row(fisher_numeric_oracle(CFG, symbols, taps, CFO_OP,
+    oracle = one_row(fisher_numeric_oracle(CFG, x, taps, CFO_OP,
                                            SFO_OP, noise_var))
     rows = []
-    samples = synthesize_rows(CFG, symbols, taps, CFO_OP, SFO_OP)[0]
+    samples = synthesize_rows(CFG, x, taps, CFO_OP, SFO_OP)[0]
     for m, s in enumerate(samples):
         n = np.arange(64)
         slope = 2 * np.pi / 64 * (CFG.symbol_start(m) + n) * (1 + SFO_OP)
@@ -345,12 +317,12 @@ def test_oracle_cfo_derivative_matches_analytic_ramp():
 
 
 def test_oracle_is_step_insensitive():
-    symbols, taps = scenario(12)
+    x, taps = scenario(12)
     noise_var = noise_variance_from_snr(CFG, 10.0)
-    fine = one_row(fisher_numeric_oracle(CFG, symbols, taps, CFO_OP, SFO_OP,
+    fine = one_row(fisher_numeric_oracle(CFG, x, taps, CFO_OP, SFO_OP,
                                          noise_var, cfo_step=1e-6,
                                          sfo_step=1e-8))
-    coarse = one_row(fisher_numeric_oracle(CFG, symbols, taps, CFO_OP,
+    coarse = one_row(fisher_numeric_oracle(CFG, x, taps, CFO_OP,
                                            SFO_OP, noise_var, cfo_step=1e-5,
                                            sfo_step=1e-7))
     for a, b in zip(fine, coarse):
@@ -359,21 +331,21 @@ def test_oracle_is_step_insensitive():
 
 def test_oracle_rejects_bad_steps():
     with pytest.raises(ValueError, match="cfo_step"):
-        fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1,
+        fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1,
                               cfo_step=0.0)
     with pytest.raises(ValueError, match="sfo_step"):
-        fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1,
+        fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1,
                               sfo_step=-1e-8)
     # Offsets the signal model rejects: every perturbed point is checked.
     for cfo, sfo in ((np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
                      (0.0, np.nan), (0.0, -1.0), (0.0, -1.5)):
         with pytest.raises(ValueError):
-            fisher_numeric_oracle(CFG, FLAT_SYMBOLS, FLAT_TAPS, cfo, sfo,
+            fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, cfo, sfo,
                                   0.1)
 
 
 def test_comparison_report_contents():
-    _, report = compare_fisher(CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0, 0.1)
+    _, report = compare_fisher(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1)
     assert "fisher closed-form vs numeric oracle" in report
     assert "f00: closed=" in report
     assert "max relative error:" in report
@@ -395,8 +367,8 @@ def test_crb_from_coupled_fisher():
 
 
 def test_coupling_never_tightens_the_bound():
-    symbols, taps = scenario(13)
-    f00, f01, f11 = one_row(fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+    x, taps = scenario(13)
+    f00, f01, f11 = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
                                         noise_variance_from_snr(CFG, 15.0)))
     crb_cfo, crb_sfo = crb_pair(f00, f01, f11)
     assert crb_cfo >= 1.0 / f00
@@ -414,8 +386,14 @@ def test_singular_fisher_is_not_invertible():
     assert (crb_cfo[3], crb_sfo[3]) == (0.25, 0.125)
 
 
-ENTRIES = st.floats(-1e300, 1e300).flatmap(
-    lambda f: st.sampled_from([f, f * 1e-300, f * 1e300]))
+# Either sign of a mantissa in [1, 2) times 2**e, -1074 <= e <= 510: no
+# product of two entries overflows, so most determinants are normal, and
+# entries of far different sizes still meet in one row, where a row scaled
+# by its largest entry would lose the small ones' bits.
+ENTRIES = st.builds(lambda sign, m, e: sign * math.ldexp(m, e),
+                    st.sampled_from([1.0, -1.0]),
+                    st.floats(1.0, 2.0, exclude_max=True),
+                    st.integers(-1074, 510))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -443,9 +421,9 @@ def test_scaled_inversion_keeps_every_normal_determinants_bits(f00, f01,
 def test_bounds_at_extreme_noise_are_finite(noise_var):
     """Fisher entries near 1e-200 or 1e300 have a determinant that
     underflows or overflows, but the bounds scale with the noise."""
-    f00, f01, f11 = fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, CFO_OP,
+    f00, f01, f11 = fisher_rows(CFG, FLAT_X, FLAT_TAPS, CFO_OP,
                                 SFO_OP, noise_var)
-    reference = fisher_rows(CFG, FLAT_SYMBOLS, FLAT_TAPS, CFO_OP, SFO_OP,
+    reference = fisher_rows(CFG, FLAT_X, FLAT_TAPS, CFO_OP, SFO_OP,
                             1.0)
     with np.errstate(all="ignore"):
         assert not invertible(f00 * f11 - f01 * f01).any()
@@ -456,10 +434,10 @@ def test_bounds_at_extreme_noise_are_finite(noise_var):
 def test_crb_scales_linearly_with_noise():
     """10 dB less SNR means exactly 10x the noise variance and exactly 10x
     both bounds."""
-    symbols, taps = scenario(14)
-    low = crb_pair(*fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+    x, taps = scenario(14)
+    low = crb_pair(*fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
                                 noise_variance_from_snr(CFG, 20.0)))
-    high = crb_pair(*fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+    high = crb_pair(*fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
                                  noise_variance_from_snr(CFG, 10.0)))
     assert high[0] == pytest.approx(10.0 * low[0], rel=1e-12)
     assert high[1] == pytest.approx(10.0 * low[1], rel=1e-12)
@@ -495,9 +473,9 @@ def test_average_crb_single_trial_identity():
     row = averaged_crb(snr_db, 1, seed)
     assert row.crb_excluded == 0
     skey = 10000
-    symbols, taps = draw_scenario(derive_rng(seed, skey, 0, "training"),
+    x, taps = draw_scenario(derive_rng(seed, skey, 0, "training"),
                                   derive_rng(seed, skey, 0, "channel"))
-    direct = crb_pair(*fisher_rows(CFG, symbols, taps, CFO_OP, SFO_OP,
+    direct = crb_pair(*fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
                                    noise_variance_from_snr(CFG, snr_db)))
     assert (row.crb_cfo, row.crb_sfo) == direct
 
@@ -508,13 +486,13 @@ def test_average_crb_fixed_draw_identity(monkeypatch):
     def fixed_draw(cfg, indices, picks, seeds):
         rows = (len(indices), 1)
         return harness._Draws(tuple(indices),
-                              np.tile(FLAT_SYMBOLS[0][0], rows),
+                              np.tile(FLAT_X[0], rows),
                               np.tile(FLAT_TAPS[0], rows))
 
     monkeypatch.setattr(harness, "_draw", fixed_draw)
     row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)
     crb_cfo, crb_sfo = crb_pair(*fisher_rows(
-        CFG, FLAT_SYMBOLS, FLAT_TAPS, 0.0, 0.0,
+        CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0,
         noise_variance_from_snr(CFG, 15.0)))
     assert row.crb_cfo == pytest.approx(crb_cfo, rel=1e-15)
     assert row.crb_sfo == pytest.approx(crb_sfo, rel=1e-15)
@@ -535,7 +513,7 @@ def test_average_crb_counts_singular_realizations(monkeypatch):
 
     def flaky_fisher(config, burst, cfo, sfo, noise_var):
         """The closed form with the chunk's first row made singular."""
-        calls.append(len(burst[0][0]))
+        calls.append(len(burst[0]))
         entries = crb._fisher_entries(config, burst, cfo, sfo, noise_var)
         for f in entries:
             f[0] = 1.0

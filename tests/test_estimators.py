@@ -54,7 +54,7 @@ def observation(seed, cfo, sfo, snr_db=None):
         normals = np.stack([derive_rng(seed, label).standard_normal((2, 64))
                             for label in ("noise0", "noise1")])[None]
     r0, r1 = demodulate_rows(synthesize_rows(
-        CFG, (x[None], x[None]), taps[None], cfo, sfo, noise_var, normals),
+        CFG, x[None], taps[None], cfo, sfo, noise_var, normals),
         CFG)[0]
     return x, r0, r1
 
@@ -73,13 +73,13 @@ def proposed(r0, r1, grid=GRID, **options):
 
 def nguyenle(x, r0, r1, grid=GRID, **options):
     """One trial's Nguyen-Le estimate, as a stack of one."""
-    return row(estimate_nguyenle(x[None], x[None], r0[None], r1[None], grid,
-                                 CFG, **options))
+    return row(estimate_nguyenle(x[None], r0[None], r1[None], grid, CFG,
+                                 **options))
 
 
 def observable(x, r0, r1):
     """One trial's ratio observable row, asserted non-degenerate."""
-    y, bad = ratio_observable_rows(x, x, r0, r1)
+    y, bad = ratio_observable_rows(x, r0, r1)
     assert not bad.any()
     return y
 
@@ -272,7 +272,7 @@ def test_observable_flags_degenerate_bins():
     x, r0, r1 = observation(10, 0.1, 1e-4, snr_db=20.0)
     r0[3] = 0.0
     # the row form marks the bin, and divides the row by ones
-    y, bad = ratio_observable_rows(x[None], x[None], r0[None], r1[None])
+    y, bad = ratio_observable_rows(x[None], r0[None], r1[None])
     assert CFG.subcarrier_indices[bad[0]].tolist() == [-23]
     npt.assert_array_equal(np.flatnonzero(bad[0]), [3])
     assert np.isfinite(y).all()
@@ -460,7 +460,7 @@ def test_kernel_matches_oracle_over_random_geometries(geometry, seed, scale):
                                                         r1[None])), grid,
                                  energy(r0, r1))
     # r0 is its own training: Y = R1 / R0
-    y = ratio_observable_rows(r0, r0, r0, r1)[0]
+    y = ratio_observable_rows(r0, r0, r1)[0]
     assert_kernel_matches_oracle(ev.nguyenle_surface(y),
                                  nguyenle_cost(y, e, h, config),
                                  row(ev.search_nguyenle(y[None],
@@ -725,7 +725,7 @@ def test_stack_estimates_reproduce_pinned_rows(method, refine):
         if method == "estimate_proposed":
             found = estimate_proposed(r0, r1, GRID, CFG, refine=refine)
         else:
-            found = estimate_nguyenle(x, x, r0, r1, GRID, CFG, refine=refine)
+            found = estimate_nguyenle(x, r0, r1, GRID, CFG, refine=refine)
     for t, name in enumerate(names):
         got = [float(a[t]) for a in (found.cfo, found.sfo, found.cost)]
         expected = PINNED[name, method, refine]
@@ -761,7 +761,7 @@ def test_pair_residual_noise_only_power():
     normals = np.stack([derive_rng(28, label).standard_normal(
         (n_trials, 2, 64)) for label in ("noise0", "noise1")], axis=1)
     spectra = demodulate_rows(synthesize_rows(
-        CFG, (zeros, zeros), np.tile(taps, (n_trials, 1)), 0.212, 0.000112,
+        CFG, zeros, np.tile(taps, (n_trials, 1)), 0.212, 0.000112,
         noise_var, normals), CFG)
     n_vecs = pair_residual_rows(spectra[:, 0], spectra[:, 1], 0.212,
                                 0.000112, CFG)

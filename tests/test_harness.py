@@ -111,9 +111,6 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="alias -0.5 "):
         make_experiment(cp_len=0, sfo=0.0, cfo=0.5)
     assert make_experiment(cp_len=0, sfo=0.0, cfo=0.49).cfo == 0.49
-    # one symbol: the estimators and the CRB need the repeated pair
-    with pytest.raises(ValueError, match="n_symbols must be 2, got 1"):
-        replace(make_experiment(), ofdm=make_config(64, 52, 16, n_symbols=1))
     # a directly built OfdmConfig is checked as make_config checks it: an
     # odd K once died mid-sweep, and K > N wrote residuals of 80 bins
     with pytest.raises(ValueError, match="n_active \\(K\\) must be even"):
@@ -797,7 +794,7 @@ def test_residual_noise_scaling_and_floor():
         """Pair-residual power of n bursts of the one scenario."""
         xs = np.tile(x, (n, 1))
         spectra = demodulate_rows(synthesize_rows(
-            cfg, (xs, xs), np.tile(taps, (n, 1)), 0.212, 0.000112,
+            cfg, xs, np.tile(taps, (n, 1)), 0.212, 0.000112,
             noise_var, normals), cfg)
         v = pair_residual_rows(spectra[:, 0], spectra[:, 1], 0.212, 0.000112,
                                cfg)

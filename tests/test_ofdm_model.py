@@ -16,12 +16,10 @@ from ofdm_sync_lab import (
     coupling_coefficient,
     demodulate_rows,
     derive_rng,
-    derive_states,
     exponential_power_profile,
     ici_term,
     make_config,
     noise_variance_from_snr,
-    seed_generator,
     snr_stream_key,
     synthesize_rows,
 )
@@ -60,9 +58,8 @@ def scenario(seed=7, n_taps=5):
 
 
 def synthesize(cfg, x, taps, cfo, sfo):
-    """One noiseless burst as a stack of one, (n_symbols, N)."""
-    return synthesize_rows(cfg, (x[None],) * cfg.n_symbols, taps[None], cfo,
-                           sfo)[0]
+    """One noiseless burst as a stack of one, (2, N)."""
+    return synthesize_rows(cfg, x[None], taps[None], cfo, sfo)[0]
 
 
 def observe(cfg, x, taps, cfo, sfo):
@@ -83,7 +80,6 @@ def test_config_fields_and_symbol_starts():
     assert cfg.dft_size == 64
     assert cfg.n_active == 52
     assert cfg.cp_len == 16
-    assert cfg.n_symbols == 2
     assert cfg.symbol_len == 80
     assert cfg.symbol_start(0) == 16
     assert cfg.symbol_start(1) == 96
@@ -120,7 +116,6 @@ INVALID_GEOMETRIES = [
     ((64, 52, -1), ">= 0"),
     ((0, 52, 16), "positive"),
     ((64, 0, 16), "positive"),
-    ((64, 52, 16, 3), "n_symbols must be 1 or 2"),
 ]
 
 
@@ -133,7 +128,6 @@ def test_make_config_rejects(args, fragment):
 @pytest.mark.parametrize("args, fragment", INVALID_GEOMETRIES + [
     ((64, 80, 16), "K exceeds N"),
     ((64.0, 52, 16), "integer"),
-    ((64, 52, 16, 2.0), "integer"),
 ])
 def test_ofdm_config_rejects_what_make_config_rejects(args, fragment):
     """The checks live in the config itself, so a directly built config
@@ -151,7 +145,7 @@ def test_config_fields_are_plain_ints():
     cfg = OfdmConfig(np.int64(64), np.int32(52), np.uint8(16))
     assert cfg == make_config(64, 52, 16)
     assert all(type(v) is int for v in (cfg.dft_size, cfg.n_active,
-                                         cfg.cp_len, cfg.n_symbols))
+                                         cfg.cp_len))
 
 
 # ---------------------------------------------------------------- training
@@ -179,16 +173,14 @@ def test_training_symbol_frequencies_uniform():
 
 
 def test_training_symbols_length_mismatch():
-    """Training rows of another length than K, or of two lengths, are a
-    ValueError wherever a burst is formed."""
+    """Training rows of another length than K are a ValueError wherever a
+    burst is formed."""
     cfg = make_config(8, 4, 2)
     taps = np.ones((1, 1))
-    for symbols in ((np.ones((1, 4)), np.ones((1, 5))),
-                    (np.ones((1, 5)), np.ones((1, 5)))):
-        with pytest.raises(ValueError, match="length 5"):
-            synthesize_rows(cfg, symbols, taps, 0.0, 0.0)
-        with pytest.raises(ValueError, match="length 5"):
-            fisher_rows(cfg, symbols, taps, 0.0, 0.0, 0.1)
+    with pytest.raises(ValueError, match="length 5"):
+        synthesize_rows(cfg, np.ones((1, 5)), taps, 0.0, 0.0)
+    with pytest.raises(ValueError, match="length 5"):
+        fisher_rows(cfg, np.ones((1, 5)), taps, 0.0, 0.0, 0.1)
 
 
 # ----------------------------------------------------------------- channel
@@ -231,9 +223,9 @@ def test_channel_realization_validation():
     """An empty tap axis is a ValueError wherever taps become H(k)."""
     cfg, x, _ = scenario()
     with pytest.raises(ValueError, match="at least one tap"):
-        synthesize_rows(cfg, (x[None],) * 2, np.zeros((1, 0)), 0.0, 0.0)
+        synthesize_rows(cfg, x[None], np.zeros((1, 0)), 0.0, 0.0)
     with pytest.raises(ValueError, match="at least one tap"):
-        fisher_rows(cfg, (x[None],) * 2, np.zeros((1, 0)), 0.0, 0.0, 0.1)
+        fisher_rows(cfg, x[None], np.zeros((1, 0)), 0.0, 0.0, 0.1)
     with pytest.raises(ValueError, match="at least one tap"):
         ici_term(0, 0, x, np.array([]), 0.0, 0.0, cfg)
     assert gains(cfg, np.array([1.0, 2.0])).shape == (52,)
@@ -293,7 +285,7 @@ def test_impairment_validation():
     ofdm_model._check_offsets(-3.0, -0.5)
     cfg, x, taps = scenario()
     with pytest.raises(ValueError, match="noise_var"):
-        synthesize_rows(cfg, (x[None],) * 2, taps[None], 0.0, 0.0,
+        synthesize_rows(cfg, x[None], taps[None], 0.0, 0.0,
                         noise_var=-0.1, normals=np.zeros((1, 2, 2, 64)))
 
 
@@ -305,7 +297,7 @@ def test_synthesis_rejects_invalid_noise_variance(noise_var):
     for normals in (None, np.ones((1, 2, 2, 64))):
         with pytest.raises(ValueError, match="noise_var must be finite "
                                              "and >= 0"):
-            synthesize_rows(cfg, (x[None],) * 2, taps[None], CFO_OP, SFO_OP,
+            synthesize_rows(cfg, x[None], taps[None], CFO_OP, SFO_OP,
                             noise_var, normals)
 
 
@@ -336,7 +328,7 @@ def test_synthesis_noise_requires_rng():
     """Noise needs its standard normals; synthesis draws none itself."""
     cfg, x, taps = scenario()
     with pytest.raises(ValueError, match="normals"):
-        synthesize_rows(cfg, (x[None],) * 2, taps[None], 0.0, 0.0,
+        synthesize_rows(cfg, x[None], taps[None], 0.0, 0.0,
                         noise_var=0.1)
 
 
@@ -347,8 +339,8 @@ def test_synthesis_noise_calibration():
     cfg = paper_config()
     zeros = np.zeros((800, 52), dtype=complex)
     normals = derive_rng(17, "noise0").standard_normal((800, 2, 2, 64))
-    samples = synthesize_rows(cfg, (zeros, zeros), np.ones((800, 1)), 0.0,
-                              0.0, 0.1, normals).ravel()
+    samples = synthesize_rows(cfg, zeros, np.ones((800, 1)), 0.0, 0.0, 0.1,
+                              normals).ravel()
     assert samples.size == 102400
     measured = np.mean(np.abs(samples) ** 2)
     assert measured == pytest.approx(0.1, rel=0.02)
@@ -359,11 +351,8 @@ def test_synthesis_noise_calibration():
 
 def test_synthesize_rows_shape():
     cfg, x, taps = scenario()
-    assert synthesize_rows(cfg, (x[None],) * 2, taps[None], CFO_OP,
+    assert synthesize_rows(cfg, x[None], taps[None], CFO_OP,
                            SFO_OP).shape == (1, 2, 64)
-    single = make_config(64, 52, 16, n_symbols=1)
-    assert synthesize_rows(single, (x[None],), taps[None], CFO_OP,
-                           SFO_OP).shape == (1, 1, 64)
 
 
 def test_memoized_arrays_are_read_only():
@@ -421,9 +410,9 @@ def test_observation_length_checked():
         proposed_cost(r, r, 0.0, 0.0, cfg)
     with pytest.raises(ValueError, match="length"):
         nguyenle_cost(r, 0.0, 0.0, cfg)
-    for call in (lambda: ratio_observable_rows(x, x, r, r),
-                 lambda: estimate_nguyenle(x[None], x[None], r[None],
-                                           r[None], grid, cfg),
+    for call in (lambda: ratio_observable_rows(x, r, r),
+                 lambda: estimate_nguyenle(x[None], r[None], r[None], grid,
+                                           cfg),
                  lambda: estimate_proposed(r[None], r[None], grid, cfg),
                  lambda: GridEvaluator(grid, cfg).proposed_surface(r, r)):
         with pytest.raises(ValueError):
@@ -605,13 +594,15 @@ def test_derived_states_match_numpy_seeding(seed, key, label, trials):
     """Every trial's seeded generator has the state and the first draws of
     a fresh PCG64(SeedSequence(words)), bit for bit, in one pass or one
     trial at a time, and via derive_rng."""
-    table = derive_states(seed, key, trials, label)
+    table = ofdm_model._derive_tables(seed, (key,), trials, (label,))[label]
     assert table.shape == (len(trials), 4) and table.dtype == np.uint64
     for row, t in enumerate(trials):
-        npt.assert_array_equal(derive_states(seed, key, [t], label)[0],
-                               table[row])
+        npt.assert_array_equal(
+            ofdm_model._derive_tables(seed, (key,), [t], (label,))[label][0],
+            table[row])
         oracle = oracle_stream(seed, key, t, label)
-        rng = seed_generator(table[row])
+        rng = np.random.Generator(np.random.PCG64(
+            ofdm_model._SeedWords(table[row])))
         assert rng.bit_generator.state == oracle.bit_generator.state
         assert derive_rng(seed, key, t, label).bit_generator.state \
             == oracle.bit_generator.state
@@ -634,12 +625,12 @@ def test_label_tables_in_one_pass_match_derive_states(seed, key, labels,
                                                        trials):
     """The tables of several labels mixed in one pass, int labels (one
     word, or two when negative) and str labels (two words) among them,
-    equal each label's derive_states, at one trial and at many."""
+    equal each label's table derived alone, at one trial and at many."""
     tables = ofdm_model._derive_tables(seed, [key], trials, labels)
     assert sorted(tables, key=labels.index) == labels
     for label in labels:
-        npt.assert_array_equal(tables[label],
-                               derive_states(seed, key, trials, label))
+        npt.assert_array_equal(tables[label], ofdm_model._derive_tables(
+            seed, (key,), trials, (label,))[label])
         assert tables[label].flags.c_contiguous
 
 
@@ -656,8 +647,8 @@ def test_label_tables_in_one_pass_match_derive_states(seed, key, labels,
 def test_multi_key_tables_match_derive_states(seed, keys, labels, trials):
     """Tables of several stream keys in one call, keys of one word (0 dB
     and up) and of two (below 0 dB, and the probe's str key) among them,
-    hold each key's derive_states in its block of rows, at one trial and
-    at many."""
+    hold each key's table derived alone in its block of rows, at one trial
+    and at many."""
     keys = list(dict.fromkeys(keys))
     tables = ofdm_model._derive_tables(seed, keys, trials, labels)
     assert sorted(tables, key=labels.index) == labels
@@ -668,10 +659,11 @@ def test_multi_key_tables_match_derive_states(seed, keys, labels, trials):
         for s, key in enumerate(keys):
             npt.assert_array_equal(
                 table[s * len(trials):(s + 1) * len(trials)],
-                derive_states(seed, key, trials, label))
+                ofdm_model._derive_tables(seed, (key,), trials,
+                                          (label,))[label])
 
 
-# The words of derive_states(12345, 15000, [0], "channel"), written out
+# The words of _derive_tables(12345, (15000,), [0], ("channel",)), written out
 # so that only numpy's Generator.standard_normal is under test, and the
 # first normals it draws from them under numpy 2.4.6.
 PINNED_SEED_ROW = [0x3A780CFB11C8F9D3, 0x006BA928412C934E,
@@ -685,7 +677,7 @@ def test_standard_normal_draws_are_pinned():
     """Channel and noise draws go through Generator.standard_normal,
     which numpy's NEP 19 does not keep stable across releases; a numpy
     that draws other normals from the same PCG64 state fails here."""
-    row = ofdm_model._seed_table([PINNED_SEED_ROW])[0]
+    row = np.array(PINNED_SEED_ROW, dtype=np.uint64)
     rng = np.random.Generator(np.random.PCG64(ofdm_model._SeedWords(row)))
     drawn = rng.standard_normal(len(PINNED_NORMALS))
     assert [float(v).hex() for v in drawn] == list(PINNED_NORMALS)
@@ -710,7 +702,7 @@ def _integers_oracle(words, n_active):
 def test_qpsk_picks_match_generator_integers(rows, half):
     """The picks read from raw PCG64 words are, row for row, the numbers
     ``Generator.integers(0, 4, K)`` draws from the same seed."""
-    table = ofdm_model._seed_table(rows)
+    table = np.array(rows, dtype=np.uint64)
     picks = ofdm_model._qpsk_picks(table, 2 * half)
     assert picks.shape == (len(rows), 2 * half)
     for row, words in zip(picks, table):
@@ -726,7 +718,7 @@ def test_qpsk_picks_match_generator_integers(rows, half):
 def test_pcg64_raw_matches_numpy_random_raw(rows, n):
     """The vectorized 128-bit step draws, row for row, the raw words of
     numpy's PCG64 seeded from the same words, which NEP 19 keeps stable."""
-    table = ofdm_model._seed_table(rows)
+    table = np.array(rows, dtype=np.uint64)
     raw = ofdm_model._pcg64_raw(table, n)
     assert raw.shape == (len(rows), n) and raw.dtype == np.uint64
     for row, words in zip(raw, table):
@@ -738,7 +730,8 @@ def test_pcg64_raw_matches_numpy_random_raw(rows, n):
 def test_qpsk_picks_across_the_block_edge(n_rows, monkeypatch):
     """Rows on either side of a 512-row block edge get their own picks,
     and no PCG64 is built to draw them."""
-    table = derive_states(12345, 15000, range(n_rows), "training")
+    table = ofdm_model._derive_tables(12345, (15000,), range(n_rows),
+                                      ("training",))["training"]
     expected = [_integers_oracle(words, 52) for words in table]
     monkeypatch.setattr(np.random, "PCG64", None)
     npt.assert_array_equal(ofdm_model._qpsk_picks(table, 52), expected)
@@ -746,33 +739,13 @@ def test_qpsk_picks_across_the_block_edge(n_rows, monkeypatch):
 
 def test_qpsk_picks_match_generator_integers_for_every_even_k():
     table = np.vstack([
-        derive_states(12345, 15000, range(3), "training"),
-        ofdm_model._seed_table([[0] * 4, [2 ** 64 - 1] * 4])])
+        ofdm_model._derive_tables(12345, (15000,), range(3),
+                                  ("training",))["training"],
+        np.array([[0] * 4, [2 ** 64 - 1] * 4], dtype=np.uint64)])
     for n_active in range(2, 258, 2):
         picks = ofdm_model._qpsk_picks(table, n_active)
         for row, words in zip(picks, table):
             npt.assert_array_equal(row, _integers_oracle(words, n_active))
-
-
-@pytest.mark.parametrize("words", [
-    [1, 2], [1, 2, 3, 4, 5], [1.5, 2, 3, 4], np.zeros(4), [-1, 0, 0, 0],
-    [2 ** 64, 0, 0, 0], ["1", 2, 3, 4], [[1, 2, 3, 4]], 7, [],
-], ids=["short", "long", "fraction", "float-array", "negative",
-        "too-large", "string", "2-D", "scalar", "empty"])
-def test_seed_generator_rejects_anything_but_four_words(words):
-    """PCG64 reads four words from whatever buffer it is handed, so a
-    short row would be read past its end and a long one truncated."""
-    with pytest.raises(ValueError, match="seed rows need 4 ints"):
-        seed_generator(words)
-
-
-def test_seed_generator_accepts_four_words_in_any_integer_form():
-    seq = np.random.SeedSequence(2 ** 70 + 3)
-    words = seq.generate_state(4, np.uint64)
-    oracle = np.random.PCG64(np.random.SeedSequence(2 ** 70 + 3)).state
-    for form in (words, [int(w) for w in words], tuple(words),
-                 words.astype(object), np.repeat(words, 2)[::2]):
-        assert seed_generator(form).bit_generator.state == oracle
 
 
 @pytest.mark.parametrize("keys", [
@@ -787,7 +760,7 @@ def test_derive_rng_matches_numpy_seeding_for_any_key_path(keys):
 @pytest.mark.parametrize("trials", [[-1], [2 ** 32], [0.5], [[0, 1]]])
 def test_derive_states_rejects_indices_outside_one_word(trials):
     with pytest.raises(ValueError, match="trial"):
-        derive_states(1, 15000, trials, "noise0")
+        ofdm_model._derive_tables(1, (15000,), trials, ("noise0",))
 
 
 def test_snr_stream_key():

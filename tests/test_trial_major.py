@@ -54,10 +54,10 @@ def stacks(draw):
     return config, n_trials, n_taps, cfo, sfo, noise_var, seed
 
 
-def noise_normals(seed, t, n_symbols, dft_size):
-    """Trial t's (n_symbols, 2, N) noise normals, one stream per symbol."""
+def noise_normals(seed, t, dft_size):
+    """Trial t's (2, 2, N) noise normals, one stream per symbol."""
     return np.stack([np.random.default_rng([seed, t, m]).standard_normal(
-        (2, dft_size)) for m in range(n_symbols)])
+        (2, dft_size)) for m in range(2)])
 
 
 def assert_same_bytes(a, b):
@@ -88,20 +88,18 @@ def test_stacked_trials_equal_one_trial_results(stack):
     x = QPSK_ALPHABET[rng.integers(0, 4, (n_trials, config.n_active))]
     taps = channel_taps(rng.standard_normal((n_trials, 2, n_taps)))
     normals = np.stack([
-        noise_normals(seed, t, config.n_symbols, config.dft_size)
+        noise_normals(seed, t, config.dft_size)
         for t in range(n_trials)])
 
     # Synthesis and demodulation.
-    samples = synthesize_rows(config, (x, x), taps, cfo, sfo, noise_var,
-                              normals)
+    samples = synthesize_rows(config, x, taps, cfo, sfo, noise_var, normals)
     spectra = demodulate_rows(samples, config)
     assert spectra.flags.c_contiguous
     trials = []
     for t in range(n_trials):
         alone = synthesize_rows(
-            config, (x[t:t + 1], x[t:t + 1]), taps[t:t + 1], cfo, sfo,
-            noise_var,
-            noise_normals(seed, t, config.n_symbols, config.dft_size)[None])
+            config, x[t:t + 1], taps[t:t + 1], cfo, sfo, noise_var,
+            noise_normals(seed, t, config.dft_size)[None])
         assert_same_bytes(samples[t], alone[0])
         r0, r1 = demodulate_rows(alone, config)[0]
         assert_same_bytes(spectra[t, 0], r0)
@@ -117,14 +115,14 @@ def test_stacked_trials_equal_one_trial_results(stack):
     for view in (spectra, transposed):
         r0, r1 = view[:, 0], view[:, 1]
         n_sq = squared_norms(pair_residual_rows(r0, r1, cfo, sfo, config))
-        y, bad = ratio_observable_rows(x, x, r0, r1)
+        y, bad = ratio_observable_rows(x, r0, r1)
         e_sq = squared_norms(ratio_residual_rows(y, cfo, sfo, config))
         for t, (r0_t, r1_t) in enumerate(trials):
             assert_same_bytes(n_sq[t], one_trial_sum(
                 pair_residual_rows(r0_t, r1_t, cfo, sfo, config)))
             assert not bad[t].any()
             assert_same_bytes(e_sq[t], one_trial_sum(ratio_residual_rows(
-                ratio_observable_rows(x[t], x[t], r0_t, r1_t)[0], cfo,
+                ratio_observable_rows(x[t], r0_t, r1_t)[0], cfo,
                 sfo, config)))
 
         # Surfaces, argmin and the reported cost.
@@ -136,8 +134,8 @@ def test_stacked_trials_equal_one_trial_results(stack):
             reference = one_trial_surface(ev, r0_t, r1_t)
             assert_same_bytes(ev._surface(c[t], v[t]), reference)
             assert_same_bytes(ev.proposed_surface(r0_t, r1_t), reference)
-            y_t, bad_t = ratio_observable_rows(x[t:t + 1], x[t:t + 1],
-                                               r0_t[None], r1_t[None])
+            y_t, bad_t = ratio_observable_rows(x[t:t + 1], r0_t[None],
+                                               r1_t[None])
             for found, alone in (
                     (proposed, ev.search_proposed(r0_t[None], r1_t[None])),
                     (nguyenle, ev.search_nguyenle(y_t, bad_t.any(axis=-1)))):
@@ -147,9 +145,9 @@ def test_stacked_trials_equal_one_trial_results(stack):
 
     # Fisher entries of both routes.
     for route in (fisher_rows, fisher_numeric_oracle):
-        stacked = route(config, (x, x), taps, cfo, sfo, noise_var or 1e-3)
+        stacked = route(config, x, taps, cfo, sfo, noise_var or 1e-3)
         for t in range(n_trials):
-            one = route(config, (x[t:t + 1],) * 2, taps[t:t + 1], cfo, sfo,
+            one = route(config, x[t:t + 1], taps[t:t + 1], cfo, sfo,
                         noise_var or 1e-3)
             for got, want in zip(stacked, one):
                 assert_same_bytes(got[t:t + 1], want)
@@ -170,20 +168,20 @@ def test_a_large_stack_equals_its_chunks():
 
     def row_functions(rows):
         x_, taps_ = x[rows], taps[rows]
-        samples = synthesize_rows(config, (x_, x_), taps_, cfo, sfo,
-                                  noise_var, normals[rows])
+        samples = synthesize_rows(config, x_, taps_, cfo, sfo, noise_var,
+                                  normals[rows])
         spectra = demodulate_rows(samples, config)
         r0, r1 = spectra[:, 0], spectra[:, 1]
-        y, bad = ratio_observable_rows(x_, x_, r0, r1)
+        y, bad = ratio_observable_rows(x_, r0, r1)
         out = [samples, spectra, y, bad,
                squared_norms(pair_residual_rows(r0, r1, cfo, sfo, config)),
                squared_norms(ratio_residual_rows(y, cfo, sfo, config))]
         for route in (fisher_rows, fisher_numeric_oracle):
-            out += route(config, (x_, x_), taps_, cfo, sfo, noise_var)
+            out += route(config, x_, taps_, cfo, sfo, noise_var)
         for found in (ev.search_proposed(r0, r1),
                       ev.search_nguyenle(y, bad.any(axis=-1)),
                       estimate_proposed(r0, r1, ev.grid, config, refine=True),
-                      estimate_nguyenle(x_, x_, r0, r1, ev.grid, config,
+                      estimate_nguyenle(x_, r0, r1, ev.grid, config,
                                         refine=True)):
             out += [found.cfo, found.sfo, found.cost]
         return out
