@@ -16,8 +16,8 @@ experiment is built once and memoized, read-only, in a bounded
 ``functools.lru_cache`` as :mod:`ofdm_sync_lab.ofdm_model` does: the
 residuals' ramp at the true offsets, and the one :class:`GridEvaluator`
 of each (grid, config) that the harness and both estimate functions
-search with. A :class:`GridSpec` is hashable for that: its axes are
-read-only and it compares by their bits.
+search with. A :class:`GridSpec` is hashable for that: a frozen step
+and index range per axis.
 
 Both fits run on trial-major (T, K) stacks of spectra: a trial is a
 row, never a record. :meth:`GridEvaluator.search_proposed` and
@@ -85,38 +85,63 @@ DEGENERATE_MAGNITUDE = 1e-30
 _LATTICE_BUDGET = 2 ** 26
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
-    """Search lattice: ascending CFO and SFO candidate values, held as
-    read-only copies; grids with the same axis bits compare and hash
-    equal."""
+    """Search lattice: each axis is ``step * np.arange(span.start,
+    span.stop)``, built once, read-only, when first read; each span is a
+    non-empty ``range`` of step 1. Steps must be finite and positive, the
+    lead table must fit ``_LATTICE_BUDGET`` bytes and every lattice SFO
+    must lie in (-1, 1), where the CFO slope a (1 + sfo) is positive."""
 
-    cfo_values: np.ndarray
-    sfo_values: np.ndarray
+    cfo_step: float
+    cfo_span: range
+    sfo_step: float
+    sfo_span: range
 
     def __post_init__(self):
-        for name in ("cfo_values", "sfo_values"):
-            values = np.array(getattr(self, name), dtype=float)
-            if values.ndim != 1 or values.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-D vector")
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            if values.size > 1 and not (np.diff(values) > 0).all():
-                raise ValueError(f"{name} must be strictly ascending")
-            object.__setattr__(self, name, _read_only(values))
+        for axis, step, span in (("cfo", self.cfo_step, self.cfo_span),
+                                 ("sfo", self.sfo_step, self.sfo_span)):
+            if not np.isfinite(step):
+                raise ValueError(f"{axis}_step must be finite, got {step}")
+            if not step > 0:
+                raise ValueError(f"{axis}_step must be positive, got {step}")
+            if not (isinstance(span, range) and span.step == 1 and span):
+                raise ValueError(f"{axis}_span must be a non-empty range of "
+                                 f"step 1, got {span!r}")
+        # stop - start, not len(): len() of a span past sys.maxsize raises.
+        n_cfo, n_sfo = (s.stop - s.start for s in (self.cfo_span,
+                                                   self.sfo_span))
+        table = 16 * n_cfo * n_sfo
+        if table > _LATTICE_BUDGET:
+            raise ValueError(
+                f"cfo_max / cfo_step and sfo_max / sfo_step (the --grid-* "
+                f"flags) give a {n_cfo} x {n_sfo} lattice, whose complex "
+                f"lead table needs {table:.3g} bytes, more than the lattice "
+                f"budget of {_LATTICE_BUDGET} bytes")
+        with np.errstate(over="ignore"):
+            ends = self.cfo_values[[0, -1]]
+        if not np.isfinite(ends).all():
+            raise ValueError(f"cfo_step {self.cfo_step:g} overflows the "
+                             f"lattice CFOs")
+        lo, hi = self.sfo_values[[0, -1]]
+        if not (-1.0 < lo and hi < 1.0):
+            raise ValueError(
+                f"the lattice SFOs (the --grid-sfo-* flags) run from {lo:g} "
+                f"to {hi:g}; every one must lie inside (-1, 1)")
 
-    def _key(self) -> tuple:
-        return self.cfo_values.tobytes(), self.sfo_values.tobytes()
+    @functools.cached_property
+    def cfo_values(self) -> np.ndarray:
+        return _read_only(self.cfo_step * np.arange(self.cfo_span.start,
+                                                    self.cfo_span.stop))
 
-    def __eq__(self, other):
-        return isinstance(other, GridSpec) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    @functools.cached_property
+    def sfo_values(self) -> np.ndarray:
+        return _read_only(self.sfo_step * np.arange(self.sfo_span.start,
+                                                    self.sfo_span.stop))
 
     @property
     def shape(self) -> tuple:
-        return (self.cfo_values.size, self.sfo_values.size)
+        return (len(self.cfo_span), len(self.sfo_span))
 
 
 def make_grid(cfo_step: float = 0.01, cfo_max: float = 0.5,
@@ -126,37 +151,26 @@ def make_grid(cfo_step: float = 0.01, cfo_max: float = 0.5,
     The default spans CFO in [-0.5, 0.5] at step 0.01 and SFO in
     [-5e-4, 5e-4] at step 1e-5 (101 x 101 points). ``cfo_max``/``sfo_max``
     are rounded to a whole number of steps; a max of zero pins that axis
-    to the single value 0. Steps must be finite and positive, maxima
-    finite and non-negative, and each max / step ratio must leave a
-    point count that fits an array index, and a lattice whose lead table
-    fits ``_LATTICE_BUDGET`` bytes.
+    to the single value 0. Maxima must be finite and non-negative, and
+    each max / step ratio must leave a point count that fits an array
+    index; :class:`GridSpec` checks the steps and the lattice.
     """
-    counts = []
+    spans = []
     for axis, step, bound in (("cfo", cfo_step, cfo_max),
                               ("sfo", sfo_step, sfo_max)):
-        for name, value in ((f"{axis}_step", step), (f"{axis}_max", bound)):
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not step > 0:
-            raise ValueError(f"{axis}_step must be positive, got {step}")
+        if not np.isfinite(bound):
+            raise ValueError(f"{axis}_max must be finite, got {bound}")
         if bound < 0:
             raise ValueError(f"{axis}_max must be >= 0, got {bound}")
-        # The 2 n + 1 points must fit an array index.
-        if not bound / step < np.iinfo(np.intp).max // 4:
+        # The 2 n + 1 points must fit an array index; a step that
+        # GridSpec rejects counts none here.
+        ratio = bound / step if step > 0 else 0.0
+        if not ratio < np.iinfo(np.intp).max // 4:
             raise ValueError(
-                f"{axis}_max / {axis}_step = {bound / step:g} overflows "
-                f"the {axis} grid's point count")
-        counts.append(round(bound / step))
-    n_cfo, n_sfo = (2 * n + 1 for n in counts)
-    table = 16 * n_cfo * n_sfo
-    if table > _LATTICE_BUDGET:
-        raise ValueError(
-            f"cfo_max / cfo_step and sfo_max / sfo_step (the --grid-* flags) "
-            f"give a {n_cfo} x {n_sfo} lattice, whose complex lead table "
-            f"needs {table:.3g} bytes, more than the lattice budget of "
-            f"{_LATTICE_BUDGET} bytes")
-    return GridSpec(*(step * np.arange(-n, n + 1)
-                      for step, n in zip((cfo_step, sfo_step), counts)))
+                f"{axis}_max / {axis}_step = {ratio:g} overflows the {axis} "
+                f"grid's point count")
+        spans.append(range(-round(ratio), round(ratio) + 1))
+    return GridSpec(cfo_step, spans[0], sfo_step, spans[1])
 
 
 class Estimates:
@@ -261,9 +275,9 @@ class GridEvaluator:
     kappa = max(cos(min(s_min d, pi)), 0). A row with every p_j in its
     window and a best candidate below that bound, less a rounding margin
     of 1e-12 (|c| + 2 max_j |v_j|), is certified, as is every finite row
-    of a grid with at most two CFO rows (all candidates). Any other row
-    (non-finite or huge c or v, or a p_j outside its window) and every
-    row of a grid with an sfo <= -1 forms the full surface.
+    of a lattice with at most two CFO rows (all candidates). Any other
+    row (non-finite or huge c or v, or a p_j outside its window) forms
+    the full surface.
 
     The reported cost is recomputed at the argmin as the direct sum over
     ascending k from the same factors, so it does not carry the kernel's
@@ -275,33 +289,26 @@ class GridEvaluator:
         self.grid = grid
         self.config = config
         a = _TWO_PI * config.symbol_len / config.dft_size
-        e = grid.cfo_values[:, None]
-        h = grid.sfo_values[None, :]
-        self._lead = _read_only(np.exp(1j * a * e * (1.0 + h)))
+        cfos, sfos = grid.cfo_values, grid.sfo_values
+        self._lead = _read_only(np.exp(1j * a * cfos[:, None] * (1.0 + sfos)))
         # (n_sfo, K) per-subcarrier ramps; column k matches
         # exp(j a k sfo) evaluated on the SFO axis.
         self._sub = _read_only(np.exp(
-            1j * a * grid.sfo_values[:, None] * config.subcarrier_indices))
-        # Per SFO column: Moose's slope s_j and the certificate's window.
-        # A grid of two or fewer CFO rows has no window and no bound; a
-        # uniform lattice (each CFO within half a step of its index) finds
-        # the bracket by index arithmetic, its end CFOs padded to -/+inf.
-        self._slope = _read_only(a * (1.0 + grid.sfo_values))
-        self._bracketed = bool((self._slope > 0).all())
-        cfos = grid.cfo_values
+            1j * a * sfos[:, None] * config.subcarrier_indices))
+        # Per SFO column: Moose's slope s_j > 0 and the certificate's
+        # window. A lattice of two or fewer CFO rows has no window and no
+        # bound. _lower finds the bracket by index arithmetic, the end
+        # CFOs padded to -/+inf.
+        self._slope = _read_only(a * (1.0 + sfos))
+        self._edges = _read_only(np.r_[-np.inf, cfos[1:-1], np.inf])
         self._window = _read_only(np.array([[-np.inf], [np.inf]]))
-        self._kappa, self._step = 0.0, None
-        if cfos.size > 2 and self._bracketed:
+        self._kappa = 0.0
+        if cfos.size > 2:
             gap = np.diff(cfos).min()
             period = _TWO_PI / self._slope
             self._window = _read_only(np.stack([cfos[-1] + gap - period,
                                                 cfos[0] - gap + period]))
             self._kappa = max(np.cos(min(self._slope.min() * gap, np.pi)), 0.)
-            step = (cfos[-1] - cfos[0]) / (cfos.size - 1)
-            offset = (cfos - cfos[0]) / step - np.arange(cfos.size)
-            if np.abs(offset).max() < 0.5:
-                self._step = step
-                self._edges = _read_only(np.r_[-np.inf, cfos[1:-1], np.inf])
 
     def _correlate(self, z: np.ndarray) -> np.ndarray:
         """sub(sfo) . z for every row of z, (T, n_sfo): one stacked matvec
@@ -344,13 +351,11 @@ class GridEvaluator:
         return divmod(int(np.argmin(surface)), self.grid.shape[1])
 
     def _lower(self, moose):
-        """clip(searchsorted(cfo_values, moose, "right") - 1, 0, n_cfo - 2);
-        on a uniform lattice, the nearest CFO row, less one if above."""
+        """The lower bracket row of each moose: the last CFO row at or
+        below it, clipped to [0, max(n_cfo - 2, 0)]; without a sort, the
+        nearest CFO row, less one if it lies above."""
         cfos = self.grid.cfo_values
-        if self._step is None:
-            return np.clip(np.searchsorted(cfos, moose, side="right") - 1,
-                           0, max(cfos.size - 2, 0))
-        near = np.clip(np.rint((moose - cfos[0]) / self._step), 0,
+        near = np.clip(np.rint((moose - cfos[0]) / self.grid.cfo_step), 0,
                        cfos.size - 1).astype(np.intp)
         return near - (self._edges[near] > moose)
 
@@ -358,9 +363,6 @@ class GridEvaluator:
         """The rows of (c, v) whose lattice argmin the bracket certifies,
         and that argmin's (cfo, sfo) indices, as three index vectors."""
         n_cfo, n_sfo = self.grid.shape
-        if not self._bracketed:
-            none = np.zeros(0, dtype=np.intp)
-            return none, none, none
         # Finite c and v, small enough that no surface entry overflows; a
         # huge p_j may overflow _lower's arithmetic, which clips it.
         with np.errstate(over="ignore", invalid="ignore"):

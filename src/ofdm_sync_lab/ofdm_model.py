@@ -24,7 +24,7 @@ built once and memoized in bounded ``functools.lru_cache`` helpers: the
 SFO-warped synthesis basis (keyed on config, sfo and symbol index), the
 channel-DFT phases (config and tap count), the CFO lead of a symbol
 (config, cfo, sfo and symbol index) and the tap scale of the power
-profile (tap count and decay). Every cached array is read-only, so a
+profile (tap count). Every cached array is read-only, so a
 caller that tried to modify one in place would get a ``ValueError``
 instead of corrupting later trials.
 
@@ -188,28 +188,25 @@ def _check_offsets(cfo: float, sfo: float):
         raise ValueError(f"sfo must exceed -1 and stay below 1, got {sfo}")
 
 
-def exponential_power_profile(n_taps: int,
-                              decay: float = PDP_DECAY_TAPS) -> np.ndarray:
-    """Exponentially decaying power-delay profile normalized to unit sum."""
+def exponential_power_profile(n_taps: int) -> np.ndarray:
+    """Power-delay profile decaying with time constant ``PDP_DECAY_TAPS``,
+    normalized to unit sum."""
     if n_taps < 1:
         raise ValueError(f"n_taps must be >= 1, got {n_taps}")
-    if decay <= 0:
-        raise ValueError(f"decay must be positive, got {decay}")
-    weights = np.exp(-np.arange(n_taps) / decay)
+    weights = np.exp(-np.arange(n_taps) / PDP_DECAY_TAPS)
     return weights / weights.sum()
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _tap_scale(n_taps: int, decay: float) -> np.ndarray:
+def _tap_scale(n_taps: int) -> np.ndarray:
     """Per-tap standard deviation of the real and imaginary parts."""
-    return _read_only(np.sqrt(exponential_power_profile(n_taps, decay) / 2.0))
+    return _read_only(np.sqrt(exponential_power_profile(n_taps) / 2.0))
 
 
-def channel_taps(normals: np.ndarray,
-                 decay: float = PDP_DECAY_TAPS) -> np.ndarray:
+def channel_taps(normals: np.ndarray) -> np.ndarray:
     """Rayleigh taps with the exponential power profile, (..., L), from
     (..., 2, L) standard normals: real parts, then imaginary parts."""
-    return _complex_normal(_tap_scale(normals.shape[-1], decay), normals)
+    return _complex_normal(_tap_scale(normals.shape[-1]), normals)
 
 
 def noise_variance_from_snr(config: OfdmConfig, snr_db: float) -> float:

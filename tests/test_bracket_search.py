@@ -35,15 +35,13 @@ GRIDS = (
     make_grid(cfo_step=0.3),
     make_grid(cfo_max=0.0),
     make_grid(sfo_max=0.0),
-    GridSpec(np.array([-0.47, -0.2, -0.19, 0.0, 0.05, 0.33, 0.41]),
-             np.array([-3e-4, 0.0, 1e-4, 4e-4])),
     make_grid(cfo_max=0.79),
     # cos(s d) < 0 at the CFO spacing d = 0.25, with a non-empty window.
     make_grid(cfo_step=0.25, cfo_max=0.25),
     # Two CFO rows: every lattice point is a candidate.
-    GridSpec(np.array([-0.2, 0.15]), make_grid().sfo_values),
+    GridSpec(0.35, range(-1, 1), 1e-5, range(-50, 51)),
     make_grid(cfo_max=1.2),
-    GridSpec(0.01 * np.arange(150, 171), np.array([0.0])),
+    GridSpec(0.01, range(150, 171), 1e-5, range(0, 1)),
 )
 
 # Row kinds: noiseless, noisy, noise only, all zero, one non-finite bin,
@@ -119,7 +117,7 @@ def rows(kinds, seed):
 @given(chunk=chunks())
 @example(chunk=(GRIDS[0], ["noiseless", "noisy", "noise", "zero", "inf",
                            "nan"], 7))
-@example(chunk=(GRIDS[6], ["noiseless"] * 24, 11))
+@example(chunk=(GRIDS[5], ["noiseless"] * 24, 11))
 @example(chunk=(GRIDS[0], ["alias"] * 24, 13))
 def test_bracket_search_equals_full_surface(chunk):
     grid, kinds, seed = chunk
@@ -159,17 +157,21 @@ def test_grid_past_one_period_takes_the_full_surface():
 
 
 def test_bracket_ties_break_to_the_first_lattice_point():
-    """R1 = R0 with a spectrum symmetric in k makes the SFOs +/-1e-4
-    tie exactly at CFO 0; the certified bracket must keep the first."""
-    grid = GridSpec(make_grid().cfo_values, np.array([-1e-4, 1e-4]))
+    """R1 is R0 times the mean of the ramps at SFO +/-0.01 and CFO 0, and
+    both spectra are real and symmetric in k, so the SFOs +/-0.01 tie
+    exactly at CFO 0, both below SFO 0; the certified bracket must keep
+    the first."""
+    grid = GridSpec(0.01, range(-50, 51), 0.01, range(-1, 2))
     ev = GridEvaluator(grid, CFG)
-    r0 = (1.0 + 0.5 * np.cos(0.3 * CFG.subcarrier_indices))[None] + 0j
-    c, v = ev._pair_terms(r0, r0)
+    k = CFG.subcarrier_indices
+    r0 = (1.0 + 0.5 * np.cos(0.3 * k))[None] + 0j
+    r1 = r0 * symbol_phase_ramp(k, 0.0, 0.01, CFG).real
+    c, v = ev._pair_terms(r0, r1)
     surface = ev._surface(c[0], v[0])
-    assert surface[50, 0] == surface[50, 1] == surface.min()
+    assert surface[50, 0] == surface[50, 2] == surface.min()
     assert ev._bracket(c, v)[0].tolist() == [0]
-    result = ev.search_proposed(r0, r0)
-    assert (result.cfo[0], result.sfo[0]) == (0.0, -1e-4)
+    result = ev.search_proposed(r0, r1)
+    assert (result.cfo[0], result.sfo[0]) == (0.0, -0.01)
 
 
 def certified_shares(monkeypatch, snr_db):
@@ -210,9 +212,31 @@ def test_every_default_fig2_chunk_takes_the_bracket(monkeypatch, snr_db):
     assert nguyenle[0] == 32 and nguyenle[1] >= (30 if snr_db < 10 else 32)
 
 
-# make_grid lattices, which find the bracket by index arithmetic.
+def test_full_size_fig2_sweep_certifies_as_before(monkeypatch):
+    """The default fig2 sweep, 500 trials at each point from 5 to 30 dB:
+    the bracket certifies all 3000 proposed searches and 2992 of the 3000
+    Nguyen-Le ones, so a weaker certificate fails here instead of only
+    costing time."""
+    counts = []
+    bracket = GridEvaluator._bracket
+
+    def spy(self, c, v):
+        found = bracket(self, c, v)
+        counts.append((len(c), found[0].size))
+        return found
+
+    monkeypatch.setattr(GridEvaluator, "_bracket", spy)
+    harness.run_mse_sweep(make_experiment(
+        snr_points_db=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0)))
+    # Each chunk searches the proposed fit, then the Nguyen-Le fit.
+    assert np.sum(counts[0::2], axis=0).tolist() == [3000, 3000]
+    assert np.sum(counts[1::2], axis=0).tolist() == [3000, 2992]
+
+
 LATTICES = (
     make_grid(),
+    make_grid(cfo_max=0.0),
+    GRIDS[7],
     make_grid(cfo_step=0.05),
     make_grid(cfo_step=0.3),
     make_grid(cfo_step=0.25, cfo_max=0.25),
@@ -228,28 +252,19 @@ LATTICES = (
        keys=st.lists(st.floats(-3.0, 3.0), max_size=40))
 def test_sort_free_bracket_equals_searchsorted(grid, keys):
     """The bracket's lower CFO row is clip(searchsorted(cfo, p, "right")
-    - 1, 0, n_cfo - 2) at every lattice CFO, one ulp to either side of
-    it, and at arbitrary keys."""
+    - 1, 0, max(n_cfo - 2, 0)) at every lattice CFO, one ulp to either
+    side of it, and at arbitrary keys."""
     cfos = grid.cfo_values
     ev = GridEvaluator(grid, CFG)
-    assert ev._step is not None
     p = np.concatenate([cfos, np.nextafter(cfos, -np.inf),
                         np.nextafter(cfos, np.inf), keys,
                         [-1e15, 1e15]]).reshape(-1, 1)
     expected = np.clip(np.searchsorted(cfos, p, side="right") - 1, 0,
-                       cfos.size - 2)
+                       max(cfos.size - 2, 0))
     assert np.array_equal(ev._lower(p), expected)
 
 
-def test_non_uniform_grid_keeps_searchsorted():
-    ev = GridEvaluator(GRIDS[5], CFG)
-    assert ev._step is None
-    p = np.linspace(-1.0, 1.0, 201)
-    assert np.array_equal(ev._lower(p), np.clip(np.searchsorted(
-        GRIDS[5].cfo_values, p, side="right") - 1, 0, 5))
-
-
-@pytest.mark.parametrize("grid", [GRIDS[3], GRIDS[8]],
+@pytest.mark.parametrize("grid", [GRIDS[3], GRIDS[7]],
                          ids=["one-cfo-row", "two-cfo-rows"])
 def test_small_grids_certify_every_finite_row(grid):
     """With one or two CFO rows every lattice point is a candidate, so
@@ -263,10 +278,12 @@ def test_small_grids_certify_every_finite_row(grid):
     assert np.array_equal(ev._bracket(c, v)[0], np.flatnonzero(finite))
 
 
-# A coarse non-uniform grid whose least CFO spacing makes cos(s d) < 0:
-# only on such a grid can a candidate lose its own column to a lattice
-# CFO near an alias, which the bound's clamp at 0 must catch.
-COARSE = GridSpec(np.array([-0.5, -0.25, 0.5]), 1e-4 * np.arange(-3, 4))
+# A coarse lattice whose CFO step d makes cos(s d) < 0. On a lattice no
+# candidate loses its own column: wherever the window is not empty, the
+# nearer candidate lies within d / 2 of p_j and beats every other point
+# of that column. What the bound's clamp at 0 holds there is the
+# rounding margin.
+COARSE = GridSpec(0.25, range(-2, 3), 1e-4, range(-3, 4))
 
 
 def structured_terms(grid, seed, n=48):
@@ -305,15 +322,15 @@ def test_certified_rows_hold_the_surface_argmin(grid, seed):
 
 
 def test_negative_cosine_bound_is_clamped():
-    """On ``COARSE`` at p = 0.045 every candidate costs more than c in
-    both columns, and the lattice CFO -0.5, 0.25 from the alias p - P,
-    beats them in the weak column. An unclamped kappa = cos(s d) < 0
-    would put the bound at c + 0.77 |v|max, above the best candidate."""
-    grid = GridSpec(COARSE.cfo_values, np.array([0.0, 1e-4]))
+    """On ``COARSE``'s CFOs, at p = 0.01 in both of two SFO columns, a
+    nearly flat row (|v| = 4.5e-13 c) has its best candidate, CFO 0,
+    within the rounding margin of c, so its full surface must be formed.
+    An unclamped kappa = cos(s d) = -0.38 would raise the bound by
+    0.77 |v|max, above that candidate, and certify the row."""
+    grid = GridSpec(COARSE.cfo_step, COARSE.cfo_span, 1e-4, range(0, 2))
     ev = GridEvaluator(grid, CFG)
-    v = np.array([[1.0, 0.3]]) * np.exp(-1j * ev._slope * 0.045)
-    c = np.array([3.0])
-    i, j = ev._result(ev._surface(c[0], v[0]))
-    assert (i, j) == (0, 1)
-    rows, bi, bj = ev._bracket(c, v)
-    assert rows.size == 0 or (bi[0], bj[0]) == (i, j)
+    assert np.cos(ev._slope.min() * COARSE.cfo_step) < -0.38
+    v = 4.5e-13 * np.array([[1.0, 0.5]]) * np.exp(-1j * ev._slope * 0.01)
+    c = np.array([1.0])
+    assert ev._result(ev._surface(c[0], v[0])) == (2, 0)
+    assert ev._bracket(c, v)[0].size == 0

@@ -331,6 +331,15 @@ def test_main_freezes_import_objects_for_the_run(monkeypatch, tmp_path):
     (["fig2", "--grid-cfo-step", "1e-6"],
      "give a 1000001 x 101 lattice, whose complex lead table needs "
      "1.62e+09 bytes, more than the lattice budget of 67108864 bytes"),
+    # a lattice SFO of -1 zeroes the CFO slope a (1 + sfo), and these
+    # once searched it (and -2) and exited 0
+    (["fig2", "--grid-sfo-max", "1", "--grid-sfo-step", "1"],
+     "the lattice SFOs (the --grid-sfo-* flags) run from -1 to 1; every "
+     "one must lie inside (-1, 1)"),
+    (["fig2", "--grid-sfo-max", "2", "--grid-sfo-step", "1"],
+     "the lattice SFOs (the --grid-sfo-* flags) run from -2 to 2"),
+    (["trial", "--grid-sfo-max", "1", "--grid-sfo-step", "0.5"],
+     "the lattice SFOs (the --grid-sfo-* flags) run from -1 to 1"),
 ])
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

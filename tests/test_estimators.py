@@ -138,13 +138,13 @@ def test_make_grid_holds_the_lead_table_to_its_budget():
     ``_LATTICE_BUDGET`` bytes, checked before an axis is built; the
     default lattice and the largest the tests build sit far below it."""
     budget = estimators._LATTICE_BUDGET
-    assert make_grid(1.0, 1023.0, 0.5, 512.0).shape == (2047, 2049)
+    assert make_grid(1.0, 1023.0, 1e-4, 0.1024).shape == (2047, 2049)
     assert 16 * 2047 * 2049 <= budget < 16 * 2049 * 2049
     message = ("2049 x 2049 lattice, whose complex lead table needs "
                "6.72e+07 bytes, more than the lattice budget of 67108864 "
                "bytes")
     with pytest.raises(ValueError, match=re.escape(message)):
-        make_grid(1.0, 1024.0, 0.5, 512.0)
+        make_grid(1.0, 1024.0, 1e-4, 0.1024)
     # more points than any machine could hold, but an array index counts
     # them: rejected before the axes, not by a failed allocation
     with pytest.raises(ValueError, match="20000000000000001 x 101 lattice"):
@@ -154,13 +154,44 @@ def test_make_grid_holds_the_lead_table_to_its_budget():
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError, match="ascending"):
-        GridSpec(np.array([0.1, 0.0]), np.array([0.0]))
-    with pytest.raises(ValueError, match="non-empty"):
-        GridSpec(np.array([]), np.array([0.0]))
-    with pytest.raises(ValueError, match="non-finite"):
-        GridSpec(np.array([0.0, np.nan]), np.array([0.0]))
-    assert GridSpec(np.array([0.0]), np.array([-1.0, 1.0])).shape == (1, 2)
+    for span in (range(0), range(0, 4, 2), np.arange(3)):
+        with pytest.raises(ValueError, match="cfo_span must be a non-empty "
+                                             "range of step 1"):
+            GridSpec(0.01, span, 1e-5, range(1))
+    with pytest.raises(ValueError, match="sfo_step must be positive"):
+        GridSpec(0.01, range(1), -1e-5, range(1))
+    with pytest.raises(ValueError, match="cfo_step must be finite"):
+        GridSpec(np.nan, range(1), 1e-5, range(1))
+    # At SFO -1 the CFO slope a (1 + sfo) is 0, and below it negative.
+    for span in (range(-1, 1), range(0, 2), range(-2, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                "every one must lie inside (-1, 1)")):
+            GridSpec(0.01, range(1), 1.0, span)
+    with pytest.raises(ValueError, match="overflows the lattice CFOs"):
+        GridSpec(1e308, range(-2, 3), 1e-5, range(1))
+    # A span len() cannot count is the budget's, not an OverflowError.
+    with pytest.raises(ValueError, match="20000000000000000000 x 1 lattice"):
+        GridSpec(1e-20, range(-10 ** 19, 10 ** 19), 1e-5, range(1))
+    assert GridSpec(0.01, range(1), 0.5, range(-1, 2)).shape == (1, 3)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(steps=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-8, 1e-2)),
+       counts=st.tuples(st.integers(0, 200), st.integers(0, 90)),
+       slack=st.tuples(st.floats(0.0, 0.49), st.floats(0.0, 0.49)))
+def test_make_grid_axes_are_integer_multiples_of_the_step(steps, counts,
+                                                         slack):
+    """Each axis is step * arange(-n, n + 1), bit for bit, for a max
+    anywhere within half a step of n steps; equal lattices compare and
+    hash equal."""
+    grid = make_grid(steps[0], steps[0] * (counts[0] + slack[0]),
+                     steps[1], steps[1] * (counts[1] + slack[1]))
+    for axis, step, n in zip((grid.cfo_values, grid.sfo_values), steps,
+                             counts):
+        assert axis.tobytes() == (step * np.arange(-n, n + 1)).tobytes()
+        assert not axis.flags.writeable
+    assert make_grid(0.01, 0.5) == make_grid(0.01, 0.504) == GRID
+    assert hash(make_grid(0.01, 0.5)) == hash(make_grid(0.01, 0.504))
 
 
 # -------------------------------------------------------------------- ramp
@@ -348,7 +379,7 @@ def test_grid_search_rejects_non_finite_cost():
 
 
 def test_grid_search_single_point_grid():
-    grid = GridSpec(np.array([0.3]), np.array([0.0]))
+    grid = GridSpec(0.3, range(1, 2), 1e-5, range(1))
     _, r0, r1 = observation(30, 0.2, 1e-4, snr_db=10.0)
     result = row(GridEvaluator(grid, CFG).search_proposed(r0[None],
                                                           r1[None]))
@@ -601,8 +632,7 @@ def test_refine_is_exact_on_a_model_exact_pair(method):
     r0 = rng.standard_normal(52) + 1j * rng.standard_normal(52)
     cfo, sfo = 0.6543, 4e-3
     r1 = symbol_phase_ramp(CFG.subcarrier_indices, cfo, sfo, CFG) * r0
-    grid = GridSpec(cfo_values=0.01 * np.arange(30, 91),
-                    sfo_values=np.array([sfo]))
+    grid = GridSpec(0.01, range(30, 91), 4e-3, range(1, 2))
     refined = estimate(method, x, r0, r1, grid, refine=True)
     assert refined.sfo == sfo
     assert abs(refined.cfo - cfo) <= 1e-12
