@@ -19,17 +19,16 @@ offsets, so the real sample factors that depend only on (config, cfo,
 sfo, symbol index) are built once and memoized, read-only, in a bounded
 ``functools.lru_cache``; so are the synthesis basis and the channel-DFT
 phases (see :mod:`ofdm_sync_lab.ofdm_model`). The summands are real
-products (:func:`_fisher_entries`) that equal the usual complex-weighted
+products (:func:`fisher_rows`) that equal the usual complex-weighted
 ones bit for bit: the weights 1 + j a, j b and j w add only products
 with an exact 0 or 1.
 
-Both routes run on trial-major stacks: each takes the (T, K) training
-rows x, which both symbols repeat, and (T, L) taps and returns the
-entries (f00, f01, f11) as (T,) arrays, each row equal bit for bit to
-that row run as a stack of one. Underneath, both read the noiseless
-burst that synthesis also forms (:func:`_fisher_entries`,
-:func:`_oracle_entries`), so fig2's chunks hand over the one they
-synthesized; the oracle re-warps its x H rows at each perturbed sfo.
+Both routes run on trial-major stacks: each takes the
+:func:`ofdm_model.noiseless_burst` of T bursts, the one synthesis also
+reads, so fig2's chunks hand over the one they synthesized, and bounds
+it at the sfo it carries. Each returns the entries (f00, f01, f11) as
+(T,) arrays, each row equal bit for bit to that row run as a stack of
+one; the oracle re-warps the burst's x H rows at each perturbed sfo.
 ``noise_var`` is a scalar or one value per row. The 2x2 inversion is
 elementwise (:func:`crb_rows`), and :func:`invertible` marks the rows
 whose bounds mean something.
@@ -43,12 +42,11 @@ from .ofdm_model import (
     OfdmConfig,
     _CACHE_SIZE,
     _check_offsets,
-    _noiseless_burst,
     _read_only,
     _sum_last,
-    _synthesized,
     _warped,
     _warped_basis,
+    synthesize_rows,
 )
 
 __all__ = [
@@ -85,13 +83,23 @@ def _fisher_weights(config: OfdmConfig, cfo: float, sfo: float, m: int):
         b ** 2, -w, b * cfo, b, -w_sq * (cfo ** 2), -2.0 * cfo * w_sq, -w_sq))
 
 
-def _fisher_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
-                    noise_var: float):
-    """:func:`fisher_rows` of a noiseless burst: with p = Re(d conj(g)),
-    symbol m adds (w (1+sfo))^2 |g|^2 to f00, -w (a |g|^2 + b p) to f01
-    and (gamma |g|^2 + theta p) + pi |d|^2 to f11."""
+def fisher_rows(config: OfdmConfig, burst: tuple, cfo: float, noise_var):
+    """Analytic Fisher entries (f00, f01, f11) of a stack of T bursts at
+    the burst's sfo, each as (T,).
+
+    All three entries are sums over both training symbols and the N
+    samples of each: the CFO-CFO entry weighs |g|^2 by the squared
+    sample phase slope, the cross entry combines g with the
+    index-weighted spectrum d, and the SFO-SFO entry accumulates the
+    three quadratic combinations of g and d. Here
+    g[n] = sum_k X(k) H(k) exp(j 2 pi k (n (1+sfo) + sfo N_m) / N) is the
+    burst's g_m and d[n] carries an extra factor k inside the sum. With
+    p = Re(d conj(g)), symbol m adds (w (1+sfo))^2 |g|^2 to f00,
+    -w (a |g|^2 + b p) to f01 and (gamma |g|^2 + theta p) + pi |d|^2 to
+    f11, in the factors of :func:`_fisher_weights`.
+    """
     _check_noise_var(noise_var)
-    xh, gs = burst
+    xh, gs, sfo = burst
     kxh = config.subcarrier_indices * xh
     f00 = f01 = f11 = 0.0
     for m, g in enumerate(gs):
@@ -108,39 +116,30 @@ def _fisher_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
     return f00 * scale, f01 * -scale, f11 * -scale
 
 
-def fisher_rows(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
-                cfo: float, sfo: float, noise_var: float):
-    """Analytic Fisher entries (f00, f01, f11) of a stack of T bursts.
+def fisher_numeric_oracle(config: OfdmConfig, burst: tuple, cfo: float,
+                          noise_var, cfo_step: float = CFO_STEP_DEFAULT,
+                          sfo_step: float = SFO_STEP_DEFAULT):
+    """Fisher entries (f00, f01, f11) of a stack of T bursts at the
+    burst's sfo via central differences of the noiseless mean, each as
+    (T,).
 
-    All three entries are sums over both training symbols and the N
-    samples of each: the CFO-CFO entry weighs |g|^2 by the squared
-    sample phase slope, the cross entry combines g with the
-    index-weighted spectrum d, and the SFO-SFO entry accumulates the
-    three quadratic combinations of g and d. Here
-    g[n] = sum_k X(k) H(k) exp(j 2 pi k (n (1+sfo) + sfo N_m) / N) and
-    d[n] carries an extra factor k inside the sum.
-
-    ``x`` holds the (T, K) training rows and ``taps`` is (T, L); each
-    entry is returned as (T,).
+    For circular Gaussian noise of total per-sample variance sigma^2 the
+    Fisher entries are (2/sigma^2) sum Re{conj(ds/dp_i) ds/dp_j}; the
+    derivatives here come from the synthesized signal alone, re-warped
+    from the burst's x H rows at each perturbed sfo, so this path is
+    independent of the closed-form algebra. Every perturbed offset pair
+    must be a valid (cfo, sfo).
     """
-    burst = _noiseless_burst(config, x, taps, sfo)
-    return _fisher_entries(config, burst, cfo, sfo, noise_var)
-
-
-def _oracle_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
-                    noise_var, cfo_step: float = CFO_STEP_DEFAULT,
-                    sfo_step: float = SFO_STEP_DEFAULT):
-    """:func:`fisher_numeric_oracle` of a noiseless burst, synthesized
-    afresh at each perturbed offset pair from the burst's x H rows."""
     _check_noise_var(noise_var)
     for name, step in (("cfo_step", cfo_step), ("sfo_step", sfo_step)):
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step}")
+    xh, _, sfo = burst
+
     def mean(e, h):
         """The (T, 2 N) noiseless samples at offsets (e, h)."""
         _check_offsets(e, h)
-        samples = _synthesized(config, _warped(config, burst[0], h), e, h,
-                               0.0, None)
+        samples = synthesize_rows(config, _warped(config, xh, h), e)
         return samples.reshape(len(samples), -1)
 
     d_cfo = (mean(cfo + cfo_step, sfo) - mean(cfo - cfo_step, sfo)) \
@@ -152,25 +151,7 @@ def _oracle_entries(config: OfdmConfig, burst, cfo: float, sfo: float,
                  for a, b in ((d_cfo, d_cfo), (d_cfo, d_sfo), (d_sfo, d_sfo)))
 
 
-def fisher_numeric_oracle(config: OfdmConfig, x: np.ndarray,
-                          taps: np.ndarray, cfo: float, sfo: float, noise_var,
-                          cfo_step: float = CFO_STEP_DEFAULT,
-                          sfo_step: float = SFO_STEP_DEFAULT):
-    """Fisher entries (f00, f01, f11) of a stack of T bursts via central
-    differences of the noiseless mean, each as (T,).
-
-    For circular Gaussian noise of total per-sample variance sigma^2 the
-    Fisher entries are (2/sigma^2) sum Re{conj(ds/dp_i) ds/dp_j}; the
-    derivatives here come from the synthesized signal alone, so this
-    path is independent of the closed-form algebra. Every perturbed
-    offset pair must be a valid (cfo, sfo).
-    """
-    return _oracle_entries(config, _noiseless_burst(config, x, taps, sfo),
-                           cfo, sfo, noise_var, cfo_step, sfo_step)
-
-
-def compare_fisher(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
-                   cfo: float, sfo: float, noise_var,
+def compare_fisher(config: OfdmConfig, burst: tuple, cfo: float, noise_var,
                    cfo_step: float = CFO_STEP_DEFAULT,
                    sfo_step: float = SFO_STEP_DEFAULT):
     """Both Fisher routes on a stack of T bursts, entry by entry.
@@ -180,10 +161,9 @@ def compare_fisher(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
     where both are 0), as (T,), and ``report`` lists the entries of the
     row with the largest, the first such on a tie.
     """
-    burst = _noiseless_burst(config, x, taps, sfo)
-    closed = np.array(_fisher_entries(config, burst, cfo, sfo, noise_var))
-    oracle = np.array(_oracle_entries(config, burst, cfo, sfo, noise_var,
-                                      cfo_step, sfo_step))
+    closed = np.array(fisher_rows(config, burst, cfo, noise_var))
+    oracle = np.array(fisher_numeric_oracle(config, burst, cfo, noise_var,
+                                            cfo_step, sfo_step))
     denom = np.maximum(abs(closed), abs(oracle))
     rels = np.divide(abs(closed - oracle), denom, out=np.zeros_like(denom),
                      where=denom != 0)

@@ -179,8 +179,8 @@ class Estimates:
     ``cost`` is an array, or a function that forms it when it is first
     read: no sweep reads it."""
 
-    def __init__(self, method: str, cfo, sfo, cost):
-        self.method, self.cfo, self.sfo, self._cost = method, cfo, sfo, cost
+    def __init__(self, cfo, sfo, cost):
+        self.cfo, self.sfo, self._cost = cfo, sfo, cost
 
     @functools.cached_property
     def cost(self) -> np.ndarray:
@@ -387,7 +387,7 @@ class GridEvaluator:
             (moose >= self._window[0]) & (moose <= self._window[1])).all(-1)
         return (rows[sure],) + divmod(pick[sure], n_sfo)
 
-    def _search_rows(self, c, v, method, r0, r1) -> Estimates:
+    def _search_rows(self, c, v, r0, r1) -> Estimates:
         """Search every row of the terms (c, v) of the spectra r0, r1; r0
         is an array of rows or the scalar 1.0 of the ratio fit.
 
@@ -419,18 +419,16 @@ class GridEvaluator:
             found[2, rows] = np.add.accumulate(
                 diff.real ** 2 + diff.imag ** 2, axis=-1)[:, -1]
             return found[2]
-        return Estimates(method, found[0], found[1], cost)
+        return Estimates(found[0], found[1], cost)
 
     def search_proposed(self, r0, r1) -> Estimates:
         """The proposed fit of every row of the (T, K) spectra r0, r1."""
-        return self._search_rows(*self._pair_terms(r0, r1), "proposed",
-                                 r0, r1)
+        return self._search_rows(*self._pair_terms(r0, r1), r0, r1)
 
     def search_nguyenle(self, y, degenerate) -> Estimates:
         """The Nguyen-Le fit of every row of the ratio observable y of
         :func:`ratio_observable_rows`; a ``degenerate`` row stays NaN."""
-        return self._search_rows(*self._ratio_terms(y, degenerate),
-                                 "nguyen_le", 1.0, y)
+        return self._search_rows(*self._ratio_terms(y, degenerate), 1.0, y)
 
     def _refine(self, v, found: Estimates, r0, r1) -> Estimates:
         """Off-lattice estimates of every row that ``found`` holds, from
@@ -473,7 +471,7 @@ class GridEvaluator:
         for t in rows.tolist():
             cost[t] = proposed_cost(r0[t], r1[t], cfo[t], sfo[t],
                                     self.config)
-        return Estimates(found.method, cfo, sfo, cost)
+        return Estimates(cfo, sfo, cost)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -497,8 +495,7 @@ def estimate_proposed(r0, r1, grid: GridSpec, config: OfdmConfig,
     if not refine:
         return evaluator.search_proposed(r0, r1)
     c, v = evaluator._pair_terms(r0, r1)
-    return evaluator._refine(
-        v, evaluator._search_rows(c, v, "proposed", r0, r1), r0, r1)
+    return evaluator._refine(v, evaluator._search_rows(c, v, r0, r1), r0, r1)
 
 
 def estimate_nguyenle(x, r0, r1, grid: GridSpec, config: OfdmConfig,
@@ -515,8 +512,7 @@ def estimate_nguyenle(x, r0, r1, grid: GridSpec, config: OfdmConfig,
     if not refine:
         return evaluator.search_nguyenle(y, bad.any(axis=-1))
     c, v = evaluator._ratio_terms(y, bad.any(axis=-1))
-    return evaluator._refine(
-        v, evaluator._search_rows(c, v, "nguyen_le", 1.0, y), 1.0, y)
+    return evaluator._refine(v, evaluator._search_rows(c, v, 1.0, y), 1.0, y)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

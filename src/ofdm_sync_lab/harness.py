@@ -54,10 +54,10 @@ import numpy as np
 
 from .crb import (
     SFO_STEP_DEFAULT,
-    _fisher_entries,
-    _oracle_entries,
     compare_fisher,
     crb_rows,
+    fisher_numeric_oracle,
+    fisher_rows,
     invertible,
 )
 from .estimators import (
@@ -81,14 +81,14 @@ from .ofdm_model import (
     demodulate_rows,
     make_config,
     noise_variance_from_snr,
+    noiseless_burst,
     snr_stream_key,
+    synthesize_rows,
     _CACHE_SIZE,
     _SeedWords,
     _check_offsets,
     _derive_tables,
-    _noiseless_burst,
     _qpsk_picks,
-    _synthesized,
 )
 
 __all__ = [
@@ -201,13 +201,6 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValueError(
                 f"snr_points_db must be strictly ascending, got {points}")
-        # Random streams are keyed by the milli-dB SNR key, so two points
-        # sharing a key would silently share every stream.
-        for a, b in zip(points, points[1:]):
-            if snr_stream_key(a) == snr_stream_key(b):
-                raise ValueError(
-                    f"snr points {a} and {b} share the random stream key "
-                    f"{snr_stream_key(a)} (milli-dB resolution)")
         # The noise variance falls with the SNR and must stay a positive
         # float: the noise scales by it and the Fisher matrix divides by it.
         # The residual norms and cost surfaces sum K squared noisy bins, so
@@ -224,6 +217,13 @@ class ExperimentConfig:
                     f"{noise_var}, which must be positive and finite, and "
                     f"at most {limit:.4g} so that a sum of K squared noisy "
                     f"bins stays finite")
+        # Random streams are keyed by the milli-dB SNR key, so two points
+        # sharing a key would silently share every stream.
+        for a, b in zip(points, points[1:]):
+            if snr_stream_key(a) == snr_stream_key(b):
+                raise ValueError(
+                    f"snr points {a} and {b} share the random stream key "
+                    f"{snr_stream_key(a)} (milli-dB resolution)")
         object.__setattr__(self, "snr_points_db", points)
 
 
@@ -335,23 +335,18 @@ def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
 def _observe(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
              burst) -> np.ndarray:
     """Add noise to a chunk's burst and demodulate: (T, 2, K) spectra."""
-    samples = _synthesized(cfg.ofdm, burst, cfg.cfo, cfg.sfo,
-                           noise_variance_from_snr(cfg.ofdm, snr_db),
-                           draws.noise)
+    samples = synthesize_rows(cfg.ofdm, burst, cfg.cfo,
+                              noise_variance_from_snr(cfg.ofdm, snr_db),
+                              draws.noise)
     return demodulate_rows(samples, cfg.ofdm)
 
 
-def _crb_fields(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
-                burst=None) -> dict:
+def _crb_fields(cfg: ExperimentConfig, snr_db: float, burst) -> dict:
     """Each trial's bounds at the true offsets, as :class:`_Columns` fields:
     one call of the experiment's Fisher backend on the chunk's noiseless
-    burst, the one it synthesized (fig2) or one formed here (crb)."""
-    if burst is None:
-        burst = _noiseless_burst(cfg.ofdm, draws.training, draws.taps,
-                                 cfg.sfo)
+    burst, the one it synthesized (fig2) or drew for its bounds (crb)."""
     f00, f01, f11 = _select_crb_backend(cfg)[0](
-        cfg.ofdm, burst, cfg.cfo, cfg.sfo,
-        noise_variance_from_snr(cfg.ofdm, snr_db))
+        cfg.ofdm, burst, cfg.cfo, noise_variance_from_snr(cfg.ofdm, snr_db))
     crb_cfo, crb_sfo, det = crb_rows(f00, f01, f01, f11)
     return {"crb_cfo": crb_cfo, "crb_sfo": crb_sfo,
             "singular": ~invertible(det)}
@@ -362,7 +357,7 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
     """The columns of a chunk of bursts, and the chunk's spectra: the
     residual norms, and unless ``residuals_only`` both searches and the
     bounds."""
-    burst = _noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
+    burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
     spectra = _observe(cfg, snr_db, draws, burst)
     r0, r1 = spectra[:, 0], spectra[:, 1]
     y, bad = ratio_observable_rows(draws.training, r0, r1)
@@ -377,15 +372,8 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
         evaluator = _evaluator(cfg.grid, cfg.ofdm)
         fields.update(proposed=evaluator.search_proposed(r0, r1),
                       nguyenle=evaluator.search_nguyenle(y, degenerate),
-                      **_crb_fields(cfg, snr_db, draws, burst))
+                      **_crb_fields(cfg, snr_db, burst))
     return _Columns(draws.indices, **fields), spectra
-
-
-def _burst_chunks(cfg: ExperimentConfig, snr_db: float, indices, **options):
-    """One SNR point's burst columns, chunk by chunk: a group of one."""
-    for draws in _chunks(cfg, (snr_stream_key(snr_db),), indices,
-                         _BURST_STREAMS)[0]:
-        yield _burst_columns(cfg, snr_db, draws, **options)[0]
 
 
 @dataclass(frozen=True)
@@ -539,8 +527,8 @@ def _probe(cfg: ExperimentConfig):
     noise_var = np.array([noise_variance_from_snr(cfg.ofdm, snr_db) for
                           snr_db in (min(cfg.snr_points_db),
                                      max(cfg.snr_points_db))])
-    rel, report = compare_fisher(cfg.ofdm, draws.training, draws.taps,
-                                 cfg.cfo, cfg.sfo, noise_var)
+    burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
+    rel, report = compare_fisher(cfg.ofdm, burst, cfg.cfo, noise_var)
     return rel.max(), report
 
 
@@ -548,12 +536,12 @@ def _select_crb_backend(cfg: ExperimentConfig):
     """(fisher_fn, name, report) of the experiment's CRB backend: the
     closed form if its probe agrees within ``CRB_AGREEMENT_RTOL``, else
     the numeric oracle with the probe's per-entry discrepancy report.
-    ``fisher_fn(config, burst, cfo, sfo, noise_var)`` gives the entries
+    ``fisher_fn(config, burst, cfo, noise_var)`` gives the entries
     (f00, f01, f11) of a noiseless burst's rows."""
     worst, report = _probe(cfg)
     if worst < CRB_AGREEMENT_RTOL:
-        return _fisher_entries, "closed_form", None
-    return _oracle_entries, "numeric_oracle", report
+        return fisher_rows, "closed_form", None
+    return fisher_numeric_oracle, "numeric_oracle", report
 
 
 def _sweep_rows(cfg: ExperimentConfig, labels, columns) -> tuple:
@@ -598,4 +586,5 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     so the rows' CRB columns equal :func:`run_mse_sweep`'s.
     """
     return _crb_sweep(cfg, _SCENARIO_STREAMS, lambda s, d: _Columns(
-        d.indices, **_crb_fields(cfg, s, d)))
+        d.indices, **_crb_fields(cfg, s, noiseless_burst(
+            cfg.ofdm, d.training, d.taps, cfg.sfo))))

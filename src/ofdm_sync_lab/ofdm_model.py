@@ -33,9 +33,9 @@ which both symbols of its burst repeat, its channel a (L,) row of taps
 and its spectra (K,) rows, and a stack of T trials is a (T, K) or (T, L)
 array. Synthesis and demodulation run only on stacks
 (:func:`synthesize_rows`, :func:`demodulate_rows`); one burst is a stack
-of one row (``x[None]``). Synthesis reads the noiseless burst
-g_m = B_m (x H) of :func:`_noiseless_burst`, which a fig2 chunk also
-hands to its Fisher pass. A stack equals its rows computed one at a
+of one row (``x[None]``). Synthesis and both Fisher routes take the
+:func:`noiseless_burst`, which carries the sfo it was warped at; a fig2
+chunk forms it once for both. A stack equals its rows computed one at a
 time, bit for bit, under four rules: matrix products are stacked
 matvecs ``A @ Z[..., None]`` (a plain GEMM ``A @ Z`` rounds
 differently), the FFT runs along the last axis, every reduction runs
@@ -71,6 +71,7 @@ __all__ = [
     "make_config",
     "exponential_power_profile",
     "channel_taps",
+    "noiseless_burst",
     "synthesize_rows",
     "demodulate_rows",
     "coupling_coefficient",
@@ -258,10 +259,11 @@ def _channel_gains(config: OfdmConfig, taps: np.ndarray) -> np.ndarray:
     return (_dft_phases(config, taps.shape[-1]) @ taps[..., None])[..., 0]
 
 
-def _noiseless_burst(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
-                     sfo: float) -> tuple:
-    """The noiseless burst (x H, (g0, g1)) of the (T, K) training rows x:
-    x H as (T, K) rows and g_m = B_m (x H) as (T, N) rows."""
+def noiseless_burst(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
+                    sfo: float) -> tuple:
+    """The noiseless burst (x H, (g0, g1), sfo) of the (T, K) training
+    rows x, which both symbols repeat, and (T, L) taps: x H as (T, K)
+    rows, g_m = B_m (x H) as (T, N) rows and the sfo of the warp B_m."""
     if x.shape[-1] != config.n_active:
         raise ValueError(f"training length {x.shape[-1]} does not match "
                          f"n_active {config.n_active}")
@@ -270,31 +272,13 @@ def _noiseless_burst(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
 
 
 def _warped(config: OfdmConfig, xh: np.ndarray, sfo: float) -> tuple:
-    """The noiseless burst (x H, (g0, g1)) of the x H rows at ``sfo``."""
+    """The :func:`noiseless_burst` of the x H rows at ``sfo``."""
     return xh, tuple((_warped_basis(config, sfo, m) @ xh[..., None])[..., 0]
-                     for m in (0, 1))
+                     for m in (0, 1)), sfo
 
 
-def _synthesized(config: OfdmConfig, burst, cfo: float, sfo: float,
-                 noise_var: float, normals) -> np.ndarray:
-    """The (T, 2, N) samples of a :func:`_noiseless_burst`; a negative or
-    non-finite ``noise_var`` is a ``ValueError``."""
-    if not 0.0 <= noise_var < np.inf:
-        raise ValueError(f"noise_var must be finite and >= 0, got "
-                         f"{noise_var}")
-    samples = np.stack([_cfo_lead(config, cfo, sfo, m) * g
-                        / np.sqrt(config.dft_size)
-                        for m, g in enumerate(burst[1])], axis=1)
-    if noise_var > 0.0:
-        if normals is None:
-            raise ValueError("normals are required when noise_var > 0")
-        samples = samples + _complex_normal(np.sqrt(noise_var / 2.0),
-                                            normals)
-    return samples
-
-
-def synthesize_rows(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
-                    cfo: float, sfo: float, noise_var: float = 0.0,
+def synthesize_rows(config: OfdmConfig, burst: tuple, cfo: float,
+                    noise_var: float = 0.0,
                     normals: np.ndarray | None = None) -> np.ndarray:
     """Simulate a stack of T bursts at once, (T, 2, N).
 
@@ -304,21 +288,31 @@ def synthesize_rows(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
                * sum_k X(k) H(k) exp(j 2 pi k (n (1 + sfo) + sfo N_m) / N)
                + w[n]
 
-    where the sum runs over the active subcarriers and w is circular
-    Gaussian noise of total variance ``noise_var``.
+    where the sum over the active subcarriers is the burst's g_m, sfo is
+    the burst's own, and w is circular Gaussian noise of total variance
+    ``noise_var`` (finite and >= 0).
 
     Parameters
     ----------
-    x : numpy.ndarray
-        (T, K) training rows, which both symbols repeat.
-    taps : numpy.ndarray
-        (T, L) channel taps.
+    burst : tuple
+        The :func:`noiseless_burst` of the T rows.
     normals : numpy.ndarray, optional
         (T, 2, 2, N) standard normals of each symbol's noise, real parts
         then imaginary parts; required when ``noise_var > 0``.
     """
-    return _synthesized(config, _noiseless_burst(config, x, taps, sfo),
-                        cfo, sfo, noise_var, normals)
+    if not 0.0 <= noise_var < np.inf:
+        raise ValueError(f"noise_var must be finite and >= 0, got "
+                         f"{noise_var}")
+    _, gs, sfo = burst
+    samples = np.stack([_cfo_lead(config, cfo, sfo, m) * g
+                        / np.sqrt(config.dft_size)
+                        for m, g in enumerate(gs)], axis=1)
+    if noise_var > 0.0:
+        if normals is None:
+            raise ValueError("normals are required when noise_var > 0")
+        samples = samples + _complex_normal(np.sqrt(noise_var / 2.0),
+                                            normals)
+    return samples
 
 
 def demodulate_rows(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:

@@ -22,6 +22,7 @@ from ofdm_sync_lab import (
     make_experiment,
     make_grid,
     noise_variance_from_snr,
+    noiseless_burst,
     ofdm_model,
     pair_residual_rows,
     ratio_observable_rows,
@@ -49,8 +50,8 @@ def scenario(cfg, seed):
 
 def noiseless_spectra(cfg, x, taps, cfo, sfo):
     """Both demodulated symbols (r0, r1) of one noiseless burst."""
-    return demodulate_rows(synthesize_rows(cfg, x[None], taps[None], cfo,
-                                           sfo), cfg)[0]
+    burst = noiseless_burst(cfg, x[None], taps[None], sfo)
+    return demodulate_rows(synthesize_rows(cfg, burst, cfo), cfg)[0]
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +126,9 @@ def test_criterion_5_fisher_oracle_agreement(capsys):
         cfo = float(draws.uniform(-0.4, 0.4))
         sfo = float(draws.uniform(-4e-4, 4e-4))
         noise_var = noise_variance_from_snr(cfg, snrs[i % 4])
-        (rel,), report = compare_fisher(cfg, x[None], taps[None], cfo, sfo,
-                                        noise_var)
+        (rel,), report = compare_fisher(
+            cfg, noiseless_burst(cfg, x[None], taps[None], sfo), cfo,
+            noise_var)
         if rel > worst:
             worst, worst_report = rel, report
     passed = worst < 1e-3

@@ -24,6 +24,7 @@ from ofdm_sync_lab import (
     symbol_phase_ramp,
 )
 from ofdm_sync_lab.estimators import ratio_observable_rows
+from sweep_helpers import burst_chunks
 
 CFG = make_config(64, 52, 16)
 
@@ -127,8 +128,6 @@ def test_bracket_search_equals_full_surface(chunk):
         y, bad = ratio_observable_rows(x, r0, r1)
         proposed = ev.search_proposed(r0, r1)
         nguyenle = ev.search_nguyenle(y, bad.any(axis=-1))
-        assert (proposed.method, nguyenle.method) == ("proposed",
-                                                      "nguyen_le")
         for t in range(len(kinds)):
             c = np.sum(r0[t].real ** 2 + r0[t].imag ** 2 + r1[t].real ** 2
                        + r1[t].imag ** 2)
@@ -187,7 +186,7 @@ def certified_shares(monkeypatch, snr_db):
 
     with monkeypatch.context() as patch:
         patch.setattr(GridEvaluator, "_bracket", spy)
-        list(harness._burst_chunks(make_experiment(), snr_db, range(32)))
+        list(burst_chunks(make_experiment(), snr_db, range(32)))
     return tuple(certified)
 
 

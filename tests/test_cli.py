@@ -648,7 +648,7 @@ def test_crb_matches_fig2_crb_columns(tmp_path):
 def test_crb_all_singular_draws_leave_blank_cells(monkeypatch, tmp_path):
     """Every draw singular: blank bounds and excluded = trials, as fig2
     leaves its CRB cells, instead of aborting the sweep."""
-    def dead_fisher(config, burst, cfo, sfo, noise_var):
+    def dead_fisher(config, burst, cfo, noise_var):
         zeros = np.zeros(len(burst[0]))
         return zeros, zeros, zeros
 

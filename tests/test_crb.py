@@ -21,6 +21,7 @@ from ofdm_sync_lab import (
     make_config,
     make_experiment,
     noise_variance_from_snr,
+    noiseless_burst,
     run_crb_sweep,
     synthesize_rows,
 )
@@ -37,6 +38,10 @@ FLAT_X = np.ones((1, 52), dtype=complex)
 FLAT_TAPS = np.ones((1, 1), dtype=complex)
 
 
+def flat_burst(sfo=0.0):
+    return noiseless_burst(CFG, FLAT_X, FLAT_TAPS, sfo)
+
+
 def draw_scenario(training_rng, channel_rng, config=CFG, n_taps=5):
     """A QPSK training row, which both symbols repeat, and Rayleigh taps,
     drawn as the harness draws a trial's scenario from its two streams,
@@ -49,6 +54,11 @@ def draw_scenario(training_rng, channel_rng, config=CFG, n_taps=5):
 def scenario(seed):
     return draw_scenario(derive_rng(seed, "training"),
                          derive_rng(seed, "channel"))
+
+
+def scenario_burst(seed, sfo=SFO_OP):
+    """The noiseless burst of :func:`scenario` at ``sfo``."""
+    return noiseless_burst(CFG, *scenario(seed), sfo)
 
 
 def one_row(entries):
@@ -65,36 +75,34 @@ def crb_pair(f00, f01, f11):
 
 def test_noise_var_must_be_positive():
     with pytest.raises(ValueError):
-        fisher_rows(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.0)
+        fisher_rows(CFG, flat_burst(), 0.0, 0.0)
     with pytest.raises(ValueError):
-        fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, -0.1)
+        fisher_numeric_oracle(CFG, flat_burst(), 0.0, -0.1)
     # One noise variance per row: every one must be positive.
+    burst = noiseless_burst(CFG, np.ones((2, 52)), np.ones((2, 1)), 0.0)
     for fn in (fisher_rows, fisher_numeric_oracle, compare_fisher):
         with pytest.raises(ValueError):
-            fn(CFG, np.ones((2, 52)), np.ones((2, 1)), 0.0, 0.0,
-               np.array([0.1, 0.0]))
+            fn(CFG, burst, 0.0, np.array([0.1, 0.0]))
 
 
 # ------------------------------------------------------------- closed form
 
 
 def test_flat_channel_frozen_values():
-    f00, f01, f11 = one_row(fisher_rows(CFG, FLAT_X, FLAT_TAPS,
-                                        0.0, 0.0, 0.1))
+    f00, f01, f11 = one_row(fisher_rows(CFG, flat_burst(), 0.0, 0.1))
     assert f00 == pytest.approx(115475.22521342454, rel=1e-12)
     assert f01 == pytest.approx(-57737.612606712566, rel=1e-12)
     assert f11 == pytest.approx(46336930.598625384, rel=1e-12)
 
 
 def test_flat_channel_matches_oracle():
-    rel, _ = compare_fisher(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1)
+    rel, _ = compare_fisher(CFG, flat_burst(), 0.0, 0.1)
     assert rel.max() < 1e-8
 
 
 def test_operating_point_matches_oracle():
-    x, taps = scenario(7)
     noise_var = noise_variance_from_snr(CFG, 15.0)
-    rel, _ = compare_fisher(CFG, x, taps, CFO_OP, SFO_OP, noise_var)
+    rel, _ = compare_fisher(CFG, scenario_burst(7), CFO_OP, noise_var)
     assert rel.max() < 1e-3
     # the agreement is in fact far tighter than the acceptance bar
     assert rel.max() < 1e-6
@@ -103,25 +111,24 @@ def test_operating_point_matches_oracle():
 @pytest.mark.parametrize("seed", range(10))
 def test_random_scenarios_match_oracle(seed):
     rng = np.random.default_rng(1000 + seed)
-    x, taps = scenario(300 + seed)
     cfo = float(rng.uniform(-0.4, 0.4))
     sfo = float(rng.uniform(-4e-4, 4e-4))
     noise_var = noise_variance_from_snr(CFG, float(rng.uniform(0.0, 30.0)))
-    rel, _ = compare_fisher(CFG, x, taps, cfo, sfo, noise_var)
+    rel, _ = compare_fisher(CFG, scenario_burst(300 + seed, sfo), cfo,
+                            noise_var)
     assert rel.max() < 1e-3
 
 
 def test_entries_scale_inversely_with_noise():
-    x, taps = scenario(9)
-    a = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP, 0.05))
-    b = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP, 0.10))
+    burst = scenario_burst(9)
+    a = one_row(fisher_rows(CFG, burst, CFO_OP, 0.05))
+    b = one_row(fisher_rows(CFG, burst, CFO_OP, 0.10))
     for entry_a, entry_b in zip(a, b):
         assert entry_b == pytest.approx(entry_a / 2.0, rel=1e-12)
 
 
 def test_information_is_positive_definite():
-    x, taps = scenario(10)
-    f00, f01, f11 = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
+    f00, f01, f11 = one_row(fisher_rows(CFG, scenario_burst(10), CFO_OP,
                                         noise_variance_from_snr(CFG, 20.0)))
     assert f00 > 0.0
     assert f11 > 0.0
@@ -150,7 +157,9 @@ def fisher_scenarios(draw):
                         np.ones((1, 2), dtype=complex),
                         FLAT_TAPS, 0.0, 0.0, 1e-3))
 def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
-    rel, _ = compare_fisher(*scenario_args)
+    config, x, taps, cfo, sfo, noise_var = scenario_args
+    rel, _ = compare_fisher(config, noiseless_burst(config, x, taps, sfo), cfo,
+                            noise_var)
     assert rel.max() < CRB_AGREEMENT_RTOL
 
 
@@ -205,21 +214,59 @@ def training_stacks(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(stack=training_stacks())
 def test_fisher_rows_equal_the_complex_weight_formula(stack):
-    """Bit for bit, through the public function and through a noiseless
-    burst that synthesis has read first, as a fig2 chunk shares it; that
-    synthesis equals ``synthesize_rows`` called alone."""
+    """Bit for bit, on a noiseless burst that synthesis has read first, as
+    a fig2 chunk shares it; that synthesis equals ``synthesize_rows`` of a
+    fresh burst."""
     config, x, taps, cfo, sfo, noise_var, normals = stack
     expected = reference_fisher_rows(config, x, taps, cfo, sfo, 0.1)
-    burst = ofdm_model._noiseless_burst(config, x, taps, sfo)
-    samples = ofdm_model._synthesized(config, burst, cfo, sfo, noise_var,
-                                      normals)
-    for entries in (crb.fisher_rows(config, x, taps, cfo, sfo, 0.1),
-                    crb._fisher_entries(config, burst, cfo, sfo, 0.1)):
-        for got, want in zip(entries, expected):
-            assert got.tobytes() == want.tobytes()
-    alone = synthesize_rows(config, x, taps, cfo, sfo, noise_var,
-                            normals)
+    burst = noiseless_burst(config, x, taps, sfo)
+    samples = synthesize_rows(config, burst, cfo, noise_var, normals)
+    for got, want in zip(fisher_rows(config, burst, cfo, 0.1), expected):
+        assert got.tobytes() == want.tobytes()
+    alone = synthesize_rows(config, noiseless_burst(config, x, taps, sfo),
+                            cfo, noise_var, normals)
     assert samples.tobytes() == alone.tobytes()
+
+
+def reference_samples(config, x, taps, cfo, sfo):
+    """The time-domain model of ``synthesize_rows``' docstring, with each
+    symbol's lead and warped basis formed afresh, (T, 2, N)."""
+    xh = x * ofdm_model._channel_gains(config, taps)
+    n = np.arange(config.dft_size)
+    symbols = []
+    for m in range(2):
+        start = config.symbol_start(m)
+        lead = np.exp(2j * np.pi * (start + n) * (1.0 + sfo) * cfo
+                      / config.dft_size)
+        basis = np.exp(2j * np.pi / config.dft_size * np.outer(
+            n * (1.0 + sfo) + sfo * start, config.subcarrier_indices))
+        symbols.append(lead * (basis @ xh[..., None])[..., 0]
+                       / np.sqrt(config.dft_size))
+    return np.stack(symbols, axis=1)
+
+
+@pytest.mark.parametrize("sfo", [-3e-4, 4e-4])
+def test_a_burst_is_synthesized_and_bounded_at_its_own_sfo(sfo):
+    """A burst warped at an sfo other than the experiment's carries it:
+    synthesis, the closed form and the oracle all read the burst there,
+    never at the experiment's sfo."""
+    cfg = make_experiment()
+    assert sfo != cfg.sfo
+    x, taps = scenario(15)
+    burst = noiseless_burst(cfg.ofdm, x, taps, sfo)
+    assert burst[2] == sfo
+    npt.assert_allclose(synthesize_rows(cfg.ofdm, burst, cfg.cfo),
+                        reference_samples(cfg.ofdm, x, taps, cfg.cfo, sfo),
+                        rtol=0, atol=1e-12)
+    expected = reference_fisher_rows(cfg.ofdm, x, taps, cfg.cfo, sfo, 0.1)
+    for got, want in zip(fisher_rows(cfg.ofdm, burst, cfg.cfo, 0.1),
+                         expected):
+        assert got.tobytes() == want.tobytes()
+    npt.assert_allclose(
+        fisher_numeric_oracle(cfg.ofdm, burst, cfg.cfo, 0.1), expected,
+        rtol=1e-6)
+    at_cfg = reference_fisher_rows(cfg.ofdm, x, taps, cfg.cfo, cfg.sfo, 0.1)
+    assert not np.allclose(expected, at_cfg, rtol=1e-4, atol=0)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -233,19 +280,19 @@ def test_oracle_rows_equal_stacks_of_one(stack, per_row_noise):
     n_trials = len(taps)
     noise_var = (np.linspace(0.05, 0.5, n_trials) if per_row_noise
                  else 0.1)
-    stacked = fisher_numeric_oracle(config, x, taps, cfo, sfo,
-                                    noise_var)
-    rel, report = compare_fisher(config, x, taps, cfo, sfo, noise_var)
+    burst = noiseless_burst(config, x, taps, sfo)
+    stacked = fisher_numeric_oracle(config, burst, cfo, noise_var)
+    rel, report = compare_fisher(config, burst, cfo, noise_var)
     reports = []
     for t in range(n_trials):
         row = slice(t, t + 1)
         row_noise = noise_var[row] if per_row_noise else noise_var
-        alone = fisher_numeric_oracle(config, x[row], taps[row], cfo, sfo,
-                                      row_noise)
+        burst_alone = noiseless_burst(config, x[row], taps[row], sfo)
+        alone = fisher_numeric_oracle(config, burst_alone, cfo, row_noise)
         for got, want in zip(stacked, alone):
             assert got[t:t + 1].tobytes() == want.tobytes()
-        rel_alone, report_alone = compare_fisher(config, x[row], taps[row],
-                                                 cfo, sfo, row_noise)
+        rel_alone, report_alone = compare_fisher(config, burst_alone, cfo,
+                                                 row_noise)
         assert rel[t:t + 1].tobytes() == rel_alone.tobytes()
         reports.append(report_alone)
     assert report == reports[int(np.argmax(rel))]
@@ -283,13 +330,12 @@ def test_fisher_weights_are_read_only():
 
 
 def test_offset_keyed_caches_stay_bounded():
-    x, taps = scenario(3)
     caches = (ofdm_model._warped_basis, ofdm_model._cfo_lead,
               crb._fisher_weights)
     for i in range(max(c.cache_info().maxsize for c in caches) + 8):
-        sfo = i * 1e-6
-        synthesize_rows(CFG, x, taps, CFO_OP, sfo)
-        fisher_rows(CFG, x, taps, CFO_OP, sfo, 0.1)
+        burst = scenario_burst(3, i * 1e-6)
+        synthesize_rows(CFG, burst, CFO_OP)
+        fisher_rows(CFG, burst, CFO_OP, 0.1)
     for cache in caches:
         info = cache.cache_info()
         assert 0 < info.currsize <= info.maxsize
@@ -301,12 +347,11 @@ def test_offset_keyed_caches_stay_bounded():
 def test_oracle_cfo_derivative_matches_analytic_ramp():
     """d/d cfo of the noiseless mean is j (2 pi / N)(N_m + n)(1 + sfo) s,
     because cfo enters only through the leading phase ramp."""
-    x, taps = scenario(11)
+    burst = scenario_burst(11)
     noise_var = 0.1
-    oracle = one_row(fisher_numeric_oracle(CFG, x, taps, CFO_OP,
-                                           SFO_OP, noise_var))
+    oracle = one_row(fisher_numeric_oracle(CFG, burst, CFO_OP, noise_var))
     rows = []
-    samples = synthesize_rows(CFG, x, taps, CFO_OP, SFO_OP)[0]
+    samples = synthesize_rows(CFG, burst, CFO_OP)[0]
     for m, s in enumerate(samples):
         n = np.arange(64)
         slope = 2 * np.pi / 64 * (CFG.symbol_start(m) + n) * (1 + SFO_OP)
@@ -317,35 +362,30 @@ def test_oracle_cfo_derivative_matches_analytic_ramp():
 
 
 def test_oracle_is_step_insensitive():
-    x, taps = scenario(12)
+    burst = scenario_burst(12)
     noise_var = noise_variance_from_snr(CFG, 10.0)
-    fine = one_row(fisher_numeric_oracle(CFG, x, taps, CFO_OP, SFO_OP,
-                                         noise_var, cfo_step=1e-6,
-                                         sfo_step=1e-8))
-    coarse = one_row(fisher_numeric_oracle(CFG, x, taps, CFO_OP,
-                                           SFO_OP, noise_var, cfo_step=1e-5,
-                                           sfo_step=1e-7))
+    fine = one_row(fisher_numeric_oracle(CFG, burst, CFO_OP, noise_var,
+                                         cfo_step=1e-6, sfo_step=1e-8))
+    coarse = one_row(fisher_numeric_oracle(CFG, burst, CFO_OP, noise_var,
+                                           cfo_step=1e-5, sfo_step=1e-7))
     for a, b in zip(fine, coarse):
         assert abs(a - b) / max(abs(a), abs(b)) < 1e-4
 
 
 def test_oracle_rejects_bad_steps():
     with pytest.raises(ValueError, match="cfo_step"):
-        fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1,
-                              cfo_step=0.0)
+        fisher_numeric_oracle(CFG, flat_burst(), 0.0, 0.1, cfo_step=0.0)
     with pytest.raises(ValueError, match="sfo_step"):
-        fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1,
-                              sfo_step=-1e-8)
+        fisher_numeric_oracle(CFG, flat_burst(), 0.0, 0.1, sfo_step=-1e-8)
     # Offsets the signal model rejects: every perturbed point is checked.
     for cfo, sfo in ((np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
                      (0.0, np.nan), (0.0, -1.0), (0.0, -1.5)):
         with pytest.raises(ValueError):
-            fisher_numeric_oracle(CFG, FLAT_X, FLAT_TAPS, cfo, sfo,
-                                  0.1)
+            fisher_numeric_oracle(CFG, flat_burst(sfo), cfo, 0.1)
 
 
 def test_comparison_report_contents():
-    _, report = compare_fisher(CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0, 0.1)
+    _, report = compare_fisher(CFG, flat_burst(), 0.0, 0.1)
     assert "fisher closed-form vs numeric oracle" in report
     assert "f00: closed=" in report
     assert "max relative error:" in report
@@ -367,8 +407,7 @@ def test_crb_from_coupled_fisher():
 
 
 def test_coupling_never_tightens_the_bound():
-    x, taps = scenario(13)
-    f00, f01, f11 = one_row(fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
+    f00, f01, f11 = one_row(fisher_rows(CFG, scenario_burst(13), CFO_OP,
                                         noise_variance_from_snr(CFG, 15.0)))
     crb_cfo, crb_sfo = crb_pair(f00, f01, f11)
     assert crb_cfo >= 1.0 / f00
@@ -421,10 +460,8 @@ def test_scaled_inversion_keeps_every_normal_determinants_bits(f00, f01,
 def test_bounds_at_extreme_noise_are_finite(noise_var):
     """Fisher entries near 1e-200 or 1e300 have a determinant that
     underflows or overflows, but the bounds scale with the noise."""
-    f00, f01, f11 = fisher_rows(CFG, FLAT_X, FLAT_TAPS, CFO_OP,
-                                SFO_OP, noise_var)
-    reference = fisher_rows(CFG, FLAT_X, FLAT_TAPS, CFO_OP, SFO_OP,
-                            1.0)
+    f00, f01, f11 = fisher_rows(CFG, flat_burst(SFO_OP), CFO_OP, noise_var)
+    reference = fisher_rows(CFG, flat_burst(SFO_OP), CFO_OP, 1.0)
     with np.errstate(all="ignore"):
         assert not invertible(f00 * f11 - f01 * f01).any()
     bounds = np.array(crb_pair(f00, f01, f11)) / noise_var
@@ -434,10 +471,10 @@ def test_bounds_at_extreme_noise_are_finite(noise_var):
 def test_crb_scales_linearly_with_noise():
     """10 dB less SNR means exactly 10x the noise variance and exactly 10x
     both bounds."""
-    x, taps = scenario(14)
-    low = crb_pair(*fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
+    burst = scenario_burst(14)
+    low = crb_pair(*fisher_rows(CFG, burst, CFO_OP,
                                 noise_variance_from_snr(CFG, 20.0)))
-    high = crb_pair(*fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
+    high = crb_pair(*fisher_rows(CFG, burst, CFO_OP,
                                  noise_variance_from_snr(CFG, 10.0)))
     assert high[0] == pytest.approx(10.0 * low[0], rel=1e-12)
     assert high[1] == pytest.approx(10.0 * low[1], rel=1e-12)
@@ -475,7 +512,8 @@ def test_average_crb_single_trial_identity():
     skey = 10000
     x, taps = draw_scenario(derive_rng(seed, skey, 0, "training"),
                                   derive_rng(seed, skey, 0, "channel"))
-    direct = crb_pair(*fisher_rows(CFG, x, taps, CFO_OP, SFO_OP,
+    direct = crb_pair(*fisher_rows(CFG, noiseless_burst(CFG, x, taps, SFO_OP),
+                                   CFO_OP,
                                    noise_variance_from_snr(CFG, snr_db)))
     assert (row.crb_cfo, row.crb_sfo) == direct
 
@@ -492,8 +530,7 @@ def test_average_crb_fixed_draw_identity(monkeypatch):
     monkeypatch.setattr(harness, "_draw", fixed_draw)
     row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)
     crb_cfo, crb_sfo = crb_pair(*fisher_rows(
-        CFG, FLAT_X, FLAT_TAPS, 0.0, 0.0,
-        noise_variance_from_snr(CFG, 15.0)))
+        CFG, flat_burst(), 0.0, noise_variance_from_snr(CFG, 15.0)))
     assert row.crb_cfo == pytest.approx(crb_cfo, rel=1e-15)
     assert row.crb_sfo == pytest.approx(crb_sfo, rel=1e-15)
 
@@ -511,10 +548,10 @@ def test_average_crb_seed_stability():
 def test_average_crb_counts_singular_realizations(monkeypatch):
     calls = []
 
-    def flaky_fisher(config, burst, cfo, sfo, noise_var):
+    def flaky_fisher(config, burst, cfo, noise_var):
         """The closed form with the chunk's first row made singular."""
         calls.append(len(burst[0]))
-        entries = crb._fisher_entries(config, burst, cfo, sfo, noise_var)
+        entries = fisher_rows(config, burst, cfo, noise_var)
         for f in entries:
             f[0] = 1.0
         return entries

@@ -22,6 +22,7 @@ from ofdm_sync_lab import (
     make_experiment,
     make_grid,
     noise_variance_from_snr,
+    noiseless_burst,
     pair_residual_rows,
     run_crb_sweep,
     run_mse_sweep,
@@ -29,6 +30,7 @@ from ofdm_sync_lab import (
     synthesize_rows,
 )
 from ofdm_sync_lab import crb, harness
+from sweep_helpers import burst_chunks
 
 # 11 x 11 lattice holding the operating point; keeps sweep tests fast.
 COARSE_GRID = make_grid(0.1, 0.5, 1e-4, 5e-4)
@@ -75,6 +77,13 @@ def test_experiment_config_validation():
         make_experiment(snr_points_db=(-3100.0, 10.0))
     assert make_experiment(snr_points_db=(-3000.0, 3000.0)).snr_points_db \
         == (-3000.0, 3000.0)
+    # checked before the milli-dB stream keys, which overflow out there
+    with pytest.raises(ValueError, match="1e\\+306 dB gives the noise "
+                                         "variance 0.0"):
+        make_experiment(snr_points_db=(0.0, 1e306))
+    with pytest.raises(ValueError, match="-1e\\+306 dB gives the noise "
+                                         "variance inf"):
+        make_experiment(snr_points_db=(-1e306, 0.0))
     with pytest.raises(ValueError, match="n_trials"):
         make_experiment(n_trials=0)
     with pytest.raises(ValueError, match="n_taps"):
@@ -176,8 +185,7 @@ def column_record(cols, snr_db, i):
             return None
         return SimpleNamespace(cfo=float(found.cfo[i]),
                                sfo=float(found.sfo[i]),
-                               cost=float(found.cost[i]),
-                               method=found.method)
+                               cost=float(found.cost[i]))
 
     def failed(found):
         return found is not None and bool(np.isnan(found.cfo[i]))
@@ -198,7 +206,7 @@ def column_record(cols, snr_db, i):
 
 def one_trial(cfg, snr_db, t, **options):
     """Trial t run as a chunk of one, as its row's dict."""
-    cols = next(harness._burst_chunks(cfg, snr_db, (t,), **options))
+    cols = next(burst_chunks(cfg, snr_db, (t,), **options))
     return column_record(cols, snr_db, 0)
 
 
@@ -208,8 +216,6 @@ def test_run_trial_is_bitwise_repeatable():
     second = one_trial(cfg, 10.0, 2)
     assert first == second
     assert first["estimated"] and first["crb_evaluated"]
-    assert first["proposed"].method == "proposed"
-    assert first["nguyenle"].method == "nguyen_le"
 
 
 def test_trial_streams_keyed_by_snr_value():
@@ -330,7 +336,7 @@ def poison_first_r0_bin(monkeypatch, value, trial=None):
 def test_degenerate_observation_marks_ratio_route_failed(monkeypatch):
     poison_first_r0_bin(monkeypatch, 0.0)
     cfg = tiny_experiment()
-    cols = next(harness._burst_chunks(cfg, 10.0, (0,)))
+    cols = next(burst_chunks(cfg, 10.0, (0,)))
     rec = column_record(cols, 10.0, 0)
     assert rec["residual_e_sq"] is None and cols.degenerate[0]
     assert rec["nguyenle"] is None and rec["nguyenle_failed"]
@@ -411,8 +417,10 @@ def test_crb_rows_equal_one_trial_rows_across_scenario_chunk_edges(
         for t in range(n_trials):
             (draws,) = harness._chunks(cfg, (harness.snr_stream_key(snr_db),),
                                        (t,), harness._SCENARIO_STREAMS)[0]
+            burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps,
+                                    cfg.sfo)
             direct = harness._Columns(
-                (t,), **harness._crb_fields(cfg, snr_db, draws))
+                (t,), **harness._crb_fields(cfg, snr_db, burst))
             assert bounds[snr_db, t] == column_record(direct, snr_db, 0)
     assert len(bounds) == n_trials * len(cfg.snr_points_db)
 
@@ -425,15 +433,16 @@ def test_chunk_rows_follow_what_a_row_holds(monkeypatch, n_trials):
     chunks, and a fig1 point synthesizes its bursts in ceil(T / 64)."""
     calls = []
 
-    def counted(fn):
-        def wrapper(cfg, snr_db, draws, *args, **options):
-            calls.append((fn.__name__, snr_db, len(draws.indices)))
-            return fn(cfg, snr_db, draws, *args, **options)
+    def counted(fn, n_rows):
+        def wrapper(cfg, snr_db, rows, *args, **options):
+            calls.append((fn.__name__, snr_db, n_rows(rows)))
+            return fn(cfg, snr_db, rows, *args, **options)
         return wrapper
 
-    monkeypatch.setattr(harness, "_crb_fields", counted(harness._crb_fields))
-    monkeypatch.setattr(harness, "_burst_columns",
-                        counted(harness._burst_columns))
+    monkeypatch.setattr(harness, "_crb_fields", counted(
+        harness._crb_fields, lambda burst: len(burst[0])))
+    monkeypatch.setattr(harness, "_burst_columns", counted(
+        harness._burst_columns, lambda draws: len(draws.indices)))
     cfg = tiny_experiment(n_trials=n_trials)
     run_crb_sweep(cfg)
     run_noise_variance_sweep(cfg)
@@ -455,8 +464,7 @@ def test_poisoned_trial_fails_alone_in_its_chunk(monkeypatch, value, failed):
 
     def rows():
         return [column_record(cols, 10.0, i)
-                for cols in harness._burst_chunks(cfg, 10.0,
-                                                  range(cfg.n_trials))
+                for cols in burst_chunks(cfg, 10.0, range(cfg.n_trials))
                 for i in range(len(cols.indices))]
 
     clean = rows()
@@ -488,7 +496,7 @@ def test_failure_kinds_fall_out_of_the_masks(monkeypatch):
     poison_first_r0_bin(monkeypatch, 0.0, trial=2)
     poison_first_r0_bin(monkeypatch, np.nan, trial=5)
     with np.errstate(invalid="ignore"):
-        (cols,) = harness._burst_chunks(cfg, 10.0, range(cfg.n_trials))
+        (cols,) = burst_chunks(cfg, 10.0, range(cfg.n_trials))
     row = harness._reduce([cols], 10.0, cfg.cfo, cfg.sfo)
     only = [[t == trial for t in range(cfg.n_trials)] for trial in (2, 5)]
     non_finite = np.isnan(cols.nguyenle.cfo) & ~cols.degenerate
@@ -567,8 +575,8 @@ def outcomes_to_chunks(chunks):
             return np.array([np.inf if v is None else
                              v if at is None else v[at] for v in values])
 
-        def estimates(found, method):
-            return Estimates(method, *(
+        def estimates(found):
+            return Estimates(*(
                 np.array([np.nan if f is None else f[k] for f in found])
                 for k in range(3)))
 
@@ -577,8 +585,8 @@ def outcomes_to_chunks(chunks):
             fields.update(n_sq=column(n_sq), e_sq=column(e_sq),
                           degenerate=np.array([e is None for e in e_sq]))
         if estimated:
-            fields.update(proposed=estimates(proposed, "proposed"),
-                          nguyenle=estimates(nguyenle, "nguyen_le"))
+            fields.update(proposed=estimates(proposed),
+                          nguyenle=estimates(nguyenle))
         if bounded:
             fields.update(crb_cfo=column(crb, at=0),
                           crb_sfo=column(crb, at=1),
@@ -698,7 +706,7 @@ def test_mse_sweep_matches_manual_aggregation():
     assert sweep.crb_discrepancy is None
     assert len(sweep.rows) == 2
     for row, snr_db in zip(sweep.rows, cfg.snr_points_db):
-        trials = (next(harness._burst_chunks(cfg, snr_db, (t,)))
+        trials = (next(burst_chunks(cfg, snr_db, (t,)))
                   for t in range(cfg.n_trials))
         assert harness._reduce(trials, snr_db, cfg.cfo, cfg.sfo) == row
 
@@ -711,7 +719,8 @@ def test_mse_sweep_matches_manual_aggregation():
 def test_grouped_sweep_rows_equal_per_point_chunks(monkeypatch, n_trials,
                                                    group_rows):
     """Points that share one derivation and pick pass get the rows they
-    get alone: the per-point reduction of :func:`harness._burst_chunks`."""
+    get alone: the per-point reduction of
+    :func:`sweep_helpers.burst_chunks`."""
     monkeypatch.setattr(harness, "_GROUP_ROWS", group_rows)
     cfg = tiny_experiment(n_trials=n_trials, snr_points_db=(-5.0, 0.0, 5.0))
     mse, residual, bounds = (run_mse_sweep(cfg), run_noise_variance_sweep(cfg),
@@ -720,8 +729,8 @@ def test_grouped_sweep_rows_equal_per_point_chunks(monkeypatch, n_trials,
         for sweep, options in ((mse, {}),
                                (residual, dict(residuals_only=True))):
             assert sweep.rows[i] == harness._reduce(
-                harness._burst_chunks(cfg, snr_db, range(n_trials),
-                                      **options), snr_db, cfg.cfo, cfg.sfo)
+                burst_chunks(cfg, snr_db, range(n_trials), **options),
+                snr_db, cfg.cfo, cfg.sfo)
         assert (bounds.rows[i].crb_cfo, bounds.rows[i].crb_sfo,
                 bounds.rows[i].crb_excluded) == (
             mse.rows[i].crb_cfo, mse.rows[i].crb_sfo,
@@ -793,9 +802,9 @@ def test_residual_noise_scaling_and_floor():
     def residual_powers(noise_var, normals, n=1):
         """Pair-residual power of n bursts of the one scenario."""
         xs = np.tile(x, (n, 1))
-        spectra = demodulate_rows(synthesize_rows(
-            cfg, xs, np.tile(taps, (n, 1)), 0.212, 0.000112,
-            noise_var, normals), cfg)
+        burst = noiseless_burst(cfg, xs, np.tile(taps, (n, 1)), 0.000112)
+        spectra = demodulate_rows(synthesize_rows(cfg, burst, 0.212, noise_var,
+                                                  normals), cfg)
         v = pair_residual_rows(spectra[:, 0], spectra[:, 1], 0.212, 0.000112,
                                cfg)
         return [float(np.sum(np.abs(row) ** 2)) for row in v]
@@ -819,7 +828,7 @@ def test_residual_noise_scaling_and_floor():
 def test_backend_probe_selects_closed_form():
     cfg = tiny_experiment(n_trials=1)
     fisher_fn, backend, report = harness._select_crb_backend(cfg)
-    assert fisher_fn is crb._fisher_entries
+    assert fisher_fn is crb.fisher_rows
     assert backend == "closed_form"
     assert report is None
 
@@ -828,7 +837,7 @@ def test_backend_probe_falls_back_to_oracle(monkeypatch):
     monkeypatch.setattr(harness, "CRB_AGREEMENT_RTOL", 0.0)
     cfg = tiny_experiment(n_trials=2, snr_points_db=(15.0,))
     fisher_fn, backend, report = harness._select_crb_backend(cfg)
-    assert fisher_fn is crb._oracle_entries
+    assert fisher_fn is crb.fisher_numeric_oracle
     assert backend == "numeric_oracle"
     # The report's bytes as the one-trial oracle wrote them.
     assert report == (

@@ -20,6 +20,7 @@ from ofdm_sync_lab import (
     ici_term,
     make_config,
     noise_variance_from_snr,
+    noiseless_burst,
     snr_stream_key,
     synthesize_rows,
 )
@@ -59,7 +60,8 @@ def scenario(seed=7, n_taps=5):
 
 def synthesize(cfg, x, taps, cfo, sfo):
     """One noiseless burst as a stack of one, (2, N)."""
-    return synthesize_rows(cfg, x[None], taps[None], cfo, sfo)[0]
+    return synthesize_rows(cfg, noiseless_burst(cfg, x[None], taps[None], sfo),
+                           cfo)[0]
 
 
 def observe(cfg, x, taps, cfo, sfo):
@@ -173,14 +175,16 @@ def test_training_symbol_frequencies_uniform():
 
 
 def test_training_symbols_length_mismatch():
-    """Training rows of another length than K are a ValueError wherever a
-    burst is formed."""
+    """Training rows of another length than K are a ValueError where the
+    burst that synthesis and the bounds read is formed."""
     cfg = make_config(8, 4, 2)
     taps = np.ones((1, 1))
     with pytest.raises(ValueError, match="length 5"):
-        synthesize_rows(cfg, np.ones((1, 5)), taps, 0.0, 0.0)
+        synthesize_rows(cfg, noiseless_burst(cfg, np.ones((1, 5)), taps, 0.0),
+                        0.0)
     with pytest.raises(ValueError, match="length 5"):
-        fisher_rows(cfg, np.ones((1, 5)), taps, 0.0, 0.0, 0.1)
+        fisher_rows(cfg, noiseless_burst(cfg, np.ones((1, 5)), taps, 0.0),
+                    0.0, 0.1)
 
 
 # ----------------------------------------------------------------- channel
@@ -221,9 +225,11 @@ def test_channel_realization_validation():
     """An empty tap axis is a ValueError wherever taps become H(k)."""
     cfg, x, _ = scenario()
     with pytest.raises(ValueError, match="at least one tap"):
-        synthesize_rows(cfg, x[None], np.zeros((1, 0)), 0.0, 0.0)
+        synthesize_rows(cfg, noiseless_burst(cfg, x[None], np.zeros((1, 0)),
+                                             0.0), 0.0)
     with pytest.raises(ValueError, match="at least one tap"):
-        fisher_rows(cfg, x[None], np.zeros((1, 0)), 0.0, 0.0, 0.1)
+        fisher_rows(cfg, noiseless_burst(cfg, x[None], np.zeros((1, 0)), 0.0),
+                    0.0, 0.1)
     with pytest.raises(ValueError, match="at least one tap"):
         ici_term(0, 0, x, np.array([]), 0.0, 0.0, cfg)
     assert gains(cfg, np.array([1.0, 2.0])).shape == (52,)
@@ -283,8 +289,8 @@ def test_impairment_validation():
     ofdm_model._check_offsets(-3.0, -0.5)
     cfg, x, taps = scenario()
     with pytest.raises(ValueError, match="noise_var"):
-        synthesize_rows(cfg, x[None], taps[None], 0.0, 0.0,
-                        noise_var=-0.1, normals=np.zeros((1, 2, 2, 64)))
+        synthesize_rows(cfg, noiseless_burst(cfg, x[None], taps[None], 0.0),
+                        0.0, noise_var=-0.1, normals=np.zeros((1, 2, 2, 64)))
 
 
 @pytest.mark.parametrize("noise_var", [-0.1, np.nan, np.inf, -np.inf])
@@ -292,11 +298,11 @@ def test_synthesis_rejects_invalid_noise_variance(noise_var):
     """A negative or non-finite noise variance once gave the noiseless
     burst back; with normals given or not, it is a ValueError."""
     cfg, x, taps = scenario()
+    burst = noiseless_burst(cfg, x[None], taps[None], SFO_OP)
     for normals in (None, np.ones((1, 2, 2, 64))):
         with pytest.raises(ValueError, match="noise_var must be finite "
                                              "and >= 0"):
-            synthesize_rows(cfg, x[None], taps[None], CFO_OP, SFO_OP,
-                            noise_var, normals)
+            synthesize_rows(cfg, burst, CFO_OP, noise_var, normals)
 
 
 # --------------------------------------------------------------- synthesis
@@ -326,8 +332,8 @@ def test_synthesis_noise_requires_rng():
     """Noise needs its standard normals; synthesis draws none itself."""
     cfg, x, taps = scenario()
     with pytest.raises(ValueError, match="normals"):
-        synthesize_rows(cfg, x[None], taps[None], 0.0, 0.0,
-                        noise_var=0.1)
+        synthesize_rows(cfg, noiseless_burst(cfg, x[None], taps[None], 0.0),
+                        0.0, noise_var=0.1)
 
 
 def test_synthesis_noise_calibration():
@@ -337,8 +343,8 @@ def test_synthesis_noise_calibration():
     cfg = paper_config()
     zeros = np.zeros((800, 52), dtype=complex)
     normals = derive_rng(17, "noise0").standard_normal((800, 2, 2, 64))
-    samples = synthesize_rows(cfg, zeros, np.ones((800, 1)), 0.0, 0.0, 0.1,
-                              normals).ravel()
+    burst = noiseless_burst(cfg, zeros, np.ones((800, 1)), 0.0)
+    samples = synthesize_rows(cfg, burst, 0.0, 0.1, normals).ravel()
     assert samples.size == 102400
     measured = np.mean(np.abs(samples) ** 2)
     assert measured == pytest.approx(0.1, rel=0.02)
@@ -349,8 +355,8 @@ def test_synthesis_noise_calibration():
 
 def test_synthesize_rows_shape():
     cfg, x, taps = scenario()
-    assert synthesize_rows(cfg, x[None], taps[None], CFO_OP,
-                           SFO_OP).shape == (1, 2, 64)
+    burst = noiseless_burst(cfg, x[None], taps[None], SFO_OP)
+    assert synthesize_rows(cfg, burst, CFO_OP).shape == (1, 2, 64)
 
 
 def test_memoized_arrays_are_read_only():

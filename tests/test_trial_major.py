@@ -2,8 +2,9 @@
 
 The harness runs a chunk of trials as stacked arrays. Each stacked
 result must equal, byte for byte, what the same trial gives alone:
-synthesis, demodulation, the residual norms, the cost surfaces and their
-argmin, and both routes' Fisher entries. The one-trial references are
+the noiseless burst, synthesis, demodulation, the residual norms, the
+cost surfaces and their argmin, and both routes' Fisher entries. The
+one-trial references are
 the row functions called on a stack of one trial (``[t:t+1]``) or on
 one trial's 1-D rows and, for the reductions, a 1-D ``np.sum`` over one
 trial's vector. A stack of 2000 trials must also equal its 64-row
@@ -32,6 +33,7 @@ from ofdm_sync_lab.estimators import (
 from ofdm_sync_lab.ofdm_model import (
     channel_taps,
     demodulate_rows,
+    noiseless_burst,
     synthesize_rows,
 )
 
@@ -92,14 +94,16 @@ def test_stacked_trials_equal_one_trial_results(stack):
         for t in range(n_trials)])
 
     # Synthesis and demodulation.
-    samples = synthesize_rows(config, x, taps, cfo, sfo, noise_var, normals)
+    burst = noiseless_burst(config, x, taps, sfo)
+    samples = synthesize_rows(config, burst, cfo, noise_var, normals)
     spectra = demodulate_rows(samples, config)
     assert spectra.flags.c_contiguous
-    trials = []
+    trials, bursts = [], []
     for t in range(n_trials):
-        alone = synthesize_rows(
-            config, x[t:t + 1], taps[t:t + 1], cfo, sfo, noise_var,
-            noise_normals(seed, t, config.dft_size)[None])
+        bursts.append(noiseless_burst(config, x[t:t + 1], taps[t:t + 1],
+                                      sfo))
+        alone = synthesize_rows(config, bursts[-1], cfo, noise_var,
+                                noise_normals(seed, t, config.dft_size)[None])
         assert_same_bytes(samples[t], alone[0])
         r0, r1 = demodulate_rows(alone, config)[0]
         assert_same_bytes(spectra[t, 0], r0)
@@ -139,16 +143,14 @@ def test_stacked_trials_equal_one_trial_results(stack):
             for found, alone in (
                     (proposed, ev.search_proposed(r0_t[None], r1_t[None])),
                     (nguyenle, ev.search_nguyenle(y_t, bad_t.any(axis=-1)))):
-                assert (found.cfo[t], found.sfo[t], found.cost[t],
-                        found.method) == (alone.cfo[0], alone.sfo[0],
-                                          alone.cost[0], alone.method)
+                assert (found.cfo[t], found.sfo[t], found.cost[t]) == (
+                    alone.cfo[0], alone.sfo[0], alone.cost[0])
 
     # Fisher entries of both routes.
     for route in (fisher_rows, fisher_numeric_oracle):
-        stacked = route(config, x, taps, cfo, sfo, noise_var or 1e-3)
+        stacked = route(config, burst, cfo, noise_var or 1e-3)
         for t in range(n_trials):
-            one = route(config, x[t:t + 1], taps[t:t + 1], cfo, sfo,
-                        noise_var or 1e-3)
+            one = route(config, bursts[t], cfo, noise_var or 1e-3)
             for got, want in zip(stacked, one):
                 assert_same_bytes(got[t:t + 1], want)
 
@@ -167,17 +169,17 @@ def test_a_large_stack_equals_its_chunks():
     ev = GridEvaluator(make_grid(), config)
 
     def row_functions(rows):
-        x_, taps_ = x[rows], taps[rows]
-        samples = synthesize_rows(config, x_, taps_, cfo, sfo, noise_var,
-                                  normals[rows])
+        x_ = x[rows]
+        xh, gs, _ = burst = noiseless_burst(config, x_, taps[rows], sfo)
+        samples = synthesize_rows(config, burst, cfo, noise_var, normals[rows])
         spectra = demodulate_rows(samples, config)
         r0, r1 = spectra[:, 0], spectra[:, 1]
         y, bad = ratio_observable_rows(x_, r0, r1)
-        out = [samples, spectra, y, bad,
+        out = [xh, *gs, samples, spectra, y, bad,
                squared_norms(pair_residual_rows(r0, r1, cfo, sfo, config)),
                squared_norms(ratio_residual_rows(y, cfo, sfo, config))]
         for route in (fisher_rows, fisher_numeric_oracle):
-            out += route(config, x_, taps_, cfo, sfo, noise_var)
+            out += route(config, burst, cfo, noise_var)
         for found in (ev.search_proposed(r0, r1),
                       ev.search_nguyenle(y, bad.any(axis=-1)),
                       estimate_proposed(r0, r1, ev.grid, config, refine=True),
