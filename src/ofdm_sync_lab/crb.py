@@ -28,7 +28,8 @@ Both routes run on trial-major stacks: each takes the
 reads, so fig2's chunks hand over the one they synthesized, and bounds
 it at the sfo it carries. Each returns the entries (f00, f01, f11) as
 (T,) arrays, each row equal bit for bit to that row run as a stack of
-one; the oracle re-warps the burst's x H rows at each perturbed sfo.
+one; the oracle reads the burst's own g_m at its sfo and re-warps its
+x H rows at each perturbed sfo.
 ``noise_var`` is a scalar or one value per row. The 2x2 inversion is
 elementwise (:func:`crb_rows`), and :func:`invertible` marks the rows
 whose bounds mean something.
@@ -125,10 +126,10 @@ def fisher_numeric_oracle(config: OfdmConfig, burst: tuple, cfo: float,
 
     For circular Gaussian noise of total per-sample variance sigma^2 the
     Fisher entries are (2/sigma^2) sum Re{conj(ds/dp_i) ds/dp_j}; the
-    derivatives here come from the synthesized signal alone, re-warped
-    from the burst's x H rows at each perturbed sfo, so this path is
-    independent of the closed-form algebra. Every perturbed offset pair
-    must be a valid (cfo, sfo).
+    derivatives here come from the synthesized signal alone: the burst's
+    own g_m at its sfo, and its x H rows re-warped at each perturbed sfo,
+    so this path is independent of the closed-form algebra. Every
+    perturbed offset pair must be a valid (cfo, sfo).
     """
     _check_noise_var(noise_var)
     for name, step in (("cfo_step", cfo_step), ("sfo_step", sfo_step)):
@@ -139,7 +140,8 @@ def fisher_numeric_oracle(config: OfdmConfig, burst: tuple, cfo: float,
     def mean(e, h):
         """The (T, 2 N) noiseless samples at offsets (e, h)."""
         _check_offsets(e, h)
-        samples = synthesize_rows(config, _warped(config, xh, h), e)
+        warped = burst if h == sfo else _warped(config, xh, h)
+        samples = synthesize_rows(config, warped, e)
         return samples.reshape(len(samples), -1)
 
     d_cfo = (mean(cfo + cfo_step, sfo) - mean(cfo - cfo_step, sfo)) \

@@ -42,9 +42,10 @@ every mean is a sequential sum in ascending trial order (``np.sum`` sums
 pairwise), and every squared error is the Python float
 ``(v - truth) ** 2``, which is libm's ``pow`` (numpy's ``x ** 2`` is
 ``x * x``, which rounds differently on about one input in a thousand).
-The grid evaluator and the CRB backend depend only on the experiment, so
-they are derived from it, memoized, and never passed in: fig2, crb and
-``trial`` all use one probe result per experiment.
+The grid evaluator depends only on the experiment, so it is derived
+from it, memoized, and never passed in. Every bound is the closed form
+:func:`crb.fisher_rows`; the test suite holds its agreement with the
+numeric oracle.
 """
 
 import functools
@@ -52,14 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb import (
-    SFO_STEP_DEFAULT,
-    compare_fisher,
-    crb_rows,
-    fisher_numeric_oracle,
-    fisher_rows,
-    invertible,
-)
+from .crb import crb_rows, fisher_rows, invertible
 from .estimators import (
     Estimates,
     GridSpec,
@@ -84,7 +78,6 @@ from .ofdm_model import (
     noiseless_burst,
     snr_stream_key,
     synthesize_rows,
-    _CACHE_SIZE,
     _SeedWords,
     _check_offsets,
     _derive_tables,
@@ -103,16 +96,12 @@ __all__ = [
     "run_crb_sweep",
 ]
 
-# Relative agreement required of the closed-form Fisher matrix against
-# the numeric oracle before the closed form is used for CRB curves.
-CRB_AGREEMENT_RTOL = 1e-3
-
 # Failure reason that ``trial`` prints for a search whose cost surface
 # is not finite.
 _NON_FINITE = "non-finite cost surface"
 
-# Labeled streams of one trial: a burst draws all four; a CRB draw and
-# the backend probe draw only the scenario's first two.
+# Labeled streams of one trial: a burst draws all four; a CRB draw
+# draws only the scenario's first two.
 _BURST_STREAMS = ("training", "channel", "noise0", "noise1")
 _SCENARIO_STREAMS = _BURST_STREAMS[:2]
 
@@ -170,14 +159,6 @@ class ExperimentConfig:
         if not abs(self.cfo) < n:
             raise ValueError(f"cfo must lie inside (-N, N) = (-{n}, {n}) "
                              f"subcarrier spacings, got {self.cfo}")
-        # The backend probe's numeric oracle evaluates the burst at sfo
-        # plus and minus its step, and each must be an sfo too.
-        if not (-1.0 < self.sfo - SFO_STEP_DEFAULT
-                and self.sfo + SFO_STEP_DEFAULT < 1.0):
-            raise ValueError(
-                f"sfo must stay the numeric Fisher oracle's step "
-                f"SFO_STEP_DEFAULT = {SFO_STEP_DEFAULT:g} inside (-1, 1), "
-                f"got {self.sfo}")
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
         # every alias cfo + k period (k != 0) costs what truth does. The
         # lowest one on the grid has k within one of (lo - cfo) / period,
@@ -343,10 +324,10 @@ def _observe(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
 
 def _crb_fields(cfg: ExperimentConfig, snr_db: float, burst) -> dict:
     """Each trial's bounds at the true offsets, as :class:`_Columns` fields:
-    one call of the experiment's Fisher backend on the chunk's noiseless
-    burst, the one it synthesized (fig2) or drew for its bounds (crb)."""
-    f00, f01, f11 = _select_crb_backend(cfg)[0](
-        cfg.ofdm, burst, cfg.cfo, noise_variance_from_snr(cfg.ofdm, snr_db))
+    one closed-form Fisher pass over the chunk's noiseless burst, the one
+    it synthesized (fig2) or drew for its bounds (crb)."""
+    f00, f01, f11 = fisher_rows(cfg.ofdm, burst, cfg.cfo,
+                                noise_variance_from_snr(cfg.ofdm, snr_db))
     crb_cfo, crb_sfo, det = crb_rows(f00, f01, f01, f11)
     return {"crb_cfo": crb_cfo, "crb_sfo": crb_sfo,
             "singular": ~invertible(det)}
@@ -465,8 +446,6 @@ class SweepResult:
 
     config: ExperimentConfig
     rows: tuple
-    crb_backend: str = "closed_form"
-    crb_discrepancy: str | None = None
 
 
 def _reduce(chunks, snr_db: float, cfo: float, sfo: float) -> SweepRow:
@@ -517,66 +496,29 @@ def worker_count() -> int:
     return 1
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _probe(cfg: ExperimentConfig):
-    """The largest closed-form/oracle Fisher relative error over two
-    seeded scenarios, one at each extreme SNR point of the experiment,
-    and the discrepancy report of the scenario that has it."""
-    draws = next(_chunks(cfg, ("crb-backend-probe",), range(2),
-                         _SCENARIO_STREAMS)[0])
-    noise_var = np.array([noise_variance_from_snr(cfg.ofdm, snr_db) for
-                          snr_db in (min(cfg.snr_points_db),
-                                     max(cfg.snr_points_db))])
-    burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
-    rel, report = compare_fisher(cfg.ofdm, burst, cfg.cfo, noise_var)
-    return rel.max(), report
-
-
-def _select_crb_backend(cfg: ExperimentConfig):
-    """(fisher_fn, name, report) of the experiment's CRB backend: the
-    closed form if its probe agrees within ``CRB_AGREEMENT_RTOL``, else
-    the numeric oracle with the probe's per-entry discrepancy report.
-    ``fisher_fn(config, burst, cfo, noise_var)`` gives the entries
-    (f00, f01, f11) of a noiseless burst's rows."""
-    worst, report = _probe(cfg)
-    if worst < CRB_AGREEMENT_RTOL:
-        return fisher_rows, "closed_form", None
-    return fisher_numeric_oracle, "numeric_oracle", report
-
-
-def _sweep_rows(cfg: ExperimentConfig, labels, columns) -> tuple:
+def _sweep(cfg: ExperimentConfig, labels, columns) -> SweepResult:
     """One row per SNR point, reducing ``columns(snr_db, draws)`` of its
     chunks; consecutive points of at most ``_GROUP_ROWS`` trials (or one
     point) share a :func:`_chunks` call."""
     points, step = cfg.snr_points_db, max(1, _GROUP_ROWS // cfg.n_trials)
     groups = (points[i:i + step] for i in range(0, len(points), step))
-    return tuple(
+    return SweepResult(config=cfg, rows=tuple(
         _reduce((columns(snr_db, d) for d in draws), snr_db, cfg.cfo, cfg.sfo)
         for group in groups for snr_db, draws in zip(group, _chunks(
             cfg, [snr_stream_key(s) for s in group], range(cfg.n_trials),
-            labels)))
-
-
-def _crb_sweep(cfg: ExperimentConfig, labels, columns) -> SweepResult:
-    """The rows of ``columns``, which carry CRBs, and the name and report
-    of the backend that bounded them."""
-    rows = _sweep_rows(cfg, labels, columns)
-    _, backend, report = _select_crb_backend(cfg)
-    return SweepResult(config=cfg, rows=rows, crb_backend=backend,
-                       crb_discrepancy=report)
+            labels))))
 
 
 def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full estimator comparison: per-SNR MSEs, failures, and mean CRBs."""
-    return _crb_sweep(cfg, _BURST_STREAMS,
-                      lambda s, d: _burst_columns(cfg, s, d)[0])
+    return _sweep(cfg, _BURST_STREAMS,
+                  lambda s, d: _burst_columns(cfg, s, d)[0])
 
 
 def run_noise_variance_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Residual-only sweep: mean squared norms of the two residuals."""
-    rows = _sweep_rows(cfg, _BURST_STREAMS, lambda s, d: _burst_columns(
+    return _sweep(cfg, _BURST_STREAMS, lambda s, d: _burst_columns(
         cfg, s, d, residuals_only=True)[0])
-    return SweepResult(config=cfg, rows=rows)
 
 
 def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -585,6 +527,6 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     Each trial draws only the training symbol and channel of its burst,
     so the rows' CRB columns equal :func:`run_mse_sweep`'s.
     """
-    return _crb_sweep(cfg, _SCENARIO_STREAMS, lambda s, d: _Columns(
+    return _sweep(cfg, _SCENARIO_STREAMS, lambda s, d: _Columns(
         d.indices, **_crb_fields(cfg, s, noiseless_burst(
             cfg.ofdm, d.training, d.taps, cfg.sfo))))

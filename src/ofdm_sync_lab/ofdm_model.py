@@ -92,9 +92,10 @@ QPSK_ALPHABET = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 # Exponential power-delay-profile time constant, in tap periods.
 PDP_DECAY_TAPS = 5.0
 
-# Entries per memoized helper. A default sweep keys at most 10 entries in
-# any one cache (the CRB backend probe's oracle perturbs each offset both
-# ways on both symbols), so this bound only evicts across experiments.
+# Entries per memoized helper. A sweep keys at most two entries in any
+# one cache, one per symbol, and the numeric Fisher oracle at most eight
+# more (it steps each offset both ways on both symbols), so this bound
+# only evicts across experiments.
 _CACHE_SIZE = 32
 
 
@@ -263,7 +264,9 @@ def noiseless_burst(config: OfdmConfig, x: np.ndarray, taps: np.ndarray,
                     sfo: float) -> tuple:
     """The noiseless burst (x H, (g0, g1), sfo) of the (T, K) training
     rows x, which both symbols repeat, and (T, L) taps: x H as (T, K)
-    rows, g_m = B_m (x H) as (T, N) rows and the sfo of the warp B_m."""
+    rows, g_m = B_m (x H) as (T, N) rows and the sfo of the warp B_m.
+    The sfo is checked before any basis is built or cached."""
+    _check_offsets(0.0, sfo)
     if x.shape[-1] != config.n_active:
         raise ValueError(f"training length {x.shape[-1]} does not match "
                          f"n_active {config.n_active}")

@@ -287,13 +287,12 @@ def test_main_freezes_import_objects_for_the_run(monkeypatch, tmp_path):
     (["fig2", "--sfo", "1e307", "--cfo", "3", "--trials", "2"],
      "sfo must exceed -1 and stay below 1, got 1e+307"),
     (["fig2", "--sfo", "1"], "sfo must exceed -1 and stay below 1, got 1.0"),
-    # the backend probe's numeric oracle steps the sfo by 1e-8 either way,
-    # and fig2 and trial once died on the step past -1 with a traceback
+    # the sfo bound is (-1, 1) itself, with no margin inside it: an end,
+    # or the first float past one, fails fig2 and trial alike
     *[([command, "--sfo", sfo],
-       f"sfo must stay the numeric Fisher oracle's step SFO_STEP_DEFAULT = "
-       f"1e-08 inside (-1, 1), got {sfo}")
+       f"sfo must exceed -1 and stay below 1, got {float(sfo)}")
       for command in ("fig2", "trial")
-      for sfo in ("-0.999999999", "0.99999999")],
+      for sfo in ("-1", "1.0000000000000002")],
     # an output the sweep could not write once ran the whole sweep first,
     # then died with a traceback
     (["fig1", "--trials", "2", "--out", "/nonexistent/x.csv"],
@@ -652,49 +651,13 @@ def test_crb_all_singular_draws_leave_blank_cells(monkeypatch, tmp_path):
         zeros = np.zeros(len(burst[0]))
         return zeros, zeros, zeros
 
-    monkeypatch.setattr(harness, "_select_crb_backend",
-                        lambda cfg: (dead_fisher, "closed_form", None))
+    monkeypatch.setattr(harness, "fisher_rows", dead_fisher)
     out = tmp_path / "c.csv"
     assert cli.main(["crb", "--trials", "3", "--snr-min", "10",
                      "--snr-max", "15", "--out", str(out)]) == 0
     cells = csv_columns(out)
     assert cells["crb_cfo"] == cells["crb_sfo"] == ["", ""]
     assert cells["excluded"] == ["3", "3"]
-
-
-# The oracle fallback's header lines of fig2 and crb at 3 trials, 10 to
-# 20 dB and the tiny grid, and the SHA-256 of each whole CSV, as the
-# one-trial oracle wrote them: the stacked oracle must keep every byte.
-ORACLE_FALLBACK_HEADER = [
-    "# crb-backend = numeric_oracle",
-    "# fisher closed-form vs numeric oracle",
-    "#   f00: closed=1251166.9700050638 oracle=1251166.9699422643 "
-    "rel=5.019e-11",
-    "#   f01: closed=-9780921.1057647243 oracle=-9780921.1021587644 "
-    "rel=3.687e-10",
-    "#   f11: closed=462613308.75943303 oracle=462613309.65755498 "
-    "rel=1.941e-09",
-    "#   max relative error: 1.941e-09",
-]
-
-
-@pytest.mark.parametrize("command, digest", [
-    ("fig2",
-     "710033f372c2d8012c02223d589f2643b03b5cfa0fd357a02e264127a1daadfa"),
-    ("crb",
-     "9745caa1ed816b3f5b173841ed55d4b4971a064f4ece40ecfb828cd6b0034442"),
-])
-def test_oracle_fallback_csv_is_pinned(monkeypatch, tmp_path, command,
-                                       digest):
-    monkeypatch.setattr(harness, "CRB_AGREEMENT_RTOL", 0.0)
-    out = tmp_path / f"{command}.csv"
-    assert cli.main([command, "--trials", "3", "--snr-min", "10",
-                     "--snr-max", "20", *TINY_GRID_FLAGS,
-                     "--out", str(out)]) == 0
-    header = [line for line in out.read_text().splitlines()
-              if line.startswith("# ")]
-    assert header[-len(ORACLE_FALLBACK_HEADER):] == ORACLE_FALLBACK_HEADER
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, columns", [
@@ -771,6 +734,16 @@ def test_trial_at_zero_offsets_has_vanishing_cost(capsys):
     assert float(entries["nguyenle_cost_at_truth"]) < 1e-12
     assert float(entries["proposed_cfo"]) == 0.0
     assert float(entries["proposed_sfo"]) == 0.0
+
+
+@pytest.mark.parametrize("sfo", ["-0.999999999", "0.99999999"])
+def test_trial_runs_at_an_sfo_just_inside_the_bound(capsys, sfo):
+    """No margin inside (-1, 1): a trial this close to either end runs and
+    bounds both offsets (a CFO and a grid that keep the aliases off)."""
+    entries = trial_output(capsys, ["trial", "--sfo", sfo, "--cfo", "0",
+                                    "--grid-cfo-max", "1e-3"])
+    assert float(entries["crb_cfo"]) > 0.0
+    assert float(entries["crb_sfo"]) > 0.0
 
 
 def test_trial_uses_snr_min_alone(capsys):

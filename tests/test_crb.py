@@ -20,17 +20,22 @@ from ofdm_sync_lab import (
     invertible,
     make_config,
     make_experiment,
+    make_grid,
     noise_variance_from_snr,
     noiseless_burst,
     run_crb_sweep,
     synthesize_rows,
 )
 from ofdm_sync_lab import crb, harness, ofdm_model
-from ofdm_sync_lab.harness import CRB_AGREEMENT_RTOL
 
 CFG = make_config(64, 52, 16)
 CFO_OP = 0.212
 SFO_OP = 0.000112
+
+# Largest relative error the closed-form Fisher entries may show against
+# the numeric oracle: the sweeps bound every trial with the closed form,
+# and these tests are what hold it to the oracle.
+CRB_AGREEMENT_RTOL = 1e-3
 
 # Single unit tap + all-ones training, one burst: every tested route must
 # agree here.
@@ -161,6 +166,42 @@ def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
     rel, _ = compare_fisher(config, noiseless_burst(config, x, taps, sfo), cfo,
                             noise_var)
     assert rel.max() < CRB_AGREEMENT_RTOL
+
+
+# Extreme geometries and offsets, each an experiment the sweeps accept:
+# K = 2 and K = N, cp = 0 and cp = N / 4, 1 to 64 taps, |cfo| up to 60
+# subcarrier spacings and sfo from -0.999 to 0.99, some at SNR ends far
+# past the defaults. Measured: 1.1e-9 to 1.7e-8. N stays <= 512 so the
+# cases take well under a second together.
+@pytest.mark.parametrize("geometry", [
+    dict(dft_size=16, n_active=2, cp_len=0, cfo=0.0, sfo=0.0, n_taps=1),
+    dict(dft_size=16, n_active=16, cp_len=4, cfo=-15.9, sfo=0.5, n_taps=8,
+         snr_points_db=(-40.0, 80.0)),
+    dict(dft_size=64, n_active=52, cp_len=16, cfo=0.212, sfo=0.000112,
+         n_taps=5),
+    dict(dft_size=128, n_active=2, cp_len=32, cfo=-0.4, sfo=-0.999,
+         n_taps=3, snr_points_db=(-40.0, 80.0)),
+    dict(dft_size=256, n_active=256, cp_len=64, cfo=0.3, sfo=0.99,
+         n_taps=64),
+    dict(dft_size=512, n_active=512, cp_len=128, cfo=-60.0, sfo=-0.9,
+         n_taps=32),
+    dict(dft_size=512, n_active=500, cp_len=0, cfo=30.1, sfo=0.5, n_taps=5,
+         snr_points_db=(-40.0, 80.0)),
+])
+def test_closed_form_matches_oracle_at_extreme_experiments(geometry):
+    """The closed form the sweeps use agrees with the oracle on two seeded
+    scenario draws of an experiment, under a str stream key that no SNR
+    point shares, one at each end of its SNR axis."""
+    cfg = make_experiment(**{"snr_points_db": (0.0, 30.0), **geometry},
+                          grid=make_grid(1e-3, 1e-3, 1e-4, 1e-4))
+    draws = next(harness._chunks(cfg, ("crb-backend-probe",), range(2),
+                                 ("training", "channel"))[0])
+    noise_var = np.array([noise_variance_from_snr(cfg.ofdm, snr_db) for
+                          snr_db in (cfg.snr_points_db[0],
+                                     cfg.snr_points_db[-1])])
+    burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
+    rel, report = compare_fisher(cfg.ofdm, burst, cfg.cfo, noise_var)
+    assert rel.max() < CRB_AGREEMENT_RTOL, report
 
 
 # ---------------------------------------------------- reference arithmetic
@@ -377,11 +418,29 @@ def test_oracle_rejects_bad_steps():
         fisher_numeric_oracle(CFG, flat_burst(), 0.0, 0.1, cfo_step=0.0)
     with pytest.raises(ValueError, match="sfo_step"):
         fisher_numeric_oracle(CFG, flat_burst(), 0.0, 0.1, sfo_step=-1e-8)
-    # Offsets the signal model rejects: every perturbed point is checked.
+    # Offsets the signal model rejects: every perturbed point is checked,
+    # so a burst just inside (-1, 1) fails on the sfo step past the end.
     for cfo, sfo in ((np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
-                     (0.0, np.nan), (0.0, -1.0), (0.0, -1.5)):
+                     (0.0, np.nan), (0.0, -1.0), (0.0, -1.5),
+                     (0.0, -0.999999995), (0.0, 0.999999995)):
         with pytest.raises(ValueError):
             fisher_numeric_oracle(CFG, flat_burst(sfo), cfo, 0.1)
+
+
+def test_oracle_rewarps_only_at_the_perturbed_sfos(monkeypatch):
+    """The CFO-perturbed means read the burst's own g_m, so the oracle
+    warps the x H rows twice, once per sfo step, and not at the burst's
+    sfo again."""
+    warped = []
+
+    def counted(config, xh, sfo):
+        warped.append(sfo)
+        return ofdm_model._warped(config, xh, sfo)
+
+    monkeypatch.setattr(crb, "_warped", counted)
+    fisher_numeric_oracle(CFG, scenario_burst(5), CFO_OP, 0.1)
+    assert warped == [SFO_OP + crb.SFO_STEP_DEFAULT,
+                      SFO_OP - crb.SFO_STEP_DEFAULT]
 
 
 def test_comparison_report_contents():
@@ -488,7 +547,6 @@ def averaged_crb(snr_db, n_trials, seed, cfo=CFO_OP, sfo=SFO_OP):
     sweep = run_crb_sweep(make_experiment(
         cfo=cfo, sfo=sfo, snr_points_db=(snr_db,), n_trials=n_trials,
         master_seed=seed))
-    assert sweep.crb_backend == "closed_form"
     (row,) = sweep.rows
     return row
 
@@ -556,11 +614,10 @@ def test_average_crb_counts_singular_realizations(monkeypatch):
             f[0] = 1.0
         return entries
 
-    monkeypatch.setattr(harness, "_select_crb_backend",
-                        lambda cfg: (flaky_fisher, "closed_form", None))
+    monkeypatch.setattr(harness, "fisher_rows", flaky_fisher)
     row = averaged_crb(15.0, 4, 12345)
     assert row.crb_excluded == 1
-    assert calls == [4]  # one backend call bounds the chunk's four trials
+    assert calls == [4]  # one Fisher call bounds the chunk's four trials
     assert np.isfinite(row.crb_cfo)
 
 

@@ -1,5 +1,5 @@
 """Harness tests: seeded trial reproducibility, the column reducer,
-sweep assembly, failure accounting, and the CRB backend plumbing."""
+sweep assembly, failure accounting, and the bounds of fig2 and crb."""
 
 import math
 from dataclasses import astuple, replace
@@ -29,7 +29,7 @@ from ofdm_sync_lab import (
     run_noise_variance_sweep,
     synthesize_rows,
 )
-from ofdm_sync_lab import crb, harness
+from ofdm_sync_lab import harness
 from sweep_helpers import burst_chunks
 
 # 11 x 11 lattice holding the operating point; keeps sweep tests fast.
@@ -88,14 +88,13 @@ def test_experiment_config_validation():
         make_experiment(n_trials=0)
     with pytest.raises(ValueError, match="n_taps"):
         make_experiment(n_taps=0)
-    with pytest.raises(ValueError, match="sfo must exceed -1"):
-        make_experiment(sfo=-1.0)
-    # the numeric Fisher oracle steps the sfo by SFO_STEP_DEFAULT
-    for sfo in (-0.999999999, 0.99999999):
-        with pytest.raises(ValueError, match="numeric Fisher oracle's step"):
+    for sfo in (-1.0, 1.0):
+        with pytest.raises(ValueError, match="sfo must exceed -1"):
             make_experiment(sfo=sfo)
-    assert make_experiment(sfo=-0.99999998, cfo=0.0,
-                           grid=make_grid(cfo_max=1e-3)).sfo == -0.99999998
+    # the bound is (-1, 1) itself, with no margin inside it
+    for sfo in (-0.999999999, 0.99999999):
+        assert make_experiment(sfo=sfo, cfo=0.0,
+                               grid=make_grid(cfo_max=1e-3)).sfo == sfo
     # the cost repeats every N/((N+N_g)(1+sfo)) = 0.79991 in cfo here, so
     # |cfo| >= 0.3 puts an alias on the default [-0.5, 0.5] grid
     for cfo in (0.3, -0.3, 0.35):
@@ -702,8 +701,6 @@ def test_mse_sweep_matches_manual_aggregation():
     cfg = tiny_experiment()
     sweep = run_mse_sweep(cfg)
     assert sweep.config is cfg
-    assert sweep.crb_backend == "closed_form"
-    assert sweep.crb_discrepancy is None
     assert len(sweep.rows) == 2
     for row, snr_db in zip(sweep.rows, cfg.snr_points_db):
         trials = (next(burst_chunks(cfg, snr_db, (t,)))
@@ -754,8 +751,8 @@ def test_blocks_of_derived_streams_move_no_row(monkeypatch, group_rows):
 
 def test_fig2_sweep_derives_its_bursts_streams_in_one_pass(monkeypatch):
     """A default-size fig2 sweep of 6 x 60 trials derives the streams of
-    all its bursts with one mixing pass and one pick pass; the backend
-    probe takes its own."""
+    all its bursts with one mixing pass and one pick pass, and derives
+    nothing else."""
     calls = {"derive": [], "picks": []}
 
     def counted(name, fn):
@@ -771,10 +768,9 @@ def test_fig2_sweep_derives_its_bursts_streams_in_one_pass(monkeypatch):
     cfg = make_experiment(snr_points_db=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
                           n_trials=60, master_seed=4242)
     assert [row.n_trials for row in run_mse_sweep(cfg).rows] == [60] * 6
-    keys = sorted((tuple(args[1]) for args in calls["derive"]), key=len)
-    assert keys == [("crb-backend-probe",),
-                    (5000, 10000, 15000, 20000, 25000, 30000)]
-    assert sorted(len(args[0]) for args in calls["picks"]) == [2, 360]
+    assert [tuple(args[1]) for args in calls["derive"]] == [
+        (5000, 10000, 15000, 20000, 25000, 30000)]
+    assert [len(args[0]) for args in calls["picks"]] == [360]
 
 
 def test_noise_variance_sweep_rows():
@@ -820,64 +816,3 @@ def test_residual_noise_scaling_and_floor():
     assert mean_power(90.0, 5) == pytest.approx(floor, rel=0.01)
     ratio = (mean_power(0.0, 6) - floor) / (mean_power(10.0, 7) - floor)
     assert ratio == pytest.approx(10.0, rel=0.05)
-
-
-# ---------------------------------------------------------------- backend
-
-
-def test_backend_probe_selects_closed_form():
-    cfg = tiny_experiment(n_trials=1)
-    fisher_fn, backend, report = harness._select_crb_backend(cfg)
-    assert fisher_fn is crb.fisher_rows
-    assert backend == "closed_form"
-    assert report is None
-
-
-def test_backend_probe_falls_back_to_oracle(monkeypatch):
-    monkeypatch.setattr(harness, "CRB_AGREEMENT_RTOL", 0.0)
-    cfg = tiny_experiment(n_trials=2, snr_points_db=(15.0,))
-    fisher_fn, backend, report = harness._select_crb_backend(cfg)
-    assert fisher_fn is crb.fisher_numeric_oracle
-    assert backend == "numeric_oracle"
-    # The report's bytes as the one-trial oracle wrote them.
-    assert report == (
-        "fisher closed-form vs numeric oracle\n"
-        "  f00: closed=395653.73583875748 oracle=395653.73581889854 "
-        "rel=5.019e-11\n"
-        "  f01: closed=-3092998.8308629198 oracle=-3092998.829722615 "
-        "rel=3.687e-10\n"
-        "  f11: closed=146291173.15865323 oracle=146291173.44266433 "
-        "rel=1.941e-09\n"
-        "  max relative error: 1.941e-09")
-
-    sweep = run_mse_sweep(cfg)
-    assert sweep.crb_backend == "numeric_oracle"
-    assert sweep.crb_discrepancy == report
-    row = sweep.rows[0]
-    assert row.crb_cfo is not None and row.crb_cfo > 0.0
-    assert row.crb_excluded == 0
-    # the CRB sweep follows the same probe
-    crb_sweep = run_crb_sweep(cfg)
-    assert crb_sweep.crb_backend == "numeric_oracle"
-    assert crb_sweep.crb_discrepancy == sweep.crb_discrepancy
-    assert (crb_sweep.rows[0].crb_cfo, crb_sweep.rows[0].crb_sfo) == \
-        (row.crb_cfo, row.crb_sfo)
-    # and so do the one-trial routes: a chunk of one and trial
-    swept = sweep_records(monkeypatch, run_mse_sweep, cfg)
-    for t in range(cfg.n_trials):
-        assert one_trial(cfg, 15.0, t) == swept[(15.0, t)]
-        diag = inspect_trial(cfg, 15.0, t)
-        assert column_record(diag.columns, diag.snr_db, 0) \
-            == swept[(15.0, t)]
-
-    # Under the closed form, the backend at the default tolerance, fig2
-    # bounds each chunk from the burst it synthesized and crb from its
-    # scenario draws alone; their bounds agree all the same, over two
-    # chunks of trials.
-    monkeypatch.undo()
-    cfg = tiny_experiment(n_trials=40, snr_points_db=(5.0, 30.0))
-    assert harness._select_crb_backend(cfg)[1] == "closed_form"
-    sweep, crb_sweep = run_mse_sweep(cfg), run_crb_sweep(cfg)
-    assert crb_sweep.crb_backend == sweep.crb_backend == "closed_form"
-    assert [(r.crb_cfo, r.crb_sfo, r.crb_excluded) for r in crb_sweep.rows] \
-        == [(r.crb_cfo, r.crb_sfo, r.crb_excluded) for r in sweep.rows]

@@ -293,6 +293,19 @@ def test_impairment_validation():
                         0.0, noise_var=-0.1, normals=np.zeros((1, 2, 2, 64)))
 
 
+@pytest.mark.parametrize("sfo", [np.nan, 5.0, -1.0])
+def test_noiseless_burst_rejects_bad_sfo_before_caching(sfo):
+    """An invalid sfo raises before any basis is built: a NaN key never
+    equals itself, so each call once added two cache entries and evicted
+    real ones."""
+    cfg, x, taps = scenario()
+    before = ofdm_model._warped_basis.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="sfo must"):
+            noiseless_burst(cfg, x[None], taps[None], sfo)
+    assert ofdm_model._warped_basis.cache_info().currsize == before
+
+
 @pytest.mark.parametrize("noise_var", [-0.1, np.nan, np.inf, -np.inf])
 def test_synthesis_rejects_invalid_noise_variance(noise_var):
     """A negative or non-finite noise variance once gave the noiseless
@@ -580,7 +593,8 @@ MASTER_SEEDS = st.one_of(
     st.sampled_from([0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
                      2 ** 64, 2 ** 64 + 5, -1, -12345, -(2 ** 63)]),
     st.integers(-(2 ** 70), 2 ** 70))
-# SNR keys of both signs, 0 among them, and the backend probe's str key.
+# SNR keys of both signs, 0 among them, and the str key that
+# tests/test_crb.py draws its extreme-experiment Fisher scenarios under.
 STREAM_KEYS = st.one_of(st.sampled_from([0, -7500, 15000, "crb-backend-probe"]),
                         st.integers(-(2 ** 63), 2 ** 63 - 1))
 LABELS = st.sampled_from(("training", "channel", "noise0", "noise1"))
@@ -650,7 +664,7 @@ def test_label_tables_in_one_pass_match_derive_states(seed, key, labels,
          labels=["channel"], trials=[0, 2 ** 32 - 1, 1])
 def test_multi_key_tables_match_derive_states(seed, keys, labels, trials):
     """Tables of several stream keys in one call, keys of one word (0 dB
-    and up) and of two (below 0 dB, and the probe's str key) among them,
+    and up) and of two (below 0 dB, and a str key) among them,
     hold each key's table derived alone in its block of rows, at one trial
     and at many."""
     keys = list(dict.fromkeys(keys))
