@@ -21,7 +21,6 @@ or a unique prefix, its last value winning, even one led by ``-``. A
 malformed line exits 2 with one ``error:`` line; ``--help`` exits 0.
 """
 
-import ctypes
 import gc
 import os
 import sys
@@ -84,8 +83,6 @@ _FIG2_COLUMNS = (
     "mse_sfo_proposed", "mse_sfo_nguyenle", "crb_sfo",
     "fail_proposed", "fail_nguyenle",
 )
-_FIG1_COLUMNS = ("snr_db", "var_n_db", "var_e_db")
-_CRB_COLUMNS = ("snr_db", "crb_cfo", "crb_sfo", "excluded")
 
 # The header line of fig2 and crb that names their bound: the closed-form
 # Fisher matrix, whose agreement with the numeric oracle the tests hold.
@@ -288,30 +285,25 @@ def write_csv(path: str, columns, rows, metadata_lines) -> None:
         fh.write("\n".join(out) + "\n")
 
 
-def _run_fig1(invocation: CliInvocation) -> int:
-    result = run_noise_variance_sweep(invocation.experiment)
-    rows = [(row.snr_db, row.var_n_db, row.var_e_db)
-            for row in result.rows]
-    write_csv(invocation.out, _FIG1_COLUMNS, rows,
-              _metadata_lines(invocation))
-    return 0
-
-
-def _run_fig2(invocation: CliInvocation) -> int:
-    result = run_mse_sweep(invocation.experiment)
-    rows = [[getattr(row, name) for name in _FIG2_COLUMNS]
-            for row in result.rows]
-    write_csv(invocation.out, _FIG2_COLUMNS, rows,
-              _metadata_lines(invocation, _CRB_BACKEND_LINE))
-    return 0
-
-
-def _run_crb(invocation: CliInvocation) -> int:
-    result = run_crb_sweep(invocation.experiment)
-    rows = [(row.snr_db, row.crb_cfo, row.crb_sfo, row.crb_excluded)
-            for row in result.rows]
-    write_csv(invocation.out, _CRB_COLUMNS, rows,
-              _metadata_lines(invocation, _CRB_BACKEND_LINE))
+def _run_sweep(invocation: CliInvocation) -> int:
+    # Per sweep command: the harness sweep, the CSV columns mapped to the
+    # SweepRow field behind each, and the extra header lines. Built per
+    # call, so a rebinding of a sweep's name (perfbench's tracer) holds.
+    sweep, columns, extra = {
+        "fig1": (run_noise_variance_sweep,
+                 {name: name for name in ("snr_db", "var_n_db", "var_e_db")},
+                 ()),
+        "fig2": (run_mse_sweep, {name: name for name in _FIG2_COLUMNS},
+                 _CRB_BACKEND_LINE),
+        "crb": (run_crb_sweep, {"snr_db": "snr_db", "crb_cfo": "crb_cfo",
+                                "crb_sfo": "crb_sfo",
+                                "excluded": "crb_excluded"},
+                _CRB_BACKEND_LINE),
+    }[invocation.command]
+    rows = [[getattr(row, field) for field in columns.values()]
+            for row in sweep(invocation.experiment).rows]
+    write_csv(invocation.out, tuple(columns), rows,
+              _metadata_lines(invocation, extra))
     return 0
 
 
@@ -354,19 +346,6 @@ def _run_one_trial(invocation: CliInvocation) -> int:
     return 0
 
 
-def _retain_heap() -> bool:
-    """Have glibc keep freed heap pages (M_TRIM_THRESHOLD = -1 and
-    M_MMAP_THRESHOLD = -3, both at 32 MB), so each chunk reuses the last
-    one's pages: by default glibc unmaps freed blocks over 128 KB or trims
-    them off the heap top, and the next chunk faults them in again. False
-    where ``mallopt`` is missing or refuses."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    return all(mallopt(option, 32 << 20) for option in (-1, -3))
-
-
 def _check_out(path: str) -> None:
     """Fail before any sweep on an output path that cannot be written."""
     directory = os.path.dirname(path) or os.curdir
@@ -388,10 +367,9 @@ def main(argv=None) -> int:
         invocation = parse(list(argv))
         if invocation.out is not None:
             _check_out(invocation.out)
-        _retain_heap()
-        runner = {"fig1": _run_fig1, "fig2": _run_fig2, "crb": _run_crb,
-                  "trial": _run_one_trial}[invocation.command]
-        return runner(invocation)
+        if invocation.command == "trial":
+            return _run_one_trial(invocation)
+        return _run_sweep(invocation)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -192,8 +192,7 @@ def symbol_phase_ramp(k, cfo: float, sfo: float, config: OfdmConfig):
 
     Equals exp(j 2 pi (N + cp_len) (k sfo + cfo (1 + sfo)) / N); this is
     the factor by which the second symbol's spectrum leads the first.
-    Broadcasts over arrays of k (and over array-valued cfo/sfo, which the
-    vectorized grid search relies on).
+    Broadcasts over arrays of k, cfo and sfo.
     """
     stride = config.symbol_len
     return np.exp(1j * _TWO_PI * stride / config.dft_size

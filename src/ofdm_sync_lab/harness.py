@@ -8,12 +8,13 @@ Trials run serially in the calling thread, in fixed chunks held as
 trial-major arrays: ``_CHUNK`` (64) bursts, or twice that many draws of
 the scenario alone, whose rows peak at 9 KB, a burst's at 14 to 24. Each
 chunk frees its temporaries and the next one allocates them again, so
-``cli.main`` has glibc keep freed heap pages: otherwise the blocks over
-128 KB go back to the kernel after every chunk, and the next chunk
-faults them back in page by page. Every trial draws from its own
-labeled random substreams, keyed by the master seed, the SNR point, the
-trial index and the label, so results are reproducible bit for bit
-regardless of chunking, grouping or execution order. A sweep groups
+every sweep first has glibc keep freed heap pages (:func:`_retain_heap`,
+a process-wide setting): otherwise the blocks over 128 KB go back to the
+kernel after every chunk, and the next chunk faults them back in page by
+page. Every trial draws from its own labeled random substreams, keyed by
+the master seed, the SNR point, the trial index and the label, so
+results are reproducible bit for bit regardless of chunking, grouping or
+execution order. A sweep groups
 consecutive SNR points of at most ``_GROUP_ROWS`` trials, and derives a
 group's streams in one mixing pass (:func:`ofdm_model._derive_tables`,
 numpy's ``SeedSequence`` vectorized over points, trials and labels) and
@@ -48,8 +49,9 @@ from it, memoized, and never passed in. Every bound is the closed form
 numeric oracle.
 """
 
+import ctypes
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,7 +120,9 @@ _NOISE_HEADROOM = 1e4
 # the rare 101 x 101 surface (about 0.5 MB of temporaries) is formed one
 # trial at a time. At the default sizes, 128 scenario rows cut crb's
 # sweep CPU by about 11 % at the same peak RSS, while 256 raise its peak
-# by 1.7 MB and 128 bursts raise fig1's by about 1 MB.
+# by 1.7 MB and 128 bursts raise fig1's by about 1 MB. Those sizes were
+# measured with the heap policy of :func:`_retain_heap`, which every sweep
+# sets before its first chunk.
 _CHUNK = 64
 
 # Most trials of consecutive SNR points whose streams share one derivation
@@ -380,11 +384,13 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
                   trial_index: int = 0) -> TrialDiagnostics:
     """Run one trial as a chunk of one and add its diagnostics.
 
-    The burst is drawn once: the diagnostics read the observation and
-    channel of that chunk. The costs at truth are evaluated here and never
-    in the sweeps, where they would add two cost evaluations to every
-    trial.
+    ``snr_db`` is checked as a sweep's SNR point is, by
+    :class:`ExperimentConfig`. The burst is drawn once: the diagnostics
+    read the observation and channel of that chunk. The costs at truth are
+    evaluated here and never in the sweeps, where they would add two cost
+    evaluations to every trial.
     """
+    replace(cfg, snr_points_db=(snr_db,))
     draws = next(_chunks(cfg, (snr_stream_key(snr_db),), (trial_index,),
                          _BURST_STREAMS)[0])
     cols, spectra = _burst_columns(cfg, snr_db, draws)
@@ -496,10 +502,25 @@ def worker_count() -> int:
     return 1
 
 
+def _retain_heap() -> bool:
+    """Have glibc keep freed heap pages (M_TRIM_THRESHOLD = -1 and
+    M_MMAP_THRESHOLD = -3, both at 32 MB), so each chunk reuses the last
+    one's pages: by default glibc unmaps freed blocks over 128 KB or trims
+    them off the heap top, and the next chunk faults them in again. False
+    where ``mallopt`` is missing or refuses."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return all(mallopt(option, 32 << 20) for option in (-1, -3))
+
+
 def _sweep(cfg: ExperimentConfig, labels, columns) -> SweepResult:
     """One row per SNR point, reducing ``columns(snr_db, draws)`` of its
     chunks; consecutive points of at most ``_GROUP_ROWS`` trials (or one
-    point) share a :func:`_chunks` call."""
+    point) share a :func:`_chunks` call. The heap policy of
+    :func:`_retain_heap` is set first."""
+    _retain_heap()
     points, step = cfg.snr_points_db, max(1, _GROUP_ROWS // cfg.n_trials)
     groups = (points[i:i + step] for i in range(0, len(points), step))
     return SweepResult(config=cfg, rows=tuple(

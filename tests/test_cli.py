@@ -233,13 +233,13 @@ def test_main_freezes_import_objects_for_the_run(monkeypatch, tmp_path):
     """cli.main keeps what existed before it out of its collections and
     leaves nothing frozen when it returns, run after run."""
     seen = []
-    real = cli.run_crb_sweep
+    real = harness._sweep
 
-    def sweep(cfg):
+    def sweep(*args):
         seen.append(gc.get_freeze_count())
-        return real(cfg)
+        return real(*args)
 
-    monkeypatch.setattr(cli, "run_crb_sweep", sweep)
+    monkeypatch.setattr(harness, "_sweep", sweep)
     for _ in range(2):
         assert cli.main(["crb", "--trials", "1", "--snr-max", "0", "--out",
                          str(tmp_path / "crb.csv")]) == 0
@@ -247,99 +247,113 @@ def test_main_freezes_import_objects_for_the_run(monkeypatch, tmp_path):
     assert len(seen) == 2 and min(seen) > 0
 
 
-@pytest.mark.parametrize("argv, fragment", [
-    (["fig1", "--k", "70"], "exceeds"),
-    (["fig1", "--trials", "0"], "trials must be >= 1"),
-    (["fig1", "--taps", "0"], "taps must be >= 1"),
-    (["fig1", "--cfo", "inf"], "cfo must be finite"),
-    (["fig1", "--snr-min", "20", "--snr-max", "10"], "below snr-min"),
-    (["fig1", "--snr-step", "0"], "snr-step must be positive"),
-    (["fig2", "--sfo", "nan"], "sfo must be finite"),
-    (["fig1", "--snr-min", "10", "--snr-max", "10.001",
-      "--snr-step", "0.0004"], "share the random stream key"),
-    (["fig1", "--snr-max", "inf"], "must be finite"),
-    (["trial", "--snr-min", "nan"], "snr_points_db must be finite"),
-    (["crb", "--sfo", "-1"], "sfo must exceed -1"),
-    (["fig2", "--cfo", "0.35"], "alias -0.44991"),
-    (["fig1", "--trials", "4294967296"], "n_trials must be below 2**32"),
-    (["fig2", "--grid-cfo-max", "inf"], "cfo_max must be finite"),
-    (["fig2", "--grid-sfo-max", "inf"], "sfo_max must be finite"),
-    (["fig2", "--grid-cfo-max", "nan"], "cfo_max must be finite"),
-    (["fig2", "--grid-sfo-step", "nan"], "sfo_step must be finite"),
-    (["fig2", "--grid-cfo-step", "1e-320"],
+def serial_ids(entries):
+    """Parameters of (serial, argv, fragment) entries, each with the id
+    ``argv<serial>-<fragment>``. A serial stays with its entry, so that
+    inserting or deleting an entry renames no other; a new entry takes
+    the next unused serial (48)."""
+    return [pytest.param(argv, fragment, id=f"argv{serial}-{fragment}")
+            for serial, argv, fragment in entries]
+
+
+@pytest.mark.parametrize("argv, fragment", serial_ids([
+    (0, ["fig1", "--k", "70"], "exceeds"),
+    (1, ["fig1", "--trials", "0"], "trials must be >= 1"),
+    (2, ["fig1", "--taps", "0"], "taps must be >= 1"),
+    (3, ["fig1", "--cfo", "inf"], "cfo must be finite"),
+    (4, ["fig1", "--snr-min", "20", "--snr-max", "10"], "below snr-min"),
+    (5, ["fig1", "--snr-step", "0"], "snr-step must be positive"),
+    (6, ["fig2", "--sfo", "nan"], "sfo must be finite"),
+    (7, ["fig1", "--snr-min", "10", "--snr-max", "10.001",
+         "--snr-step", "0.0004"], "share the random stream key"),
+    (8, ["fig1", "--snr-max", "inf"], "must be finite"),
+    (9, ["trial", "--snr-min", "nan"], "snr_points_db must be finite"),
+    (10, ["crb", "--sfo", "-1"], "sfo must exceed -1"),
+    (11, ["fig2", "--cfo", "0.35"], "alias -0.44991"),
+    (12, ["fig1", "--trials", "4294967296"], "n_trials must be below 2**32"),
+    (13, ["fig2", "--grid-cfo-max", "inf"], "cfo_max must be finite"),
+    (14, ["fig2", "--grid-sfo-max", "inf"], "sfo_max must be finite"),
+    (15, ["fig2", "--grid-cfo-max", "nan"], "cfo_max must be finite"),
+    (16, ["fig2", "--grid-sfo-step", "nan"], "sfo_step must be finite"),
+    (17, ["fig2", "--grid-cfo-step", "1e-320"],
      "cfo_max / cfo_step = inf overflows"),
-    (["fig1", "--snr-step", "1e-5"], "3000001 points on 30001 milli-dB keys"),
-    (["fig1", "--snr-step", "1e-320"], "inf points on 30001 milli-dB keys"),
+    (18, ["fig1", "--snr-step", "1e-5"],
+     "3000001 points on 30001 milli-dB keys"),
+    (19, ["fig1", "--snr-step", "1e-320"],
+     "inf points on 30001 milli-dB keys"),
     # the noise variance underflows to 0 at 3300 dB and overflows at
     # -3100 dB; every command once died there with a traceback
-    *[([command, "--snr-min", snr, "--snr-max", snr],
+    *[(20 + 2 * i + j, [command, "--snr-min", snr, "--snr-max", snr],
        f"snr point {snr} dB gives the noise variance {noise_var}, which "
        f"must be positive and finite")
-      for command in ("fig1", "fig2", "crb", "trial")
-      for snr, noise_var in (("3300", "0.0"), ("-3100", "inf"))],
+      for i, command in enumerate(("fig1", "fig2", "crb", "trial"))
+      for j, (snr, noise_var) in enumerate((("3300", "0.0"),
+                                            ("-3100", "inf")))],
     # a finite noise variance this large once overflowed the squared
     # residual samples, and fig1 wrote var_n_db = inf
-    (["fig1", "--snr-min", "-3080", "--snr-max", "-3080", "--trials", "2"],
+    (28, ["fig1", "--snr-min", "-3080", "--snr-max", "-3080", "--trials", "2"],
      "snr point -3080 dB gives the noise variance 8.125e+307, which must "
      "be positive and finite, and at most 3.457e+302"),
     # an SFO this large once overflowed the Fisher weights and left every
     # fig2 cell blank
-    (["fig2", "--sfo", "1e307", "--cfo", "3", "--trials", "2"],
+    (29, ["fig2", "--sfo", "1e307", "--cfo", "3", "--trials", "2"],
      "sfo must exceed -1 and stay below 1, got 1e+307"),
-    (["fig2", "--sfo", "1"], "sfo must exceed -1 and stay below 1, got 1.0"),
+    (30, ["fig2", "--sfo", "1"],
+     "sfo must exceed -1 and stay below 1, got 1.0"),
     # the sfo bound is (-1, 1) itself, with no margin inside it: an end,
     # or the first float past one, fails fig2 and trial alike
-    *[([command, "--sfo", sfo],
+    *[(31 + 2 * i + j, [command, "--sfo", sfo],
        f"sfo must exceed -1 and stay below 1, got {float(sfo)}")
-      for command in ("fig2", "trial")
-      for sfo in ("-1", "1.0000000000000002")],
+      for i, command in enumerate(("fig2", "trial"))
+      for j, sfo in enumerate(("-1", "1.0000000000000002"))],
     # an output the sweep could not write once ran the whole sweep first,
     # then died with a traceback
-    (["fig1", "--trials", "2", "--out", "/nonexistent/x.csv"],
+    (35, ["fig1", "--trials", "2", "--out", "/nonexistent/x.csv"],
      "--out /nonexistent/x.csv: no directory /nonexistent"),
-    (["fig1", "--trials", "2", "--out", "/"],
+    (36, ["fig1", "--trials", "2", "--out", "/"],
      "--out / names a directory, not a file"),
-    (["crb", "--trials", "2", "--out", "/nonexistent/"],
+    (37, ["crb", "--trials", "2", "--out", "/nonexistent/"],
      "--out /nonexistent/ names a directory, not a file"),
     # an axis this long once raised peak RSS from 36 to 95 MB building
     # its tuple before any trial ran
-    (["fig1", "--snr-max", "1000000", "--snr-step", "1"],
+    (38, ["fig1", "--snr-max", "1000000", "--snr-step", "1"],
      "snr axis from 0 to 1e+06 dB at step 1 has 1000001 points, more "
      "than 10000"),
     # an SNR end this large once overflowed its milli-dB stream key
-    (["fig1", "--snr-max", "1e308", "--snr-step", "1e308", "--trials", "1"],
+    (39, ["fig1", "--snr-max", "1e308", "--snr-step", "1e308",
+          "--trials", "1"],
      "snr-max 1e+308 dB has no milli-dB random stream key"),
-    (["crb", "--snr-min", "-1e308", "--trials", "1"],
+    (40, ["crb", "--snr-min", "-1e308", "--trials", "1"],
      "snr-min -1e+308 dB has no milli-dB random stream key"),
     # a CFO this large once overflowed the Fisher weights, and 1e154
     # passed the alias check only because its rounding noise missed it
-    (["fig2", "--n", "8", "--k", "2", "--cfo", "1e308", "--trials", "2"],
+    (41, ["fig2", "--n", "8", "--k", "2", "--cfo", "1e308", "--trials", "2"],
      "cfo must lie inside (-N, N) = (-8, 8) subcarrier spacings, got "
      "1e+308"),
-    (["fig2", "--n", "8", "--k", "2", "--cp", "19", "--cfo", "1e154",
-      "--trials", "2"],
+    (42, ["fig2", "--n", "8", "--k", "2", "--cp", "19", "--cfo", "1e154",
+          "--trials", "2"],
      "cfo must lie inside (-N, N) = (-8, 8) subcarrier spacings, got "
      "1e+154"),
     # a lattice this fine once died allocating its CFO axis (142 PiB), and
     # one of a million CFO rows would hold 1.6 GB in its lead table
-    (["fig2", "--grid-cfo-max", "1", "--grid-cfo-step", "1e-16",
-      "--trials", "1"],
+    (43, ["fig2", "--grid-cfo-max", "1", "--grid-cfo-step", "1e-16",
+          "--trials", "1"],
      "cfo_max / cfo_step and sfo_max / sfo_step (the --grid-* flags) give "
      "a 20000000000000001 x 101 lattice, whose complex lead table needs "
      "3.23e+19 bytes"),
-    (["fig2", "--grid-cfo-step", "1e-6"],
+    (44, ["fig2", "--grid-cfo-step", "1e-6"],
      "give a 1000001 x 101 lattice, whose complex lead table needs "
      "1.62e+09 bytes, more than the lattice budget of 67108864 bytes"),
     # a lattice SFO of -1 zeroes the CFO slope a (1 + sfo), and these
     # once searched it (and -2) and exited 0
-    (["fig2", "--grid-sfo-max", "1", "--grid-sfo-step", "1"],
+    (45, ["fig2", "--grid-sfo-max", "1", "--grid-sfo-step", "1"],
      "the lattice SFOs (the --grid-sfo-* flags) run from -1 to 1; every "
      "one must lie inside (-1, 1)"),
-    (["fig2", "--grid-sfo-max", "2", "--grid-sfo-step", "1"],
+    (46, ["fig2", "--grid-sfo-max", "2", "--grid-sfo-step", "1"],
      "the lattice SFOs (the --grid-sfo-* flags) run from -2 to 2"),
-    (["trial", "--grid-sfo-max", "1", "--grid-sfo-step", "0.5"],
+    (47, ["trial", "--grid-sfo-max", "1", "--grid-sfo-step", "0.5"],
      "the lattice SFOs (the --grid-sfo-* flags) run from -1 to 1"),
-])
+]))
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -353,10 +367,10 @@ def test_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path,
                                                capsys):
     """A path without write access exits 2 naming it, before the sweep
     runs, and nothing is written."""
-    def no_sweep(cfg):
+    def no_sweep(*args):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli, "run_mse_sweep", no_sweep)
+    monkeypatch.setattr(harness, "_sweep", no_sweep)
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     path = tmp_path / "x.csv"
     assert cli.main(["fig2", "--out", str(path)]) == 2
@@ -893,27 +907,38 @@ def test_signed_zero_offsets_share_cache_entries_safely():
     assert trial_printouts(pos, neg) == alone[::-1]
 
 
-# Runs fig1 twice in one interpreter, then prints the minor page faults
-# of the second run and whether glibc took cli.main's heap setting.
-_FIG1_TWICE = """
+# Runs a sweep twice in one interpreter, then prints the minor page faults
+# of the second run and whether glibc took the sweeps' heap setting. The
+# sweep is ``cli.main``'s fig1 or, in a process that never imports ``cli``,
+# a library crb sweep of the default experiment.
+_SWEEP_TWICE = """
 import resource, sys
-from ofdm_sync_lab import cli
-argv = ["fig1", "--trials", "400", "--out", sys.argv[1]]
-cli.main(argv)
+from ofdm_sync_lab import harness
+if sys.argv[1] == "cli":
+    from ofdm_sync_lab import cli
+    argv = ["fig1", "--trials", "400", "--out", sys.argv[2]]
+    sweep = lambda: cli.main(argv)
+else:
+    sweep = lambda: harness.run_crb_sweep(harness.make_experiment())
+sweep()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-cli.main(argv)
+sweep()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
-      cli._retain_heap())
+      harness._retain_heap(), "ofdm_sync_lab.cli" in sys.modules)
 """
 
 
 def test_repeated_sweep_reuses_freed_heap_pages(tmp_path):
-    """cli.main keeps freed heap pages, so a second fig1 reuses the first
-    one's chunk temporaries: without it, glibc hands them back after every
-    chunk and the run faults about 4370 pages back in."""
+    """Every sweep keeps freed heap pages, so a second sweep reuses the
+    first one's chunk temporaries, run from cli.main or from the library:
+    without it, glibc hands them back after every chunk and a second fig1
+    faults about 4370 pages back in, a second library crb sweep about
+    6860."""
     pytest.importorskip("resource")
-    faults, retained = fresh_python(_FIG1_TWICE,
-                                    str(tmp_path / "fig1.csv")).split()
-    if retained != "True":
-        pytest.skip("glibc's mallopt is not available")
-    assert int(faults) < 100
+    for caller, imports_cli in (("cli", "True"), ("library", "False")):
+        faults, retained, imported = fresh_python(
+            _SWEEP_TWICE, caller, str(tmp_path / "fig1.csv")).split()
+        if retained != "True":
+            pytest.skip("glibc's mallopt is not available")
+        assert imported == imports_cli, caller
+        assert int(faults) < 100, caller

@@ -167,6 +167,25 @@ def test_snr_points_coerced_to_float():
     assert all(type(s) is float for s in cfg.snr_points_db)
 
 
+@pytest.mark.parametrize("snr_db, fragment", [
+    (math.nan, "snr_points_db must be finite"),
+    (math.inf, "snr_points_db must be finite"),
+    (-math.inf, "snr_points_db must be finite"),
+    (-3100.0, "-3100 dB gives the noise variance inf"),
+    (1e300, "1e+300 dB gives the noise variance 0.0"),
+])
+def test_inspect_trial_checks_its_snr_as_a_sweep_does(snr_db, fragment):
+    """A trial's SNR fails with the message its experiment would give as
+    a sweep point: these once raised OverflowError, a NaN-to-integer
+    error, or a Fisher error after the burst was synthesized."""
+    with pytest.raises(ValueError) as as_point:
+        tiny_experiment(snr_points_db=(snr_db,))
+    assert fragment in str(as_point.value)
+    with pytest.raises(ValueError) as as_trial:
+        inspect_trial(tiny_experiment(), snr_db, 0)
+    assert str(as_trial.value) == str(as_point.value)
+
+
 # ----------------------------------------------------------------- trials
 
 
