@@ -4,9 +4,11 @@ The package simulates a burst of two identical QPSK training symbols
 through a multipath channel with carrier- and sampling-frequency
 offsets, implements two grid-search estimators of the offset pair (a
 cross-symbol matching estimator and a ratio-based one), evaluates the
-Cramer-Rao bounds for both parameters in closed form with a numeric
-cross-check, and drives deterministic Monte-Carlo sweeps that export
-the comparison datasets as CSV.
+Cramer-Rao bounds for both parameters in closed form, and drives
+deterministic Monte-Carlo sweeps that export the comparison datasets as
+CSV. It exports what its commands run: the numeric Fisher oracle that
+cross-checks the closed form, and the one-trial definition of a random
+stream, live with the tests in ``tests/reference.py``.
 """
 
 from . import crb, estimators, harness, ofdm_model

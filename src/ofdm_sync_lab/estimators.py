@@ -52,6 +52,7 @@ import numpy as np
 from .ofdm_model import (
     OfdmConfig,
     _CACHE_SIZE,
+    _check_offsets,
     _read_only,
     _sum_last,
 )
@@ -192,8 +193,10 @@ def symbol_phase_ramp(k, cfo: float, sfo: float, config: OfdmConfig):
 
     Equals exp(j 2 pi (N + cp_len) (k sfo + cfo (1 + sfo)) / N); this is
     the factor by which the second symbol's spectrum leads the first.
-    Broadcasts over arrays of k, cfo and sfo.
+    Broadcasts over arrays of k, cfo and sfo; every offset must be
+    finite, with sfo in (-1, 1) and |cfo| < N.
     """
+    _check_offsets(cfo, sfo, config.dft_size)
     stride = config.symbol_len
     return np.exp(1j * _TWO_PI * stride / config.dft_size
                   * (np.asarray(k) * np.asarray(sfo)
@@ -208,8 +211,10 @@ def proposed_cost(r0, r1, cfo, sfo, config: OfdmConfig):
     candidates against a row of SFO candidates evaluates the full cost
     surface in one call). Accumulation over k runs in ascending order.
     This direct formula is the reference the lattice search's
-    correlation kernel is tested against.
+    correlation kernel is tested against. Offsets are checked as
+    :func:`symbol_phase_ramp` checks them.
     """
+    _check_offsets(cfo, sfo, config.dft_size)
     if not np.shape(r0) == np.shape(r1) == (config.n_active,):
         raise ValueError(f"spectra rows of length {np.shape(r0)} and "
                          f"{np.shape(r1)} do not match n_active "
@@ -235,13 +240,15 @@ def ratio_observable_rows(x, r0, r1):
     Returns (y, bad): bad marks where |X(k) R0(k)| falls below
     ``DEGENERATE_MAGNITUDE``. A row with any bad entry is degenerate and
     its y row is meaningless (it is divided by ones, so a degenerate
-    trial raises no division warning). X stays in both terms: R1 / R0
-    rounds differently and would move the datasets.
+    trial raises no division warning). A row with an inf or NaN entry
+    gives a non-finite y row, with no warning either. X stays in both
+    terms: R1 / R0 rounds differently and would move the datasets.
     """
-    denom = x * r0
-    bad = np.abs(denom) < DEGENERATE_MAGNITUDE
-    denom[bad.any(axis=-1)] = 1.0
-    return x * r1 / denom, bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        denom = x * r0
+        bad = np.abs(denom) < DEGENERATE_MAGNITUDE
+        denom[bad.any(axis=-1)] = 1.0
+        return x * r1 / denom, bad
 
 
 def nguyenle_cost(y: np.ndarray, cfo, sfo, config: OfdmConfig):
@@ -318,18 +325,35 @@ class GridEvaluator:
         """One trial's (n_cfo, n_sfo) surface from its c and correlations."""
         return c - 2.0 * (self._lead * v[None, :]).real
 
+    def _check_rows(self, *stacks):
+        """Raise ``ValueError`` unless the stacks share one (T, K) shape."""
+        shape = np.shape(stacks[0])
+        if len(shape) != 2 or shape[1] != self.config.n_active or any(
+                np.shape(rows) != shape for rows in stacks):
+            raise ValueError(
+                f"expected (T, {self.config.n_active}) stacks of rows, got "
+                f"shapes {', '.join(str(np.shape(rows)) for rows in stacks)}")
+
     def _pair_terms(self, r0, r1):
-        c = _sum_last(r0.real ** 2 + r0.imag ** 2 + r1.real ** 2
-                      + r1.imag ** 2)
-        # np.multiply, not *: on a temporary over 256 KiB the operator
-        # computes conj(r1) * r0 in place, whose imaginary parts round
-        # differently, so a large stack's rows would not be its chunks'.
-        return c, self._correlate(np.multiply(r0, np.conj(r1)))
+        self._check_rows(r0, r1)
+        # A row with an inf or NaN entry gets non-finite terms, so its
+        # search fails, a NaN row, with no warning on the way.
+        with np.errstate(invalid="ignore", over="ignore"):
+            c = _sum_last(r0.real ** 2 + r0.imag ** 2 + r1.real ** 2
+                          + r1.imag ** 2)
+            # np.multiply, not *: on a temporary over 256 KiB the operator
+            # computes conj(r1) * r0 in place, whose imaginary parts round
+            # differently, so a large stack's rows would not be its chunks'.
+            v = self._correlate(np.multiply(r0, np.conj(r1)))
+        return c, v
 
     def _ratio_terms(self, y, degenerate):
-        c = _sum_last(y.real ** 2 + y.imag ** 2) + y.shape[-1]
+        self._check_rows(y)
+        with np.errstate(invalid="ignore", over="ignore"):  # see _pair_terms
+            c = _sum_last(y.real ** 2 + y.imag ** 2) + y.shape[-1]
+            v = self._correlate(np.conj(y))
         c[degenerate] = np.nan  # so the row is neither certified nor searched
-        return c, self._correlate(np.conj(y))
+        return c, v
 
     def proposed_surface(self, r0, r1) -> np.ndarray:
         (c,), (v,) = self._pair_terms(r0[None], r1[None])
@@ -506,8 +530,9 @@ def estimate_nguyenle(x, r0, r1, grid: GridSpec, config: OfdmConfig,
     :func:`nguyenle_cost`. A row whose observable is degenerate (see
     :func:`ratio_observable_rows`) is a NaN row.
     """
-    y, bad = ratio_observable_rows(x, r0, r1)
     evaluator = _evaluator(grid, config)
+    evaluator._check_rows(x, r0, r1)
+    y, bad = ratio_observable_rows(x, r0, r1)
     if not refine:
         return evaluator.search_nguyenle(y, bad.any(axis=-1))
     c, v = evaluator._ratio_terms(y, bad.any(axis=-1))

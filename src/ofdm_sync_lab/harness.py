@@ -22,8 +22,8 @@ all its QPSK picks in one PCG64 pass (:func:`ofdm_model._qpsk_picks`),
 each costing about as much for a group as for one point. A point of
 more trials derives them in blocks of ``_GROUP_ROWS``, so no array grows
 with the trial count. Each chunk takes its rows and, per trial and label,
-seeds a fresh ``PCG64`` for the normals: the draws of
-:func:`ofdm_model.derive_rng`'s streams, bit for bit. A chunk then
+seeds a fresh ``PCG64`` for the normals: the draws of the one-trial
+streams, bit for bit (``tests/reference.py`` defines them). A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass over the synthesis's noiseless
 burst, which equal the one-trial computations bit for bit (see
@@ -46,7 +46,7 @@ pairwise), and every squared error is the Python float
 The grid evaluator depends only on the experiment, so it is derived
 from it, memoized, and never passed in. Every bound is the closed form
 :func:`crb.fisher_rows`; the test suite holds its agreement with the
-numeric oracle.
+numeric oracle of ``tests/reference.py``.
 """
 
 import ctypes
@@ -147,6 +147,11 @@ class ExperimentConfig:
     grid: GridSpec
 
     def __post_init__(self):
+        for name in ("n_taps", "n_trials", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_taps < 1:
             raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.n_trials < 1:
@@ -155,14 +160,12 @@ class ExperimentConfig:
         if self.n_trials >= MAX_TRIALS:
             raise ValueError(
                 f"n_trials must be below 2**32, got {self.n_trials}")
-        _check_offsets(self.cfo, self.sfo)
-        # A CFO of N subcarrier spacings turns the phase once per sample,
-        # so cfo and cfo + N give the same samples; far larger ones also
-        # overflow the Fisher weights.
-        n = self.ofdm.dft_size
-        if not abs(self.cfo) < n:
-            raise ValueError(f"cfo must lie inside (-N, N) = (-{n}, {n}) "
-                             f"subcarrier spacings, got {self.cfo}")
+        # The stream keys keep the seed's low 64 bits, so a seed outside
+        # [0, 2**64) would share every stream with one inside it.
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got "
+                             f"{self.master_seed}")
+        _check_offsets(self.cfo, self.sfo, self.ofdm.dft_size)
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
         # every alias cfo + k period (k != 0) costs what truth does. The
         # lowest one on the grid has k within one of (lo - cfo) / period,
@@ -192,10 +195,7 @@ class ExperimentConfig:
         # it must also leave _NOISE_HEADROOM noise variances per bin.
         limit = np.finfo(float).max / (_NOISE_HEADROOM * self.ofdm.n_active)
         for snr_db in (points[0], points[-1]):
-            try:
-                noise_var = noise_variance_from_snr(self.ofdm, snr_db)
-            except OverflowError:
-                noise_var = np.inf
+            noise_var = noise_variance_from_snr(self.ofdm, snr_db)
             if not 0.0 < noise_var <= limit:
                 raise ValueError(
                     f"snr point {snr_db:g} dB gives the noise variance "
@@ -221,9 +221,9 @@ def make_experiment(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
     """Build an :class:`ExperimentConfig` with the default desk setup."""
     return ExperimentConfig(
         ofdm=make_config(dft_size, n_active, cp_len),
-        cfo=float(cfo), sfo=float(sfo), n_taps=int(n_taps),
-        snr_points_db=tuple(snr_points_db), n_trials=int(n_trials),
-        master_seed=int(master_seed),
+        cfo=float(cfo), sfo=float(sfo), n_taps=n_taps,
+        snr_points_db=tuple(snr_points_db), n_trials=n_trials,
+        master_seed=master_seed,
         grid=grid if grid is not None else make_grid(),
     )
 

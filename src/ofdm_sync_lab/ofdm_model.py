@@ -50,9 +50,10 @@ words are a key path (master seed, SNR key, trial index, label) split
 into 32-bit words as ``SeedSequence`` splits integers.
 :func:`_derive_tables` runs ``SeedSequence``'s mixing over whole axes of
 SNR keys, trial indices and labels at once, and a ``PCG64`` seeded from
-one of its rows through :class:`_SeedWords` reproduces
-:func:`derive_rng`'s stream bit for bit, which numpy's own
-``SeedSequence`` checks in the tests. A trial index must lie in
+one of its rows through :class:`_SeedWords` reproduces the one-trial
+stream bit for bit. That one-trial definition, ``derive_rng``, lives in
+``tests/reference.py``, where the stream tests check both against
+numpy's own ``SeedSequence``. A trial index must lie in
 [0, 2**32), where it is exactly one word. QPSK picks come from raw PCG64
 words, which NEP 19 keeps stable across numpy versions, with no
 generator built: :func:`_pcg64_raw` steps PCG64's 128-bit LCG for a
@@ -75,10 +76,8 @@ __all__ = [
     "synthesize_rows",
     "demodulate_rows",
     "coupling_coefficient",
-    "ici_term",
     "carrier_gain",
     "noise_variance_from_snr",
-    "derive_rng",
     "snr_stream_key",
     "MAX_TRIALS",
     "QPSK_ALPHABET",
@@ -93,9 +92,9 @@ QPSK_ALPHABET = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 PDP_DECAY_TAPS = 5.0
 
 # Entries per memoized helper. A sweep keys at most two entries in any
-# one cache, one per symbol, and the numeric Fisher oracle at most eight
-# more (it steps each offset both ways on both symbols), so this bound
-# only evicts across experiments.
+# one cache, one per symbol, and the tests' numeric Fisher oracle at most
+# eight more (it steps each offset both ways on both symbols), so this
+# bound only evicts across experiments.
 _CACHE_SIZE = 32
 
 
@@ -116,7 +115,11 @@ def _sum_last(array: np.ndarray) -> np.ndarray:
 
 def _complex_normal(scale, normals: np.ndarray) -> np.ndarray:
     """``scale * (re + 1j * im)`` from (..., 2, n) standard normals, the
-    real parts in row 0 and the imaginary parts in row 1."""
+    real parts in row 0 and the imaginary parts in row 1; any other shape
+    is a ``ValueError``."""
+    if np.ndim(normals) < 2 or np.shape(normals)[-2] != 2:
+        raise ValueError(f"normals must be (..., 2, n), got shape "
+                         f"{np.shape(normals)}")
     return scale * (normals[..., 0, :] + 1j * normals[..., 1, :])
 
 
@@ -179,22 +182,27 @@ def make_config(dft_size: int = 64, n_active: int = 52,
     return OfdmConfig(dft_size, n_active, cp_len)
 
 
-def _check_offsets(cfo: float, sfo: float):
-    """Raise ``ValueError`` unless cfo and sfo are finite and sfo lies in
-    (-1, 1): at 1 the clock runs twice as fast, and a far larger sfo
-    overflows the Fisher weights."""
+def _check_offsets(cfo, sfo, dft_size: int | None = None):
+    """Raise ``ValueError`` unless cfo and sfo, scalars or arrays, are
+    finite, sfo lies in (-1, 1) and, given the DFT size N, |cfo| < N. At
+    sfo 1 the clock runs twice as fast; a CFO of N subcarrier spacings
+    turns the phase once per sample, so cfo and cfo + N give the same
+    samples; and a far larger offset overflows the Fisher weights."""
     for name, value in (("cfo", cfo), ("sfo", sfo)):
-        if not np.isfinite(value):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
-    if not -1.0 < sfo < 1.0:
+    if not (np.abs(sfo) < 1.0).all():
         raise ValueError(f"sfo must exceed -1 and stay below 1, got {sfo}")
+    if dft_size is not None and not (np.abs(cfo) < dft_size).all():
+        raise ValueError(f"cfo must lie inside (-N, N) = (-{dft_size}, "
+                         f"{dft_size}) subcarrier spacings, got {cfo}")
 
 
 def exponential_power_profile(n_taps: int) -> np.ndarray:
     """Power-delay profile decaying with time constant ``PDP_DECAY_TAPS``,
-    normalized to unit sum."""
-    if n_taps < 1:
-        raise ValueError(f"n_taps must be >= 1, got {n_taps}")
+    normalized to unit sum; ``n_taps`` must be an integer of at least 1."""
+    if not isinstance(n_taps, (int, np.integer)) or n_taps < 1:
+        raise ValueError(f"n_taps must be an integer >= 1, got {n_taps!r}")
     weights = np.exp(-np.arange(n_taps) / PDP_DECAY_TAPS)
     return weights / weights.sum()
 
@@ -216,9 +224,16 @@ def noise_variance_from_snr(config: OfdmConfig, snr_db: float) -> float:
 
     The SNR is defined against the mean received sample power, which is
     K/N for unit-power training symbols and a unit-energy average power
-    profile, so noise_var = (K/N) * 10**(-snr_db/10).
+    profile, so noise_var = (K/N) * 10**(-snr_db/10). A non-finite SNR
+    is a ``ValueError``; past the float range the variance is inf.
     """
-    return (config.n_active / config.dft_size) * 10.0 ** (-snr_db / 10.0)
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
+    try:
+        power = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        power = np.inf
+    return (config.n_active / config.dft_size) * power
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -292,8 +307,8 @@ def synthesize_rows(config: OfdmConfig, burst: tuple, cfo: float,
                + w[n]
 
     where the sum over the active subcarriers is the burst's g_m, sfo is
-    the burst's own, and w is circular Gaussian noise of total variance
-    ``noise_var`` (finite and >= 0).
+    the burst's own, cfo is finite with |cfo| < N, and w is circular
+    Gaussian noise of total variance ``noise_var`` (finite and >= 0).
 
     Parameters
     ----------
@@ -307,6 +322,7 @@ def synthesize_rows(config: OfdmConfig, burst: tuple, cfo: float,
         raise ValueError(f"noise_var must be finite and >= 0, got "
                          f"{noise_var}")
     _, gs, sfo = burst
+    _check_offsets(cfo, sfo, config.dft_size)
     samples = np.stack([_cfo_lead(config, cfo, sfo, m) * g
                         / np.sqrt(config.dft_size)
                         for m, g in enumerate(gs)], axis=1)
@@ -342,8 +358,10 @@ def coupling_coefficient(k, i, cfo: float, sfo: float, dft_size: int):
     a = i sfo + cfo (1 + sfo) + i - k; evaluated in closed form as a
     Dirichlet kernel, with an explicit-sum fallback where the kernel
     denominator degenerates (a near a multiple of N). Broadcasts over
-    arrays of k and i.
+    arrays of k and i. The offsets must be finite, with sfo in (-1, 1)
+    and |cfo| < N.
     """
+    _check_offsets(cfo, sfo, dft_size)
     k = np.asarray(k, dtype=float)
     i = np.asarray(i, dtype=float)
     a = i * sfo + cfo * (1.0 + sfo) + i - k
@@ -381,27 +399,13 @@ def carrier_gain(k, m: int, cfo: float, sfo: float, config: OfdmConfig):
     return complex(gain) if karr.ndim == 0 else gain
 
 
-def ici_term(k, m: int, x: np.ndarray, taps: np.ndarray, cfo: float,
-             sfo: float, config: OfdmConfig):
-    """Inter-carrier interference landing on bin k of training symbol m.
-
-    Sums, over every active subcarrier i != k, the coupled and
-    phase-rotated contribution delta_{k,i} exp(j 2 pi N_m (i sfo +
-    cfo (1 + sfo)) / N) X(i) H(i). ``x`` is the burst's training row (K,)
-    and ``taps`` its channel's (L,), giving a complex scalar, or (T, K)
-    and (T, L) rows, giving (T,).
-    """
-    ks = config.subcarrier_indices
-    coupling = coupling_coefficient(float(k), ks, cfo, sfo, config.dft_size)
-    phase = np.exp(1j * _TWO_PI / config.dft_size * config.symbol_start(m)
-                   * (ks * sfo + cfo * (1.0 + sfo)))
-    terms = coupling * phase * x * _channel_gains(config, taps)
-    return _sum_last(terms[..., ks != k])
-
-
 def snr_stream_key(snr_db: float) -> int:
-    """Stable integer key for an SNR point (milli-dB resolution)."""
-    return int(round(float(snr_db) * 1000.0))
+    """Stable integer key for an SNR point (milli-dB resolution); an SNR
+    whose milli-dB value is not finite has none (``ValueError``)."""
+    milli_db = float(snr_db) * 1000.0
+    if not np.isfinite(milli_db):
+        raise ValueError(f"snr {snr_db} dB has no milli-dB stream key")
+    return int(round(milli_db))
 
 
 # numpy's SeedSequence constants (pool size 4, 32-bit words).
@@ -508,7 +512,7 @@ def _word_groups(keys, trailing: int):
 
 def _derive_tables(master_seed: int, stream_keys, trial_indices,
                    labels) -> dict:
-    """Seed words of ``derive_rng(master_seed, key, t, label)`` for every
+    """Seed words of the streams (master_seed, key, t, label) for every
     stream key, trial index t and label, as a dict by label of
     C-contiguous (S T, 4) uint64 tables, row s T + i for key s and the
     i-th trial index. Runs SeedSequence's mixing once per entropy word
@@ -620,18 +624,3 @@ def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
         picks[block, 0::2] = (raw >> 30) & 3
         picks[block, 1::2] = raw >> 62
     return picks
-
-
-def derive_rng(master_seed: int, *keys) -> np.random.Generator:
-    """Derive an independent substream from a master seed and a key path.
-
-    The stream is numpy's ``PCG64(SeedSequence(words))``, where ``words``
-    are the master seed and every key split as :func:`_key_words` does;
-    :func:`_derive_tables` computes the same seeds for many trials at
-    once. The same (seed, keys) always yields the same stream.
-    """
-    entropy = _key_words(int(master_seed))
-    for key in keys:
-        entropy += _key_words(key)
-    words = _seed_words(_hash_pool(entropy), (1,))[0]
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))

@@ -12,11 +12,8 @@ from ofdm_sync_lab import (
     GridEvaluator,
     carrier_gain,
     channel_taps,
-    compare_fisher,
     coupling_coefficient,
     demodulate_rows,
-    derive_rng,
-    ici_term,
     make_config,
     make_experiment,
     make_grid,
@@ -29,6 +26,7 @@ from ofdm_sync_lab import (
     run_noise_variance_sweep,
     synthesize_rows,
 )
+from reference import compare_fisher, derive_rng, ici_term
 
 
 def announce(capsys, label, passed, detail):

@@ -181,8 +181,8 @@ def test_usage_errors_exit_2(argv, fragment, tmp_path, capsys):
     (["crb", "--tri", "5"], "crb", {"trials": 5}, "crb.csv"),
     (["fig2", "--config", "LAB", "--cfo", "0.25"], "fig2",
      {"cfo": 0.25, "trials": 7}, "fig2.csv"),
-    (["--snr-min", "-5", "fig1", "--seed=-3", "--grid-cfo-m", "0"], "fig1",
-     {"seed": -3, "grid-cfo-max": 0.0, "snr-min": -5.0}, "fig1.csv"),
+    (["--snr-min", "-5", "fig1", "--cfo=-0.2", "--grid-cfo-m", "0"], "fig1",
+     {"cfo": -0.2, "grid-cfo-max": 0.0, "snr-min": -5.0}, "fig1.csv"),
 ])
 def test_command_lines_resolve_as_pinned(argv, command, changed, out,
                                          tmp_path):
@@ -251,7 +251,7 @@ def serial_ids(entries):
     """Parameters of (serial, argv, fragment) entries, each with the id
     ``argv<serial>-<fragment>``. A serial stays with its entry, so that
     inserting or deleting an entry renames no other; a new entry takes
-    the next unused serial (48)."""
+    the next unused serial (51)."""
     return [pytest.param(argv, fragment, id=f"argv{serial}-{fragment}")
             for serial, argv, fragment in entries]
 
@@ -353,6 +353,14 @@ def serial_ids(entries):
      "the lattice SFOs (the --grid-sfo-* flags) run from -2 to 2"),
     (47, ["trial", "--grid-sfo-max", "1", "--grid-sfo-step", "0.5"],
      "the lattice SFOs (the --grid-sfo-* flags) run from -1 to 1"),
+    # the stream keys keep a seed's low 64 bits: these seeds once wrote the
+    # data rows of --seed 0, 0 and 18446744073709551615, and only the
+    # "# seed" header line told them apart
+    *[(48 + i, ["crb", "--trials", "3", "--snr-min", "0", "--snr-max", "0",
+                "--seed", seed],
+       f"master_seed must lie in [0, 2**64), got {seed}")
+      for i, seed in enumerate(("18446744073709551616",
+                                "-18446744073709551616", "-1"))],
 ]))
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
@@ -403,7 +411,8 @@ def invocations(draw):
                        st.integers(0, n + 1)),
         "cp": st.integers(-1, n), "taps": st.integers(0, 20),
         "trials": st.integers(0, 3),
-        "seed": st.integers(-2 ** 70, 2 ** 70),
+        "seed": st.one_of(st.integers(0, 2 ** 64 - 1),
+                          st.integers(-2 ** 70, 2 ** 70)),
         "cfo": flag_values(-0.3, 0.3), "sfo": flag_values(-1e-3, 1e-3),
         "snr-min": st.just(snr_min),
         "snr-max": st.one_of(flag_values(-40.0, 60.0),

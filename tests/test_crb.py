@@ -12,10 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
     channel_taps,
-    compare_fisher,
     crb_rows,
-    derive_rng,
-    fisher_numeric_oracle,
     fisher_rows,
     invertible,
     make_config,
@@ -27,6 +24,8 @@ from ofdm_sync_lab import (
     synthesize_rows,
 )
 from ofdm_sync_lab import crb, harness, ofdm_model
+import reference
+from reference import compare_fisher, derive_rng, fisher_numeric_oracle
 
 CFG = make_config(64, 52, 16)
 CFO_OP = 0.212
@@ -122,6 +121,19 @@ def test_random_scenarios_match_oracle(seed):
     rel, _ = compare_fisher(CFG, scenario_burst(300 + seed, sfo), cfo,
                             noise_var)
     assert rel.max() < 1e-3
+
+
+def test_closed_form_checks_its_cfo():
+    """A cfo of 1e300 once raised OverflowError from the Fisher weights, and
+    a NaN cfo gave NaN entries with no error."""
+    burst = scenario_burst(7)
+    for cfo, fragment in ((1e300, "cfo must lie inside"),
+                          (-64.0, "cfo must lie inside"),
+                          (math.nan, "cfo must be finite"),
+                          (math.inf, "cfo must be finite")):
+        with pytest.raises(ValueError, match=fragment):
+            fisher_rows(CFG, burst, cfo, 1.0)
+    assert np.isfinite(fisher_rows(CFG, burst, 63.9, 1.0)).all()
 
 
 def test_entries_scale_inversely_with_noise():
@@ -437,10 +449,10 @@ def test_oracle_rewarps_only_at_the_perturbed_sfos(monkeypatch):
         warped.append(sfo)
         return ofdm_model._warped(config, xh, sfo)
 
-    monkeypatch.setattr(crb, "_warped", counted)
+    monkeypatch.setattr(reference, "_warped", counted)
     fisher_numeric_oracle(CFG, scenario_burst(5), CFO_OP, 0.1)
-    assert warped == [SFO_OP + crb.SFO_STEP_DEFAULT,
-                      SFO_OP - crb.SFO_STEP_DEFAULT]
+    assert warped == [SFO_OP + reference.SFO_STEP_DEFAULT,
+                      SFO_OP - reference.SFO_STEP_DEFAULT]
 
 
 def test_comparison_report_contents():

@@ -3,6 +3,7 @@ search and its correlation kernel, refinement, and the two residual
 diagnostics."""
 
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,6 @@ from ofdm_sync_lab import (
     QPSK_ALPHABET,
     channel_taps,
     demodulate_rows,
-    derive_rng,
     estimate_nguyenle,
     estimate_proposed,
     make_config,
@@ -32,6 +32,7 @@ from ofdm_sync_lab import (
     synthesize_rows,
 )
 from ofdm_sync_lab import estimators
+from reference import derive_rng
 
 CFG = make_config(64, 52, 16)
 GRID = make_grid()
@@ -759,6 +760,41 @@ def test_stack_estimates_reproduce_pinned_rows(method, refine):
             assert np.isnan(got).all(), name
         else:
             assert tuple(v.hex() for v in got) == expected, name
+
+
+def estimate_stack(method, x, r0, r1, refine=False):
+    """The estimates of a stack by the estimate function named ``method``."""
+    if method == "estimate_proposed":
+        return estimate_proposed(r0, r1, GRID, CFG, refine=refine)
+    return estimate_nguyenle(x, r0, r1, GRID, CFG, refine=refine)
+
+
+@pytest.mark.parametrize("method", ["estimate_proposed", "estimate_nguyenle"])
+def test_estimates_need_stacks_of_rows(method):
+    """1-D rows once raised IndexError; rows must be one (T, K) stack."""
+    x, r0, r1 = observation(40, 0.212, 0.000112, snr_db=20.0)
+    for args in ((x, r0, r1), (x[None], r0[None], np.stack([r1, r1])),
+                 (x[None], r0[None, :50], r1[None, :50])):
+        with pytest.raises(ValueError, match=r"expected \(T, 52\) stacks"):
+            estimate_stack(method, *args)
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("method", ["estimate_proposed", "estimate_nguyenle"])
+def test_a_non_finite_entry_fails_its_row_silently(method, refine):
+    """A row with an inf or NaN entry is a NaN row, and the other rows are
+    their own estimates; numpy once warned on the way to the NaN row."""
+    x, r0, r1 = (np.stack(rows) for rows in zip(*(
+        observation(41 + t, 0.212, 0.000112, snr_db=20.0) for t in range(3))))
+    r1[0, 7], r0[2, 3] = np.inf, complex(np.nan, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = estimate_stack(method, x, r0, r1, refine)
+        alone = estimate_stack(method, x[1:2], r0[1:2], r1[1:2], refine)
+    for name in ("cfo", "sfo", "cost"):
+        column = getattr(found, name)
+        assert np.isnan(column[[0, 2]]).all()
+        assert column[1] == getattr(alone, name)[0]
 
 
 # --------------------------------------------------------------- residuals

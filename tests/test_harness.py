@@ -16,7 +16,6 @@ from ofdm_sync_lab import (
     OfdmConfig,
     channel_taps,
     demodulate_rows,
-    derive_rng,
     inspect_trial,
     make_config,
     make_experiment,
@@ -30,6 +29,7 @@ from ofdm_sync_lab import (
     synthesize_rows,
 )
 from ofdm_sync_lab import harness
+from reference import derive_rng
 from sweep_helpers import burst_chunks
 
 # 11 x 11 lattice holding the operating point; keeps sweep tests fast.
@@ -159,6 +159,26 @@ def test_experiment_config_rejects_trial_counts_past_one_word():
     with pytest.raises(ValueError, match=r"n_trials must be below 2\*\*32"):
         make_experiment(n_trials=2 ** 32)
     assert make_experiment(n_trials=2 ** 32 - 1).n_trials == 2 ** 32 - 1
+
+
+def test_master_seed_must_fit_64_bits():
+    """The stream keys keep a seed's low 64 bits, so -1 once shared every
+    stream with 2**64 - 1, and 2**64 with 0."""
+    for seed in (-1, -2 ** 64, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError,
+                           match=r"master_seed must lie in \[0, 2\*\*64\)"):
+            make_experiment(master_seed=seed)
+    for seed in (0, 2 ** 64 - 1):
+        assert make_experiment(master_seed=seed).master_seed == seed
+
+
+def test_counts_and_seed_must_be_integers():
+    """make_experiment once cut 2.5 trials down to 2 and ran them."""
+    for field in ("n_trials", "n_taps", "master_seed"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_experiment(**{field: 2.5})
+    cfg = make_experiment(n_trials=np.int64(7))
+    assert type(cfg.n_trials) is int and cfg.n_trials == 7
 
 
 def test_snr_points_coerced_to_float():

