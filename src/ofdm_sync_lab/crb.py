@@ -95,12 +95,14 @@ def fisher_rows(config: OfdmConfig, burst: tuple, cfo: float, noise_var):
         d = (_warped_basis(config, sfo, m) @ kxh[..., None])[..., 0]
         slope_sq, neg_w, a, b, gamma, theta, pi = \
             _fisher_weights(config, cfo, sfo, m)
+        p = np.conj(g)
+        p = np.multiply(d, p, out=p).real  # d conj(g), formed in place
+        d = d.real ** 2 + d.imag ** 2  # |d|^2 takes d's place
         g_sq = g.real ** 2 + g.imag ** 2
-        p = (d * np.conj(g)).real
         f00 = f00 + _sum_last(slope_sq * g_sq)
         f01 = f01 + _sum_last(neg_w * (a * g_sq + b * p))
-        f11 = f11 + _sum_last(gamma * g_sq + theta * p
-                              + pi * (d.real ** 2 + d.imag ** 2))
+        f11 = f11 + _sum_last(gamma * g_sq + theta * p + pi * d)
+        del p, g_sq  # before the next symbol's d
     scale = 2.0 / (noise_var * config.dft_size)
     return f00 * scale, f01 * -scale, f11 * -scale
 

@@ -391,19 +391,22 @@ class GridEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             peak = np.abs(v).max(axis=-1)
             rows = np.flatnonzero(np.abs(c) + 2.0 * peak < 1e300)
-            c, v, peak = c[rows], v[rows], peak[rows]
+            if rows.size < len(c):  # no copy when every row passes
+                c, v, peak = c[rows], v[rows], peak[rows]
             moose = -np.angle(v) / self._slope
-            lo = self._lower(moose)
-        # The candidates' row-major flat indices (rows lo and lo + 1, or
-        # row 0 twice) and their costs, as the surface forms them.
-        flat = lo * n_sfo + np.arange(n_sfo)
-        flat = np.concatenate([flat, flat + n_sfo * (n_cfo > 1)], axis=-1)
-        values = c[:, None] - 2.0 * (np.take(self._lead, flat)
-                                     * np.concatenate([v, v], axis=-1)).real
-        best = values.min(axis=-1)
-        # Ties go to the smallest flat index, as in _result.
-        pick = np.where(values == best[:, None], flat,
-                        n_cfo * n_sfo).min(axis=-1)
+            flat = self._lower(moose) * n_sfo + np.arange(n_sfo)
+        # Rows lo and lo + 1 (or row 0 twice), a pass each, costed as the
+        # surface forms them; a tie keeps the smallest flat index, as _result.
+        best, pick = np.full(len(c), np.inf), np.zeros(len(c), np.intp)
+        for step in (0, n_sfo * (n_cfo > 1)):
+            flat += step
+            values = c[:, None] - 2.0 * (np.take(self._lead, flat) * v).real
+            low = values.min(axis=-1)
+            first = np.where(values == low[:, None], flat,
+                             n_cfo * n_sfo).min(axis=-1)
+            del values
+            pick = np.where(low < best, first, pick)
+            best = np.minimum(best, low)
         # The class docstring's certificate; no bound on <= 2 CFO rows.
         bound = c - 1e-12 * np.abs(c) - 2.0 * (self._kappa + 1e-12) * peak
         sure = ((best < bound) | (n_cfo <= 2)) & (

@@ -6,7 +6,7 @@ the fig1, fig2 and crb sweeps below, and :func:`inspect_trial` for
 
 Trials run serially in the calling thread, in fixed chunks held as
 trial-major arrays: ``_CHUNK`` (64) bursts, or twice that many draws of
-the scenario alone, whose rows peak at 9 KB, a burst's at 14 to 24. Each
+the scenario alone, whose rows peak at 8.6 KB, a burst's at 12.5. Each
 chunk frees its temporaries and the next one allocates them again, so
 every sweep first has glibc keep freed heap pages (:func:`_retain_heap`,
 a process-wide setting): otherwise the blocks over 128 KB go back to the
@@ -115,15 +115,20 @@ _NOISE_HEADROOM = 1e4
 # Bursts per chunk; crb's chunks of scenario draws take twice as many.
 # Each chunk pays a fixed numpy-call cost (about 0.8 ms for a burst
 # chunk, 0.3 ms for a scenario chunk), so fig2's 60-trial SNR points run
-# in one chunk each at 64. Traced peaks per row: a burst 10.8 KB (fig1)
-# or 21.2 KB (fig2) plus 2.9 KB of draws, a scenario 8.2 KB plus 0.9 KB;
-# the rare 101 x 101 surface (about 0.5 MB of temporaries) is formed one
-# trial at a time. At the default sizes, 128 scenario rows cut crb's
-# sweep CPU by about 11 % at the same peak RSS, while 256 raise its peak
-# by 1.7 MB and 128 bursts raise fig1's by about 1 MB. Those sizes were
-# measured with the heap policy of :func:`_retain_heap`, which every sweep
-# sets before its first chunk.
+# in one chunk each at 64. Traced peaks per row (tests/test_memory.py):
+# a burst 9.1 KB (fig1) or 9.2 KB (fig2) plus 3.3 KB of draws, a scenario
+# 7.4 KB plus 1.3 KB; the rare 101 x 101 surface (0.5 MB of temporaries)
+# is formed one trial at a time. Twice both sizes cut fig1's and crb's
+# CPU at their perfbench sizes by 5 % and 10 % (fig2's not at all) but
+# raise their peak RSS by 0.7 and 1.0 MB (fig2's by 0.2 MB). Those sizes
+# were measured with the heap policy of :func:`_retain_heap`, which every
+# sweep sets before its first chunk.
 _CHUNK = 64
+
+# Most bytes of any per-experiment array that a flag sizes
+# (:meth:`ExperimentConfig._array_bytes`), as the lattice's lead table has
+# its own budget: 64 MiB. The default experiment's largest takes 128 KB.
+_ARRAY_BUDGET = 2 ** 26
 
 # Most trials of consecutive SNR points whose streams share one derivation
 # and one pick pass (together about 0.45 ms of fixed cost); fig2's default
@@ -165,6 +170,11 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got "
                              f"{self.master_seed}")
+        for array, flags, size in self._array_bytes():
+            if size > _ARRAY_BUDGET:
+                raise ValueError(
+                    f"the {array} at {flags} would take {size:.3g} bytes, "
+                    f"more than the array budget of {_ARRAY_BUDGET} bytes")
         _check_offsets(self.cfo, self.sfo, self.ofdm.dft_size)
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
         # every alias cfo + k period (k != 0) costs what truth does. The
@@ -210,6 +220,24 @@ class ExperimentConfig:
                     f"snr points {a} and {b} share the random stream key "
                     f"{snr_stream_key(a)} (milli-dB resolution)")
         object.__setattr__(self, "snr_points_db", points)
+
+    def _array_bytes(self) -> tuple:
+        """(array, flags, bytes) of each per-experiment array that a flag
+        sizes: the cached tables, and one chunk's draws, spectra and
+        correlations. A chunk's rows are fixed, so the trial count sizes
+        none."""
+        n, k, taps = self.ofdm.dft_size, self.ofdm.n_active, self.n_taps
+        n_sfo = self.grid.shape[1]
+        sfos = f"{n_sfo} lattice SFOs (the --grid-sfo-* flags)"
+        return (
+            ("synthesis basis", f"--n {n} and --k {k}", 16 * n * k),
+            ("channel DFT phases", f"--k {k} and --taps {taps}",
+             16 * k * taps),
+            ("correlation ramps", f"--k {k} and {sfos}", 16 * k * n_sfo),
+            ("noise draws and FFT of a chunk", f"--n {n}", 32 * _CHUNK * n),
+            ("channel draws of a chunk", f"--taps {taps}",
+             32 * _CHUNK * taps),
+            ("correlations of a chunk", sfos, 16 * _CHUNK * n_sfo))
 
 
 def make_experiment(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
@@ -272,20 +300,20 @@ def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
     table. Each normal draw is the one-trial draw of that label through
     a ``Generator`` on a ``PCG64`` seeded from its row.
     """
-    def normals(label, n):
-        """(T, 2, n): one trial's (2, n) standard normals per row."""
-        out = np.empty((len(indices), 2, n))
-        for row, words in zip(out, seeds[label]):
-            np.random.Generator(np.random.PCG64(_SeedWords(words))) \
-                .standard_normal(out=row)
+    def normals(labels, n):
+        """(T, len(labels), 2, n): one trial's (2, n) standard normals per
+        row and label, each drawn straight into its place."""
+        out = np.empty((len(indices), len(labels), 2, n))
+        for i, label in enumerate(labels):
+            for row, words in zip(out[:, i], seeds[label]):
+                np.random.Generator(np.random.PCG64(_SeedWords(words))) \
+                    .standard_normal(out=row)
         return out
 
-    noise = None
-    if "noise0" in seeds:
-        noise = np.stack([normals(label, cfg.ofdm.dft_size)
-                          for label in _BURST_STREAMS[2:]], axis=1)
+    noise = (normals(_BURST_STREAMS[2:], cfg.ofdm.dft_size)
+             if "noise0" in seeds else None)
     return _Draws(indices=tuple(indices), training=QPSK_ALPHABET.take(picks),
-                  taps=channel_taps(normals("channel", cfg.n_taps)),
+                  taps=channel_taps(normals(("channel",), cfg.n_taps)[:, 0]),
                   noise=noise)
 
 
@@ -344,20 +372,21 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
     bounds."""
     burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
     spectra = _observe(cfg, snr_db, draws, burst)
+    fields = {} if residuals_only else _crb_fields(cfg, snr_db, burst)
+    del burst  # the searches' temporaries reuse its memory
     r0, r1 = spectra[:, 0], spectra[:, 1]
     y, bad = ratio_observable_rows(draws.training, r0, r1)
     degenerate = bad.any(axis=-1)
-    fields = {
-        "n_sq": squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
-                                                 cfg.ofdm)),
-        "e_sq": squared_norms(ratio_residual_rows(y, cfg.cfo, cfg.sfo,
-                                                  cfg.ofdm)),
-        "degenerate": degenerate}
+    fields.update(
+        n_sq=squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
+                                              cfg.ofdm)),
+        e_sq=squared_norms(ratio_residual_rows(y, cfg.cfo, cfg.sfo,
+                                               cfg.ofdm)),
+        degenerate=degenerate)
     if not residuals_only:
         evaluator = _evaluator(cfg.grid, cfg.ofdm)
         fields.update(proposed=evaluator.search_proposed(r0, r1),
-                      nguyenle=evaluator.search_nguyenle(y, degenerate),
-                      **_crb_fields(cfg, snr_db, burst))
+                      nguyenle=evaluator.search_nguyenle(y, degenerate))
     return _Columns(draws.indices, **fields), spectra
 
 

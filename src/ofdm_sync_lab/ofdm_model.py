@@ -114,13 +114,14 @@ def _sum_last(array: np.ndarray) -> np.ndarray:
 
 
 def _complex_normal(scale, normals: np.ndarray) -> np.ndarray:
-    """``scale * (re + 1j * im)`` from (..., 2, n) standard normals, the
-    real parts in row 0 and the imaginary parts in row 1; any other shape
-    is a ``ValueError``."""
+    """``scale * (re + 1j * im)``, formed in place, from (..., 2, n)
+    standard normals, the real parts in row 0 and the imaginary parts in
+    row 1; any other shape is a ``ValueError``."""
     if np.ndim(normals) < 2 or np.shape(normals)[-2] != 2:
         raise ValueError(f"normals must be (..., 2, n), got shape "
                          f"{np.shape(normals)}")
-    return scale * (normals[..., 0, :] + 1j * normals[..., 1, :])
+    z = np.multiply(1j, normals[..., 1, :])
+    return np.multiply(scale, np.add(normals[..., 0, :], z, out=z), out=z)
 
 
 @dataclass(frozen=True)
@@ -323,14 +324,14 @@ def synthesize_rows(config: OfdmConfig, burst: tuple, cfo: float,
                          f"{noise_var}")
     _, gs, sfo = burst
     _check_offsets(cfo, sfo, config.dft_size)
-    samples = np.stack([_cfo_lead(config, cfo, sfo, m) * g
-                        / np.sqrt(config.dft_size)
-                        for m, g in enumerate(gs)], axis=1)
+    samples = np.empty((*gs[0].shape[:-1], 2, config.dft_size), dtype=complex)
+    for m, g in enumerate(gs):
+        np.multiply(_cfo_lead(config, cfo, sfo, m), g, out=samples[..., m, :])
+    samples /= np.sqrt(config.dft_size)
     if noise_var > 0.0:
         if normals is None:
             raise ValueError("normals are required when noise_var > 0")
-        samples = samples + _complex_normal(np.sqrt(noise_var / 2.0),
-                                            normals)
+        samples += _complex_normal(np.sqrt(noise_var / 2.0), normals)
     return samples
 
 
@@ -338,16 +339,16 @@ def demodulate_rows(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:
     """Unitary DFT of every row of samples, restricted to the active set.
 
     Returns R(k) = (1/sqrt(N)) sum_n r[n] exp(-j 2 pi k n / N) for k in
-    the ascending active subcarrier set, (..., K), C-contiguous: picking
-    the bins out of a stacked spectrum leaves a transposed layout that
-    :func:`_sum_last` would otherwise have to copy.
+    the ascending active subcarrier set, (..., K), C-contiguous and scaled
+    in place: an index, not ``np.take``, would leave a transposed layout
+    that :func:`_sum_last` would have to copy.
     """
     if samples.shape[-1] != config.dft_size:
         raise ValueError(
             f"expected {config.dft_size} samples, got shape {samples.shape}")
-    spectrum = np.fft.fft(samples, axis=-1) / np.sqrt(config.dft_size)
-    return np.ascontiguousarray(
-        spectrum[..., config.subcarrier_indices % config.dft_size])
+    spectrum = np.take(np.fft.fft(samples, axis=-1),
+                       config.subcarrier_indices % config.dft_size, axis=-1)
+    return np.divide(spectrum, np.sqrt(config.dft_size), out=spectrum)
 
 
 def coupling_coefficient(k, i, cfo: float, sfo: float, dft_size: int):
@@ -424,8 +425,8 @@ MAX_TRIALS = 2 ** 32
 # PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Seed rows per :func:`_pcg64_raw` call in :func:`_qpsk_picks`: a block's
-# dozen or so (rows, K/2) uint64 temporaries stay near 1 MB at K = 52.
+# Seed rows per :func:`_pcg64_raw` call in :func:`_qpsk_picks`: a block
+# holds at most six (rows, K/2) uint64 arrays at once, 0.72 MB at K = 52.
 _PICK_BLOCK = 512
 
 
@@ -589,26 +590,31 @@ def _pcg64_raw(seeds: np.ndarray, n: int) -> np.ndarray:
     Each 128-bit value is a (hi, lo) pair of uint64 arrays, laid out
     (n, T) so that every operation runs along the rows; array arithmetic
     wraps, where numpy scalars would warn on overflow, so every operand
-    is an array.
+    is an array; the steps run in place, exact in any order.
     """
     def times(hi, lo, jump):
         """(hi, lo) of (hi, lo) * jump mod 2**128, (n, T)."""
         c_hi, c_lo, c1, c0 = jump
         x1, x0 = lo >> 32, lo & _MASK32
-        p01, p10 = x0 * c1, x1 * c0
-        mid = ((x0 * c0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-        return (x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-                + lo * c_hi + hi * c_lo), lo * c_lo
+        top, mid, part = x1 * c1, (x0 * c0) >> 32, None
+        for x, y in ((x0, c1), (x1, c0)):
+            part = np.multiply(x, y, out=part)
+            top += part >> 32
+            mid += part & _MASK32
+        top += mid >> 32
+        top += np.multiply(lo, c_hi, out=part) + np.multiply(hi, c_lo, out=mid)
+        return top, np.multiply(lo, c_lo, out=mid)
 
     init_hi, init_lo, seq_hi, seq_lo = seeds.T
     inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
     u_lo = inc_lo + init_lo
     u_hi = inc_hi + init_hi + (u_lo < inc_lo)
     a, c = _pcg64_jumps(n)
-    (a_hi, a_lo), (c_hi, c_lo) = times(u_hi, u_lo, a), times(inc_hi, inc_lo, c)
-    lo = a_lo + c_lo
-    hi = a_hi + c_hi + (lo < c_lo)
-    rot, x = hi >> 58, hi ^ lo
+    (hi, lo), (c_hi, c_lo) = times(u_hi, u_lo, a), times(inc_hi, inc_lo, c)
+    lo += c_lo
+    hi += c_hi + (lo < c_lo)
+    del c_hi, c_lo
+    rot, x = hi >> 58, np.bitwise_xor(hi, lo, out=hi)
     return ((x >> rot) | (x << ((64 - rot) & 63))).T
 
 

@@ -251,7 +251,7 @@ def serial_ids(entries):
     """Parameters of (serial, argv, fragment) entries, each with the id
     ``argv<serial>-<fragment>``. A serial stays with its entry, so that
     inserting or deleting an entry renames no other; a new entry takes
-    the next unused serial (51)."""
+    the next unused serial (57)."""
     return [pytest.param(argv, fragment, id=f"argv{serial}-{fragment}")
             for serial, argv, fragment in entries]
 
@@ -361,6 +361,29 @@ def serial_ids(entries):
        f"master_seed must lie in [0, 2**64), got {seed}")
       for i, seed in enumerate(("18446744073709551616",
                                 "-18446744073709551616", "-1"))],
+    # each array that a flag sizes has one budget: these once built their
+    # experiment and met the size only when allocating (N = K = 8192
+    # needs a 1 GiB basis, 2**40 taps terabytes of phases)
+    (51, ["fig1", "--n", "8192", "--k", "8192"],
+     "the synthesis basis at --n 8192 and --k 8192 would take 1.07e+09 "
+     "bytes, more than the array budget of 67108864 bytes"),
+    (52, ["crb", "--taps", "1099511627776"],
+     "the channel DFT phases at --k 52 and --taps 1099511627776 would take "
+     "9.15e+14 bytes"),
+    (53, ["fig2", "--grid-cfo-max", "0", "--grid-sfo-step", "1e-9",
+          "--grid-sfo-max", "1e-3"],
+     "the correlation ramps at --k 52 and 2000001 lattice SFOs (the "
+     "--grid-sfo-* flags) would take 1.66e+09 bytes"),
+    (54, ["fig1", "--n", "1048576", "--k", "2"],
+     "the noise draws and FFT of a chunk at --n 1048576 would take "
+     "2.15e+09 bytes"),
+    (55, ["crb", "--k", "2", "--taps", "40000"],
+     "the channel draws of a chunk at --taps 40000 would take 8.19e+07 "
+     "bytes"),
+    (56, ["fig2", "--k", "2", "--grid-cfo-max", "0", "--grid-sfo-step",
+          "1e-8"],
+     "the correlations of a chunk at 100001 lattice SFOs (the --grid-sfo-* "
+     "flags) would take 1.02e+08 bytes"),
 ]))
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

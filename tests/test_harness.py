@@ -181,6 +181,26 @@ def test_counts_and_seed_must_be_integers():
     assert type(cfg.n_trials) is int and cfg.n_trials == 7
 
 
+def test_default_and_test_experiments_sit_far_below_the_array_budget():
+    """The default experiment, and one past the largest geometry any test
+    draws (N 80, K 64, 20 taps, 199 points per lattice axis), keep every
+    flag-sized array under 1/64 of the budget, which rejects experiments
+    no desk run should allocate: N = K = 8192 needs a 1 GiB synthesis
+    basis, 2**40 taps terabytes of DFT phases. Both once built."""
+    largest = make_experiment(dft_size=80, n_active=64, cp_len=0, n_taps=20,
+                              grid=make_grid(0.005, 0.495, 5e-6, 4.95e-4))
+    assert largest.grid.shape == (199, 199)
+    for cfg in (make_experiment(), largest):
+        for array, flags, size in cfg._array_bytes():
+            assert size <= harness._ARRAY_BUDGET / 64, (array, flags, size)
+    for overrides, array in ((dict(dft_size=8192, n_active=8192),
+                              "synthesis basis"),
+                             (dict(n_taps=2 ** 40), "channel DFT phases")):
+        with pytest.raises(ValueError, match=f"the {array} at .* bytes, "
+                                             f"more than the array budget"):
+            make_experiment(**overrides)
+
+
 def test_snr_points_coerced_to_float():
     cfg = make_experiment(snr_points_db=(0, 10, 20))
     assert cfg.snr_points_db == (0.0, 10.0, 20.0)
