@@ -36,7 +36,7 @@ from .harness import (
     run_mse_sweep,
     run_noise_variance_sweep,
 )
-from .ofdm_model import make_config, snr_stream_key
+from .ofdm_model import OfdmConfig, snr_stream_key
 
 __all__ = ["main", "parse", "write_csv", "CliError", "CliInvocation"]
 
@@ -45,25 +45,34 @@ class CliError(Exception):
     """Usage-level error; reported on stderr with exit status 2."""
 
 
-_COMMANDS = ("fig1", "fig2", "crb", "trial")
-
-# (flag, type) in canonical metadata order.
-_FIELDS = (
-    ("n", int), ("k", int), ("cp", int),
-    ("cfo", float), ("sfo", float), ("taps", int),
-    ("snr-min", float), ("snr-max", float), ("snr-step", float),
-    ("trials", int), ("seed", int),
-    ("grid-cfo-step", float), ("grid-cfo-max", float),
-    ("grid-sfo-step", float), ("grid-sfo-max", float),
-)
-_FIELD_TYPES = dict(_FIELDS)
-
-_COMMON_DEFAULTS = {
-    "n": 64, "k": 52, "cp": 16,
-    "cfo": 0.212, "sfo": 0.000112, "taps": 5,
-    "seed": 12345,
-    "grid-cfo-step": 0.01, "grid-cfo-max": 0.5,
-    "grid-sfo-step": 1e-5, "grid-sfo-max": 5e-4,
+# Every option, in the order --help lists them: (type, shared default,
+# help). The int and float options are the experiment fields, the str ones
+# not: a --config file sets only fields, and the CSV header echoes every
+# field in this order. A None default is each command's own.
+_OPTIONS = {
+    "n": (int, 64, "DFT size N"),
+    "k": (int, 52, "active subcarrier count K"),
+    "cp": (int, 16, "cyclic prefix length in samples"),
+    "cfo": (float, 0.212,
+            "true carrier frequency offset (subcarrier spacings)"),
+    "sfo": (float, 0.000112, "true sampling frequency offset (fractional)"),
+    "taps": (int, 5, "channel tap count"),
+    "snr-min": (float, None,
+                "first SNR point in dB (also the SNR used by 'trial')"),
+    "snr-max": (float, None, "last SNR point in dB (ignored by 'trial')"),
+    "snr-step": (float, None, "SNR step in dB (ignored by 'trial')"),
+    "trials": (int, None, "Monte-Carlo trials per SNR point"),
+    "seed": (int, 12345, "master seed for all substreams"),
+    "grid-cfo-step": (float, 0.01, "CFO lattice step"),
+    "grid-cfo-max": (float, 0.5,
+                     "CFO lattice half-range (0 pins the axis to 0)"),
+    "grid-sfo-step": (float, 1e-5, "SFO lattice step"),
+    "grid-sfo-max": (float, 5e-4,
+                     "SFO lattice half-range (0 pins the axis to 0)"),
+    "out": (str, None, "output CSV path"),
+    "config": (str, None,
+               "key = value file applied between defaults and flags"),
+    "help": (str, None, "show this help and exit (also -h)"),
 }
 
 _COMMAND_DEFAULTS = {
@@ -113,33 +122,11 @@ class CliInvocation:
         self.out = out
 
 
-# Help text of every option, in the order --help lists them.
-_HELPS = {
-    "n": "DFT size N", "k": "active subcarrier count K",
-    "cp": "cyclic prefix length in samples",
-    "cfo": "true carrier frequency offset (subcarrier spacings)",
-    "sfo": "true sampling frequency offset (fractional)",
-    "taps": "channel tap count",
-    "snr-min": "first SNR point in dB (also the SNR used by 'trial')",
-    "snr-max": "last SNR point in dB (ignored by 'trial')",
-    "snr-step": "SNR step in dB (ignored by 'trial')",
-    "trials": "Monte-Carlo trials per SNR point",
-    "seed": "master seed for all substreams",
-    "grid-cfo-step": "CFO lattice step",
-    "grid-cfo-max": "CFO lattice half-range (0 pins the axis to 0)",
-    "grid-sfo-step": "SFO lattice step",
-    "grid-sfo-max": "SFO lattice half-range (0 pins the axis to 0)",
-    "out": "output CSV path",
-    "config": "key = value file applied between defaults and flags",
-    "help": "show this help and exit (also -h)",
-}
-
-
 def _option(token: str) -> str:
     """The option that ``-h``, ``--name`` or a unique prefix of it names."""
     key = "help" if token == "-h" else token[2:] if token[:2] == "--" else ""
-    matches = [key] if key in _HELPS else [
-        name for name in _HELPS if key and name.startswith(key)]
+    matches = [key] if key in _OPTIONS else [
+        name for name in _OPTIONS if key and name.startswith(key)]
     if not matches:
         raise CliError(f"unrecognized option {token}")
     if len(matches) > 1:
@@ -164,10 +151,10 @@ def _load_config_file(path: str) -> dict:
                 f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().replace("_", "-"), value.strip()
-        if key not in _FIELD_TYPES:
+        if _OPTIONS.get(key, (str,))[0] is str:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            entries[key] = _FIELD_TYPES[key](value)
+            entries[key] = _OPTIONS[key][0](value)
         except ValueError as exc:
             raise CliError(
                 f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
@@ -215,28 +202,31 @@ def parse(argv) -> CliInvocation:
         name, has_value, value = token.partition("=")
         name = _option(name)
         if name == "help":
-            print(f"usage: sync-lab {{{','.join(_COMMANDS)}}} [--option VALUE"
-                  f" ...]\n\nOFDM CFO/SFO estimator comparison datasets\n\n"
-                  f"options (--option VALUE, --option=VALUE or a unique "
-                  f"prefix):", *(f"  --{name:<14} {text}"
-                                 for name, text in _HELPS.items()), sep="\n")
+            print(f"usage: sync-lab {{{','.join(_COMMAND_DEFAULTS)}}} "
+                  f"[--option VALUE ...]\n\nOFDM CFO/SFO estimator comparison"
+                  f" datasets\n\noptions (--option VALUE, --option=VALUE or a"
+                  f" unique prefix):", *(f"  --{name:<14} {text}" for name,
+                                         (_, _, text) in _OPTIONS.items()),
+                  sep="\n")
             raise SystemExit(0)
         if not has_value:
             value = next(tokens, None)
             if value is None:
                 raise CliError(f"--{name} expects a value")
-        convert = _FIELD_TYPES.get(name, str)
+        convert = _OPTIONS[name][0]
         try:
             given[name] = convert(value)
         except ValueError:
             raise CliError(f"--{name}: invalid {convert.__name__} value "
                            f"{value!r}") from None
-    if len(commands) != 1 or commands[0] not in _COMMANDS:
-        raise CliError(f"expected one command of {', '.join(_COMMANDS)}, "
-                       f"got {' '.join(commands) or 'none'}")
+    if len(commands) != 1 or commands[0] not in _COMMAND_DEFAULTS:
+        raise CliError(f"expected one command of "
+                       f"{', '.join(_COMMAND_DEFAULTS)}, got "
+                       f"{' '.join(commands) or 'none'}")
     command = commands[0]
 
-    values = {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[command]}
+    values = {name: default for name, (kind, default, _) in _OPTIONS.items()
+              if kind is not str} | _COMMAND_DEFAULTS[command]
     out = given.pop("out", values.pop("out"))
     if "config" in given:
         values.update(_load_config_file(given.pop("config")))
@@ -249,7 +239,7 @@ def parse(argv) -> CliInvocation:
             snr_points = _snr_axis(values["snr-min"], values["snr-max"],
                                    values["snr-step"])
         experiment = ExperimentConfig(
-            ofdm=make_config(values["n"], values["k"], values["cp"]),
+            ofdm=OfdmConfig(values["n"], values["k"], values["cp"]),
             cfo=values["cfo"], sfo=values["sfo"], n_taps=values["taps"],
             snr_points_db=snr_points,
             n_trials=values["trials"], master_seed=values["seed"],
@@ -264,8 +254,8 @@ def parse(argv) -> CliInvocation:
 def _metadata_lines(invocation: CliInvocation, extra=()) -> list:
     return [f"# tool-version = {__version__}",
             f"# command = {invocation.command}",
-            *(f"# {flag} = {format_value(invocation.values[flag])}"
-              for flag, _ in _FIELDS),
+            *(f"# {name} = {format_value(invocation.values[name])}"
+              for name, (kind, _, _) in _OPTIONS.items() if kind is not str),
             *(f"# {line}" for line in extra)]
 
 

@@ -37,6 +37,7 @@ import numpy as np
 from .ofdm_model import (
     OfdmConfig,
     _CACHE_SIZE,
+    _TWO_PI,
     _check_offsets,
     _read_only,
     _sum_last,
@@ -48,8 +49,6 @@ __all__ = [
     "crb_rows",
     "invertible",
 ]
-
-_TWO_PI = 2.0 * np.pi
 
 
 def _check_noise_var(noise_var):

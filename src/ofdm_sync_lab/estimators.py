@@ -52,6 +52,7 @@ import numpy as np
 from .ofdm_model import (
     OfdmConfig,
     _CACHE_SIZE,
+    _TWO_PI,
     _check_offsets,
     _read_only,
     _sum_last,
@@ -72,8 +73,6 @@ __all__ = [
     "ratio_residual_rows",
     "squared_norms",
 ]
-
-_TWO_PI = 2.0 * np.pi
 
 # |X(k) R0(k)| below this is treated as an unusable observation rather
 # than risking a catastrophic division.

@@ -75,7 +75,6 @@ from .ofdm_model import (
     carrier_gain,
     channel_taps,
     demodulate_rows,
-    make_config,
     noise_variance_from_snr,
     noiseless_burst,
     snr_stream_key,
@@ -183,6 +182,7 @@ class ExperimentConfig:
         period = self.ofdm.dft_size / (self.ofdm.symbol_len
                                        * (1.0 + self.sfo))
         lo, hi = map(float, self.grid.cfo_values[[0, -1]])
+        # period is 0 where (N + cp)(1 + sfo) overflows: cp near 1.8e308.
         start = (lo - self.cfo) // period if period else 1.0
         for alias in (self.cfo + (start + k) * period
                       for k in (-1.0, 0.0, 1.0, 2.0, 3.0) if start + k):
@@ -248,28 +248,12 @@ def make_experiment(dft_size: int = 64, n_active: int = 52, cp_len: int = 16,
                     grid: GridSpec | None = None) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` with the default desk setup."""
     return ExperimentConfig(
-        ofdm=make_config(dft_size, n_active, cp_len),
+        ofdm=OfdmConfig(dft_size, n_active, cp_len),
         cfo=float(cfo), sfo=float(sfo), n_taps=n_taps,
         snr_points_db=tuple(snr_points_db), n_trials=n_trials,
         master_seed=master_seed,
         grid=grid if grid is not None else make_grid(),
     )
-
-
-@dataclass(frozen=True)
-class _Draws:
-    """One chunk's draws, trial-major: row i belongs to trial indices[i].
-
-    ``training`` (T, K) is each trial's first training symbol, which the
-    second repeats; ``taps`` is (T, L); ``noise`` holds the (T, 2, 2, N)
-    standard normals of both symbols' noise, or None for a draw of the
-    scenario alone.
-    """
-
-    indices: tuple
-    training: np.ndarray
-    taps: np.ndarray
-    noise: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -292,13 +276,17 @@ class _Columns:
 
 
 def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
-          seeds: dict) -> _Draws:
-    """Draw a chunk's trials, each from its own streams.
+          seeds: dict) -> tuple:
+    """Draw a chunk's trials, each from its own streams, trial-major: the
+    tuple ``(indices, x, taps, noise)``, whose row i is trial indices[i].
 
-    ``picks`` holds the chunk's rows of the SNR point's QPSK picks and
-    ``seeds`` maps every other label to the chunk's rows of its seed
-    table. Each normal draw is the one-trial draw of that label through
-    a ``Generator`` on a ``PCG64`` seeded from its row.
+    ``x`` (T, K) is each trial's first training symbol, which the second
+    repeats; ``taps`` is (T, L); ``noise`` holds the (T, 2, 2, N)
+    standard normals of both symbols' noise, or None for a draw of the
+    scenario alone. ``picks`` holds the chunk's rows of the SNR point's
+    QPSK picks and ``seeds`` maps every other label to the chunk's rows
+    of its seed table. Each normal draw is the one-trial draw of that
+    label through a ``Generator`` on a ``PCG64`` seeded from its row.
     """
     def normals(labels, n):
         """(T, len(labels), 2, n): one trial's (2, n) standard normals per
@@ -312,9 +300,8 @@ def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
 
     noise = (normals(_BURST_STREAMS[2:], cfg.ofdm.dft_size)
              if "noise0" in seeds else None)
-    return _Draws(indices=tuple(indices), training=QPSK_ALPHABET.take(picks),
-                  taps=channel_taps(normals(("channel",), cfg.n_taps)[:, 0]),
-                  noise=noise)
+    return (tuple(indices), QPSK_ALPHABET.take(picks),
+            channel_taps(normals(("channel",), cfg.n_taps)[:, 0]), noise)
 
 
 def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
@@ -345,12 +332,13 @@ def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
     return [point(s) for s in range(len(stream_keys))]
 
 
-def _observe(cfg: ExperimentConfig, snr_db: float, draws: _Draws,
+def _observe(cfg: ExperimentConfig, snr_db: float, draws: tuple,
              burst) -> np.ndarray:
     """Add noise to a chunk's burst and demodulate: (T, 2, K) spectra."""
+    *_, noise = draws
     samples = synthesize_rows(cfg.ofdm, burst, cfg.cfo,
                               noise_variance_from_snr(cfg.ofdm, snr_db),
-                              draws.noise)
+                              noise)
     return demodulate_rows(samples, cfg.ofdm)
 
 
@@ -365,17 +353,18 @@ def _crb_fields(cfg: ExperimentConfig, snr_db: float, burst) -> dict:
             "singular": ~invertible(det)}
 
 
-def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
+def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: tuple, *,
                    residuals_only: bool = False):
     """The columns of a chunk of bursts, and the chunk's spectra: the
     residual norms, and unless ``residuals_only`` both searches and the
     bounds."""
-    burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
+    indices, x, taps, _ = draws
+    burst = noiseless_burst(cfg.ofdm, x, taps, cfg.sfo)
     spectra = _observe(cfg, snr_db, draws, burst)
     fields = {} if residuals_only else _crb_fields(cfg, snr_db, burst)
     del burst  # the searches' temporaries reuse its memory
     r0, r1 = spectra[:, 0], spectra[:, 1]
-    y, bad = ratio_observable_rows(draws.training, r0, r1)
+    y, bad = ratio_observable_rows(x, r0, r1)
     degenerate = bad.any(axis=-1)
     fields.update(
         n_sq=squared_norms(pair_residual_rows(r0, r1, cfg.cfo, cfg.sfo,
@@ -387,7 +376,7 @@ def _burst_columns(cfg: ExperimentConfig, snr_db: float, draws: _Draws, *,
         evaluator = _evaluator(cfg.grid, cfg.ofdm)
         fields.update(proposed=evaluator.search_proposed(r0, r1),
                       nguyenle=evaluator.search_nguyenle(y, degenerate))
-    return _Columns(draws.indices, **fields), spectra
+    return _Columns(indices, **fields), spectra
 
 
 @dataclass(frozen=True)
@@ -423,7 +412,8 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     draws = next(_chunks(cfg, (snr_stream_key(snr_db),), (trial_index,),
                          _BURST_STREAMS)[0])
     cols, spectra = _burst_columns(cfg, snr_db, draws)
-    x, (r0, r1) = draws.training[0], spectra[0]
+    _, (x,), (taps,), _ = draws
+    r0, r1 = spectra[0]
     y, bad = ratio_observable_rows(x, r0, r1)
     failures = {name: _NON_FINITE for name in ("proposed", "nguyenle")
                 if np.isnan(getattr(cols, name).cfo[0])}
@@ -436,7 +426,7 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     return TrialDiagnostics(
         snr_db=snr_db, columns=cols, failures=failures,
         noise_var=noise_variance_from_snr(cfg.ofdm, snr_db),
-        channel_taps=draws.taps[0],
+        channel_taps=taps,
         carrier_gain_abs_min=float(gains.min()),
         carrier_gain_abs_max=float(gains.max()),
         proposed_cost_at_truth=proposed_cost(r0, r1, cfg.cfo, cfg.sfo,
@@ -577,6 +567,9 @@ def run_crb_sweep(cfg: ExperimentConfig) -> SweepResult:
     Each trial draws only the training symbol and channel of its burst,
     so the rows' CRB columns equal :func:`run_mse_sweep`'s.
     """
-    return _sweep(cfg, _SCENARIO_STREAMS, lambda s, d: _Columns(
-        d.indices, **_crb_fields(cfg, s, noiseless_burst(
-            cfg.ofdm, d.training, d.taps, cfg.sfo))))
+    def columns(snr_db, draws):
+        indices, x, taps, _ = draws
+        return _Columns(indices, **_crb_fields(cfg, snr_db, noiseless_burst(
+            cfg.ofdm, x, taps, cfg.sfo)))
+
+    return _sweep(cfg, _SCENARIO_STREAMS, columns)

@@ -69,7 +69,6 @@ import numpy as np
 
 __all__ = [
     "OfdmConfig",
-    "make_config",
     "exponential_power_profile",
     "channel_taps",
     "noiseless_burst",
@@ -130,17 +129,17 @@ class OfdmConfig:
 
     Attributes
     ----------
-    dft_size : int
+    dft_size : int, default 64
         DFT length N (even, positive).
-    n_active : int
+    n_active : int, default 52
         Number of active subcarriers K (even, positive, at most N).
-    cp_len : int
+    cp_len : int, default 16
         Cyclic prefix length in samples (non-negative).
     """
 
-    dft_size: int
-    n_active: int
-    cp_len: int
+    dft_size: int = 64
+    n_active: int = 52
+    cp_len: int = 16
 
     def __post_init__(self):
         for name in ("dft_size", "n_active", "cp_len"):
@@ -175,12 +174,6 @@ class OfdmConfig:
         if m not in (0, 1):
             raise ValueError(f"symbol index {m} outside [0, 2)")
         return self.cp_len + m * self.symbol_len
-
-
-def make_config(dft_size: int = 64, n_active: int = 52,
-                cp_len: int = 16) -> OfdmConfig:
-    """Build an :class:`OfdmConfig`, which validates its fields."""
-    return OfdmConfig(dft_size, n_active, cp_len)
 
 
 def _check_offsets(cfo, sfo, dft_size: int | None = None):

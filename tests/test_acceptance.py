@@ -10,11 +10,11 @@ import ofdm_sync_lab.cli as cli
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
     GridEvaluator,
+    OfdmConfig,
     carrier_gain,
     channel_taps,
     coupling_coefficient,
     demodulate_rows,
-    make_config,
     make_experiment,
     make_grid,
     noise_variance_from_snr,
@@ -114,7 +114,7 @@ def test_criterion_4_crb_sandwich(fig2_sweep, capsys):
 
 
 def test_criterion_5_fisher_oracle_agreement(capsys):
-    cfg = make_config(64, 52, 16)
+    cfg = OfdmConfig(64, 52, 16)
     snrs = (0.0, 10.0, 20.0, 30.0)
     worst, worst_report = -1.0, None
     for i in range(50):
@@ -139,7 +139,7 @@ def test_criterion_5_fisher_oracle_agreement(capsys):
 
 
 def test_criterion_6_analytic_identities(capsys):
-    cfg = make_config(64, 52, 16)
+    cfg = OfdmConfig(64, 52, 16)
 
     ks = np.arange(-26, 26, dtype=float)
     delta = coupling_coefficient(ks[:, None], ks[None, :], 0.0, 0.0, 64)

@@ -17,8 +17,8 @@ from ofdm_sync_lab import (
     QPSK_ALPHABET,
     GridEvaluator,
     GridSpec,
+    OfdmConfig,
     harness,
-    make_config,
     make_experiment,
     make_grid,
     symbol_phase_ramp,
@@ -26,7 +26,7 @@ from ofdm_sync_lab import (
 from ofdm_sync_lab.estimators import ratio_observable_rows
 from sweep_helpers import burst_chunks
 
-CFG = make_config(64, 52, 16)
+CFG = OfdmConfig(64, 52, 16)
 
 # The CFO period N / (N + N_g) is 0.8 at SFO 0; the last two grids span
 # more than one period, so no row of theirs may take the bracket.

@@ -21,13 +21,15 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 import ofdm_sync_lab.cli as cli
-from ofdm_sync_lab import __version__, harness
+from ofdm_sync_lab import __version__, harness, make_experiment
 from ofdm_sync_lab.cli import CliError, format_value, parse, write_csv
 
 TINY_GRID_FLAGS = ["--grid-cfo-step", "0.1", "--grid-cfo-max", "0.5",
                    "--grid-sfo-step", "1e-4", "--grid-sfo-max", "5e-4"]
 
-FLAG_NAMES = tuple(flag for flag, _ in cli._FIELDS)
+FLAG_NAMES = tuple(name for name, (kind, _, _) in cli._OPTIONS.items()
+                   if kind is not str)
+SHARED_DEFAULTS = {name: cli._OPTIONS[name][1] for name in FLAG_NAMES}
 
 
 def metadata_flags(path):
@@ -90,6 +92,15 @@ def test_shared_defaults_match_operating_point():
     assert inv.experiment.ofdm.cp_len == 16
     assert len(inv.experiment.grid.cfo_values) == 101
     assert len(inv.experiment.grid.sfo_values) == 101
+
+
+def test_default_experiments_are_make_experiments():
+    """The header echoes each value as given, so the option table spells
+    the desk defaults that ``make_experiment`` and ``make_grid`` spell
+    too; the two must not drift apart."""
+    assert parse(["crb"]).experiment == make_experiment()
+    assert parse(["fig2"]).experiment == make_experiment(
+        snr_points_db=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0), n_trials=500)
 
 
 def test_flags_override_defaults():
@@ -192,7 +203,7 @@ def test_command_lines_resolve_as_pinned(argv, command, changed, out,
     lab = tmp_path / "lab.cfg"
     lab.write_text("cfo = 0.3\ntrials = 7\n")
     inv = parse([str(lab) if token == "LAB" else token for token in argv])
-    values = {**cli._COMMON_DEFAULTS, **cli._COMMAND_DEFAULTS[command],
+    values = {**SHARED_DEFAULTS, **cli._COMMAND_DEFAULTS[command],
               **changed}
     del values["out"]
     assert (inv.command, inv.values, inv.out) == (command, values, out)
@@ -213,7 +224,7 @@ def test_help_lists_every_option_and_exits_0(argv, monkeypatch, tmp_path,
     for name in (*FLAG_NAMES, "out", "config"):
         line = next(line for line in printed.out.splitlines()
                     if line.split()[:1] == [f"--{name}"])
-        assert line.split(None, 1)[1] == cli._HELPS[name]
+        assert line.split(None, 1)[1] == cli._OPTIONS[name][2]
     assert list(tmp_path.iterdir()) == []
     assert gc.get_freeze_count() == 0
 
@@ -448,7 +459,7 @@ def invocations(draw):
     }
     flags = {flag: draw(values) for flag, values in drawn.items()
              if draw(st.integers(0, 2)) == 0}
-    command = draw(st.sampled_from(cli._COMMANDS))
+    command = draw(st.sampled_from(tuple(cli._COMMAND_DEFAULTS)))
     if draw(st.integers(0, 3)):
         return command, flags
     return command, flags, (draw(st.integers(0, 40)),
@@ -467,7 +478,7 @@ def small_enough(command, flags):
     """Whether a run of these flags stays small: a valid grid of at most
     201 points per axis and a valid SNR axis of at most 7 points. The
     CLI itself rejects every invalid grid or axis before allocating it."""
-    values = {**cli._COMMON_DEFAULTS, **cli._COMMAND_DEFAULTS[command],
+    values = {**SHARED_DEFAULTS, **cli._COMMAND_DEFAULTS[command],
               **flags}
     for axis in ("cfo", "sfo"):
         step, bound = values[f"grid-{axis}-step"], values[f"grid-{axis}-max"]

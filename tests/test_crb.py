@@ -11,11 +11,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
+    OfdmConfig,
     channel_taps,
     crb_rows,
     fisher_rows,
     invertible,
-    make_config,
     make_experiment,
     make_grid,
     noise_variance_from_snr,
@@ -27,7 +27,7 @@ from ofdm_sync_lab import crb, harness, ofdm_model
 import reference
 from reference import compare_fisher, derive_rng, fisher_numeric_oracle
 
-CFG = make_config(64, 52, 16)
+CFG = OfdmConfig(64, 52, 16)
 CFO_OP = 0.212
 SFO_OP = 0.000112
 
@@ -156,8 +156,8 @@ def test_information_is_positive_definite():
 def fisher_scenarios(draw):
     """Random geometry (cp = 0 and K = N included), channel and offsets."""
     dft_size = draw(st.sampled_from([16, 32, 64, 128]))
-    config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
-                         draw(st.integers(0, dft_size // 4)))
+    config = OfdmConfig(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
+                        draw(st.integers(0, dft_size // 4)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     x, taps = draw_scenario(
         derive_rng(seed, "training"), derive_rng(seed, "channel"), config,
@@ -170,7 +170,7 @@ def fisher_scenarios(draw):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(scenario_args=fisher_scenarios())
-@example(scenario_args=(make_config(16, 2, 0),
+@example(scenario_args=(OfdmConfig(16, 2, 0),
                         np.ones((1, 2), dtype=complex),
                         FLAT_TAPS, 0.0, 0.0, 1e-3))
 def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
@@ -206,12 +206,12 @@ def test_closed_form_matches_oracle_at_extreme_experiments(geometry):
     point shares, one at each end of its SNR axis."""
     cfg = make_experiment(**{"snr_points_db": (0.0, 30.0), **geometry},
                           grid=make_grid(1e-3, 1e-3, 1e-4, 1e-4))
-    draws = next(harness._chunks(cfg, ("crb-backend-probe",), range(2),
-                                 ("training", "channel"))[0])
+    _, x, taps, _ = next(harness._chunks(cfg, ("crb-backend-probe",),
+                                         range(2), ("training", "channel"))[0])
     noise_var = np.array([noise_variance_from_snr(cfg.ofdm, snr_db) for
                           snr_db in (cfg.snr_points_db[0],
                                      cfg.snr_points_db[-1])])
-    burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps, cfg.sfo)
+    burst = noiseless_burst(cfg.ofdm, x, taps, cfg.sfo)
     rel, report = compare_fisher(cfg.ofdm, burst, cfg.cfo, noise_var)
     assert rel.max() < CRB_AGREEMENT_RTOL, report
 
@@ -250,8 +250,8 @@ def reference_fisher_rows(config, x, taps, cfo, sfo, noise_var):
 def training_stacks(draw):
     """A geometry and a chunk of 1-40 bursts; offsets may be exactly 0."""
     dft_size = draw(st.sampled_from([16, 32, 64]))
-    config = make_config(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
-                         draw(st.integers(0, dft_size // 4)))
+    config = OfdmConfig(dft_size, 2 * draw(st.integers(1, dft_size // 2)),
+                        draw(st.integers(0, dft_size // 4)))
     n_trials = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = QPSK_ALPHABET[rng.integers(0, 4, (n_trials, config.n_active))]
@@ -593,9 +593,8 @@ def test_average_crb_fixed_draw_identity(monkeypatch):
     single realization regardless of the trial count."""
     def fixed_draw(cfg, indices, picks, seeds):
         rows = (len(indices), 1)
-        return harness._Draws(tuple(indices),
-                              np.tile(FLAT_X[0], rows),
-                              np.tile(FLAT_TAPS[0], rows))
+        return (tuple(indices), np.tile(FLAT_X[0], rows),
+                np.tile(FLAT_TAPS[0], rows), None)
 
     monkeypatch.setattr(harness, "_draw", fixed_draw)
     row = averaged_crb(15.0, 5, 1, cfo=0.0, sfo=0.0)

@@ -15,11 +15,11 @@ from ofdm_sync_lab import (
     GridEvaluator,
     GridSpec,
     QPSK_ALPHABET,
+    OfdmConfig,
     channel_taps,
     demodulate_rows,
     estimate_nguyenle,
     estimate_proposed,
-    make_config,
     make_grid,
     nguyenle_cost,
     noise_variance_from_snr,
@@ -34,7 +34,7 @@ from ofdm_sync_lab import (
 from ofdm_sync_lab import estimators
 from reference import derive_rng
 
-CFG = make_config(64, 52, 16)
+CFG = OfdmConfig(64, 52, 16)
 GRID = make_grid()
 EV = GridEvaluator(GRID, CFG)
 
@@ -459,7 +459,7 @@ def geometries(draw):
     dft_size = 2 * draw(st.integers(1, 32))
     n_active = 2 * draw(st.integers(1, dft_size // 2))
     cp_len = draw(st.sampled_from([0, draw(st.integers(0, dft_size))]))
-    config = make_config(dft_size, n_active, cp_len)
+    config = OfdmConfig(dft_size, n_active, cp_len)
     cfo_max = draw(st.sampled_from([0.0, 0.5]))
     sfo_max = draw(st.sampled_from([0.0, 5e-4, 3e-3]))
     grid = make_grid(cfo_step=cfo_max / draw(st.integers(1, 8)) or 0.1,
@@ -472,10 +472,10 @@ def geometries(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(geometry=geometries(), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([1e-3, 1.0, 1e3]))
-@example(geometry=(make_config(8, 8, 0), make_grid(cfo_max=0.0, sfo_max=0.0)),
+@example(geometry=(OfdmConfig(8, 8, 0), make_grid(cfo_max=0.0, sfo_max=0.0)),
          seed=1, scale=1.0)
 @example(geometry=(CFG, make_grid(sfo_max=0.0)), seed=2, scale=1.0)
-@example(geometry=(make_config(16, 16, 0), GRID), seed=3, scale=1e3)
+@example(geometry=(OfdmConfig(16, 16, 0), GRID), seed=3, scale=1e3)
 def test_kernel_matches_oracle_over_random_geometries(geometry, seed, scale):
     config, grid = geometry
     rng = np.random.default_rng(seed)

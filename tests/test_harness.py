@@ -17,7 +17,6 @@ from ofdm_sync_lab import (
     channel_taps,
     demodulate_rows,
     inspect_trial,
-    make_config,
     make_experiment,
     make_grid,
     noise_variance_from_snr,
@@ -47,7 +46,7 @@ def tiny_experiment(**overrides):
 
 def test_make_experiment_defaults():
     cfg = make_experiment()
-    assert cfg.ofdm == make_config(64, 52, 16)
+    assert cfg.ofdm == OfdmConfig(64, 52, 16)
     assert cfg.cfo == 0.212
     assert cfg.sfo == 0.000112
     assert cfg.n_taps == 5
@@ -119,7 +118,11 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="alias -0.5 "):
         make_experiment(cp_len=0, sfo=0.0, cfo=0.5)
     assert make_experiment(cp_len=0, sfo=0.0, cfo=0.49).cfo == 0.49
-    # a directly built OfdmConfig is checked as make_config checks it: an
+    # (N + cp)(1 + sfo) overflows near cp = 1.8e308, so the period is 0:
+    # still a ValueError, not a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"repeats every .* = 0\)"):
+        make_experiment(cp_len=int(1.7976e308))
+    # a directly built OfdmConfig checks its own fields: an
     # odd K once died mid-sweep, and K > N wrote residuals of 80 bins
     with pytest.raises(ValueError, match="n_active \\(K\\) must be even"):
         replace(make_experiment(), ofdm=OfdmConfig(64, 51, 16))
@@ -383,7 +386,8 @@ def poison_first_r0_bin(monkeypatch, value, trial=None):
 
     def poisoned(cfg, snr_db, draws, burst):
         spectra = real_observe(cfg, snr_db, draws, burst)
-        rows = [i for i, t in enumerate(draws.indices)
+        indices, *_ = draws
+        rows = [i for i, t in enumerate(indices)
                 if trial is None or t == trial]
         spectra[rows, 0, 0] = value
         return spectra
@@ -473,10 +477,10 @@ def test_crb_rows_equal_one_trial_rows_across_scenario_chunk_edges(
     bounds = sweep_records(monkeypatch, run_crb_sweep, cfg)
     for snr_db in cfg.snr_points_db:
         for t in range(n_trials):
-            (draws,) = harness._chunks(cfg, (harness.snr_stream_key(snr_db),),
-                                       (t,), harness._SCENARIO_STREAMS)[0]
-            burst = noiseless_burst(cfg.ofdm, draws.training, draws.taps,
-                                    cfg.sfo)
+            ((_, x, taps, _),) = harness._chunks(
+                cfg, (harness.snr_stream_key(snr_db),), (t,),
+                harness._SCENARIO_STREAMS)[0]
+            burst = noiseless_burst(cfg.ofdm, x, taps, cfg.sfo)
             direct = harness._Columns(
                 (t,), **harness._crb_fields(cfg, snr_db, burst))
             assert bounds[snr_db, t] == column_record(direct, snr_db, 0)
@@ -500,7 +504,7 @@ def test_chunk_rows_follow_what_a_row_holds(monkeypatch, n_trials):
     monkeypatch.setattr(harness, "_crb_fields", counted(
         harness._crb_fields, lambda burst: len(burst[0])))
     monkeypatch.setattr(harness, "_burst_columns", counted(
-        harness._burst_columns, lambda draws: len(draws.indices)))
+        harness._burst_columns, lambda draws: len(draws[0])))
     cfg = tiny_experiment(n_trials=n_trials)
     run_crb_sweep(cfg)
     run_noise_variance_sweep(cfg)
@@ -850,7 +854,7 @@ def test_noise_variance_sweep_rows():
 def test_residual_noise_scaling_and_floor():
     """Mean pair-residual power tracks the noise variance until the
     deterministic inter-carrier leakage floor takes over."""
-    cfg = make_config(64, 52, 16)
+    cfg = OfdmConfig(64, 52, 16)
     x = QPSK_ALPHABET[derive_rng(21, "training").integers(0, 4, 52)]
     taps = channel_taps(derive_rng(21, "channel").standard_normal((2, 5)))
 

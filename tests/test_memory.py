@@ -56,10 +56,10 @@ def pick_block():
 def crb_chunk():
     """A crb chunk of 128 scenario rows: its noiseless burst and bounds,
     as ``run_crb_sweep`` forms them."""
-    draws = next(harness._chunks(CFG, KEYS, range(2 * harness._CHUNK),
-                                 harness._SCENARIO_STREAMS)[0])
+    _, x, taps, _ = next(harness._chunks(CFG, KEYS, range(2 * harness._CHUNK),
+                                         harness._SCENARIO_STREAMS)[0])
     return lambda: harness._crb_fields(CFG, SNR_DB, noiseless_burst(
-        CFG.ofdm, draws.training, draws.taps, CFG.sfo))
+        CFG.ofdm, x, taps, CFG.sfo))
 
 
 @pytest.mark.parametrize("stage, bound", [

@@ -18,7 +18,6 @@ from ofdm_sync_lab import (
     coupling_coefficient,
     demodulate_rows,
     exponential_power_profile,
-    make_config,
     noise_variance_from_snr,
     noiseless_burst,
     snr_stream_key,
@@ -46,7 +45,7 @@ PDP_5 = [0.286763726302377, 0.2347822815909934, 0.19222347421636085,
 
 
 def paper_config():
-    return make_config(64, 52, 16)
+    return OfdmConfig(64, 52, 16)
 
 
 def scenario(seed=7, n_taps=5):
@@ -99,36 +98,26 @@ def test_symbol_start_range_checked():
 def test_subcarrier_sets():
     npt.assert_array_equal(paper_config().subcarrier_indices,
                            np.arange(-26, 26))
-    npt.assert_array_equal(make_config(64, 2, 16).subcarrier_indices, [-1, 0])
-    npt.assert_array_equal(make_config(64, 4, 16).subcarrier_indices,
+    npt.assert_array_equal(OfdmConfig(64, 2, 16).subcarrier_indices, [-1, 0])
+    npt.assert_array_equal(OfdmConfig(64, 4, 16).subcarrier_indices,
                            [-2, -1, 0, 1])
 
 
 def test_no_cp_full_band_config_is_valid():
-    cfg = make_config(64, 64, 0)
+    cfg = OfdmConfig(64, 64, 0)
     assert cfg.cp_len == 0
     assert cfg.symbol_start(0) == 0
     assert cfg.symbol_start(1) == 64
     npt.assert_array_equal(cfg.subcarrier_indices, np.arange(-32, 32))
 
 
-INVALID_GEOMETRIES = [
+@pytest.mark.parametrize("args, fragment", [
     ((64, 70, 16), "K exceeds N"),
     ((63, 52, 16), "even"),
     ((64, 51, 16), "even"),
     ((64, 52, -1), ">= 0"),
     ((0, 52, 16), "positive"),
     ((64, 0, 16), "positive"),
-]
-
-
-@pytest.mark.parametrize("args, fragment", INVALID_GEOMETRIES)
-def test_make_config_rejects(args, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        make_config(*args)
-
-
-@pytest.mark.parametrize("args, fragment", INVALID_GEOMETRIES + [
     ((64, 80, 16), "K exceeds N"),
     ((64.0, 52, 16), "integer"),
 ])
@@ -139,14 +128,9 @@ def test_ofdm_config_rejects_what_make_config_rejects(args, fragment):
         OfdmConfig(*args)
 
 
-def test_make_config_rejects_non_integer():
-    with pytest.raises(ValueError, match="integer"):
-        make_config(64.0, 52, 16)
-
-
 def test_config_fields_are_plain_ints():
     cfg = OfdmConfig(np.int64(64), np.int32(52), np.uint8(16))
-    assert cfg == make_config(64, 52, 16)
+    assert cfg == OfdmConfig(64, 52, 16) == OfdmConfig()
     assert all(type(v) is int for v in (cfg.dft_size, cfg.n_active,
                                          cfg.cp_len))
 
@@ -178,7 +162,7 @@ def test_training_symbol_frequencies_uniform():
 def test_training_symbols_length_mismatch():
     """Training rows of another length than K are a ValueError where the
     burst that synthesis and the bounds read is formed."""
-    cfg = make_config(8, 4, 2)
+    cfg = OfdmConfig(8, 4, 2)
     taps = np.ones((1, 1))
     with pytest.raises(ValueError, match="length 5"):
         synthesize_rows(cfg, noiseless_burst(cfg, np.ones((1, 5)), taps, 0.0),
@@ -445,7 +429,7 @@ def test_demodulate_zeros_and_shape_check():
 
 def test_demodulate_is_unitary_on_full_band():
     """With K = N the restriction keeps every bin, so energy is preserved."""
-    cfg = make_config(64, 64, 0)
+    cfg = OfdmConfig(64, 64, 0)
     rng = np.random.default_rng(31)
     samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     spectrum = demodulate_rows(samples[None], cfg)
@@ -534,7 +518,7 @@ def test_ici_vanishes_at_zero_offsets():
 def test_ici_zeroed_interferer():
     """With K = 2 the only interferer of bin -1 is bin 0; nulling it nulls
     the interference."""
-    cfg = make_config(64, 2, 16)
+    cfg = OfdmConfig(64, 2, 16)
     x = np.array([1.0 + 0j, 0.0 + 0j])
     taps = np.array([1.0 + 0j])
     assert ici_term(-1, 0, x, taps, CFO_OP, SFO_OP, cfg) == 0.0

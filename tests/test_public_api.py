@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import ofdm_sync_lab
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
+    OfdmConfig,
     carrier_gain,
     channel_taps,
     coupling_coefficient,
@@ -35,7 +36,6 @@ from ofdm_sync_lab import (
     fisher_rows,
     inspect_trial,
     invertible,
-    make_config,
     make_experiment,
     make_grid,
     nguyenle_cost,
@@ -59,7 +59,7 @@ from ofdm_sync_lab import (
 SWEEPS = (run_mse_sweep, run_noise_variance_sweep, run_crb_sweep)
 
 COMPUTING = (
-    make_config, exponential_power_profile, channel_taps, noiseless_burst,
+    OfdmConfig, exponential_power_profile, channel_taps, noiseless_burst,
     synthesize_rows, demodulate_rows, coupling_coefficient, carrier_gain,
     noise_variance_from_snr, snr_stream_key, make_grid, symbol_phase_ramp,
     proposed_cost, ratio_observable_rows, nguyenle_cost, estimate_proposed,
@@ -69,11 +69,11 @@ COMPUTING = (
 
 # The rest of __all__: constants, records, and the classes that the
 # make_* calls above build and check, or that the estimate calls run.
-NOT_COMPUTING = ("__version__", "MAX_TRIALS", "QPSK_ALPHABET", "OfdmConfig",
-                 "GridSpec", "ExperimentConfig", "GridEvaluator", "Estimates",
+NOT_COMPUTING = ("__version__", "MAX_TRIALS", "QPSK_ALPHABET", "GridSpec",
+                 "ExperimentConfig", "GridEvaluator", "Estimates",
                  "TrialDiagnostics", "SweepRow", "SweepResult")
 
-CFG = make_config(16, 8, 4)
+CFG = OfdmConfig(16, 8, 4)
 GRID = make_grid(0.1, 0.3, 1e-4, 2e-4)
 ROWS = 3
 X = QPSK_ALPHABET[np.arange(ROWS * CFG.n_active).reshape(ROWS, -1) % 4]
@@ -138,7 +138,7 @@ def calls():
     bounds = st.one_of(FLOATS, st.sampled_from(
         [np.ones(ROWS), np.ones(ROWS + 1), np.zeros(0)]))
     per_name = {
-        make_config: (INTS, INTS, INTS),
+        OfdmConfig: (INTS, INTS, INTS),
         exponential_power_profile: (st.one_of(SIZES, st.just(2.5)),),
         channel_taps: (st.sampled_from([(ROWS, 2, 3), (2, 3), (3,),
                                         (0, 2, 3), (ROWS, 2, 0),

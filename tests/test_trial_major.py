@@ -17,10 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
     GridEvaluator,
+    OfdmConfig,
     estimate_nguyenle,
     estimate_proposed,
     fisher_rows,
-    make_config,
     make_grid,
 )
 from ofdm_sync_lab.estimators import (
@@ -45,8 +45,8 @@ def stacks(draw):
     """A geometry, offsets and a stack of T seeded bursts."""
     n_active = 2 * draw(st.integers(1, 20))
     dft_size = 2 * draw(st.integers(n_active // 2, 40))
-    config = make_config(dft_size, n_active,
-                         draw(st.integers(0, dft_size // 4)))
+    config = OfdmConfig(dft_size, n_active,
+                        draw(st.integers(0, dft_size // 4)))
     n_trials = draw(st.integers(1, 40))
     n_taps = draw(st.integers(1, 8))
     cfo = draw(st.floats(-0.4, 0.4))
@@ -82,8 +82,8 @@ def one_trial_surface(ev, r0, r1):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(stack=stacks())
-@example(stack=(make_config(64, 52, 16), 1, 5, 0.212, 0.000112, 1e-3, 1))
-@example(stack=(make_config(64, 52, 16), 33, 5, 0.212, 0.000112, 0.5, 2))
+@example(stack=(OfdmConfig(64, 52, 16), 1, 5, 0.212, 0.000112, 1e-3, 1))
+@example(stack=(OfdmConfig(64, 52, 16), 33, 5, 0.212, 0.000112, 0.5, 2))
 def test_stacked_trials_equal_one_trial_results(stack):
     config, n_trials, n_taps, cfo, sfo, noise_var, seed = stack
     rng = np.random.default_rng(seed)
@@ -160,7 +160,7 @@ def test_a_large_stack_equals_its_chunks():
     function on its 64-row chunks, byte for byte: numpy reuses a
     temporary over 256 KiB in place, which must not reorder an operation
     whose rounding depends on operand order."""
-    config, n_trials, chunk = make_config(64, 52, 16), 2000, 64
+    config, n_trials, chunk = OfdmConfig(64, 52, 16), 2000, 64
     cfo, sfo, noise_var = 0.212, 1.12e-4, 0.05
     rng = np.random.default_rng(7)
     x = QPSK_ALPHABET[rng.integers(0, 4, (n_trials, config.n_active))]
