@@ -36,12 +36,12 @@ per trial; a trial whose argmin this cannot certify forms its full
 101 x 101 surface, its finiteness check and its argmin on its own.
 Either way the argmin is the full surface's, bit for bit; one pass
 forms the cost of every row found where it is read.
-``refine=True`` moves every lattice estimate of a stack off the lattice
-from the same correlations: Moose's closed-form CFO at the argmin's SFO,
-and the SFO vertex of the profile over SFO. The direct formulas
-:func:`proposed_cost` and :func:`nguyenle_cost` take one trial's rows
-and steer no search: they report a cost at a given point, the refined
-one included, and are the tests' reference.
+``refine=True`` moves every estimate of a stack to the concentrated ML
+from the same correlations: the CFO drops out of the pair cost, so the
+SFO maximizes the correlation's magnitude, with Moose's CFO there. The
+direct formulas :func:`proposed_cost` and :func:`nguyenle_cost` take
+one trial's rows and steer no search: they report a cost at a given
+point and are the tests' reference.
 """
 
 import functools
@@ -259,6 +259,12 @@ def nguyenle_cost(y: np.ndarray, cfo, sfo, config: OfdmConfig):
     return proposed_cost(np.ones(y.shape), y, cfo, sfo, config)
 
 
+def _pair_costs(ramp, r0, r1) -> np.ndarray:
+    """sum_k |R1 - ramp R0|^2 of every row, over ascending k."""
+    diff = r1 - np.multiply(ramp, r0)
+    return np.add.accumulate(diff.real ** 2 + diff.imag ** 2, axis=-1)[:, -1]
+
+
 class GridEvaluator:
     """Reusable lattice evaluator for repeated searches on one grid.
 
@@ -439,10 +445,9 @@ class GridEvaluator:
         found[:2, rows] = self.grid.cfo_values[i], self.grid.sfo_values[j]
 
         def cost():
-            diff = r1[rows] - (self._lead[i, j][:, None] * self._sub[j]
-                               * (r0 if np.ndim(r0) == 0 else r0[rows]))
-            found[2, rows] = np.add.accumulate(
-                diff.real ** 2 + diff.imag ** 2, axis=-1)[:, -1]
+            found[2, rows] = _pair_costs(
+                self._lead[i, j][:, None] * self._sub[j],
+                r0[rows] if np.ndim(r0) else r0, r1[rows])
             return found[2]
         return Estimates(found[0], found[1], cost)
 
@@ -455,48 +460,43 @@ class GridEvaluator:
         :func:`ratio_observable_rows`; a ``degenerate`` row stays NaN."""
         return self._search_rows(*self._ratio_terms(y, degenerate), 1.0, y)
 
-    def _refine(self, v, found: Estimates, r0, r1) -> Estimates:
-        """Off-lattice estimates of every row that ``found`` holds, from
-        the correlations v (T, n_sfo) its search was run on; r0 and r1
-        as for :meth:`_search_rows`. A NaN row stays NaN.
-
-        At a fixed SFO h the cost c - 2 Re(lead(cfo, h) v(h)) is least at
-        Moose's correlator phase cfo*(h) = -arg v(h) / (a (1 + h)), with
-        a = 2 pi (N + N_g) / N, and repeats every N / ((N + N_g)(1 + h)).
-        The CFO is cfo* at the argmin's SFO, on the branch nearest the
-        lattice CFO. The SFO is the vertex of the parabola through the
-        profile c - 2|v| at the argmin's SFO and its two neighbours,
-        clamped to half a step; c is the same at every SFO, so only |v|
-        enters. An axis keeps its lattice value when the argmin lies on
-        its edge, and the SFO also when the profile has no curvature.
-        Each row's cost is :func:`proposed_cost` of that row alone at its
-        refined point.
-        """
+    def _refine(self, c, v, r0, r1) -> Estimates:
+        """The fit of :meth:`_search_rows` moved to the concentrated ML; a
+        row that search fails stays NaN. Least over cfo, the pair cost
+        c - 2 Re(lead(cfo, h) V(h)), V(h) = sub(h) . z, is c - 2 |V(h)|, at
+        Moose's CFO -arg V(h) / (a (1 + h)) (Moose 1994; Kay 1993, ch. 7).
+        h is the vertex of the parabola through |v|^2 at the three SFO
+        columns nearest its first argmax, clipped to the axis, or that
+        argmax without positive curvature or on an axis of at most two
+        points. The CFO takes the branch nearest the lattice CFO, which an
+        argmin on the CFO axis's edge keeps."""
         cfos, sfos = self.grid.cfo_values, self.grid.sfo_values
-        cfo, sfo = found.cfo.copy(), found.sfo.copy()
-        rows = np.flatnonzero(~np.isnan(cfo))
-        i = np.searchsorted(cfos, cfo[rows])
-        j = np.searchsorted(sfos, sfo[rows])
-        inner = (0 < i) & (i < cfos.size - 1)
-        t, at = rows[inner], j[inner]
-        moose = -np.angle(v[t, at]) / self._slope[at]
-        period = _TWO_PI / self._slope[at]
-        cfo[t] = moose + period * np.round((cfo[t] - moose) / period)
-        inner = (0 < j) & (j < sfos.size - 1)
-        t, at = rows[inner], j[inner]
-        below, mid, above = np.abs(v[t[:, None], at[:, None] + [-1, 0, 1]]).T
-        curvature = 2.0 * mid - below - above
-        bent = curvature > 0
-        t, at = t[bent], at[bent]
-        offset = np.clip(0.5 * (above - below)[bent] / curvature[bent],
-                         -0.5, 0.5)
-        sfo[t] = sfo[t] + offset * (sfos[at + 1] - sfo[t])
-        r0 = np.broadcast_to(r0, r1.shape)
-        cost = np.full(len(cfo), np.nan)
-        for t in rows.tolist():
-            cost[t] = proposed_cost(r0[t], r1[t], cfo[t], sfo[t],
-                                    self.config)
-        return Estimates(cfo, sfo, cost)
+        lattice = self._search_rows(c, v, r0, r1).cfo
+        rows = np.flatnonzero(~np.isnan(lattice))
+        power = v.real[rows] ** 2 + v.imag[rows] ** 2
+        col = np.argmax(power, axis=-1)
+        sfo = sfos[col]
+        if sfos.size > 2:
+            mid = np.clip(col, 1, sfos.size - 2)
+            below, centre, above = np.take_along_axis(
+                power, mid[:, None] + [-1, 0, 1], axis=-1).T
+            bend = 2.0 * centre - below - above
+            up = bend > 0
+            sfo[up] = np.clip(sfos[mid[up]] + 0.5 * self.grid.sfo_step
+                              * (above - below)[up] / bend[up],
+                              sfos[0], sfos[-1])
+        a = _TWO_PI * self.config.symbol_len / self.config.dft_size
+        sub = np.exp(1j * a * sfo[:, None] * self.config.subcarrier_indices)
+        r0, r1 = (r0[rows] if np.ndim(r0) else r0), r1[rows]
+        big_v = _sum_last(np.multiply(sub, np.multiply(r0, np.conj(r1))))
+        slope, cfo = a * (1.0 + sfo), lattice[rows]
+        inner = (cfo != cfos[0]) & (cfo != cfos[-1])
+        cfo[inner] -= (np.angle(np.multiply(np.exp(1j * slope * cfo), big_v))
+                       / slope)[inner]
+        refined = np.full((3, len(v)), np.nan)
+        refined[:, rows] = cfo, sfo, _pair_costs(
+            np.multiply(np.exp(1j * slope * cfo)[:, None], sub), r0, r1)
+        return Estimates(*refined)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -512,15 +512,13 @@ def estimate_proposed(r0, r1, grid: GridSpec, config: OfdmConfig,
 
     With ``refine=False`` (the default) each estimate is exactly a
     lattice point, as :meth:`GridEvaluator.search_proposed` finds it;
-    ``refine=True`` moves it off the lattice by
-    :meth:`GridEvaluator._refine` and reports :func:`proposed_cost`
-    there.
+    ``refine=True`` moves it to the concentrated ML of
+    :meth:`GridEvaluator._refine` (the SFO that maximizes the pair
+    correlation's magnitude, Moose's CFO there) and reports its cost.
     """
     evaluator = _evaluator(grid, config)
-    if not refine:
-        return evaluator.search_proposed(r0, r1)
-    c, v = evaluator._pair_terms(r0, r1)
-    return evaluator._refine(v, evaluator._search_rows(c, v, r0, r1), r0, r1)
+    fit = evaluator._refine if refine else evaluator._search_rows
+    return fit(*evaluator._pair_terms(r0, r1), r0, r1)
 
 
 def estimate_nguyenle(x, r0, r1, grid: GridSpec, config: OfdmConfig,
@@ -535,10 +533,8 @@ def estimate_nguyenle(x, r0, r1, grid: GridSpec, config: OfdmConfig,
     evaluator = _evaluator(grid, config)
     evaluator._check_rows(x, r0, r1)
     y, bad = ratio_observable_rows(x, r0, r1)
-    if not refine:
-        return evaluator.search_nguyenle(y, bad.any(axis=-1))
-    c, v = evaluator._ratio_terms(y, bad.any(axis=-1))
-    return evaluator._refine(v, evaluator._search_rows(c, v, 1.0, y), 1.0, y)
+    fit = evaluator._refine if refine else evaluator._search_rows
+    return fit(*evaluator._ratio_terms(y, bad.any(axis=-1)), 1.0, y)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

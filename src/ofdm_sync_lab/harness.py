@@ -171,8 +171,9 @@ class ExperimentConfig:
                              f"{self.master_seed}")
         for array, flags, size in self._array_bytes():
             if size > _ARRAY_BUDGET:
+                size = f"{size:.3g}" if size < 1e308 else "over 1e+308"
                 raise ValueError(
-                    f"the {array} at {flags} would take {size:.3g} bytes, "
+                    f"the {array} at {flags} would take {size} bytes, "
                     f"more than the array budget of {_ARRAY_BUDGET} bytes")
         _check_offsets(self.cfo, self.sfo, self.ofdm.dft_size)
         # At a fixed SFO the pair cost is periodic in cfo: with no noise,
@@ -182,8 +183,7 @@ class ExperimentConfig:
         period = self.ofdm.dft_size / (self.ofdm.symbol_len
                                        * (1.0 + self.sfo))
         lo, hi = map(float, self.grid.cfo_values[[0, -1]])
-        # period is 0 where (N + cp)(1 + sfo) overflows: cp near 1.8e308.
-        start = (lo - self.cfo) // period if period else 1.0
+        start = (lo - self.cfo) // period
         for alias in (self.cfo + (start + k) * period
                       for k in (-1.0, 0.0, 1.0, 2.0, 3.0) if start + k):
             if lo <= alias <= hi:

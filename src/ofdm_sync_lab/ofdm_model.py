@@ -134,7 +134,7 @@ class OfdmConfig:
     n_active : int, default 52
         Number of active subcarriers K (even, positive, at most N).
     cp_len : int, default 16
-        Cyclic prefix length in samples (non-negative).
+        Cyclic prefix length in samples (non-negative, N + cp_len < 2**1000).
     """
 
     dft_size: int = 64
@@ -151,6 +151,8 @@ class OfdmConfig:
             object.__setattr__(self, name, int(value))
         if self.cp_len < 0:
             raise ValueError(f"cp_len must be >= 0, got {self.cp_len}")
+        if self.symbol_len >= 2 ** 1000:  # so (N + cp)(1 + sfo) is a float
+            raise ValueError("N + cp_len must be below 2**1000")
         if self.dft_size % 2:
             raise ValueError(f"dft_size (N) must be even, got {self.dft_size}")
         if self.n_active % 2:

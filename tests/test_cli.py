@@ -395,6 +395,14 @@ def serial_ids(entries):
           "1e-8"],
      "the correlations of a chunk at 100001 lattice SFOs (the --grid-sfo-* "
      "flags) would take 1.02e+08 bytes"),
+    # an int past the float range once died converting to float: in the
+    # alias period (--cp) or in the budget message (--n, --taps)
+    (57, ["trial", "--cp", "1" + "0" * 400],
+     "N + cp_len must be below 2**1000"),
+    (58, ["trial", "--n", "1" + "0" * 400],
+     "N + cp_len must be below 2**1000"),
+    (59, ["trial", "--taps", "1" + "0" * 400],
+     "would take over 1e+308 bytes, more than the array budget"),
 ]))
 def test_invalid_values_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2

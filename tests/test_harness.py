@@ -118,9 +118,10 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="alias -0.5 "):
         make_experiment(cp_len=0, sfo=0.0, cfo=0.5)
     assert make_experiment(cp_len=0, sfo=0.0, cfo=0.49).cfo == 0.49
-    # (N + cp)(1 + sfo) overflows near cp = 1.8e308, so the period is 0:
-    # still a ValueError, not a ZeroDivisionError
-    with pytest.raises(ValueError, match=r"repeats every .* = 0\)"):
+    # (N + cp)(1 + sfo) would overflow near cp = 1.8e308 and zero the
+    # period: OfdmConfig bounds N + cp first
+    with pytest.raises(ValueError,
+                       match=r"N \+ cp_len must be below 2\*\*1000"):
         make_experiment(cp_len=int(1.7976e308))
     # a directly built OfdmConfig checks its own fields: an
     # odd K once died mid-sweep, and K > N wrote residuals of 80 bins

@@ -120,12 +120,19 @@ def test_no_cp_full_band_config_is_valid():
     ((64, 0, 16), "positive"),
     ((64, 80, 16), "K exceeds N"),
     ((64.0, 52, 16), "integer"),
+    ((64, 52, 2 ** 1000 - 64), "must be below"),
 ])
 def test_ofdm_config_rejects_what_make_config_rejects(args, fragment):
     """The checks live in the config itself, so a directly built config
     (as ``ExperimentConfig(ofdm=...)`` takes one) cannot skip them."""
     with pytest.raises(ValueError, match=fragment):
         OfdmConfig(*args)
+
+
+def test_symbol_length_stays_a_float():
+    """N + cp_len up to 2**1000 - 1 passes; past it (N + cp)(1 + sfo)
+    could leave the float range."""
+    assert OfdmConfig(64, 52, 2 ** 1000 - 65).symbol_len == 2 ** 1000 - 1
 
 
 def test_config_fields_are_plain_ints():
