@@ -113,10 +113,11 @@ class GridSpec:
                                                    self.sfo_span))
         table = 16 * n_cfo * n_sfo
         if table > _LATTICE_BUDGET:
+            table = f"{table:.3g}" if table < 1e308 else "over 1e+308"
             raise ValueError(
                 f"cfo_max / cfo_step and sfo_max / sfo_step (the --grid-* "
                 f"flags) give a {n_cfo} x {n_sfo} lattice, whose complex "
-                f"lead table needs {table:.3g} bytes, more than the lattice "
+                f"lead table needs {table} bytes, more than the lattice "
                 f"budget of {_LATTICE_BUDGET} bytes")
         with np.errstate(over="ignore"):
             ends = self.cfo_values[[0, -1]]

@@ -14,16 +14,16 @@ kernel after every chunk, and the next chunk faults them back in page by
 page. Every trial draws from its own labeled random substreams, keyed by
 the master seed, the SNR point, the trial index and the label, so
 results are reproducible bit for bit regardless of chunking, grouping or
-execution order. A sweep groups
-consecutive SNR points of at most ``_GROUP_ROWS`` trials, and derives a
-group's streams in one mixing pass (:func:`ofdm_model._derive_tables`,
-numpy's ``SeedSequence`` vectorized over points, trials and labels) and
-all its QPSK picks in one PCG64 pass (:func:`ofdm_model._qpsk_picks`),
-each costing about as much for a group as for one point. A point of
-more trials derives them in blocks of ``_GROUP_ROWS``, so no array grows
-with the trial count. Each chunk takes its rows and, per trial and label,
-seeds a fresh ``PCG64`` for the normals: the draws of the one-trial
-streams, bit for bit (``tests/reference.py`` defines them). A chunk then
+execution order. A sweep groups consecutive SNR points of at most
+``_GROUP_ROWS`` trials, and derives a group's streams in one mixing pass
+(:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
+over points, trials and labels), then its QPSK picks and its normal
+streams' PCG64 states in one pass each (:func:`ofdm_model._qpsk_picks`,
+:func:`ofdm_model._pcg64_states`), each costing about as much for a
+group as for one point. A point of more trials derives them in blocks
+of ``_GROUP_ROWS``, so no array grows with the trial count. Each chunk
+fills its rows' normals from those states with numpy's C fill: the
+one-trial draws, bit for bit (``tests/reference.py``). A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass over the synthesis's noiseless
 burst, which equal the one-trial computations bit for bit (see
@@ -79,10 +79,11 @@ from .ofdm_model import (
     noiseless_burst,
     snr_stream_key,
     synthesize_rows,
-    _SeedWords,
     _check_offsets,
     _derive_tables,
+    _pcg64_states,
     _qpsk_picks,
+    _standard_normals,
 )
 
 __all__ = [
@@ -276,7 +277,7 @@ class _Columns:
 
 
 def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
-          seeds: dict) -> tuple:
+          states: dict) -> tuple:
     """Draw a chunk's trials, each from its own streams, trial-major: the
     tuple ``(indices, x, taps, noise)``, whose row i is trial indices[i].
 
@@ -284,32 +285,22 @@ def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
     repeats; ``taps`` is (T, L); ``noise`` holds the (T, 2, 2, N)
     standard normals of both symbols' noise, or None for a draw of the
     scenario alone. ``picks`` holds the chunk's rows of the SNR point's
-    QPSK picks and ``seeds`` maps every other label to the chunk's rows
-    of its seed table. Each normal draw is the one-trial draw of that
-    label through a ``Generator`` on a ``PCG64`` seeded from its row.
+    QPSK picks and ``states`` maps every other label to the chunk's rows
+    of its PCG64 states, from which :func:`ofdm_model._standard_normals`
+    draws the one-trial ``Generator.standard_normal`` draws, bit for bit.
     """
-    def normals(labels, n):
-        """(T, len(labels), 2, n): one trial's (2, n) standard normals per
-        row and label, each drawn straight into its place."""
-        out = np.empty((len(indices), len(labels), 2, n))
-        for i, label in enumerate(labels):
-            for row, words in zip(out[:, i], seeds[label]):
-                np.random.Generator(np.random.PCG64(_SeedWords(words))) \
-                    .standard_normal(out=row)
-        return out
-
-    noise = (normals(_BURST_STREAMS[2:], cfg.ofdm.dft_size)
-             if "noise0" in seeds else None)
-    return (tuple(indices), QPSK_ALPHABET.take(picks),
-            channel_taps(normals(("channel",), cfg.n_taps)[:, 0]), noise)
+    taps = _standard_normals([states["channel"]], cfg.n_taps)[:, 0]
+    noise = None if "noise0" not in states else _standard_normals(
+        [states["noise0"], states["noise1"]], cfg.ofdm.dft_size)
+    return tuple(indices), QPSK_ALPHABET.take(picks), channel_taps(taps), noise
 
 
 def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
     """Per stream key, a generator of the draws of ``indices`` chunk by
     chunk: ``_CHUNK`` rows of bursts, or twice that of the scenario alone.
-    The streams of every key come from one :func:`ofdm_model._derive_tables`
-    and one pick pass per block of at most ``_GROUP_ROWS`` indices, derived
-    as the first key reaches it, so no table grows with the trial count."""
+    The streams of every key come from one :func:`ofdm_model._derive_tables`,
+    pick pass and state pass per block of at most ``_GROUP_ROWS`` indices,
+    derived as the first key reaches it, so no table grows with the trials."""
     size = _CHUNK if "noise0" in labels else 2 * _CHUNK
     shape, k = (len(stream_keys), -1), cfg.ofdm.n_active
 
@@ -318,16 +309,16 @@ def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
         ids = indices[start:start + _GROUP_ROWS]
         tables = _derive_tables(cfg.master_seed, stream_keys, ids, labels)
         picks = _qpsk_picks(tables.pop("training"), k).reshape(*shape, k)
-        return ids, picks, {label: t.reshape(*shape, 4)
+        return ids, picks, {label: _pcg64_states(t).reshape(*shape, 4)
                             for label, t in tables.items()}
 
     def point(s):
         for start in range(0, len(indices), _GROUP_ROWS):
-            ids, picks, seeds = block(start)
+            ids, picks, states = block(start)
             for offset in range(0, len(ids), size):
                 rows = slice(offset, offset + size)
                 yield _draw(cfg, ids[rows], picks[s, rows],
-                            {label: t[s, rows] for label, t in seeds.items()})
+                            {label: t[s, rows] for label, t in states.items()})
 
     return [point(s) for s in range(len(stream_keys))]
 

@@ -49,18 +49,19 @@ Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
 words are a key path (master seed, SNR key, trial index, label) split
 into 32-bit words as ``SeedSequence`` splits integers.
 :func:`_derive_tables` runs ``SeedSequence``'s mixing over whole axes of
-SNR keys, trial indices and labels at once, and a ``PCG64`` seeded from
-one of its rows through :class:`_SeedWords` reproduces the one-trial
-stream bit for bit. That one-trial definition, ``derive_rng``, lives in
-``tests/reference.py``, where the stream tests check both against
-numpy's own ``SeedSequence``. A trial index must lie in
-[0, 2**32), where it is exactly one word. QPSK picks come from raw PCG64
-words, which NEP 19 keeps stable across numpy versions, with no
-generator built: :func:`_pcg64_raw` steps PCG64's 128-bit LCG for a
-whole seed table at once, and :func:`_qpsk_picks` reads the picks from
-those words.
+SNR keys, trial indices and labels at once, and :func:`_pcg64_states`
+seeds PCG64 from them: each row's one-trial state, bit for bit. That
+one-trial definition, ``derive_rng``, lives in ``tests/reference.py``,
+where the stream tests check both against numpy's own ``SeedSequence``.
+A trial index must lie in [0, 2**32), where it is exactly one word. QPSK
+picks come from raw PCG64 words, which NEP 19 keeps stable across numpy
+versions, with no generator built: :func:`_pcg64_raw` steps PCG64's
+128-bit LCG for a whole seed table at once, and :func:`_qpsk_picks`
+reads the picks from those words. The normals are numpy's C fill from
+those states (:func:`_standard_normals`).
 """
 
+import ctypes
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -544,23 +545,12 @@ def _derive_tables(master_seed: int, stream_keys, trial_indices,
     return {label: table.reshape(-1, 4) for label, table in tables.items()}
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 four seed words that are already derived, so numpy
-    runs its own seeding step on them without a SeedSequence."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint64):
-        return self.words
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _pcg64_jumps(n: int) -> tuple:
-    """(A_j, C_j) = (M**(j+1), M**j + ... + M + 1) mod 2**128 for j = 1..n,
+    """(A_j, C_j) = (M**j, M**(j-1) + ... + M + 1) mod 2**128 for j = 1..n,
     each as its (n, 1) uint64 (hi, lo, lo >> 32, lo & 0xFFFFFFFF) columns."""
     mask = (1 << 128) - 1
-    a, c, jumps = _PCG64_MULT, 1, []
+    a, c, jumps = 1, 0, []
     for _ in range(n):
         a, c = (a * _PCG64_MULT) & mask, (c * _PCG64_MULT + 1) & mask
         jumps.append((a, c))
@@ -573,39 +563,45 @@ def _pcg64_jumps(n: int) -> tuple:
     return tuple(map(halves, zip(*jumps)))
 
 
-def _pcg64_raw(seeds: np.ndarray, n: int) -> np.ndarray:
-    """``PCG64(_SeedWords(row)).random_raw(n)`` of every row of a (T, 4)
-    uint64 seed table at once, (T, n), with no generator built.
+def _times(hi, lo, jump):
+    """(hi, lo) * jump mod 2**128, (n, T), for a :func:`_pcg64_jumps` jump;
+    array arithmetic wraps, where numpy scalars warn on overflow."""
+    c_hi, c_lo, c1, c0 = jump
+    x1, x0 = lo >> 32, lo & _MASK32
+    top, mid, part = x1 * c1, (x0 * c0) >> 32, None
+    for x, y in ((x0, c1), (x1, c0)):
+        part = np.multiply(x, y, out=part)
+        top += part >> 32
+        mid += part & _MASK32
+    top += mid >> 32
+    top += np.multiply(lo, c_hi, out=part) + np.multiply(hi, c_lo, out=mid)
+    return top, np.multiply(lo, c_lo, out=mid)
 
-    PCG64 seeds inc = 2 initseq + 1 and state = (inc + initstate) M + inc
-    (initstate the row's first two words, high first; initseq the last
-    two), and its j-th word is the XSL-RR output (hi ^ lo rotated right
-    by the top 6 bits) of the state j steps further on, which is
-    A_j (inc + initstate) + C_j inc with :func:`_pcg64_jumps`' constants.
-    Each 128-bit value is a (hi, lo) pair of uint64 arrays, laid out
-    (n, T) so that every operation runs along the rows; array arithmetic
-    wraps, where numpy scalars would warn on overflow, so every operand
-    is an array; the steps run in place, exact in any order.
-    """
-    def times(hi, lo, jump):
-        """(hi, lo) of (hi, lo) * jump mod 2**128, (n, T)."""
-        c_hi, c_lo, c1, c0 = jump
-        x1, x0 = lo >> 32, lo & _MASK32
-        top, mid, part = x1 * c1, (x0 * c0) >> 32, None
-        for x, y in ((x0, c1), (x1, c0)):
-            part = np.multiply(x, y, out=part)
-            top += part >> 32
-            mid += part & _MASK32
-        top += mid >> 32
-        top += np.multiply(lo, c_hi, out=part) + np.multiply(hi, c_lo, out=mid)
-        return top, np.multiply(lo, c_lo, out=mid)
 
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """PCG64's C ``pcg64_random_t`` seeded from each (T, 4) uint64 seed row
+    (initstate its first two words, high first; initseq its last two), as
+    (T, 4) words [state_lo, state_hi, inc_lo, inc_hi]: inc = 2 initseq + 1
+    and state = (inc + initstate) M + inc, each a (hi, lo) array pair."""
     init_hi, init_lo, seq_hi, seq_lo = seeds.T
     inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
     u_lo = inc_lo + init_lo
     u_hi = inc_hi + init_hi + (u_lo < inc_lo)
+    (hi,), (lo,) = _times(u_hi, u_lo, _pcg64_jumps(1)[0])
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    return np.stack((lo, hi, inc_lo, inc_hi), axis=-1)
+
+
+def _pcg64_raw(seeds: np.ndarray, n: int) -> np.ndarray:
+    """The first n raw words PCG64 draws from each row of a (T, 4) uint64
+    seed table, (T, n), with no generator built: word j is the XSL-RR
+    output (hi ^ lo rotated right by the top 6 bits) of A_j s + C_j inc,
+    s the row's :func:`_pcg64_states` state, laid out (n, T) so every
+    operation runs along the rows, in place and exact in any order."""
+    lo, hi, inc_lo, inc_hi = _pcg64_states(seeds).T
     a, c = _pcg64_jumps(n)
-    (hi, lo), (c_hi, c_lo) = times(u_hi, u_lo, a), times(inc_hi, inc_lo, c)
+    (hi, lo), (c_hi, c_lo) = _times(hi, lo, a), _times(inc_hi, inc_lo, c)
     lo += c_lo
     hi += c_hi + (lo < c_lo)
     del c_hi, c_lo
@@ -625,3 +621,45 @@ def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
         picks[block, 0::2] = (raw >> 30) & 3
         picks[block, 1::2] = raw >> 62
     return picks
+
+
+def _load_fill():
+    """numpy's C ``Generator.standard_normal`` fill, once PCG64 reads back a
+    state written where :func:`_standard_normals` aims its state pointer."""
+    bitgen, words = np.random.PCG64(0), np.array([1, 2, 3, 5], np.uint64)
+    pointer = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
+    ctypes.memmove(pointer.value, words.ctypes.data, 32)
+    if bitgen.state["state"] != {"state": 2 << 64 | 1, "inc": 5 << 64 | 3}:
+        raise RuntimeError(f"numpy {np.__version__}: unknown PCG64 C layout")
+    library = ctypes.CDLL(np.random._generator.__file__)
+    fill = library.random_standard_normal_fill
+    fill.argtypes = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p
+    fill.restype = None
+    return fill
+
+
+_FILL = _load_fill()
+
+
+def _standard_normals(tables, n: int) -> np.ndarray:
+    """(T, len(tables), 2, n): at [t, i] the 2 n ``standard_normal`` draws
+    of row t of the i-th (T, 4) :func:`_pcg64_states` table, bit for bit,
+    filled in place by this call's own PCG64, whose C state pointer aims
+    at the row's state in a stacked copy that the fill advances."""
+    states = np.stack(tables, axis=1)
+    if (states.shape[2:] != (4,) or states.dtype != np.uint64
+            or states.ctypes.data % 16):  # numpy's 128-bit C fields
+        raise ValueError("state tables must stack to aligned uint64 rows of 4")
+    out = np.empty((*states.shape[:2], 2, n))
+    bitgen = np.random.PCG64(0)
+    pointer = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
+    own, address = pointer.value, bitgen.ctypes.bit_generator.value
+    src, dst = states.ctypes.data, out.ctypes.data
+    try:
+        for row, place in zip(range(src, src + states.nbytes, 32),
+                              range(dst, dst + out.nbytes, 16 * n)):
+            pointer.value = row
+            _FILL(address, 2 * n, place)
+    finally:
+        pointer.value = own  # the PCG64 frees the state it points to
+    return out

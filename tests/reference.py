@@ -11,7 +11,10 @@
   criterion 6 adds to the wanted term to rebuild a demodulated symbol.
 * :func:`derive_rng` is the one-trial definition of a random substream,
   which the stream tests check ``ofdm_model._derive_tables`` and the
-  sweeps' draws against, and which seeds the tests' own data.
+  sweeps' draws against, and which seeds the tests' own data. It seeds
+  numpy's own ``PCG64`` through :class:`SeedWords`; the sweeps compute
+  the same states with ``ofdm_model._pcg64_states`` and build no
+  generator per trial.
 
 They read the package's private helpers and add nothing to it.
 """
@@ -21,7 +24,6 @@ import numpy as np
 from ofdm_sync_lab.crb import _check_noise_var, fisher_rows
 from ofdm_sync_lab.ofdm_model import (
     OfdmConfig,
-    _SeedWords,
     _TWO_PI,
     _channel_gains,
     _check_offsets,
@@ -120,6 +122,17 @@ def ici_term(k, m: int, x: np.ndarray, taps: np.ndarray, cfo: float,
     return _sum_last(terms[..., ks != k])
 
 
+class SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 four seed words that are already derived, so numpy
+    runs its own seeding step on them without a SeedSequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words
+
+
 def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     """Derive an independent substream from a master seed and a key path.
 
@@ -133,4 +146,4 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     for key in keys:
         entropy += _key_words(key)
     words = _seed_words(_hash_pool(entropy), (1,))[0]
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    return np.random.Generator(np.random.PCG64(SeedWords(words)))

@@ -175,6 +175,9 @@ def test_grid_spec_validation():
     # A span len() cannot count is the budget's, not an OverflowError.
     with pytest.raises(ValueError, match="20000000000000000000 x 1 lattice"):
         GridSpec(1e-20, range(-10 ** 19, 10 ** 19), 1e-5, range(1))
+    # A table past the float range is the budget's, not an OverflowError.
+    with pytest.raises(ValueError, match=r"needs over 1e\+308 bytes"):
+        GridSpec(0.01, range(0, 10 ** 400), 1e-5, range(0, 1))
     assert GridSpec(0.01, range(1), 0.5, range(-1, 2)).shape == (1, 3)
 
 

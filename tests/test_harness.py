@@ -2,6 +2,7 @@
 sweep assembly, failure accounting, and the bounds of fig2 and crb."""
 
 import math
+import threading
 from dataclasses import astuple, replace
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from ofdm_sync_lab import (
     run_noise_variance_sweep,
     synthesize_rows,
 )
-from ofdm_sync_lab import harness
+from ofdm_sync_lab import harness, ofdm_model
 from reference import derive_rng
 from sweep_helpers import burst_chunks
 
@@ -835,6 +836,40 @@ def test_fig2_sweep_derives_its_bursts_streams_in_one_pass(monkeypatch):
     assert [tuple(args[1]) for args in calls["derive"]] == [
         (5000, 10000, 15000, 20000, 25000, 30000)]
     assert [len(args[0]) for args in calls["picks"]] == [360]
+
+
+def test_concurrent_sweeps_equal_their_serial_runs(monkeypatch):
+    """Two fig2 sweeps on different seeds, run at once in two threads,
+    each get their serial run's rows bit for bit. Each thread stops at its
+    first fill, its PCG64 aimed at its first row, and the first resumes
+    only once the second has aimed its own: a PCG64 that two draws shared
+    would fill the first sweep's row from the second's state."""
+    cfgs = [tiny_experiment(master_seed=seed) for seed in (11, 12)]
+    serial = [[bits(row) for row in run_mse_sweep(cfg).rows] for cfg in cfgs]
+    threaded, fill = [None, None], ofdm_model._FILL
+    paused = [threading.Event(), threading.Event()]
+    resume = [threading.Event(), threading.Event()]
+
+    def pausing_fill(*args):
+        i = threads.index(threading.current_thread())
+        if not paused[i].is_set():
+            paused[i].set()
+            resume[i].wait(timeout=60)
+        fill(*args)
+
+    def sweep(i):
+        threaded[i] = [bits(row) for row in run_mse_sweep(cfgs[i]).rows]
+
+    monkeypatch.setattr(ofdm_model, "_FILL", pausing_fill)
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in (0, 1)]
+    for thread, stopped in zip(threads, paused):
+        thread.start()
+        assert stopped.wait(timeout=60)
+    for thread, go in zip(threads, resume):
+        go.set()
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == serial
 
 
 def test_noise_variance_sweep_rows():

@@ -3,7 +3,11 @@ the inter-carrier coupling decomposition, and the random substreams."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -34,7 +38,7 @@ from ofdm_sync_lab import (
     proposed_cost,
     ratio_observable_rows,
 )
-from reference import derive_rng, ici_term
+from reference import SeedWords, derive_rng, ici_term
 
 CFO_OP = 0.212
 SFO_OP = 0.000112
@@ -646,7 +650,7 @@ def test_derived_states_match_numpy_seeding(seed, key, label, trials):
             table[row])
         oracle = oracle_stream(seed, key, t, label)
         rng = np.random.Generator(np.random.PCG64(
-            ofdm_model._SeedWords(table[row])))
+            SeedWords(table[row])))
         assert rng.bit_generator.state == oracle.bit_generator.state
         assert derive_rng(seed, key, t, label).bit_generator.state \
             == oracle.bit_generator.state
@@ -722,7 +726,7 @@ def test_standard_normal_draws_are_pinned():
     which numpy's NEP 19 does not keep stable across releases; a numpy
     that draws other normals from the same PCG64 state fails here."""
     row = np.array(PINNED_SEED_ROW, dtype=np.uint64)
-    rng = np.random.Generator(np.random.PCG64(ofdm_model._SeedWords(row)))
+    rng = np.random.Generator(np.random.PCG64(SeedWords(row)))
     drawn = rng.standard_normal(len(PINNED_NORMALS))
     assert [float(v).hex() for v in drawn] == list(PINNED_NORMALS)
 
@@ -734,7 +738,7 @@ SEED_ROWS = st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=4,
 def _integers_oracle(words, n_active):
     """``Generator.integers(0, 4, K)`` of a fresh PCG64 seeded with one row."""
     return np.random.Generator(np.random.PCG64(
-        ofdm_model._SeedWords(words))).integers(0, 4, n_active)
+        SeedWords(words))).integers(0, 4, n_active)
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -767,7 +771,67 @@ def test_pcg64_raw_matches_numpy_random_raw(rows, n):
     assert raw.shape == (len(rows), n) and raw.dtype == np.uint64
     for row, words in zip(raw, table):
         npt.assert_array_equal(
-            row, np.random.PCG64(ofdm_model._SeedWords(words)).random_raw(n))
+            row, np.random.PCG64(SeedWords(words)).random_raw(n))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(rows=SEED_ROWS)
+@example(rows=[[0] * 4])
+@example(rows=[[2 ** 64 - 1] * 4])
+@example(rows=[[0] * 4, [2 ** 64 - 1] * 4, [0, 2 ** 64 - 1, 2 ** 64 - 1, 0],
+               [2 ** 64 - 1, 0, 0, 2 ** 64 - 1]])
+def test_pcg64_states_match_numpy_seeding(rows):
+    """Each row's [state_lo, state_hi, inc_lo, inc_hi] words are the
+    state numpy's PCG64 seeds from the same words."""
+    table = np.array(rows, dtype=np.uint64)
+    states = ofdm_model._pcg64_states(table)
+    assert states.shape == (len(rows), 4) and states.dtype == np.uint64
+    for (lo, hi, inc_lo, inc_hi), words in zip(states.tolist(), table):
+        assert {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo} \
+            == np.random.PCG64(SeedWords(words)).state["state"]
+
+
+@pytest.mark.parametrize("n", [64, 5, 1])
+def test_standard_normal_fill_matches_generator_per_row(n):
+    """The C fill draws, for each of 20000 rows (two tables of 10000),
+    the 2 n normals ``Generator.standard_normal`` draws from a PCG64
+    seeded from that row, bit for bit, at a noise row's 2 N = 128, a
+    channel row's 2 L = 10 and at 2."""
+    seeds = np.random.default_rng(n).integers(
+        0, 2 ** 64, (2, 10000, 4), dtype=np.uint64, endpoint=False)
+    seeds[0, :2] = [[0] * 4, [2 ** 64 - 1] * 4]
+    drawn = ofdm_model._standard_normals(
+        [ofdm_model._pcg64_states(table) for table in seeds], n)
+    assert drawn.shape == (10000, 2, 2, n)
+    for i, table in enumerate(seeds):
+        expected = [np.random.Generator(np.random.PCG64(SeedWords(words)))
+                    .standard_normal((2, n)) for words in table]
+        assert drawn[:, i].tobytes() == np.array(expected).tobytes()
+
+
+def test_state_layout_check(monkeypatch):
+    """The import-time layout check passes under this numpy and names the
+    numpy version when a state written to the C struct does not read
+    back through ``PCG64.state``."""
+    assert ofdm_model._load_fill() is not None
+
+    class Moved(np.random.PCG64):
+        state = property(lambda self: {"state": {"state": 0, "inc": 0}})
+
+    monkeypatch.setattr(np.random, "PCG64", Moved)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}: unknown"):
+        ofdm_model._load_fill()
+
+
+def test_package_import_imports_numpy_random():
+    """``import ofdm_sync_lab`` imports numpy.random (about 14 ms), so a
+    command's first draw does not."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ofdm_model.__file__).parents[1]))
+    script = "import sys, ofdm_sync_lab; print('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True,
+                          check=True).stdout == "True\n"
 
 
 @pytest.mark.parametrize("n_rows", [511, 512, 513])

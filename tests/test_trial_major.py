@@ -34,6 +34,8 @@ from ofdm_sync_lab.ofdm_model import (
     demodulate_rows,
     noiseless_burst,
     synthesize_rows,
+    _pcg64_states,
+    _standard_normals,
 )
 from reference import fisher_numeric_oracle
 
@@ -166,6 +168,8 @@ def test_a_large_stack_equals_its_chunks():
     x = QPSK_ALPHABET[rng.integers(0, 4, (n_trials, config.n_active))]
     taps = channel_taps(rng.standard_normal((n_trials, 2, 5)))
     normals = rng.standard_normal((n_trials, 2, 2, config.dft_size))
+    seeds = rng.integers(0, 2 ** 64, (2, n_trials, 4), dtype=np.uint64,
+                         endpoint=False)
     ev = GridEvaluator(make_grid(), config)
 
     def row_functions(rows):
@@ -178,6 +182,8 @@ def test_a_large_stack_equals_its_chunks():
         out = [xh, *gs, samples, spectra, y, bad,
                squared_norms(pair_residual_rows(r0, r1, cfo, sfo, config)),
                squared_norms(ratio_residual_rows(y, cfo, sfo, config))]
+        states = [_pcg64_states(table[rows]) for table in seeds]
+        out += [*states, _standard_normals(states, config.dft_size)]
         for route in (fisher_rows, fisher_numeric_oracle):
             out += route(config, burst, cfo, noise_var)
         for found in (ev.search_proposed(r0, r1),
