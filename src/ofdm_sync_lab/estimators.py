@@ -85,6 +85,12 @@ DEGENERATE_MAGNITUDE = 1e-30
 _LATTICE_BUDGET = 2 ** 26
 
 
+def _int_text(value: int) -> str:
+    """An int's digits, or past 2000 bits (str() may refuse) ~10**digits."""
+    bits, sign = value.bit_length(), "-" * (value < 0)
+    return str(value) if bits < 2000 else f"~{sign}10**{int(bits * 0.30103)}"
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Search lattice: each axis is ``step * np.arange(span.start,
@@ -116,9 +122,9 @@ class GridSpec:
             table = f"{table:.3g}" if table < 1e308 else "over 1e+308"
             raise ValueError(
                 f"cfo_max / cfo_step and sfo_max / sfo_step (the --grid-* "
-                f"flags) give a {n_cfo} x {n_sfo} lattice, whose complex "
-                f"lead table needs {table} bytes, more than the lattice "
-                f"budget of {_LATTICE_BUDGET} bytes")
+                f"flags) give a {_int_text(n_cfo)} x {_int_text(n_sfo)} "
+                f"lattice, whose complex lead table needs {table} bytes, "
+                f"more than the lattice budget of {_LATTICE_BUDGET} bytes")
         with np.errstate(over="ignore"):
             ends = self.cfo_values[[0, -1]]
         if not np.isfinite(ends).all():

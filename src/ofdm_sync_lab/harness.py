@@ -60,6 +60,7 @@ from .estimators import (
     Estimates,
     GridSpec,
     _evaluator,
+    _int_text,
     make_grid,
     nguyenle_cost,
     pair_residual_rows,
@@ -163,13 +164,13 @@ class ExperimentConfig:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         # A trial index enters the stream entropy as one 32-bit word.
         if self.n_trials >= MAX_TRIALS:
-            raise ValueError(
-                f"n_trials must be below 2**32, got {self.n_trials}")
+            raise ValueError(f"n_trials must be below 2**32, got "
+                             f"{_int_text(self.n_trials)}")
         # The stream keys keep the seed's low 64 bits, so a seed outside
         # [0, 2**64) would share every stream with one inside it.
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got "
-                             f"{self.master_seed}")
+                             f"{_int_text(self.master_seed)}")
         for array, flags, size in self._array_bytes():
             if size > _ARRAY_BUDGET:
                 size = f"{size:.3g}" if size < 1e308 else "over 1e+308"
@@ -232,11 +233,11 @@ class ExperimentConfig:
         sfos = f"{n_sfo} lattice SFOs (the --grid-sfo-* flags)"
         return (
             ("synthesis basis", f"--n {n} and --k {k}", 16 * n * k),
-            ("channel DFT phases", f"--k {k} and --taps {taps}",
+            ("channel DFT phases", f"--k {k} and --taps {_int_text(taps)}",
              16 * k * taps),
             ("correlation ramps", f"--k {k} and {sfos}", 16 * k * n_sfo),
             ("noise draws and FFT of a chunk", f"--n {n}", 32 * _CHUNK * n),
-            ("channel draws of a chunk", f"--taps {taps}",
+            ("channel draws of a chunk", f"--taps {_int_text(taps)}",
              32 * _CHUNK * taps),
             ("correlations of a chunk", sfos, 16 * _CHUNK * n_sfo))
 
@@ -314,11 +315,14 @@ def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
 
     def point(s):
         for start in range(0, len(indices), _GROUP_ROWS):
+            if start:  # a point of several blocks is alone in its group
+                block.cache_clear()
             ids, picks, states = block(start)
             for offset in range(0, len(ids), size):
                 rows = slice(offset, offset + size)
                 yield _draw(cfg, ids[rows], picks[s, rows],
                             {label: t[s, rows] for label, t in states.items()})
+            del ids, picks, states
 
     return [point(s) for s in range(len(stream_keys))]
 
@@ -500,6 +504,7 @@ def _reduce(chunks, snr_db: float, cfo: float, sfo: float) -> SweepRow:
             add("crb_cfo", cols.crb_cfo[~cols.singular].tolist())
             add("crb_sfo", cols.crb_sfo[~cols.singular].tolist())
             counts["crb_excluded"] += int(cols.singular.sum())
+        del cols  # freed before the next chunk is drawn
     return SweepRow(
         snr_db=snr_db, n_trials=n_trials, degenerate_observations=(
             sums["mean_residual_n_sq"][1] - sums["mean_residual_e_sq"][1]),
@@ -534,7 +539,8 @@ def _sweep(cfg: ExperimentConfig, labels, columns) -> SweepResult:
     points, step = cfg.snr_points_db, max(1, _GROUP_ROWS // cfg.n_trials)
     groups = (points[i:i + step] for i in range(0, len(points), step))
     return SweepResult(config=cfg, rows=tuple(
-        _reduce((columns(snr_db, d) for d in draws), snr_db, cfg.cfo, cfg.sfo)
+        _reduce(map(functools.partial(columns, snr_db), draws), snr_db,
+                cfg.cfo, cfg.sfo)
         for group in groups for snr_db, draws in zip(group, _chunks(
             cfg, [snr_stream_key(s) for s in group], range(cfg.n_trials),
             labels))))

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
     Estimates,
+    GridSpec,
     OfdmConfig,
     channel_taps,
     demodulate_rows,
@@ -184,6 +185,20 @@ def test_counts_and_seed_must_be_integers():
             make_experiment(**{field: 2.5})
     cfg = make_experiment(n_trials=np.int64(7))
     assert type(cfg.n_trials) is int and cfg.n_trials == 7
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_experiment(n_taps=10 ** 5000),
+    lambda: make_experiment(n_trials=10 ** 5000),
+    lambda: make_experiment(master_seed=10 ** 5000),
+    lambda: GridSpec(0.01, range(0, 10 ** 5000), 1e-5, range(0, 1)),
+], ids=["n_taps", "n_trials", "master_seed", "grid-span"])
+def test_ints_past_the_str_limit_get_the_checks_own_message(build):
+    """An int of more digits than Python converts to str (4300 by default)
+    is printed by its magnitude, so its check raises its own message,
+    not the interpreter's "Exceeds the limit"."""
+    with pytest.raises(ValueError, match=r"~10\*\*5000"):
+        build()
 
 
 def test_default_and_test_experiments_sit_far_below_the_array_budget():

@@ -5,10 +5,12 @@ caches are warm a stage's reading repeats to within a few hundred bytes
 of Python objects. Each bound sits above the reading of the in-place
 stages (in the comment beside it, at numpy 2.4) and far below that of
 the (rows, n) temporaries they replaced, so a stage that starts holding
-such a pile again fails here by name.
+such a pile again fails here by name. A whole sweep's reading must not
+grow with its trial count.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -72,3 +74,17 @@ def crb_chunk():
 ], ids=["fig2-chunk", "pick-block", "crb-chunk"])
 def test_chunk_stage_high_water(stage, bound):
     assert high_water(stage()) < bound
+
+
+@pytest.mark.parametrize("sweep", [harness.run_noise_variance_sweep,
+                                   harness.run_crb_sweep], ids=["fig1", "crb"])
+def test_sweep_high_water_does_not_grow_with_trials(sweep):
+    """A point of three blocks of derived streams peaks within 32 KiB of
+    a point of one: a sweep lets go of each chunk's draws and columns, and
+    of each block, before it makes the next. Holding the last chunk and
+    block while making the next took fig1 358 KB higher."""
+    def at(n_trials):
+        cfg = replace(CFG, n_trials=n_trials, snr_points_db=(SNR_DB,))
+        return high_water(lambda: sweep(cfg))
+
+    assert at(3 * harness._GROUP_ROWS) - at(harness._GROUP_ROWS) < 32 * 1024
