@@ -54,6 +54,7 @@ from .ofdm_model import (
     _CACHE_SIZE,
     _TWO_PI,
     _check_offsets,
+    _int_text,
     _read_only,
     _sum_last,
 )
@@ -83,12 +84,6 @@ DEGENERATE_MAGNITUDE = 1e-30
 # lattice takes 163 KB; a fallback surface's temporaries take about twice
 # the table again.
 _LATTICE_BUDGET = 2 ** 26
-
-
-def _int_text(value: int) -> str:
-    """An int's digits, or past 2000 bits (str() may refuse) ~10**digits."""
-    bits, sign = value.bit_length(), "-" * (value < 0)
-    return str(value) if bits < 2000 else f"~{sign}10**{int(bits * 0.30103)}"
 
 
 @dataclass(frozen=True)

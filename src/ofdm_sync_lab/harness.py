@@ -17,13 +17,14 @@ results are reproducible bit for bit regardless of chunking, grouping or
 execution order. A sweep groups consecutive SNR points of at most
 ``_GROUP_ROWS`` trials, and derives a group's streams in one mixing pass
 (:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
-over points, trials and labels), then its QPSK picks and its normal
-streams' PCG64 states in one pass each (:func:`ofdm_model._qpsk_picks`,
-:func:`ofdm_model._pcg64_states`), each costing about as much for a
-group as for one point. A point of more trials derives them in blocks
-of ``_GROUP_ROWS``, so no array grows with the trial count. Each chunk
-fills its rows' normals from those states with numpy's C fill: the
-one-trial draws, bit for bit (``tests/reference.py``). A chunk then
+over points, trials and labels) and every label's PCG64 states in one
+pass (:func:`ofdm_model._pcg64_states`), each costing about as much for
+a group as for one point, then draws its QPSK picks from the training
+states (:func:`ofdm_model._qpsk_picks`). A point of more trials derives
+them in blocks of ``_GROUP_ROWS``, so no array grows with the trial
+count. Each chunk fills its rows' normals from the other states. Picks
+and normals are numpy's C fills run on those states: the one-trial
+draws, bit for bit (``tests/reference.py``). A chunk then
 makes one synthesis of both symbols, one FFT, one stacked correlation
 per estimator and one stacked Fisher pass over the synthesis's noiseless
 burst, which equal the one-trial computations bit for bit (see
@@ -60,7 +61,6 @@ from .estimators import (
     Estimates,
     GridSpec,
     _evaluator,
-    _int_text,
     make_grid,
     nguyenle_cost,
     pair_residual_rows,
@@ -82,6 +82,7 @@ from .ofdm_model import (
     synthesize_rows,
     _check_offsets,
     _derive_tables,
+    _int_text,
     _pcg64_states,
     _qpsk_picks,
     _standard_normals,
@@ -132,7 +133,7 @@ _CHUNK = 64
 _ARRAY_BUDGET = 2 ** 26
 
 # Most trials of consecutive SNR points whose streams share one derivation
-# and one pick pass (together about 0.45 ms of fixed cost); fig2's default
+# and one state pass (together about 0.4 ms of fixed cost); fig2's default
 # sweep is one group. A group holds about 150 bytes per trial. A point of
 # more trials derives them in blocks of this many, a multiple of both
 # chunk sizes, so that every chunk but a point's last is full.
@@ -158,10 +159,10 @@ class ExperimentConfig:
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.n_taps < 1:
-            raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        for name in ("n_taps", "n_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{_int_text(getattr(self, name))}")
         # A trial index enters the stream entropy as one 32-bit word.
         if self.n_trials >= MAX_TRIALS:
             raise ValueError(f"n_trials must be below 2**32, got "
@@ -300,7 +301,7 @@ def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
     """Per stream key, a generator of the draws of ``indices`` chunk by
     chunk: ``_CHUNK`` rows of bursts, or twice that of the scenario alone.
     The streams of every key come from one :func:`ofdm_model._derive_tables`,
-    pick pass and state pass per block of at most ``_GROUP_ROWS`` indices,
+    state pass and pick pass per block of at most ``_GROUP_ROWS`` indices,
     derived as the first key reaches it, so no table grows with the trials."""
     size = _CHUNK if "noise0" in labels else 2 * _CHUNK
     shape, k = (len(stream_keys), -1), cfg.ofdm.n_active
@@ -309,9 +310,11 @@ def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
     def block(start):
         ids = indices[start:start + _GROUP_ROWS]
         tables = _derive_tables(cfg.master_seed, stream_keys, ids, labels)
-        picks = _qpsk_picks(tables.pop("training"), k).reshape(*shape, k)
-        return ids, picks, {label: _pcg64_states(t).reshape(*shape, 4)
-                            for label, t in tables.items()}
+        states = dict(zip(tables, _pcg64_states(np.stack([*tables.values()]))))
+        picks = _qpsk_picks(states.pop("training"), k).reshape(*shape, k)
+        # Copies: views would keep the training states as long as the block.
+        return ids, picks, {label: t.reshape(*shape, 4).copy()
+                            for label, t in states.items()}
 
     def point(s):
         for start in range(0, len(indices), _GROUP_ROWS):

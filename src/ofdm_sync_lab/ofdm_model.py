@@ -53,12 +53,14 @@ SNR keys, trial indices and labels at once, and :func:`_pcg64_states`
 seeds PCG64 from them: each row's one-trial state, bit for bit. That
 one-trial definition, ``derive_rng``, lives in ``tests/reference.py``,
 where the stream tests check both against numpy's own ``SeedSequence``.
-A trial index must lie in [0, 2**32), where it is exactly one word. QPSK
-picks come from raw PCG64 words, which NEP 19 keeps stable across numpy
-versions, with no generator built: :func:`_pcg64_raw` steps PCG64's
-128-bit LCG for a whole seed table at once, and :func:`_qpsk_picks`
-reads the picks from those words. The normals are numpy's C fill from
-those states (:func:`_standard_normals`).
+A trial index must lie in [0, 2**32), where it is exactly one word.
+Every draw is one of numpy's C fills run on those states, with no
+generator built per row: :func:`_each_row` aims one PCG64's C state
+pointer at each row in turn. The QPSK picks (:func:`_qpsk_picks`) are
+read from raw PCG64 words, which NEP 19 keeps stable across numpy
+versions, drawn by the fill behind ``Generator.integers`` over the full
+uint64 range; the normals (:func:`_standard_normals`) are the fill behind
+``Generator.standard_normal``.
 """
 
 import ctypes
@@ -113,6 +115,12 @@ def _sum_last(array: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(array), axis=-1)
 
 
+def _int_text(value: int) -> str:
+    """An int's digits, or past 2000 bits (str() may refuse) ~10**digits."""
+    bits, sign = value.bit_length(), "-" * (value < 0)
+    return str(value) if bits < 2000 else f"~{sign}10**{int(bits * 0.30103)}"
+
+
 def _complex_normal(scale, normals: np.ndarray) -> np.ndarray:
     """``scale * (re + 1j * im)``, formed in place, from (..., 2, n)
     standard normals, the real parts in row 0 and the imaginary parts in
@@ -147,20 +155,23 @@ class OfdmConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = int(value)
             if value <= 0 and name != "cp_len":
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, int(value))
+                raise ValueError(f"{name} must be positive, got "
+                                 f"{_int_text(value)}")
+            object.__setattr__(self, name, value)
+        n, k = map(_int_text, (self.dft_size, self.n_active))
         if self.cp_len < 0:
-            raise ValueError(f"cp_len must be >= 0, got {self.cp_len}")
+            raise ValueError(f"cp_len must be >= 0, got "
+                             f"{_int_text(self.cp_len)}")
         if self.symbol_len >= 2 ** 1000:  # so (N + cp)(1 + sfo) is a float
             raise ValueError("N + cp_len must be below 2**1000")
         if self.dft_size % 2:
-            raise ValueError(f"dft_size (N) must be even, got {self.dft_size}")
+            raise ValueError(f"dft_size (N) must be even, got {n}")
         if self.n_active % 2:
-            raise ValueError(f"n_active (K) must be even, got {self.n_active}")
+            raise ValueError(f"n_active (K) must be even, got {k}")
         if self.n_active > self.dft_size:
-            raise ValueError(f"K exceeds N ({self.n_active} > "
-                             f"{self.dft_size})")
+            raise ValueError(f"K exceeds N ({k} > {n})")
 
     @property
     def subcarrier_indices(self) -> np.ndarray:
@@ -418,12 +429,12 @@ _XSHIFT = 16
 # so every trial of a sweep shares one word layout.
 MAX_TRIALS = 2 ** 32
 
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-# Seed rows per :func:`_pcg64_raw` call in :func:`_qpsk_picks`: a block
-# holds at most six (rows, K/2) uint64 arrays at once, 0.72 MB at K = 52.
-_PICK_BLOCK = 512
+# PCG64's 128-bit LCG multiplier 0x2360ED051FC65DA44385DF649FCCF645
+# (O'Neill, HMC-CS-2014-0905): its high and low words, and the low word's
+# high and low 32-bit halves.
+_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_MULT_LO_1, _MULT_LO_0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 
 
 def _key_words(key) -> list:
@@ -545,121 +556,102 @@ def _derive_tables(master_seed: int, stream_keys, trial_indices,
     return {label: table.reshape(-1, 4) for label, table in tables.items()}
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _pcg64_jumps(n: int) -> tuple:
-    """(A_j, C_j) = (M**j, M**(j-1) + ... + M + 1) mod 2**128 for j = 1..n,
-    each as its (n, 1) uint64 (hi, lo, lo >> 32, lo & 0xFFFFFFFF) columns."""
-    mask = (1 << 128) - 1
-    a, c, jumps = 1, 0, []
-    for _ in range(n):
-        a, c = (a * _PCG64_MULT) & mask, (c * _PCG64_MULT + 1) & mask
-        jumps.append((a, c))
-
-    def halves(values):
-        hi, lo = np.array([[[v >> 64] for v in values],
-                           [[v & _MASK64] for v in values]], dtype=np.uint64)
-        return tuple(map(_read_only, (hi, lo, lo >> 32, lo & _MASK32)))
-
-    return tuple(map(halves, zip(*jumps)))
-
-
-def _times(hi, lo, jump):
-    """(hi, lo) * jump mod 2**128, (n, T), for a :func:`_pcg64_jumps` jump;
-    array arithmetic wraps, where numpy scalars warn on overflow."""
-    c_hi, c_lo, c1, c0 = jump
+def _times(hi, lo):
+    """(hi, lo) * PCG64's multiplier mod 2**128, elementwise over uint64
+    arrays, whose arithmetic wraps (numpy scalars warn on overflow)."""
     x1, x0 = lo >> 32, lo & _MASK32
-    top, mid, part = x1 * c1, (x0 * c0) >> 32, None
-    for x, y in ((x0, c1), (x1, c0)):
-        part = np.multiply(x, y, out=part)
+    top, mid = x1 * _MULT_LO_1, (x0 * _MULT_LO_0) >> 32
+    for part in (x0 * _MULT_LO_1, x1 * _MULT_LO_0):
         top += part >> 32
         mid += part & _MASK32
-    top += mid >> 32
-    top += np.multiply(lo, c_hi, out=part) + np.multiply(hi, c_lo, out=mid)
-    return top, np.multiply(lo, c_lo, out=mid)
+    top += (mid >> 32) + lo * _MULT_HI + hi * _MULT_LO
+    return top, lo * _MULT_LO
 
 
 def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
-    """PCG64's C ``pcg64_random_t`` seeded from each (T, 4) uint64 seed row
-    (initstate its first two words, high first; initseq its last two), as
-    (T, 4) words [state_lo, state_hi, inc_lo, inc_hi]: inc = 2 initseq + 1
-    and state = (inc + initstate) M + inc, each a (hi, lo) array pair."""
-    init_hi, init_lo, seq_hi, seq_lo = seeds.T
+    """PCG64's C ``pcg64_random_t`` seeded from each row of 4 uint64 seed
+    words (initstate its first two words, high first; initseq its last
+    two), as rows of the same shape [state_lo, state_hi, inc_lo, inc_hi]:
+    inc = 2 initseq + 1 and state = (inc + initstate) M + inc, M PCG64's
+    multiplier, each a (hi, lo) array pair."""
+    init_hi, init_lo, seq_hi, seq_lo = np.moveaxis(seeds, -1, 0)
     inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
     u_lo = inc_lo + init_lo
     u_hi = inc_hi + init_hi + (u_lo < inc_lo)
-    (hi,), (lo,) = _times(u_hi, u_lo, _pcg64_jumps(1)[0])
+    hi, lo = _times(u_hi, u_lo)
     lo += inc_lo
     hi += inc_hi + (lo < inc_lo)
     return np.stack((lo, hi, inc_lo, inc_hi), axis=-1)
 
 
-def _pcg64_raw(seeds: np.ndarray, n: int) -> np.ndarray:
-    """The first n raw words PCG64 draws from each row of a (T, 4) uint64
-    seed table, (T, n), with no generator built: word j is the XSL-RR
-    output (hi ^ lo rotated right by the top 6 bits) of A_j s + C_j inc,
-    s the row's :func:`_pcg64_states` state, laid out (n, T) so every
-    operation runs along the rows, in place and exact in any order."""
-    lo, hi, inc_lo, inc_hi = _pcg64_states(seeds).T
-    a, c = _pcg64_jumps(n)
-    (hi, lo), (c_hi, c_lo) = _times(hi, lo, a), _times(inc_hi, inc_lo, c)
-    lo += c_lo
-    hi += c_hi + (lo < c_lo)
-    del c_hi, c_lo
-    rot, x = hi >> 58, np.bitwise_xor(hi, lo, out=hi)
-    return ((x >> rot) | (x << ((64 - rot) & 63))).T
-
-
-def _qpsk_picks(seeds: np.ndarray, n_active: int) -> np.ndarray:
-    """``integers(0, 4, K)`` of each seed table row, (T, K) uint8,
-    from :func:`_pcg64_raw` in blocks of ``_PICK_BLOCK`` rows: for a range
-    of 4 Lemire's method never rejects and takes the top two bits of each
-    32-bit half, low half first (K even)."""
-    picks = np.empty((len(seeds), n_active), dtype=np.uint8)
-    for start in range(0, len(seeds), _PICK_BLOCK):
-        block = slice(start, start + _PICK_BLOCK)
-        raw = _pcg64_raw(seeds[block], n_active // 2)
-        picks[block, 0::2] = (raw >> 30) & 3
-        picks[block, 1::2] = raw >> 62
-    return picks
-
-
 def _load_fill():
-    """numpy's C ``Generator.standard_normal`` fill, once PCG64 reads back a
-    state written where :func:`_standard_normals` aims its state pointer."""
+    """numpy's C fills behind ``Generator.standard_normal`` and, over the
+    full uint64 range, ``Generator.integers``, once PCG64 reads back a
+    state written where :func:`_each_row` aims its state pointer."""
     bitgen, words = np.random.PCG64(0), np.array([1, 2, 3, 5], np.uint64)
     pointer = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
     ctypes.memmove(pointer.value, words.ctypes.data, 32)
     if bitgen.state["state"] != {"state": 2 << 64 | 1, "inc": 5 << 64 | 3}:
         raise RuntimeError(f"numpy {np.__version__}: unknown PCG64 C layout")
     library = ctypes.CDLL(np.random._generator.__file__)
-    fill = library.random_standard_normal_fill
-    fill.argtypes = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p
-    fill.restype = None
-    return fill
+    normals = library.random_standard_normal_fill
+    normals.argtypes = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p
+    raw = library.random_bounded_uint64_fill
+    raw.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
+                    ctypes.c_ssize_t, ctypes.c_bool, ctypes.c_void_p)
+    normals.restype = raw.restype = None
+    return normals, raw
 
 
-_FILL = _load_fill()
+_NORMALS_FILL, _RAW_FILL = _load_fill()
+
+
+def _each_row(states: np.ndarray, out: np.ndarray, fill, *args) -> np.ndarray:
+    """``out``, filled row by row: ``fill(bitgen, *args, place)`` runs once
+    per row of a C-contiguous (..., 4) uint64 :func:`_pcg64_states` table,
+    with this call's own PCG64 aiming its C state pointer at the row,
+    which the fill advances, and ``place`` the address of the row's equal
+    share of ``out``. ``args`` are ctypes objects, converted once."""
+    if (states.shape[-1:] != (4,) or states.dtype != np.uint64
+            or not states.flags.c_contiguous
+            or states.ctypes.data % 16):  # numpy's 128-bit C fields
+        raise ValueError("state tables must be aligned C uint64 rows of 4")
+    size = out.nbytes // max(states.size // 4, 1)
+    src, place = states.ctypes.data, out.ctypes.data
+    bitgen = np.random.PCG64(0)
+    pointer = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
+    own = pointer.value
+    address = ctypes.c_void_p(bitgen.ctypes.bit_generator.value)
+    try:
+        for row in range(src, src + states.nbytes, 32):
+            pointer.value = row
+            fill(address, *args, place)
+            place += size
+    finally:
+        pointer.value = own  # the PCG64 frees the state it points to
+    return out
+
+
+def _qpsk_picks(states: np.ndarray, n_active: int) -> np.ndarray:
+    """``integers(0, 4, K)`` of each row of a (T, 4) :func:`_pcg64_states`
+    table, (T, K) uint8, from the K/2 raw words numpy's C fill draws from
+    a copy of it: for a range of 4 Lemire's method never rejects and takes
+    the top two bits of each 32-bit half, low half first (K even)."""
+    raw = np.empty((len(states), n_active // 2), np.uint64)
+    _each_row(states.copy(), raw, _RAW_FILL, ctypes.c_uint64(0),
+              ctypes.c_uint64(_MASK64), ctypes.c_ssize_t(n_active // 2),
+              ctypes.c_bool(False))
+    picks = np.empty((len(states), n_active), dtype=np.uint8)
+    picks[:, 1::2] = raw >> 62
+    raw >>= 30
+    picks[:, 0::2] = np.bitwise_and(raw, 3, out=raw)
+    return picks
 
 
 def _standard_normals(tables, n: int) -> np.ndarray:
     """(T, len(tables), 2, n): at [t, i] the 2 n ``standard_normal`` draws
     of row t of the i-th (T, 4) :func:`_pcg64_states` table, bit for bit,
-    filled in place by this call's own PCG64, whose C state pointer aims
-    at the row's state in a stacked copy that the fill advances."""
+    filled from a stacked copy of the states, which the fill advances."""
     states = np.stack(tables, axis=1)
-    if (states.shape[2:] != (4,) or states.dtype != np.uint64
-            or states.ctypes.data % 16):  # numpy's 128-bit C fields
-        raise ValueError("state tables must stack to aligned uint64 rows of 4")
-    out = np.empty((*states.shape[:2], 2, n))
-    bitgen = np.random.PCG64(0)
-    pointer = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
-    own, address = pointer.value, bitgen.ctypes.bit_generator.value
-    src, dst = states.ctypes.data, out.ctypes.data
-    try:
-        for row, place in zip(range(src, src + states.nbytes, 32),
-                              range(dst, dst + out.nbytes, 16 * n)):
-            pointer.value = row
-            _FILL(address, 2 * n, place)
-    finally:
-        pointer.value = own  # the PCG64 frees the state it points to
-    return out
+    return _each_row(states, np.empty((*states.shape[:2], 2, n)),
+                     _NORMALS_FILL, ctypes.c_ssize_t(2 * n))

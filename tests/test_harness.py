@@ -187,17 +187,23 @@ def test_counts_and_seed_must_be_integers():
     assert type(cfg.n_trials) is int and cfg.n_trials == 7
 
 
-@pytest.mark.parametrize("build", [
-    lambda: make_experiment(n_taps=10 ** 5000),
-    lambda: make_experiment(n_trials=10 ** 5000),
-    lambda: make_experiment(master_seed=10 ** 5000),
-    lambda: GridSpec(0.01, range(0, 10 ** 5000), 1e-5, range(0, 1)),
-], ids=["n_taps", "n_trials", "master_seed", "grid-span"])
-def test_ints_past_the_str_limit_get_the_checks_own_message(build):
+@pytest.mark.parametrize("build, sign", [
+    (lambda: make_experiment(n_taps=10 ** 5000), ""),
+    (lambda: make_experiment(n_trials=10 ** 5000), ""),
+    (lambda: make_experiment(master_seed=10 ** 5000), ""),
+    (lambda: GridSpec(0.01, range(0, 10 ** 5000), 1e-5, range(0, 1)), ""),
+    (lambda: make_experiment(n_trials=-10 ** 5000), "-"),
+    (lambda: make_experiment(n_taps=-10 ** 5000), "-"),
+    (lambda: make_experiment(dft_size=-10 ** 5000), "-"),
+    (lambda: make_experiment(cp_len=-10 ** 5000), "-"),
+    (lambda: make_experiment(n_active=10 ** 5000), ""),
+], ids=["n_taps", "n_trials", "master_seed", "grid-span", "n_trials-below",
+        "n_taps-below", "dft_size-below", "cp_len-below", "n_active"])
+def test_ints_past_the_str_limit_get_the_checks_own_message(build, sign):
     """An int of more digits than Python converts to str (4300 by default)
     is printed by its magnitude, so its check raises its own message,
     not the interpreter's "Exceeds the limit"."""
-    with pytest.raises(ValueError, match=r"~10\*\*5000"):
+    with pytest.raises(ValueError, match=rf"~{sign}10\*\*5000"):
         build()
 
 
@@ -861,21 +867,25 @@ def test_concurrent_sweeps_equal_their_serial_runs(monkeypatch):
     would fill the first sweep's row from the second's state."""
     cfgs = [tiny_experiment(master_seed=seed) for seed in (11, 12)]
     serial = [[bits(row) for row in run_mse_sweep(cfg).rows] for cfg in cfgs]
-    threaded, fill = [None, None], ofdm_model._FILL
+    threaded = [None, None]
     paused = [threading.Event(), threading.Event()]
     resume = [threading.Event(), threading.Event()]
 
-    def pausing_fill(*args):
-        i = threads.index(threading.current_thread())
-        if not paused[i].is_set():
-            paused[i].set()
-            resume[i].wait(timeout=60)
-        fill(*args)
+    def pausing(fill):
+        def pausing_fill(*args):
+            i = threads.index(threading.current_thread())
+            if not paused[i].is_set():
+                paused[i].set()
+                resume[i].wait(timeout=60)
+            fill(*args)
+        return pausing_fill
 
     def sweep(i):
         threaded[i] = [bits(row) for row in run_mse_sweep(cfgs[i]).rows]
 
-    monkeypatch.setattr(ofdm_model, "_FILL", pausing_fill)
+    for name in ("_RAW_FILL", "_NORMALS_FILL"):
+        monkeypatch.setattr(ofdm_model, name,
+                            pausing(getattr(ofdm_model, name)))
     threads = [threading.Thread(target=sweep, args=(i,)) for i in (0, 1)]
     for thread, stopped in zip(threads, paused):
         thread.start()

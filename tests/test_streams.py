@@ -1,15 +1,16 @@
-"""The random streams against numpy's own: the package's vectorized
-PCG64 step against numpy's raw words, its pick rule against
-``Generator.integers``, its stream derivation against ``SeedSequence``
-seeding, its PCG64 states and C fill against ``Generator.standard_normal``,
-the PCG64 C struct layout it writes, and normals pinned to literals.
+"""The random streams against numpy's own: numpy's C fills, run on the
+PCG64 states the package writes, against numpy's raw words,
+``Generator.integers`` and ``Generator.standard_normal``, its stream
+derivation against ``SeedSequence`` seeding, the PCG64 C struct layout it
+writes, and normals pinned to literals.
 
-The fill symbol and the struct layout are numpy internals that no release
+The fill symbols and the struct layout are numpy internals that no release
 promises to keep, and NEP 19 keeps only the raw stream stable, so this
 file alone also runs under the newest numpy release, beside the pinned
-one. The other tests share its strategies and ``oracle_stream``.
+one.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -105,6 +106,46 @@ def test_multi_key_tables_match_derive_states(seed, keys, labels, trials):
                                           (label,))[label])
 
 
+def test_derive_rng_frozen_draws():
+    stream = derive_rng(42, 7, "training")
+    npt.assert_array_equal(
+        stream.integers(0, 2 ** 63, 3),
+        [3104810275668962696, 496711412429716735, 488722387183745485])
+    assert derive_rng(42, 7, "channel").standard_normal() == pytest.approx(
+        1.064993621927635, rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=MASTER_SEEDS, key=STREAM_KEYS,
+       labels=st.lists(st.one_of(LABELS, st.integers(-(2 ** 40), 2 ** 40),
+                                 st.text(max_size=3)),
+                       min_size=1, max_size=6, unique=True),
+       trials=TRIAL_INDICES)
+@example(seed=12345, key=-7500, labels=["training", "channel", "noise0",
+                                        "noise1", 7, -1], trials=[0, 5, 2])
+@example(seed=1, key=15000, labels=[3, "noise0"], trials=[9])
+def test_label_tables_in_one_pass_match_derive_states(seed, key, labels,
+                                                       trials):
+    """The tables of several labels mixed in one pass, int labels (one
+    word, or two when negative) and str labels (two words) among them,
+    equal each label's table derived alone, at one trial and at many."""
+    tables = ofdm_model._derive_tables(seed, [key], trials, labels)
+    assert sorted(tables, key=labels.index) == labels
+    for label in labels:
+        npt.assert_array_equal(tables[label], ofdm_model._derive_tables(
+            seed, (key,), trials, (label,))[label])
+        assert tables[label].flags.c_contiguous
+
+
+@pytest.mark.parametrize("keys", [
+    (), ("x",), (0,), (2 ** 70,), (-1, "noise0"), (1, 2, 3, 4, 5, 6, 7, 8),
+    (15000, 2 ** 32, "channel"),
+])
+def test_derive_rng_matches_numpy_seeding_for_any_key_path(keys):
+    assert derive_rng(7, *keys).bit_generator.state \
+        == oracle_stream(7, *keys).bit_generator.state
+
+
 # The words of _derive_tables(12345, (15000,), [0], ("channel",)), written out
 # so that only numpy's Generator.standard_normal is under test, and the
 # first normals it draws from them under numpy 2.4.6.
@@ -129,6 +170,13 @@ SEED_ROWS = st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=4,
                               max_size=4), min_size=1, max_size=40)
 
 
+def raw_args(n):
+    """The ctypes arguments with which ``ofdm_model._RAW_FILL`` draws n raw
+    words: offset 0, the full uint64 range, n words and no masking."""
+    return (ctypes.c_uint64(0), ctypes.c_uint64(2 ** 64 - 1),
+            ctypes.c_ssize_t(n), ctypes.c_bool(False))
+
+
 def _integers_oracle(words, n_active):
     """``Generator.integers(0, 4, K)`` of a fresh PCG64 seeded with one row."""
     return np.random.Generator(np.random.PCG64(
@@ -145,7 +193,7 @@ def test_qpsk_picks_match_generator_integers(rows, half):
     """The picks read from raw PCG64 words are, row for row, the numbers
     ``Generator.integers(0, 4, K)`` draws from the same seed."""
     table = np.array(rows, dtype=np.uint64)
-    picks = ofdm_model._qpsk_picks(table, 2 * half)
+    picks = ofdm_model._qpsk_picks(ofdm_model._pcg64_states(table), 2 * half)
     assert picks.shape == (len(rows), 2 * half)
     for row, words in zip(picks, table):
         npt.assert_array_equal(row, _integers_oracle(words, 2 * half))
@@ -158,10 +206,13 @@ def test_qpsk_picks_match_generator_integers(rows, half):
 @example(rows=[[0] * 4, [2 ** 64 - 1] * 4, [0, 2 ** 64 - 1, 2 ** 64 - 1, 0],
                [2 ** 64 - 1, 0, 0, 2 ** 64 - 1]], n=26)
 def test_pcg64_raw_matches_numpy_random_raw(rows, n):
-    """The vectorized 128-bit step draws, row for row, the raw words of
-    numpy's PCG64 seeded from the same words, which NEP 19 keeps stable."""
+    """numpy's C fill over the full uint64 range draws from each row's
+    state the raw words of numpy's PCG64 seeded from the same words,
+    which NEP 19 keeps stable."""
     table = np.array(rows, dtype=np.uint64)
-    raw = ofdm_model._pcg64_raw(table, n)
+    raw = ofdm_model._each_row(
+        ofdm_model._pcg64_states(table), np.empty((len(rows), n), np.uint64),
+        ofdm_model._RAW_FILL, *raw_args(n))
     assert raw.shape == (len(rows), n) and raw.dtype == np.uint64
     for row, words in zip(raw, table):
         npt.assert_array_equal(
@@ -207,7 +258,8 @@ def test_state_layout_check(monkeypatch):
     """The import-time layout check passes under this numpy and names the
     numpy version when a state written to the C struct does not read
     back through ``PCG64.state``."""
-    assert ofdm_model._load_fill() is not None
+    assert [fill.__name__ for fill in ofdm_model._load_fill()] == [
+        "random_standard_normal_fill", "random_bounded_uint64_fill"]
 
     class Moved(np.random.PCG64):
         state = property(lambda self: {"state": {"state": 0, "inc": 0}})
@@ -230,13 +282,43 @@ def test_package_import_imports_numpy_random():
 
 @pytest.mark.parametrize("n_rows", [511, 512, 513])
 def test_qpsk_picks_across_the_block_edge(n_rows, monkeypatch):
-    """Rows on either side of a 512-row block edge get their own picks,
-    and no PCG64 is built to draw them."""
+    """Tables on either side of 512 rows get, row for row, what
+    ``Generator.integers(0, 4, 52)`` draws, from one PCG64 per call, not
+    one per row, and the caller's states are left where they were."""
     table = ofdm_model._derive_tables(12345, (15000,), range(n_rows),
                                       ("training",))["training"]
     expected = [_integers_oracle(words, 52) for words in table]
-    monkeypatch.setattr(np.random, "PCG64", None)
-    npt.assert_array_equal(ofdm_model._qpsk_picks(table, 52), expected)
+    states = ofdm_model._pcg64_states(table)
+    before = states.copy()
+    built, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64",
+                        lambda *args: built.append(args) or pcg64(*args))
+    npt.assert_array_equal(ofdm_model._qpsk_picks(states, 52), expected)
+    assert len(built) == 1
+    npt.assert_array_equal(states, before)
+
+
+@pytest.mark.parametrize("fill", ["normals", "raw"])
+@pytest.mark.parametrize("bad", ["misaligned", "int64", "3 wide",
+                                 "strided"])
+def test_bad_state_tables_are_refused(fill, bad):
+    """The row loop aims numpy's C state pointer only at C-contiguous
+    uint64 rows of 4 on numpy's 16-byte boundary: any other table is a
+    ValueError before either fill writes a byte."""
+    words = np.zeros(10, np.uint64)
+    skew = (words.ctypes.data // 8 + 1) % 2
+    assert words[skew:].ctypes.data % 16 == 8
+    table = {"misaligned": words[skew:skew + 8].reshape(2, 4),
+             "int64": np.zeros((2, 4), np.int64),
+             "3 wide": np.zeros((2, 3), np.uint64),
+             "strided": np.zeros((2, 8), np.uint64)[:, ::2]}[bad]
+    fill, args = {"normals": (ofdm_model._NORMALS_FILL,
+                              (ctypes.c_ssize_t(2),)),
+                  "raw": (ofdm_model._RAW_FILL, raw_args(2))}[fill]
+    out = np.zeros(4)
+    with pytest.raises(ValueError, match="aligned C uint64 rows of 4"):
+        ofdm_model._each_row(table, out, fill, *args)
+    assert not out.any()
 
 
 def test_qpsk_picks_match_generator_integers_for_every_even_k():
@@ -245,6 +327,7 @@ def test_qpsk_picks_match_generator_integers_for_every_even_k():
                                   ("training",))["training"],
         np.array([[0] * 4, [2 ** 64 - 1] * 4], dtype=np.uint64)])
     for n_active in range(2, 258, 2):
-        picks = ofdm_model._qpsk_picks(table, n_active)
+        picks = ofdm_model._qpsk_picks(ofdm_model._pcg64_states(table),
+                                       n_active)
         for row, words in zip(picks, table):
             npt.assert_array_equal(row, _integers_oracle(words, n_active))
