@@ -14,23 +14,24 @@ kernel after every chunk, and the next chunk faults them back in page by
 page. Every trial draws from its own labeled random substreams, keyed by
 the master seed, the SNR point, the trial index and the label, so
 results are reproducible bit for bit regardless of chunking, grouping or
-execution order. A sweep groups consecutive SNR points of at most
-``_GROUP_ROWS`` trials, and derives a group's streams in one mixing pass
+execution order. A sweep's draws are one stream of chunks
+(:func:`_chunks`), derived a block at a time: consecutive SNR points of
+at most ``_GROUP_ROWS`` trials in all, or ``_GROUP_ROWS`` trials of one
+point, so no array grows with the trial count. A block's streams are one
+(labels, points, trials, 4) array of seed words from one mixing pass
 (:func:`ofdm_model._derive_tables`, numpy's ``SeedSequence`` vectorized
-over points, trials and labels) and every label's PCG64 states in one
-pass (:func:`ofdm_model._pcg64_states`), each costing about as much for
-a group as for one point, then draws its QPSK picks from the training
-states (:func:`ofdm_model._qpsk_picks`). A point of more trials derives
-them in blocks of ``_GROUP_ROWS``, so no array grows with the trial
-count. Each chunk fills its rows' normals from the other states. Picks
-and normals are numpy's C fills run on those states: the one-trial
-draws, bit for bit (``tests/reference.py``). A chunk then
-makes one synthesis of both symbols, one FFT, one stacked correlation
-per estimator and one stacked Fisher pass over the synthesis's noiseless
-burst, which equal the one-trial computations bit for bit (see
-:mod:`ofdm_sync_lab.ofdm_model` for the rules that make them equal), so
-a trial run as a chunk of one (:func:`inspect_trial`) gets its row of
-any sweep.
+over labels, points and trials), made PCG64 states in one pass
+(:func:`ofdm_model._pcg64_states`), each costing about as much for a
+block as for one point. The block draws its QPSK picks from the training
+states (:func:`ofdm_model._qpsk_picks`), and each chunk fills its rows'
+normals from the others. Picks and normals are numpy's C fills run on
+those states: the one-trial draws, bit for bit (``tests/reference.py``).
+A chunk then makes one synthesis of both symbols, one FFT, one stacked
+correlation per estimator and one stacked Fisher pass over the
+synthesis's noiseless burst, which equal the one-trial computations bit
+for bit (see :mod:`ofdm_sync_lab.ofdm_model` for the rules that make
+them equal), so a trial run as a chunk of one (:func:`inspect_trial`)
+gets its row of any sweep.
 
 A chunk's outcomes stay trial-major columns (:class:`_Columns`): the
 residual norms, each estimator's lattice cfo, sfo and cost, the bounds
@@ -51,8 +52,9 @@ numeric oracle of ``tests/reference.py``.
 """
 
 import ctypes
-import functools
 from dataclasses import dataclass, replace
+from itertools import groupby, starmap
+from operator import itemgetter
 
 import numpy as np
 
@@ -132,11 +134,11 @@ _CHUNK = 64
 # its own budget: 64 MiB. The default experiment's largest takes 128 KB.
 _ARRAY_BUDGET = 2 ** 26
 
-# Most trials of consecutive SNR points whose streams share one derivation
-# and one state pass (together about 0.4 ms of fixed cost); fig2's default
-# sweep is one group. A group holds about 150 bytes per trial. A point of
-# more trials derives them in blocks of this many, a multiple of both
-# chunk sizes, so that every chunk but a point's last is full.
+# Most trials of consecutive SNR points whose streams share one block: one
+# derivation and one state pass (together about 0.4 ms of fixed cost);
+# fig2's default sweep is one block. A block holds about 150 bytes per
+# trial. A point of more trials takes blocks of this many, a multiple of
+# both chunk sizes, so that every chunk but a point's last is full.
 _GROUP_ROWS = 1024
 
 
@@ -279,7 +281,7 @@ class _Columns:
 
 
 def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
-          states: dict) -> tuple:
+          states: np.ndarray) -> tuple:
     """Draw a chunk's trials, each from its own streams, trial-major: the
     tuple ``(indices, x, taps, noise)``, whose row i is trial indices[i].
 
@@ -287,47 +289,43 @@ def _draw(cfg: ExperimentConfig, indices, picks: np.ndarray,
     repeats; ``taps`` is (T, L); ``noise`` holds the (T, 2, 2, N)
     standard normals of both symbols' noise, or None for a draw of the
     scenario alone. ``picks`` holds the chunk's rows of the SNR point's
-    QPSK picks and ``states`` maps every other label to the chunk's rows
-    of its PCG64 states, from which :func:`ofdm_model._standard_normals`
-    draws the one-trial ``Generator.standard_normal`` draws, bit for bit.
+    QPSK picks and ``states`` its (T, labels - 1, 4) rows of the PCG64
+    states of every label after the training, in ``_BURST_STREAMS``
+    order, from which :func:`ofdm_model._standard_normals` draws the
+    one-trial ``Generator.standard_normal`` draws, bit for bit.
     """
-    taps = _standard_normals([states["channel"]], cfg.n_taps)[:, 0]
-    noise = None if "noise0" not in states else _standard_normals(
-        [states["noise0"], states["noise1"]], cfg.ofdm.dft_size)
+    taps = _standard_normals(states[:, :1], cfg.n_taps)[:, 0]
+    noise = None if states.shape[1] == 1 else _standard_normals(
+        states[:, 1:], cfg.ofdm.dft_size)
     return tuple(indices), QPSK_ALPHABET.take(picks), channel_taps(taps), noise
 
 
-def _chunks(cfg: ExperimentConfig, stream_keys, indices, labels) -> list:
-    """Per stream key, a generator of the draws of ``indices`` chunk by
-    chunk: ``_CHUNK`` rows of bursts, or twice that of the scenario alone.
-    The streams of every key come from one :func:`ofdm_model._derive_tables`,
-    state pass and pick pass per block of at most ``_GROUP_ROWS`` indices,
-    derived as the first key reaches it, so no table grows with the trials."""
+def _chunks(cfg: ExperimentConfig, snr_points, indices, labels):
+    """The draws of ``indices`` at each SNR point in turn, chunk by chunk,
+    as ``(snr_db, draws)``: ``_CHUNK`` rows of bursts, or twice that of the
+    scenario alone. Consecutive points of at most ``_GROUP_ROWS`` rows
+    share a block, and a point of more trials takes blocks of
+    ``_GROUP_ROWS``. A block's streams come from one
+    :func:`ofdm_model._derive_tables`, one state pass and one pick pass,
+    so no array grows with the trials."""
     size = _CHUNK if "noise0" in labels else 2 * _CHUNK
-    shape, k = (len(stream_keys), -1), cfg.ofdm.n_active
-
-    @functools.lru_cache(maxsize=1)
-    def block(start):
-        ids = indices[start:start + _GROUP_ROWS]
-        tables = _derive_tables(cfg.master_seed, stream_keys, ids, labels)
-        states = dict(zip(tables, _pcg64_states(np.stack([*tables.values()]))))
-        picks = _qpsk_picks(states.pop("training"), k).reshape(*shape, k)
-        # Copies: views would keep the training states as long as the block.
-        return ids, picks, {label: t.reshape(*shape, 4).copy()
-                            for label, t in states.items()}
-
-    def point(s):
+    step = max(1, _GROUP_ROWS // len(indices))
+    for first in range(0, len(snr_points), step):
+        points = snr_points[first:first + step]
+        keys = [snr_stream_key(s) for s in points]
         for start in range(0, len(indices), _GROUP_ROWS):
-            if start:  # a point of several blocks is alone in its group
-                block.cache_clear()
-            ids, picks, states = block(start)
-            for offset in range(0, len(ids), size):
-                rows = slice(offset, offset + size)
-                yield _draw(cfg, ids[rows], picks[s, rows],
-                            {label: t[s, rows] for label, t in states.items()})
-            del ids, picks, states
-
-    return [point(s) for s in range(len(stream_keys))]
+            ids = indices[start:start + _GROUP_ROWS]
+            states = _pcg64_states(_derive_tables(cfg.master_seed, keys, ids,
+                                                  labels))
+            picks = _qpsk_picks(states[0], cfg.ofdm.n_active)
+            # A copy, trial-major: a view would keep the training states.
+            states = np.moveaxis(states[1:], 0, 2).copy()
+            for s, snr_db in enumerate(points):
+                for offset in range(0, len(ids), size):
+                    rows = slice(offset, offset + size)
+                    yield snr_db, _draw(cfg, ids[rows], picks[s, rows],
+                                        states[s, rows])
+            del ids, picks, states  # freed before the next block is derived
 
 
 def _observe(cfg: ExperimentConfig, snr_db: float, draws: tuple,
@@ -407,8 +405,7 @@ def inspect_trial(cfg: ExperimentConfig, snr_db: float,
     evaluations to every trial.
     """
     replace(cfg, snr_points_db=(snr_db,))
-    draws = next(_chunks(cfg, (snr_stream_key(snr_db),), (trial_index,),
-                         _BURST_STREAMS)[0])
+    _, draws = next(_chunks(cfg, (snr_db,), (trial_index,), _BURST_STREAMS))
     cols, spectra = _burst_columns(cfg, snr_db, draws)
     _, (x,), (taps,), _ = draws
     r0, r1 = spectra[0]
@@ -507,7 +504,7 @@ def _reduce(chunks, snr_db: float, cfo: float, sfo: float) -> SweepRow:
             add("crb_cfo", cols.crb_cfo[~cols.singular].tolist())
             add("crb_sfo", cols.crb_sfo[~cols.singular].tolist())
             counts["crb_excluded"] += int(cols.singular.sum())
-        del cols  # freed before the next chunk is drawn
+        del cols, found  # freed before the next chunk is drawn
     return SweepRow(
         snr_db=snr_db, n_trials=n_trials, degenerate_observations=(
             sums["mean_residual_n_sq"][1] - sums["mean_residual_e_sq"][1]),
@@ -535,18 +532,13 @@ def _retain_heap() -> bool:
 
 def _sweep(cfg: ExperimentConfig, labels, columns) -> SweepResult:
     """One row per SNR point, reducing ``columns(snr_db, draws)`` of its
-    chunks; consecutive points of at most ``_GROUP_ROWS`` trials (or one
-    point) share a :func:`_chunks` call. The heap policy of
-    :func:`_retain_heap` is set first."""
+    :func:`_chunks`, after setting the heap policy of :func:`_retain_heap`.
+    The points ascend strictly, so each is one run of the chunk stream."""
     _retain_heap()
-    points, step = cfg.snr_points_db, max(1, _GROUP_ROWS // cfg.n_trials)
-    groups = (points[i:i + step] for i in range(0, len(points), step))
+    stream = _chunks(cfg, cfg.snr_points_db, range(cfg.n_trials), labels)
     return SweepResult(config=cfg, rows=tuple(
-        _reduce(map(functools.partial(columns, snr_db), draws), snr_db,
-                cfg.cfo, cfg.sfo)
-        for group in groups for snr_db, draws in zip(group, _chunks(
-            cfg, [snr_stream_key(s) for s in group], range(cfg.n_trials),
-            labels))))
+        _reduce(starmap(columns, chunks), snr_db, cfg.cfo, cfg.sfo)
+        for snr_db, chunks in groupby(stream, itemgetter(0))))
 
 
 def run_mse_sweep(cfg: ExperimentConfig) -> SweepResult:

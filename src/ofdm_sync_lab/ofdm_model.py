@@ -49,8 +49,9 @@ Random substreams are numpy's ``PCG64(SeedSequence(words))``, where the
 words are a key path (master seed, SNR key, trial index, label) split
 into 32-bit words as ``SeedSequence`` splits integers.
 :func:`_derive_tables` runs ``SeedSequence``'s mixing over whole axes of
-SNR keys, trial indices and labels at once, and :func:`_pcg64_states`
-seeds PCG64 from them: each row's one-trial state, bit for bit. That
+labels, SNR keys and trial indices at once, into one (labels, keys,
+trials, 4) array of seed words, and :func:`_pcg64_states` seeds PCG64
+from it: each row's one-trial state, bit for bit. That
 one-trial definition, ``derive_rng``, lives in ``tests/reference.py``,
 where the stream tests check both against numpy's own ``SeedSequence``.
 A trial index must lie in [0, 2**32), where it is exactly one word.
@@ -209,8 +210,10 @@ def _check_offsets(cfo, sfo, dft_size: int | None = None):
 def exponential_power_profile(n_taps: int) -> np.ndarray:
     """Power-delay profile decaying with time constant ``PDP_DECAY_TAPS``,
     normalized to unit sum; ``n_taps`` must be an integer of at least 1."""
-    if not isinstance(n_taps, (int, np.integer)) or n_taps < 1:
-        raise ValueError(f"n_taps must be an integer >= 1, got {n_taps!r}")
+    integral = isinstance(n_taps, (int, np.integer))
+    if not integral or n_taps < 1:
+        shown = _int_text(int(n_taps)) if integral else repr(n_taps)
+        raise ValueError(f"n_taps must be an integer >= 1, got {shown}")
     weights = np.exp(-np.arange(n_taps) / PDP_DECAY_TAPS)
     return weights / weights.sum()
 
@@ -519,14 +522,14 @@ def _word_groups(keys, trailing: int):
 
 
 def _derive_tables(master_seed: int, stream_keys, trial_indices,
-                   labels) -> dict:
+                   labels) -> np.ndarray:
     """Seed words of the streams (master_seed, key, t, label) for every
-    stream key, trial index t and label, as a dict by label of
-    C-contiguous (S T, 4) uint64 tables, row s T + i for key s and the
-    i-th trial index. Runs SeedSequence's mixing once per entropy word
-    count of the keys (0 dB and up is one word, below 0 dB two) and of
-    the labels (a str is two): key words enter as (S, 1) columns, label
-    words as (L, 1, 1) columns, against the (T,) trial words.
+    label, stream key and trial index t, as one C-contiguous
+    (labels, keys, trials, 4) uint64 array in label order. Runs
+    SeedSequence's mixing once per entropy word count of the keys (0 dB
+    and up is one word, below 0 dB two) and of the labels (a str is two):
+    key words enter as (S, 1) columns, label words as (L, 1, 1) columns,
+    against the (T,) trial words.
 
     Raises
     ------
@@ -544,16 +547,16 @@ def _derive_tables(master_seed: int, stream_keys, trial_indices,
     # arithmetic beats size-1 array arithmetic by an order of magnitude.
     trial_word = int(trials[0]) if trials.size == 1 \
         else trials.astype(np.uint32)
-    labels, shape, tables = list(labels), (len(stream_keys), trials.size), {}
+    labels = list(labels)
+    seeds = np.empty((len(labels), len(stream_keys), trials.size, 4),
+                     np.uint64)
     for keys, key_words in _word_groups(stream_keys, 1):
         head = _key_words(int(master_seed)) + key_words + [trial_word]
         for group, label_words in _word_groups(labels, 2):
-            seeds = _seed_words(_hash_pool(head + label_words),
-                                (len(group), len(keys), trials.size))
-            for i, table in zip(group, seeds):
-                tables.setdefault(labels[i], np.empty(
-                    (*shape, 4), np.uint64))[keys] = table
-    return {label: table.reshape(-1, 4) for label, table in tables.items()}
+            seeds[np.ix_(group, keys)] = _seed_words(
+                _hash_pool(head + label_words),
+                (len(group), len(keys), trials.size))
+    return seeds
 
 
 def _times(hi, lo):
@@ -608,14 +611,14 @@ _NORMALS_FILL, _RAW_FILL = _load_fill()
 
 def _each_row(states: np.ndarray, out: np.ndarray, fill, *args) -> np.ndarray:
     """``out``, filled row by row: ``fill(bitgen, *args, place)`` runs once
-    per row of a C-contiguous (..., 4) uint64 :func:`_pcg64_states` table,
+    per row of a C-contiguous (..., 4) uint64 :func:`_pcg64_states` array,
     with this call's own PCG64 aiming its C state pointer at the row,
     which the fill advances, and ``place`` the address of the row's equal
     share of ``out``. ``args`` are ctypes objects, converted once."""
     if (states.shape[-1:] != (4,) or states.dtype != np.uint64
             or not states.flags.c_contiguous
             or states.ctypes.data % 16):  # numpy's 128-bit C fields
-        raise ValueError("state tables must be aligned C uint64 rows of 4")
+        raise ValueError("state arrays must be aligned C uint64 rows of 4")
     size = out.nbytes // max(states.size // 4, 1)
     src, place = states.ctypes.data, out.ctypes.data
     bitgen = np.random.PCG64(0)
@@ -633,25 +636,24 @@ def _each_row(states: np.ndarray, out: np.ndarray, fill, *args) -> np.ndarray:
 
 
 def _qpsk_picks(states: np.ndarray, n_active: int) -> np.ndarray:
-    """``integers(0, 4, K)`` of each row of a (T, 4) :func:`_pcg64_states`
-    table, (T, K) uint8, from the K/2 raw words numpy's C fill draws from
+    """``integers(0, 4, K)`` of each row of a (..., 4) :func:`_pcg64_states`
+    array, (..., K) uint8, from the K/2 raw words numpy's C fill draws from
     a copy of it: for a range of 4 Lemire's method never rejects and takes
     the top two bits of each 32-bit half, low half first (K even)."""
-    raw = np.empty((len(states), n_active // 2), np.uint64)
+    raw = np.empty((*states.shape[:-1], n_active // 2), np.uint64)
     _each_row(states.copy(), raw, _RAW_FILL, ctypes.c_uint64(0),
               ctypes.c_uint64(_MASK64), ctypes.c_ssize_t(n_active // 2),
               ctypes.c_bool(False))
-    picks = np.empty((len(states), n_active), dtype=np.uint8)
-    picks[:, 1::2] = raw >> 62
+    picks = np.empty((*states.shape[:-1], n_active), dtype=np.uint8)
+    picks[..., 1::2] = raw >> 62
     raw >>= 30
-    picks[:, 0::2] = np.bitwise_and(raw, 3, out=raw)
+    picks[..., 0::2] = np.bitwise_and(raw, 3, out=raw)
     return picks
 
 
-def _standard_normals(tables, n: int) -> np.ndarray:
-    """(T, len(tables), 2, n): at [t, i] the 2 n ``standard_normal`` draws
-    of row t of the i-th (T, 4) :func:`_pcg64_states` table, bit for bit,
-    filled from a stacked copy of the states, which the fill advances."""
-    states = np.stack(tables, axis=1)
-    return _each_row(states, np.empty((*states.shape[:2], 2, n)),
+def _standard_normals(states: np.ndarray, n: int) -> np.ndarray:
+    """(T, m, 2, n): at [t, i] the 2 n ``standard_normal`` draws of the
+    state at [t, i] of a (T, m, 4) :func:`_pcg64_states` array, bit for
+    bit, filled from a copy of it, which the fill advances."""
+    return _each_row(states.copy(), np.empty((*states.shape[:-1], 2, n)),
                      _NORMALS_FILL, ctypes.c_ssize_t(2 * n))

@@ -157,6 +157,8 @@ def stage_high_water(fig1=400, fig2=60, crb=500):
     with contextlib.ExitStack() as patches:
         patches.callback(tracemalloc.stop)  # should a sweep raise
         for owner, name, stage in (
+                (harness, "_derive_tables", "derive"),
+                (harness, "_pcg64_states", "states"),
                 (harness, "_qpsk_picks", "picks"), (harness, "_draw", "draw"),
                 (harness, "_observe", "observe"),
                 (search, "search_proposed", "searches"),

@@ -12,8 +12,9 @@
 * :func:`derive_rng` is the one-trial definition of a random substream,
   which the stream tests check ``ofdm_model._derive_tables`` and the
   sweeps' draws against, and which seeds the tests' own data. It seeds
-  numpy's own ``PCG64`` through :class:`SeedWords`; the sweeps compute
-  the same states with ``ofdm_model._pcg64_states`` and build no
+  numpy's own ``PCG64`` through :class:`SeedWords`; the sweeps derive a
+  block's seeds as one (labels, points, trials, 4) array, compute the
+  same states from it with ``ofdm_model._pcg64_states`` and build no
   generator per trial.
 
 They read the package's private helpers and add nothing to it.
@@ -139,7 +140,7 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     The stream is numpy's ``PCG64(SeedSequence(words))``, where ``words``
     are the master seed and every key split as
     ``ofdm_model._key_words`` does; ``ofdm_model._derive_tables``
-    computes the same seeds for many trials at once. The same (seed,
+    computes the same seeds for many labels, points and trials at once. The same (seed,
     keys) always yields the same stream.
     """
     entropy = _key_words(int(master_seed))

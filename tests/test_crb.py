@@ -202,12 +202,12 @@ def test_closed_form_matches_oracle_over_random_geometries(scenario_args):
 ])
 def test_closed_form_matches_oracle_at_extreme_experiments(geometry):
     """The closed form the sweeps use agrees with the oracle on two seeded
-    scenario draws of an experiment, under a str stream key that no SNR
-    point shares, one at each end of its SNR axis."""
+    scenario draws of an experiment, drawn at an SNR point off its axis,
+    bounded at each end of that axis."""
     cfg = make_experiment(**{"snr_points_db": (0.0, 30.0), **geometry},
                           grid=make_grid(1e-3, 1e-3, 1e-4, 1e-4))
-    _, x, taps, _ = next(harness._chunks(cfg, ("crb-backend-probe",),
-                                         range(2), ("training", "channel"))[0])
+    _, (_, x, taps, _) = next(harness._chunks(cfg, (-12.345,), range(2),
+                                              ("training", "channel")))
     noise_var = np.array([noise_variance_from_snr(cfg.ofdm, snr_db) for
                           snr_db in (cfg.snr_points_db[0],
                                      cfg.snr_points_db[-1])])
@@ -591,7 +591,7 @@ def test_average_crb_single_trial_identity():
 def test_average_crb_fixed_draw_identity(monkeypatch):
     """A scenario draw ignoring its streams makes the average equal the
     single realization regardless of the trial count."""
-    def fixed_draw(cfg, indices, picks, seeds):
+    def fixed_draw(cfg, indices, picks, states):
         rows = (len(indices), 1)
         return (tuple(indices), np.tile(FLAT_X[0], rows),
                 np.tile(FLAT_TAPS[0], rows), None)

@@ -13,8 +13,9 @@ SECTIONS = {  # smallest sizes, and what the output must show
     "import_cpu": ([1], ["cached", "package from", "all from"]),
     "import_times": ([1], ["ms  ofdm_sync_lab"]),
     "unreached": ([1], [" never enter "]),
-    "stage_high_water": ([1, 1, 1], [" picks ", " draw ", " observe ",
-                                     " searches ", " Fisher "]),
+    "stage_high_water": ([1, 1, 1], [" derive ", " states ", " picks ",
+                                     " draw ", " observe ", " searches ",
+                                     " Fisher "]),
     "package_size": ([], ["@dataclass classes"]),
 }
 

@@ -29,7 +29,6 @@ from ofdm_sync_lab import (
     proposed_cost,
     ratio_observable_rows,
     ratio_residual_rows,
-    snr_stream_key,
     symbol_phase_ramp,
     synthesize_rows,
 )
@@ -660,8 +659,8 @@ def test_refine_is_within_one_sfo_step_without_noise():
     cfg = make_experiment()
     spectra = np.concatenate([
         harness._burst_columns(cfg, 200.0, draws, residuals_only=True)[1]
-        for draws in harness._chunks(cfg, (snr_stream_key(200.0),),
-                                     range(500), harness._BURST_STREAMS)[0]])
+        for _, draws in harness._chunks(cfg, (200.0,), range(500),
+                                        harness._BURST_STREAMS)])
     refined = estimate_proposed(spectra[:, 0], spectra[:, 1], cfg.grid,
                                 cfg.ofdm, refine=True)
     assert np.sqrt(np.mean((refined.sfo - cfg.sfo) ** 2)) < cfg.grid.sfo_step

@@ -197,8 +197,10 @@ def test_counts_and_seed_must_be_integers():
     (lambda: make_experiment(dft_size=-10 ** 5000), "-"),
     (lambda: make_experiment(cp_len=-10 ** 5000), "-"),
     (lambda: make_experiment(n_active=10 ** 5000), ""),
+    (lambda: ofdm_model.exponential_power_profile(-10 ** 5000), "-"),
 ], ids=["n_taps", "n_trials", "master_seed", "grid-span", "n_trials-below",
-        "n_taps-below", "dft_size-below", "cp_len-below", "n_active"])
+        "n_taps-below", "dft_size-below", "cp_len-below", "n_active",
+        "profile-below"])
 def test_ints_past_the_str_limit_get_the_checks_own_message(build, sign):
     """An int of more digits than Python converts to str (4300 by default)
     is printed by its magnitude, so its check raises its own message,
@@ -500,9 +502,8 @@ def test_crb_rows_equal_one_trial_rows_across_scenario_chunk_edges(
     bounds = sweep_records(monkeypatch, run_crb_sweep, cfg)
     for snr_db in cfg.snr_points_db:
         for t in range(n_trials):
-            ((_, x, taps, _),) = harness._chunks(
-                cfg, (harness.snr_stream_key(snr_db),), (t,),
-                harness._SCENARIO_STREAMS)[0]
+            ((_, (_, x, taps, _)),) = harness._chunks(
+                cfg, (snr_db,), (t,), harness._SCENARIO_STREAMS)
             burst = noiseless_burst(cfg.ofdm, x, taps, cfg.sfo)
             direct = harness._Columns(
                 (t,), **harness._crb_fields(cfg, snr_db, burst))
@@ -856,7 +857,31 @@ def test_fig2_sweep_derives_its_bursts_streams_in_one_pass(monkeypatch):
     assert [row.n_trials for row in run_mse_sweep(cfg).rows] == [60] * 6
     assert [tuple(args[1]) for args in calls["derive"]] == [
         (5000, 10000, 15000, 20000, 25000, 30000)]
-    assert [len(args[0]) for args in calls["picks"]] == [360]
+    assert [args[0].shape for args in calls["picks"]] == [(6, 60, 4)]
+
+
+@pytest.mark.parametrize("sweep, n_trials, blocks", [
+    (run_noise_variance_sweep, 2000,
+     [((key,), n) for key in range(0, 35000, 5000) for n in (1024, 976)]),
+    (run_crb_sweep, 500, [(keys, 500) for keys in (
+        (0, 5000), (10000, 15000), (20000, 25000), (30000,))]),
+], ids=["fig1", "crb"])
+def test_default_sweeps_derive_their_streams_in_few_blocks(
+        monkeypatch, sweep, n_trials, blocks):
+    """Default fig1 (7 x 2000 trials) derives each point's streams in a
+    block of 1024 trials and one of 976, 14 passes, and default crb (7 x
+    500) derives two points per pass, 4 passes: each pass costs about
+    0.4 ms whatever its size, so more would show in every sweep."""
+    derived, derive = [], harness._derive_tables
+
+    def counted(seed, keys, trials, labels):
+        derived.append((tuple(keys), len(trials)))
+        return derive(seed, keys, trials, labels)
+
+    monkeypatch.setattr(harness, "_derive_tables", counted)
+    cfg = make_experiment(n_trials=n_trials)
+    assert [row.n_trials for row in sweep(cfg).rows] == [n_trials] * 7
+    assert derived == blocks
 
 
 def test_concurrent_sweeps_equal_their_serial_runs(monkeypatch):

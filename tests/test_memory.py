@@ -10,11 +10,13 @@ grow with its trial count.
 """
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ofdm_sync_lab import harness, make_experiment, noiseless_burst
+from ofdm_sync_lab import Estimates, harness, make_experiment, noiseless_burst
 from ofdm_sync_lab import snr_stream_key
 from ofdm_sync_lab.ofdm_model import (_derive_tables, _pcg64_states,
                                       _qpsk_picks)
@@ -44,15 +46,15 @@ def high_water(run) -> int:
 def fig2_chunk():
     """A full fig2 chunk of 64 bursts: draws, observation, both searches
     and the bounds."""
-    draws = next(harness._chunks(CFG, KEYS, range(harness._CHUNK),
-                                 harness._BURST_STREAMS)[0])
+    _, draws = next(harness._chunks(CFG, (SNR_DB,), range(harness._CHUNK),
+                                    harness._BURST_STREAMS))
     return lambda: harness._burst_columns(CFG, SNR_DB, draws)
 
 
 def pick_block():
     """One ``_GROUP_ROWS`` block of QPSK picks at K = 52."""
     table = _derive_tables(CFG.master_seed, KEYS, range(harness._GROUP_ROWS),
-                           ("training",))["training"]
+                           ("training",))[0, 0]
     states = _pcg64_states(table)
     return lambda: _qpsk_picks(states, 52)
 
@@ -60,8 +62,8 @@ def pick_block():
 def crb_chunk():
     """A crb chunk of 128 scenario rows: its noiseless burst and bounds,
     as ``run_crb_sweep`` forms them."""
-    _, x, taps, _ = next(harness._chunks(CFG, KEYS, range(2 * harness._CHUNK),
-                                         harness._SCENARIO_STREAMS)[0])
+    _, (_, x, taps, _) = next(harness._chunks(
+        CFG, (SNR_DB,), range(2 * harness._CHUNK), harness._SCENARIO_STREAMS))
     return lambda: harness._crb_fields(CFG, SNR_DB, noiseless_burst(
         CFG.ofdm, x, taps, CFG.sfo))
 
@@ -91,3 +93,22 @@ def test_sweep_high_water_does_not_grow_with_trials(sweep):
         return high_water(lambda: sweep(cfg))
 
     assert at(3 * harness._GROUP_ROWS) - at(harness._GROUP_ROWS) < 32 * 1024
+
+
+def test_reduction_lets_go_of_each_chunk_before_the_next():
+    """No part of a chunk's columns outlives its turn in ``_reduce``: a
+    search's estimates keep its correlations for their lazy cost, and
+    holding the last ones while the next chunk was drawn and searched
+    took full-size fig2's traced high-water 60 KB higher."""
+    held = []
+
+    def chunks():
+        for start in range(0, 6, 2):
+            assert all(ref() is None for ref in held)
+            found = Estimates(np.zeros(2), np.zeros(2), lambda: np.zeros(2))
+            held.append(weakref.ref(found))
+            yield harness._Columns((start, start + 1), proposed=found,
+                                   nguyenle=found)
+            del found
+
+    assert harness._reduce(chunks(), 0.0, 0.0, 0.0).n_trials == 6

@@ -40,8 +40,8 @@ MASTER_SEEDS = st.one_of(
     st.sampled_from([0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
                      2 ** 64, 2 ** 64 + 5, -1, -12345, -(2 ** 63)]),
     st.integers(-(2 ** 70), 2 ** 70))
-# SNR keys of both signs, 0 among them, and the str key that
-# tests/test_crb.py draws its extreme-experiment Fisher scenarios under.
+# SNR keys of both signs, 0 among them, and a str key, which a key path
+# of derive_rng may hold.
 STREAM_KEYS = st.one_of(st.sampled_from([0, -7500, 15000, "crb-backend-probe"]),
                         st.integers(-(2 ** 63), 2 ** 63 - 1))
 LABELS = st.sampled_from(("training", "channel", "noise0", "noise1"))
@@ -59,11 +59,11 @@ def test_derived_states_match_numpy_seeding(seed, key, label, trials):
     """Every trial's seeded generator has the state and the first draws of
     a fresh PCG64(SeedSequence(words)), bit for bit, in one pass or one
     trial at a time, and via derive_rng."""
-    table = ofdm_model._derive_tables(seed, (key,), trials, (label,))[label]
+    table = ofdm_model._derive_tables(seed, (key,), trials, (label,))[0, 0]
     assert table.shape == (len(trials), 4) and table.dtype == np.uint64
     for row, t in enumerate(trials):
         npt.assert_array_equal(
-            ofdm_model._derive_tables(seed, (key,), [t], (label,))[label][0],
+            ofdm_model._derive_tables(seed, (key,), [t], (label,))[0, 0, 0],
             table[row])
         oracle = oracle_stream(seed, key, t, label)
         rng = np.random.Generator(np.random.PCG64(
@@ -88,22 +88,18 @@ def test_derived_states_match_numpy_seeding(seed, key, label, trials):
 @example(seed=1, keys=[0, -5000, 5000, "crb-backend-probe", 2 ** 40],
          labels=["channel"], trials=[0, 2 ** 32 - 1, 1])
 def test_multi_key_tables_match_derive_states(seed, keys, labels, trials):
-    """Tables of several stream keys in one call, keys of one word (0 dB
-    and up) and of two (below 0 dB, and a str key) among them,
-    hold each key's table derived alone in its block of rows, at one trial
-    and at many."""
+    """Seeds of several stream keys in one call, keys of one word (0 dB
+    and up) and of two (below 0 dB, and a str key) among them, hold at
+    [label, key] each key's seeds derived alone, at one trial and at
+    many."""
     keys = list(dict.fromkeys(keys))
-    tables = ofdm_model._derive_tables(seed, keys, trials, labels)
-    assert sorted(tables, key=labels.index) == labels
-    for label in labels:
-        table = tables[label]
-        assert table.shape == (len(keys) * len(trials), 4)
-        assert table.dtype == np.uint64 and table.flags.c_contiguous
+    seeds = ofdm_model._derive_tables(seed, keys, trials, labels)
+    assert seeds.shape == (len(labels), len(keys), len(trials), 4)
+    assert seeds.dtype == np.uint64 and seeds.flags.c_contiguous
+    for i, label in enumerate(labels):
         for s, key in enumerate(keys):
-            npt.assert_array_equal(
-                table[s * len(trials):(s + 1) * len(trials)],
-                ofdm_model._derive_tables(seed, (key,), trials,
-                                          (label,))[label])
+            npt.assert_array_equal(seeds[i, s], ofdm_model._derive_tables(
+                seed, (key,), trials, (label,))[0, 0])
 
 
 def test_derive_rng_frozen_draws():
@@ -126,15 +122,16 @@ def test_derive_rng_frozen_draws():
 @example(seed=1, key=15000, labels=[3, "noise0"], trials=[9])
 def test_label_tables_in_one_pass_match_derive_states(seed, key, labels,
                                                        trials):
-    """The tables of several labels mixed in one pass, int labels (one
+    """The seeds of several labels mixed in one pass, int labels (one
     word, or two when negative) and str labels (two words) among them,
-    equal each label's table derived alone, at one trial and at many."""
-    tables = ofdm_model._derive_tables(seed, [key], trials, labels)
-    assert sorted(tables, key=labels.index) == labels
-    for label in labels:
-        npt.assert_array_equal(tables[label], ofdm_model._derive_tables(
-            seed, (key,), trials, (label,))[label])
-        assert tables[label].flags.c_contiguous
+    equal in label order each label's seeds derived alone, at one trial
+    and at many."""
+    seeds = ofdm_model._derive_tables(seed, [key], trials, labels)
+    assert seeds.shape == (len(labels), 1, len(trials), 4)
+    assert seeds.flags.c_contiguous
+    for i, label in enumerate(labels):
+        npt.assert_array_equal(seeds[i], ofdm_model._derive_tables(
+            seed, (key,), trials, (label,))[0])
 
 
 @pytest.mark.parametrize("keys", [
@@ -238,16 +235,19 @@ def test_pcg64_states_match_numpy_seeding(rows):
 
 @pytest.mark.parametrize("n", [64, 5, 1])
 def test_standard_normal_fill_matches_generator_per_row(n):
-    """The C fill draws, for each of 20000 rows (two tables of 10000),
-    the 2 n normals ``Generator.standard_normal`` draws from a PCG64
-    seeded from that row, bit for bit, at a noise row's 2 N = 128, a
-    channel row's 2 L = 10 and at 2."""
+    """The C fill draws, for each of 20000 rows (10000 trials of two
+    labels), the 2 n normals ``Generator.standard_normal`` draws from a
+    PCG64 seeded from that row, bit for bit, at a noise row's 2 N = 128, a
+    channel row's 2 L = 10 and at 2, and leaves the caller's states where
+    they were."""
     seeds = np.random.default_rng(n).integers(
         0, 2 ** 64, (2, 10000, 4), dtype=np.uint64, endpoint=False)
     seeds[0, :2] = [[0] * 4, [2 ** 64 - 1] * 4]
-    drawn = ofdm_model._standard_normals(
-        [ofdm_model._pcg64_states(table) for table in seeds], n)
+    states = ofdm_model._pcg64_states(seeds.swapaxes(0, 1))
+    before = states.copy()
+    drawn = ofdm_model._standard_normals(states, n)
     assert drawn.shape == (10000, 2, 2, n)
+    npt.assert_array_equal(states, before)
     for i, table in enumerate(seeds):
         expected = [np.random.Generator(np.random.PCG64(SeedWords(words)))
                     .standard_normal((2, n)) for words in table]
@@ -286,7 +286,7 @@ def test_qpsk_picks_across_the_block_edge(n_rows, monkeypatch):
     ``Generator.integers(0, 4, 52)`` draws, from one PCG64 per call, not
     one per row, and the caller's states are left where they were."""
     table = ofdm_model._derive_tables(12345, (15000,), range(n_rows),
-                                      ("training",))["training"]
+                                      ("training",))[0, 0]
     expected = [_integers_oracle(words, 52) for words in table]
     states = ofdm_model._pcg64_states(table)
     before = states.copy()
@@ -324,10 +324,21 @@ def test_bad_state_tables_are_refused(fill, bad):
 def test_qpsk_picks_match_generator_integers_for_every_even_k():
     table = np.vstack([
         ofdm_model._derive_tables(12345, (15000,), range(3),
-                                  ("training",))["training"],
+                                  ("training",))[0, 0],
         np.array([[0] * 4, [2 ** 64 - 1] * 4], dtype=np.uint64)])
     for n_active in range(2, 258, 2):
         picks = ofdm_model._qpsk_picks(ofdm_model._pcg64_states(table),
                                        n_active)
         for row, words in zip(picks, table):
             npt.assert_array_equal(row, _integers_oracle(words, n_active))
+
+
+def test_qpsk_picks_keep_the_leading_axes():
+    """A (points, trials, 4) block of states gets at [point, trial] the
+    picks of that row in a (rows, 4) table."""
+    states = ofdm_model._pcg64_states(ofdm_model._derive_tables(
+        12345, (0, -5000, 15000), range(5), ("training",))[0])
+    picks = ofdm_model._qpsk_picks(states, 52)
+    assert picks.shape == (3, 5, 52)
+    npt.assert_array_equal(picks.reshape(15, 52), ofdm_model._qpsk_picks(
+        states.reshape(15, 4), 52))

@@ -182,8 +182,8 @@ def test_a_large_stack_equals_its_chunks():
         out = [xh, *gs, samples, spectra, y, bad,
                squared_norms(pair_residual_rows(r0, r1, cfo, sfo, config)),
                squared_norms(ratio_residual_rows(y, cfo, sfo, config))]
-        states = [_pcg64_states(table[rows]) for table in seeds]
-        out += [*states, _standard_normals(states, config.dft_size)]
+        states = _pcg64_states(seeds[:, rows].swapaxes(0, 1))
+        out += [states, _standard_normals(states, config.dft_size)]
         for route in (fisher_rows, fisher_numeric_oracle):
             out += route(config, burst, cfo, noise_var)
         for found in (ev.search_proposed(r0, r1),
