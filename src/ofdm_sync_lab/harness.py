@@ -52,6 +52,7 @@ numeric oracle of ``tests/reference.py``.
 """
 
 import ctypes
+import functools
 from dataclasses import dataclass, replace
 from itertools import groupby, starmap
 from operator import itemgetter
@@ -517,12 +518,14 @@ def worker_count() -> int:
     return 1
 
 
+@functools.cache
 def _retain_heap() -> bool:
     """Have glibc keep freed heap pages (M_TRIM_THRESHOLD = -1 and
     M_MMAP_THRESHOLD = -3, both at 32 MB), so each chunk reuses the last
     one's pages: by default glibc unmaps freed blocks over 128 KB or trims
     them off the heap top, and the next chunk faults them in again. False
-    where ``mallopt`` is missing or refuses."""
+    where ``mallopt`` is missing or refuses. The setting is process-wide,
+    so only a process's first call looks ``mallopt`` up and sets it."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

@@ -56,17 +56,18 @@ one-trial definition, ``derive_rng``, lives in ``tests/reference.py``,
 where the stream tests check both against numpy's own ``SeedSequence``.
 A trial index must lie in [0, 2**32), where it is exactly one word.
 Every draw is one of numpy's C fills run on those states, with no
-generator built per row: :func:`_each_row` aims one PCG64's C state
-pointer at each row in turn. The QPSK picks (:func:`_qpsk_picks`) are
-read from raw PCG64 words, which NEP 19 keeps stable across numpy
-versions, drawn by the fill behind ``Generator.integers`` over the full
-uint64 range; the normals (:func:`_standard_normals`) are the fill behind
-``Generator.standard_normal``.
+generator built per row or call: :func:`_each_row` aims its thread's one
+PCG64's C state pointer at each row, restoring it after every call. The
+QPSK picks (:func:`_qpsk_picks`) are read from raw PCG64 words, which NEP
+19 keeps stable across numpy versions, drawn by the fill behind
+``Generator.integers`` over the full uint64 range; the normals
+(:func:`_standard_normals`) are the fill behind ``Generator.standard_normal``.
 """
 
 import ctypes
 import functools
 import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,15 +123,19 @@ def _int_text(value: int) -> str:
     return str(value) if bits < 2000 else f"~{sign}10**{int(bits * 0.30103)}"
 
 
-def _complex_normal(scale, normals: np.ndarray) -> np.ndarray:
-    """``scale * (re + 1j * im)``, formed in place, from (..., 2, n)
-    standard normals, the real parts in row 0 and the imaginary parts in
-    row 1; any other shape is a ``ValueError``."""
+def _normal_planes(normals: np.ndarray) -> tuple:
+    """Rows 0 and 1 of (..., 2, n) normals; other shapes are a ValueError."""
     if np.ndim(normals) < 2 or np.shape(normals)[-2] != 2:
         raise ValueError(f"normals must be (..., 2, n), got shape "
                          f"{np.shape(normals)}")
-    z = np.multiply(1j, normals[..., 1, :])
-    return np.multiply(scale, np.add(normals[..., 0, :], z, out=z), out=z)
+    return normals[..., 0, :], normals[..., 1, :]
+
+
+def _complex_normal(scale, normals: np.ndarray) -> np.ndarray:
+    """``scale * (re + 1j * im)`` of :func:`_normal_planes`, in place."""
+    re, im = _normal_planes(normals)
+    z = np.multiply(1j, im)
+    return np.multiply(scale, np.add(re, z, out=z), out=z)
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,10 @@ def _check_offsets(cfo, sfo, dft_size: int | None = None):
     sfo 1 the clock runs twice as fast; a CFO of N subcarrier spacings
     turns the phase once per sample, so cfo and cfo + N give the same
     samples; and a far larger offset overflows the Fisher weights."""
+    if type(cfo) is type(sfo) is float and abs(sfo) < 1.0 and (
+            abs(cfo) < np.inf if dft_size is None else
+            type(dft_size) is int and abs(cfo) < dft_size <= 2 ** 53):
+        return  # as numpy, which compares float(N): N itself to 2**53
     for name, value in (("cfo", cfo), ("sfo", sfo)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
@@ -320,6 +329,9 @@ def synthesize_rows(config: OfdmConfig, burst: tuple, cfo: float,
     where the sum over the active subcarriers is the burst's g_m, sfo is
     the burst's own, cfo is finite with |cfo| < N, and w is circular
     Gaussian noise of total variance ``noise_var`` (finite and >= 0).
+    The noise is added as ``scale * re`` and ``scale * im`` on the real
+    and imaginary planes of the samples: bit for bit the complex noise of
+    :func:`_complex_normal`, as a real scale rounds each part on its own.
 
     Parameters
     ----------
@@ -341,7 +353,10 @@ def synthesize_rows(config: OfdmConfig, burst: tuple, cfo: float,
     if noise_var > 0.0:
         if normals is None:
             raise ValueError("normals are required when noise_var > 0")
-        samples += _complex_normal(np.sqrt(noise_var / 2.0), normals)
+        scale = np.sqrt(noise_var / 2.0)
+        for part, plane in zip((samples.real, samples.imag),
+                               _normal_planes(normals)):
+            part += scale * plane
     return samples
 
 
@@ -607,29 +622,34 @@ def _load_fill():
 
 
 _NORMALS_FILL, _RAW_FILL = _load_fill()
+_THREAD = threading.local()  # .handle: this thread's :func:`_each_row` PCG64
 
 
 def _each_row(states: np.ndarray, out: np.ndarray, fill, *args) -> np.ndarray:
     """``out``, filled row by row: ``fill(bitgen, *args, place)`` runs once
     per row of a C-contiguous (..., 4) uint64 :func:`_pcg64_states` array,
-    with this call's own PCG64 aiming its C state pointer at the row,
-    which the fill advances, and ``place`` the address of the row's equal
-    share of ``out``. ``args`` are ctypes objects, converted once."""
+    with the calling thread's one PCG64 aiming its C state pointer at the
+    row, which the fill advances, and ``place`` the address of the row's
+    equal share of ``out``. ``args`` are ctypes objects, converted once.
+    The pointer is restored after every call, and the rows leave the
+    PCG64's buffered 32-bit word unused: both fills draw 64-bit words."""
     if (states.shape[-1:] != (4,) or states.dtype != np.uint64
             or not states.flags.c_contiguous
             or states.ctypes.data % 16):  # numpy's 128-bit C fields
         raise ValueError("state arrays must be aligned C uint64 rows of 4")
-    size = out.nbytes // max(states.size // 4, 1)
-    src, place = states.ctypes.data, out.ctypes.data
-    bitgen = np.random.PCG64(0)
-    pointer = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
-    own = pointer.value
-    address = ctypes.c_void_p(bitgen.ctypes.bit_generator.value)
+    if not hasattr(_THREAD, "handle"):
+        bitgen = np.random.PCG64(0)
+        pointer = ctypes.c_void_p.from_address(bitgen.ctypes.state_address)
+        _THREAD.handle = (bitgen, pointer, pointer.value,
+                          ctypes.c_void_p(bitgen.ctypes.bit_generator.value))
+    _, pointer, own, address = _THREAD.handle
+    size = max(out.nbytes // max(states.size // 4, 1), 1)
+    src, dst = states.ctypes.data, out.ctypes.data
     try:
-        for row in range(src, src + states.nbytes, 32):
+        for row, place in zip(range(src, src + states.nbytes, 32),
+                              range(dst, dst + out.nbytes, size)):
             pointer.value = row
             fill(address, *args, place)
-            place += size
     finally:
         pointer.value = own  # the PCG64 frees the state it points to
     return out

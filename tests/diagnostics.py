@@ -185,6 +185,48 @@ def stage_high_water(fig1=400, fig2=60, crb=500):
                       for stage, peak in peaks.items()))
 
 
+def fill_overhead(rows=1024, repeats=20):
+    """Microseconds per row of the row fills behind a chunk's draws,
+    through ``ofdm_model._each_row`` (one ctypes call per row), beside one
+    C fill of the same count from one state: the difference is the per-row
+    call cost that only a native row loop would remove."""
+    import ctypes, time
+    import numpy as np
+    from ofdm_sync_lab import ofdm_model as om
+    states = om._pcg64_states(om._derive_tables(12345, (15000,), range(rows),
+                                                ("row",)))[0, 0]
+
+    def normals(n):
+        return ctypes.c_ssize_t(n),
+
+    def raw(n):  # the full uint64 range, unmasked, as _qpsk_picks draws
+        return (ctypes.c_uint64(0), ctypes.c_uint64(2 ** 64 - 1),
+                ctypes.c_ssize_t(n), ctypes.c_bool(False))
+
+    # A channel row's 2 L normals, a noise row's 2 N and a pick row's K/2
+    # raw words, at the default L = 5, N = 64 and K = 52.
+    cases = (("taps", "normals", 10, np.float64, om._NORMALS_FILL, normals),
+             ("noise", "normals", 128, np.float64, om._NORMALS_FILL, normals),
+             ("picks", "raw words", 26, np.uint64, om._RAW_FILL, raw))
+
+    def per_row(table, out, fill, args):
+        best = np.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            om._each_row(table.copy(), out, fill, *args)
+            best = min(best, time.perf_counter() - start)
+        return best / rows * 1e6
+
+    print(f"fill_overhead, {rows} rows, best of {repeats} (us per row):")
+    for name, unit, count, dtype, fill, args in cases:
+        out = np.empty((rows, count), dtype)
+        each = per_row(states, out, fill, args(count))
+        one = per_row(states[:1], out, fill, args(rows * count))
+        print(f"  {name} ({count} {unit} a row): {each:.3f} through "
+              f"_each_row, {one:.3f} as one C fill, {each - one:.3f} of "
+              f"call overhead")
+
+
 def package_size():
     """The package's lines, names in ``__all__`` and dataclasses."""
     import pathlib, re
@@ -211,5 +253,6 @@ elif __name__ == "__main__" and sys.argv[1:2] == ["library"]:
           f"cli imported {'ofdm_sync_lab.cli' in sys.modules}")
 elif __name__ == "__main__":
     for section in (command_usage, library_sweep, import_cpu, import_times,
-                    unreached, stage_high_water, package_size):
+                    unreached, stage_high_water, fill_overhead,
+                    package_size):
         section()

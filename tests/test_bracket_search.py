@@ -320,6 +320,30 @@ def test_certified_rows_hold_the_surface_argmin(grid, seed):
         assert at == ev._result(ev._surface(c[t], v[t]))
 
 
+def test_wide_sfo_lattice_keeps_the_surface_argmin():
+    """On a lattice whose SFOs run from -0.99 to 0.6, Moose's slope
+    a (1 + sfo) spans a factor of 160, so kappa must come from the least
+    slope. Rows whose correlation peaks at SFO -0.99 while one bin with
+    nothing in R1 lifts c to about 1e10 |v|max leave that column's
+    candidates within rounding of each other: a kappa from the largest
+    slope would certify such rows, and some would lose the surface's
+    first-occurrence argmin."""
+    grid = GridSpec(0.01, range(-20, 21), 0.01, range(-99, 61))
+    ev = GridEvaluator(grid, CFG)
+    rng = np.random.default_rng(1)
+    n, k = 96, CFG.subcarrier_indices
+    r0 = rng.standard_normal((n, 52)) + 1j * rng.standard_normal((n, 52))
+    r1 = symbol_phase_ramp(k, rng.uniform(-0.2, 0.2, (n, 1)), -0.99,
+                           CFG) * r0
+    r0[:, 0], r1[:, 0] = np.sqrt(52 * 10 ** rng.uniform(8.5, 10.5, n)), 0.0
+    found = ev.search_proposed(r0, r1)
+    c, v = ev._pair_terms(r0, r1)
+    for t in range(n):
+        i, j = ev._result(ev._surface(c[t], v[t]))
+        assert (found.cfo[t], found.sfo[t]) == (grid.cfo_values[i],
+                                                grid.sfo_values[j])
+
+
 def test_negative_cosine_bound_is_clamped():
     """On ``COARSE``'s CFOs, at p = 0.01 in both of two SFO columns, a
     nearly flat row (|v| = 4.5e-13 c) has its best candidate, CFO 0,

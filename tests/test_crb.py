@@ -539,6 +539,14 @@ def test_bounds_at_extreme_noise_are_finite(noise_var):
     npt.assert_allclose(bounds, crb_pair(*reference), rtol=1e-12)
 
 
+def test_overflowing_determinant_is_inverted_scaled():
+    """det = 1e200 * 1e200 overflows to inf, which is no usable det: the
+    row is inverted again scaled, to bounds of 1e-200 and a finite det."""
+    crb_cfo, crb_sfo, det = crb_rows(1e200, 0.0, 0.0, 1e200)
+    assert crb_cfo == crb_sfo == pytest.approx(1e-200, rel=1e-15)
+    assert invertible(det)
+
+
 def test_crb_scales_linearly_with_noise():
     """10 dB less SNR means exactly 10x the noise variance and exactly 10x
     both bounds."""

@@ -16,6 +16,8 @@ SECTIONS = {  # smallest sizes, and what the output must show
     "stage_high_water": ([1, 1, 1], [" derive ", " states ", " picks ",
                                      " draw ", " observe ", " searches ",
                                      " Fisher "]),
+    "fill_overhead": ([2, 1], [" taps (", " noise (", " picks (",
+                               " one C fill, "]),
     "package_size": ([], ["@dataclass classes"]),
 }
 

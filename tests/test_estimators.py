@@ -594,6 +594,16 @@ def test_refine_keeps_lattice_point_at_grid_edge():
     assert refined.cfo == -0.5
 
 
+def test_refine_keeps_lattice_point_at_upper_grid_edge():
+    """Truth 0.35 lies past the top CFO 0.3 of a lattice that spans less
+    than the period 0.8, so the lattice argmin sits on that edge, which
+    refine keeps; Moose's branch nearest it would be about 0.35."""
+    _, r0, r1 = observation(24, 0.35, 0.0)
+    grid = make_grid(cfo_max=0.3)
+    assert proposed(r0, r1, grid).cfo == 0.3
+    assert proposed(r0, r1, grid, refine=True).cfo == 0.3
+
+
 def test_nguyenle_refine_moves_toward_off_lattice_truth():
     eps_true, eta_true = 0.212, 0.000112
     x, r0, r1 = observation(23, eps_true, eta_true)

@@ -1,6 +1,8 @@
 """Harness tests: seeded trial reproducibility, the column reducer,
 sweep assembly, failure accounting, and the bounds of fig2 and crb."""
 
+import ctypes
+import gc
 import math
 import threading
 from dataclasses import astuple, replace
@@ -131,6 +133,18 @@ def test_experiment_config_validation():
         replace(make_experiment(), ofdm=OfdmConfig(64, 51, 16))
     with pytest.raises(ValueError, match="K exceeds N"):
         replace(make_experiment(), ofdm=OfdmConfig(64, 80, 16))
+
+
+def test_alias_scan_reaches_three_periods_past_its_floor():
+    """Over 2**53 periods from the CFO, start + k rounds to a float step
+    of 2: on this two-point grid, 1.06e16 periods below cfo 0.212, k = -1,
+    0 and 1 give start itself and k = 2 start + 2, whose aliases lie below
+    the grid, and only k = 3 reaches start + 4, whose alias is its top
+    point."""
+    grid = GridSpec(1.0, range(-8510579615963083, -8510579615963081), 1e-5,
+                    range(-50, 51))
+    with pytest.raises(ValueError, match="alias -8.51058e"):
+        make_experiment(sfo=0.0, grid=grid)
 
 
 def test_equal_grids_and_experiments_compare_and_hash_equal():
@@ -920,6 +934,35 @@ def test_concurrent_sweeps_equal_their_serial_runs(monkeypatch):
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
     assert threaded == serial
+
+
+def test_sweeps_look_mallopt_up_once_and_leave_no_cyclic_garbage(
+        monkeypatch):
+    """Only a process's first ``_retain_heap`` call looks glibc's mallopt
+    up: each lookup built a CDLL and a function-pointer class, nine
+    objects that every sweep left as cyclic garbage. A second call builds
+    no CDLL, and no sweep leaves anything for the cycle collector."""
+    harness._retain_heap()
+    built = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args: built.append(args))
+    harness._retain_heap()
+    assert built == []
+    sweeps, cfg = (run_crb_sweep, run_noise_variance_sweep,
+                   run_mse_sweep), tiny_experiment()
+    for sweep in sweeps:  # fills the caches
+        sweep(cfg)
+    gc.collect()
+    debug, gc.garbage[:] = gc.get_debug(), []
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for sweep in sweeps:
+            sweep(cfg)
+        gc.collect()
+        garbage = [type(thing).__name__ for thing in gc.garbage]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage[:] = []
+    assert garbage == []
 
 
 def test_noise_variance_sweep_rows():

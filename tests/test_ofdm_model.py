@@ -3,6 +3,7 @@ the inter-carrier coupling decomposition, and the random substreams'
 derivation. The tests of the streams against numpy's own are in
 ``tests/test_streams.py``."""
 
+import itertools
 import math
 import warnings
 
@@ -259,6 +260,67 @@ def test_carrier_gain_rejects_non_finite_offsets():
                                (0.0, math.nan, "sfo")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 carrier_gain(cfg.subcarrier_indices, 0, cfo, sfo, cfg)
+
+
+def numpy_offset_checks(cfo, sfo, dft_size=None):
+    """``ofdm_model._check_offsets``'s checks on any input, through numpy
+    calls alone: the reference its Python-float path must agree with."""
+    for name, value in (("cfo", cfo), ("sfo", sfo)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not (np.abs(sfo) < 1.0).all():
+        raise ValueError(f"sfo must exceed -1 and stay below 1, got {sfo}")
+    if dft_size is not None and not (np.abs(cfo) < dft_size).all():
+        raise ValueError(f"cfo must lie inside (-N, N) = (-{dft_size}, "
+                         f"{dft_size}) subcarrier spacings, got {cfo}")
+
+
+def check_outcome(check, *args):
+    """None, or the type and message of what ``check(*args)`` raised."""
+    try:
+        check(*args)
+    except Exception as error:  # numpy's OverflowError at N >= 2**1024 too
+        return type(error), str(error)
+    return None
+
+
+BELOW_ONE, BELOW_N = np.nextafter(1.0, 0.0), np.nextafter(64.0, 0.0)
+OFFSETS = (0.0, -0.0, 5e-324, -5e-324, 0.212, -1.12e-4, 1.0, -1.0,
+           BELOW_ONE, -BELOW_ONE, 64.0, -BELOW_N, 2.0 ** 53, math.nan,
+           math.inf, -math.inf)
+FORMS = {"float": float, "np.float64": np.float64, "0-d": np.array,
+         "1-d": lambda value: np.array([0.5, value])}
+
+
+SIZES = {"None": None, "64": 64, "2": 2, "np.int64": np.int64(64),
+         "64.0": 64.0, "2**53": 2 ** 53, "2**53+1": 2 ** 53 + 1,
+         "2**1100": 2 ** 1100, "-64": -64, "True": True}
+
+
+@pytest.mark.parametrize("dft_size", SIZES.values(), ids=list(SIZES))
+def test_offset_checks_match_numpy_on_any_input(dft_size):
+    """The offset checks accept and reject, with the same error and
+    message, exactly what their numpy form does: on Python floats, whose
+    passing pairs skip numpy, on np.float64 values and on 0-d and 1-d
+    arrays, at |sfo| = 1, |cfo| = N, signed zeros, subnormals, NaN and
+    inf, and at sizes N that are not ints or not exact floats."""
+    for cfo, sfo in itertools.product(OFFSETS, repeat=2):
+        for cfo_form, sfo_form in itertools.product(FORMS.values(), repeat=2):
+            args = cfo_form(cfo), sfo_form(sfo), dft_size
+            assert check_outcome(ofdm_model._check_offsets, *args) \
+                == check_outcome(numpy_offset_checks, *args), args
+
+
+def test_python_float_offsets_make_no_numpy_call(monkeypatch):
+    """A sweep's offsets are Python floats, which pass with no numpy
+    call: two such calls per chunk once cost 13 us of numpy scalars."""
+    def numpy_called(*args):
+        raise AssertionError("numpy was called")
+
+    for name in ("isfinite", "abs"):
+        monkeypatch.setattr(np, name, numpy_called)
+    ofdm_model._check_offsets(CFO_OP, SFO_OP, 64)
+    ofdm_model._check_offsets(0.0, SFO_OP)
 
 
 def test_frequency_response_flat_for_single_tap():

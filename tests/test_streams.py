@@ -15,6 +15,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -283,8 +284,9 @@ def test_package_import_imports_numpy_random():
 @pytest.mark.parametrize("n_rows", [511, 512, 513])
 def test_qpsk_picks_across_the_block_edge(n_rows, monkeypatch):
     """Tables on either side of 512 rows get, row for row, what
-    ``Generator.integers(0, 4, 52)`` draws, from one PCG64 per call, not
-    one per row, and the caller's states are left where they were."""
+    ``Generator.integers(0, 4, 52)`` draws, from at most one PCG64 per
+    thread, not one per row, and the caller's states are left where they
+    were."""
     table = ofdm_model._derive_tables(12345, (15000,), range(n_rows),
                                       ("training",))[0, 0]
     expected = [_integers_oracle(words, 52) for words in table]
@@ -294,8 +296,54 @@ def test_qpsk_picks_across_the_block_edge(n_rows, monkeypatch):
     monkeypatch.setattr(np.random, "PCG64",
                         lambda *args: built.append(args) or pcg64(*args))
     npt.assert_array_equal(ofdm_model._qpsk_picks(states, 52), expected)
-    assert len(built) == 1
+    assert len(built) <= 1
     npt.assert_array_equal(states, before)
+
+
+def test_each_thread_fills_from_one_handle_of_its_own(monkeypatch):
+    """In each of two fresh threads, pick and normal fills that interleave
+    draw what one-trial ``Generator`` calls draw, from the one PCG64 that
+    thread builds at its first fill; the two threads' handles differ, and
+    as both fills draw whole 64-bit words, a handle's buffered 32-bit word
+    stays unused, so no row can pass one on to the next."""
+    seeds = ofdm_model._derive_tables(12345, (15000,), range(6),
+                                      ("training", "channel"))[:, 0]
+    states = ofdm_model._pcg64_states(seeds)
+    expected = ([_integers_oracle(words, 52) for words in seeds[0]],
+                [np.random.Generator(np.random.PCG64(SeedWords(words)))
+                 .standard_normal((2, 5)) for words in seeds[1]])
+    built, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *args: built.append(
+        threading.get_ident()) or pcg64(*args))
+    both_alive, handles, failed = threading.Barrier(2), {}, []
+
+    def fill():
+        try:
+            for _ in range(2):
+                npt.assert_array_equal(
+                    ofdm_model._qpsk_picks(states[0], 52), expected[0])
+                drawn = ofdm_model._standard_normals(states[1, :, None], 5)
+                npt.assert_array_equal(drawn[:, 0], expected[1])
+            bitgen = ofdm_model._THREAD.handle[0]
+            state = bitgen.state
+            assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+            assert built.count(threading.get_ident()) == 1
+            handles[threading.get_ident()] = bitgen
+            both_alive.wait(timeout=60)  # so neither handle is freed yet
+        except Exception as error:  # reported by the main thread below
+            failed.append(error)
+            both_alive.abort()
+
+    threads = [threading.Thread(target=fill) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failed, failed
+    assert len(handles) == len(built) == 2
+    first, second = handles.values()
+    assert first is not second
 
 
 @pytest.mark.parametrize("fill", ["normals", "raw"])
